@@ -29,7 +29,6 @@ from .germ import (
     PolyVectorField,
     build_frame,
     cramer_frame,
-    directional_derivative,
     normalize,
     validate,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "compute_lambdas",
     "cramer_frame",
     "cusp_fast_path",
-    "directional_derivative",
     "fold_fast_path",
     "format_rational",
     "hessian",

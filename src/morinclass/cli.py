@@ -211,7 +211,6 @@ def build_parser():
 
     p_classify = sub.add_parser("classify", help="classify a germ file")
     p_classify.add_argument("file")
-    p_classify.add_argument("--json", action="store_true", help="JSON output (default)")
     p_classify.add_argument("--trace", action="store_true", help="include lambda/h polynomials")
     p_classify.add_argument("--point", help="classify at a translated base point a,b,...")
     p_classify.add_argument("--numeric", action="store_true", help="threshold classification")

@@ -5,7 +5,9 @@ The decision pipeline, all in exact arithmetic:
   1. validate: rank of the Jacobian at the origin.
   2. normalize + adapted frame (xi pivots, eta kernel fields).
   3. lambda_i = det(xi_1 f, ..., xi_{n-1} f, eta_i f); the singular locus is
-     the common zero set of the lambdas.
+     the common zero set of the lambdas.  Each eta_i annihilates f_1, ...,
+     f_{n-1}, so the last column is (0, ..., 0, eta_i f_n) and
+     lambda_i = det(B) * eta_i f_n with B the pivot block of the frame.
   4. the (m-n+1)-square matrix M with M[i][j] = eta_j lambda_i, its
      determinant h, the kernel field theta (an adjugate column of M), and the
      iterated directional derivatives h' = theta h, h'' = theta h', ...
@@ -131,13 +133,10 @@ def compute_lambdas(ng: NormalizedGerm, frame: AdaptedFrame = None) -> LambdaSys
 
 
 def lambdas_for_frame(germ: MapGerm, frame: AdaptedFrame) -> LambdaSystem:
-    xi_columns = [vf.apply_map(germ) for vf in frame.xi]
-    lambdas = []
-    for eta in frame.eta:
-        cols = xi_columns + [eta.apply_map(germ)]
-        mat = PolyMatrix.from_rows([[cols[c][r] for c in range(germ.n)] for r in range(germ.n)])
-        lambdas.append(mat.determinant())
-    return LambdaSystem(lambdas=tuple(lambdas), frame=frame, germ=germ)
+    """lambda_i = det(B) * eta_i f_n, det(B) being `frame.pivot_minor` (step 3 above)."""
+    f_n = germ.components[-1]
+    lambdas = tuple(frame.pivot_minor * eta.apply(f_n) for eta in frame.eta)
+    return LambdaSystem(lambdas=lambdas, frame=frame, germ=germ)
 
 
 def jacobian_at_origin(polys, germ) -> RationalMatrix:

@@ -138,9 +138,6 @@ class PolyVectorField:
             acc = acc + coeff * p.derivative(name)
         return acc
 
-    def apply_map(self, germ: MapGerm):
-        return [self.apply(p) for p in germ.components]
-
     def values_at(self, assignment):
         return [c.evaluate(assignment) for c in self.coefficients]
 
@@ -158,10 +155,6 @@ def coordinate_field(context, name) -> PolyVectorField:
     coeffs = [Polynomial.zero(context) for _ in context.source_names]
     coeffs[context.source_names.index(name)] = Polynomial.constant(context, 1)
     return PolyVectorField(context, tuple(coeffs))
-
-
-def directional_derivative(vf: PolyVectorField, p: Polynomial) -> Polynomial:
-    return vf.apply(p)
 
 
 @dataclass(frozen=True)

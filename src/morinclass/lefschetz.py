@@ -104,31 +104,21 @@ def chart_frame(germ: MapGerm):
 def lefschetz_lambdas(params=None):
     """Singular-locus equations of the family in the x1-pivot chart.
 
-    Returns a dict with the raw Cramer lambdas, the normalized lambdas
-    obtained by exact division by +-(a1+x2), and the units used.  With
-    `params` the family is bound first; otherwise everything is symbolic.
+    Returns a dict with the Cramer lambdas (a1+x2) * eta_i f_2, the
+    normalized lambdas eta_i f_2 (the Cramer lambdas divided by the pivot
+    minor a1+x2), and that minor once per lambda as `units`.  With `params`
+    the family is bound first; otherwise everything is symbolic.
     """
     fam = LefschetzFamily.symbolic()
     germ = fam.germ if params is None else fam.at(params)
     frame = chart_frame(germ)
     ls = lambdas_for_frame(germ, frame)
-    unit = frame.pivot_minor  # x2 + a1, with parameters bound if the germ is
-    normalized = []
-    units = []
-    for lam in ls.lambdas:
-        # each Cramer lambda is a multiple of the pivot minor; the quotient
-        # carries whatever sign the kernel-field orientation produced, and the
-        # golden test pins it against the classical display
-        q, r = lam.divide(unit)
-        if not r.is_zero():
-            raise AssertionError("chart lambda is not a multiple of (a1+x2)")
-        normalized.append(q)
-        units.append(unit)
+    f_2 = germ.components[-1]
     return {
         "system": ls,
         "cramer": list(ls.lambdas),
-        "normalized": normalized,
-        "units": units,
+        "normalized": [eta.apply(f_2) for eta in frame.eta],
+        "units": [frame.pivot_minor] * len(frame.eta),
         "frame": frame,
         "germ": germ,
     }

@@ -234,14 +234,8 @@ class _FloatPipeline:
                         acc = fops.add_terms(acc, fops.mul_terms(adj[jdx][k], w[k]))
                     coeffs[pc] = fops.neg_terms(acc)
             etas.append(coeffs)
-        lambdas = []
-        for eta in etas:
-            rows = []
-            for i in range(self.n):
-                row = [grads[i][pc] for pc in piv_cols]
-                row.append(_apply_field(eta, comps[i], self.m))
-                rows.append(row)
-            lambdas.append(_det_dicts(rows))
+        # lambda_i = det(B) * eta_i f_n, as in criteria.lambdas_for_frame
+        lambdas = [fops.mul_terms(det_b, _apply_field(eta, comps[-1], self.m)) for eta in etas]
         return {"comps": comps, "etas": etas, "lambdas": lambdas, "piv_cols": piv_cols}
 
     def base_lambdas(self):

@@ -174,6 +174,12 @@ def cofactor_determinant(rows):
     return total
 
 
+def lambda_matrix(germ, frame, eta):
+    """The defining n x n matrix (xi_1 f, ..., xi_{n-1} f, eta f) of one lambda."""
+    fields = list(frame.xi) + [eta]
+    return [[vf.apply(comp) for vf in fields] for comp in germ.components]
+
+
 def minor_rank(rows):
     """Rank as the maximal order of a nonzero minor (enumeration oracle)."""
     from itertools import combinations

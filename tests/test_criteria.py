@@ -29,7 +29,9 @@ from morinclass.criteria import (
 from morinclass.lefschetz import lefschetz_lambdas
 
 from conftest import (
+    cofactor_determinant,
     labels_equivalent,
+    lambda_matrix,
     linear_source_change,
     linear_target_change,
     make_context,
@@ -80,6 +82,27 @@ class TestLambdas:
         ctx = data["germ"].context
         x2, y2, a1, b1 = (Polynomial.variable(ctx, n) for n in ("x2", "y2", "a1", "b1"))
         assert data["normalized"][1] == x2**2 + y2**2 + a1 * x2 + b1 * y2
+
+    @staticmethod
+    def assert_lambdas_match_definition(germ, frame):
+        lambdas = lambdas_for_frame(germ, frame).lambdas
+        assert len(lambdas) == len(frame.eta) == germ.m - germ.n + 1
+        for lam, eta in zip(lambdas, frame.eta):
+            assert lam == cofactor_determinant(lambda_matrix(germ, frame, eta))
+
+    def test_identity_matches_definition_on_changed_battery(self, battery_germs):
+        # lambda_i = det(B) * eta_i f_n against the n x n determinant itself,
+        # on the full germ and on the jet-capped germ that classify works with
+        rng = random.Random(4242)
+        for m, n, k, signs, germ in battery_germs:
+            moved = unipotent_target_change(rng, linear_target_change(rng, germ))
+            for work in (moved, moved.truncated(n + 1)):
+                ng = normalize(work)
+                self.assert_lambdas_match_definition(ng.germ, build_frame(ng))
+
+    def test_identity_matches_definition_on_lefschetz_chart(self):
+        data = lefschetz_lambdas()
+        self.assert_lambdas_match_definition(data["germ"], data["frame"])
 
 
 class TestNondegeneracy:

@@ -27,7 +27,7 @@ from morinclass.lefschetz import (
     write_slice_csv,
 )
 
-from conftest import to_sympy
+from conftest import cofactor_determinant, lambda_matrix, to_sympy
 
 GOLDEN = Path(__file__).parent / "data" / "lefschetz_lambdas.txt"
 
@@ -78,8 +78,13 @@ class TestLambdas:
 
     def test_division_leaves_no_remainder(self):
         data = lefschetz_lambdas()
-        for raw, norm, unit in zip(data["cramer"], data["normalized"], data["units"]):
+        germ, frame = data["germ"], data["frame"]
+        for raw, norm, unit, eta in zip(
+            data["cramer"], data["normalized"], data["units"], frame.eta
+        ):
             assert norm * unit == raw
+            # the 2x2 Cramer determinant (xi f, eta f) the lambdas are defined by
+            assert raw == cofactor_determinant(lambda_matrix(germ, frame, eta))
 
     def test_bound_parameters(self):
         data = lefschetz_lambdas((1, 0, 0, 7))

@@ -1,12 +1,14 @@
 """Gauss-Newton projection and threshold classification."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from morinclass import MapGerm, Polynomial, classify
 from morinclass.lefschetz import LefschetzFamily, circle_point
+from morinclass import numeric
 from morinclass.numeric import (
     ProjectionError,
     Tolerances,
@@ -15,7 +17,7 @@ from morinclass.numeric import (
     scan_region,
 )
 
-from conftest import make_context, normal_form
+from conftest import linear_target_change, make_context, normal_form, unipotent_target_change
 
 
 @pytest.fixture
@@ -65,6 +67,42 @@ class TestProjection:
             project_to_singular_locus(
                 cusp_germ, (0.3, 0.4, 0.5), Tolerances(max_newton_iters=1, residual_tol=1e-300)
             )
+
+
+class TestFloatLambdas:
+    @staticmethod
+    def determinant_lambdas(pipe, data):
+        """Old definition: det of the float rows (xi_1 f_i, ..., xi_{n-1} f_i, eta f_i)."""
+        comps, piv_cols = data["comps"], data["piv_cols"]
+        grads = [numeric._grad(c, pipe.m) for c in comps]
+        return [
+            numeric._det_dicts(
+                [
+                    [grads[i][pc] for pc in piv_cols]
+                    + [numeric._apply_field(eta, comps[i], pipe.m)]
+                    for i in range(pipe.n)
+                ]
+            )
+            for eta in data["etas"]
+        ]
+
+    def test_identity_matches_float_determinant(self, fold_germ, cusp_germ):
+        rng = random.Random(31)
+        lef = LefschetzFamily.symbolic().at((Fraction(3, 2), 1, 2, Fraction(1, 2)))
+        # a 3-component germ whose first two components are not linear, so
+        # det(B) is a genuine polynomial
+        moved = unipotent_target_change(rng, linear_target_change(rng, normal_form(4, 3, 3, (1,))))
+        for germ in (fold_germ, cusp_germ, lef, moved):
+            pipe = numeric._FloatPipeline(germ, Tolerances())
+            for _ in range(3):
+                point = [rng.uniform(-1, 1) for _ in range(germ.m)]
+                data = pipe.local_data(point)
+                expected = self.determinant_lambdas(pipe, data)
+                assert len(data["lambdas"]) == len(expected) == germ.m - germ.n + 1
+                for got, want in zip(data["lambdas"], expected):
+                    scale = max(abs(c) for c in want.values())
+                    for exps in set(got) | set(want):
+                        assert abs(got.get(exps, 0.0) - want.get(exps, 0.0)) <= 1e-12 * scale
 
 
 class TestNumericClassify:
