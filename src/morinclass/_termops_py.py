@@ -5,8 +5,7 @@ variable) to nonzero exact rational coefficients; plain ints and Fractions
 mix freely, and integer inputs give integer outputs.  Every function returns
 a new canonical dict (no stored zeros) and never mutates its inputs.
 
-`morinclass._termops` is a compiled twin of this module; `morinclass.kernel`
-picks whichever is importable.
+`morinclass.kernel` re-exports these functions for `Polynomial`.
 """
 
 from fractions import Fraction

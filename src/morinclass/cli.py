@@ -55,7 +55,7 @@ def report_to_dict(report, include_trace=False):
         out["trace"] = {"lambdas": trace["lambdas"]}
         if "h" in trace:
             out["trace"]["h"] = trace["h"]
-    out["warnings"] = list(report.warnings)
+    out["warnings"] = []
     return out
 
 

@@ -16,14 +16,17 @@ The decision pipeline, all in exact arithmetic:
      candidate Morin k, confirmed by the rank of the stacked Jacobian of
      (lambdas, h, h', ..., h^{(k-2)}) at 0 being m-n+k.
 
-Every mathematical failure is a report label, never an exception.  Only the
-(n+1)-jet of the germ at the base point can influence any of these tests, so
-`classify` truncates its input to that jet up front; trace polynomials are
-therefore jets.
+Every mathematical failure is a report label, never an exception.  The
+tests read values and first derivatives at the base point only, so each
+stage needs the jet of its input one order deeper than its output, and every
+derivative spends one order: f is read to order n+1; eta f, the frame and the
+lambdas to order n; M, h and theta to order n-1; and h^(j) to order n-1-j.
+`classify` caps the germ at order n+1, and the jet rule of `Polynomial` then
+carries each stage at its budget; every trace polynomial is exact in each
+degree it prints.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .germ import (
     CORANK1,
@@ -114,15 +117,10 @@ class HessData:
 class CriteriaReport:
     label: Label
     trace: dict = field(default_factory=dict)
-    warnings: list = field(default_factory=list)
 
 
 class ThetaUnavailableError(ValueError):
     """The adjugate of the kernel Hessian vanishes at the origin."""
-
-
-def _origin(germ):
-    return {name: Fraction(0) for name in germ.context.names}
 
 
 def compute_lambdas(ng: NormalizedGerm, frame: AdaptedFrame = None) -> LambdaSystem:
@@ -140,10 +138,9 @@ def lambdas_for_frame(germ: MapGerm, frame: AdaptedFrame) -> LambdaSystem:
 
 
 def jacobian_at_origin(polys, germ) -> RationalMatrix:
-    origin = _origin(germ)
     names = germ.context.source_names
     return RationalMatrix.from_rows(
-        [[p.derivative(v).evaluate(origin) for v in names] for p in polys]
+        [[p.derivative(v).constant_term() for v in names] for p in polys]
     )
 
 
@@ -172,12 +169,11 @@ def build_theta(ls: LambdaSystem, hd: HessData, column="first") -> HessData:
     depend on the choice, which the test suite exercises).
     """
     adj = hd.h_matrix.adjugate()
-    origin = _origin(ls.germ)
     size = adj.rows
     usable = []
     for c in range(size):
         col = adj.column(c)
-        if any(p.evaluate(origin) != 0 for p in col):
+        if any(p.constant_term() != 0 for p in col):
             usable.append(c)
     if not usable:
         raise ThetaUnavailableError("adjugate of the kernel Hessian vanishes at 0")
@@ -225,11 +221,10 @@ def rank_condition_b(ls: LambdaSystem, hd: HessData, k: int):
 
 def kernel_hessian_of_last(ng: NormalizedGerm, frame: AdaptedFrame) -> RationalMatrix:
     """(eta_j eta_i f_n)(0): well-defined symmetric since d(f_n)_0 = 0."""
-    origin = _origin(ng.germ)
     fn = ng.germ.components[-1]
     first = [eta.apply(fn) for eta in frame.eta]
     rows = [
-        [eta_j.apply(first_i).evaluate(origin) for eta_j in frame.eta]
+        [eta_j.apply(first_i).constant_term() for eta_j in frame.eta]
         for first_i in first
     ]
     return RationalMatrix.from_rows(rows)
@@ -265,11 +260,10 @@ def cusp_fast_path(ng: NormalizedGerm, frame: AdaptedFrame = None):
     except ThetaUnavailableError:
         return {"applicable": False, "is_cusp": False, "kernel_dim": kernel_dim}
     fn = ng.germ.components[-1]
-    origin = _origin(ng.germ)
     t1 = hd.theta.apply(fn)
     t3 = hd.theta.apply(hd.theta.apply(t1))
     grad = jacobian_at_origin([t1], ng.germ)
-    is_cusp = t3.evaluate(origin) != 0 and any(e != 0 for e in grad.entries)
+    is_cusp = t3.constant_term() != 0 and any(e != 0 for e in grad.entries)
     return {"applicable": True, "is_cusp": is_cusp, "kernel_dim": kernel_dim}
 
 
@@ -294,19 +288,18 @@ def classify(germ: MapGerm, theta_column="first") -> CriteriaReport:
     frame = build_frame(ng)
     ls = lambdas_for_frame(ng.germ, frame)
     hd = hessian(ls)
-    origin = _origin(ng.germ)
     trace["frame"] = {
         "pivots": list(frame.pivot_names),
         "target_change": [
             [format_rational(e) for e in row] for row in frame.target_change.to_rows()
         ],
-        "pivot_minor_at_0": format_rational(frame.pivot_minor.evaluate(origin)),
+        "pivot_minor_at_0": format_rational(frame.pivot_minor.constant_term()),
     }
     trace["lambdas"] = [p.render() for p in ls.lambdas]
     trace["h"] = hd.h.render()
     nd = nondegeneracy(ls)
     trace["nondegeneracy"] = {"rank": nd["rank"], "required": nd["required"]}
-    h0 = hd.h.evaluate(origin)
+    h0 = hd.h.constant_term()
     trace["h_at_0"] = format_rational(h0)
 
     if h0 != 0:
@@ -325,10 +318,10 @@ def classify(germ: MapGerm, theta_column="first") -> CriteriaReport:
         return CriteriaReport(label=degenerate_label(NOT_2_NONDEGENERATE), trace=trace)
     trace["theta_column"] = hd.theta_column
     trace["theta_at_0"] = [
-        format_rational(c.evaluate(origin)) for c in hd.theta.coefficients
+        format_rational(c.constant_term()) for c in hd.theta.coefficients
     ]
     hd = iterate_h(hd, n - 1)
-    deriv_values = [p.evaluate(origin) for p in hd.h_derivs]
+    deriv_values = [p.constant_term() for p in hd.h_derivs]
     trace["h_derivs_at_0"] = [format_rational(v) for v in deriv_values]
 
     k = None

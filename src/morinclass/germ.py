@@ -62,28 +62,28 @@ class MapGerm:
             raise MalformedGermError(
                 f"need more source variables than components (m={self.m}, n={self.n})"
             )
-        zeros = {name: Fraction(0) for name in self.context.source_names}
+        src = self.context.source_indices
         for i, p in enumerate(self.components):
-            at0 = p.substitute(zeros)
+            at0 = Polynomial(
+                self.context,
+                {e: c for e, c in p.terms.items() if not any(e[j] for j in src)},
+            )
             if not at0.is_zero():
                 raise MalformedGermError(
                     f"component {i + 1} does not vanish at the origin: {at0.render()}"
                 )
-
-    def jacobian(self) -> PolyMatrix:
-        """n x m matrix of partial derivatives with respect to source variables."""
-        names = self.context.source_names
-        return PolyMatrix.from_rows(
-            [[p.derivative(v) for v in names] for p in self.components]
-        )
 
     def jacobian_at_origin(self) -> RationalMatrix:
         if self.uses_parameters():
             raise MalformedGermError(
                 "germ still has free parameters; bind them before classification"
             )
-        origin = {name: Fraction(0) for name in self.context.names}
-        return self.jacobian().evaluate(origin)
+        # d(f_i)/d(x_j) at 0 is the coefficient of the monomial x_j in f_i
+        ctx = self.context
+        units = [tuple(int(k == j) for k in range(len(ctx))) for j in ctx.source_indices]
+        return RationalMatrix.from_rows(
+            [[p.coefficient(u) for u in units] for p in self.components]
+        )
 
     def bind_parameters(self, values) -> "MapGerm":
         """Substitute rational values for all parameter variables."""
@@ -265,9 +265,8 @@ def normalize(germ: MapGerm) -> NormalizedGerm:
     nonpivot_names = tuple(v for v in source_names if v not in pivot_names)
     # the construction guarantees this; fail loudly if it ever breaks
     last = new_germ.components[-1]
-    origin = {name: Fraction(0) for name in germ.context.names}
     for v in source_names:
-        if last.derivative(v).evaluate(origin) != 0:
+        if last.derivative(v).constant_term() != 0:
             raise AssertionError("normalization failed to make the last component critical")
     return NormalizedGerm(
         germ=new_germ,
@@ -332,8 +331,7 @@ def cramer_frame(germ: MapGerm, pivot_names) -> AdaptedFrame:
 
 def build_frame(ng: NormalizedGerm) -> AdaptedFrame:
     frame = cramer_frame(ng.germ, ng.pivot_names)
-    origin = {name: Fraction(0) for name in ng.germ.context.names}
-    if frame.pivot_minor.evaluate(origin) == 0:
+    if frame.pivot_minor.constant_term() == 0:
         raise AssertionError("pivot minor vanishes at the origin after normalization")
     return AdaptedFrame(
         xi=frame.xi,

@@ -1,20 +1,15 @@
-"""Selects the term-arithmetic kernel: compiled extension if built, else pure Python."""
+"""The term-arithmetic kernel used by `Polynomial` (pure Python)."""
 
-try:
-    from . import _termops as _impl
+from ._termops_py import (
+    add_terms,
+    diff_terms,
+    eval_terms,
+    mul_terms,
+    neg_terms,
+    pow_terms,
+    scale_terms,
+    sub_terms,
+    truncate_terms,
+)
 
-    KERNEL = "compiled"
-except ImportError:
-    from . import _termops_py as _impl
-
-    KERNEL = "python"
-
-add_terms = _impl.add_terms
-sub_terms = _impl.sub_terms
-neg_terms = _impl.neg_terms
-scale_terms = _impl.scale_terms
-mul_terms = _impl.mul_terms
-pow_terms = _impl.pow_terms
-diff_terms = _impl.diff_terms
-truncate_terms = _impl.truncate_terms
-eval_terms = _impl.eval_terms
+KERNEL = "python"

@@ -31,7 +31,13 @@ def _jet_min(a, b):
 class Polynomial:
     """`jet` is an optional total-degree cap: arithmetic on capped polynomials
     truncates every result, so whole pipelines can run in the jet ring at the
-    base point without intermediate term blowup."""
+    base point without intermediate term blowup.
+
+    The cap is the order to which the terms are known.  A sum or product is
+    known to the smaller cap of its operands, and a derivative of a k-jet is
+    a (k-1)-jet, so every result of capped arithmetic is exact in each degree
+    it holds.  Uncapped polynomials stay uncapped.
+    """
 
     __slots__ = ("context", "terms", "jet")
 
@@ -152,10 +158,6 @@ class Polynomial:
         trunc = -1 if self.jet is None else self.jet
         return Polynomial(self.context, kernel.pow_terms(self.terms, k, trunc), self.jet)
 
-    def mul_truncated(self, other, max_degree: int):
-        other = self._coerce(other)
-        return Polynomial(self.context, kernel.mul_terms(self.terms, other.terms, max_degree))
-
     def truncated(self, max_degree: int):
         """The jet at 0: drops higher-degree terms and caps all later products."""
         return Polynomial(self.context, self.terms, max_degree)
@@ -189,9 +191,14 @@ class Polynomial:
     # -- calculus ------------------------------------------------------------
 
     def derivative(self, name):
-        """Exact formal partial derivative with respect to one variable."""
+        """Exact formal partial derivative; a k-jet differentiates to a (k-1)-jet."""
+        jet = self.jet
+        if jet is not None:
+            if jet == 0:
+                raise ValueError("a 0-jet has no derivative")
+            jet -= 1
         return Polynomial(
-            self.context, kernel.diff_terms(self.terms, self.context.index(name)), self.jet
+            self.context, kernel.diff_terms(self.terms, self.context.index(name)), jet
         )
 
     def evaluate(self, assignment) -> Fraction:

@@ -1,5 +1,6 @@
 """The classification pipeline: lambdas, kernel Hessian, theta, labels."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from morinclass.criteria import (
     Label,
     build_theta,
     iterate_h,
+    kernel_hessian_of_last,
     lambdas_for_frame,
     rank_condition_b,
 )
@@ -103,6 +105,70 @@ class TestLambdas:
     def test_identity_matches_definition_on_lefschetz_chart(self):
         data = lefschetz_lambdas()
         self.assert_lambdas_match_definition(data["germ"], data["frame"])
+
+
+class TestJetBudgets:
+    @staticmethod
+    def uncapped_jets(germ, trace):
+        """lambdas and h of the whole germ under the normalization classify chose.
+
+        `normalize` picks the same pivots and eliminations for the whole germ,
+        but its integer row scaling depends on every term it sees; the rows
+        are therefore rebuilt with the target change printed in the trace.
+        """
+        rows = [[Fraction(e) for e in row] for row in trace["frame"]["target_change"]]
+        ng = normalize(germ)
+        assert list(ng.pivot_names) == trace["frame"]["pivots"]
+        comps = []
+        for row in rows:
+            acc = Polynomial.zero(germ.context)
+            for w, comp in zip(row, germ.components):
+                acc = acc + w * comp
+            comps.append(acc)
+        ng = dataclasses.replace(ng, germ=MapGerm(germ.context, tuple(comps)))
+        ls = lambdas_for_frame(ng.germ, build_frame(ng))
+        return ls.lambdas, hessian(ls).h
+
+    def test_trace_jets_match_uncapped_pipeline(self, battery_germs):
+        # every degree printed in the trace is a true degree of the germ's
+        # lambdas (order n) and h (order n-1), not a truncation artifact
+        rng = random.Random(2024)
+        for m, n, k, signs, germ in battery_germs:
+            for change in (linear_target_change, unipotent_target_change):
+                moved = change(rng, germ)
+                # integer coefficients, so classify's own scaling is the identity
+                moved = MapGerm(moved.context, tuple(c.integer_scaled() for c in moved.components))
+                trace = classify(moved).trace
+                lambdas, h = self.uncapped_jets(moved, trace)
+                assert trace["lambdas"] == [lam.truncated(n).render() for lam in lambdas]
+                assert trace["h"] == h.truncated(n - 1).render()
+
+    def test_stage_budgets(self, battery_germs):
+        for m, n, k, signs, germ in battery_germs:
+            ng = normalize(germ.truncated(n + 1))
+            ls = lambdas_for_frame(ng.germ, build_frame(ng))
+            hd = hessian(ls)
+            assert all(lam.jet == n for lam in ls.lambdas)
+            assert hd.h.jet == n - 1
+            if hd.h.constant_term() == 0:
+                hd = iterate_h(build_theta(ls, hd), n - 1)
+                assert [p.jet for p in hd.h_derivs] == list(range(n - 1, -1, -1))
+
+    def test_fold_value_from_kernel_hessian(self, battery_germs):
+        # M(0) = det B(0) * K because eta_i f_n vanishes at 0, so
+        # h(0) = det B(0)^s * det K with s = m-n+1, fold or not
+        rng = random.Random(1729)
+        for m, n, k, signs, germ in battery_germs:
+            for moved in (
+                linear_target_change(rng, linear_source_change(rng, germ)),
+                unipotent_target_change(rng, unipotent_source_change(rng, germ)),
+            ):
+                ng = normalize(moved.truncated(n + 1))
+                frame = build_frame(ng)
+                h0 = hessian(lambdas_for_frame(ng.germ, frame)).h.constant_term()
+                det_k = kernel_hessian_of_last(ng, frame).determinant()
+                assert h0 == frame.pivot_minor.constant_term() ** (m - n + 1) * det_k
+                assert (h0 != 0) == (k == 1)
 
 
 class TestNondegeneracy:

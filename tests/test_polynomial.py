@@ -84,6 +84,29 @@ class TestCalculus:
         with pytest.raises(KeyError):
             x.derivative("w")
 
+    def test_derivative_spends_one_jet_order(self, xyz):
+        ctx, x, y, z = xyz
+        p = (x**3 * y + x * z**2 + 2 * x**2 + y).truncated(3)
+        d = p.derivative("x")
+        assert d.jet == 2
+        assert d == (3 * x**2 * y + z**2 + 4 * x).truncated(2)
+        assert d.derivative("z").jet == 1
+        # the lower cap then bounds every later product
+        assert (d * p).jet == 2
+
+    def test_derivative_of_zero_jet_raises(self, xyz):
+        ctx, x, y, z = xyz
+        c = (3 + x).truncated(0)
+        assert c == 3
+        with pytest.raises(ValueError):
+            c.derivative("x")
+
+    def test_derivative_of_uncapped_stays_uncapped(self, xyz):
+        ctx, x, y, z = xyz
+        p = x**5 * y + z
+        assert p.derivative("x").jet is None
+        assert p.derivative("x").derivative("x").derivative("x") == 60 * x**2 * y
+
 
 class TestEvaluate:
     def test_simple(self, xyz):
@@ -194,5 +217,5 @@ def test_truncation_is_a_jet(seed):
     q = random_polynomial(rng, ctx, max_degree=5, n_terms=6)
     deg = 3
     direct = (p * q).truncated(deg)
-    jetwise = p.truncated(deg).mul_truncated(q.truncated(deg), deg)
+    jetwise = p.truncated(deg) * q.truncated(deg)
     assert direct == jetwise
