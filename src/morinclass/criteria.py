@@ -40,7 +40,7 @@ from .germ import (
     normalize,
     validate,
 )
-from .linalg import PolyMatrix, RationalMatrix
+from .linalg import PolyMatrix, RationalMatrix, eliminate
 from .polynomial import Polynomial
 from .rationals import format_rational
 
@@ -166,21 +166,22 @@ def build_theta(ls: LambdaSystem, hd: HessData, column="first") -> HessData:
     kernel of M at every point where h vanishes; 2-non-degeneracy makes the
     chosen column nonzero at the origin.  `column` picks the first or the
     last column whose entries do not all vanish at 0 (the label does not
-    depend on the choice, which the test suite exercises).
+    depend on the choice, which the test suite exercises).  The choice is
+    made over the rationals and only that column is built, as adj(M) e_c.
     """
-    adj = hd.h_matrix.adjugate()
-    size = adj.rows
-    usable = []
-    for c in range(size):
-        col = adj.column(c)
-        if any(p.constant_term() != 0 for p in col):
-            usable.append(c)
+    rows = hd.h_matrix.to_rows()
+    size = len(rows)
+    m0 = [[e.constant_term() for e in row] for row in rows]
+    # column c of adj(M)(0) = adj(M(0)) is nonzero iff M(0) less row c has rank size-1
+    usable = [c for c in range(size)
+              if RationalMatrix.from_rows(m0[:c] + m0[c + 1:]).rank() == size - 1]
     if not usable:
         raise ThetaUnavailableError("adjugate of the kernel Hessian vanishes at 0")
     chosen = usable[0] if column == "first" else usable[-1]
+    unit = [[Polynomial.constant(hd.h_matrix.context, int(r == chosen))] for r in range(size)]
     coeffs = None
-    for i, eta in enumerate(ls.frame.eta):
-        scaled = eta.scaled(adj[i, chosen])
+    for eta, (entry,) in zip(ls.frame.eta, eliminate(rows, unit)[1]):
+        scaled = eta.scaled(entry)
         coeffs = scaled if coeffs is None else coeffs + scaled
     return HessData(
         h_matrix=hd.h_matrix,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .context import VariableContext
-from .linalg import PolyMatrix, RationalMatrix
+from .linalg import RationalMatrix, eliminate
 from .polynomial import Polynomial
 from .rationals import rat
 
@@ -229,19 +229,9 @@ def normalize(germ: MapGerm) -> NormalizedGerm:
             f = j0[row][col] / j0[piv][col]
             j0[row] = [a - f * b for a, b in zip(j0[row], j0[piv])]
             t[row] = [a - f * b for a, b in zip(t[row], t[piv])]
-        if len(used) == n - 1:
-            # eliminate the pivot columns from every remaining row, which
-            # must then vanish entirely (rank is n-1)
-            break
-    for row in range(n):
-        if row in used:
-            continue
-        for pc, prow in zip(pivot_cols, used):
-            if j0[row][pc] != 0:
-                f = j0[row][pc] / j0[prow][pc]
-                j0[row] = [a - f * b for a, b in zip(j0[row], j0[prow])]
-                t[row] = [a - f * b for a, b in zip(t[row], t[prow])]
-        critical = row
+    # each pivot column was cleared in the one unused row as its pivot was
+    # taken, so that row vanishes entirely (rank is n-1)
+    critical = next(row for row in range(n) if row not in used)
     order = used + [critical]
     comps = []
     t_rows = []
@@ -287,7 +277,8 @@ def cramer_frame(germ: MapGerm, pivot_names) -> AdaptedFrame:
 
     with B the pivot block of the Jacobian of the first n-1 components and w
     their v-derivatives, so eta_v annihilates each of those components
-    identically.
+    identically.  One elimination on [B | W], the columns of W being the w of
+    every non-pivot v, gives det(B) and all the adj(B) w.
     """
     ctx = germ.context
     n = germ.n
@@ -296,28 +287,21 @@ def cramer_frame(germ: MapGerm, pivot_names) -> AdaptedFrame:
     nonpivot_names = tuple(v for v in source_names if v not in pivot_names)
     if len(pivot_names) != n - 1:
         raise ValueError(f"expected {n - 1} pivot variables, got {len(pivot_names)}")
-    one = Polynomial.constant(ctx, 1)
     if n == 1:
-        det_b = one
-        adj_rows = []
+        det_b, adj_w = Polynomial.constant(ctx, 1), []
     else:
-        b = PolyMatrix.from_rows(
-            [[germ.components[i].derivative(v) for v in pivot_names] for i in range(n - 1)]
+        first = germ.components[: n - 1]
+        det_b, adj_w = eliminate(
+            [[f.derivative(v) for v in pivot_names] for f in first],
+            [[f.derivative(v) for v in nonpivot_names] for f in first],
         )
-        det_b = b.determinant()
-        adj_rows = b.adjugate().to_rows() if n > 1 else []
     xi = tuple(coordinate_field(ctx, v) for v in pivot_names)
     eta = []
-    for v in nonpivot_names:
+    for col, v in enumerate(nonpivot_names):
         coeffs = {name: Polynomial.zero(ctx) for name in source_names}
         coeffs[v] = det_b
-        if n > 1:
-            w = [germ.components[i].derivative(v) for i in range(n - 1)]
-            for j, pname in enumerate(pivot_names):
-                acc = Polynomial.zero(ctx)
-                for k in range(n - 1):
-                    acc = acc + adj_rows[j][k] * w[k]
-                coeffs[pname] = -acc
+        for j, pname in enumerate(pivot_names):
+            coeffs[pname] = -adj_w[j][col]
         eta.append(PolyVectorField(ctx, tuple(coeffs[name] for name in source_names)))
     return AdaptedFrame(
         xi=xi,

@@ -1,12 +1,15 @@
-"""Exact linear algebra over rationals and over the polynomial ring.
+"""Exact linear algebra over the rationals, the polynomial ring and its jets.
 
-Determinants of polynomial matrices use cofactor expansion up to 4x4 and
-fraction-free Bareiss elimination (exact ring division) above that, which
-keeps intermediate term growth under control in property tests.
+One fraction-free elimination, `eliminate`, gives det(A) and adj(A) W for
+every exact matrix, and its forward pass gives ranks.  It pivots on usable
+entries (a nonzero int or uncapped polynomial, or a jet with a nonzero
+constant term: a unit of Q[x]/m^{N+1}) and divides exactly by the previous
+pivot.  Cofactor expansion finishes a block of at most 3x3, or one left
+without a usable entry.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .polynomial import Polynomial
 from .rationals import rat
@@ -54,20 +57,8 @@ class PolyMatrix:
         r, c = rc
         return self.entries[r * self.cols + c]
 
-    def row(self, r):
-        return self.entries[r * self.cols:(r + 1) * self.cols]
-
-    def column(self, c):
-        return [self.entries[r * self.cols + c] for r in range(self.rows)]
-
     def to_rows(self):
-        return [self.row(r) for r in range(self.rows)]
-
-    def transpose(self):
-        return PolyMatrix(
-            self.cols, self.rows,
-            [self[r, c] for c in range(self.cols) for r in range(self.rows)],
-        )
+        return [self.entries[r * self.cols:(r + 1) * self.cols] for r in range(self.rows)]
 
     def map(self, fn):
         return PolyMatrix(self.rows, self.cols, [fn(p) for p in self.entries])
@@ -84,78 +75,17 @@ class PolyMatrix:
                 out.append(acc)
         return PolyMatrix(self.rows, other.cols, out)
 
-    def minor(self, drop_row, drop_col):
-        ents = [
-            self[r, c]
-            for r in range(self.rows) if r != drop_row
-            for c in range(self.cols) if c != drop_col
-        ]
-        return PolyMatrix(self.rows - 1, self.cols - 1, ents)
-
     def determinant(self):
         if self.rows != self.cols:
             raise NonSquareMatrixError("determinant of a non-square matrix")
-        # Bareiss divisions are exact only in the full ring, so jet-capped
-        # entries must stay on the cofactor path
-        if self.rows <= 4 or any(e.jet is not None for e in self.entries):
-            return self._det_cofactor()
-        return self._det_bareiss()
-
-    def _det_cofactor(self):
-        n = self.rows
-        if n == 1:
-            return self[0, 0]
-        if n == 2:
-            return self[0, 0] * self[1, 1] - self[0, 1] * self[1, 0]
-        acc = Polynomial.zero(self.context)
-        for c in range(n):
-            if self[0, c].is_zero():
-                continue
-            cofactor = self.minor(0, c)._det_cofactor()
-            if c % 2:
-                acc = acc - self[0, c] * cofactor
-            else:
-                acc = acc + self[0, c] * cofactor
-        return acc
-
-    def _det_bareiss(self):
-        # Fraction-free elimination in the polynomial ring; each division
-        # by the previous pivot is exact (Sylvester identity).
-        n = self.rows
-        a = [[self[r, c] for c in range(n)] for r in range(n)]
-        prev = Polynomial.constant(self.context, 1)
-        sign = 1
-        for k in range(n - 1):
-            if a[k][k].is_zero():
-                for r in range(k + 1, n):
-                    if not a[r][k].is_zero():
-                        a[k], a[r] = a[r], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return Polynomial.zero(self.context)
-            for r in range(k + 1, n):
-                for c in range(k + 1, n):
-                    num = a[r][c] * a[k][k] - a[r][k] * a[k][c]
-                    a[r][c] = num.div_exact(prev)
-                a[r][k] = Polynomial.zero(self.context)
-            prev = a[k][k]
-        det = a[n - 1][n - 1]
-        return det if sign > 0 else -det
+        return eliminate(self.to_rows())[0]
 
     def adjugate(self):
         """Exact adjugate: adj(M) * M = det(M) * I as a polynomial identity."""
         if self.rows != self.cols:
             raise NonSquareMatrixError("adjugate of a non-square matrix")
-        n = self.rows
-        if n == 1:
-            return PolyMatrix(1, 1, [Polynomial.constant(self.context, 1)])
-        out = []
-        for r in range(n):
-            for c in range(n):
-                cof = self.minor(c, r).determinant()  # transposed cofactor
-                out.append(cof if (r + c) % 2 == 0 else -cof)
-        return PolyMatrix(n, n, out)
+        identity = poly_identity(self.context, self.rows).to_rows()
+        return PolyMatrix.from_rows(eliminate(self.to_rows(), identity)[1])
 
     def evaluate(self, assignment):
         return RationalMatrix(
@@ -225,142 +155,201 @@ class RationalMatrix:
         )
 
     def _integer_rows(self):
-        # Clear denominators row by row; rank is unchanged.
-        out = []
+        """The rows times the lcm of their denominators, and the product of those lcms."""
+        rows, scale = [], 1
         for row in self.to_rows():
-            den = 1
-            for e in row:
-                den = den * e.denominator // gcd(den, e.denominator)
-            out.append([int(e * den) for e in row])
-        return out
+            den = lcm(*(e.denominator for e in row))
+            rows.append([e.numerator * (den // e.denominator) for e in row])
+            scale *= den
+        return rows, scale
 
     def rank(self) -> int:
-        """Exact rank by fraction-free (Bareiss) integer elimination."""
-        a = self._integer_rows()
-        rows, cols = self.rows, self.cols
-        rank = 0
-        prev = 1
-        r0 = 0
-        for c in range(cols):
-            piv = None
-            for r in range(r0, rows):
-                if a[r][c] != 0:
-                    piv = r
-                    break
-            if piv is None:
-                continue
-            a[r0], a[piv] = a[piv], a[r0]
-            for r in range(r0 + 1, rows):
-                for k in range(c + 1, cols):
-                    a[r][k] = (a[r][k] * a[r0][c] - a[r][c] * a[r0][k]) // prev
-                a[r][c] = 0
-            prev = a[r0][c]
-            r0 += 1
-            rank += 1
-            if r0 == rows:
-                break
-        return rank
+        """Exact rank: the number of steps of the forward pass on integer rows."""
+        return _forward(self._integer_rows()[0], self.cols, 0)[0]
 
     def determinant(self) -> Fraction:
         if self.rows != self.cols:
             raise NonSquareMatrixError("determinant of a non-square matrix")
-        n = self.rows
-        a = [row[:] for row in self.to_rows()]
-        det = Fraction(1)
-        for k in range(n):
-            piv = None
-            for r in range(k, n):
-                if a[r][k] != 0:
-                    piv = r
-                    break
-            if piv is None:
-                return Fraction(0)
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                det = -det
-            det *= a[k][k]
-            inv = 1 / a[k][k]
-            for r in range(k + 1, n):
-                if a[r][k] == 0:
-                    continue
-                f = a[r][k] * inv
-                for c in range(k, n):
-                    a[r][c] -= f * a[k][c]
-        return det
+        rows, scale = self._integer_rows()
+        return Fraction(eliminate(rows)[0], scale)
 
     def signature(self):
         """Inertia (positives, negatives, zeros) of a symmetric matrix.
 
-        Symmetric LDL^T elimination with diagonal pivot search; when every
-        remaining diagonal candidate is zero, a 2x2 off-diagonal pivot block
-        [[0,a],[a,d]] contributes one positive and one negative eigenvalue.
+        Fraction-free elimination with symmetric swaps, on the matrix times
+        its common denominator: pivot k is the leading principal minor d_k of
+        a congruent matrix and adds a positive eigenvalue when d_k d_(k-1) > 0,
+        a negative one otherwise.  A trailing block with a zero diagonal but an
+        entry a_ij != 0 first gets row and column j added to row and column i,
+        a congruence that makes a_ii = 2 a_ij.
         """
         if not self.is_symmetric():
             raise AsymmetricMatrixError("signature needs a symmetric matrix")
-        a = [row[:] for row in self.to_rows()]
-        n = self.rows
-        active = list(range(n))
-        pos = neg = zero = 0
-
-        def swap(i, j):
-            active[i], active[j] = active[j], active[i]
-
-        i = 0
-        while i < len(active):
-            rest = active[i:]
-            # prefer a nonzero diagonal pivot (first in current order)
-            dpos = None
-            for t, r in enumerate(rest):
-                if a[r][r] != 0:
-                    dpos = t
+        den = lcm(*(e.denominator for e in self.entries))
+        a = [[e.numerator * (den // e.denominator) for e in row] for row in self.to_rows()]
+        n, prev, pos, neg = self.rows, 1, 0, 0
+        for k in range(n):
+            rest = range(k, n)
+            i = next((i for i in rest if a[i][i]), None)
+            if i is None:
+                pair = next(((i, j) for i in rest for j in rest if a[i][j]), None)
+                if pair is None:
                     break
-            if dpos is not None:
-                swap(i, i + dpos)
-                p = active[i]
-                d = a[p][p]
-                if d > 0:
-                    pos += 1
-                else:
-                    neg += 1
-                for r in active[i + 1:]:
-                    f = a[r][p] / d
-                    if f == 0:
-                        continue
-                    for c in active[i + 1:]:
-                        a[r][c] -= f * a[p][c]
-                i += 1
-                continue
-            # all diagonals zero: find an off-diagonal entry
-            found = None
-            for t1 in range(len(rest)):
-                for t2 in range(t1 + 1, len(rest)):
-                    if a[rest[t1]][rest[t2]] != 0:
-                        found = (t1, t2)
-                        break
-                if found:
-                    break
-            if found is None:
-                zero += len(rest)
-                break
-            t1, t2 = found
-            swap(i, i + t1)
-            swap(i + 1, i + t2)
-            p, q = active[i], active[i + 1]
-            b = a[p][q]
-            pos += 1
-            neg += 1
-            # Schur complement of [[0, b], [b, 0]] on the remaining block
-            for r in active[i + 2:]:
-                u, v = a[r][p], a[r][q]
-                if u == 0 and v == 0:
-                    continue
-                for c in active[i + 2:]:
-                    a[r][c] -= (u * a[q][c] + v * a[p][c]) / b
-            i += 2
-        return (pos, neg, zero)
+                i, j = pair
+                for row in a:
+                    row[i] += row[j]
+                a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i], row[k] = row[k], row[i]
+            a[i], a[k] = a[k], a[i]
+            pivot = a[k][k]
+            if pivot * prev > 0:
+                pos += 1
+            else:
+                neg += 1
+            for r in range(k + 1, n):
+                for c in range(k + 1, n):
+                    a[r][c] = (pivot * a[r][c] - a[r][k] * a[k][c]) // prev
+            prev = pivot
+        return (pos, neg, n - pos - neg)
 
 
 def poly_identity(context, n):
     one = Polynomial.constant(context, 1)
     zero = Polynomial.zero(context)
     return PolyMatrix(n, n, [one if r == c else zero for r in range(n) for c in range(n)])
+
+
+# -- the elimination engine -------------------------------------------------------
+
+def _is_zero(e):
+    return e == 0 if isinstance(e, int) else e.is_zero()
+
+
+def _usable(e):
+    if isinstance(e, int) or e.jet is None:
+        return not _is_zero(e)
+    return e.constant_term() != 0
+
+
+def _divider(p, power=1):
+    """x -> x / p^power for a usable p (or None) and a multiple x (in the jet ring, for a jet)."""
+    if p is None or power == 0:
+        return lambda x: x
+    if isinstance(p, int):
+        return lambda x, d=p**power: x // d
+    if p.jet is None:
+        return lambda x, d=p**power: x.div_exact(d)
+    # with c = p(0) and t = c - p, t^(N+1) vanishes in the N-jet ring, so
+    # s = sum_k c^(N-k) t^k has p s = c^(N+1): an inverse scaled to keep
+    # integer coefficients integral
+    c = p.constant_term()
+    t, s = c - p, Polynomial.constant(p.context, 1)
+    for j in range(1, p.jet + 1):
+        s = s * t + c**j
+    s, scale = s**power, c ** ((p.jet + 1) * power)
+
+    def divide(x):
+        x = x * s
+        terms = {}
+        for e, v in x.terms.items():
+            q, r = divmod(v, scale)
+            terms[e] = q if r == 0 else Fraction(v) / scale
+        return Polynomial(x.context, terms, x.jet)
+
+    return divide
+
+
+def _forward(rows, ncols, stop):
+    """Fraction-free Gauss-Jordan elimination on the leading `ncols` columns, in place.
+
+    Step k swaps a usable entry of the trailing block to (k, k), then sets
+    a[i][j] = (a[k][k] a[i][j] - a[i][k] a[k][j]) / p for j > k and every
+    row i but k, p being the previous pivot.  Stops at a trailing block of
+    at most `stop` rows or columns or without a usable entry.  Returns the
+    steps taken, the last pivot (None if none), the sign of the swaps, and
+    the column order.
+    """
+    order = list(range(ncols))
+    sign, pivot, k = 1, None, 0
+    while min(len(rows), ncols) - k > stop:
+        found = next(((i, j) for j in range(k, ncols) for i in range(k, len(rows))
+                      if _usable(rows[i][j])), None)
+        if found is None:
+            break
+        i, j = found
+        if i != k:
+            rows[i], rows[k] = rows[k], rows[i]
+            sign = -sign
+        if j != k:
+            for row in rows:
+                row[j], row[k] = row[k], row[j]
+            order[j], order[k] = order[k], order[j]
+            sign = -sign
+        divide = _divider(pivot)
+        pivot, top = rows[k][k], rows[k]
+        for i in range(len(rows)):
+            if i != k:
+                row, f = rows[i], rows[i][k]
+                for j in range(k + 1, len(row)):
+                    row[j] = divide(pivot * row[j] - f * top[j])
+        k += 1
+    return k, pivot, sign, order
+
+
+def _dot(xs, ys):
+    """The sum of x * y over the pairs of two equally long, nonempty sequences."""
+    return sum((x * y for x, y in zip(xs[1:], ys[1:])), xs[0] * ys[0])
+
+
+def _cofactor(a, w):
+    """det(A) and adj(A) W by cofactor expansion: the base and residual case."""
+    size = len(a)
+    if size == 1:
+        return a[0][0], [list(w[0])]
+
+    def cofactor(r, c):
+        minor = [row[:c] + row[c + 1:] for i, row in enumerate(a) if i != r]
+        det = _cofactor(minor, [[]] * (size - 1))[0]
+        return -det if (r + c) % 2 else det
+
+    # zero entries of the first row, and zero rows of W, add nothing
+    cols = [c for c, e in enumerate(a[0]) if not _is_zero(e)] or [0]
+    det = _dot([a[0][c] for c in cols], [cofactor(0, c) for c in cols])
+    if not w[0]:
+        return det, [[] for _ in a]
+    live = [r for r in range(size) if not all(_is_zero(e) for e in w[r])] or [0]
+    adj_w = []
+    for i in range(size):
+        cofs = [cofactor(r, i) for r in live]  # adj(A)[i][r] is cofactor(r, i)
+        adj_w.append([_dot(cofs, [w[r][j] for r in live]) for j in range(len(w[0]))])
+    return det, adj_w
+
+
+def eliminate(a, w=None):
+    """det(A) and adj(A) W for a square A and extra columns W, both given as rows.
+
+    Fraction-free Gauss-Jordan elimination on [A | W] leaves a trailing
+    block S that is at most 3x3 or has no usable entry.  After k steps with
+    last pivot p and r = n - k, the rows are [p I, X | Y] over [0, S | T]
+    for A with its rows and columns swapped, so det(A) = det(S) / p^(r-1)
+    and adj(A) W is (det(S) Y - X adj(S) T) / p^r over adj(S) T / p^(r-1),
+    up to the sign and the column order of the swaps.
+    """
+    n = len(a)
+    rows = [list(row) + list(extra) for row, extra in zip(a, w or [[]] * n)]
+    k, pivot, sign, order = _forward(rows, n, 3)
+    r = n - k
+    det_s, adj_t = _cofactor([row[k:n] for row in rows[k:]], [row[n:] for row in rows[k:]])
+    if sign < 0:
+        det_s, adj_t = -det_s, [[-v for v in row] for row in adj_t]
+    down, down_top = _divider(pivot, r - 1), _divider(pivot, r)
+    adj_w = [None] * n
+    for i in range(k):
+        x, y = rows[i][k:n], rows[i][n:]
+        adj_w[order[i]] = [
+            down_top(det_s * yj - _dot(x, [t[j] for t in adj_t])) for j, yj in enumerate(y)
+        ]
+    for i in range(r):
+        adj_w[order[k + i]] = [down(v) for v in adj_t[i]]
+    return down(det_s), adj_w

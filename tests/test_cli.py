@@ -171,13 +171,21 @@ class TestLefschetzCommands:
 
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self, cusp_file):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        import morinclass
+
+        # the child imports the package from where this process found it
+        src = str(Path(morinclass.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "morinclass", "classify", str(cusp_file)],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)

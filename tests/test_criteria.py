@@ -246,10 +246,7 @@ class TestTheta:
             lhs = Polynomial.zero(ctx)
             for c in range(size):
                 lhs = lhs + hd.h_matrix[r, c] * coeffs[c]
-            rhs = hd.h * adj[r, hd.theta_column] if False else (
-                hd.h if r == hd.theta_column else Polynomial.zero(ctx)
-            )
-            assert lhs == rhs
+            assert lhs == (hd.h if r == hd.theta_column else Polynomial.zero(ctx))
 
     def test_lefschetz_theta_matches_published_cofactors(self):
         from morinclass.lefschetz import chart_hessian
@@ -477,6 +474,18 @@ class TestInvariance:
         assert rep_a.trace["h_derivs_at_0"].index("24") == rep_b.trace[
             "h_derivs_at_0"
         ].index("24")
+
+    def test_large_kernel_hessian_fold(self):
+        # (10,2,1) under linear changes: a dense 9x9 kernel Hessian, whose
+        # determinant and theta column go through elimination, not cofactors
+        rng = random.Random(1009)
+        signs = (1, -1, 1, 1, -1, 1, -1, -1, 1)
+        germ = linear_target_change(rng, linear_source_change(rng, normal_form(10, 2, 1, signs)))
+        report = classify(germ)
+        assert report.label.is_fold()
+        assert sorted(report.label.signature) == sorted((signs.count(1), signs.count(-1)))
+        ng = normalize(germ.truncated(3))
+        assert hessian(compute_lambdas(ng)).h_matrix.rows == 9
 
     def test_normal_form_completeness(self, battery_germs):
         for m, n, k, signs, germ in battery_germs:
