@@ -22,6 +22,11 @@ class VariableContext:
     names: tuple
     roles: tuple
     _index: dict = field(init=False, repr=False, compare=False, hash=False)
+    # derived from names and roles once: the hot loops read them on every term
+    source_indices: tuple = field(init=False, repr=False, compare=False, hash=False)
+    parameter_indices: tuple = field(init=False, repr=False, compare=False, hash=False)
+    source_names: tuple = field(init=False, repr=False, compare=False, hash=False)
+    parameter_names: tuple = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if len(self.names) != len(set(self.names)):
@@ -31,7 +36,13 @@ class VariableContext:
         for role in self.roles:
             if role not in (SOURCE, PARAMETER):
                 raise ValueError(f"unknown role {role!r}")
+        src = tuple(i for i, r in enumerate(self.roles) if r == SOURCE)
+        par = tuple(i for i, r in enumerate(self.roles) if r == PARAMETER)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.names)})
+        object.__setattr__(self, "source_indices", src)
+        object.__setattr__(self, "parameter_indices", par)
+        object.__setattr__(self, "source_names", tuple(self.names[i] for i in src))
+        object.__setattr__(self, "parameter_names", tuple(self.names[i] for i in par))
 
     @classmethod
     def make(cls, source_vars, parameter_vars=()):
@@ -48,22 +59,6 @@ class VariableContext:
             return self._index[name]
         except KeyError:
             raise KeyError(f"unknown variable {name!r}") from None
-
-    @property
-    def source_indices(self):
-        return tuple(i for i, r in enumerate(self.roles) if r == SOURCE)
-
-    @property
-    def parameter_indices(self):
-        return tuple(i for i, r in enumerate(self.roles) if r == PARAMETER)
-
-    @property
-    def source_names(self):
-        return tuple(self.names[i] for i in self.source_indices)
-
-    @property
-    def parameter_names(self):
-        return tuple(self.names[i] for i in self.parameter_indices)
 
 
 def check_same_context(a, b):

@@ -327,9 +327,10 @@ def witness_verify(params, extra_taus=None) -> WitnessReport:
         if pt in seen:
             continue
         seen.add(pt)
-        if not is_singular(germ, pt):
+        moved = germ.translate(pt)
+        if moved.jacobian_at_origin().rank() == germ.n:
             continue
-        label = classify(germ.translate(pt)).label
+        label = classify(moved).label
         candidates.append((name, pt, label))
         if witness is None and _is_noncusp_label(label):
             witness = pt
@@ -350,13 +351,15 @@ def _substitute_cleared(p, var, numerator, denominator):
     """p with var -> numerator/denominator, multiplied by denominator^deg_var(p)."""
     ctx = p.context
     iv = ctx.index(var)
-    deg = max((e[iv] for e in p.terms), default=0)
-    out = Polynomial.zero(ctx)
+    # group the terms by their power of var, so each power of the numerator
+    # and the denominator is computed and multiplied in once
+    by_power = {}
     for exps, coeff in p.terms.items():
-        e = exps[iv]
-        base = list(exps)
-        base[iv] = 0
-        term = Polynomial(ctx, {tuple(base): coeff})
+        by_power.setdefault(exps[iv], {})[exps[:iv] + (0,) + exps[iv + 1:]] = coeff
+    deg = max(by_power, default=0)
+    out = Polynomial.zero(ctx)
+    for e, terms in by_power.items():
+        term = Polynomial(ctx, terms)
         if e:
             term = term * numerator**e
         if deg - e:
@@ -631,18 +634,17 @@ def emit_slice(b2, resolution: int, value_range=(-1, 1)) -> SliceGrid:
 def write_slice_csv(grid: SliceGrid, path):
     """CSV per the plot-data contract: header a1,a2,b1,n1..n5, lex grid order."""
     res = grid.resolution
+    block = res * res
     nodes_f = [float(v) for v in grid.nodes]
+    inner = [(nodes_f[j], nodes_f[k]) for j in range(res) for k in range(res)]
+    row = ",".join(["%.17g"] * 8) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write("a1,a2,b1,n1,n2,n3,n4,n5\n")
-        idx = 0
-        for i in range(res):
-            for j in range(res):
-                for k in range(res):
-                    row = [nodes_f[i], nodes_f[j], nodes_f[k]] + [
-                        float(grid.values[c, idx]) for c in range(5)
-                    ]
-                    fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-                    idx += 1
+        # one write per a1 value; converting a block at a time keeps the
+        # Python floats of only res^2 rows alive
+        for i, a1 in enumerate(nodes_f):
+            values = grid.values[:, i * block:(i + 1) * block].T.tolist()
+            fh.write("".join([row % (a1, a2, b1, *v) for (a2, b1), v in zip(inner, values)]))
 
 
 def slice_filename(b2) -> str:

@@ -9,6 +9,7 @@ verdict Inconclusive.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,10 +39,6 @@ class Margin:
     name: str
     value: float
     threshold: float
-
-    @property
-    def decided_zero(self):
-        return abs(self.value) <= self.threshold
 
     @property
     def inconclusive(self):
@@ -195,6 +192,7 @@ class _FloatPipeline:
             self.comps.append({k: v for k, v in d.items() if v != 0.0})
         self.grads = [_grad(c, self.m) for c in self.comps]
         self._base = None
+        self._base_grads = None
 
     def jacobian_at(self, point):
         return np.array(
@@ -243,6 +241,25 @@ class _FloatPipeline:
             self._base = self.local_data([0.0] * self.m)
         return self._base["lambdas"]
 
+    def base_lambda_grads(self):
+        if self._base_grads is None:
+            self._base_grads = [_grad(d, self.m) for d in self.base_lambdas()]
+        return self._base_grads
+
+
+def _pipeline(germ: MapGerm, tol: Tolerances) -> _FloatPipeline:
+    """The float pipeline of `germ`, shared by every call with equal germ and tolerances.
+
+    The key also holds each component's term order, which fixes the order of
+    every float sum, so a shared pipeline gives the bits a fresh one would.
+    """
+    return _shared_pipeline(germ, tol, tuple(tuple(p.terms) for p in germ.components))
+
+
+@lru_cache(maxsize=16)
+def _shared_pipeline(germ, tol, term_order):
+    return _FloatPipeline(germ, tol)
+
 
 def _target_rotation(j, rank_tol):
     """Invertible row mix of j putting the most dependent row last.
@@ -289,14 +306,15 @@ def project_to_singular_locus(germ: MapGerm, seed, tol: Tolerances = None):
     ProjectionError when the residual tolerance is not met in time.
     """
     tol = tol or Tolerances()
-    pipe = _FloatPipeline(germ, tol)
+    pipe = _pipeline(germ, tol)
     lam = pipe.base_lambdas()
-    grads = [_grad(d, pipe.m) for d in lam]
+    grads = pipe.base_lambda_grads()
     x = np.array([float(v) for v in seed], dtype=float)
     if x.shape != (pipe.m,):
         raise ValueError(f"seed needs {pipe.m} coordinates")
 
     def resid(pt):
+        pt = pt.tolist()
         return np.array([_eval(d, pt) for d in lam])
 
     r = resid(x)
@@ -304,7 +322,8 @@ def project_to_singular_locus(germ: MapGerm, seed, tol: Tolerances = None):
         nrm = float(np.linalg.norm(r))
         if nrm <= tol.residual_tol:
             return tuple(float(v) for v in x)
-        jac = np.array([[_eval(g, x) for g in gr] for gr in grads])
+        xl = x.tolist()
+        jac = np.array([[_eval(g, xl) for g in gr] for gr in grads])
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         alpha = 1.0
         for _halving in range(40):
@@ -324,7 +343,7 @@ def project_to_singular_locus(germ: MapGerm, seed, tol: Tolerances = None):
 def numeric_classify(germ: MapGerm, point, tol: Tolerances = None) -> NumericVerdict:
     """Threshold classification at a float point, mirroring the exact pipeline."""
     tol = tol or Tolerances()
-    pipe = _FloatPipeline(germ, tol)
+    pipe = _pipeline(germ, tol)
     x = tuple(float(v) for v in point)
     margins = []
     residual = float(np.linalg.norm([_eval(d, x) for d in pipe.base_lambdas()]))
@@ -355,14 +374,9 @@ def numeric_classify(germ: MapGerm, point, tol: Tolerances = None) -> NumericVer
     margins.append(Margin("h", h_at, tol.zero_tol))
 
     if abs(h_at) > tol.zero_tol:
+        first = [_apply_field(ei, comps[-1], pipe.m) for ei in etas]
         hess = np.array(
-            [
-                [
-                    _eval(_apply_field(ej, _apply_field(ei, comps[-1], pipe.m), pipe.m), x)
-                    for ej in etas
-                ]
-                for ei in etas
-            ]
+            [[_eval(_apply_field(ej, fi, pipe.m), x) for ej in etas] for fi in first]
         )
         hess = 0.5 * (hess + hess.T)
         eigs = np.linalg.eigvalsh(hess)

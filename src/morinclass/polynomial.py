@@ -13,6 +13,7 @@ and ties break on the exponent vector, descending, in context order.  That
 ordering is the contract for golden-file tests.
 """
 
+import heapq
 from fractions import Fraction
 
 from . import kernel
@@ -93,18 +94,6 @@ class Polynomial:
         if not self.terms:
             return 0
         return max(sum(e) for e in self.terms)
-
-    def source_degree(self) -> int:
-        idx = self.context.source_indices
-        if not self.terms:
-            return 0
-        return max(sum(e[i] for i in idx) for e in self.terms)
-
-    def degree_in(self, names) -> int:
-        idx = [self.context.index(n) for n in names]
-        if not self.terms:
-            return 0
-        return max(sum(e[i] for i in idx) for e in self.terms)
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.context), Fraction(0))
@@ -318,24 +307,42 @@ class Polynomial:
         if self.jet is not None or divisor.jet is not None:
             raise ValueError("division is not defined on jet-capped polynomials")
         div_exps, div_coeff = divisor.leading_term()
-        quotient = Polynomial.zero(self.context)
-        remainder = Polynomial.zero(self.context)
-        work = self
-        while not work.is_zero():
-            exps, coeff = work.leading_term()
+        tail = [(e, c) for e, c in divisor.terms.items() if e != div_exps]
+        src = self.context.source_indices
+
+        def heap_key(exps):
+            # `_order_key` negated, so heapq's smallest entry leads
+            return (-sum(exps[i] for i in src), tuple(-e for e in exps))
+
+        # Each step removes the leading term and adds only terms below it, so
+        # a popped exponent never returns; keys of cancelled terms go stale.
+        work = dict(self.terms)
+        heap = [(heap_key(e), e) for e in work]
+        heapq.heapify(heap)
+        quotient, remainder = {}, {}
+        while heap:
+            exps = heapq.heappop(heap)[1]
+            coeff = work.pop(exps, None)
+            if coeff is None:
+                continue
             delta = tuple(a - b for a, b in zip(exps, div_exps))
-            if all(d >= 0 for d in delta):
-                ratio = Fraction(coeff, div_coeff)
-                if ratio.denominator == 1:
-                    ratio = ratio.numerator
-                mono = Polynomial(self.context, {delta: ratio})
-                quotient = quotient + mono
-                work = work - mono * divisor
-            else:
-                mono = Polynomial(self.context, {exps: coeff})
-                remainder = remainder + mono
-                work = work - mono
-        return quotient, remainder
+            if delta and min(delta) < 0:
+                remainder[exps] = coeff
+                continue
+            ratio = Fraction(coeff, div_coeff)
+            if ratio.denominator == 1:
+                ratio = ratio.numerator
+            quotient[delta] = ratio
+            for e, c in tail:
+                e = tuple(a + b for a, b in zip(delta, e))
+                s = work.get(e, 0) - ratio * c
+                if not s:
+                    del work[e]
+                    continue
+                if e not in work:
+                    heapq.heappush(heap, (heap_key(e), e))
+                work[e] = s
+        return Polynomial(self.context, quotient), Polynomial(self.context, remainder)
 
     def div_exact(self, divisor):
         q, r = self.divide(divisor)

@@ -174,6 +174,29 @@ def cofactor_determinant(rows):
     return total
 
 
+def naive_divide(p, divisor):
+    """Single-divisor division that rescans for the leading term on every step."""
+    div_exps, div_coeff = divisor.leading_term()
+    quotient = Polynomial.zero(p.context)
+    remainder = Polynomial.zero(p.context)
+    work = p
+    while not work.is_zero():
+        exps, coeff = work.leading_term()
+        delta = tuple(a - b for a, b in zip(exps, div_exps))
+        if all(d >= 0 for d in delta):
+            ratio = Fraction(coeff, div_coeff)
+            if ratio.denominator == 1:
+                ratio = ratio.numerator
+            mono = Polynomial(p.context, {delta: ratio})
+            quotient = quotient + mono
+            work = work - mono * divisor
+        else:
+            mono = Polynomial(p.context, {exps: coeff})
+            remainder = remainder + mono
+            work = work - mono
+    return quotient, remainder
+
+
 def lambda_matrix(germ, frame, eta):
     """The defining n x n matrix (xi_1 f, ..., xi_{n-1} f, eta f) of one lambda."""
     fields = list(frame.xi) + [eta]

@@ -1,5 +1,6 @@
 """The Lefschetz family study: lambdas, locus data, witnesses, slices, chain."""
 
+import hashlib
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -326,6 +327,14 @@ class TestSliceExport:
         rows = p1.read_text().splitlines()
         assert rows[0] == "a1,a2,b1,n1,n2,n3,n4,n5"
         assert len(rows) == 1 + 4**3
+
+    def test_csv_golden_digest(self, tmp_path):
+        # sha256 of the bytes the row-at-a-time writer produced
+        path = tmp_path / "slice.csv"
+        write_slice_csv(emit_slice(Fraction(1, 4), 9), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "4ae9fe728ef3d19ec1ca8559ba7824f72b4cb7bbdccd6937f0efbabffa18b3b8"
+        )
 
     def test_resolution_guard(self):
         with pytest.raises(ValueError):

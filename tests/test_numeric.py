@@ -184,3 +184,45 @@ class TestScan:
         assert any(
             v.label.kind in ("Degenerate", "Inconclusive", "CorankHigh") for v in verdicts
         )
+
+
+def _bits(verdict):
+    return (
+        [v.hex() for v in verdict.point],
+        str(verdict.label),
+        verdict.residual.hex(),
+        [(m.name, float(m.value).hex(), m.threshold) for m in verdict.margins],
+    )
+
+
+class TestSharedPipeline:
+    PARAMS = (Fraction(1), Fraction(2), Fraction(1), Fraction(1))
+
+    def test_warm_classify_after_scan_matches_cold(self):
+        germ = LefschetzFamily.symbolic().at(self.PARAMS)
+        tol = Tolerances()
+        center = [float(v) for v in circle_point(self.PARAMS, Fraction(1))]
+        numeric._shared_pipeline.cache_clear()
+        verdicts = scan_region(germ, [(c - 0.1, c + 0.1) for c in center], 2, tol)
+        assert verdicts
+        point = verdicts[0].point
+        warm = numeric_classify(germ, point, tol)
+        numeric._shared_pipeline.cache_clear()
+        cold = numeric_classify(germ, point, tol)
+        assert _bits(warm) == _bits(cold) == _bits(verdicts[0])
+
+    def test_pipeline_keyed_by_tolerances_and_term_order(self):
+        germ = LefschetzFamily.symbolic().at(self.PARAMS)
+        first, second = Tolerances(), Tolerances(rank_tol=1e-7)
+        pipe = numeric._pipeline(germ, first)
+        assert numeric._pipeline(germ, Tolerances()) is pipe
+        other = numeric._pipeline(germ, second)
+        assert other is not pipe and other.tol == second
+        # an equal germ whose terms come in another order sums floats in
+        # another order, so it gets its own pipeline
+        reordered = MapGerm(germ.context, tuple(
+            Polynomial(germ.context, dict(reversed(list(p.terms.items()))))
+            for p in germ.components
+        ))
+        assert reordered == germ
+        assert numeric._pipeline(reordered, first) is not pipe

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morinclass import ContextMismatchError, Polynomial, VariableContext
+from morinclass.context import PARAMETER, SOURCE
 
-from conftest import make_context, random_polynomial
+from conftest import make_context, naive_divide, random_polynomial
 
 
 @pytest.fixture
@@ -219,3 +220,52 @@ def test_truncation_is_a_jet(seed):
     direct = (p * q).truncated(deg)
     jetwise = p.truncated(deg) * q.truncated(deg)
     assert direct == jetwise
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), st.booleans())
+def test_divide_against_rescanning_oracle(seed, with_params, exact):
+    import random as _random
+
+    ctx = lefschetz_ctx() if with_params else make_context("x", "y", "z")
+    rng = _random.Random(seed)
+    d = random_polynomial(rng, ctx, max_degree=2, n_terms=3)
+    if d.is_zero():
+        d = Polynomial.variable(ctx, ctx.names[-1]) + 1
+    p = random_polynomial(rng, ctx, max_degree=4, n_terms=6)
+    if exact:
+        p = p * d
+    q, r = p.divide(d)
+    assert p == q * d + r
+    lead = d.leading_term()[0]
+    assert all(any(e < l for e, l in zip(exps, lead)) for exps in r.terms)
+    if exact:
+        assert r.is_zero()
+    nq, nr = naive_divide(p, d)
+    # same terms, coefficient types and insertion order as the oracle
+    assert list(q.terms.items()) == list(nq.terms.items())
+    assert list(r.terms.items()) == list(nr.terms.items())
+    assert [type(c) for c in q.terms.values()] == [type(c) for c in nq.terms.values()]
+
+
+class TestContext:
+    def test_role_indices_match_roles(self):
+        ctx = VariableContext(("x", "a", "y", "b"), (SOURCE, PARAMETER, SOURCE, PARAMETER))
+        assert ctx.source_indices == (0, 2)
+        assert ctx.parameter_indices == (1, 3)
+        assert ctx.source_names == ("x", "y")
+        assert ctx.parameter_names == ("a", "b")
+        lctx = lefschetz_ctx()
+        assert lctx.source_indices == (0, 1, 2, 3)
+        assert lctx.parameter_names == ("a1", "a2", "b1", "b2")
+
+    def test_equal_contexts_compare_and_hash_equal(self):
+        roles = (SOURCE, PARAMETER, SOURCE, PARAMETER)
+        a = VariableContext(("x", "a", "y", "b"), roles)
+        b = VariableContext(("x", "a", "y", "b"), roles)
+        assert a == b and hash(a) == hash(b)
+        assert a != VariableContext.make(("x", "y"), ("a", "b"))
+        assert repr(a) == repr(b) == (
+            "VariableContext(names=('x', 'a', 'y', 'b'), "
+            "roles=('source', 'parameter', 'source', 'parameter'))"
+        )
