@@ -120,7 +120,7 @@ def cmd_classify(args):
     if point and any(v != 0 for v in point):
         work = germ.translate(point)
         translated_at = [format_rational(v) for v in point]
-    report = classify(work)
+    report = classify(work, trace=args.trace)
     payload = report_to_dict(report, include_trace=args.trace)
     if translated_at:
         payload["base_point"] = translated_at
@@ -211,7 +211,10 @@ def build_parser():
 
     p_classify = sub.add_parser("classify", help="classify a germ file")
     p_classify.add_argument("file")
-    p_classify.add_argument("--trace", action="store_true", help="include lambda/h polynomials")
+    p_classify.add_argument(
+        "--trace", action="store_true",
+        help="build the lambda/h polynomials, which a fold otherwise skips, and include them",
+    )
     p_classify.add_argument("--point", help="classify at a translated base point a,b,...")
     p_classify.add_argument("--numeric", action="store_true", help="threshold classification")
     p_classify.add_argument("--tol-residual", type=float, default=1e-10)

@@ -2,7 +2,7 @@
 
 The decision pipeline, all in exact arithmetic:
 
-  1. validate: rank of the Jacobian at the origin.
+  1. rank of the Jacobian at the origin: regular, corank one or higher.
   2. normalize + adapted frame (xi pivots, eta kernel fields).
   3. lambda_i = det(xi_1 f, ..., xi_{n-1} f, eta_i f); the singular locus is
      the common zero set of the lambdas.  Each eta_i annihilates f_1, ...,
@@ -11,10 +11,19 @@ The decision pipeline, all in exact arithmetic:
   4. the (m-n+1)-square matrix M with M[i][j] = eta_j lambda_i, its
      determinant h, the kernel field theta (an adjugate column of M), and the
      iterated directional derivatives h' = theta h, h'' = theta h', ...
-  5. label: fold iff h(0) != 0 (with the inertia of the kernel Hessian as its
-     signature); otherwise the least k with h^{(k-1)}(0) != 0 gives a
-     candidate Morin k, confirmed by the rank of the stacked Jacobian of
-     (lambdas, h, h', ..., h^{(k-2)}) at 0 being m-n+k.
+  5. label: fold iff h(0) != 0.  As d(f_n)_0 = 0, with E(0) the eta
+     coefficients at 0, H the Hessian of f_n at 0, K = E(0)^T H E(0) and
+     s = m-n+1,
+
+         h(0) = det B(0)^s det K   and   dlambda(0) = det B(0) E(0)^T H,
+
+     so a fold is decided over Q from the 1-jet of f_1, ..., f_{n-1} and the
+     2-jet of f_n, before any polynomial frame is built: its signature is
+     the inertia of K and its non-degeneracy rank that of E(0)^T H.  The
+     lambdas and h are then built only for the trace.  Otherwise the least
+     k with h^{(k-1)}(0) != 0 gives a candidate Morin k, confirmed by the
+     rank of the stacked Jacobian of (lambdas, h, h', ..., h^{(k-2)}) at 0
+     being m-n+k.
 
 Every mathematical failure is a report label, never an exception.  The
 tests read values and first derivatives at the base point only, so each
@@ -29,16 +38,12 @@ degree it prints.
 from dataclasses import dataclass, field
 
 from .germ import (
-    CORANK1,
-    CORANK_HIGH,
-    REGULAR,
     AdaptedFrame,
     MapGerm,
     NormalizedGerm,
     PolyVectorField,
     build_frame,
     normalize,
-    validate,
 )
 from .linalg import PolyMatrix, RationalMatrix, eliminate
 from .polynomial import Polynomial
@@ -231,6 +236,47 @@ def kernel_hessian_of_last(ng: NormalizedGerm, frame: AdaptedFrame) -> RationalM
     return RationalMatrix.from_rows(rows)
 
 
+def kernel_hessian_at_origin(ng: NormalizedGerm):
+    """det B(0), E(0)^T H and K = E(0)^T H E(0), over Q from the jets at 0.
+
+    B(0) and W(0) are the linear coefficients of f_1..f_{n-1} (ints, as
+    `normalize` leaves them), E(0) holds the eta coefficients at 0 and H is
+    the Hessian of f_n at 0.  Since d(f_n)_0 = 0, dlambda(0) is
+    det B(0) E(0)^T H and h(0) is det B(0)^(m-n+1) det K (step 5 above).
+    """
+    germ = ng.germ
+    ctx = germ.context
+    src = ctx.source_indices
+    col = {v: k for k, v in enumerate(ctx.source_names)}
+    unit = {v: tuple(int(i == src[k]) for i in range(len(ctx))) for v, k in col.items()}
+    first = germ.components[:-1]
+    if first:
+        det_b, adj_w = eliminate(
+            [[f.terms.get(unit[v], 0) for v in ng.pivot_names] for f in first],
+            [[f.terms.get(unit[v], 0) for v in ng.nonpivot_names] for f in first],
+        )
+    else:
+        det_b, adj_w = 1, []
+    etas = []
+    for c, v in enumerate(ng.nonpivot_names):
+        eta = [0] * len(src)
+        eta[col[v]] = det_b
+        for j, p in enumerate(ng.pivot_names):
+            eta[col[p]] = -adj_w[j][c]
+        etas.append(eta)
+    hess = [[0] * len(src) for _ in src]
+    for exps, coeff in germ.components[-1].terms.items():
+        degrees = [exps[i] for i in src]
+        if sum(degrees) == 2:
+            a, b = (k for k, d in enumerate(degrees) for _ in range(d))
+            hess[a][b] += coeff
+            hess[b][a] += coeff  # so a square term counts twice
+    # integer products: RationalMatrix products would go through Fractions
+    eta_hess = [[sum(e * h for e, h in zip(eta, row)) for row in hess] for eta in etas]
+    kern = [[sum(x * e for x, e in zip(row, eta)) for eta in etas] for row in eta_hess]
+    return det_b, RationalMatrix.from_rows(eta_hess), RationalMatrix.from_rows(kern)
+
+
 def fold_fast_path(ng: NormalizedGerm, frame: AdaptedFrame = None):
     """Fold test straight from the kernel Hessian of the last component."""
     if frame is None:
@@ -268,17 +314,23 @@ def cusp_fast_path(ng: NormalizedGerm, frame: AdaptedFrame = None):
     return {"applicable": True, "is_cusp": is_cusp, "kernel_dim": kernel_dim}
 
 
-def classify(germ: MapGerm, theta_column="first") -> CriteriaReport:
-    """Full classification of a polynomial map germ at the origin."""
+def classify(germ: MapGerm, theta_column="first", trace=True) -> CriteriaReport:
+    """Full classification of a polynomial map germ at the origin.
+
+    A fold is decided over Q from the 2-jet of f_n at 0
+    (`kernel_hessian_at_origin`).  The polynomial lambdas and h are built
+    for every other germ, and for a fold only when `trace` is set; `trace`
+    also adds them to the report's trace as "lambdas" and "h".
+    """
     germ.check_wellformed()
     m, n = germ.m, germ.n
-    trace = {"m": m, "n": n}
+    record = {"m": m, "n": n}
     rank0 = germ.jacobian_at_origin().rank()
-    trace["rank_df0"] = rank0
+    record["rank_df0"] = rank0
     if rank0 == n:
-        return CriteriaReport(label=regular_label(), trace=trace)
+        return CriteriaReport(label=regular_label(), trace=record)
     if rank0 < n - 1:
-        return CriteriaReport(label=corank_high_label(), trace=trace)
+        return CriteriaReport(label=corank_high_label(), trace=record)
 
     # jet-cap the pipeline and clear denominators (a positive diagonal target
     # scaling, so every criterion and the fold signature are unchanged)
@@ -286,44 +338,48 @@ def classify(germ: MapGerm, theta_column="first") -> CriteriaReport:
         germ.context, tuple(c.integer_scaled() for c in germ.truncated(n + 1).components)
     )
     ng = normalize(work)
-    frame = build_frame(ng)
-    ls = lambdas_for_frame(ng.germ, frame)
-    hd = hessian(ls)
-    trace["frame"] = {
-        "pivots": list(frame.pivot_names),
+    det_b0, eta_hess, kern = kernel_hessian_at_origin(ng)
+    det_k = kern.determinant()
+    record["frame"] = {
+        "pivots": list(ng.pivot_names),
         "target_change": [
-            [format_rational(e) for e in row] for row in frame.target_change.to_rows()
+            [format_rational(e) for e in row] for row in ng.target_change.to_rows()
         ],
-        "pivot_minor_at_0": format_rational(frame.pivot_minor.constant_term()),
+        "pivot_minor_at_0": format_rational(det_b0),
     }
-    trace["lambdas"] = [p.render() for p in ls.lambdas]
-    trace["h"] = hd.h.render()
+    if trace or det_k == 0:
+        ls = lambdas_for_frame(ng.germ, build_frame(ng))
+        hd = hessian(ls)
+    if trace:
+        record["lambdas"] = [p.render() for p in ls.lambdas]
+        record["h"] = hd.h.render()
+
+    if det_k != 0:
+        h0 = det_b0 ** (m - n + 1) * det_k
+        pos, neg, _ = kern.signature()
+        record["nondegeneracy"] = {"rank": eta_hess.rank(), "required": m - n + 1}
+        record["h_at_0"] = format_rational(h0)
+        record["h_derivs_at_0"] = [format_rational(h0)]
+        record["signature"] = [pos, neg]
+        return CriteriaReport(label=fold_label((pos, neg)), trace=record)
+
     nd = nondegeneracy(ls)
-    trace["nondegeneracy"] = {"rank": nd["rank"], "required": nd["required"]}
-    h0 = hd.h.constant_term()
-    trace["h_at_0"] = format_rational(h0)
-
-    if h0 != 0:
-        hess = kernel_hessian_of_last(ng, frame)
-        pos, neg, _ = hess.signature()
-        trace["h_derivs_at_0"] = [format_rational(h0)]
-        trace["signature"] = [pos, neg]
-        return CriteriaReport(label=fold_label((pos, neg)), trace=trace)
-
+    record["nondegeneracy"] = {"rank": nd["rank"], "required": nd["required"]}
+    record["h_at_0"] = format_rational(hd.h.constant_term())
     if not nd["pass"]:
-        return CriteriaReport(label=degenerate_label(NOT_NONDEGENERATE), trace=trace)
+        return CriteriaReport(label=degenerate_label(NOT_NONDEGENERATE), trace=record)
 
     try:
         hd = build_theta(ls, hd, column=theta_column)
     except ThetaUnavailableError:
-        return CriteriaReport(label=degenerate_label(NOT_2_NONDEGENERATE), trace=trace)
-    trace["theta_column"] = hd.theta_column
-    trace["theta_at_0"] = [
+        return CriteriaReport(label=degenerate_label(NOT_2_NONDEGENERATE), trace=record)
+    record["theta_column"] = hd.theta_column
+    record["theta_at_0"] = [
         format_rational(c.constant_term()) for c in hd.theta.coefficients
     ]
     hd = iterate_h(hd, n - 1)
     deriv_values = [p.constant_term() for p in hd.h_derivs]
-    trace["h_derivs_at_0"] = [format_rational(v) for v in deriv_values]
+    record["h_derivs_at_0"] = [format_rational(v) for v in deriv_values]
 
     k = None
     for j in range(1, n):
@@ -331,10 +387,10 @@ def classify(germ: MapGerm, theta_column="first") -> CriteriaReport:
             k = j + 1
             break
     if k is None:
-        return CriteriaReport(label=degenerate_label(ALL_DERIVATIVES_VANISH), trace=trace)
+        return CriteriaReport(label=degenerate_label(ALL_DERIVATIVES_VANISH), trace=record)
 
     cond_b = rank_condition_b(ls, hd, k)
-    trace["condition_b"] = {
+    record["condition_b"] = {
         "k": k,
         "rank": cond_b["rank"],
         "required": cond_b["required"],
@@ -343,5 +399,5 @@ def classify(germ: MapGerm, theta_column="first") -> CriteriaReport:
         ],
     }
     if cond_b["rank"] != cond_b["required"]:
-        return CriteriaReport(label=degenerate_label(RANK_CONDITION_FAILED), trace=trace)
-    return CriteriaReport(label=morin_label(k), trace=trace)
+        return CriteriaReport(label=degenerate_label(RANK_CONDITION_FAILED), trace=record)
+    return CriteriaReport(label=morin_label(k), trace=record)

@@ -27,6 +27,14 @@ class MalformedGermError(ValueError):
     pass
 
 
+def check_dimensions(m, n):
+    """A germ needs more source variables (m) than components (n)."""
+    if m <= n:
+        raise MalformedGermError(
+            f"need more source variables than components (m={m}, n={n})"
+        )
+
+
 @dataclass(frozen=True)
 class MapGerm:
     """m source variables, n polynomial components vanishing at the origin."""
@@ -58,10 +66,7 @@ class MapGerm:
         )
 
     def check_wellformed(self):
-        if self.m <= self.n:
-            raise MalformedGermError(
-                f"need more source variables than components (m={self.m}, n={self.n})"
-            )
+        check_dimensions(self.m, self.n)
         src = self.context.source_indices
         for i, p in enumerate(self.components):
             at0 = Polynomial(
@@ -138,9 +143,6 @@ class PolyVectorField:
             acc = acc + coeff * p.derivative(name)
         return acc
 
-    def values_at(self, assignment):
-        return [c.evaluate(assignment) for c in self.coefficients]
-
     def scaled(self, factor):
         return PolyVectorField(self.context, tuple(factor * c for c in self.coefficients))
 
@@ -173,10 +175,6 @@ class AdaptedFrame:
     nonpivot_names: tuple
     pivot_minor: Polynomial
 
-    def coefficient_matrix_at(self, assignment) -> RationalMatrix:
-        fields = list(self.xi) + list(self.eta)
-        return RationalMatrix.from_rows([f.values_at(assignment) for f in fields])
-
 
 @dataclass(frozen=True)
 class NormalizedGerm:
@@ -204,10 +202,10 @@ def normalize(germ: MapGerm) -> NormalizedGerm:
 
     Deterministic: pivots take the lexicographically first usable row and
     column of the Jacobian at the origin.  Also records the n-1 pivot source
-    variables whose block is invertible at 0.
+    variables whose block is invertible at 0.  The number of pivots is the
+    rank of that Jacobian, which must be n-1.
     """
-    if validate(germ) != CORANK1:
-        raise MalformedGermError("normalize expects a corank-one germ")
+    germ.check_wellformed()
     n, m = germ.n, germ.m
     j0 = germ.jacobian_at_origin().to_rows()
     t = RationalMatrix.identity(n).to_rows()
@@ -229,6 +227,8 @@ def normalize(germ: MapGerm) -> NormalizedGerm:
             f = j0[row][col] / j0[piv][col]
             j0[row] = [a - f * b for a, b in zip(j0[row], j0[piv])]
             t[row] = [a - f * b for a, b in zip(t[row], t[piv])]
+    if len(used) != n - 1:
+        raise MalformedGermError("normalize expects a corank-one germ")
     # each pivot column was cleared in the one unused row as its pivot was
     # taken, so that row vanishes entirely (rank is n-1)
     critical = next(row for row in range(n) if row not in used)

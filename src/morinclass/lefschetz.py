@@ -263,10 +263,6 @@ def distinguished_points(params):
     return out
 
 
-def is_singular(germ: MapGerm, point) -> bool:
-    return germ.translate(point).jacobian_at_origin().rank() < germ.n
-
-
 @dataclass
 class WitnessReport:
     params: tuple
@@ -330,7 +326,7 @@ def witness_verify(params, extra_taus=None) -> WitnessReport:
         moved = germ.translate(pt)
         if moved.jacobian_at_origin().rank() == germ.n:
             continue
-        label = classify(moved).label
+        label = classify(moved, trace=False).label
         candidates.append((name, pt, label))
         if witness is None and _is_noncusp_label(label):
             witness = pt

@@ -123,12 +123,6 @@ class RationalMatrix:
     def to_rows(self):
         return [self.entries[r * self.cols:(r + 1) * self.cols] for r in range(self.rows)]
 
-    def transpose(self):
-        return RationalMatrix(
-            self.cols, self.rows,
-            [self[r, c] for c in range(self.cols) for r in range(self.rows)],
-        )
-
     def __mul__(self, other):
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")

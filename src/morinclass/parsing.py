@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .context import VariableContext
-from .germ import MapGerm
+from .germ import MapGerm, check_dimensions
 from .polynomial import Polynomial
 
 
@@ -196,6 +196,8 @@ class GermDocument:
         return VariableContext.make(self.source_vars, self.param_vars)
 
     def to_germ(self, require_bound=True) -> MapGerm:
+        # before any component is expanded, which may take long
+        check_dimensions(len(self.source_vars), len(self.component_texts))
         ctx = self.context
         comps = []
         for text, line in self.component_texts:

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from morinclass import MapGerm, Polynomial, VariableContext
+from morinclass import MapGerm, Polynomial, RationalMatrix, VariableContext
 
 
 def make_context(*names, params=()):
@@ -93,8 +93,6 @@ def random_polynomial(rng, ctx, max_degree=2, n_terms=4, den_max=2):
 
 
 def random_invertible_matrix(rng, size, lo=-3, hi=3):
-    from morinclass import RationalMatrix
-
     while True:
         entries = [random_rational(rng, lo, hi) for _ in range(size * size)]
         mat = RationalMatrix(size, size, entries)
@@ -201,6 +199,26 @@ def lambda_matrix(germ, frame, eta):
     """The defining n x n matrix (xi_1 f, ..., xi_{n-1} f, eta f) of one lambda."""
     fields = list(frame.xi) + [eta]
     return [[vf.apply(comp) for vf in fields] for comp in germ.components]
+
+
+def transpose(mat):
+    """The transpose of a RationalMatrix."""
+    return RationalMatrix(
+        mat.cols, mat.rows, [mat[r, c] for c in range(mat.cols) for r in range(mat.rows)]
+    )
+
+
+def frame_matrix_at(frame, assignment):
+    """Coefficients of xi_1, ..., xi_{n-1}, eta_1, ... at a point, one field a row."""
+    fields = list(frame.xi) + list(frame.eta)
+    return RationalMatrix.from_rows(
+        [[c.evaluate(assignment) for c in f.coefficients] for f in fields]
+    )
+
+
+def is_singular(germ, point):
+    """Whether the differential of the germ drops rank at a source point."""
+    return germ.translate(point).jacobian_at_origin().rank() < germ.n
 
 
 def minor_rank(rows):

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior and report schemas."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,27 @@ class TestClassifyCommand:
         path.write_text("vars: x y z\nmap: x + 1 ; y^2\n")
         code, _, err = run_cli(capsys, "classify", str(path))
         assert code == 2 and "vanish" in err
+
+    def test_too_few_variables_fail_fast(self, capsys, tmp_path):
+        path = tmp_path / "square.germ"
+        path.write_text("vars: x y z w\nmap: " + " ; ".join(["(x+y+z+w)^60"] * 4) + "\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "classify", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == "error: need more source variables than components (m=4, n=4)\n"
+
+    def test_fold_trace_builds_polynomials(self, capsys, tmp_path):
+        path = tmp_path / "fold.germ"
+        path.write_text("vars: x y z\nmap: x ; y^2 - z^2 + x*y\n")
+        _, out, _ = run_cli(capsys, "classify", str(path))
+        plain = json.loads(out)
+        assert plain["label"] == {"kind": "Fold", "k": 1, "signature": [1, 1]}
+        assert "trace" not in plain
+        _, out, _ = run_cli(capsys, "classify", str(path), "--trace")
+        traced = json.loads(out)
+        assert traced.pop("trace") == {"lambdas": ["x + 2*y", "-2*z"], "h": "-4"}
+        assert traced == plain
 
     def test_bad_b2_and_range_values(self, capsys):
         code, _, err = run_cli(capsys, "lefschetz", "slice", "--b2", "one")

@@ -24,6 +24,8 @@ from morinclass.criteria import (
     Label,
     build_theta,
     iterate_h,
+    jacobian_at_origin,
+    kernel_hessian_at_origin,
     kernel_hessian_of_last,
     lambdas_for_frame,
     rank_condition_b,
@@ -418,6 +420,77 @@ class TestFastPaths:
                 assert cusp_res["is_cusp"] == rep.label.is_morin(2)
                 checked_cusp += 1
         assert checked_fold >= 20 and checked_cusp >= 10
+
+
+class TestFoldOverQ:
+    """The fold branch decided from the 2-jet at 0, against the polynomial frame."""
+
+    LADDER = ((6, 2, 1, (1, -1, 1, -1, -1)), (7, 2, 1, (-1, 1, 1, -1, 1, 1)),
+              (5, 3, 3, (1, -1)), (5, 4, 4, (-1,)))
+
+    @staticmethod
+    def pivot_block_germ():
+        # B(0) = [[2, 1], [0, 5]] after normalize, so det B(0) = 10
+        ctx = make_context("x", "y", "z", "w")
+        x, y, z, w = (Polynomial.variable(ctx, n) for n in ctx.names)
+        return MapGerm(ctx, (2 * x + y + z * w, x + 3 * y + z**2,
+                             x * y + z**2 - w**2 + y * z + z**3))
+
+    def germs(self, battery_germs):
+        """Battery germs under both orders of the target changes, and the ladder."""
+        rng = random.Random(3141)
+        ctx = make_context("x", "y", "z")
+        x, y, z = (Polynomial.variable(ctx, n) for n in ctx.names)
+        out = [self.pivot_block_germ(), MapGerm(ctx, (x * y - 3 * z**2 + x**3,))]
+        for m, n, k, signs, germ in battery_germs:
+            out.append(germ)
+            out.append(unipotent_target_change(rng, linear_target_change(rng, germ)))
+            out.append(linear_target_change(rng, unipotent_target_change(rng, germ)))
+        for m, n, k, signs in self.LADDER:
+            base = normal_form(m, n, k, signs)
+            out.append(linear_target_change(rng, linear_source_change(rng, base)))
+        return out
+
+    def test_untraced_report_drops_only_the_polynomials(self, battery_germs):
+        folds = 0
+        for germ in self.germs(battery_germs):
+            full = classify(germ)
+            bare = classify(germ, trace=False)
+            assert bare.label == full.label
+            assert "lambdas" in full.trace and "h" in full.trace
+            # same keys in the same order, with the same values
+            assert list(bare.trace.items()) == [
+                (key, value) for key, value in full.trace.items() if key not in ("lambdas", "h")
+            ]
+            folds += full.label.is_fold()
+        assert folds >= 40
+
+    def test_helper_matches_polynomial_frame(self, battery_germs):
+        folds = 0
+        for germ in self.germs(battery_germs):
+            ng = normalize(germ.truncated(germ.n + 1))
+            det_b, eta_hess, kern = kernel_hessian_at_origin(ng)
+            frame = build_frame(ng)
+            assert det_b == frame.pivot_minor.constant_term()
+            assert kern == kernel_hessian_of_last(ng, frame)
+            ls = lambdas_for_frame(ng.germ, frame)
+            # dlambda(0) = det B(0) E(0)^T H, fold or not
+            assert jacobian_at_origin(ls.lambdas, ng.germ).entries == [
+                det_b * e for e in eta_hess.entries
+            ]
+            if kern.determinant() != 0:
+                assert eta_hess.rank() == nondegeneracy(ls)["rank"]
+                folds += 1
+        assert folds >= 40
+
+    def test_pivot_block_with_nonunit_determinant(self):
+        germ = self.pivot_block_germ()
+        det_b, _, kern = kernel_hessian_at_origin(normalize(germ))
+        assert det_b == 10
+        report = classify(germ, trace=False)
+        assert report.label.is_fold()
+        assert report.trace["frame"]["pivot_minor_at_0"] == "10"
+        assert Fraction(report.trace["h_at_0"]) == det_b**2 * kern.determinant()
 
 
 class TestInvariance:

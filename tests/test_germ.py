@@ -20,7 +20,7 @@ from morinclass import (
 from morinclass.germ import coordinate_field
 from morinclass.lefschetz import LefschetzFamily, lefschetz_germ
 
-from conftest import linear_target_change, make_context
+from conftest import frame_matrix_at, linear_target_change, make_context
 
 
 @pytest.fixture
@@ -137,7 +137,7 @@ class TestBuildFrame:
         for m, n, k, signs, germ in battery_germs[:10]:
             ng = normalize(germ)
             frame = build_frame(ng)
-            mat = frame.coefficient_matrix_at(origin(germ.context))
+            mat = frame_matrix_at(frame, origin(germ.context))
             assert mat.rank() == m
             # the frame determinant is a sign times a power of the pivot minor
             det = mat.determinant()

@@ -17,7 +17,6 @@ from morinclass.lefschetz import (
     cusp_tau_polynomial,
     distinguished_points,
     emit_slice,
-    is_singular,
     lefschetz_germ,
     lefschetz_lambdas,
     noncusp_polynomials,
@@ -28,7 +27,7 @@ from morinclass.lefschetz import (
     write_slice_csv,
 )
 
-from conftest import cofactor_determinant, lambda_matrix, to_sympy
+from conftest import cofactor_determinant, is_singular, lambda_matrix, to_sympy
 
 GOLDEN = Path(__file__).parent / "data" / "lefschetz_lambdas.txt"
 
@@ -178,6 +177,27 @@ class TestWitnessVerify:
         assert report.counterexample_candidate
         labels = {lab.kind for _, _, lab in report.candidates}
         assert labels <= {"Fold", "Morin"}
+
+    def test_untraced_classification_keeps_candidates(self, monkeypatch):
+        # the search classifies without the trace polynomials; forcing them
+        # back on must not change a candidate's label or the witness
+        import morinclass.lefschetz as lefschetz_module
+
+        points = [(2, 3, 5, 7), (0, 2, 0, 3), (1, 0, 0, 0), (6, 1, -2, 3)]
+        bare = [witness_verify(p) for p in points]
+        classify_full = lefschetz_module.classify
+        asked = []
+
+        def traced(germ, **kwargs):
+            asked.append(kwargs.get("trace"))
+            return classify_full(germ, **{**kwargs, "trace": True})
+
+        monkeypatch.setattr(lefschetz_module, "classify", traced)
+        for params, report in zip(points, bare):
+            full = witness_verify(params)
+            assert full.candidates == report.candidates
+            assert full.witness_label == report.witness_label
+        assert asked and set(asked) == {False}
 
     def test_component_membership_samples(self):
         # solving each component for one parameter lands on the locus

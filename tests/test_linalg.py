@@ -20,6 +20,7 @@ from conftest import (
     minor_rank,
     random_polynomial,
     to_sympy,
+    transpose,
 )
 
 
@@ -280,7 +281,7 @@ class TestRank:
             ]
             m = RationalMatrix.from_rows(rows)
             r = m.rank()
-            assert m.transpose().rank() == r
+            assert transpose(m).rank() == r
             swapped = [rows[1], rows[0], rows[2]]
             assert RationalMatrix.from_rows(swapped).rank() == r
             scaled = [[Fraction(5, 3) * e for e in rows[0]], rows[1], rows[2]]
@@ -345,7 +346,7 @@ class TestSignature:
                     sym[i][j] = sym[j][i] = v
             m = RationalMatrix.from_rows(sym)
             a = random_invertible_matrix(rng, size)
-            congruent = a.transpose() * m * a
+            congruent = transpose(a) * m * a
             assert congruent.signature() == m.signature()
 
     def test_matches_float_eigenvalues(self):

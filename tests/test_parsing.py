@@ -1,13 +1,14 @@
 """Expression grammar and germ-file documents."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morinclass import Polynomial, VariableContext
+from morinclass import MalformedGermError, Polynomial, VariableContext
 from morinclass.parsing import ParseError, parse_expression, parse_germ_document
 
 from conftest import make_context, random_polynomial
@@ -149,6 +150,16 @@ class TestGermDocuments:
         assert doc.bindings == {"a": Fraction(1, 2), "b": 3}
         germ = doc.to_germ()
         assert not germ.uses_parameters()
+
+    def test_too_few_variables_rejected_before_expanding(self):
+        # four 60th powers of a four-term sum: expanding them takes seconds
+        big = " ; ".join(["(x+y+z+w)^60"] * 4)
+        doc = parse_germ_document(f"vars: x y z w\nmap: {big}\n")
+        start = time.perf_counter()
+        with pytest.raises(MalformedGermError) as err:
+            doc.to_germ()
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == "need more source variables than components (m=4, n=4)"
 
     def test_expression_errors_carry_file_line(self):
         doc = parse_germ_document("vars: x y z\n\nmap: x ; y^2 + w")
