@@ -1,8 +1,9 @@
 """Classification of corank-one map germs as fold, cusp or higher Morin type.
 
-The decision pipeline, all in exact arithmetic:
+The decision pipeline:
 
-  1. rank of the Jacobian at the origin: regular, corank one or higher.
+  1. one row elimination of the Jacobian at the origin gives its rank
+     (regular, corank one or higher), its pivots and the target change.
   2. normalize + adapted frame (xi pivots, eta kernel fields).
   3. lambda_i = det(xi_1 f, ..., xi_{n-1} f, eta_i f); the singular locus is
      the common zero set of the lambdas.  Each eta_i annihilates f_1, ...,
@@ -25,6 +26,14 @@ The decision pipeline, all in exact arithmetic:
      rank of the stacked Jacobian of (lambdas, h, h', ..., h^{(k-2)}) at 0
      being m-n+k.
 
+`classify` makes each decision exactly over Q.  The float companion
+(`numeric.numeric_classify`) runs the same stages, `_classify_at_origin`, on
+the float (n+1)-jet at its point and makes each decision against a
+threshold instead, recording a margin: the decision object handed to the
+stages picks which.  There are six: the corank and pivots, the fold test,
+the signature, the ranks of dlambda(0) and of condition (b), the theta
+column, and the zero tests of the h-derivatives.
+
 Every mathematical failure is a report label, never an exception.  The
 tests read values and first derivatives at the base point only, so each
 stage needs the jet of its input one order deeper than its output, and every
@@ -36,6 +45,7 @@ degree it prints.
 """
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .germ import (
     AdaptedFrame,
@@ -43,9 +53,9 @@ from .germ import (
     NormalizedGerm,
     PolyVectorField,
     build_frame,
-    normalize,
+    normalized,
 )
-from .linalg import PolyMatrix, RationalMatrix, eliminate
+from .linalg import PolyMatrix, RationalMatrix, eliminate, first_nonzero_row, row_reduce
 from .polynomial import Polynomial
 from .rationals import format_rational
 
@@ -57,7 +67,10 @@ ALL_DERIVATIVES_VANISH = "AllDerivativesVanish"
 
 @dataclass(frozen=True)
 class Label:
-    """Classification outcome: Regular, Fold, Morin{k}, Degenerate or CorankHigh."""
+    """Classification outcome: Regular, Fold, Morin{k}, Degenerate or CorankHigh.
+
+    A thresholded float decision too close to call gives Inconclusive.
+    """
 
     kind: str
     k: int = None
@@ -78,26 +91,6 @@ class Label:
 
     def is_morin(self, k=None):
         return self.kind == "Morin" and (k is None or self.k == k)
-
-
-def regular_label():
-    return Label("Regular")
-
-
-def fold_label(signature):
-    return Label("Fold", k=1, signature=tuple(signature))
-
-
-def morin_label(k):
-    return Label("Morin", k=k)
-
-
-def degenerate_label(reason):
-    return Label("Degenerate", reason=reason)
-
-
-def corank_high_label():
-    return Label("CorankHigh")
 
 
 @dataclass(frozen=True)
@@ -142,11 +135,13 @@ def lambdas_for_frame(germ: MapGerm, frame: AdaptedFrame) -> LambdaSystem:
     return LambdaSystem(lambdas=lambdas, frame=frame, germ=germ)
 
 
-def jacobian_at_origin(polys, germ) -> RationalMatrix:
+def _gradients_at_origin(polys, germ):
     names = germ.context.source_names
-    return RationalMatrix.from_rows(
-        [[p.derivative(v).constant_term() for v in names] for p in polys]
-    )
+    return [[p.derivative(v).constant_term() for v in names] for p in polys]
+
+
+def jacobian_at_origin(polys, germ) -> RationalMatrix:
+    return RationalMatrix.from_rows(_gradients_at_origin(polys, germ))
 
 
 def nondegeneracy(ls: LambdaSystem):
@@ -171,18 +166,17 @@ def build_theta(ls: LambdaSystem, hd: HessData, column="first") -> HessData:
     kernel of M at every point where h vanishes; 2-non-degeneracy makes the
     chosen column nonzero at the origin.  `column` picks the first or the
     last column whose entries do not all vanish at 0 (the label does not
-    depend on the choice, which the test suite exercises).  The choice is
-    made over the rationals and only that column is built, as adj(M) e_c.
+    depend on the choice, which the test suite exercises), or is the index
+    of a column already chosen.  The choice is made over the rationals and
+    only that column is built, as adj(M) e_c.
     """
     rows = hd.h_matrix.to_rows()
     size = len(rows)
-    m0 = [[e.constant_term() for e in row] for row in rows]
-    # column c of adj(M)(0) = adj(M(0)) is nonzero iff M(0) less row c has rank size-1
-    usable = [c for c in range(size)
-              if RationalMatrix.from_rows(m0[:c] + m0[c + 1:]).rank() == size - 1]
-    if not usable:
-        raise ThetaUnavailableError("adjugate of the kernel Hessian vanishes at 0")
-    chosen = usable[0] if column == "first" else usable[-1]
+    chosen = column
+    if isinstance(column, str):
+        chosen = _EXACT.theta_column([[e.constant_term() for e in row] for row in rows], column)
+        if chosen is None:
+            raise ThetaUnavailableError("adjugate of the kernel Hessian vanishes at 0")
     unit = [[Polynomial.constant(hd.h_matrix.context, int(r == chosen))] for r in range(size)]
     coeffs = None
     for eta, (entry,) in zip(ls.frame.eta, eliminate(rows, unit)[1]):
@@ -244,6 +238,12 @@ def kernel_hessian_at_origin(ng: NormalizedGerm):
     the Hessian of f_n at 0.  Since d(f_n)_0 = 0, dlambda(0) is
     det B(0) E(0)^T H and h(0) is det B(0)^(m-n+1) det K (step 5 above).
     """
+    det_b, eta_hess, kern = _kernel_hessian_rows(ng)
+    return det_b, RationalMatrix.from_rows(eta_hess), RationalMatrix.from_rows(kern)
+
+
+def _kernel_hessian_rows(ng: NormalizedGerm):
+    """`kernel_hessian_at_origin` as rows of the germ's own coefficient type."""
     germ = ng.germ
     ctx = germ.context
     src = ctx.source_indices
@@ -274,7 +274,7 @@ def kernel_hessian_at_origin(ng: NormalizedGerm):
     # integer products: RationalMatrix products would go through Fractions
     eta_hess = [[sum(e * h for e, h in zip(eta, row)) for row in hess] for eta in etas]
     kern = [[sum(x * e for x, e in zip(row, eta)) for eta in etas] for row in eta_hess]
-    return det_b, RationalMatrix.from_rows(eta_hess), RationalMatrix.from_rows(kern)
+    return det_b, eta_hess, kern
 
 
 def fold_fast_path(ng: NormalizedGerm, frame: AdaptedFrame = None):
@@ -314,6 +314,43 @@ def cusp_fast_path(ng: NormalizedGerm, frame: AdaptedFrame = None):
     return {"applicable": True, "is_cusp": is_cusp, "kernel_dim": kernel_dim}
 
 
+class _Exact:
+    """The decisions of `classify`, made exactly over Q.
+
+    `numeric._Thresholds` makes the same decisions on floats.  Each takes the
+    name of its margin there, which the exact decisions ignore.
+    """
+
+    exact = True
+    fmt = staticmethod(format_rational)
+
+    def reduce(self, name, rows):
+        """Row elimination on the first nonzero entries: (T, pivot rows, pivot columns)."""
+        return row_reduce([[Fraction(e) for e in row] for row in rows], first_nonzero_row)
+
+    def nonzero(self, name, value):
+        return value != 0
+
+    def rank(self, name, rows):
+        return RationalMatrix.from_rows(rows).rank()
+
+    def signature(self, rows):
+        return RationalMatrix.from_rows(rows).signature()
+
+    def theta_column(self, m0, column):
+        """The first or last column of adj(M(0)) that is not zero, or None."""
+        size = len(m0)
+        # column c of adj(M)(0) = adj(M(0)) is nonzero iff M(0) less row c has rank size-1
+        usable = [c for c in range(size)
+                  if RationalMatrix.from_rows(m0[:c] + m0[c + 1:]).rank() == size - 1]
+        if not usable:
+            return None
+        return usable[0] if column == "first" else usable[-1]
+
+
+_EXACT = _Exact()
+
+
 def classify(germ: MapGerm, theta_column="first", trace=True) -> CriteriaReport:
     """Full classification of a polynomial map germ at the origin.
 
@@ -323,81 +360,90 @@ def classify(germ: MapGerm, theta_column="first", trace=True) -> CriteriaReport:
     also adds them to the report's trace as "lambdas" and "h".
     """
     germ.check_wellformed()
-    m, n = germ.m, germ.n
-    record = {"m": m, "n": n}
-    rank0 = germ.jacobian_at_origin().rank()
-    record["rank_df0"] = rank0
-    if rank0 == n:
-        return CriteriaReport(label=regular_label(), trace=record)
-    if rank0 < n - 1:
-        return CriteriaReport(label=corank_high_label(), trace=record)
-
+    germ.check_bound()
     # jet-cap the pipeline and clear denominators (a positive diagonal target
     # scaling, so every criterion and the fold signature are unchanged)
     work = MapGerm(
-        germ.context, tuple(c.integer_scaled() for c in germ.truncated(n + 1).components)
+        germ.context,
+        tuple(c.integer_scaled() for c in germ.truncated(germ.n + 1).components),
     )
-    ng = normalize(work)
-    det_b0, eta_hess, kern = kernel_hessian_at_origin(ng)
-    det_k = kern.determinant()
+    label, record = _classify_at_origin(work, _EXACT, theta_column, trace)
+    return CriteriaReport(label=label, trace=record)
+
+
+def _classify_at_origin(work: MapGerm, decide, theta_column="first", trace=False):
+    """The stages of `classify` on a germ capped at order n+1: (label, trace record).
+
+    `decide` makes every decision: `_EXACT`, or the thresholded float
+    decisions of `numeric`; `decide.fmt` writes numbers into the record.
+    """
+    m, n = work.m, work.n
+    size = m - n + 1
+    fmt = decide.fmt
+    record = {"m": m, "n": n}
+    t, pivot_rows, pivot_cols = decide.reduce("corank", work.linear_coefficients())
+    record["rank_df0"] = rank = len(pivot_rows)
+    if rank == n:
+        return Label("Regular"), record
+    if rank < n - 1:
+        return Label("CorankHigh"), record
+
+    ng = normalized(work, t, pivot_rows, pivot_cols, decide.exact)
+    det_b0, eta_hess, kern = _kernel_hessian_rows(ng)
+    h0 = det_b0**size * eliminate(kern)[0]
     record["frame"] = {
         "pivots": list(ng.pivot_names),
-        "target_change": [
-            [format_rational(e) for e in row] for row in ng.target_change.to_rows()
-        ],
-        "pivot_minor_at_0": format_rational(det_b0),
+        "target_change": [[fmt(e) for e in row] for row in ng.target_change],
+        "pivot_minor_at_0": fmt(det_b0),
     }
-    if trace or det_k == 0:
+    # dlambda(0) = det B(0) E(0)^T H, fold or not
+    nd_rank = decide.rank("nondegeneracy", [[det_b0 * e for e in row] for row in eta_hess])
+    fold = decide.nonzero("h", h0)
+    if trace or not fold:
         ls = lambdas_for_frame(ng.germ, build_frame(ng))
         hd = hessian(ls)
     if trace:
         record["lambdas"] = [p.render() for p in ls.lambdas]
         record["h"] = hd.h.render()
+    record["nondegeneracy"] = {"rank": nd_rank, "required": size}
+    record["h_at_0"] = fmt(h0)
 
-    if det_k != 0:
-        h0 = det_b0 ** (m - n + 1) * det_k
-        pos, neg, _ = kern.signature()
-        record["nondegeneracy"] = {"rank": eta_hess.rank(), "required": m - n + 1}
-        record["h_at_0"] = format_rational(h0)
-        record["h_derivs_at_0"] = [format_rational(h0)]
+    if fold:
+        pos, neg, zero = decide.signature(kern)
+        record["h_derivs_at_0"] = [fmt(h0)]
         record["signature"] = [pos, neg]
-        return CriteriaReport(label=fold_label((pos, neg)), trace=record)
+        # only a float decision can find h(0) nonzero and an eigenvalue zero
+        label = Label("Inconclusive") if zero else Label("Fold", k=1, signature=(pos, neg))
+        return label, record
 
-    nd = nondegeneracy(ls)
-    record["nondegeneracy"] = {"rank": nd["rank"], "required": nd["required"]}
-    record["h_at_0"] = format_rational(hd.h.constant_term())
-    if not nd["pass"]:
-        return CriteriaReport(label=degenerate_label(NOT_NONDEGENERATE), trace=record)
-
-    try:
-        hd = build_theta(ls, hd, column=theta_column)
-    except ThetaUnavailableError:
-        return CriteriaReport(label=degenerate_label(NOT_2_NONDEGENERATE), trace=record)
+    if nd_rank != size:
+        return Label("Degenerate", reason=NOT_NONDEGENERATE), record
+    m0 = [[e.constant_term() for e in row] for row in hd.h_matrix.to_rows()]
+    column = decide.theta_column(m0, theta_column)
+    if column is None:
+        return Label("Degenerate", reason=NOT_2_NONDEGENERATE), record
+    hd = build_theta(ls, hd, column)
     record["theta_column"] = hd.theta_column
-    record["theta_at_0"] = [
-        format_rational(c.constant_term()) for c in hd.theta.coefficients
-    ]
+    record["theta_at_0"] = [fmt(c.constant_term()) for c in hd.theta.coefficients]
     hd = iterate_h(hd, n - 1)
     deriv_values = [p.constant_term() for p in hd.h_derivs]
-    record["h_derivs_at_0"] = [format_rational(v) for v in deriv_values]
+    record["h_derivs_at_0"] = [fmt(v) for v in deriv_values]
 
-    k = None
-    for j in range(1, n):
-        if deriv_values[j] != 0:
-            k = j + 1
-            break
+    k = next((j + 1 for j in range(1, n) if decide.nonzero(f"h deriv {j}", deriv_values[j])),
+             None)
     if k is None:
-        return CriteriaReport(label=degenerate_label(ALL_DERIVATIVES_VANISH), trace=record)
+        return Label("Degenerate", reason=ALL_DERIVATIVES_VANISH), record
 
-    cond_b = rank_condition_b(ls, hd, k)
+    # condition (b): the stacked Jacobian of (lambdas, h, ..., h^(k-2)) at 0
+    jac = _gradients_at_origin(list(ls.lambdas) + list(hd.h_derivs[: k - 1]), work)
+    rank_b = decide.rank("condition-b", jac)
+    required = m - n + k
     record["condition_b"] = {
         "k": k,
-        "rank": cond_b["rank"],
-        "required": cond_b["required"],
-        "matrix": [
-            [format_rational(e) for e in row] for row in cond_b["matrix"].to_rows()
-        ],
+        "rank": rank_b,
+        "required": required,
+        "matrix": [[fmt(e) for e in row] for row in jac],
     }
-    if cond_b["rank"] != cond_b["required"]:
-        return CriteriaReport(label=degenerate_label(RANK_CONDITION_FAILED), trace=record)
-    return CriteriaReport(label=morin_label(k), trace=record)
+    if rank_b != required:
+        return Label("Degenerate", reason=RANK_CONDITION_FAILED), record
+    return Label("Morin", k=k), record

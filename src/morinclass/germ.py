@@ -3,7 +3,10 @@
 A germ here is a polynomial map f: (R^m, 0) -> (R^n, 0) with m > n, carried
 by n polynomials over a shared variable context.  `normalize` applies an
 invertible rational change on the target so the last component has zero
-differential at the origin; `build_frame` then constructs vector fields
+differential at the origin: one row elimination of the Jacobian at 0 gives
+its rank, its pivots and that change, and `normalized` applies the change
+(the float companion pivots on the largest entry instead and calls
+`normalized` itself).  `build_frame` then constructs vector fields
 (xi_1..xi_{n-1}, eta_1..eta_{m-n+1}) adapted to the germ: the xi are the
 coordinate fields of the pivot variables and each eta is the Cramer-rule
 kernel field of the Jacobian of the first n-1 components, so it annihilates
@@ -12,9 +15,10 @@ those components identically as polynomials.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .context import VariableContext
-from .linalg import RationalMatrix, eliminate
+from .linalg import RationalMatrix, eliminate, first_nonzero_row, row_reduce
 from .polynomial import Polynomial
 from .rationals import rat
 
@@ -78,17 +82,22 @@ class MapGerm:
                     f"component {i + 1} does not vanish at the origin: {at0.render()}"
                 )
 
-    def jacobian_at_origin(self) -> RationalMatrix:
+    def check_bound(self):
         if self.uses_parameters():
             raise MalformedGermError(
                 "germ still has free parameters; bind them before classification"
             )
+
+    def linear_coefficients(self):
+        """The Jacobian at 0 as rows of coefficients, of whatever type the germ has."""
         # d(f_i)/d(x_j) at 0 is the coefficient of the monomial x_j in f_i
         ctx = self.context
         units = [tuple(int(k == j) for k in range(len(ctx))) for j in ctx.source_indices]
-        return RationalMatrix.from_rows(
-            [[p.coefficient(u) for u in units] for p in self.components]
-        )
+        return [[p.coefficient(u) for u in units] for p in self.components]
+
+    def jacobian_at_origin(self) -> RationalMatrix:
+        self.check_bound()
+        return RationalMatrix.from_rows(self.linear_coefficients())
 
     def bind_parameters(self, values) -> "MapGerm":
         """Substitute rational values for all parameter variables."""
@@ -100,9 +109,12 @@ class MapGerm:
         return MapGerm(self.context, tuple(p.substitute(bindings) for p in self.components))
 
     def translate(self, point) -> "MapGerm":
-        """Recenter at a source point p: x -> x + p, then drop f(p) so 0 maps to 0."""
+        """Recenter at a source point p: x -> x + p, then drop f(p) so 0 maps to 0.
+
+        Float coordinates are kept as floats, for a germ with float coefficients.
+        """
         names = self.context.source_names
-        point = [rat(v) for v in point]
+        point = [v if isinstance(v, float) else rat(v) for v in point]
         if len(point) != len(names):
             raise MalformedGermError(
                 f"base point needs {len(names)} coordinates, got {len(point)}"
@@ -170,7 +182,6 @@ class AdaptedFrame:
 
     xi: tuple
     eta: tuple
-    target_change: RationalMatrix
     pivot_names: tuple
     nonpivot_names: tuple
     pivot_minor: Polynomial
@@ -178,18 +189,18 @@ class AdaptedFrame:
 
 @dataclass(frozen=True)
 class NormalizedGerm:
+    """The germ after the target change, whose rows make `target_change`."""
+
     germ: MapGerm
-    original: MapGerm
-    target_change: RationalMatrix
+    target_change: tuple
     pivot_names: tuple
     nonpivot_names: tuple
-    last_component_critical: bool
 
 
 def validate(germ: MapGerm) -> str:
     """Exact corank test at the origin: Regular, Corank1 or CorankHigh."""
     germ.check_wellformed()
-    rank = germ.jacobian_at_origin().rank()
+    rank = len(row_reduce(germ.jacobian_at_origin().to_rows(), first_nonzero_row)[1])
     if rank == germ.n:
         return REGULAR
     if rank == germ.n - 1:
@@ -206,65 +217,51 @@ def normalize(germ: MapGerm) -> NormalizedGerm:
     rank of that Jacobian, which must be n-1.
     """
     germ.check_wellformed()
-    n, m = germ.n, germ.m
-    j0 = germ.jacobian_at_origin().to_rows()
-    t = RationalMatrix.identity(n).to_rows()
-    used = []
-    pivot_cols = []
-    for col in range(m):
-        piv = None
-        for row in range(n):
-            if row not in used and j0[row][col] != 0:
-                piv = row
-                break
-        if piv is None:
-            continue
-        used.append(piv)
-        pivot_cols.append(col)
-        for row in range(n):
-            if row in used or j0[row][col] == 0:
-                continue
-            f = j0[row][col] / j0[piv][col]
-            j0[row] = [a - f * b for a, b in zip(j0[row], j0[piv])]
-            t[row] = [a - f * b for a, b in zip(t[row], t[piv])]
-    if len(used) != n - 1:
+    t, pivot_rows, pivot_cols = row_reduce(germ.jacobian_at_origin().to_rows(), first_nonzero_row)
+    if len(pivot_rows) != germ.n - 1:
         raise MalformedGermError("normalize expects a corank-one germ")
-    # each pivot column was cleared in the one unused row as its pivot was
-    # taken, so that row vanishes entirely (rank is n-1)
-    critical = next(row for row in range(n) if row not in used)
-    order = used + [critical]
+    return normalized(germ, t, pivot_rows, pivot_cols)
+
+
+def normalized(germ: MapGerm, t, pivot_rows, pivot_cols, exact=True) -> NormalizedGerm:
+    """The germ under the target change T of `row_reduce` on its Jacobian at 0.
+
+    The n-1 pivot rows of T f come first and the one row left last; at rank
+    n-1 that row has no linear part.  Over Q each row is scaled to integer
+    coefficients, T with it, and the last row is checked to be critical; a
+    float germ (`exact` false) keeps its rows as they are.
+    """
+    n = germ.n
+    # each pivot column was cleared in the one row left as its pivot was
+    # taken, so that row vanishes entirely when the rank is n-1
+    critical = next(row for row in range(n) if row not in pivot_rows)
     comps = []
     t_rows = []
-    for r in order:
+    for r in list(pivot_rows) + [critical]:
         acc = Polynomial.zero(germ.context)
         for c, w in enumerate(t[r]):
             if w:
                 acc = acc + w * germ.components[c]
-        scaled = acc.integer_scaled()
-        if scaled.terms and acc.terms:
-            exps = next(iter(acc.terms))
-            factor = Fraction(scaled.terms[exps]) / Fraction(acc.terms[exps])
-        else:
-            factor = Fraction(1)
-        comps.append(scaled)
-        t_rows.append([factor * w for w in t[r]])
-    target = RationalMatrix.from_rows(t_rows)
+        factor = 1
+        if exact:
+            # the multiple `integer_scaled` takes: the lcm of the denominators
+            factor = Fraction(lcm(*(c.denominator for c in acc.terms.values())))
+            acc = acc.integer_scaled()
+        comps.append(acc)
+        t_rows.append(tuple(factor * w for w in t[r]))
     new_germ = MapGerm(germ.context, tuple(comps))
     source_names = germ.context.source_names
     pivot_names = tuple(source_names[c] for c in pivot_cols)
     nonpivot_names = tuple(v for v in source_names if v not in pivot_names)
     # the construction guarantees this; fail loudly if it ever breaks
     last = new_germ.components[-1]
-    for v in source_names:
-        if last.derivative(v).constant_term() != 0:
-            raise AssertionError("normalization failed to make the last component critical")
+    if exact and any(last.derivative(v).constant_term() != 0 for v in source_names):
+        raise AssertionError("normalization failed to make the last component critical")
     return NormalizedGerm(
         germ=new_germ,
-        original=germ,
-        target_change=target,
+        target_change=tuple(t_rows),
         pivot_names=pivot_names,
         nonpivot_names=nonpivot_names,
-        last_component_critical=True,
     )
 
 
@@ -306,7 +303,6 @@ def cramer_frame(germ: MapGerm, pivot_names) -> AdaptedFrame:
     return AdaptedFrame(
         xi=xi,
         eta=tuple(eta),
-        target_change=RationalMatrix.identity(n),
         pivot_names=pivot_names,
         nonpivot_names=nonpivot_names,
         pivot_minor=det_b,
@@ -317,11 +313,4 @@ def build_frame(ng: NormalizedGerm) -> AdaptedFrame:
     frame = cramer_frame(ng.germ, ng.pivot_names)
     if frame.pivot_minor.constant_term() == 0:
         raise AssertionError("pivot minor vanishes at the origin after normalization")
-    return AdaptedFrame(
-        xi=frame.xi,
-        eta=frame.eta,
-        target_change=ng.target_change,
-        pivot_names=frame.pivot_names,
-        nonpivot_names=frame.nonpivot_names,
-        pivot_minor=frame.pivot_minor,
-    )
+    return frame

@@ -323,10 +323,9 @@ def witness_verify(params, extra_taus=None) -> WitnessReport:
         if pt in seen:
             continue
         seen.add(pt)
-        moved = germ.translate(pt)
-        if moved.jacobian_at_origin().rank() == germ.n:
+        label = classify(germ.translate(pt), trace=False).label
+        if label.kind == "Regular":
             continue
-        label = classify(moved, trace=False).label
         candidates.append((name, pt, label))
         if witness is None and _is_noncusp_label(label):
             witness = pt

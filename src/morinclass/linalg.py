@@ -5,7 +5,13 @@ every exact matrix, and its forward pass gives ranks.  It pivots on usable
 entries (a nonzero int or uncapped polynomial, or a jet with a nonzero
 constant term: a unit of Q[x]/m^{N+1}) and divides exactly by the previous
 pivot.  Cofactor expansion finishes a block of at most 3x3, or one left
-without a usable entry.
+without a usable entry.  The same code runs on floats and float jets for
+the float companion: it then pivots on the largest constant term and
+divides with `/`.
+
+`row_reduce` is the row elimination of a Jacobian at the base point, with
+the pivot rule as a parameter: the first nonzero entry over Q, the largest
+entry above a threshold over the floats.
 """
 
 from fractions import Fraction
@@ -112,10 +118,6 @@ class RationalMatrix:
         cols = len(rows_of_entries[0]) if rows else 0
         return cls(rows, cols, [e for row in rows_of_entries for e in row])
 
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, [Fraction(int(r == c)) for r in range(n) for c in range(n)])
-
     def __getitem__(self, rc):
         r, c = rc
         return self.entries[r * self.cols + c]
@@ -217,13 +219,20 @@ def poly_identity(context, n):
 # -- the elimination engine -------------------------------------------------------
 
 def _is_zero(e):
-    return e == 0 if isinstance(e, int) else e.is_zero()
+    return e == 0 if isinstance(e, (int, float)) else e.is_zero()
+
+
+def _at0(e):
+    return e if isinstance(e, (int, float)) else e.constant_term()
 
 
 def _usable(e):
-    if isinstance(e, int) or e.jet is None:
-        return not _is_zero(e)
-    return e.constant_term() != 0
+    if isinstance(e, (int, float)):
+        return e != 0
+    if e.jet is not None:
+        return e.constant_term() != 0
+    # an uncapped polynomial divides exactly only over Q
+    return not e.is_zero() and not isinstance(next(iter(e.terms.values())), float)
 
 
 def _divider(p, power=1):
@@ -232,6 +241,8 @@ def _divider(p, power=1):
         return lambda x: x
     if isinstance(p, int):
         return lambda x, d=p**power: x // d
+    if isinstance(p, float):
+        return lambda x, d=p**power: x / d
     if p.jet is None:
         return lambda x, d=p**power: x.div_exact(d)
     # with c = p(0) and t = c - p, t^(N+1) vanishes in the N-jet ring, so
@@ -242,6 +253,9 @@ def _divider(p, power=1):
     for j in range(1, p.jet + 1):
         s = s * t + c**j
     s, scale = s**power, c ** ((p.jet + 1) * power)
+    if isinstance(c, float):
+        s = s * (1 / scale)
+        return lambda x: x * s
 
     def divide(x):
         x = x * s
@@ -257,20 +271,24 @@ def _divider(p, power=1):
 def _forward(rows, ncols, stop):
     """Fraction-free Gauss-Jordan elimination on the leading `ncols` columns, in place.
 
-    Step k swaps a usable entry of the trailing block to (k, k), then sets
-    a[i][j] = (a[k][k] a[i][j] - a[i][k] a[k][j]) / p for j > k and every
-    row i but k, p being the previous pivot.  Stops at a trailing block of
-    at most `stop` rows or columns or without a usable entry.  Returns the
-    steps taken, the last pivot (None if none), the sign of the swaps, and
-    the column order.
+    Step k swaps a usable entry of the trailing block to (k, k): the first
+    one, or over the floats the one with the largest constant term.  It then
+    sets a[i][j] = (a[k][k] a[i][j] - a[i][k] a[k][j]) / p for j > k and
+    every row i but k, p being the previous pivot.  Stops at a trailing
+    block of at most `stop` rows or columns or without a usable entry.
+    Returns the steps taken, the last pivot (None if none), the sign of the
+    swaps, and the column order.
     """
     order = list(range(ncols))
     sign, pivot, k = 1, None, 0
     while min(len(rows), ncols) - k > stop:
-        found = next(((i, j) for j in range(k, ncols) for i in range(k, len(rows))
-                      if _usable(rows[i][j])), None)
+        block = ((i, j) for j in range(k, ncols) for i in range(k, len(rows))
+                 if _usable(rows[i][j]))
+        found = next(block, None)
         if found is None:
             break
+        if isinstance(_at0(rows[found[0]][found[1]]), float):
+            found = max([found, *block], key=lambda ij: abs(_at0(rows[ij[0]][ij[1]])))
         i, j = found
         if i != k:
             rows[i], rows[k] = rows[k], rows[i]
@@ -289,6 +307,41 @@ def _forward(rows, ncols, stop):
                     row[j] = divide(pivot * row[j] - f * top[j])
         k += 1
     return k, pivot, sign, order
+
+
+def row_reduce(rows, pick):
+    """Row elimination of `rows` in place, pivoting where `pick` says.
+
+    Columns are taken in order.  `pick(rows, col, free)` returns the free
+    row to pivot on in column `col`, or None to pass the column over; every
+    other free row then loses its multiple of the pivot row.  Returns T, the
+    product of those row operations (T times the input is the result), and
+    the pivot rows and their columns in the order taken: the rank is their
+    number.
+    """
+    n = len(rows)
+    t = [[int(r == c) for c in range(n)] for r in range(n)]
+    pivot_rows, pivot_cols = [], []
+    for col in range(len(rows[0]) if rows else 0):
+        free = [r for r in range(n) if r not in pivot_rows]
+        if not free:
+            break
+        piv = pick(rows, col, free)
+        if piv is None:
+            continue
+        pivot_rows.append(piv)
+        pivot_cols.append(col)
+        for r in free:
+            if r != piv and rows[r][col] != 0:
+                f = rows[r][col] / rows[piv][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[piv])]
+                t[r] = [a - f * b for a, b in zip(t[r], t[piv])]
+    return t, pivot_rows, pivot_cols
+
+
+def first_nonzero_row(rows, col, free):
+    """The pivot rule over Q: the first free row with a nonzero entry in `col`."""
+    return next((r for r in free if rows[r][col] != 0), None)
 
 
 def _dot(xs, ys):

@@ -1,10 +1,12 @@
 """Floating-point companion to the exact classifier.
 
 Projects seed points onto the singular locus by Gauss-Newton on the
-determinantal equations and classifies with thresholds, mirroring the exact
-pipeline on float coefficient dicts.  The exact classifier remains the
-authority; any decision within a factor of ten of its threshold makes the
-verdict Inconclusive.
+determinantal equations of the chart at 0, and classifies a point by
+running the exact classifier's stages (`criteria._classify_at_origin`) on the
+float (n+1)-jet there.  Where `classify` decides exactly, `_Thresholds`
+compares a value with its tolerance and records a `Margin`.  The exact
+classifier remains the authority; any decision within a factor of ten of its
+threshold makes the verdict Inconclusive.
 """
 
 import math
@@ -14,8 +16,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import _termops_py as fops  # term-dict ops are coefficient-generic; reused for floats
-from .criteria import Label
-from .germ import MapGerm
+from .criteria import Label, _classify_at_origin, lambdas_for_frame
+from .germ import MapGerm, cramer_frame, normalized
+from .linalg import eliminate, row_reduce
+from .polynomial import Polynomial
 
 
 @dataclass(frozen=True)
@@ -57,16 +61,10 @@ class NumericVerdict:
     margins: list = field(default_factory=list)
     residual: float = 0.0
 
-    @property
-    def inconclusive(self):
-        return self.label.kind == "Inconclusive"
-
 
 class ProjectionError(RuntimeError):
     """Gauss-Newton failed to reach the residual tolerance."""
 
-
-# -- float term-dict helpers --------------------------------------------------
 
 def _eval(d, point):
     total = 0.0
@@ -79,60 +77,6 @@ def _eval(d, point):
     return total
 
 
-def _grad(d, m):
-    return [fops.diff_terms(d, i) for i in range(m)]
-
-
-def _apply_field(field_coeffs, d, m):
-    acc = {}
-    for c in range(m):
-        fc = field_coeffs[c]
-        if not fc:
-            continue
-        acc = fops.add_terms(acc, fops.mul_terms(fc, fops.diff_terms(d, c)))
-    return acc
-
-
-def _sum_dicts(dicts):
-    acc = {}
-    for d in dicts:
-        acc = fops.add_terms(acc, d)
-    return acc
-
-
-def _det_dicts(rows):
-    n = len(rows)
-    if n == 1:
-        return dict(rows[0][0])
-    if n == 2:
-        return fops.sub_terms(
-            fops.mul_terms(rows[0][0], rows[1][1]),
-            fops.mul_terms(rows[0][1], rows[1][0]),
-        )
-    acc = {}
-    for c in range(n):
-        minor = [[rows[r][cc] for cc in range(n) if cc != c] for r in range(1, n)]
-        term = fops.mul_terms(rows[0][c], _det_dicts(minor))
-        acc = fops.add_terms(acc, term if c % 2 == 0 else fops.neg_terms(term))
-    return acc
-
-
-def _adj_dicts(rows, m):
-    n = len(rows)
-    if n == 1:
-        return [[{(0,) * m: 1.0}]]
-    out = [[None] * n for _ in range(n)]
-    for r in range(n):
-        for c in range(n):
-            minor = [
-                [rows[i][j] for j in range(n) if j != r]
-                for i in range(n) if i != c
-            ]
-            cof = _det_dicts(minor)
-            out[r][c] = cof if (r + c) % 2 == 0 else fops.neg_terms(cof)
-    return out
-
-
 def _scale(a):
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
@@ -140,111 +84,84 @@ def _scale(a):
     return max(float(np.linalg.norm(r)) for r in a) or 1e-300
 
 
-def _numeric_rank(a, rank_tol):
-    """Scaled partial-pivot elimination rank; returns (rank, margin entries)."""
-    a = np.array(a, dtype=float)
-    if a.size == 0:
-        return 0, []
-    thr = rank_tol * _scale(a)
-    rows, cols = a.shape
-    used = []
-    rank = 0
-    margins = []
-    for c in range(cols):
-        cand = [(abs(a[r, c]), r) for r in range(rows) if r not in used]
-        if not cand:
-            break
-        best, r0 = max(cand)
-        if best <= thr:
-            continue
-        margins.append((best, f"pivot {rank + 1}"))
-        rank += 1
-        used.append(r0)
-        for r in range(rows):
-            if r in used:
-                continue
-            a[r] = a[r] - (a[r, c] / a[r0, c]) * a[r0]
-    rest = [abs(a[r, c]) for r in range(rows) if r not in used for c in range(cols)]
-    if rest:
-        margins.append((max(rest), "largest rejected entry"))
-    return rank, margins
+class _Thresholds:
+    """The decisions of `criteria`'s stages on floats, each recorded as a Margin."""
 
+    exact = False
+    fmt = float
 
-# -- the float pipeline --------------------------------------------------------
+    def __init__(self, tol: Tolerances):
+        self.tol = tol
+        self.margins = []
+
+    def reduce(self, name, rows):
+        """Row elimination on the largest entry of each column above rank_tol times the scale."""
+        rows = [[float(v) for v in row] for row in rows]
+        thr = self.tol.rank_tol * _scale(rows)
+
+        def largest(rows, col, free):
+            best, r0 = max((abs(rows[r][col]), r) for r in free)
+            return r0 if best > thr else None
+
+        t, pivot_rows, pivot_cols = row_reduce(rows, largest)
+        for k, (r, c) in enumerate(zip(pivot_rows, pivot_cols), 1):
+            self.margins.append(Margin(f"{name} pivot {k}", abs(rows[r][c]), thr))
+        rest = [abs(v) for r, row in enumerate(rows) if r not in pivot_rows for v in row]
+        if rest:
+            self.margins.append(Margin(f"{name} largest rejected entry", max(rest), thr))
+        return t, pivot_rows, pivot_cols
+
+    def rank(self, name, rows):
+        return len(self.reduce(name, rows)[1])
+
+    def nonzero(self, name, value):
+        self.margins.append(Margin(name, value, self.tol.zero_tol))
+        return abs(value) > self.tol.zero_tol
+
+    def signature(self, rows):
+        k = np.array(rows, dtype=float)
+        eigs = np.linalg.eigvalsh(0.5 * (k + k.T))
+        zero_tol = self.tol.zero_tol
+        self.margins.append(Margin("hessian smallest |eig|", float(np.min(np.abs(eigs))), zero_tol))
+        pos, neg = int(np.sum(eigs > zero_tol)), int(np.sum(eigs < -zero_tol))
+        return pos, neg, len(rows) - pos - neg
+
+    def theta_column(self, m0, column):
+        """The column of adj(M(0)) with the largest entry, if that is above zero_tol."""
+        size = len(m0)
+        adj = eliminate(m0, [[float(r == c) for c in range(size)] for r in range(size)])[1]
+        norms = [max(abs(adj[r][c]) for r in range(size)) for c in range(size)]
+        best = max(range(size), key=norms.__getitem__)
+        self.margins.append(Margin("adjugate column", norms[best], self.tol.zero_tol))
+        return best if norms[best] > self.tol.zero_tol else None
+
 
 class _FloatPipeline:
-    """Frame, lambda and Hessian machinery on float term dicts."""
+    """The float copy of a germ and the lambdas of its chart at 0, with their gradients.
+
+    The chart is `normalize`'s with `_Thresholds` pivots, kept at rank n
+    too: the projection solves its lambdas wherever the germ is regular at 0.
+    """
 
     def __init__(self, germ: MapGerm, tol: Tolerances):
         if germ.uses_parameters():
             raise ValueError("bind parameters before numeric work")
-        self.germ = germ
         self.tol = tol
-        self.m = germ.m
-        self.n = germ.n
-        src = germ.context.source_indices
-        self.comps = []
-        for p in germ.components:
-            d = {}
-            for exps, coeff in p.terms.items():
-                key = tuple(exps[i] for i in src)
-                d[key] = d.get(key, 0.0) + float(coeff)
-            self.comps.append({k: v for k, v in d.items() if v != 0.0})
-        self.grads = [_grad(c, self.m) for c in self.comps]
-        self._base = None
-        self._base_grads = None
-
-    def jacobian_at(self, point):
-        return np.array(
-            [[_eval(g, point) for g in grads] for grads in self.grads], dtype=float
-        )
-
-    def local_data(self, point):
-        """Rotated components, kernel frame and lambdas pivoted at `point`."""
-        j = self.jacobian_at(point)
-        t, order, piv_cols = _target_rotation(j, self.tol.rank_tol)
-        comps = []
-        for r in range(self.n):
-            d = {}
-            for c in range(self.n):
-                w = t[r, c]
-                if w != 0.0:
-                    d = fops.add_terms(d, fops.scale_terms(self.comps[order[c]], w))
-            comps.append(d)
-        grads = [_grad(c, self.m) for c in comps]
-        nonpiv = [c for c in range(self.m) if c not in piv_cols]
-        if self.n == 1:
-            det_b = {(0,) * self.m: 1.0}
-            adj = None
-        else:
-            b = [[grads[i][c] for c in piv_cols] for i in range(self.n - 1)]
-            det_b = _det_dicts(b)
-            adj = _adj_dicts(b, self.m)
-        etas = []
-        for v in nonpiv:
-            coeffs = [{} for _ in range(self.m)]
-            coeffs[v] = det_b
-            if self.n > 1:
-                w = [grads[i][v] for i in range(self.n - 1)]
-                for jdx, pc in enumerate(piv_cols):
-                    acc = {}
-                    for k in range(self.n - 1):
-                        acc = fops.add_terms(acc, fops.mul_terms(adj[jdx][k], w[k]))
-                    coeffs[pc] = fops.neg_terms(acc)
-            etas.append(coeffs)
-        # lambda_i = det(B) * eta_i f_n, as in criteria.lambdas_for_frame
-        lambdas = [fops.mul_terms(det_b, _apply_field(eta, comps[-1], self.m)) for eta in etas]
-        return {"comps": comps, "etas": etas, "lambdas": lambdas, "piv_cols": piv_cols}
-
-    def base_lambdas(self):
-        if self._base is None:
-            self._base = self.local_data([0.0] * self.m)
-        return self._base["lambdas"]
-
-    def base_lambda_grads(self):
-        if self._base_grads is None:
-            self._base_grads = [_grad(d, self.m) for d in self.base_lambdas()]
-        return self._base_grads
+        ctx = germ.context
+        self.germ = MapGerm(ctx, tuple(
+            Polynomial(ctx, {e: float(c) for e, c in p.terms.items()}) for p in germ.components
+        ))
+        n = germ.n
+        t, pivot_rows, pivot_cols = _Thresholds(tol).reduce(
+            "corank", self.germ.linear_coefficients())
+        if len(pivot_rows) < n - 1:
+            raise ValueError("the chart at 0 needs a Jacobian of rank at least n-1 there")
+        ng = normalized(self.germ, t, pivot_rows[: n - 1], pivot_cols[: n - 1], exact=False)
+        self.lambdas = lambdas_for_frame(ng.germ, cramer_frame(ng.germ, ng.pivot_names)).lambdas
+        src = ctx.source_indices
+        self.terms = [{tuple(e[i] for i in src): c for e, c in lam.terms.items()}
+                      for lam in self.lambdas]
+        self.grads = [[fops.diff_terms(d, i) for i in range(len(src))] for d in self.terms]
 
 
 def _pipeline(germ: MapGerm, tol: Tolerances) -> _FloatPipeline:
@@ -261,41 +178,6 @@ def _shared_pipeline(germ, tol, term_order):
     return _FloatPipeline(germ, tol)
 
 
-def _target_rotation(j, rank_tol):
-    """Invertible row mix of j putting the most dependent row last.
-
-    Returns (T, row order, pivot columns): T applied to the components in
-    `order` gives n-1 rows independent at the point plus one critical row.
-    """
-    n, m = j.shape
-    a = j.copy().astype(float)
-    t = np.eye(n)
-    thr = rank_tol * _scale(j)
-    used = []
-    piv_cols = []
-    for c in range(m):
-        if len(used) == n - 1:
-            break
-        cand = [(abs(a[r, c]), r) for r in range(n) if r not in used]
-        if not cand:
-            break
-        best, r0 = max(cand)
-        if best <= thr:
-            continue
-        used.append(r0)
-        piv_cols.append(c)
-        for r in range(n):
-            if r in used:
-                continue
-            f = a[r, c] / a[r0, c]
-            a[r] = a[r] - f * a[r0]
-            t[r] = t[r] - f * t[r0]
-    rest = [r for r in range(n) if r not in used]
-    order = used + rest
-    tt = np.array([t[r] for r in order])
-    return tt, order, piv_cols
-
-
 # -- public operations ----------------------------------------------------------
 
 def project_to_singular_locus(germ: MapGerm, seed, tol: Tolerances = None):
@@ -307,11 +189,10 @@ def project_to_singular_locus(germ: MapGerm, seed, tol: Tolerances = None):
     """
     tol = tol or Tolerances()
     pipe = _pipeline(germ, tol)
-    lam = pipe.base_lambdas()
-    grads = pipe.base_lambda_grads()
+    lam, grads = pipe.terms, pipe.grads
     x = np.array([float(v) for v in seed], dtype=float)
-    if x.shape != (pipe.m,):
-        raise ValueError(f"seed needs {pipe.m} coordinates")
+    if x.shape != (germ.m,):
+        raise ValueError(f"seed needs {germ.m} coordinates")
 
     def resid(pt):
         pt = pt.tolist()
@@ -341,102 +222,24 @@ def project_to_singular_locus(germ: MapGerm, seed, tol: Tolerances = None):
 
 
 def numeric_classify(germ: MapGerm, point, tol: Tolerances = None) -> NumericVerdict:
-    """Threshold classification at a float point, mirroring the exact pipeline."""
+    """Thresholded classification at a float point: `classify`'s stages on the float jet there."""
     tol = tol or Tolerances()
     pipe = _pipeline(germ, tol)
     x = tuple(float(v) for v in point)
-    margins = []
-    residual = float(np.linalg.norm([_eval(d, x) for d in pipe.base_lambdas()]))
-
-    j = pipe.jacobian_at(x)
-    rank, pm = _numeric_rank(j, tol.rank_tol)
-    thr_j = tol.rank_tol * _scale(j)
-    for v, nm in pm:
-        margins.append(Margin("corank " + nm, v, thr_j))
-    if rank == pipe.n:
-        return _finish(x, Label("Regular"), margins, residual)
-    if rank < pipe.n - 1:
-        return _finish(x, Label("CorankHigh"), margins, residual)
-
-    data = pipe.local_data(x)
-    lambdas, etas, comps = data["lambdas"], data["etas"], data["comps"]
-    size = pipe.m - pipe.n + 1
-
-    dl = np.array([[_eval(g, x) for g in _grad(d, pipe.m)] for d in lambdas])
-    nd_rank, nd_m = _numeric_rank(dl, tol.rank_tol)
-    thr_dl = tol.rank_tol * _scale(dl)
-    for v, nm in nd_m:
-        margins.append(Margin("nondegeneracy " + nm, v, thr_dl))
-
-    h_rows = [[_apply_field(eta, lam, pipe.m) for eta in etas] for lam in lambdas]
-    h = _det_dicts(h_rows)
-    h_at = _eval(h, x)
-    margins.append(Margin("h", h_at, tol.zero_tol))
-
-    if abs(h_at) > tol.zero_tol:
-        first = [_apply_field(ei, comps[-1], pipe.m) for ei in etas]
-        hess = np.array(
-            [[_eval(_apply_field(ej, fi, pipe.m), x) for ej in etas] for fi in first]
-        )
-        hess = 0.5 * (hess + hess.T)
-        eigs = np.linalg.eigvalsh(hess)
-        pos = int(np.sum(eigs > tol.zero_tol))
-        neg = int(np.sum(eigs < -tol.zero_tol))
-        margins.append(Margin("hessian smallest |eig|", float(np.min(np.abs(eigs))), tol.zero_tol))
-        if pos + neg == size:
-            return _finish(x, Label("Fold", k=1, signature=(pos, neg)), margins, residual)
-        return _finish(x, Label("Inconclusive"), margins, residual)
-
-    if nd_rank < size:
-        return _finish(x, Label("Degenerate", reason="NotNondegenerate"), margins, residual)
-
-    adj = _adj_dicts(h_rows, pipe.m)
-    col_norms = [
-        max(abs(_eval(adj[r][c], x)) for r in range(size)) for c in range(size)
-    ]
-    best = max(range(size), key=lambda c: col_norms[c])
-    margins.append(Margin("adjugate column", col_norms[best], tol.zero_tol))
-    if col_norms[best] <= tol.zero_tol:
-        return _finish(x, Label("Degenerate", reason="Not2Nondegenerate"), margins, residual)
-    theta = [
-        _sum_dicts(fops.mul_terms(adj[i][best], etas[i][c]) for i in range(size))
-        for c in range(pipe.m)
-    ]
-    derivs = [h]
-    for _ in range(pipe.n - 1):
-        derivs.append(_apply_field(theta, derivs[-1], pipe.m))
-    k = None
-    for jdx in range(1, pipe.n):
-        val = _eval(derivs[jdx], x)
-        margins.append(Margin(f"h deriv {jdx}", val, tol.zero_tol))
-        if abs(val) > tol.zero_tol:
-            k = jdx + 1
-            break
-    if k is None:
-        return _finish(x, Label("Degenerate", reason="AllDerivativesVanish"), margins, residual)
-    stack = list(lambdas) + derivs[: k - 1]
-    js = np.array([[_eval(g, x) for g in _grad(d, pipe.m)] for d in stack])
-    rk, rm = _numeric_rank(js, tol.rank_tol)
-    thr_js = tol.rank_tol * _scale(js)
-    for v, nm in rm:
-        margins.append(Margin("condition-b " + nm, v, thr_js))
-    if rk != pipe.m - pipe.n + k:
-        return _finish(x, Label("Degenerate", reason="RankConditionFailed"), margins, residual)
-    return _finish(x, Label("Morin", k=k), margins, residual)
-
-
-def _finish(x, label, margins, residual):
-    if label.kind != "Inconclusive" and any(m.inconclusive for m in margins):
+    residual = float(np.linalg.norm([_eval(d, x) for d in pipe.terms]))
+    decide = _Thresholds(tol)
+    label, _ = _classify_at_origin(pipe.germ.translate(x).truncated(germ.n + 1), decide)
+    if any(m.inconclusive for m in decide.margins):
         label = Label("Inconclusive")
-    return NumericVerdict(point=x, label=label, margins=margins, residual=residual)
+    return NumericVerdict(point=x, label=label, margins=decide.margins, residual=residual)
 
 
-def scan_region(germ: MapGerm, box, grid: int, tol: Tolerances = None, clip_to_box=True):
+def scan_region(germ: MapGerm, box, grid: int, tol: Tolerances = None):
     """Grid-seeded projection scan of the singular locus inside a box.
 
-    Seeds a per-axis grid, projects every seed, deduplicates converged points
-    (cluster radius 10x the residual tolerance), drops representatives that
-    left the box (when clip_to_box), and classifies each representative.
+    Seeds a per-axis grid, projects every seed, drops converged points that
+    left the box, deduplicates the rest (cluster radius 10x the residual
+    tolerance), and classifies each representative.
     Results are ordered by point coordinates, so the scan is deterministic.
     """
     tol = tol or Tolerances()
@@ -452,13 +255,12 @@ def scan_region(germ: MapGerm, box, grid: int, tol: Tolerances = None, clip_to_b
             converged.append(project_to_singular_locus(germ, s, tol))
         except ProjectionError:
             continue
-    if clip_to_box:
-        pad = 1e-9
-        converged = [
-            p
-            for p in converged
-            if all(float(lo) - pad <= v <= float(hi) + pad for v, (lo, hi) in zip(p, box))
-        ]
+    pad = 1e-9
+    converged = [
+        p
+        for p in converged
+        if all(float(lo) - pad <= v <= float(hi) + pad for v, (lo, hi) in zip(p, box))
+    ]
     converged.sort()
     radius = 10 * tol.residual_tol
     reps = []

@@ -1,11 +1,13 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 The term map is canonical (no zero coefficients), so two polynomials are
-equal iff their term maps are equal.  All arithmetic is exact; the heavy
-term-merging loops live in `morinclass.kernel`.  Coefficients are exact
-rational scalars: plain ints are kept as ints (integer arithmetic is far
-cheaper than normalized fractions), everything else is a Fraction, and the
-two mix freely.
+equal iff their term maps are equal.  The heavy term-merging loops
+live in `morinclass.kernel`.  Coefficients are exact rational scalars: plain
+ints are kept as ints (integer arithmetic is far cheaper than normalized
+fractions), everything else is a Fraction, and the two mix freely.  The
+float companion (`morinclass.numeric`) runs the same code on float
+coefficients, which `constant`, scalar products and `MapGerm.translate`
+accept; `rat` and so `from_terms` stay exact.
 
 Canonical text rendering sorts monomials by graded lexicographic order,
 where the grade counts source-role variables only (parameters weigh zero)
@@ -68,7 +70,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, context, value):
-        if not isinstance(value, int):
+        if not isinstance(value, (int, float)):
             value = rat(value)
         if not value:
             return cls(context, {})
@@ -95,11 +97,11 @@ class Polynomial:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.context), Fraction(0))
+    def constant_term(self):
+        return self.terms.get((0,) * len(self.context), 0)
 
-    def coefficient(self, exps) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps):
+        return self.terms.get(tuple(exps), 0)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -130,7 +132,7 @@ class Polynomial:
         return Polynomial(self.context, kernel.neg_terms(self.terms), self.jet)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, float, Fraction)):
             return Polynomial(self.context, kernel.scale_terms(self.terms, other), self.jet)
         other = self._coerce(other)
         jet = _jet_min(self.jet, other.jet)

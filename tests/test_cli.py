@@ -1,12 +1,17 @@
 """End-to-end command-line behavior and report schemas."""
 
+import hashlib
 import json
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from morinclass.cli import main
+from morinclass import classify
+from morinclass.cli import main, report_to_dict
+
+from conftest import battery, linear_target_change, normal_form, unipotent_target_change
 
 CUSP_DOC = "vars: x y z\nmap: x ; y^2 + z^3 + x*z\n"
 DEGENERATE_DOC = "vars: x y z\nmap: x ; y^2 + z^3\n"
@@ -130,6 +135,24 @@ class TestClassifyCommand:
         _, out1, _ = run_cli(capsys, "classify", str(cusp_file), "--trace")
         _, out2, _ = run_cli(capsys, "classify", str(cusp_file), "--trace")
         assert out1 == out2
+
+
+class TestReportGolden:
+    # sha256 of the traced reports below, taken before the exact and float
+    # classifiers shared their stages; any byte of any report changes it
+    DIGEST = "23a159dec97bfae71346972d2e2cfa2069bdfcdf537ac96d3c23383e148a380d"
+
+    def test_battery_trace_reports_are_byte_stable(self):
+        rng = random.Random(1729)
+        digest = hashlib.sha256()
+        count = 0
+        for m, n, k, signs in battery():
+            germ = normal_form(m, n, k, signs)
+            for g in (germ, linear_target_change(rng, germ), unipotent_target_change(rng, germ)):
+                digest.update(json.dumps(report_to_dict(classify(g), include_trace=True)).encode())
+                count += 1
+        assert count == 126
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestLefschetzCommands:

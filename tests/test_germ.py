@@ -68,8 +68,9 @@ class TestNormalize:
         ctx, x, y, z = xyz
         ng = normalize(MapGerm(ctx, (x, y**2 + z**2)))
         assert ng.germ.components == (x, y**2 + z**2)
-        assert ng.target_change.to_rows() == [[1, 0], [0, 1]]
-        assert ng.last_component_critical
+        assert ng.target_change == ((1, 0), (0, 1))
+        last = ng.germ.components[-1]
+        assert all(last.derivative(v).constant_term() == 0 for v in ctx.source_names)
 
     def test_mixed_rows(self, xyz):
         # one elimination step must leave the last component critical, and
@@ -90,8 +91,9 @@ class TestNormalize:
             [1, 0, 0, 0],
         ]
         ng = normalize(germ)
-        assert ng.last_component_critical
-        assert ng.target_change.to_rows() == [[1, 0], [-1, 1]]
+        last = ng.germ.components[-1]
+        assert all(last.derivative(v).constant_term() == 0 for v in germ.context.source_names)
+        assert ng.target_change == ((1, 0), (-1, 1))
 
     def test_regular_input_rejected(self, xyz):
         ctx, x, y, z = xyz

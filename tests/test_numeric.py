@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from morinclass import MapGerm, Polynomial, classify
+from morinclass import MapGerm, Polynomial, classify, cramer_frame
+from morinclass.criteria import Label, lambdas_for_frame
+from morinclass.germ import normalized
 from morinclass.lefschetz import LefschetzFamily, circle_point
 from morinclass import numeric
 from morinclass.numeric import (
@@ -17,7 +19,16 @@ from morinclass.numeric import (
     scan_region,
 )
 
-from conftest import linear_target_change, make_context, normal_form, unipotent_target_change
+from conftest import (
+    cofactor_determinant,
+    labels_equivalent,
+    lambda_matrix,
+    linear_source_change,
+    linear_target_change,
+    make_context,
+    normal_form,
+    unipotent_target_change,
+)
 
 
 @pytest.fixture
@@ -60,6 +71,14 @@ class TestProjection:
         q = project_to_singular_locus(fold_germ, p)
         assert math.dist(p, q) < 1e-10
 
+    def test_chart_with_a_large_pivot_block(self):
+        # n = 5: the chart at 0 has a 4x4 pivot block of uncapped float
+        # polynomials, which cofactor expansion takes without dividing
+        rng = random.Random(5)
+        germ = linear_target_change(rng, normal_form(6, 5, 5, (1,)))
+        p = project_to_singular_locus(germ, [0.1] * 6)
+        assert numeric_classify(germ, p).residual <= 1e-10
+
     def test_nonconvergence_raises(self, cusp_germ):
         # the system is genuinely nonlinear, so one step cannot reach an
         # unattainable residual target
@@ -71,38 +90,62 @@ class TestProjection:
 
 class TestFloatLambdas:
     @staticmethod
-    def determinant_lambdas(pipe, data):
-        """Old definition: det of the float rows (xi_1 f_i, ..., xi_{n-1} f_i, eta f_i)."""
-        comps, piv_cols = data["comps"], data["piv_cols"]
-        grads = [numeric._grad(c, pipe.m) for c in comps]
-        return [
-            numeric._det_dicts(
-                [
-                    [grads[i][pc] for pc in piv_cols]
-                    + [numeric._apply_field(eta, comps[i], pipe.m)]
-                    for i in range(pipe.n)
-                ]
-            )
-            for eta in data["etas"]
-        ]
+    def chart(germ, tol):
+        """Float lambdas and frame of the chart the numeric path pivots at 0."""
+        t, rows, cols = numeric._Thresholds(tol).reduce("corank", germ.linear_coefficients())
+        n = germ.n
+        ng = normalized(germ, t, rows[: n - 1], cols[: n - 1], exact=False)
+        frame = cramer_frame(ng.germ, ng.pivot_names)
+        return ng.germ, frame, lambdas_for_frame(ng.germ, frame).lambdas
 
     def test_identity_matches_float_determinant(self, fold_germ, cusp_germ):
+        """lambda_i = det(B) eta_i f_n against det(xi_1 f, ..., xi_{n-1} f, eta_i f)."""
         rng = random.Random(31)
         lef = LefschetzFamily.symbolic().at((Fraction(3, 2), 1, 2, Fraction(1, 2)))
         # a 3-component germ whose first two components are not linear, so
         # det(B) is a genuine polynomial
         moved = unipotent_target_change(rng, linear_target_change(rng, normal_form(4, 3, 3, (1,))))
+        tol = Tolerances()
         for germ in (fold_germ, cusp_germ, lef, moved):
-            pipe = numeric._FloatPipeline(germ, Tolerances())
-            for _ in range(3):
-                point = [rng.uniform(-1, 1) for _ in range(germ.m)]
-                data = pipe.local_data(point)
-                expected = self.determinant_lambdas(pipe, data)
-                assert len(data["lambdas"]) == len(expected) == germ.m - germ.n + 1
-                for got, want in zip(data["lambdas"], expected):
-                    scale = max(abs(c) for c in want.values())
-                    for exps in set(got) | set(want):
-                        assert abs(got.get(exps, 0.0) - want.get(exps, 0.0)) <= 1e-12 * scale
+            pipe = numeric._FloatPipeline(germ, tol)
+            # the chart at 0, which the projection solves, is this one
+            assert self.chart(pipe.germ, tol)[2] == pipe.lambdas
+            # and the charts at points: the (n+1)-jets there that numeric_classify reads
+            points = [tuple(rng.uniform(-1, 1) for _ in range(germ.m)) for _ in range(3)]
+            jets = [pipe.germ.translate(pt).truncated(germ.n + 1) for pt in points]
+            for chart_germ in [pipe.germ] + jets:
+                comps, frame, lambdas = self.chart(chart_germ, tol)
+                assert len(lambdas) == germ.m - germ.n + 1
+                for eta, got in zip(frame.eta, lambdas):
+                    want = cofactor_determinant(lambda_matrix(comps, frame, eta))
+                    scale = max(abs(c) for c in want.terms.values())
+                    for exps in set(got.terms) | set(want.terms):
+                        assert abs(got.coefficient(exps) - want.coefficient(exps)) <= 1e-12 * scale
+
+
+class TestRowOrder:
+    """The pivot row is the second component: the chart must not permute it twice."""
+
+    @pytest.fixture
+    def swapped_fold(self):
+        ctx = make_context("x", "y", "z")
+        x, y, z = (Polynomial.variable(ctx, n) for n in ("x", "y", "z"))
+        return MapGerm(ctx, (y**2 + z**2, x))
+
+    def test_fold_matches_classify(self, swapped_fold):
+        verdict = numeric_classify(swapped_fold, [0.0] * 3)
+        assert verdict.label == classify(swapped_fold).label == Label("Fold", k=1, signature=(2, 0))
+
+    def test_projection_lands_on_the_fold_axis(self, swapped_fold):
+        p = project_to_singular_locus(swapped_fold, (0.3, 0.1, 0.2))
+        assert abs(p[1]) <= 1e-10 and abs(p[2]) <= 1e-10
+
+    def test_scan_near_the_chart_boundary_has_no_regular_verdict(self):
+        # pivots on b1 + y2 at 0; a1 = 0 puts the plane a1 + x2 = 0 in the box
+        germ = LefschetzFamily.symbolic().at((0, Fraction(1, 2), 2, Fraction(3, 2)))
+        verdicts = scan_region(germ, [(-1, 1)] * 4, 5)
+        assert verdicts
+        assert not [v.point for v in verdicts if v.label.kind == "Regular"]
 
 
 class TestNumericClassify:
@@ -112,6 +155,19 @@ class TestNumericClassify:
             verdict = numeric_classify(germ, [0.0] * m)
             assert verdict.label.kind == exact.kind
             assert verdict.label.k == exact.k
+
+    def test_parity_with_classify_on_large_kernels(self):
+        # s = m-n+1 = 4, 5 and 5: the s x s kernel Hessian and M go through
+        # the pivoted float elimination, which the battery (s <= 3) skips
+        rng = random.Random(4242)
+        fold = normal_form(6, 2, 1, (1, -1, 1, -1, 1))
+        germs = [normal_form(5, 2, 2, (1, -1, 1)), normal_form(6, 2, 2, (-1, 1, 1, -1)),
+                 linear_target_change(rng, linear_source_change(rng, fold))]
+        for germ in germs:
+            exact = classify(germ).label
+            verdict = numeric_classify(germ, [0.0] * germ.m)
+            assert labels_equivalent(verdict.label, exact), (str(verdict.label), str(exact))
+        assert [str(classify(g).label) for g in germs[:2]] == ["Morin{2}", "Morin{2}"]
 
     def test_fold_margin(self, fold_germ):
         verdict = numeric_classify(fold_germ, [0.0, 0.0, 0.0])
