@@ -32,12 +32,13 @@ from .germ import (
     normalize,
     validate,
 )
-from .kernel import KERNEL
 from .linalg import PolyMatrix, RationalMatrix
 from .polynomial import Polynomial
 from .rationals import Rational, format_rational, rat
 
 __version__ = "0.1.0"
+
+KERNEL = "python"  # the term kernel `Polynomial` runs on: `_termops_py`
 
 __all__ = [
     "AdaptedFrame",

@@ -5,7 +5,7 @@ variable) to nonzero exact rational coefficients; plain ints and Fractions
 mix freely, and integer inputs give integer outputs.  Every function returns
 a new canonical dict (no stored zeros) and never mutates its inputs.
 
-`morinclass.kernel` re-exports these functions for `Polynomial`.
+`Polynomial` runs its arithmetic through these functions.
 """
 
 from fractions import Fraction

@@ -10,8 +10,9 @@ The decision pipeline:
      f_{n-1}, so the last column is (0, ..., 0, eta_i f_n) and
      lambda_i = det(B) * eta_i f_n with B the pivot block of the frame.
   4. the (m-n+1)-square matrix M with M[i][j] = eta_j lambda_i, its
-     determinant h, the kernel field theta (an adjugate column of M), and the
-     iterated directional derivatives h' = theta h, h'' = theta h', ...
+     determinant h, the kernel field theta from one column of adj(M) (over
+     Q the first column of adj(M(0)) that is not zero), and the iterated
+     directional derivatives h' = theta h, h'' = theta h', ...
   5. label: fold iff h(0) != 0.  As d(f_n)_0 = 0, with E(0) the eta
      coefficients at 0, H the Hessian of f_n at 0, K = E(0)^T H E(0) and
      s = m-n+1,
@@ -35,16 +36,17 @@ the signature, the ranks of dlambda(0) and of condition (b), the theta
 column, and the zero tests of the h-derivatives.
 
 Every mathematical failure is a report label, never an exception.  The
-tests read values and first derivatives at the base point only, so each
-stage needs the jet of its input one order deeper than its output, and every
-derivative spends one order: f is read to order n+1; eta f, the frame and the
-lambdas to order n; M, h and theta to order n-1; and h^(j) to order n-1-j.
-`classify` caps the germ at order n+1, and the jet rule of `Polynomial` then
-carries each stage at its budget; every trace polynomial is exact in each
-degree it prints.
+tests read values and first derivatives at the base point only; a first
+derivative at 0 is read as a linear coefficient (`germ.linear_coefficients`),
+not built as a polynomial.  So each stage needs the jet of its input one
+order deeper than its output, and every derivative spends one order: f is
+read to order n+1; eta f, the frame and the lambdas to order n; M, h and
+theta to order n-1; and h^(j) to order n-1-j.  `classify` caps the germ at
+order n+1, and the jet rule of `Polynomial` then carries each stage at its
+budget; every trace polynomial is exact in each degree it prints.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .germ import (
@@ -53,6 +55,7 @@ from .germ import (
     NormalizedGerm,
     PolyVectorField,
     build_frame,
+    linear_coefficients,
     normalized,
 )
 from .linalg import PolyMatrix, RationalMatrix, eliminate, first_nonzero_row, row_reduce
@@ -135,13 +138,8 @@ def lambdas_for_frame(germ: MapGerm, frame: AdaptedFrame) -> LambdaSystem:
     return LambdaSystem(lambdas=lambdas, frame=frame, germ=germ)
 
 
-def _gradients_at_origin(polys, germ):
-    names = germ.context.source_names
-    return [[p.derivative(v).constant_term() for v in names] for p in polys]
-
-
 def jacobian_at_origin(polys, germ) -> RationalMatrix:
-    return RationalMatrix.from_rows(_gradients_at_origin(polys, germ))
+    return RationalMatrix.from_rows(linear_coefficients(polys, germ.context))
 
 
 def nondegeneracy(ls: LambdaSystem):
@@ -159,36 +157,26 @@ def hessian(ls: LambdaSystem) -> HessData:
     return HessData(h_matrix=m, h=m.determinant())
 
 
-def build_theta(ls: LambdaSystem, hd: HessData, column="first") -> HessData:
-    """Kernel field theta from an adjugate column of the Hessian matrix.
+def build_theta(ls: LambdaSystem, hd: HessData, column=None) -> HessData:
+    """Kernel field theta from column `column` of adj(M), built as adj(M) e_c.
 
     Because adj(M) . M = det(M) . I holds identically, theta lies in the
-    kernel of M at every point where h vanishes; 2-non-degeneracy makes the
-    chosen column nonzero at the origin.  `column` picks the first or the
-    last column whose entries do not all vanish at 0 (the label does not
-    depend on the choice, which the test suite exercises), or is the index
-    of a column already chosen.  The choice is made over the rationals and
-    only that column is built, as adj(M) e_c.
+    kernel of M at every point where h vanishes; 2-non-degeneracy makes some
+    column nonzero at the origin.  By default the column is the exact rule's,
+    the first column of adj(M(0)) that is not zero; the label does not depend
+    on which nonzero column is taken, which the test suite exercises.
     """
     rows = hd.h_matrix.to_rows()
-    size = len(rows)
-    chosen = column
-    if isinstance(column, str):
-        chosen = _EXACT.theta_column([[e.constant_term() for e in row] for row in rows], column)
-        if chosen is None:
+    if column is None:
+        column = _EXACT.theta_column([[e.constant_term() for e in row] for row in rows])
+        if column is None:
             raise ThetaUnavailableError("adjugate of the kernel Hessian vanishes at 0")
-    unit = [[Polynomial.constant(hd.h_matrix.context, int(r == chosen))] for r in range(size)]
+    unit = [[Polynomial.constant(hd.h_matrix.context, int(r == column))] for r in range(len(rows))]
     coeffs = None
     for eta, (entry,) in zip(ls.frame.eta, eliminate(rows, unit)[1]):
         scaled = eta.scaled(entry)
         coeffs = scaled if coeffs is None else coeffs + scaled
-    return HessData(
-        h_matrix=hd.h_matrix,
-        h=hd.h,
-        theta=coeffs,
-        theta_column=chosen,
-        h_derivs=hd.h_derivs,
-    )
+    return replace(hd, theta=coeffs, theta_column=column)
 
 
 def iterate_h(hd: HessData, up_to: int) -> HessData:
@@ -196,13 +184,7 @@ def iterate_h(hd: HessData, up_to: int) -> HessData:
     derivs = [hd.h]
     for _ in range(up_to):
         derivs.append(hd.theta.apply(derivs[-1]))
-    return HessData(
-        h_matrix=hd.h_matrix,
-        h=hd.h,
-        theta=hd.theta,
-        theta_column=hd.theta_column,
-        h_derivs=tuple(derivs),
-    )
+    return replace(hd, h_derivs=tuple(derivs))
 
 
 def rank_condition_b(ls: LambdaSystem, hd: HessData, k: int):
@@ -248,12 +230,11 @@ def _kernel_hessian_rows(ng: NormalizedGerm):
     ctx = germ.context
     src = ctx.source_indices
     col = {v: k for k, v in enumerate(ctx.source_names)}
-    unit = {v: tuple(int(i == src[k]) for i in range(len(ctx))) for v, k in col.items()}
-    first = germ.components[:-1]
+    first = linear_coefficients(germ.components[:-1], ctx)
     if first:
         det_b, adj_w = eliminate(
-            [[f.terms.get(unit[v], 0) for v in ng.pivot_names] for f in first],
-            [[f.terms.get(unit[v], 0) for v in ng.nonpivot_names] for f in first],
+            [[row[col[v]] for v in ng.pivot_names] for row in first],
+            [[row[col[v]] for v in ng.nonpivot_names] for row in first],
         )
     else:
         det_b, adj_w = 1, []
@@ -337,21 +318,20 @@ class _Exact:
     def signature(self, rows):
         return RationalMatrix.from_rows(rows).signature()
 
-    def theta_column(self, m0, column):
-        """The first or last column of adj(M(0)) that is not zero, or None."""
+    def theta_column(self, m0):
+        """The first column of adj(M(0)) that is not zero, or None."""
         size = len(m0)
-        # column c of adj(M)(0) = adj(M(0)) is nonzero iff M(0) less row c has rank size-1
-        usable = [c for c in range(size)
-                  if RationalMatrix.from_rows(m0[:c] + m0[c + 1:]).rank() == size - 1]
-        if not usable:
-            return None
-        return usable[0] if column == "first" else usable[-1]
+        # integer rows for `eliminate`: scaling row r by d_r scales column c
+        # of the adjugate by the product of the other d's, keeping its zeros
+        rows = RationalMatrix.from_rows(m0)._integer_rows()[0]
+        adj = eliminate(rows, [[int(r == c) for c in range(size)] for r in range(size)])[1]
+        return next((c for c in range(size) if any(row[c] for row in adj)), None)
 
 
 _EXACT = _Exact()
 
 
-def classify(germ: MapGerm, theta_column="first", trace=True) -> CriteriaReport:
+def classify(germ: MapGerm, trace=True) -> CriteriaReport:
     """Full classification of a polynomial map germ at the origin.
 
     A fold is decided over Q from the 2-jet of f_n at 0
@@ -367,11 +347,11 @@ def classify(germ: MapGerm, theta_column="first", trace=True) -> CriteriaReport:
         germ.context,
         tuple(c.integer_scaled() for c in germ.truncated(germ.n + 1).components),
     )
-    label, record = _classify_at_origin(work, _EXACT, theta_column, trace)
+    label, record = _classify_at_origin(work, _EXACT, trace)
     return CriteriaReport(label=label, trace=record)
 
 
-def _classify_at_origin(work: MapGerm, decide, theta_column="first", trace=False):
+def _classify_at_origin(work: MapGerm, decide, trace=False):
     """The stages of `classify` on a germ capped at order n+1: (label, trace record).
 
     `decide` makes every decision: `_EXACT`, or the thresholded float
@@ -419,7 +399,7 @@ def _classify_at_origin(work: MapGerm, decide, theta_column="first", trace=False
     if nd_rank != size:
         return Label("Degenerate", reason=NOT_NONDEGENERATE), record
     m0 = [[e.constant_term() for e in row] for row in hd.h_matrix.to_rows()]
-    column = decide.theta_column(m0, theta_column)
+    column = decide.theta_column(m0)
     if column is None:
         return Label("Degenerate", reason=NOT_2_NONDEGENERATE), record
     hd = build_theta(ls, hd, column)
@@ -435,7 +415,7 @@ def _classify_at_origin(work: MapGerm, decide, theta_column="first", trace=False
         return Label("Degenerate", reason=ALL_DERIVATIVES_VANISH), record
 
     # condition (b): the stacked Jacobian of (lambdas, h, ..., h^(k-2)) at 0
-    jac = _gradients_at_origin(list(ls.lambdas) + list(hd.h_derivs[: k - 1]), work)
+    jac = linear_coefficients(list(ls.lambdas) + list(hd.h_derivs[: k - 1]), work.context)
     rank_b = decide.rank("condition-b", jac)
     required = m - n + k
     record["condition_b"] = {

@@ -161,7 +161,7 @@ class NoncuspLocus:
 
     The actual non-cusp locus is the two coefficient planes {a1 = b1 = 0} and
     {a2 = b2 = 0}; they lie on all five hypersurfaces, whose generic points
-    carry folds and cusps only.  `on_locus` tests membership of a display.
+    carry folds and cusps only.
     """
 
     components: tuple
@@ -169,9 +169,6 @@ class NoncuspLocus:
     def evaluate(self, params):
         vals = _params_dict(params)
         return [c.evaluate(vals) for c in self.components]
-
-    def on_locus(self, params) -> bool:
-        return any(v == 0 for v in self.evaluate(params))
 
 
 def noncusp_polynomials() -> NoncuspLocus:
@@ -284,7 +281,7 @@ def _is_noncusp_label(label: Label) -> bool:
     )
 
 
-def witness_verify(params, extra_taus=None) -> WitnessReport:
+def witness_verify(params) -> WitnessReport:
     """Search the family's singular set for a point that is neither fold nor cusp.
 
     Tries the closed-form branch points first (the circle slope grid plus
@@ -302,8 +299,7 @@ def witness_verify(params, extra_taus=None) -> WitnessReport:
     germ = fam.at(params)
 
     candidates = []
-    taus = list(extra_taus or [])
-    taus += [Fraction(n, d) for d in (1, 2, 3) for n in range(-3 * d, 3 * d + 1)]
+    taus = [Fraction(n, d) for d in (1, 2, 3) for n in range(-3 * d, 3 * d + 1)]
     seen = set()
     points = []
     for name, pt in distinguished_points(params):
@@ -572,7 +568,7 @@ def emit_slice(b2, resolution: int, value_range=(-1, 1)) -> SliceGrid:
     """Evaluate the five published non-cusp displays on an (a1, a2, b1) grid at fixed b2.
 
     Evaluation is exact (integer arithmetic over a common denominator) and
-    cast to float only at emission.
+    each value is the correctly rounded float of the exact one.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -600,29 +596,17 @@ def emit_slice(b2, resolution: int, value_range=(-1, 1)) -> SliceGrid:
             assert c_int.denominator == 1
             terms.append((int(c_int), e1, e2, e3))
             bound += abs(int(c_int)) * max_n ** (e1 + e2 + e3)
-        if bound < 2**53 and scale_den < 2**53:
-            n_arr = np.array(ints, dtype=np.int64)
-            pows = {0: np.ones_like(n_arr), 1: n_arr, 2: n_arr * n_arr, 3: n_arr**3}
-            total = np.zeros((resolution, resolution, resolution), dtype=np.int64)
-            for c_int, e1, e2, e3 in terms:
-                total += c_int * (
-                    pows[e1][:, None, None] * pows[e2][None, :, None] * pows[e3][None, None, :]
-                )
-            # |total| < 2^53 and den^deg < 2^53: the float division below is
-            # exactly the correctly-rounded cast of the exact rational value
-            values[ci] = total.reshape(-1).astype(float) / float(scale_den)
-        else:
-            flat = np.empty(resolution**3, dtype=float)
-            idx = 0
-            for i in range(resolution):
-                for jj in range(resolution):
-                    for k in range(resolution):
-                        acc = 0
-                        for c_int, e1, e2, e3 in terms:
-                            acc += c_int * ints[i] ** e1 * ints[jj] ** e2 * ints[k] ** e3
-                        flat[idx] = float(Fraction(acc, scale_den))
-                        idx += 1
-            values[ci] = flat
+        # below 2^53 int64 sums are exact and so is their float division by
+        # den^deg; above it Python ints are, and int / int rounds correctly
+        exact64 = bound < 2**53 and scale_den < 2**53
+        n_arr = np.array(ints, dtype=np.int64 if exact64 else object)
+        pows = {0: np.ones_like(n_arr), 1: n_arr, 2: n_arr * n_arr, 3: n_arr**3}
+        total = np.zeros((resolution, resolution, resolution), dtype=n_arr.dtype)
+        for c_int, e1, e2, e3 in terms:
+            total += c_int * (
+                pows[e1][:, None, None] * pows[e2][None, :, None] * pows[e3][None, None, :]
+            )
+        values[ci] = total.reshape(-1) / scale_den
     return SliceGrid(b2=b2, lo=lo, hi=hi, resolution=resolution, nodes=nodes, values=values)
 
 

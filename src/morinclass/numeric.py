@@ -126,7 +126,7 @@ class _Thresholds:
         pos, neg = int(np.sum(eigs > zero_tol)), int(np.sum(eigs < -zero_tol))
         return pos, neg, len(rows) - pos - neg
 
-    def theta_column(self, m0, column):
+    def theta_column(self, m0):
         """The column of adj(M(0)) with the largest entry, if that is above zero_tol."""
         size = len(m0)
         adj = eliminate(m0, [[float(r == c) for c in range(size)] for r in range(size)])[1]

@@ -195,7 +195,7 @@ class GermDocument:
     def context(self):
         return VariableContext.make(self.source_vars, self.param_vars)
 
-    def to_germ(self, require_bound=True) -> MapGerm:
+    def to_germ(self) -> MapGerm:
         # before any component is expanded, which may take long
         check_dimensions(len(self.source_vars), len(self.component_texts))
         ctx = self.context
@@ -206,7 +206,7 @@ class GermDocument:
         if self.param_vars:
             if self.bindings:
                 germ = germ.bind_parameters(self.bindings)
-            elif require_bound:
+            else:
                 missing = ", ".join(self.param_vars)
                 raise ParseError(f"parameters {missing} need a bind: line for classification")
         return germ

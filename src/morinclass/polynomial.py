@@ -2,7 +2,7 @@
 
 The term map is canonical (no zero coefficients), so two polynomials are
 equal iff their term maps are equal.  The heavy term-merging loops
-live in `morinclass.kernel`.  Coefficients are exact rational scalars: plain
+live in `morinclass._termops_py`.  Coefficients are exact rational scalars: plain
 ints are kept as ints (integer arithmetic is far cheaper than normalized
 fractions), everything else is a Fraction, and the two mix freely.  The
 float companion (`morinclass.numeric`) runs the same code on float
@@ -18,7 +18,7 @@ ordering is the contract for golden-file tests.
 import heapq
 from fractions import Fraction
 
-from . import kernel
+from . import _termops_py as kernel
 from .context import ContextMismatchError, VariableContext, check_same_context
 from .rationals import format_rational, rat
 
@@ -152,10 +152,6 @@ class Polynomial:
     def truncated(self, max_degree: int):
         """The jet at 0: drops higher-degree terms and caps all later products."""
         return Polynomial(self.context, self.terms, max_degree)
-
-    def uncapped(self):
-        """Same terms with the jet cap removed."""
-        return Polynomial(self.context, self.terms)
 
     def integer_scaled(self):
         """A positive integer multiple of this polynomial with int coefficients."""

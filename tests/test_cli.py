@@ -209,6 +209,22 @@ class TestLefschetzCommands:
         assert payload["witness"] is not None
         assert payload["witness_label"]["kind"] in ("Degenerate", "CorankHigh")
 
+    # sha256 of the `lefschetz witness` output when these reports were pinned:
+    # a display point (a counterexample candidate), a point on each of the
+    # planes {a1=b1=0} and {a2=b2=0}, and a point off every display
+    WITNESS_DIGESTS = {
+        "6,1,-2,3": "7a40d38edf7554679f1561a862b54533298ed0c5828b88a36826974cffe73d36",
+        "0,2,0,3": "1816049591b0e447f5586ae186de3e8fd8bc5f5a82b624fbfefbbfb484b377b4",
+        "2,0,3,0": "0f6460b2c8df66a80e2280fc438299c1ef7de88193bc1ee36ec4b00f061912ee",
+        "1,2,3,5": "d36cc7965238e811dcdc572f95cda26cdaa89a5b089136395b4cc13b48554c6a",
+    }
+
+    @pytest.mark.parametrize("params", list(WITNESS_DIGESTS))
+    def test_witness_report_bytes(self, capsys, params):
+        code, out, _ = run_cli(capsys, "lefschetz", "witness", "--params", params)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.WITNESS_DIGESTS[params]
+
     def test_witness_bad_params(self, capsys):
         code, _, err = run_cli(capsys, "lefschetz", "witness", "--params", "1,2")
         assert code == 2 and "four rationals" in err

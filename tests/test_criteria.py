@@ -21,6 +21,7 @@ from morinclass import (
 from morinclass.criteria import (
     ALL_DERIVATIVES_VANISH,
     NOT_NONDEGENERATE,
+    _EXACT,
     Label,
     build_theta,
     iterate_h,
@@ -39,6 +40,7 @@ from conftest import (
     linear_source_change,
     linear_target_change,
     make_context,
+    minor_rank,
     normal_form,
     random_polynomial,
     unipotent_source_change,
@@ -267,6 +269,78 @@ class TestTheta:
         assert data["theta"].coefficients == published.coefficients
 
 
+class TestThetaRule:
+    @staticmethod
+    def nonzero_columns(m0):
+        """The c with M(0) less row c of rank s-1: the nonzero columns of adj(M(0))."""
+        size = len(m0)
+        return [c for c in range(size) if minor_rank(m0[:c] + m0[c + 1:]) == size - 1]
+
+    @staticmethod
+    def linear_change(rng, germ):
+        return linear_target_change(rng, linear_source_change(rng, germ))
+
+    @staticmethod
+    def unipotent_change(rng, germ):
+        return unipotent_target_change(rng, unipotent_source_change(rng, germ))
+
+    @staticmethod
+    def changed_stages(battery_germs, rng, changes):
+        """(n, k, lambdas, Hessian data, M(0)) of each battery germ under each change."""
+        for m, n, k, signs, germ in battery_germs:
+            for change in changes:
+                ng = normalize(change(rng, germ).truncated(n + 1))
+                ls = lambdas_for_frame(ng.germ, build_frame(ng))
+                hd = hessian(ls)
+                m0 = [[e.constant_term() for e in row] for row in hd.h_matrix.to_rows()]
+                yield n, k, ls, hd, m0
+
+    def test_exact_rule_matches_minor_rank_oracle(self, battery_germs):
+        changes = (self.linear_change, self.unipotent_change)
+        for *_, m0 in self.changed_stages(battery_germs, random.Random(31), changes):
+            assert _EXACT.theta_column(m0) == (self.nonzero_columns(m0) or [None])[0]
+
+    def test_exact_rule_on_fraction_entries_of_size_four(self):
+        a = [Fraction(1, 2), Fraction(1, 3), 0, Fraction(-2, 5)]
+        b = [0, Fraction(1, 5), Fraction(1, 7), 0]
+        c = [Fraction(1, 9), 0, Fraction(-4, 3), Fraction(3, 4)]
+        d = [Fraction(5, 6), 0, 0, Fraction(1, 11)]
+        mix = [x + Fraction(2, 3) * y for x, y in zip(a, b)]
+        zero = [Fraction(0)] * 4
+        cases = (
+            ([a, b, c, d], 0),  # invertible: every column
+            ([c, a, b, mix], 1),  # rows 1..3 span a plane, so column 0 vanishes
+            ([a, b, c, zero], 3),  # only the zero row may be left out
+            ([a, b, mix, zero], None),  # rank 2: adj(M(0)) = 0
+        )
+        for m0, expected in cases:
+            assert (self.nonzero_columns(m0) or [None])[0] == expected
+            assert _EXACT.theta_column(m0) == expected
+
+    def test_label_data_do_not_depend_on_the_column(self, battery_germs):
+        # theta from any nonzero column of adj(M(0)) gives the same first
+        # nonvanishing h^(j)(0) and the same condition-(b) rank, so the label
+        # does not depend on the column the rule picks
+        germs = choices = 0
+        stages = self.changed_stages(battery_germs, random.Random(97), [self.linear_change])
+        for n, k, ls, hd, m0 in stages:
+            if k == 1:
+                continue
+            germs += 1
+            columns = self.nonzero_columns(m0)
+            outcomes = set()
+            for c in columns:
+                chain = iterate_h(build_theta(ls, hd, c), n - 1)
+                values = [p.constant_term() for p in chain.h_derivs]
+                j = next((j for j in range(1, n) if values[j] != 0), None)
+                rank = None if j is None else rank_condition_b(ls, chain, j + 1)["rank"]
+                outcomes.add((j, rank))
+            assert len(outcomes) == 1
+            choices += len(columns) > 1
+        # the changes leave no germ with a single usable column
+        assert choices == germs == 18
+
+
 class TestIterateH:
     def test_cusp_chain(self, cusp_data):
         ctx, _, ng = cusp_data
@@ -344,12 +418,6 @@ class TestClassify:
         x, y, z = (Polynomial.variable(ctx, n) for n in ("x", "y", "z"))
         rep = classify(MapGerm(ctx, (x, y**2 + z**4 + x * z)))
         assert rep.label.is_morin(2) or rep.label.kind == "Degenerate"
-
-    def test_theta_column_choice_does_not_change_label(self, battery_germs):
-        for m, n, k, signs, germ in battery_germs:
-            first = classify(germ, theta_column="first").label
-            last = classify(germ, theta_column="last").label
-            assert first == last
 
     def test_single_component_germs_are_morse_classification(self):
         # n = 1: the criteria reduce to the Morse dichotomy

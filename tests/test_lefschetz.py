@@ -338,6 +338,21 @@ class TestSliceExport:
                         assert grid.values[c, idx] == float(exact)
                     idx += 1
 
+    def test_wide_denominator_matches_exact_evaluate_bitwise(self):
+        # den^3 = 300007^3 > 2^53, so the grid is summed in Python ints
+        b2 = Fraction(1, 300007)
+        grid = emit_slice(b2, 3)
+        locus = noncusp_polynomials()
+        expected = [
+            float(v).hex()
+            for a1 in grid.nodes
+            for a2 in grid.nodes
+            for b1 in grid.nodes
+            for v in locus.evaluate({"a1": a1, "a2": a2, "b1": b1, "b2": b2})
+        ]
+        assert len(expected) == 135
+        assert [v.hex() for v in grid.values.T.reshape(-1).tolist()] == expected
+
     def test_csv_deterministic(self, tmp_path):
         grid = emit_slice(Fraction(1, 4), 4, (-1, 1))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
