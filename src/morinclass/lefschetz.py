@@ -614,16 +614,19 @@ def write_slice_csv(grid: SliceGrid, path):
     """CSV per the plot-data contract: header a1,a2,b1,n1..n5, lex grid order."""
     res = grid.resolution
     block = res * res
-    nodes_f = [float(v) for v in grid.nodes]
-    inner = [(nodes_f[j], nodes_f[k]) for j in range(res) for k in range(res)]
-    row = ",".join(["%.17g"] * 8) + "\n"
+    # the node columns take res values only: format each once, and the
+    # a2,b1 prefix of each of the res^2 rows of a block once
+    cells = ["%.17g" % float(v) for v in grid.nodes]
+    inner = [f"{a2},{b1}," for a2 in cells for b1 in cells]
+    tail = ",".join(["%.17g"] * 5) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write("a1,a2,b1,n1,n2,n3,n4,n5\n")
         # one write per a1 value; converting a block at a time keeps the
         # Python floats of only res^2 rows alive
-        for i, a1 in enumerate(nodes_f):
+        for i, a1 in enumerate(cells):
             values = grid.values[:, i * block:(i + 1) * block].T.tolist()
-            fh.write("".join([row % (a1, a2, b1, *v) for (a2, b1), v in zip(inner, values)]))
+            head = a1 + ","
+            fh.write("".join([head + pre + tail % tuple(v) for pre, v in zip(inner, values)]))
 
 
 def slice_filename(b2) -> str:

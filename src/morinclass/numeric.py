@@ -1,9 +1,10 @@
 """Floating-point companion to the exact classifier.
 
 Projects seed points onto the singular locus by Gauss-Newton on the
-determinantal equations of the chart at 0, and classifies a point by
-running the exact classifier's stages (`criteria._classify_at_origin`) on the
-float (n+1)-jet there.  Where `classify` decides exactly, `_Thresholds`
+determinantal equations of the chart at 0, one seed or a whole batch at once
+(a batch gives `None` where a single seed would fail), and classifies a point
+by running the exact classifier's stages (`criteria._classify_at_origin`) on
+the float (n+1)-jet there.  Where `classify` decides exactly, `_Thresholds`
 compares a value with its tolerance and records a `Margin`.  The exact
 classifier remains the authority; any decision within a factor of ten of its
 threshold makes the verdict Inconclusive.
@@ -12,6 +13,7 @@ threshold makes the verdict Inconclusive.
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product, takewhile
 
 import numpy as np
 
@@ -66,15 +68,31 @@ class ProjectionError(RuntimeError):
     """Gauss-Newton failed to reach the residual tolerance."""
 
 
-def _eval(d, point):
-    total = 0.0
-    for exps, coeff in d.items():
-        t = coeff
-        for e, v in zip(exps, point):
-            if e:
-                t *= v ** e
-        total += t
-    return total
+def _norms(r):
+    """The Euclidean norm of each row of r, by elementwise operations only."""
+    total = r[:, 0] * r[:, 0]
+    for j in range(1, r.shape[1]):
+        total = total + r[:, j] * r[:, j]
+    return np.sqrt(total)
+
+
+def _min_norm_steps(jac, rhs):
+    """The minimum-norm least-squares solution of each jac[i] @ step = rhs[i].
+
+    One stacked SVD, with `lstsq`'s default cutoff: singular values at most
+    eps * max(rows, cols) * sigma_max count as zero.
+    """
+    u, sig, vt = np.linalg.svd(jac, full_matrices=False)
+    cutoff = np.finfo(float).eps * max(jac.shape[1:]) * sig[:, :1]
+    coef = u[:, 0, :] * rhs[:, :1]
+    for j in range(1, u.shape[1]):
+        coef = coef + u[:, j, :] * rhs[:, j:j + 1]
+    keep = sig > cutoff
+    coef = np.where(keep, coef, 0.0) / np.where(keep, sig, 1.0)
+    step = vt[:, 0, :] * coef[:, :1]
+    for q in range(1, vt.shape[1]):
+        step = step + vt[:, q, :] * coef[:, q:q + 1]
+    return step
 
 
 def _scale(a):
@@ -159,9 +177,89 @@ class _FloatPipeline:
         ng = normalized(self.germ, t, pivot_rows[: n - 1], pivot_cols[: n - 1], exact=False)
         self.lambdas = lambdas_for_frame(ng.germ, cramer_frame(ng.germ, ng.pivot_names)).lambdas
         src = ctx.source_indices
-        self.terms = [{tuple(e[i] for i in src): c for e, c in lam.terms.items()}
-                      for lam in self.lambdas]
-        self.grads = [[fops.diff_terms(d, i) for i in range(len(src))] for d in self.terms]
+        lams = [{tuple(e[i] for i in src): c for e, c in lam.terms.items()}
+                for lam in self.lambdas]
+        columns = lams + [fops.diff_terms(d, i) for d in lams for i in range(len(src))]
+        exps = list(dict.fromkeys(e for d in columns for e in d))
+        # one row per term: its exponents in E, and in C its coefficient in
+        # each lambda, then in each d lambda_j / dx_i (j-major)
+        self.exponents = np.array(exps, dtype=int).reshape(len(exps), len(src))
+        self.coefficients = np.array(
+            [[d.get(e, 0.0) for d in columns] for e in exps]).reshape(len(exps), len(columns))
+
+    def _evaluate(self, x, cols):
+        """The columns `cols` of the coefficient matrix, summed at each row of x.
+
+        The sum accumulates term by term in the pipeline's term order, with
+        elementwise numpy only, so the bits of a row do not depend on the
+        other rows.
+        """
+        powers = [np.ones_like(x)]
+        for _ in range(int(self.exponents.max(initial=0))):
+            powers.append(powers[-1] * x)
+        powers = np.stack(powers)
+        monomials = powers[self.exponents[:, 0], :, 0]
+        for i in range(1, x.shape[1]):
+            monomials = monomials * powers[self.exponents[:, i], :, i]
+        coef = self.coefficients[:, cols]
+        terms = monomials[:, :, None] * coef[:, None, :]
+        out = np.zeros(terms.shape[1:])
+        for term in terms:
+            out += term
+        return out
+
+    def values(self, x):
+        """The lambdas at each row of x: a (k, s) array."""
+        return self._evaluate(x, slice(len(self.lambdas)))
+
+    def jacobians(self, x):
+        """The Jacobian of the lambdas at each row of x: a (k, s, m) array."""
+        s = len(self.lambdas)
+        return self._evaluate(x, slice(s, None)).reshape(len(x), s, x.shape[1])
+
+    def project(self, seeds):
+        """Gauss-Newton from each row of `seeds`: its point tuple, or a ProjectionError.
+
+        Every seed keeps its own state: it converges once its residual norm is
+        within residual_tol at the start of an iteration, stalls after 40
+        halvings of its step, and fails after max_newton_iters iterations.
+        """
+        tol = self.tol
+        out = [None] * len(seeds)
+        live, x = np.arange(len(seeds)), seeds
+        r = self.values(x)
+        for it in range(tol.max_newton_iters + 1):
+            nrm = _norms(r)
+            done = nrm <= tol.residual_tol
+            for i, p in zip(live[done], x[done]):
+                out[i] = tuple(p.tolist())
+            if it == tol.max_newton_iters:
+                for i, v in zip(live[~done], nrm[~done]):
+                    out[i] = ProjectionError(f"no convergence: residual {v:.3e}")
+                break
+            live, x, r, nrm = live[~done], x[~done], r[~done], nrm[~done]
+            if not len(live):
+                break
+            jac = self.jacobians(x)
+            # a non-finite Jacobian gives no step, so its seed stalls
+            jac[~np.isfinite(jac).all(axis=(1, 2))] = 0.0
+            step = _min_norm_steps(jac, -r)
+            alpha = np.ones(len(x))
+            pending = np.arange(len(x))
+            for _halving in range(40):
+                trial = x[pending] + alpha[pending, None] * step[pending]
+                rt = self.values(trial)
+                better = _norms(rt) < nrm[pending]
+                x[pending[better]], r[pending[better]] = trial[better], rt[better]
+                pending = pending[~better]
+                if not len(pending):
+                    break
+                alpha[pending] *= 0.5
+            for i, v in zip(live[pending], nrm[pending]):
+                out[i] = ProjectionError(f"stalled at residual {v:.3e}")
+            if len(pending):
+                live, x, r = (np.delete(a, pending, axis=0) for a in (live, x, r))
+        return out
 
 
 def _pipeline(germ: MapGerm, tol: Tolerances) -> _FloatPipeline:
@@ -184,41 +282,25 @@ def project_to_singular_locus(germ: MapGerm, seed, tol: Tolerances = None):
     """Gauss-Newton projection onto the zero set of the determinantal equations.
 
     The system is underdetermined, so each step is the minimum-norm
-    least-squares solution, halved until the residual decreases.  Raises
-    ProjectionError when the residual tolerance is not met in time.
+    least-squares solution, halved until the residual decreases.  `seed` is
+    one point of m coordinates, or a (k, m) batch of them run together.  One
+    seed gives its point as a tuple and raises ProjectionError when the
+    residual tolerance is not met in time; a batch gives a list of k points,
+    with `None` for each seed that would raise.
     """
     tol = tol or Tolerances()
     pipe = _pipeline(germ, tol)
-    lam, grads = pipe.terms, pipe.grads
-    x = np.array([float(v) for v in seed], dtype=float)
-    if x.shape != (germ.m,):
+    x = np.array(seed, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != germ.m:
         raise ValueError(f"seed needs {germ.m} coordinates")
-
-    def resid(pt):
-        pt = pt.tolist()
-        return np.array([_eval(d, pt) for d in lam])
-
-    r = resid(x)
-    for _ in range(tol.max_newton_iters):
-        nrm = float(np.linalg.norm(r))
-        if nrm <= tol.residual_tol:
-            return tuple(float(v) for v in x)
-        xl = x.tolist()
-        jac = np.array([[_eval(g, xl) for g in gr] for gr in grads])
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        alpha = 1.0
-        for _halving in range(40):
-            xn = x + alpha * step
-            rn = resid(xn)
-            if float(np.linalg.norm(rn)) < nrm:
-                break
-            alpha *= 0.5
-        else:
-            raise ProjectionError(f"stalled at residual {nrm:.3e}")
-        x, r = xn, rn
-    if float(np.linalg.norm(r)) <= tol.residual_tol:
-        return tuple(float(v) for v in x)
-    raise ProjectionError(f"no convergence: residual {float(np.linalg.norm(r)):.3e}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a seed whose residual or Jacobian is not finite stalls
+        points = pipe.project(x.reshape(-1, germ.m))
+    if x.ndim == 2:
+        return [None if isinstance(p, ProjectionError) else p for p in points]
+    if isinstance(points[0], ProjectionError):
+        raise points[0]
+    return points[0]
 
 
 def numeric_classify(germ: MapGerm, point, tol: Tolerances = None) -> NumericVerdict:
@@ -226,7 +308,7 @@ def numeric_classify(germ: MapGerm, point, tol: Tolerances = None) -> NumericVer
     tol = tol or Tolerances()
     pipe = _pipeline(germ, tol)
     x = tuple(float(v) for v in point)
-    residual = float(np.linalg.norm([_eval(d, x) for d in pipe.terms]))
+    residual = float(_norms(pipe.values(np.array([x])))[0])
     decide = _Thresholds(tol)
     label, _ = _classify_at_origin(pipe.germ.translate(x).truncated(germ.n + 1), decide)
     if any(m.inconclusive for m in decide.margins):
@@ -246,26 +328,22 @@ def scan_region(germ: MapGerm, box, grid: int, tol: Tolerances = None):
     if grid <= 0:
         return []
     axes = [np.linspace(float(lo), float(hi), grid) for lo, hi in box]
-    seeds = [()]
-    for ax in axes:
-        seeds = [s + (float(v),) for s in seeds for v in ax]
-    converged = []
-    for s in seeds:
-        try:
-            converged.append(project_to_singular_locus(germ, s, tol))
-        except ProjectionError:
-            continue
+    seeds = np.array(list(product(*axes)), dtype=float)
     pad = 1e-9
     converged = [
         p
-        for p in converged
-        if all(float(lo) - pad <= v <= float(hi) + pad for v, (lo, hi) in zip(p, box))
+        for p in project_to_singular_locus(germ, seeds, tol)
+        if p is not None
+        and all(float(lo) - pad <= v <= float(hi) + pad for v, (lo, hi) in zip(p, box))
     ]
     converged.sort()
     radius = 10 * tol.residual_tol
     reps = []
     for p in converged:
-        if any(math.dist(p, r) <= radius for r in reps):
+        # reps is sorted by its first coordinate: only a rep within radius of
+        # p[0] can be within radius of p
+        near = takewhile(lambda r: r[0] >= p[0] - radius, reversed(reps))
+        if any(math.dist(p, r) <= radius for r in near):
             continue
         reps.append(p)
     return [numeric_classify(germ, p, tol) for p in reps]

@@ -172,6 +172,18 @@ def cofactor_determinant(rows):
     return total
 
 
+def eval_terms(terms, point):
+    """Float value of a term dict at a point, one term and one power at a time."""
+    total = 0.0
+    for exps, coeff in terms.items():
+        t = coeff
+        for e, v in zip(exps, point):
+            if e:
+                t *= v ** e
+        total += t
+    return total
+
+
 def naive_divide(p, divisor):
     """Single-divisor division that rescans for the leading term on every step."""
     div_exps, div_coeff = divisor.leading_term()

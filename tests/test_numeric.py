@@ -2,8 +2,11 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 
 from morinclass import MapGerm, Polynomial, classify, cramer_frame
@@ -21,6 +24,7 @@ from morinclass.numeric import (
 
 from conftest import (
     cofactor_determinant,
+    eval_terms,
     labels_equivalent,
     lambda_matrix,
     linear_source_change,
@@ -282,3 +286,120 @@ class TestSharedPipeline:
         ))
         assert reordered == germ
         assert numeric._pipeline(reordered, first) is not pipe
+
+
+def _pipeline_germs(fold_germ, cusp_germ):
+    """The fold and cusp fixtures, a Lefschetz germ and an n = 5 chart."""
+    lef = LefschetzFamily.symbolic().at((Fraction(1), Fraction(2), Fraction(1), Fraction(1)))
+    large = linear_target_change(random.Random(5), normal_form(6, 5, 5, (1,)))
+    return [fold_germ, cusp_germ, lef, large]
+
+
+def _hex(point):
+    return None if point is None else [v.hex() for v in point]
+
+
+class TestBatchProjection:
+    def test_batch_equals_single_seeds(self, fold_germ, cusp_germ):
+        rng = random.Random(77)
+        for germ in _pipeline_germs(fold_germ, cusp_germ):
+            seeds = [[rng.uniform(-1, 1) for _ in range(germ.m)] for _ in range(12)]
+            batch = project_to_singular_locus(germ, seeds)
+            assert len(batch) == len(seeds)
+            for seed, got in zip(seeds, batch):
+                assert got is not None
+                assert _hex(got) == _hex(project_to_singular_locus(germ, seed))
+
+    @staticmethod
+    def fails(germ, seed, tol):
+        """The single-seed outcome: the point, or the ProjectionError message."""
+        try:
+            return _hex(project_to_singular_locus(germ, seed, tol))
+        except ProjectionError as err:
+            return str(err)
+
+    def test_failed_seeds_are_none_beside_converged_ones(self, cusp_germ):
+        # (-0.75, 0, 0.5) lies on the cusp germ's fold curve x = -3 z^2 with
+        # residual exactly 0, so it converges at once; the others cannot
+        # reach 1e-300 in one step
+        tol = Tolerances(max_newton_iters=1, residual_tol=1e-300)
+        seeds = [(0.3, 0.4, 0.5), (-0.75, 0.0, 0.5), (-0.2, 0.7, 0.1)]
+        batch = project_to_singular_locus(cusp_germ, seeds, tol)
+        singles = [self.fails(cusp_germ, seed, tol) for seed in seeds]
+        assert [_hex(p) for p in batch] == [None, singles[1], None]
+        assert singles[0].startswith("no convergence") and singles[2].startswith("no convergence")
+
+    def test_stalled_seed_is_none_beside_converged_ones(self):
+        # lambda = (y^2 - 1, 2z): on y = 0 the step has no y part, so the
+        # residual stops at 1 and every halving fails
+        ctx = make_context("x", "y", "z")
+        x, y, z = (Polynomial.variable(ctx, n) for n in ("x", "y", "z"))
+        germ = MapGerm(ctx, (x, Fraction(1, 3) * y**3 - y + z**2))
+        tol = Tolerances()
+        seeds = [(0.2, 0.0, 0.3), (0.2, 1.0, 0.0), (0.2, 0.5, 0.3)]
+        batch = project_to_singular_locus(germ, seeds, tol)
+        singles = [self.fails(germ, seed, tol) for seed in seeds]
+        assert singles[0].startswith("stalled")
+        assert [_hex(p) for p in batch] == [None] + singles[1:]
+
+    def test_non_finite_seed_is_none(self, cusp_germ):
+        # d(3z^2 + x)/dz = 6z is not finite there, so the seed takes no step
+        # and stalls, and the stacked SVD of the others still runs
+        seeds = [(0.1, 0.2, math.inf), (0.05, 0.06, -0.04), (0.0, 0.0, math.nan)]
+        batch = project_to_singular_locus(cusp_germ, seeds)
+        assert [_hex(p) for p in batch] == [
+            None, _hex(project_to_singular_locus(cusp_germ, seeds[1])), None]
+        with pytest.raises(ProjectionError, match="stalled"):
+            project_to_singular_locus(cusp_germ, seeds[0])
+
+    def test_seed_shapes(self, fold_germ):
+        assert project_to_singular_locus(fold_germ, np.empty((0, 3))) == []
+        with pytest.raises(ValueError):
+            project_to_singular_locus(fold_germ, (0.1, 0.2))
+        with pytest.raises(ValueError):
+            project_to_singular_locus(fold_germ, [(0.1, 0.2)] * 3)
+
+
+class TestEvaluator:
+    def test_matches_scalar_oracle(self, fold_germ, cusp_germ):
+        rng = random.Random(1313)
+        tol = Tolerances()
+        for germ in _pipeline_germs(fold_germ, cusp_germ):
+            pipe = numeric._FloatPipeline(germ, tol)
+            ctx = pipe.germ.context
+            src, names = ctx.source_indices, ctx.source_names
+
+            def terms(poly):
+                return {tuple(e[i] for i in src): c for e, c in poly.terms.items()}
+
+            rows = [[terms(lam)] + [terms(lam.derivative(v)) for v in names]
+                    for lam in pipe.lambdas]
+            points = np.array([[rng.uniform(-1.5, 1.5) for _ in src] for _ in range(20)])
+            values, jacs = pipe.values(points), pipe.jacobians(points)
+            for x, val, jac in zip(points.tolist(), values, jacs):
+                got = [[v] + list(g) for v, g in zip(val, jac)]
+                for got_row, want_row in zip(got, rows):
+                    for g, d in zip(got_row, want_row):
+                        scale = eval_terms({e: abs(c) for e, c in d.items()}, map(abs, x))
+                        assert abs(g - eval_terms(d, x)) <= 1e-13 * scale
+
+    def test_classify_residual_of_a_scanned_point(self, fold_germ):
+        verdicts = scan_region(fold_germ, [(-1, 1)] * 3, 4)
+        assert verdicts and all(v.residual <= Tolerances().residual_tol for v in verdicts)
+
+
+class TestScanCounts:
+    """Verdict counts and labels of two 5^4 Lefschetz scans, every seed converging."""
+
+    @pytest.mark.parametrize("params, labels", [
+        ((Fraction(3, 2), 1, -2, Fraction(-1, 2)),
+         {"Fold(signature=(1, 2))": 377, "Morin{2}": 1}),
+        ((0, Fraction(1, 2), 2, Fraction(3, 2)),
+         {"Fold(signature=(2, 1))": 33, "Fold(signature=(1, 2))": 393}),
+    ])
+    def test_counts(self, params, labels):
+        germ = LefschetzFamily.symbolic().at(params)
+        seeds = list(product(*[np.linspace(-1.0, 1.0, 5)] * 4))
+        assert None not in project_to_singular_locus(germ, seeds)
+        verdicts = scan_region(germ, [(-1, 1)] * 4, 5)
+        assert Counter(str(v.label) for v in verdicts) == labels
