@@ -246,7 +246,7 @@ def _kernel_hessian_rows(ng: NormalizedGerm):
             eta[col[p]] = -adj_w[j][c]
         etas.append(eta)
     hess = [[0] * len(src) for _ in src]
-    for exps, coeff in germ.components[-1].terms.items():
+    for exps, coeff in germ.components[-1].items():
         degrees = [exps[i] for i in src]
         if sum(degrees) == 2:
             a, b = (k for k, d in enumerate(degrees) for _ in range(d))

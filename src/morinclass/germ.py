@@ -77,18 +77,13 @@ class MapGerm:
 
     def uses_parameters(self):
         pidx = self.context.parameter_indices
-        return any(
-            any(exps[i] for i in pidx) for p in self.components for exps in p.terms
-        )
+        return any(p.involves(pidx) for p in self.components)
 
     def check_wellformed(self):
         check_dimensions(self.m, self.n)
         src = self.context.source_indices
         for i, p in enumerate(self.components):
-            at0 = Polynomial(
-                self.context,
-                {e: c for e, c in p.terms.items() if not any(e[j] for j in src)},
-            )
+            at0 = p.at_zero(src)
             if not at0.is_zero():
                 raise MalformedGermError(
                     f"component {i + 1} does not vanish at the origin: {at0.render()}"
@@ -254,7 +249,7 @@ def normalized(germ: MapGerm, t, pivot_rows, pivot_cols, exact=True) -> Normaliz
         factor = 1
         if exact:
             # the multiple `integer_scaled` takes: the lcm of the denominators
-            factor = Fraction(lcm(*(c.denominator for c in acc.terms.values())))
+            factor = Fraction(lcm(*(c.denominator for c in acc.coefficients())))
             acc = acc.integer_scaled()
         comps.append(acc)
         t_rows.append(tuple(factor * w for w in t[r]))

@@ -345,7 +345,7 @@ def _substitute_cleared(p, var, numerator, denominator):
     # group the terms by their power of var, so each power of the numerator
     # and the denominator is computed and multiplied in once
     by_power = {}
-    for exps, coeff in p.terms.items():
+    for exps, coeff in p.items():
         by_power.setdefault(exps[iv], {})[exps[:iv] + (0,) + exps[iv + 1:]] = coeff
     deg = max(by_power, default=0)
     out = Polynomial.zero(ctx)
@@ -459,9 +459,9 @@ def rederive_noncusp_chain():
     def reduce_y2sq(p):
         y2sq = a1 * x2 + x2**2
         iy2 = ctx.index("y2")
-        while max((e[iy2] for e in p.terms), default=0) >= 2:
+        while max((e[iy2] for e in p.exponents()), default=0) >= 2:
             nxt = Polynomial.zero(ctx)
-            for exps, coeff in p.terms.items():
+            for exps, coeff in p.items():
                 e = exps[iy2]
                 if e >= 2:
                     base = list(exps)
@@ -538,7 +538,7 @@ def _to_locus_poly(p, lctx):
     keep = [src_ctx.index(n) for n in PARAM_VARS]
     drop = [i for i in range(len(src_ctx)) if i not in keep]
     terms = {}
-    for exps, coeff in p.terms.items():
+    for exps, coeff in p.items():
         if any(exps[i] for i in drop):
             raise ValueError("polynomial still involves source variables")
         terms[tuple(exps[i] for i in keep)] = coeff
@@ -590,7 +590,7 @@ def emit_slice(b2, resolution: int, value_range=(-1, 1)) -> SliceGrid:
         scale_den = den**deg
         terms = []
         bound = 0
-        for exps, coeff in sorted(comp.terms.items()):
+        for exps, coeff in sorted(comp.items()):
             e1, e2, e3, e4 = exps  # context order a1, a2, b1, b2
             c_int = coeff * (b2_int**e4) * den ** (deg - e1 - e2 - e3 - e4)
             assert c_int.denominator == 1

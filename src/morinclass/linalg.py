@@ -232,7 +232,7 @@ def _usable(e):
     if e.jet is not None:
         return e.constant_term() != 0
     # an uncapped polynomial divides exactly only over Q
-    return not e.is_zero() and not isinstance(next(iter(e.terms.values())), float)
+    return not e.is_zero() and not isinstance(next(iter(e.coefficients())), float)
 
 
 def _divider(p, power=1):
@@ -257,13 +257,12 @@ def _divider(p, power=1):
         s = s * (1 / scale)
         return lambda x: x * s
 
+    def exact_quotient(v):
+        q, r = divmod(v, scale)
+        return q if r == 0 else Fraction(v) / scale
+
     def divide(x):
-        x = x * s
-        terms = {}
-        for e, v in x.terms.items():
-            q, r = divmod(v, scale)
-            terms[e] = q if r == 0 else Fraction(v) / scale
-        return Polynomial(x.context, terms, x.jet)
+        return (x * s).map_coefficients(exact_quotient)
 
     return divide
 

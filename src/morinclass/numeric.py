@@ -17,11 +17,9 @@ from itertools import product, takewhile
 
 import numpy as np
 
-from . import _termops_py as fops  # term-dict ops are coefficient-generic; reused for floats
 from .criteria import Label, _classify_at_origin, lambdas_for_frame
 from .germ import MapGerm, cramer_frame, normalized
 from .linalg import eliminate, row_reduce
-from .polynomial import Polynomial
 
 
 @dataclass(frozen=True)
@@ -167,7 +165,7 @@ class _FloatPipeline:
         self.tol = tol
         ctx = germ.context
         self.germ = MapGerm(ctx, tuple(
-            Polynomial(ctx, {e: float(c) for e, c in p.terms.items()}) for p in germ.components
+            p.map_coefficients(float) for p in germ.components
         ))
         n = germ.n
         t, pivot_rows, pivot_cols = _Thresholds(tol).reduce(
@@ -177,9 +175,10 @@ class _FloatPipeline:
         ng = normalized(self.germ, t, pivot_rows[: n - 1], pivot_cols[: n - 1], exact=False)
         self.lambdas = lambdas_for_frame(ng.germ, cramer_frame(ng.germ, ng.pivot_names)).lambdas
         src = ctx.source_indices
-        lams = [{tuple(e[i] for i in src): c for e, c in lam.terms.items()}
-                for lam in self.lambdas]
-        columns = lams + [fops.diff_terms(d, i) for d in lams for i in range(len(src))]
+        columns = list(self.lambdas) + [
+            lam.derivative(v) for lam in self.lambdas for v in ctx.source_names]
+        # the exponent table is read once per pipeline: unpack it here
+        columns = [{tuple(e[i] for i in src): c for e, c in d.items()} for d in columns]
         exps = list(dict.fromkeys(e for d in columns for e in d))
         # one row per term: its exponents in E, and in C its coefficient in
         # each lambda, then in each d lambda_j / dx_i (j-major)
@@ -268,7 +267,7 @@ def _pipeline(germ: MapGerm, tol: Tolerances) -> _FloatPipeline:
     The key also holds each component's term order, which fixes the order of
     every float sum, so a shared pipeline gives the bits a fresh one would.
     """
-    return _shared_pipeline(germ, tol, tuple(tuple(p.terms) for p in germ.components))
+    return _shared_pipeline(germ, tol, tuple(tuple(p.exponents()) for p in germ.components))
 
 
 @lru_cache(maxsize=16)

@@ -103,6 +103,36 @@ class Polynomial:
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), 0)
 
+    # -- term access: exponent tuples, in term order --------------------------
+
+    def items(self):
+        """(exponent tuple, coefficient) pairs in term order."""
+        return self.terms.items()
+
+    def exponents(self):
+        """The exponent tuples of the terms, in term order."""
+        return iter(self.terms)
+
+    def coefficients(self):
+        """The nonzero coefficients, in term order."""
+        return self.terms.values()
+
+    def map_coefficients(self, fn):
+        """The same monomials with each coefficient c replaced by fn(c), which must not vanish."""
+        return Polynomial(self.context, {e: fn(c) for e, c in self.terms.items()}, self.jet)
+
+    def involves(self, indices):
+        """Whether some term has a positive exponent at one of the variable `indices`."""
+        return any(exps[i] for exps in self.terms for i in indices)
+
+    def at_zero(self, indices):
+        """This polynomial with the variables at `indices` set to 0."""
+        return Polynomial(
+            self.context,
+            {e: c for e, c in self.terms.items() if not any(e[i] for i in indices)},
+            self.jet,
+        )
+
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other):

@@ -255,7 +255,7 @@ def to_sympy(poly, symbols):
     return sympy.Add(*(
         sympy.Rational(c.numerator, c.denominator)
         * sympy.Mul(*(s**e for s, e in zip(symbols, exps)))
-        for exps, c in poly.terms.items()
+        for exps, c in poly.items()
     ))
 
 

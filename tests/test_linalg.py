@@ -204,7 +204,7 @@ class TestElimination:
         rows = jet_matrix(rng, ctx, 6, 6, jet=3)
         det, adj_w = eliminate(rows, [[Polynomial.constant(ctx, 1)]] * 6)
         for p in [det] + [row[0] for row in adj_w]:
-            assert all(isinstance(c, int) for c in p.terms.values())
+            assert all(isinstance(c, int) for c in p.coefficients())
 
     @pytest.mark.parametrize("size", [4, 5])
     def test_uncapped_non_constant_pivots(self, size):

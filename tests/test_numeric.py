@@ -122,8 +122,8 @@ class TestFloatLambdas:
                 assert len(lambdas) == germ.m - germ.n + 1
                 for eta, got in zip(frame.eta, lambdas):
                     want = cofactor_determinant(lambda_matrix(comps, frame, eta))
-                    scale = max(abs(c) for c in want.terms.values())
-                    for exps in set(got.terms) | set(want.terms):
+                    scale = max(abs(c) for c in want.coefficients())
+                    for exps in set(got.exponents()) | set(want.exponents()):
                         assert abs(got.coefficient(exps) - want.coefficient(exps)) <= 1e-12 * scale
 
 
@@ -281,7 +281,7 @@ class TestSharedPipeline:
         # an equal germ whose terms come in another order sums floats in
         # another order, so it gets its own pipeline
         reordered = MapGerm(germ.context, tuple(
-            Polynomial(germ.context, dict(reversed(list(p.terms.items()))))
+            Polynomial(germ.context, dict(reversed(list(p.items()))))
             for p in germ.components
         ))
         assert reordered == germ
@@ -370,7 +370,7 @@ class TestEvaluator:
             src, names = ctx.source_indices, ctx.source_names
 
             def terms(poly):
-                return {tuple(e[i] for i in src): c for e, c in poly.terms.items()}
+                return {tuple(e[i] for i in src): c for e, c in poly.items()}
 
             rows = [[terms(lam)] + [terms(lam.derivative(v)) for v in names]
                     for lam in pipe.lambdas]
@@ -403,3 +403,60 @@ class TestScanCounts:
         assert None not in project_to_singular_locus(germ, seeds)
         verdicts = scan_region(germ, [(-1, 1)] * 4, 5)
         assert Counter(str(v.label) for v in verdicts) == labels
+
+
+FAR_POINTS = {
+    "far1": (Fraction(3, 2), Fraction(1), Fraction(2), Fraction(1, 2)),
+    "far2": (Fraction(3, 2), Fraction(1), Fraction(2), Fraction(-1)),
+}
+
+
+class TestFloatBits:
+    """`float.hex` of the residual and of every margin of `numeric_classify`, pinned.
+
+    The values were recorded with exponent-tuple term keys.  Every float sum
+    runs in term order, so a change of term order or of the term keys shows
+    here first.  The seeds (None for the fold, taken at a fixed point near
+    its axis) must project onto the pinned points.
+    """
+
+    CASES = [
+        ("fold", None,
+         ["0x1.3333333333333p-2", "0x1.0000000000000p-40", "-0x1.0000000000000p-41"],
+         "Fold(signature=(2, 0))", "0x1.1e3779b97f4a8p-39",
+         ["0x1.0000000000000p+0", "0x1.0000000000000p-39", "0x1.0000000000000p+1",
+          "0x1.0000000000000p+1", "0x1.0000000000000p+2", "0x1.0000000000000p+1"]),
+        ("cusp", (0.05, 0.06, -0.04),
+         ["-0x1.2925174e23d5cp-9", "0x0.0p+0", "-0x1.c263c5627345ep-6"],
+         "Fold(signature=(1, 1))", "0x1.8800000000000p-56",
+         ["0x1.0000000000000p+0", "0x1.8800000000000p-56", "0x1.0000000000000p+0",
+          "0x1.0000000000000p+1", "-0x1.51cad409d6746p-2", "0x1.51cad409d6746p-3"]),
+        ("far1", (0.5, -0.5, 0.25, 0.5),
+         ["-0x1.0a19d6cdd99e9p-1", "-0x1.d8a761e055bb6p-3", "0x1.3c13aa473b9c9p-2",
+          "0x1.18b6045454ec9p-3"],
+         "Fold(signature=(1, 2))", "0x1.f1c9c16a4a6b9p-53",
+         ["0x1.118b6045454edp+1", "0x1.0000000000000p-53", "0x1.244a8f356d3f6p+2",
+          "0x1.1c0e1b67a5755p+1", "0x1.8b6387aec14a1p+2", "0x1.4786df2f0579ap+10",
+          "0x1.21040ac55596ep+2"]),
+        ("far2", (-0.5, 0.5, 0.5, -0.25),
+         ["-0x1.b6242c335bc92p-1", "0x1.a22a5d4fff095p-2", "0x1.1c712ebe8292ap+0",
+          "-0x1.0f794a052374dp-1"],
+         "Fold(signature=(2, 1))", "0x1.90f056f2488a5p-34",
+         ["0x1.e88a9753ffc25p+0", "0x1.0bad780000000p-35", "0x1.d22855fbdf8c6p+1",
+          "0x1.1af45d3c59ae3p+2", "0x1.7355a63e3d011p+2", "-0x1.8dee2198ae71dp+9",
+          "0x1.25bc3ce433a07p+2"]),
+    ]
+
+    @pytest.mark.parametrize("name, seed, point, label, residual, margins", CASES)
+    def test_bits(self, request, name, seed, point, label, residual, margins):
+        if name in FAR_POINTS:
+            germ = LefschetzFamily.symbolic().at(FAR_POINTS[name])
+        else:
+            germ = request.getfixturevalue(f"{name}_germ")
+        point = tuple(float.fromhex(v) for v in point)
+        if seed is not None:
+            assert _hex(project_to_singular_locus(germ, seed)) == _hex(point)
+        verdict = numeric_classify(germ, point)
+        assert str(verdict.label) == label
+        assert verdict.residual.hex() == residual
+        assert [float(m.value).hex() for m in verdict.margins] == margins
