@@ -7,7 +7,13 @@ region scans and a study of the bifurcation of the Lefschetz singularity
 (non-cusp locus and plot-data export).
 """
 
-from .context import SOURCE, PARAMETER, VariableContext, ContextMismatchError
+from .context import (
+    PARAMETER,
+    SOURCE,
+    ContextMismatchError,
+    DegreeOverflowError,
+    VariableContext,
+)
 from .criteria import (
     CriteriaReport,
     Label,
@@ -46,6 +52,7 @@ __all__ = [
     "CORANK1",
     "CORANK_HIGH",
     "CriteriaReport",
+    "DegreeOverflowError",
     "KERNEL",
     "Label",
     "MalformedGermError",

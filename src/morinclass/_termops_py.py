@@ -1,15 +1,24 @@
 """Pure-Python kernel for sparse polynomial term arithmetic.
 
-Terms are dicts mapping exponent tuples (one non-negative int per context
-variable) to nonzero exact rational coefficients; plain ints and Fractions
-mix freely, and integer inputs give integer outputs.  Every function returns
-a new canonical dict (no stored zeros) and never mutates its inputs.
+Terms are dicts mapping packed monomials to nonzero coefficients: one int
+per monomial, with the total degree in the top field and one fixed-width
+field per context variable below it (`context.VariableContext` fixes the
+layout).  A monomial product is one integer addition and the total degree is
+one shift.  Coefficients are exact rationals, where plain ints and Fractions
+mix freely and integer inputs give integer outputs, or floats for the float
+companion.  Every function returns a new canonical dict (no stored zeros)
+and never mutates its inputs.
+
+The ops that raise degrees check the largest degree they can form against
+`context.MAX_DEGREE` once per call, and raise DegreeOverflowError above it,
+so a field never carries into its neighbour.
 
 `Polynomial` runs its arithmetic through these functions.
 """
 
 from fractions import Fraction
 
+from .context import MAX_DEGREE, check_degree
 
 
 def add_terms(a, b):
@@ -18,12 +27,12 @@ def add_terms(a, b):
     if not b:
         return dict(a)
     out = dict(a)
-    for exps, coeff in b.items():
-        s = out.get(exps, 0) + coeff
+    for key, coeff in b.items():
+        s = out.get(key, 0) + coeff
         if s:
-            out[exps] = s
-        elif exps in out:
-            del out[exps]
+            out[key] = s
+        elif key in out:
+            del out[key]
     return out
 
 
@@ -31,108 +40,114 @@ def sub_terms(a, b):
     if not b:
         return dict(a)
     out = dict(a)
-    for exps, coeff in b.items():
-        s = out.get(exps, 0) - coeff
+    for key, coeff in b.items():
+        s = out.get(key, 0) - coeff
         if s:
-            out[exps] = s
-        elif exps in out:
-            del out[exps]
+            out[key] = s
+        elif key in out:
+            del out[key]
     return out
 
 
 def neg_terms(a):
-    return {exps: -coeff for exps, coeff in a.items()}
+    return {key: -coeff for key, coeff in a.items()}
 
 
 def scale_terms(a, c):
     if not c:
         return {}
-    return {exps: coeff * c for exps, coeff in a.items()}
+    return {key: coeff * c for key, coeff in a.items()}
 
 
-def mul_terms(a, b, trunc=-1):
-    """Product of two term dicts, optionally dropping total degree > trunc."""
+def mul_terms(a, b, ctx, trunc=-1):
+    """Product of two term dicts over `ctx`, optionally dropping total degree > trunc."""
     if not a or not b:
         return {}
     if len(a) > len(b):
         a, b = b, a
+    shift = ctx.degree_shift
     out = {}
+    get = out.get
     if trunc >= 0:
         # bucket the large factor by total degree so each term of the small
         # factor only meets partners that survive the cap
         buckets = {}
-        for eb, cb in b.items():
-            buckets.setdefault(sum(eb), []).append((eb, cb))
+        for kb, cb in b.items():
+            buckets.setdefault(kb >> shift, []).append((kb, cb))
         degrees = sorted(buckets)
-        for ea, ca in a.items():
-            allowed = trunc - sum(ea)
+        check_degree(min(trunc, (max(a) >> shift) + degrees[-1]))
+        for ka, ca in a.items():
+            allowed = trunc - (ka >> shift)
             if allowed < 0:
                 continue
             for d in degrees:
                 if d > allowed:
                     break
-                for eb, cb in buckets[d]:
-                    exps = tuple(x + y for x, y in zip(ea, eb))
-                    s = out.get(exps, 0) + ca * cb
+                for kb, cb in buckets[d]:
+                    key = ka + kb
+                    s = get(key, 0) + ca * cb
                     if s:
-                        out[exps] = s
-                    elif exps in out:
-                        del out[exps]
+                        out[key] = s
+                    elif key in out:
+                        del out[key]
         return out
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            exps = tuple(x + y for x, y in zip(ea, eb))
-            s = out.get(exps, 0) + ca * cb
+    check_degree((max(a) >> shift) + (max(b) >> shift))
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = ka + kb
+            s = get(key, 0) + ca * cb
             if s:
-                out[exps] = s
-            elif exps in out:
-                del out[exps]
+                out[key] = s
+            elif key in out:
+                del out[key]
     return out
 
 
-def pow_terms(a, k, trunc=-1):
+def pow_terms(a, k, ctx, trunc=-1):
     if k == 0:
-        nvars = len(next(iter(a))) if a else 0
-        return {(0,) * nvars: Fraction(1)}
+        return {0: Fraction(1)}
+    if a:
+        # before any product: the degree of a^k must fit
+        top = (max(a) >> ctx.degree_shift) * k
+        check_degree(top if trunc < 0 else min(trunc, top))
     result = dict(a)
     for _ in range(k - 1):
-        result = mul_terms(result, a, trunc)
+        result = mul_terms(result, a, ctx, trunc)
     return result
 
 
-def diff_terms(a, idx):
-    out = {}
-    for exps, coeff in a.items():
-        e = exps[idx]
-        if e == 0:
-            continue
-        lowered = exps[:idx] + (e - 1,) + exps[idx + 1:]
-        s = out.get(lowered, 0) + coeff * e
-        if s:
-            out[lowered] = s
-        elif lowered in out:
-            del out[lowered]
-    return out
+def diff_terms(a, idx, ctx):
+    """d/dx_idx: one unit off the variable's field and one off the degree field."""
+    shift = ctx.field_shifts[idx]
+    step = ctx.degree_unit + ctx.units[idx]
+    # distinct keys stay distinct, so no two terms merge
+    return {
+        key - step: coeff * e
+        for key, coeff in a.items()
+        if (e := key >> shift & MAX_DEGREE)
+    }
 
 
-def truncate_terms(a, trunc):
-    return {exps: coeff for exps, coeff in a.items() if sum(exps) <= trunc}
+def truncate_terms(a, trunc, ctx):
+    limit = (trunc + 1) << ctx.degree_shift  # the keys of degree <= trunc lie below it
+    return {key: coeff for key, coeff in a.items() if key < limit}
 
 
-def eval_terms(a, values):
+def eval_terms(a, values, ctx):
     """Exact evaluation; `values` is a sequence of Fractions, one per variable."""
     total = 0
     cache = {}
-    for exps, coeff in a.items():
+    shifts = tuple(enumerate(ctx.field_shifts))
+    for key, coeff in a.items():
         term = coeff
-        for i, e in enumerate(exps):
+        for i, shift in shifts:
+            e = key >> shift & MAX_DEGREE
             if e == 0:
                 continue
-            key = (i, e)
-            p = cache.get(key)
+            p = cache.get((i, e))
             if p is None:
                 p = values[i] ** e
-                cache[key] = p
+                cache[(i, e)] = p
             term = term * p
         total += term
     return total

@@ -13,10 +13,11 @@ non-negative integer literal.  Germ files are line-oriented:
 values may also arrive on a separate `bind: a = 1, b = -3/2` line.
 """
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .context import VariableContext
+from .context import DegreeOverflowError, VariableContext
 from .germ import MapGerm, check_dimensions
 from .polynomial import Polynomial
 
@@ -32,48 +33,37 @@ class ParseError(ValueError):
         super().__init__(message + where)
 
 
-_OPS = set("+-*^()/")
+# Blanks, then one token or one character that starts none.  Digits and
+# identifiers are ASCII only: str.isdigit() also holds for '²' and '٣', which
+# int() then rejects or reads as another digit.
+_TOKEN = re.compile(r"([^\S\n]*)(?:(\n)|([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()/])|(\S))")
 
 
 def _tokenize(text, line_offset=1):
+    """(kind, text, line, column) tuples, ending with an "end" token."""
     tokens = []
+    append = tokens.append
     line = line_offset
-    col = 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
+    pos = 0
+    line_start = -1  # the column of pos is pos - line_start
+    for blank, newline, number, ident, op, bad in _TOKEN.findall(text):
+        pos += len(blank)
+        if number:
+            append(("int", number, line, pos - line_start))
+            pos += len(number)
+        elif ident:
+            append(("ident", ident, line, pos - line_start))
+            pos += len(ident)
+        elif op:
+            append(("op", op, line, pos - line_start))
+            pos += 1
+        elif newline:
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _OPS:
-            tokens.append(("op", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(("end", "", line, col))
+            line_start = pos
+            pos += 1
+        else:
+            raise ParseError(f"unexpected character {bad!r}", line, pos - line_start)
+    append(("end", "", line, len(text) - line_start))
     return tokens
 
 
@@ -118,8 +108,12 @@ class _ExpressionParser:
         while True:
             kind, text, *_ = self.peek()
             if kind == "op" and text == "*":
-                self.advance()
-                value = value * self.factor()
+                op = self.advance()
+                rhs = self.factor()
+                try:
+                    value = value * rhs
+                except DegreeOverflowError as exc:
+                    self.error(str(exc), op)
             elif kind == "op" and text == "/":
                 self.error("'/' is only allowed inside rational literals like 3/2")
             else:
@@ -144,7 +138,15 @@ class _ExpressionParser:
             if etok[0] != "int":
                 self.error("exponent must be a non-negative integer literal", etok)
             self.advance()
-            return base ** int(etok[1])
+            try:
+                k = int(etok[1])
+            except ValueError:  # more digits than int() converts
+                self.error("exponent is too large", etok)
+            try:
+                # raised before the first product: x^99999999 would run 10^8
+                return base**k
+            except DegreeOverflowError as exc:
+                self.error(str(exc), etok)
         return base
 
     def atom(self):

@@ -1,13 +1,21 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 The term map is canonical (no zero coefficients), so two polynomials are
-equal iff their term maps are equal.  The heavy term-merging loops
-live in `morinclass._termops_py`.  Coefficients are exact rational scalars: plain
-ints are kept as ints (integer arithmetic is far cheaper than normalized
-fractions), everything else is a Fraction, and the two mix freely.  The
-float companion (`morinclass.numeric`) runs the same code on float
-coefficients, which `constant`, scalar products and `MapGerm.translate`
-accept; `rat` and so `from_terms` stay exact.
+equal iff their term maps are equal.  Its keys are packed monomials, one int
+per exponent vector laid out by the context (see `morinclass.context`), and
+they stay private to this module and the kernel: the public constructor
+takes exponent tuples, and `items`, `exponents`, `coefficients` and
+`coefficient` speak in them.  Results of the kernel are wrapped as they
+come, without packing or truncating them again.  A product whose total
+degree would exceed `context.MAX_DEGREE` raises DegreeOverflowError.
+
+The heavy term-merging loops live in `morinclass._termops_py`.
+Coefficients are exact rational scalars: plain ints are kept as ints
+(integer arithmetic is far cheaper than normalized fractions), everything
+else is a Fraction, and the two mix freely.  The float companion
+(`morinclass.numeric`) runs the same code on float coefficients, which
+`constant`, scalar products and `MapGerm.translate` accept; `rat` and so
+`from_terms` stay exact.
 
 Canonical text rendering sorts monomials by graded lexicographic order,
 where the grade counts source-role variables only (parameters weigh zero)
@@ -45,11 +53,23 @@ class Polynomial:
     __slots__ = ("context", "terms", "jet")
 
     def __init__(self, context: VariableContext, terms: dict, jet: int = None):
-        self.context = context
+        """`terms` maps exponent tuples to nonzero coefficients."""
+        pack = context.pack
+        terms = {pack(exps): coeff for exps, coeff in terms.items()}
         if jet is not None:
-            terms = kernel.truncate_terms(terms, jet)
-        self.terms = terms  # canonical: no zero coefficients; treat as immutable
+            terms = kernel.truncate_terms(terms, jet, context)
+        self.context = context
+        self.terms = terms  # packed and canonical: no zero coefficients; treat as immutable
         self.jet = jet
+
+    @classmethod
+    def _wrap(cls, context, terms, jet=None):
+        """A polynomial on packed `terms` that already satisfy the cap `jet`."""
+        p = object.__new__(cls)
+        p.context = context
+        p.terms = terms
+        p.jet = jet
+        return p
 
     # -- constructors -------------------------------------------------------
 
@@ -72,19 +92,15 @@ class Polynomial:
     def constant(cls, context, value):
         if not isinstance(value, (int, float)):
             value = rat(value)
-        if not value:
-            return cls(context, {})
-        return cls(context, {(0,) * len(context): value})
+        return cls._wrap(context, {0: value} if value else {})
 
     @classmethod
     def variable(cls, context, name):
-        exps = [0] * len(context)
-        exps[context.index(name)] = 1
-        return cls(context, {tuple(exps): 1})
+        return cls._wrap(context, {context.degree_unit + context.units[context.index(name)]: 1})
 
     @classmethod
     def zero(cls, context):
-        return cls(context, {})
+        return cls._wrap(context, {})
 
     # -- basic queries -------------------------------------------------------
 
@@ -95,23 +111,24 @@ class Polynomial:
         """Total degree over all variables; zero polynomial has degree 0."""
         if not self.terms:
             return 0
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> self.context.degree_shift
 
     def constant_term(self):
-        return self.terms.get((0,) * len(self.context), 0)
+        return self.terms.get(0, 0)
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), 0)
+        return self.terms.get(self.context.pack(exps), 0)
 
     # -- term access: exponent tuples, in term order --------------------------
 
     def items(self):
-        """(exponent tuple, coefficient) pairs in term order."""
-        return self.terms.items()
+        """An iterator over the (exponent tuple, coefficient) pairs, in term order."""
+        unpack = self.context.unpack
+        return ((unpack(key), coeff) for key, coeff in self.terms.items())
 
     def exponents(self):
-        """The exponent tuples of the terms, in term order."""
-        return iter(self.terms)
+        """An iterator over the exponent tuples of the terms, in term order."""
+        return map(self.context.unpack, self.terms)
 
     def coefficients(self):
         """The nonzero coefficients, in term order."""
@@ -119,18 +136,18 @@ class Polynomial:
 
     def map_coefficients(self, fn):
         """The same monomials with each coefficient c replaced by fn(c), which must not vanish."""
-        return Polynomial(self.context, {e: fn(c) for e, c in self.terms.items()}, self.jet)
+        return Polynomial._wrap(self.context, {k: fn(c) for k, c in self.terms.items()}, self.jet)
 
     def involves(self, indices):
         """Whether some term has a positive exponent at one of the variable `indices`."""
-        return any(exps[i] for exps in self.terms for i in indices)
+        mask = self.context.field_mask(indices)
+        return any(key & mask for key in self.terms)
 
     def at_zero(self, indices):
         """This polynomial with the variables at `indices` set to 0."""
-        return Polynomial(
-            self.context,
-            {e: c for e, c in self.terms.items() if not any(e[i] for i in indices)},
-            self.jet,
+        mask = self.context.field_mask(indices)
+        return Polynomial._wrap(
+            self.context, {k: c for k, c in self.terms.items() if not k & mask}, self.jet
         )
 
     # -- arithmetic ----------------------------------------------------------
@@ -141,33 +158,39 @@ class Polynomial:
             return other
         return Polynomial.constant(self.context, other)
 
+    def _capped(self, other, terms):
+        """A sum's terms, known to the smaller cap of its operands."""
+        jet = _jet_min(self.jet, other.jet)
+        if self.jet != other.jet:
+            # one operand may hold terms above the smaller cap
+            terms = kernel.truncate_terms(terms, jet, self.context)
+        return Polynomial._wrap(self.context, terms, jet)
+
     def __add__(self, other):
         other = self._coerce(other)
-        return Polynomial(
-            self.context, kernel.add_terms(self.terms, other.terms), _jet_min(self.jet, other.jet)
-        )
+        return self._capped(other, kernel.add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return Polynomial(
-            self.context, kernel.sub_terms(self.terms, other.terms), _jet_min(self.jet, other.jet)
-        )
+        return self._capped(other, kernel.sub_terms(self.terms, other.terms))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return Polynomial(self.context, kernel.neg_terms(self.terms), self.jet)
+        return Polynomial._wrap(self.context, kernel.neg_terms(self.terms), self.jet)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, Fraction)):
-            return Polynomial(self.context, kernel.scale_terms(self.terms, other), self.jet)
+            return Polynomial._wrap(self.context, kernel.scale_terms(self.terms, other), self.jet)
         other = self._coerce(other)
         jet = _jet_min(self.jet, other.jet)
         trunc = -1 if jet is None else jet
-        return Polynomial(self.context, kernel.mul_terms(self.terms, other.terms, trunc), jet)
+        return Polynomial._wrap(
+            self.context, kernel.mul_terms(self.terms, other.terms, self.context, trunc), jet
+        )
 
     __rmul__ = __mul__
 
@@ -177,11 +200,15 @@ class Polynomial:
         if k == 0:
             return Polynomial.constant(self.context, 1)
         trunc = -1 if self.jet is None else self.jet
-        return Polynomial(self.context, kernel.pow_terms(self.terms, k, trunc), self.jet)
+        return Polynomial._wrap(
+            self.context, kernel.pow_terms(self.terms, k, self.context, trunc), self.jet
+        )
 
     def truncated(self, max_degree: int):
         """The jet at 0: drops higher-degree terms and caps all later products."""
-        return Polynomial(self.context, self.terms, max_degree)
+        return Polynomial._wrap(
+            self.context, kernel.truncate_terms(self.terms, max_degree, self.context), max_degree
+        )
 
     def integer_scaled(self):
         """A positive integer multiple of this polynomial with int coefficients."""
@@ -191,8 +218,8 @@ class Polynomial:
         for c in self.terms.values():
             if not isinstance(c, int):
                 den = den * c.denominator // gcd(den, c.denominator)
-        terms = {e: int(c * den) for e, c in self.terms.items()}
-        return Polynomial(self.context, terms, self.jet)
+        terms = {k: int(c * den) for k, c in self.terms.items()}
+        return Polynomial._wrap(self.context, terms, self.jet)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -214,8 +241,8 @@ class Polynomial:
             if jet == 0:
                 raise ValueError("a 0-jet has no derivative")
             jet -= 1
-        return Polynomial(
-            self.context, kernel.diff_terms(self.terms, self.context.index(name)), jet
+        return Polynomial._wrap(
+            self.context, kernel.diff_terms(self.terms, self.context.index(name), self.context), jet
         )
 
     def evaluate(self, assignment) -> Fraction:
@@ -228,7 +255,7 @@ class Polynomial:
             if name not in assignment:
                 raise KeyError(f"missing assignment for variable {name!r}")
             values.append(rat(assignment[name]))
-        return kernel.eval_terms(self.terms, tuple(values))
+        return kernel.eval_terms(self.terms, tuple(values), self.context)
 
     def substitute(self, bindings, target_context=None):
         """Exact composition: replace variables by polynomials.
@@ -255,7 +282,8 @@ class Polynomial:
                 images.append(None)  # must stay unused
         result = Polynomial.zero(ctx)
         power_cache = {}
-        for exps, coeff in sorted(self.terms.items()):
+        # in exponent-tuple order, which fixes the order of every float sum
+        for exps, coeff in sorted(self.items()):
             term = Polynomial.constant(ctx, coeff)
             for i, e in enumerate(exps):
                 if e == 0:
@@ -281,13 +309,12 @@ class Polynomial:
 
     def sorted_terms(self):
         """Terms in canonical (graded-lex, descending) order."""
-        return sorted(self.terms.items(), key=lambda t: self._order_key(t[0]), reverse=True)
+        return sorted(self.items(), key=lambda t: self._order_key(t[0]), reverse=True)
 
     def leading_term(self):
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=self._order_key)
-        return exps, self.terms[exps]
+        return max(self.items(), key=lambda t: self._order_key(t[0]))
 
     def render(self) -> str:
         """Canonical text form, e.g. `x2^2 + y2^2 + a1*x2 + b1*y2`.
@@ -335,7 +362,7 @@ class Polynomial:
         if self.jet is not None or divisor.jet is not None:
             raise ValueError("division is not defined on jet-capped polynomials")
         div_exps, div_coeff = divisor.leading_term()
-        tail = [(e, c) for e, c in divisor.terms.items() if e != div_exps]
+        tail = [(e, c) for e, c in divisor.items() if e != div_exps]
         src = self.context.source_indices
 
         def heap_key(exps):
@@ -344,7 +371,7 @@ class Polynomial:
 
         # Each step removes the leading term and adds only terms below it, so
         # a popped exponent never returns; keys of cancelled terms go stale.
-        work = dict(self.terms)
+        work = dict(self.items())
         heap = [(heap_key(e), e) for e in work]
         heapq.heapify(heap)
         quotient, remainder = {}, {}
@@ -386,7 +413,8 @@ class Polynomial:
         """
         if not self.terms:
             raise ValueError("zero polynomial has no content")
-        exps_min = [min(e[i] for e in self.terms) for i in range(len(self.context))]
+        exps = list(self.exponents())
+        exps_min = [min(e[i] for e in exps) for i in range(len(self.context))]
         from math import gcd
 
         num = 0

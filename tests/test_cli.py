@@ -82,6 +82,26 @@ class TestClassifyCommand:
         assert code == 2
         assert "line 2" in err and "column" in err
 
+    @pytest.mark.parametrize("component, column", [("y^\u00b2 + z^2", 3), ("y^2 + \u0663", 7)])
+    def test_non_ascii_digit_is_a_positioned_parse_error(
+        self, capsys, tmp_path, component, column
+    ):
+        path = tmp_path / "digits.germ"
+        path.write_text(f"vars: x y z\nmap: x ; {component}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "classify", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: unexpected character")
+        assert err.endswith(f"at line 2, column {column}\n")
+
+    def test_huge_power_fails_fast(self, capsys, tmp_path):
+        path = tmp_path / "power.germ"
+        path.write_text("vars: x y z\nmap: x ; y^99999999 + z^2\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "classify", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "largest supported degree" in err and err.endswith("at line 2, column 3\n")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "classify", str(tmp_path / "nope.germ"))
         assert code == 2 and "cannot read" in err

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morinclass import MalformedGermError, Polynomial, VariableContext
-from morinclass.parsing import ParseError, parse_expression, parse_germ_document
+from morinclass.context import MAX_DEGREE
+from morinclass.parsing import ParseError, _tokenize, parse_expression, parse_germ_document
 
 from conftest import make_context, random_polynomial
 
@@ -78,6 +79,105 @@ class TestExpressions:
         with pytest.raises(ParseError) as err:
             parse_expression("x + + ", ctx)
         assert err.value.line == 1
+
+
+def _character_tokens(text, line_offset=1):
+    """The tokens of `text` by a scan one character at a time (ASCII classes)."""
+    tokens = []
+    line, col, i = line_offset, 1, 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line, col, i = line + 1, 1, i + 1
+            continue
+        if ch.isspace():
+            col, i = col + 1, i + 1
+            continue
+        j = i + 1
+        if ch in "0123456789":
+            kind = "int"
+            while j < len(text) and text[j] in "0123456789":
+                j += 1
+        elif ch.isascii() and (ch.isalpha() or ch == "_"):
+            kind = "ident"
+            while j < len(text) and text[j].isascii() and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+        elif ch in "+-*^()/":
+            kind = "op"
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        tokens.append((kind, text[i:j], line, col))
+        col, i = col + j - i, j
+    tokens.append(("end", "", line, col))
+    return tokens
+
+
+def _outcome(tokenize, text):
+    try:
+        return tokenize(text, 3)
+    except ParseError as err:
+        return (str(err), err.line, err.column)
+
+
+class TestTokenizer:
+    def test_tokens_match_a_character_scan(self):
+        rng = random.Random(4242)
+        # with blanks that str.isspace() and re's \s must both know, and a
+        # zero-width space, which is none
+        alphabet = "xyz_AZ0129+-*^()/ \t\r\n\u00a0\x1c\u2028\u200b$."
+        for _ in range(2000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 24)))
+            assert _outcome(_tokenize, text) == _outcome(_character_tokens, text), text
+
+    def test_token_tuples(self):
+        assert _tokenize("x2 +\n 13*_a^2", 4) == [
+            ("ident", "x2", 4, 1), ("op", "+", 4, 4), ("int", "13", 5, 2), ("op", "*", 5, 4),
+            ("ident", "_a", 5, 5), ("op", "^", 5, 7), ("int", "2", 5, 8), ("end", "", 5, 9),
+        ]
+
+    @pytest.mark.parametrize("text, column", [
+        ("y^\u00b2 + z^2", 3),  # superscript two: str.isdigit() holds, int() fails
+        ("x + \u0663", 5),      # Arabic-Indic three: int() would read it as 3
+        ("x\u00b2", 2),
+        ("\u03b1 + x", 1),      # non-ASCII letters are not identifiers
+    ])
+    def test_non_ascii_digits_and_letters_are_positioned_errors(self, text, column):
+        ctx = make_context("x", "y", "z")
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, ctx)
+        assert err.value.line == 1 and err.value.column == column
+        assert "unexpected character" in err.value.message
+
+
+class TestPowerBound:
+    def test_huge_exponent_fails_at_its_token(self):
+        ctx = make_context("x", "y")
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_expression("y +\n  x^99999999", ctx, line_offset=7)
+        assert time.perf_counter() - start < 0.1
+        assert (err.value.line, err.value.column) == (8, 5)
+        assert str(MAX_DEGREE) in err.value.message
+        with pytest.raises(ParseError) as err:
+            parse_expression("x^" + "9" * 5000, ctx)
+        assert err.value.column == 3 and err.value.message == "exponent is too large"
+
+    def test_bound_counts_the_base_degree(self):
+        ctx = make_context("x", "y")
+        k = MAX_DEGREE // 2 + 1
+        with pytest.raises(ParseError) as err:
+            parse_expression(f"(x*y)^{k}", ctx)
+        assert err.value.column == 7
+        # a constant base has degree 0, and the largest degree itself fits
+        assert parse_expression("2^3", ctx) == 8
+        assert parse_expression(f"x^{MAX_DEGREE}", ctx).degree() == MAX_DEGREE
+
+    def test_product_beyond_the_bound_fails_at_its_operator(self):
+        ctx = make_context("x")
+        half = MAX_DEGREE // 2 + 1
+        with pytest.raises(ParseError) as err:
+            parse_expression(f"x^{half} * x^{half}", ctx)
+        assert err.value.column == len(f"x^{half} ") + 1
 
 
 @settings(max_examples=60, deadline=None)
