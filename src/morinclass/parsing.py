@@ -219,10 +219,13 @@ def _split_values(text):
 
 
 def _parse_rational_token(text, line):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"not a rational number: {text!r}", line) from None
+    # Fraction() would read non-ASCII digits such as '٣' as ASCII ones
+    if text.isascii():
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParseError(f"not a rational number: {text!r}", line)
 
 
 def parse_germ_document(text) -> GermDocument:

@@ -238,6 +238,16 @@ class TestGermDocuments:
         with pytest.raises(ParseError):
             parse_germ_document("vars: x y z\nmap: x ; y\npoint: 1 2")
 
+    @pytest.mark.parametrize("text, line", [
+        ("vars: x y z\nparams: a = \u0663\nmap: x ; y^2 + a*z^2", 2),
+        ("vars: x y z\nparams: a\nmap: x ; y^2 + a*z^2\nbind: a = 1/\u0662", 4),
+        ("vars: x y z\nmap: x ; y^2 + z^2\npoint: \u0661 0 0", 3),
+    ])
+    def test_non_ascii_digits_in_values_rejected(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_germ_document(text)
+        assert err.value.line == line and "not a rational number" in err.value.message
+
     def test_bind_requires_declared_parameter(self):
         with pytest.raises(ParseError):
             parse_germ_document("vars: x y z\nmap: x ; y\nbind: q = 1")
