@@ -280,11 +280,13 @@ class Polynomial:
                 images.append(Polynomial.variable(ctx, name))
             else:
                 images.append(None)  # must stay unused
-        result = Polynomial.zero(ctx)
+        out, jet = {}, None
         power_cache = {}
-        # in exponent-tuple order, which fixes the order of every float sum
+        # in exponent-tuple order, which fixes the order of every float sum;
+        # each term is the product coeff * p_1 * p_2 * ... and joins the sum
+        # as `*` and `+` would join them, caps included
         for exps, coeff in sorted(self.items()):
-            term = Polynomial.constant(ctx, coeff)
+            term, term_jet = {0: coeff}, None
             for i, e in enumerate(exps):
                 if e == 0:
                     continue
@@ -297,9 +299,13 @@ class Polynomial:
                 if p is None:
                     p = images[i] ** e
                     power_cache[key] = p
-                term = term * p
-            result = result + term
-        return result
+                term_jet = _jet_min(term_jet, p.jet)
+                term = kernel.mul_terms(term, p.terms, ctx, -1 if term_jet is None else term_jet)
+            out = kernel.add_terms(out, term)
+            if jet != term_jet:
+                jet = _jet_min(jet, term_jet)
+                out = kernel.truncate_terms(out, jet, ctx)
+        return Polynomial._wrap(ctx, out, jet)
 
     # -- canonical ordering, rendering, division ------------------------------
 
