@@ -39,11 +39,17 @@ Every mathematical failure is a report label, never an exception.  The
 tests read values and first derivatives at the base point only; a first
 derivative at 0 is read as a linear coefficient (`germ.linear_coefficients`),
 not built as a polynomial.  So each stage needs the jet of its input one
-order deeper than its output, and every derivative spends one order: f is
-read to order n+1; eta f, the frame and the lambdas to order n; M, h and
-theta to order n-1; and h^(j) to order n-1-j.  `classify` caps the germ at
-order n+1, and the jet rule of `Polynomial` then carries each stage at its
-budget; every trace polynomial is exact in each degree it prints.
+order deeper than its output, and every derivative spends one order: the
+lambdas are read to order n; M, h and theta to order n-1; and h^(j) to
+order n-1-j.  As d(f_n)_0 = 0, eta f_n vanishes at 0, so by the jet rule of
+`Polynomial` (a product gains the order of vanishing of its factors) a
+frame known to order n-1 still gives eta f_n and the lambdas to order n.
+`classify` therefore reads f_n to order n+1 and f_1, ..., f_{n-1} to order
+n (`frame_jets`): the frame (det B, the eta coefficients) runs at order
+n-1.  The float path keeps every component at n+1 and the frame at n (see
+`frame_jets`).  Where the rule knows a stage further than it is read, the
+stage truncates to its budget, so every trace polynomial is exact in each
+degree it prints and prints the same degrees on both paths.
 """
 
 from dataclasses import dataclass, field, replace
@@ -59,7 +65,7 @@ from .germ import (
     normalized,
 )
 from .linalg import PolyMatrix, RationalMatrix, eliminate, first_nonzero_row, row_reduce
-from .polynomial import Polynomial
+from .polynomial import Polynomial, jet_order
 from .rationals import format_rational
 
 NOT_NONDEGENERATE = "NotNondegenerate"
@@ -154,7 +160,7 @@ def hessian(ls: LambdaSystem) -> HessData:
     etas = ls.frame.eta
     rows = [[eta_j.apply(lam_i) for eta_j in etas] for lam_i in ls.lambdas]
     m = PolyMatrix.from_rows(rows)
-    return HessData(h_matrix=m, h=m.determinant())
+    return HessData(h_matrix=m, h=_to_order_of(m.determinant(), m.entries))
 
 
 def build_theta(ls: LambdaSystem, hd: HessData, column=None) -> HessData:
@@ -176,7 +182,17 @@ def build_theta(ls: LambdaSystem, hd: HessData, column=None) -> HessData:
     for eta, (entry,) in zip(ls.frame.eta, eliminate(rows, unit)[1]):
         scaled = eta.scaled(entry)
         coeffs = scaled if coeffs is None else coeffs + scaled
-    return replace(hd, theta=coeffs, theta_column=column)
+    theta = [_to_order_of(c, hd.h_matrix.entries) for c in coeffs.coefficients]
+    return replace(hd, theta=PolyVectorField(coeffs.context, theta), theta_column=column)
+
+
+def _to_order_of(p, polys):
+    """`p` truncated to the order of `polys`, where the jet rule knows it further.
+
+    h = det M and theta are read to the order of M, as the stages spend it.
+    """
+    order = jet_order(polys)
+    return p if order is None else p.truncated(order)
 
 
 def iterate_h(hd: HessData, up_to: int) -> HessData:
@@ -351,6 +367,21 @@ def classify(germ: MapGerm, trace=True) -> CriteriaReport:
     return CriteriaReport(label=label, trace=record)
 
 
+def frame_jets(ng: NormalizedGerm) -> NormalizedGerm:
+    """The normalized germ of `classify`, (n+1)-jets, with f_1..f_{n-1} cut to n-jets.
+
+    As d(f_n)_0 = 0, eta f_n = sum_v eta^v d_v f_n vanishes at 0, so
+    the frame at order n-1 still gives eta f_n, and with it the lambdas, at
+    order n; the jet rule of `Polynomial` carries that through.  The float
+    path keeps f_1..f_{n-1} at n+1: its f_n is critical only up to a
+    threshold, so d f_n has order 0 there and eta f_n needs the frame at n.
+    """
+    comps = ng.germ.components
+    n = len(comps)
+    capped = tuple(c.truncated(n) for c in comps[:-1]) + comps[-1:]
+    return replace(ng, germ=MapGerm(ng.germ.context, capped))
+
+
 def _classify_at_origin(work: MapGerm, decide, trace=False):
     """The stages of `classify` on a germ capped at order n+1: (label, trace record).
 
@@ -369,6 +400,8 @@ def _classify_at_origin(work: MapGerm, decide, trace=False):
         return Label("CorankHigh"), record
 
     ng = normalized(work, t, pivot_rows, pivot_cols, decide.exact)
+    if decide.exact:
+        ng = frame_jets(ng)
     det_b0, eta_hess, kern = _kernel_hessian_rows(ng)
     h0 = det_b0**size * eliminate(kern)[0]
     record["frame"] = {

@@ -15,11 +15,11 @@ those components identically as polynomials.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .context import VariableContext
 from .linalg import RationalMatrix, eliminate, first_nonzero_row, row_reduce
-from .polynomial import Polynomial
+from .polynomial import Polynomial, jet_order
 from .rationals import rat
 
 REGULAR = "Regular"
@@ -232,8 +232,10 @@ def normalized(germ: MapGerm, t, pivot_rows, pivot_cols, exact=True) -> Normaliz
 
     The n-1 pivot rows of T f come first and the one row left last; at rank
     n-1 that row has no linear part.  Over Q each row is scaled to integer
-    coefficients, T with it, and the last row is checked to be critical; a
-    float germ (`exact` false) keeps its rows as they are.
+    coefficients, T with it, by the least positive factor that does so, and
+    the last row is checked to be critical; the components are combined with
+    integer weights, so an integral germ never meets a Fraction.  A float
+    germ (`exact` false) keeps its rows as they are.
     """
     n = germ.n
     # each pivot column was cleared in the one row left as its pivot was
@@ -242,15 +244,27 @@ def normalized(germ: MapGerm, t, pivot_rows, pivot_cols, exact=True) -> Normaliz
     comps = []
     t_rows = []
     for r in list(pivot_rows) + [critical]:
+        weights, scale = t[r], 1
+        if exact:
+            # L times the row, L the lcm of its denominators: integer weights
+            scale = lcm(*(w.denominator for w in weights))
+            weights = [w.numerator * (scale // w.denominator) for w in weights]
         acc = Polynomial.zero(germ.context)
-        for c, w in enumerate(t[r]):
+        for c, w in enumerate(weights):
             if w:
                 acc = acc + w * germ.components[c]
         factor = 1
         if exact:
-            # the multiple `integer_scaled` takes: the lcm of the denominators
-            factor = Fraction(lcm(*(c.denominator for c in acc.coefficients())))
+            # acc is L times the row of T f.  With E the lcm of its
+            # denominators (1 for an integral germ), the least positive
+            # multiple of that row with integer coefficients is acc E / g,
+            # g = gcd(L E, content(acc E))
+            den = lcm(*(c.denominator for c in acc.coefficients()))
             acc = acc.integer_scaled()
+            g = gcd(scale * den, *acc.coefficients())
+            factor = Fraction(scale * den // g)
+            if g != 1:
+                acc = acc.map_coefficients(lambda c: c // g)
         comps.append(acc)
         t_rows.append(tuple(factor * w for w in t[r]))
     new_germ = MapGerm(germ.context, tuple(comps))
@@ -278,7 +292,9 @@ def cramer_frame(germ: MapGerm, pivot_names) -> AdaptedFrame:
     with B the pivot block of the Jacobian of the first n-1 components and w
     their v-derivatives, so eta_v annihilates each of those components
     identically.  One elimination on [B | W], the columns of W being the w of
-    every non-pivot v, gives det(B) and all the adj(B) w.
+    every non-pivot v, gives det(B) and all the adj(B) w.  On jets they are
+    carried to the order of B and W: one below the smallest cap of the
+    components.
     """
     ctx = germ.context
     n = germ.n
@@ -295,6 +311,11 @@ def cramer_frame(germ: MapGerm, pivot_names) -> AdaptedFrame:
             [[f.derivative(v) for v in pivot_names] for f in first],
             [[f.derivative(v) for v in nonpivot_names] for f in first],
         )
+        # the frame is read to the order of B and W, which the jet rule may exceed
+        order = jet_order(first)
+        if order is not None:
+            det_b = det_b.truncated(order - 1)
+            adj_w = [[e.truncated(order - 1) for e in row] for row in adj_w]
     xi = tuple(coordinate_field(ctx, v) for v in pivot_names)
     eta = []
     for col, v in enumerate(nonpivot_names):

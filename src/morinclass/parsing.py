@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .context import DegreeOverflowError, VariableContext
+from .context import MAX_DEGREE, DegreeOverflowError, VariableContext
 from .germ import MapGerm, check_dimensions
 from .polynomial import Polynomial
 
@@ -142,6 +142,10 @@ class _ExpressionParser:
                 k = int(etok[1])
             except ValueError:  # more digits than int() converts
                 self.error("exponent is too large", etok)
+            if k > MAX_DEGREE:
+                # whatever the base: a constant one has degree 0 and would
+                # pass the degree bound, then take k - 1 growing products
+                self.error(f"exponent {k} exceeds the largest supported degree {MAX_DEGREE}", etok)
             try:
                 # raised before the first product: x^99999999 would run 10^8
                 return base**k

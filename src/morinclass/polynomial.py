@@ -39,15 +39,56 @@ def _jet_min(a, b):
     return min(a, b)
 
 
+def _order(terms, jet, shift):
+    """The order of vanishing: the lowest degree present, jet + 1 for an empty
+    jet, and None (infinite) for the exact zero."""
+    if 0 in terms:
+        return 0
+    if terms:
+        return min(terms) >> shift  # the keys order by total degree first
+    return None if jet is None else jet + 1
+
+
+def _product_jet(a, ja, b, jb, shift):
+    """The order to which a product of `a` (known to ja) and `b` (to jb) is known.
+
+    An unknown term of a of degree > ja meets the terms of b of degree at
+    least ord b, so it disturbs the product only above ja + ord b; and
+    symmetrically.  So the cap is min(ja + ord b, jb + ord a), None if both
+    are infinite.
+    """
+    jet = None
+    if ja is not None:
+        order = _order(b, jb, shift)
+        if order is not None:
+            jet = ja + order
+    if jb is not None:
+        order = _order(a, ja, shift)
+        if order is not None and (jet is None or jb + order < jet):
+            jet = jb + order
+    return jet
+
+
+def jet_order(polys):
+    """The order to which all of `polys` are known: their smallest cap, None if all are exact."""
+    caps = [p.jet for p in polys if p.jet is not None]
+    return min(caps) if caps else None
+
+
 class Polynomial:
     """`jet` is an optional total-degree cap: arithmetic on capped polynomials
     truncates every result, so whole pipelines can run in the jet ring at the
     base point without intermediate term blowup.
 
-    The cap is the order to which the terms are known.  A sum or product is
-    known to the smaller cap of its operands, and a derivative of a k-jet is
-    a (k-1)-jet, so every result of capped arithmetic is exact in each degree
-    it holds.  Uncapped polynomials stay uncapped.
+    The cap is the order to which the terms are known.  A sum is known to
+    the smaller cap of its operands.  A product also uses the order of
+    vanishing, ord, the lowest degree present (cap + 1 for an empty jet,
+    infinite for an uncapped zero): p q is known to
+    min(cap p + ord q, cap q + ord p), so a jet times a polynomial vanishing
+    to order v gains v orders, and p^k is known to cap p + (k-1) ord p.  A
+    derivative of a k-jet is a (k-1)-jet.  So every result of capped
+    arithmetic is exact in each degree it holds; this is precision tracking
+    in the m-adic setting.  Uncapped polynomials stay uncapped.
     """
 
     __slots__ = ("context", "terms", "jet")
@@ -186,11 +227,10 @@ class Polynomial:
         if isinstance(other, (int, float, Fraction)):
             return Polynomial._wrap(self.context, kernel.scale_terms(self.terms, other), self.jet)
         other = self._coerce(other)
-        jet = _jet_min(self.jet, other.jet)
+        ctx = self.context
+        jet = _product_jet(self.terms, self.jet, other.terms, other.jet, ctx.degree_shift)
         trunc = -1 if jet is None else jet
-        return Polynomial._wrap(
-            self.context, kernel.mul_terms(self.terms, other.terms, self.context, trunc), jet
-        )
+        return Polynomial._wrap(ctx, kernel.mul_terms(self.terms, other.terms, ctx, trunc), jet)
 
     __rmul__ = __mul__
 
@@ -199,26 +239,28 @@ class Polynomial:
             raise ValueError("polynomial powers take a non-negative integer exponent")
         if k == 0:
             return Polynomial.constant(self.context, 1)
-        trunc = -1 if self.jet is None else self.jet
+        jet = self.jet
+        if jet is not None:
+            jet += (k - 1) * _order(self.terms, jet, self.context.degree_shift)
+        trunc = -1 if jet is None else jet
         return Polynomial._wrap(
-            self.context, kernel.pow_terms(self.terms, k, self.context, trunc), self.jet
+            self.context, kernel.pow_terms(self.terms, k, self.context, trunc), jet
         )
 
     def truncated(self, max_degree: int):
-        """The jet at 0: drops higher-degree terms and caps all later products."""
+        """The jet at 0 of order max_degree, or this jet if its cap is lower already."""
+        if self.jet is not None and self.jet <= max_degree:
+            return self
         return Polynomial._wrap(
             self.context, kernel.truncate_terms(self.terms, max_degree, self.context), max_degree
         )
 
     def integer_scaled(self):
         """A positive integer multiple of this polynomial with int coefficients."""
-        from math import gcd
+        from math import lcm
 
-        den = 1
-        for c in self.terms.values():
-            if not isinstance(c, int):
-                den = den * c.denominator // gcd(den, c.denominator)
-        terms = {k: int(c * den) for k, c in self.terms.items()}
+        den = lcm(*(c.denominator for c in self.terms.values()))  # an int's is 1
+        terms = {k: c.numerator * (den // c.denominator) for k, c in self.terms.items()}
         return Polynomial._wrap(self.context, terms, self.jet)
 
     def __eq__(self, other):
@@ -299,7 +341,7 @@ class Polynomial:
                 if p is None:
                     p = images[i] ** e
                     power_cache[key] = p
-                term_jet = _jet_min(term_jet, p.jet)
+                term_jet = _product_jet(term, term_jet, p.terms, p.jet, ctx.degree_shift)
                 term = kernel.mul_terms(term, p.terms, ctx, -1 if term_jet is None else term_jet)
             out = kernel.add_terms(out, term)
             if jet != term_jet:

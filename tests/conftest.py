@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -170,6 +171,28 @@ def cofactor_determinant(rows):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+def fraction_normalized(germ, t, pivot_rows):
+    """The rows and target change of `germ.normalized`, built the plain way.
+
+    Each row of T f is summed with the Fraction weights of T, then scaled by
+    the lcm of its coefficients' denominators to integer coefficients, and
+    T's row with it.
+    """
+    critical = next(row for row in range(germ.n) if row not in pivot_rows)
+    comps, t_rows = [], []
+    for r in list(pivot_rows) + [critical]:
+        acc = Polynomial.zero(germ.context)
+        for c, w in enumerate(t[r]):
+            if w:
+                acc = acc + Fraction(w) * germ.components[c]
+        den = 1
+        for c in acc.coefficients():
+            den = den * c.denominator // gcd(den, c.denominator)
+        comps.append(Polynomial(germ.context, {e: int(c * den) for e, c in acc.items()}, acc.jet))
+        t_rows.append(tuple(Fraction(den) * w for w in t[r]))
+    return tuple(comps), tuple(t_rows)
 
 
 def eval_terms(terms, point):

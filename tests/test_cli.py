@@ -11,7 +11,13 @@ import pytest
 from morinclass import classify
 from morinclass.cli import main, report_to_dict
 
-from conftest import battery, linear_target_change, normal_form, unipotent_target_change
+from conftest import (
+    battery,
+    linear_source_change,
+    linear_target_change,
+    normal_form,
+    unipotent_target_change,
+)
 
 CUSP_DOC = "vars: x y z\nmap: x ; y^2 + z^3 + x*z\n"
 DEGENERATE_DOC = "vars: x y z\nmap: x ; y^2 + z^3\n"
@@ -102,6 +108,18 @@ class TestClassifyCommand:
         assert code == 2 and out == ""
         assert "largest supported degree" in err and err.endswith("at line 2, column 3\n")
 
+    def test_huge_power_of_a_constant_fails_fast(self, capsys, tmp_path):
+        path = tmp_path / "constant.germ"
+        path.write_text("vars: x y z\nmap: x ; 3^99999999*y^2 + z^2\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "classify", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == (
+            "error: exponent 99999999 exceeds the largest supported degree 65535"
+            " at line 2, column 3\n"
+        )
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "classify", str(tmp_path / "nope.germ"))
         assert code == 2 and "cannot read" in err
@@ -173,6 +191,19 @@ class TestReportGolden:
                 count += 1
         assert count == 126
         assert digest.hexdigest() == self.DIGEST
+
+    # sha256 of the traced report below, taken while the frame still ran at
+    # order n; its lambdas and h print every degree up to n and n-1
+    MORIN_6_DIGEST = "82acff048868eef578731c2d10fc45514965c1f65a7c0007ae7664a72b890182"
+
+    def test_morin_6_in_seven_variables(self):
+        # (m, n) = (7, 6): a 5x5 pivot block of dense jets in 7 variables
+        rng = random.Random(766)
+        germ = linear_target_change(rng, linear_source_change(rng, normal_form(7, 6, 6, (1,))))
+        report = classify(germ)
+        assert str(report.label) == "Morin{6}"
+        payload = json.dumps(report_to_dict(report, include_trace=True)).encode()
+        assert hashlib.sha256(payload).hexdigest() == self.MORIN_6_DIGEST
 
 
 class TestLefschetzCommands:

@@ -24,6 +24,7 @@ from morinclass.criteria import (
     _EXACT,
     Label,
     build_theta,
+    frame_jets,
     iterate_h,
     jacobian_at_origin,
     kernel_hessian_at_origin,
@@ -147,16 +148,43 @@ class TestJetBudgets:
                 assert trace["lambdas"] == [lam.truncated(n).render() for lam in lambdas]
                 assert trace["h"] == h.truncated(n - 1).render()
 
+    def test_trace_cuts_h_where_the_rule_knows_more(self):
+        # here M(0) = 0, so the jet rule knows det M to order n = 2 (it
+        # holds 36*y*z there); the trace still prints h at order n-1, as the
+        # uncapped pipeline gives it, and the lambdas at n
+        ctx = make_context("x", "y", "z")
+        x, y, z = (Polynomial.variable(ctx, name) for name in ctx.names)
+        germ = MapGerm(ctx, (x, y**3 + z**3))
+        trace = classify(germ).trace
+        lambdas, h = self.uncapped_jets(germ, trace)
+        assert trace["lambdas"] == [lam.truncated(2).render() for lam in lambdas]
+        assert trace["h"] == h.truncated(1).render() == "0"
+        ng = frame_jets(normalize(germ.truncated(3)))
+        hd = hessian(lambdas_for_frame(ng.germ, build_frame(ng)))
+        assert hd.h_matrix.determinant().jet == 2 and hd.h.jet == 1
+
     def test_stage_budgets(self, battery_germs):
+        # the exact path reads f_1..f_{n-1} to order n and f_n to n+1, so the
+        # frame runs at n-1 and the jet rule still gives the lambdas at n
+        rng = random.Random(31)
         for m, n, k, signs, germ in battery_germs:
-            ng = normalize(germ.truncated(n + 1))
-            ls = lambdas_for_frame(ng.germ, build_frame(ng))
-            hd = hessian(ls)
-            assert all(lam.jet == n for lam in ls.lambdas)
-            assert hd.h.jet == n - 1
-            if hd.h.constant_term() == 0:
-                hd = iterate_h(build_theta(ls, hd), n - 1)
-                assert [p.jet for p in hd.h_derivs] == list(range(n - 1, -1, -1))
+            for g in (germ, linear_target_change(rng, linear_source_change(rng, germ))):
+                ng = frame_jets(normalize(g.truncated(n + 1)))
+                assert [c.jet for c in ng.germ.components] == [n] * (n - 1) + [n + 1]
+                frame = build_frame(ng)
+                assert frame.pivot_minor.jet == n - 1
+                # every eta coefficient but the exact zeros of unused slots
+                assert {
+                    c.jet for eta in frame.eta for c in eta.coefficients
+                    if not (c.jet is None and c.is_zero())
+                } == {n - 1}
+                ls = lambdas_for_frame(ng.germ, frame)
+                hd = hessian(ls)
+                assert all(lam.jet == n for lam in ls.lambdas)
+                assert hd.h.jet == n - 1
+                if hd.h.constant_term() == 0:
+                    hd = iterate_h(build_theta(ls, hd), n - 1)
+                    assert [p.jet for p in hd.h_derivs] == list(range(n - 1, -1, -1))
 
     def test_fold_value_from_kernel_hessian(self, battery_germs):
         # M(0) = det B(0) * K because eta_i f_n vanishes at 0, so

@@ -1,6 +1,8 @@
 """Germ validation, normalization and adapted frames."""
 
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -18,9 +20,16 @@ from morinclass import (
     validate,
 )
 from morinclass.germ import coordinate_field
+from morinclass.linalg import first_nonzero_row, row_reduce
 from morinclass.lefschetz import LefschetzFamily, lefschetz_germ
 
-from conftest import frame_matrix_at, linear_target_change, make_context
+from conftest import (
+    fraction_normalized,
+    frame_matrix_at,
+    linear_source_change,
+    linear_target_change,
+    make_context,
+)
 
 
 @pytest.fixture
@@ -94,6 +103,44 @@ class TestNormalize:
         last = ng.germ.components[-1]
         assert all(last.derivative(v).constant_term() == 0 for v in germ.context.source_names)
         assert ng.target_change == ((1, 0), (-1, 1))
+
+    def test_matches_fraction_sum_oracle(self, battery_germs):
+        # integer, rational and parameter germs, and components sharing a
+        # factor, so that the content of a scaled row meets its lcm L
+        rng = random.Random(404)
+        germs = []
+        for m, n, k, signs, germ in battery_germs[::3]:
+            moved = linear_target_change(rng, linear_source_change(rng, germ))
+            germs.append(moved)
+            germs.append(MapGerm(moved.context, tuple(c.integer_scaled() for c in moved.components)))
+            factors = [rng.choice([2, 3, 6, Fraction(4, 3)]) for _ in moved.components]
+            germs.append(MapGerm(moved.context, tuple(
+                f * c.integer_scaled() for f, c in zip(factors, moved.components))))
+        for _ in range(6):
+            a1, a2, r = (Fraction(rng.randint(-6, 6) or 1, rng.choice([1, 2, 3])) for _ in range(3))
+            germs.append(LefschetzFamily.symbolic().at((a1, a2, r * a1, r * a2)))
+            germs.append(germs[-1].truncated(3))
+        shared = 0
+        for germ in germs:
+            t, pivot_rows, pivot_cols = row_reduce(
+                germ.jacobian_at_origin().to_rows(), first_nonzero_row)
+            assert len(pivot_rows) == germ.n - 1
+            ng = normalize(germ)
+            comps, t_rows = fraction_normalized(germ, t, pivot_rows)
+            assert ng.target_change == t_rows
+            assert [type(w) for row in ng.target_change for w in row] == [
+                type(w) for row in t_rows for w in row]
+            for got, want in zip(ng.germ.components, comps):
+                # same terms, int coefficients and term order, and the same cap
+                assert list(got.items()) == list(want.items())
+                assert all(type(c) is int for c in got.coefficients())
+                assert got.jet == want.jet
+            critical = next(r for r in range(germ.n) if r not in pivot_rows)
+            for r, row in zip(list(pivot_rows) + [critical], t_rows):
+                # the factor taken falls below L only if the content shares a factor with L
+                factor = next(v / w for v, w in zip(row, t[r]) if w)
+                shared += factor < lcm(*(Fraction(w).denominator for w in t[r]))
+        assert shared >= 10
 
     def test_regular_input_rejected(self, xyz):
         ctx, x, y, z = xyz

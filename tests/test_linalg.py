@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from morinclass import Polynomial, PolyMatrix, RationalMatrix
+from morinclass.polynomial import jet_order
 from morinclass.linalg import (
     AsymmetricMatrixError,
     NonSquareMatrixError,
@@ -115,6 +116,11 @@ def cofactor_adjugate(rows):
     ]
 
 
+def exact_entries(rows, cap=None):
+    """The entries as exact polynomials, the terms a jet holds, cut at `cap` if given."""
+    return [[Polynomial(p.context, dict(p.items()), cap) for p in row] for row in rows]
+
+
 def times(a, b):
     return [
         [sum((a[i][k] * b[k][j] for k in range(1, len(b))), a[i][0] * b[0][j])
@@ -154,13 +160,29 @@ class TestElimination:
     """`eliminate` against the cofactor oracles: det(A) and adj(A) W."""
 
     def check(self, rows, extra):
+        # the oracles run on the same entries taken as exact polynomials, and
+        # each result is compared in every degree its cap claims; the jet
+        # rule may know a result further than the smallest cap of the entries
+        # but never less far
         det, adj_w = eliminate(rows, extra)
-        assert det == cofactor_determinant(rows)
+        least = jet_order([p for row in rows + extra for p in row])
+        # truncation to a cap is a ring homomorphism, so running the oracles
+        # in the ring of C-jets, C the largest cap claimed, gives the exact
+        # results cut at C
+        caps = [p.jet for p in [det] + [e for row in adj_w for e in row] if p.jet is not None]
+        top = max(caps, default=None)
+        rows, extra = exact_entries(rows, top), exact_entries(extra, top)
         expected = times(cofactor_adjugate(rows), extra)
-        assert all(
-            adj_w[i][j] == expected[i][j]
+        results = [(det, cofactor_determinant(rows))] + [
+            (adj_w[i][j], expected[i][j])
             for i in range(len(rows)) for j in range(len(extra[0]))
-        )
+        ]
+        for got, want in results:
+            assert (got.jet is None) == (least is None)
+            if least is not None:
+                assert got.jet >= least
+                want = want.truncated(got.jet)
+            assert got == want
 
     @pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("drop", [0, 1, 2])

@@ -162,6 +162,27 @@ class TestPowerBound:
             parse_expression("x^" + "9" * 5000, ctx)
         assert err.value.column == 3 and err.value.message == "exponent is too large"
 
+    @pytest.mark.parametrize("base", ["3", "(1/2)", "0", "(2-2)", "(x-x+5)"])
+    def test_constant_base_fails_at_its_exponent(self, base):
+        ctx = make_context("x", "y")
+        text = f"y +\n  {base}^99999999*x"
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, ctx, line_offset=7)
+        assert time.perf_counter() - start < 1.0
+        assert (err.value.line, err.value.column) == (8, 3 + len(base) + 1)
+        assert err.value.message == (
+            f"exponent 99999999 exceeds the largest supported degree {MAX_DEGREE}")
+        # the largest exponent allowed still parses
+        with pytest.raises(ParseError):
+            parse_expression(f"2^{MAX_DEGREE + 1}", ctx)
+        assert parse_expression(f"1^{MAX_DEGREE}*x", ctx) == parse_expression("x", ctx)
+
+    def test_constant_base_below_the_bound_keeps_its_value(self):
+        ctx = make_context("x", "y")
+        assert parse_expression("3^40000*x", ctx) == 3**40000 * Polynomial.variable(ctx, "x")
+        assert parse_expression("(1/2)^7*y", ctx) == Fraction(1, 128) * Polynomial.variable(ctx, "y")
+
     def test_bound_counts_the_base_degree(self):
         ctx = make_context("x", "y")
         k = MAX_DEGREE // 2 + 1

@@ -92,8 +92,9 @@ class TestCalculus:
         assert d.jet == 2
         assert d == (3 * x**2 * y + z**2 + 4 * x).truncated(2)
         assert d.derivative("z").jet == 1
-        # the lower cap then bounds every later product
-        assert (d * p).jet == 2
+        # d and p both vanish at 0, so their product is known to
+        # min(cap d + ord p, cap p + ord d) = min(2 + 1, 3 + 1)
+        assert (d * p).jet == 3
 
     def test_derivative_of_zero_jet_raises(self, xyz):
         ctx, x, y, z = xyz
@@ -216,10 +217,71 @@ def test_truncation_is_a_jet(seed):
     rng = _random.Random(seed)
     p = random_polynomial(rng, ctx, max_degree=5, n_terms=6)
     q = random_polynomial(rng, ctx, max_degree=5, n_terms=6)
-    deg = 3
-    direct = (p * q).truncated(deg)
-    jetwise = p.truncated(deg) * q.truncated(deg)
-    assert direct == jetwise
+    for cap_p, cap_q in ((3, 3), (2, 4), (1, None)):
+        jp = p.truncated(cap_p)
+        jq = q if cap_q is None else q.truncated(cap_q)
+        jetwise = jp * jq
+        # right in every degree the product claims, and never below the old
+        # rule's smaller cap
+        assert jetwise.jet >= min(c for c in (cap_p, cap_q) if c is not None)
+        assert jetwise == (p * q).truncated(jetwise.jet)
+        assert jp**2 == (p * p).truncated((jp**2).jet)
+
+
+def jet_operand(rng, ctx, kind, cap):
+    """A random `cap`-jet with coefficients of `kind`: empty, of order 0, or vanishing to order 1 or more."""
+    shape = rng.choice(("empty", "order 0", "vanishing") if cap else ("empty", "order 0"))
+    if shape == "empty":
+        return Polynomial.zero(ctx).truncated(cap)
+    low = 0 if shape == "order 0" else rng.randint(1, cap)
+    terms = random_terms(rng, ctx, kind, low, cap, rng.randint(1, 5))
+    if shape == "order 0":
+        terms[(0,) * len(ctx)] = coefficient(rng, kind)
+    return Polynomial(ctx, terms, jet=cap)
+
+
+def coefficient(rng, kind):
+    num = rng.choice([-3, -2, -1, 1, 2, 3])
+    if kind == "int":
+        return num
+    if kind == "fraction":
+        return Fraction(num, rng.choice([1, 2, 3]))
+    return num / rng.choice([1.0, 2.0, 4.0])  # dyadic, so every float sum is exact
+
+
+def random_terms(rng, ctx, kind, low, high, count):
+    terms = {}
+    for _ in range(count):
+        exps = [0] * len(ctx)
+        for _ in range(rng.randint(low, high)):
+            exps[rng.randrange(len(ctx))] += 1
+        terms[tuple(exps)] = coefficient(rng, kind)
+    return terms
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+def test_capped_product_ignores_terms_above_the_caps(kind):
+    # the unknown terms of a jet lie above its cap; whatever they are, the
+    # product must not change in any degree up to the cap it claims
+    import random as _random
+
+    rng = _random.Random({"int": 1, "fraction": 2, "float": 3}[kind])
+    ctx = make_context("x", "y", "z")
+    shapes = set()
+    for _ in range(150):
+        a = jet_operand(rng, ctx, kind, rng.randint(0, 4))
+        b = jet_operand(rng, ctx, kind, rng.randint(0, 4))
+        product = a * b
+        assert product.jet >= min(a.jet, b.jet)
+        for _ in range(3):
+            wide = [
+                Polynomial(ctx, {**dict(p.items()),
+                                 **random_terms(rng, ctx, kind, p.jet + 1, p.jet + 3, 3)})
+                for p in (a, b)
+            ]
+            assert product == (wide[0] * wide[1]).truncated(product.jet)
+        shapes.add((a.is_zero(), a.constant_term() != 0))
+    assert shapes == {(True, False), (False, True), (False, False)}
 
 
 @settings(max_examples=40, deadline=None)

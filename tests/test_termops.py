@@ -176,4 +176,7 @@ class TestDegreeOverflow:
         with pytest.raises(DegreeOverflowError):
             (x + 1) ** (MAX_DEGREE + 1)
         # in the jet ring the cap bounds every degree, so no error
-        assert ((x + 1).truncated(2) * (big * x)).is_zero()
+        assert (x + 1).truncated(2) * (big * x + 1) == x + 1
+        # but a factor vanishing to order MAX_DEGREE lifts the cap past it
+        with pytest.raises(DegreeOverflowError):
+            (x + 1).truncated(2) * (big * x)
