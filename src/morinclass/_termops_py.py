@@ -110,6 +110,14 @@ def pow_terms(a, k, ctx, trunc=-1):
         # before any product: the degree of a^k must fit
         top = (max(a) >> ctx.degree_shift) * k
         check_degree(top if trunc < 0 else min(trunc, top))
+    if len(a) == 1 and k > 1:
+        ((key, coeff),) = a.items()
+        # a monomial's k-th power is its key times k; floats keep the
+        # rounding of the products below
+        if not isinstance(coeff, float):
+            if 0 <= trunc < (key >> ctx.degree_shift) * k:
+                return {}
+            return {key * k: coeff**k}
     result = dict(a)
     for _ in range(k - 1):
         result = mul_terms(result, a, ctx, trunc)

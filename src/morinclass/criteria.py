@@ -65,7 +65,7 @@ from .germ import (
     normalized,
 )
 from .linalg import PolyMatrix, RationalMatrix, eliminate, first_nonzero_row, row_reduce
-from .polynomial import Polynomial, jet_order
+from .polynomial import Polynomial, cut_to_order
 from .rationals import format_rational
 
 NOT_NONDEGENERATE = "NotNondegenerate"
@@ -160,7 +160,7 @@ def hessian(ls: LambdaSystem) -> HessData:
     etas = ls.frame.eta
     rows = [[eta_j.apply(lam_i) for eta_j in etas] for lam_i in ls.lambdas]
     m = PolyMatrix.from_rows(rows)
-    return HessData(h_matrix=m, h=_to_order_of(m.determinant(), m.entries))
+    return HessData(h_matrix=m, h=cut_to_order(m.determinant(), m.entries))
 
 
 def build_theta(ls: LambdaSystem, hd: HessData, column=None) -> HessData:
@@ -182,17 +182,8 @@ def build_theta(ls: LambdaSystem, hd: HessData, column=None) -> HessData:
     for eta, (entry,) in zip(ls.frame.eta, eliminate(rows, unit)[1]):
         scaled = eta.scaled(entry)
         coeffs = scaled if coeffs is None else coeffs + scaled
-    theta = [_to_order_of(c, hd.h_matrix.entries) for c in coeffs.coefficients]
+    theta = [cut_to_order(c, hd.h_matrix.entries) for c in coeffs.coefficients]
     return replace(hd, theta=PolyVectorField(coeffs.context, theta), theta_column=column)
-
-
-def _to_order_of(p, polys):
-    """`p` truncated to the order of `polys`, where the jet rule knows it further.
-
-    h = det M and theta are read to the order of M, as the stages spend it.
-    """
-    order = jet_order(polys)
-    return p if order is None else p.truncated(order)
 
 
 def iterate_h(hd: HessData, up_to: int) -> HessData:

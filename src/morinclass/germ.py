@@ -19,7 +19,7 @@ from math import gcd, lcm
 
 from .context import VariableContext
 from .linalg import RationalMatrix, eliminate, first_nonzero_row, row_reduce
-from .polynomial import Polynomial, jet_order
+from .polynomial import Polynomial, cut_to_order
 from .rationals import rat
 
 REGULAR = "Regular"
@@ -307,15 +307,12 @@ def cramer_frame(germ: MapGerm, pivot_names) -> AdaptedFrame:
         det_b, adj_w = Polynomial.constant(ctx, 1), []
     else:
         first = germ.components[: n - 1]
-        det_b, adj_w = eliminate(
-            [[f.derivative(v) for v in pivot_names] for f in first],
-            [[f.derivative(v) for v in nonpivot_names] for f in first],
-        )
+        b = [[f.derivative(v) for v in pivot_names] for f in first]
+        det_b, adj_w = eliminate(b, [[f.derivative(v) for v in nonpivot_names] for f in first])
         # the frame is read to the order of B and W, which the jet rule may exceed
-        order = jet_order(first)
-        if order is not None:
-            det_b = det_b.truncated(order - 1)
-            adj_w = [[e.truncated(order - 1) for e in row] for row in adj_w]
+        entries = [e for row in b for e in row]
+        det_b = cut_to_order(det_b, entries)
+        adj_w = [[cut_to_order(e, entries) for e in row] for row in adj_w]
     xi = tuple(coordinate_field(ctx, v) for v in pivot_names)
     eta = []
     for col, v in enumerate(nonpivot_names):

@@ -21,6 +21,11 @@ from .context import MAX_DEGREE, DegreeOverflowError, VariableContext
 from .germ import MapGerm, check_dimensions
 from .polynomial import Polynomial
 
+# The largest coefficient a `^` may build, in bits (about 39,000 digits):
+# 3^65535 fits.  A power of a big coefficient, such as (3^65535)^65535, has
+# a small degree but would run k - 1 products of ever larger integers.
+MAX_POWER_BITS = 1 << 17
+
 
 class ParseError(ValueError):
     def __init__(self, message, line=None, column=None):
@@ -146,6 +151,17 @@ class _ExpressionParser:
                 # whatever the base: a constant one has degree 0 and would
                 # pass the degree bound, then take k - 1 growing products
                 self.error(f"exponent {k} exceeds the largest supported degree {MAX_DEGREE}", etok)
+            # each coefficient of base^k has about k times the bits of the base's
+            bits = k * max(
+                (max(abs(c.numerator), c.denominator).bit_length() for c in base.coefficients()),
+                default=0,
+            )
+            if bits > MAX_POWER_BITS:
+                self.error(
+                    f"power of about {bits} bits exceeds the largest supported"
+                    f" coefficient size of {MAX_POWER_BITS} bits",
+                    etok,
+                )
             try:
                 # raised before the first product: x^99999999 would run 10^8
                 return base**k
@@ -153,10 +169,17 @@ class _ExpressionParser:
                 self.error(str(exc), etok)
         return base
 
+    def literal(self, tok):
+        try:
+            return int(tok[1])
+        except ValueError:  # more digits than int() converts
+            self.error("integer literal is too large", tok)
+
     def atom(self):
-        kind, text, line, colno = self.advance()
+        tok = self.advance()
+        kind, text, line, colno = tok
         if kind == "int":
-            num = int(text)
+            num = self.literal(tok)
             nxt = self.peek()
             if nxt[0] == "op" and nxt[1] == "/":
                 save = self.pos
@@ -164,7 +187,7 @@ class _ExpressionParser:
                 dtok = self.peek()
                 if dtok[0] == "int":
                     self.advance()
-                    den = int(dtok[1])
+                    den = self.literal(dtok)
                     if den == 0:
                         raise ParseError("zero denominator", dtok[2], dtok[3])
                     return Polynomial.constant(self.context, Fraction(num, den))

@@ -27,7 +27,7 @@ import heapq
 from fractions import Fraction
 
 from . import _termops_py as kernel
-from .context import ContextMismatchError, VariableContext, check_same_context
+from .context import MAX_DEGREE, ContextMismatchError, VariableContext, check_same_context
 from .rationals import format_rational, rat
 
 
@@ -55,7 +55,8 @@ def _product_jet(a, ja, b, jb, shift):
     An unknown term of a of degree > ja meets the terms of b of degree at
     least ord b, so it disturbs the product only above ja + ord b; and
     symmetrically.  So the cap is min(ja + ord b, jb + ord a), None if both
-    are infinite.
+    are infinite.  It stops at MAX_DEGREE: a product known beyond is known
+    to MAX_DEGREE too, and no term above it could be held.
     """
     jet = None
     if ja is not None:
@@ -66,13 +67,23 @@ def _product_jet(a, ja, b, jb, shift):
         order = _order(a, ja, shift)
         if order is not None and (jet is None or jb + order < jet):
             jet = jb + order
-    return jet
+    return jet if jet is None or jet < MAX_DEGREE else MAX_DEGREE
 
 
 def jet_order(polys):
     """The order to which all of `polys` are known: their smallest cap, None if all are exact."""
     caps = [p.jet for p in polys if p.jet is not None]
     return min(caps) if caps else None
+
+
+def cut_to_order(p, polys):
+    """`p` truncated to the order of `polys`, where the jet rule knows it further.
+
+    A stage computed from `polys` is read only to their order, as the
+    stages of the classifier spend it.
+    """
+    order = jet_order(polys)
+    return p if order is None else p.truncated(order)
 
 
 class Polynomial:
@@ -85,7 +96,8 @@ class Polynomial:
     vanishing, ord, the lowest degree present (cap + 1 for an empty jet,
     infinite for an uncapped zero): p q is known to
     min(cap p + ord q, cap q + ord p), so a jet times a polynomial vanishing
-    to order v gains v orders, and p^k is known to cap p + (k-1) ord p.  A
+    to order v gains v orders, and p^k is known to cap p + (k-1) ord p;
+    neither cap goes past MAX_DEGREE.  A
     derivative of a k-jet is a (k-1)-jet.  So every result of capped
     arithmetic is exact in each degree it holds; this is precision tracking
     in the m-adic setting.  Uncapped polynomials stay uncapped.
@@ -241,7 +253,10 @@ class Polynomial:
             return Polynomial.constant(self.context, 1)
         jet = self.jet
         if jet is not None:
-            jet += (k - 1) * _order(self.terms, jet, self.context.degree_shift)
+            order = _order(self.terms, jet, self.context.degree_shift)
+            jet = min(jet + (k - 1) * order, MAX_DEGREE)
+            if k * order > jet:  # every term of p^k lies above the cap
+                return Polynomial._wrap(self.context, {}, jet)
         trunc = -1 if jet is None else jet
         return Polynomial._wrap(
             self.context, kernel.pow_terms(self.terms, k, self.context, trunc), jet

@@ -120,6 +120,18 @@ class TestClassifyCommand:
             " at line 2, column 3\n"
         )
 
+    def test_power_of_a_big_constant_fails_fast(self, capsys, tmp_path):
+        path = tmp_path / "coefficient.germ"
+        path.write_text("vars: x y z\nmap: x ; (3^65535)^65535*y^2 + z^2\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "classify", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == (
+            "error: power of about 6807185985 bits exceeds the largest supported"
+            " coefficient size of 131072 bits at line 2, column 11\n"
+        )
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "classify", str(tmp_path / "nope.germ"))
         assert code == 2 and "cannot read" in err

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from morinclass import MalformedGermError, Polynomial, VariableContext
 from morinclass.context import MAX_DEGREE
-from morinclass.parsing import ParseError, _tokenize, parse_expression, parse_germ_document
+from morinclass.parsing import (
+    MAX_POWER_BITS,
+    ParseError,
+    _tokenize,
+    parse_expression,
+    parse_germ_document,
+)
 
 from conftest import make_context, random_polynomial
 
@@ -182,6 +188,38 @@ class TestPowerBound:
         ctx = make_context("x", "y")
         assert parse_expression("3^40000*x", ctx) == 3**40000 * Polynomial.variable(ctx, "x")
         assert parse_expression("(1/2)^7*y", ctx) == Fraction(1, 128) * Polynomial.variable(ctx, "y")
+
+    @pytest.mark.parametrize(
+        "base", ["(3^65535)", "(2*3^65535*x)", "9" * 4000, "(1/" + "7" * 4000 + ")", "(4/3)"])
+    def test_big_coefficient_fails_at_its_exponent(self, base):
+        # each of these has degree at most MAX_DEGREE, but coefficients of
+        # far more bits than MAX_POWER_BITS
+        ctx = make_context("x", "y")
+        text = f"y +\n  {base}^65535*x"
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, ctx, line_offset=7)
+        assert time.perf_counter() - start < 1.0
+        assert (err.value.line, err.value.column) == (8, 3 + len(base) + 1)
+        assert err.value.message.endswith(
+            f"exceeds the largest supported coefficient size of {MAX_POWER_BITS} bits")
+
+    def test_coefficient_below_the_bound_keeps_its_value(self):
+        ctx = make_context("x", "y")
+        x = Polynomial.variable(ctx, "x")
+        assert parse_expression("(3^65535)^1*x", ctx) == 3**65535 * x
+        assert parse_expression("(3*x)^65535", ctx) == 3**65535 * x**65535
+        assert parse_expression("(2^65535)^2", ctx) == 2**131070
+        with pytest.raises(ParseError):
+            parse_expression("(2^65535)^3", ctx)
+
+    def test_huge_literal_fails_at_its_token(self):
+        ctx = make_context("x", "y")
+        for text, column in [("x + 1" + "0" * 5000, 5), ("x + 1/" + "3" * 5000, 7)]:
+            with pytest.raises(ParseError) as err:
+                parse_expression(text, ctx)
+            assert err.value.column == column
+            assert err.value.message == "integer literal is too large"
 
     def test_bound_counts_the_base_degree(self):
         ctx = make_context("x", "y")

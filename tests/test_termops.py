@@ -95,6 +95,18 @@ class TestAgainstTupleKernel:
                 assert unpacked(ctx, got) == list(tuple_pow_terms(a, k, trunc).items())
         assert kernel.pow_terms({}, 0, ctx) == {0: 1}
 
+    @pytest.mark.parametrize("trunc", [-1, 2, 6])
+    def test_power_of_a_monomial(self, trunc):
+        # one key times k and one coefficient power, where the others multiply
+        rng = random.Random(24 + trunc)
+        for i in range(30):
+            kind = KINDS[i % 3]
+            ctx = make_context(*(f"v{j}" for j in range(rng.randint(1, 4))))
+            a = random_terms(rng, len(ctx), kind, 1)
+            for k in range(1, 6):
+                got = kernel.pow_terms(packed(ctx, a), k, ctx, trunc)
+                assert unpacked(ctx, got) == list(tuple_pow_terms(a, k, trunc).items())
+
     def test_derivative_truncation_evaluation(self):
         for rng, kind, ctx, a, _ in cases(13):
             pa = packed(ctx, a)
@@ -175,8 +187,16 @@ class TestDegreeOverflow:
             big * x * x
         with pytest.raises(DegreeOverflowError):
             (x + 1) ** (MAX_DEGREE + 1)
-        # in the jet ring the cap bounds every degree, so no error
+        # in the jet ring the cap bounds every degree, so no error: the rule
+        # lifts a cap by the other factor's order, but never past MAX_DEGREE
         assert (x + 1).truncated(2) * (big * x + 1) == x + 1
-        # but a factor vanishing to order MAX_DEGREE lifts the cap past it
-        with pytest.raises(DegreeOverflowError):
-            (x + 1).truncated(2) * (big * x)
+        got = (x + 1).truncated(2) * (big * x)
+        # the exact product x^(MAX_DEGREE+1) + x^MAX_DEGREE, cut at its cap
+        assert got.jet == MAX_DEGREE and got == big * x
+        got = (big * x) * x.truncated(2)
+        assert got.jet == MAX_DEGREE and got.is_zero()
+        for base in (x, x + Polynomial.variable(ctx, "y")):
+            got = base.truncated(2) ** 70000
+            assert got.jet == MAX_DEGREE and got.is_zero()
+        got = x.truncated(MAX_DEGREE + 5) * x.truncated(MAX_DEGREE + 5)
+        assert got.jet == MAX_DEGREE and got == x * x
