@@ -235,25 +235,50 @@ def _usable(e):
     return not e.is_zero() and not isinstance(next(iter(e.coefficients())), float)
 
 
-def _divider(p, power=1):
-    """x -> x / p^power for a usable p (or None) and a multiple x (in the jet ring, for a jet)."""
-    if p is None or power == 0:
-        return lambda x: x
-    if isinstance(p, int):
-        return lambda x, d=p**power: x // d
-    if isinstance(p, float):
-        return lambda x, d=p**power: x / d
-    if p.jet is None:
-        return lambda x, d=p**power: x.div_exact(d)
+def _same(x):
+    return x
+
+
+def _dividers(p, power):
+    """x -> x / p^(power-1) and x -> x / p^power, for power >= 1.
+
+    p is a usable pivot (or None) and x a multiple of the power, in the jet
+    ring for a jet.  A jet's scaled inverse series is built once, and its
+    power-th power is its (power-1)-th times it.
+    """
+    if p is None:
+        return _same, _same
+    if not isinstance(p, Polynomial) or p.jet is None:
+        return (_same if power == 1 else _plain_divider(p, power - 1)), _plain_divider(p, power)
     # with c = p(0) and t = c - p, t^(N+1) vanishes in the N-jet ring, so
     # s = sum_k c^(N-k) t^k has p s = c^(N+1): an inverse scaled to keep
     # integer coefficients integral
-    c = p.constant_term()
+    c, order = p.constant_term(), p.jet + 1
     t, s = c - p, Polynomial.constant(p.context, 1)
     for j in range(1, p.jet + 1):
         s = s * t + c**j
-    s, scale = s**power, c ** ((p.jet + 1) * power)
-    if isinstance(c, float):
+    if power == 1:
+        return _same, _series_divider(s, c**order)
+    low = s ** (power - 1)
+    return (
+        _series_divider(low, c ** (order * (power - 1))),
+        _series_divider(low * s, c ** (order * power)),
+    )
+
+
+def _plain_divider(p, power):
+    """x -> x / p^power for an int, a float or an uncapped polynomial p."""
+    d = p**power
+    if isinstance(p, int):
+        return lambda x: x // d
+    if isinstance(p, float):
+        return lambda x: x / d
+    return lambda x: x.div_exact(d)
+
+
+def _series_divider(s, scale):
+    """x -> x s / scale, for s the inverse of a jet times scale."""
+    if isinstance(scale, float):
         s = s * (1 / scale)
         return lambda x: x * s
 
@@ -297,7 +322,7 @@ def _forward(rows, ncols, stop):
                 row[j], row[k] = row[k], row[j]
             order[j], order[k] = order[k], order[j]
             sign = -sign
-        divide = _divider(pivot)
+        divide = _dividers(pivot, 1)[1]
         pivot, top = rows[k][k], rows[k]
         for i in range(len(rows)):
             if i != k:
@@ -354,10 +379,14 @@ def _cofactor(a, w):
     if size == 1:
         return a[0][0], [list(w[0])]
 
+    cofactors = {}  # adj(A) W reuses those of the first row, which det(A) used
+
     def cofactor(r, c):
-        minor = [row[:c] + row[c + 1:] for i, row in enumerate(a) if i != r]
-        det = _cofactor(minor, [[]] * (size - 1))[0]
-        return -det if (r + c) % 2 else det
+        if (r, c) not in cofactors:
+            minor = [row[:c] + row[c + 1:] for i, row in enumerate(a) if i != r]
+            det = _cofactor(minor, [[]] * (size - 1))[0]
+            cofactors[r, c] = -det if (r + c) % 2 else det
+        return cofactors[r, c]
 
     # zero entries of the first row, and zero rows of W, add nothing
     cols = [c for c, e in enumerate(a[0]) if not _is_zero(e)] or [0]
@@ -389,7 +418,7 @@ def eliminate(a, w=None):
     det_s, adj_t = _cofactor([row[k:n] for row in rows[k:]], [row[n:] for row in rows[k:]])
     if sign < 0:
         det_s, adj_t = -det_s, [[-v for v in row] for row in adj_t]
-    down, down_top = _divider(pivot, r - 1), _divider(pivot, r)
+    down, down_top = _dividers(pivot, r)
     adj_w = [None] * n
     for i in range(k):
         x, y = rows[i][k:n], rows[i][n:]

@@ -59,7 +59,7 @@ class NumericVerdict:
     point: tuple
     label: Label
     margins: list = field(default_factory=list)
-    residual: float = 0.0
+    residual: float = 0.0  # None where the germ has no chart at 0
 
 
 class ProjectionError(RuntimeError):
@@ -157,6 +157,8 @@ class _FloatPipeline:
 
     The chart is `normalize`'s with `_Thresholds` pivots, kept at rank n
     too: the projection solves its lambdas wherever the germ is regular at 0.
+    Where the Jacobian at 0 has rank below n-1 there is no chart, and
+    `lambdas` is None: such a germ can be classified but not projected.
     """
 
     def __init__(self, germ: MapGerm, tol: Tolerances):
@@ -171,7 +173,8 @@ class _FloatPipeline:
         t, pivot_rows, pivot_cols = _Thresholds(tol).reduce(
             "corank", self.germ.linear_coefficients())
         if len(pivot_rows) < n - 1:
-            raise ValueError("the chart at 0 needs a Jacobian of rank at least n-1 there")
+            self.lambdas = None
+            return
         ng = normalized(self.germ, t, pivot_rows[: n - 1], pivot_cols[: n - 1], exact=False)
         self.lambdas = lambdas_for_frame(ng.germ, cramer_frame(ng.germ, ng.pivot_names)).lambdas
         src = ctx.source_indices
@@ -289,6 +292,8 @@ def project_to_singular_locus(germ: MapGerm, seed, tol: Tolerances = None):
     """
     tol = tol or Tolerances()
     pipe = _pipeline(germ, tol)
+    if pipe.lambdas is None:
+        raise ValueError("the chart at 0 needs a Jacobian of rank at least n-1 there")
     x = np.array(seed, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != germ.m:
         raise ValueError(f"seed needs {germ.m} coordinates")
@@ -303,11 +308,17 @@ def project_to_singular_locus(germ: MapGerm, seed, tol: Tolerances = None):
 
 
 def numeric_classify(germ: MapGerm, point, tol: Tolerances = None) -> NumericVerdict:
-    """Thresholded classification at a float point: `classify`'s stages on the float jet there."""
+    """Thresholded classification at a float point: `classify`'s stages on the float jet there.
+
+    The residual is the norm of the chart's lambdas at the point, None where
+    the germ has no chart at 0.
+    """
     tol = tol or Tolerances()
     pipe = _pipeline(germ, tol)
     x = tuple(float(v) for v in point)
-    residual = float(_norms(pipe.values(np.array([x])))[0])
+    residual = None
+    if pipe.lambdas is not None:
+        residual = float(_norms(pipe.values(np.array([x])))[0])
     decide = _Thresholds(tol)
     label, _ = _classify_at_origin(pipe.germ.translate(x).truncated(germ.n + 1), decide)
     if any(m.inconclusive for m in decide.margins):

@@ -17,7 +17,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .context import MAX_DEGREE, DegreeOverflowError, VariableContext
+from . import _termops_py as kernel
+from .context import MAX_DEGREE, DegreeOverflowError, VariableContext, check_degree
 from .germ import MapGerm, check_dimensions
 from .polynomial import Polynomial
 
@@ -25,6 +26,13 @@ from .polynomial import Polynomial
 # 3^65535 fits.  A power of a big coefficient, such as (3^65535)^65535, has
 # a small degree but would run k - 1 products of ever larger integers.
 MAX_POWER_BITS = 1 << 17
+
+# The most term products a `^` may run, by the count of `_power_products`.
+# (x+y)^700 fits and expands in about 0.1 s, and a base with fraction
+# coefficients runs about ten times slower per product.  A power of a
+# many-term base, such as (x+y)^65535, passes both the degree and the
+# coefficient bound but would expand for hours.
+MAX_POWER_TERMS = 10**6
 
 
 class ParseError(ValueError):
@@ -72,11 +80,43 @@ def _tokenize(text, line_offset=1):
     return tokens
 
 
+def _power_products(t, k):
+    """The term products `pow_terms` runs at most for a t-term base to the k.
+
+    Each of its k - 1 products multiplies the running power, which holds at
+    most C(k+t-2, t-1) terms (the monomials of degree k - 1 in t symbols),
+    by the t terms of the base.  The binomial grows one factor at a time, and
+    the count is returned as soon as it passes MAX_POWER_TERMS, so a huge
+    base or exponent costs few steps.
+    """
+    bound = (k - 1) * t
+    n = k + t - 2
+    for i in range(1, min(t, k)):  # C(n, i) from C(n, i - 1), by factors >= 1
+        bound = bound * (n - i + 1) // i
+        if bound > MAX_POWER_TERMS:
+            break
+    return bound
+
+
 class _ExpressionParser:
+    """Recursive descent on packed term dicts (`morinclass._termops_py`).
+
+    Every value is a fresh dict the parser owns, wrapped as one `Polynomial`
+    at the end.  A sum accumulates in place in the dict of its first term,
+    with the get/set/del sequence of `add_terms` and `sub_terms`, so its terms
+    keep the order that `+` and `-` on polynomials give them; that order fixes
+    the order of every float sum downstream.  A product of two monomials is
+    one key sum and one coefficient product; other products, powers and
+    negation go through the kernel.
+    """
+
     def __init__(self, tokens, context):
         self.tokens = tokens
         self.pos = 0
         self.context = context
+        self.shift = context.degree_shift
+        unit = context.degree_unit
+        self.keys = {name: unit + u for name, u in zip(context.names, context.units)}
 
     def peek(self):
         return self.tokens[self.pos]
@@ -97,46 +137,64 @@ class _ExpressionParser:
             self.error(f"unexpected {text!r} after expression")
         return value
 
+    # An operator token's text is its one character, and no other token's
+    # text is one of "+-*^()/": the loops below test the text alone.
+
     def expr(self):
-        value = self.term()
-        while True:
-            kind, text, *_ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.term()
-                value = value + rhs if text == "+" else value - rhs
+        acc = self.term()
+        tokens = self.tokens
+        while (op := tokens[self.pos][1]) == "+" or op == "-":
+            self.pos += 1
+            rhs = self.term()
+            get = acc.get
+            if op == "+":
+                for key, coeff in rhs.items():
+                    s = get(key, 0) + coeff
+                    if s:
+                        acc[key] = s
+                    elif key in acc:
+                        del acc[key]
             else:
-                return value
+                for key, coeff in rhs.items():
+                    s = get(key, 0) - coeff
+                    if s:
+                        acc[key] = s
+                    elif key in acc:
+                        del acc[key]
+        return acc
 
     def term(self):
         value = self.factor()
-        while True:
-            kind, text, *_ = self.peek()
-            if kind == "op" and text == "*":
-                op = self.advance()
-                rhs = self.factor()
-                try:
-                    value = value * rhs
-                except DegreeOverflowError as exc:
-                    self.error(str(exc), op)
-            elif kind == "op" and text == "/":
-                self.error("'/' is only allowed inside rational literals like 3/2")
-            else:
-                return value
+        tokens, shift = self.tokens, self.shift
+        while (op := tokens[self.pos])[1] == "*":
+            self.pos += 1
+            rhs = self.factor()
+            try:
+                if len(value) == 1 == len(rhs):
+                    ((ka, ca),) = value.items()
+                    ((kb, cb),) = rhs.items()
+                    check_degree((ka >> shift) + (kb >> shift))
+                    value = {ka + kb: ca * cb}
+                else:
+                    value = kernel.mul_terms(value, rhs, self.context)
+            except DegreeOverflowError as exc:
+                self.error(str(exc), op)
+        if op[1] == "/":
+            self.error("'/' is only allowed inside rational literals like 3/2")
+        return value
 
     def factor(self):
-        kind, text, *_ = self.peek()
-        if kind == "op" and text in "+-":
-            self.advance()
+        sign = self.tokens[self.pos][1]
+        if sign == "+" or sign == "-":
+            self.pos += 1
             inner = self.factor()
-            return inner if text == "+" else -inner
+            return inner if sign == "+" else kernel.neg_terms(inner)
         return self.power()
 
     def power(self):
         base = self.atom()
-        kind, text, *_ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
+        if self.tokens[self.pos][1] == "^":
+            self.pos += 1
             etok = self.peek()
             if etok[0] == "op" and etok[1] == "-":
                 self.error("exponent must be a non-negative integer literal", etok)
@@ -153,7 +211,7 @@ class _ExpressionParser:
                 self.error(f"exponent {k} exceeds the largest supported degree {MAX_DEGREE}", etok)
             # each coefficient of base^k has about k times the bits of the base's
             bits = k * max(
-                (max(abs(c.numerator), c.denominator).bit_length() for c in base.coefficients()),
+                (max(abs(c.numerator), c.denominator).bit_length() for c in base.values()),
                 default=0,
             )
             if bits > MAX_POWER_BITS:
@@ -162,11 +220,20 @@ class _ExpressionParser:
                     f" coefficient size of {MAX_POWER_BITS} bits",
                     etok,
                 )
+            if k == 0:
+                return {0: 1}
             try:
-                # raised before the first product: x^99999999 would run 10^8
-                return base**k
+                # before any product: x^99999999 would run 10^8 of them
+                if base:
+                    check_degree((max(base) >> self.shift) * k)
             except DegreeOverflowError as exc:
                 self.error(str(exc), etok)
+            if _power_products(len(base), k) > MAX_POWER_TERMS:
+                self.error(
+                    f"expanding this power would take more than {MAX_POWER_TERMS} term products",
+                    etok,
+                )
+            return kernel.pow_terms(base, k, self.context)
         return base
 
     def literal(self, tok):
@@ -179,7 +246,7 @@ class _ExpressionParser:
         tok = self.advance()
         kind, text, line, colno = tok
         if kind == "int":
-            num = self.literal(tok)
+            value = self.literal(tok)
             nxt = self.peek()
             if nxt[0] == "op" and nxt[1] == "/":
                 save = self.pos
@@ -190,14 +257,15 @@ class _ExpressionParser:
                     den = self.literal(dtok)
                     if den == 0:
                         raise ParseError("zero denominator", dtok[2], dtok[3])
-                    return Polynomial.constant(self.context, Fraction(num, den))
-                self.pos = save
-            return Polynomial.constant(self.context, num)
+                    value = Fraction(value, den)
+                else:
+                    self.pos = save
+            return {0: value} if value else {}
         if kind == "ident":
-            try:
-                return Polynomial.variable(self.context, text)
-            except KeyError:
-                raise ParseError(f"unknown identifier {text!r}", line, colno) from None
+            key = self.keys.get(text)
+            if key is None:
+                raise ParseError(f"unknown identifier {text!r}", line, colno)
+            return {key: 1}
         if kind == "op" and text == "(":
             value = self.expr()
             close = self.advance()
@@ -209,7 +277,8 @@ class _ExpressionParser:
 
 def parse_expression(text, context, line_offset=1) -> Polynomial:
     """Parse one polynomial expression over the given variable context."""
-    return _ExpressionParser(_tokenize(text, line_offset), context).parse()
+    terms = _ExpressionParser(_tokenize(text, line_offset), context).parse()
+    return Polynomial._wrap(context, terms)
 
 
 @dataclass

@@ -3,7 +3,8 @@
 The term map is canonical (no zero coefficients), so two polynomials are
 equal iff their term maps are equal.  Its keys are packed monomials, one int
 per exponent vector laid out by the context (see `morinclass.context`), and
-they stay private to this module and the kernel: the public constructor
+they stay private to this module, the kernel and the parser, which
+computes on term dicts and wraps its result: the public constructor
 takes exponent tuples, and `items`, `exponents`, `coefficients` and
 `coefficient` speak in them.  Results of the kernel are wrapped as they
 come, without packing or truncating them again.  A product whose total

@@ -1,13 +1,17 @@
 """Shared fixtures: contexts, normal-form battery, random generators, oracles."""
 
+import importlib.util
 import random
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from morinclass import MapGerm, Polynomial, RationalMatrix, VariableContext
+from morinclass.context import MAX_DEGREE, DegreeOverflowError
+from morinclass.parsing import MAX_POWER_BITS, ParseError, _tokenize
 
 
 def make_context(*names, params=()):
@@ -400,6 +404,155 @@ def minor_rank(rows):
                 if cofactor_determinant(sub) != 0:
                     return order
     return 0
+
+
+# The expression parser on `Polynomial` arithmetic, one polynomial per atom
+# and per operator: `morinclass.parsing`, which computes on term dicts, must
+# agree with it in values, coefficient types, term order and errors.
+
+
+class PolynomialParser:
+    def __init__(self, tokens, context):
+        self.tokens = tokens
+        self.pos = 0
+        self.context = context
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def error(self, message, tok=None):
+        tok = tok or self.peek()
+        raise ParseError(message, tok[2], tok[3])
+
+    def parse(self):
+        value = self.expr()
+        kind, text, line, colno = self.peek()
+        if kind != "end":
+            self.error(f"unexpected {text!r} after expression")
+        return value
+
+    def expr(self):
+        value = self.term()
+        while True:
+            kind, text, *_ = self.peek()
+            if kind == "op" and text in "+-":
+                self.advance()
+                rhs = self.term()
+                value = value + rhs if text == "+" else value - rhs
+            else:
+                return value
+
+    def term(self):
+        value = self.factor()
+        while True:
+            kind, text, *_ = self.peek()
+            if kind == "op" and text == "*":
+                op = self.advance()
+                rhs = self.factor()
+                try:
+                    value = value * rhs
+                except DegreeOverflowError as exc:
+                    self.error(str(exc), op)
+            elif kind == "op" and text == "/":
+                self.error("'/' is only allowed inside rational literals like 3/2")
+            else:
+                return value
+
+    def factor(self):
+        kind, text, *_ = self.peek()
+        if kind == "op" and text in "+-":
+            self.advance()
+            inner = self.factor()
+            return inner if text == "+" else -inner
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        kind, text, *_ = self.peek()
+        if kind == "op" and text == "^":
+            self.advance()
+            etok = self.peek()
+            if etok[0] == "op" and etok[1] == "-":
+                self.error("exponent must be a non-negative integer literal", etok)
+            if etok[0] != "int":
+                self.error("exponent must be a non-negative integer literal", etok)
+            self.advance()
+            try:
+                k = int(etok[1])
+            except ValueError:  # more digits than int() converts
+                self.error("exponent is too large", etok)
+            if k > MAX_DEGREE:
+                self.error(f"exponent {k} exceeds the largest supported degree {MAX_DEGREE}", etok)
+            bits = k * max(
+                (max(abs(c.numerator), c.denominator).bit_length() for c in base.coefficients()),
+                default=0,
+            )
+            if bits > MAX_POWER_BITS:
+                self.error(
+                    f"power of about {bits} bits exceeds the largest supported"
+                    f" coefficient size of {MAX_POWER_BITS} bits",
+                    etok,
+                )
+            try:
+                return base**k
+            except DegreeOverflowError as exc:
+                self.error(str(exc), etok)
+        return base
+
+    def literal(self, tok):
+        try:
+            return int(tok[1])
+        except ValueError:  # more digits than int() converts
+            self.error("integer literal is too large", tok)
+
+    def atom(self):
+        tok = self.advance()
+        kind, text, line, colno = tok
+        if kind == "int":
+            num = self.literal(tok)
+            nxt = self.peek()
+            if nxt[0] == "op" and nxt[1] == "/":
+                save = self.pos
+                self.advance()
+                dtok = self.peek()
+                if dtok[0] == "int":
+                    self.advance()
+                    den = self.literal(dtok)
+                    if den == 0:
+                        raise ParseError("zero denominator", dtok[2], dtok[3])
+                    return Polynomial.constant(self.context, Fraction(num, den))
+                self.pos = save
+            return Polynomial.constant(self.context, num)
+        if kind == "ident":
+            try:
+                return Polynomial.variable(self.context, text)
+            except KeyError:
+                raise ParseError(f"unknown identifier {text!r}", line, colno) from None
+        if kind == "op" and text == "(":
+            value = self.expr()
+            close = self.advance()
+            if close[0] != "op" or close[1] != ")":
+                raise ParseError("expected ')'", close[2], close[3])
+            return value
+        raise ParseError(f"unexpected {text or 'end of input'!r}", line, colno)
+
+
+def polynomial_parse(text, context, line_offset=1):
+    return PolynomialParser(_tokenize(text, line_offset), context).parse()
+
+
+def ainv_request_texts(seed):
+    """The germ-file texts the benchmark's `ainv_replay` workload sends at `seed`."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).parent.parent / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [r["text"] for r in inputs.ainv_requests(random.Random(seed))]
 
 
 def to_sympy(poly, symbols):

@@ -181,6 +181,20 @@ class TestClassifyCommand:
         assert payload["verdict"]["label"]["kind"] == "Morin"
         assert all("name" in m for m in payload["verdict"]["margins"])
 
+    def test_numeric_mode_without_a_chart_at_0(self, capsys, tmp_path):
+        # rank 0 at 0: no chart there, so no residual, but a verdict
+        path = tmp_path / "quadratic.germ"
+        path.write_text(
+            "vars: x1 x2 y1 y2\n"
+            "map: x1^2 - y1^2 + x2*x1 ; x1*y1 + y2^2\n"
+            "point: 1/10, 1/5, 3/10, 2/5\n"
+        )
+        code, out, err = run_cli(capsys, "classify", str(path), "--numeric")
+        assert code == 0 and err == ""
+        verdict = json.loads(out)["verdict"]
+        assert verdict["residual"] is None
+        assert verdict["label"] == {"kind": "Regular"}
+
     def test_deterministic_bytes(self, capsys, cusp_file):
         _, out1, _ = run_cli(capsys, "classify", str(cusp_file), "--trace")
         _, out2, _ = run_cli(capsys, "classify", str(cusp_file), "--trace")

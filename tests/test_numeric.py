@@ -360,6 +360,29 @@ class TestBatchProjection:
             project_to_singular_locus(fold_germ, [(0.1, 0.2)] * 3)
 
 
+class TestWithoutChart:
+    """A germ whose Jacobian at 0 has rank below n-1 has no chart at 0."""
+
+    @pytest.fixture
+    def germ(self):
+        ctx = make_context("x1", "x2", "y1", "y2")
+        x1, x2, y1, y2 = (Polynomial.variable(ctx, n) for n in ctx.names)
+        return MapGerm(ctx, (x1**2 - y1**2 + x2 * x1, x1 * y1 + y2**2))
+
+    def test_classifies_without_a_residual(self, germ):
+        for point in [(Fraction(1, 10), Fraction(1, 5), Fraction(3, 10), Fraction(2, 5)),
+                      (Fraction(0), Fraction(1, 2), Fraction(0), Fraction(0))]:
+            verdict = numeric_classify(germ, [float(v) for v in point])
+            assert verdict.residual is None
+            assert verdict.label == classify(germ.translate(point)).label
+
+    def test_projection_still_needs_the_chart(self, germ):
+        with pytest.raises(ValueError, match="rank at least n-1"):
+            project_to_singular_locus(germ, (0.1, 0.2, 0.3, 0.4))
+        with pytest.raises(ValueError, match="rank at least n-1"):
+            scan_region(germ, ((-1, 1),) * 4, 2)
+
+
 class TestEvaluator:
     def test_matches_scalar_oracle(self, fold_germ, cusp_germ):
         rng = random.Random(1313)

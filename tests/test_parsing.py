@@ -1,6 +1,7 @@
 """Expression grammar and germ-file documents."""
 
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -8,17 +9,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morinclass import MalformedGermError, Polynomial, VariableContext
+from morinclass import MalformedGermError, MapGerm, Polynomial, VariableContext
+from morinclass import _termops_py
 from morinclass.context import MAX_DEGREE
 from morinclass.parsing import (
     MAX_POWER_BITS,
+    MAX_POWER_TERMS,
     ParseError,
+    _power_products,
     _tokenize,
     parse_expression,
     parse_germ_document,
 )
 
-from conftest import make_context, random_polynomial
+from conftest import (
+    ainv_request_texts,
+    make_context,
+    polynomial_parse,
+    random_polynomial,
+    to_sympy,
+)
 
 
 @pytest.fixture
@@ -239,6 +249,47 @@ class TestPowerBound:
         assert err.value.column == len(f"x^{half} ") + 1
 
 
+    @pytest.mark.parametrize("base, k", [("(x+y)", 65535), ("(x + y + z)", 5000)])
+    def test_many_term_base_fails_at_its_exponent(self, base, k):
+        # each passes the degree and the coefficient bound, but expanding it
+        # would take hours
+        ctx = make_context("x", "y", "z")
+        text = f"y +\n  {base}^{k}*x"
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, ctx, line_offset=7)
+        assert time.perf_counter() - start < 1.0
+        assert (err.value.line, err.value.column) == (8, 3 + len(base) + 1)
+        assert err.value.message == (
+            f"expanding this power would take more than {MAX_POWER_TERMS} term products")
+
+    def test_many_term_base_below_the_bound_keeps_its_value(self):
+        ctx = make_context("x", "y", "z")
+        assert parse_expression("(x+y)^200", ctx) == polynomial_parse("(x+y)^200", ctx)
+        assert parse_expression("(x-x+y)^65535", ctx) == polynomial_parse("y^65535", ctx)
+
+    def test_product_count_bounds_the_expansion(self, monkeypatch):
+        # (x_1 + ... + x_t)^k has as many terms as any t-term base can give
+        ctx = make_context("x", "y", "z", "w")
+        calls = []
+        mul_terms = _termops_py.mul_terms
+
+        def counting(a, b, *args):
+            calls.append(len(a) * len(b))
+            return mul_terms(a, b, *args)
+
+        monkeypatch.setattr(_termops_py, "mul_terms", counting)
+        for t in range(1, 5):
+            base = "(" + " + ".join(f"{i + 1}*{v}" for i, v in enumerate(ctx.names[:t])) + ")"
+            for k in range(1, 9):
+                calls.clear()
+                parse_expression(f"{base}^{k}", ctx)
+                assert sum(calls) <= _power_products(t, k), (t, k)
+                if t > 1 and k > 1:
+                    # the last product meets every term of degree k - 1
+                    assert calls[-1] * (k - 1) == _power_products(t, k)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
 def test_parse_render_roundtrip(seed):
@@ -335,3 +386,134 @@ class TestGermDocuments:
         with pytest.raises(ParseError) as err:
             doc.to_germ()
         assert err.value.line == 3
+
+
+def random_expression(rng, names, depth=3):
+    """A random expression: sums, products, powers, parentheses, unary minus and p/q literals.
+
+    A sum sometimes repeats one of its terms with the other sign, so terms
+    cancel in the middle of a sum.
+    """
+
+    def atom(d):
+        r = rng.random()
+        if d == 0 or r < 0.4:
+            return rng.choice(names)
+        if r < 0.6:
+            num = rng.randint(0, 6)
+            return str(num) if rng.random() < 0.5 else f"{num}/{rng.randint(1, 4)}"
+        return "(" + expr(d - 1) + ")"
+
+    def factor(d):
+        text = atom(d)
+        if rng.random() < 0.25:
+            text += f"^{rng.randint(0, 3 if d == 0 else 2)}"
+        if rng.random() < 0.15:
+            text = rng.choice("-+") + text
+        return text
+
+    def term(d):
+        return rng.choice(("*", " * ")).join(factor(d) for _ in range(rng.randint(1, 3)))
+
+    def expr(d):
+        terms = [term(d) for _ in range(rng.randint(1, 3))]
+        text = terms[0]
+        for t in terms[1:]:
+            text += rng.choice((" + ", " - ", "+", "-")) + t
+        if rng.random() < 0.3:
+            text += " - (" + rng.choice(terms) + ") + " + rng.choice(terms)
+        return text
+
+    return expr(depth)
+
+
+def _parsed(parse, text, ctx, line_offset=1):
+    """The terms, in order and with their coefficient types, or the error and its place."""
+    try:
+        p = parse(text, ctx, line_offset)
+    except ParseError as err:
+        return (err.message, err.line, err.column)
+    return [(key, coeff, type(coeff)) for key, coeff in p.terms.items()]
+
+
+class TestAgainstPolynomialParser:
+    """The parser on term dicts against `conftest.polynomial_parse`, today's on polynomials."""
+
+    CTX = VariableContext.make(("x", "y", "z"), ("a", "b"))
+
+    def test_random_expressions(self):
+        ctx = self.CTX
+        rng = random.Random(1729)
+        for _ in range(300):
+            text = random_expression(rng, ctx.names)
+            assert parse_expression(text, ctx) == polynomial_parse(text, ctx), text
+            assert _parsed(parse_expression, text, ctx) == _parsed(polynomial_parse, text, ctx)
+
+    def test_values_match_sympy(self):
+        import sympy
+
+        ctx = self.CTX
+        symbols = sympy.symbols(ctx.names)
+        local = dict(zip(ctx.names, symbols))
+        rng = random.Random(1730)
+        for _ in range(300):
+            text = random_expression(rng, ctx.names, depth=2)
+            # p/q is one literal here, also before a ^
+            python = re.sub(r"([0-9]+/[0-9]+)", r"(\1)", text).replace("^", "**")
+            expected = sympy.expand(sympy.parse_expr(python, local_dict=local))
+            assert sympy.expand(to_sympy(parse_expression(text, ctx), symbols) - expected) == 0, text
+
+    def test_errors_on_mangled_expressions(self):
+        # one character dropped, doubled or replaced: same value or same
+        # error message, line and column
+        ctx = self.CTX
+        rng = random.Random(31)
+        alphabet = "xyzab0123/+-*^() \n"
+        errors = 0
+        for _ in range(300):
+            text = random_expression(rng, ctx.names, depth=2)
+            i = rng.randrange(len(text))
+            text = rng.choice((
+                text[:i] + text[i + 1:],
+                text[:i] + text[i] + text[i:],
+                text[:i] + rng.choice(alphabet) + text[i + 1:],
+            ))
+            new = _parsed(parse_expression, text, ctx, 4)
+            assert new == _parsed(polynomial_parse, text, ctx, 4), text
+            errors += isinstance(new, tuple)
+        assert errors >= 50
+
+    def test_request_texts(self):
+        # every component the benchmark's A-invariance replay sends, seeds 1 and 2
+        for seed in (1, 2):
+            for text in ainv_request_texts(seed):
+                doc = parse_germ_document(text)
+                ctx = doc.context
+                for comp, line in doc.component_texts:
+                    assert _parsed(parse_expression, comp, ctx, line) == _parsed(
+                        polynomial_parse, comp, ctx, line), comp
+                doc.to_germ()
+
+    def test_battery_texts(self, battery_germs):
+        for *_, germ in battery_germs:
+            ctx = germ.context
+            for p in germ.components:
+                text = p.render()
+                assert _parsed(parse_expression, text, ctx) == _parsed(polynomial_parse, text, ctx)
+                assert parse_expression(text, ctx) == p
+
+    def test_bound_parameters(self):
+        rng = random.Random(577)
+        ctx = self.CTX
+        for _ in range(40):
+            comps = [random_expression(rng, ctx.names, depth=2) for _ in range(2)]
+            bindings = {"a": Fraction(rng.randint(-3, 3), rng.randint(1, 3)), "b": rng.randint(-2, 2)}
+            doc = parse_germ_document(
+                f"vars: x y z\nparams: a, b = {bindings['b']}\nmap: {' ; '.join(comps)}\n"
+                f"bind: a = {bindings['a']}\n")
+            expected = MapGerm(ctx, tuple(polynomial_parse(c, ctx) for c in comps))
+            got = doc.to_germ()
+            want = expected.bind_parameters(bindings)
+            for p, q in zip(got.components, want.components):
+                assert p == q
+                assert list(p.terms.items()) == list(q.terms.items())
