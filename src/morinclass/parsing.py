@@ -28,8 +28,8 @@ from .polynomial import Polynomial
 MAX_POWER_BITS = 1 << 17
 
 # The most term products a `^` may run, by the count of `_power_products`.
-# (x+y)^700 fits and expands in about 0.1 s, and a base with fraction
-# coefficients runs about ten times slower per product.  A power of a
+# (x+y)^700 fits and expands in about 0.2 s, and a base with fraction
+# coefficients runs over ten times slower per product.  A power of a
 # many-term base, such as (x+y)^65535, passes both the degree and the
 # coefficient bound but would expand for hours.
 MAX_POWER_TERMS = 10**6
