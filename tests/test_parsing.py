@@ -248,7 +248,6 @@ class TestPowerBound:
             parse_expression(f"x^{half} * x^{half}", ctx)
         assert err.value.column == len(f"x^{half} ") + 1
 
-
     @pytest.mark.parametrize("base, k", [("(x+y)", 65535), ("(x + y + z)", 5000)])
     def test_many_term_base_fails_at_its_exponent(self, base, k):
         # each passes the degree and the coefficient bound, but expanding it
