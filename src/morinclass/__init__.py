@@ -18,11 +18,7 @@ from .criteria import (
     CriteriaReport,
     Label,
     classify,
-    compute_lambdas,
-    cusp_fast_path,
-    fold_fast_path,
     hessian,
-    nondegeneracy,
 )
 from .germ import (
     CORANK1,
@@ -69,13 +65,9 @@ __all__ = [
     "VariableContext",
     "build_frame",
     "classify",
-    "compute_lambdas",
     "cramer_frame",
-    "cusp_fast_path",
-    "fold_fast_path",
     "format_rational",
     "hessian",
-    "nondegeneracy",
     "normalize",
     "rat",
     "validate",

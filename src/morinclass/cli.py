@@ -8,7 +8,8 @@ Commands:
     morinclass lefschetz witness --params a1,a2,b1,b2
 
 Any mathematical outcome (including degeneracies) exits 0 with a JSON
-report; only parse and I/O problems exit nonzero.
+report; only parse and I/O problems and bad options exit nonzero, with
+status 2 and an `error: ...` line.
 """
 
 import argparse
@@ -75,42 +76,43 @@ def _emit(payload):
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
+def _fail(message):
+    """Report a parse, I/O or option problem: one `error:` line, exit status 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_ERROR
+
+
 def cmd_classify(args):
     try:
         text = Path(args.file).read_text()
     except OSError as exc:
-        print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return _fail(f"cannot read {args.file}: {exc}")
     try:
         doc = parse_germ_document(text)
         germ = doc.to_germ()
         germ.check_wellformed()
     except (ParseError, MalformedGermError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return _fail(exc)
 
     point = doc.base_point
     if args.point:
         try:
             point = tuple(Fraction(v) for v in args.point.split(","))
         except (ValueError, ZeroDivisionError):
-            print(f"error: bad --point value {args.point!r}", file=sys.stderr)
-            return EXIT_ERROR
+            return _fail(f"bad --point value {args.point!r}")
         if len(point) != len(doc.source_vars):
-            print(
-                f"error: --point needs {len(doc.source_vars)} coordinates",
-                file=sys.stderr,
-            )
-            return EXIT_ERROR
+            return _fail(f"--point needs {len(doc.source_vars)} coordinates")
 
     if args.numeric:
-        tol = Tolerances(
-            residual_tol=args.tol_residual,
-            rank_tol=args.tol_rank,
-            zero_tol=args.tol_zero,
-        )
-        at = point or (0,) * len(doc.source_vars)
-        verdict = numeric_classify(germ, [float(v) for v in at], tol)
+        try:
+            tol = Tolerances(args.tol_residual, args.tol_rank, args.tol_zero)
+        except ValueError as exc:
+            return _fail(f"bad --tol-* value: {exc}")
+        try:
+            at = [float(v) for v in point or (0,) * len(doc.source_vars)]
+        except OverflowError:
+            return _fail("base point is out of the float range of --numeric")
+        verdict = numeric_classify(germ, at, tol)
         payload = {"numeric": True, "verdict": verdict_to_dict(verdict)}
         _emit(payload)
         return EXIT_OK
@@ -137,26 +139,25 @@ def cmd_lefschetz_slice(args):
     try:
         rng = _parse_range(args.range)
     except (ValueError, ZeroDivisionError):
-        print(f"error: bad --range value {args.range!r} (expected lo:hi)", file=sys.stderr)
-        return EXIT_ERROR
+        return _fail(f"bad --range value {args.range!r} (expected lo:hi)")
     if args.grid < 2:
-        print("error: --grid must be at least 2", file=sys.stderr)
-        return EXIT_ERROR
+        return _fail("--grid must be at least 2")
     jobs = []
     if args.all_paper_slices:
         outdir = Path(args.outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return _fail(f"cannot create {outdir}: {exc}")
         for b2 in lefschetz.STANDARD_SLICE_VALUES:
             jobs.append((b2, outdir / lefschetz.slice_filename(b2)))
     else:
         if args.b2 is None:
-            print("error: --b2 is required (or use --all-paper-slices)", file=sys.stderr)
-            return EXIT_ERROR
+            return _fail("--b2 is required (or use --all-paper-slices)")
         try:
             b2 = Fraction(args.b2)
         except (ValueError, ZeroDivisionError):
-            print(f"error: bad --b2 value {args.b2!r}", file=sys.stderr)
-            return EXIT_ERROR
+            return _fail(f"bad --b2 value {args.b2!r}")
         out = Path(args.out) if args.out else Path(lefschetz.slice_filename(b2))
         jobs.append((b2, out))
     for b2, path in jobs:
@@ -164,8 +165,7 @@ def cmd_lefschetz_slice(args):
         try:
             lefschetz.write_slice_csv(grid, path)
         except OSError as exc:
-            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-            return EXIT_ERROR
+            return _fail(f"cannot write {path}: {exc}")
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -183,8 +183,7 @@ def cmd_lefschetz_witness(args):
         if len(params) != 4:
             raise ValueError
     except (ValueError, ZeroDivisionError):
-        print("error: --params needs four rationals a1,a2,b1,b2", file=sys.stderr)
-        return EXIT_ERROR
+        return _fail("--params needs four rationals a1,a2,b1,b2")
     report = lefschetz.witness_verify(params)
     payload = {
         "params": [format_rational(v) for v in report.params],

@@ -130,29 +130,11 @@ class ThetaUnavailableError(ValueError):
     """The adjugate of the kernel Hessian vanishes at the origin."""
 
 
-def compute_lambdas(ng: NormalizedGerm, frame: AdaptedFrame = None) -> LambdaSystem:
-    """Exact determinantal equations lambda_i = det(xi_1 f, ..., xi_{n-1} f, eta_i f)."""
-    if frame is None:
-        frame = build_frame(ng)
-    return lambdas_for_frame(ng.germ, frame)
-
-
 def lambdas_for_frame(germ: MapGerm, frame: AdaptedFrame) -> LambdaSystem:
     """lambda_i = det(B) * eta_i f_n, det(B) being `frame.pivot_minor` (step 3 above)."""
     f_n = germ.components[-1]
     lambdas = tuple(frame.pivot_minor * eta.apply(f_n) for eta in frame.eta)
     return LambdaSystem(lambdas=lambdas, frame=frame, germ=germ)
-
-
-def jacobian_at_origin(polys, germ) -> RationalMatrix:
-    return RationalMatrix.from_rows(linear_coefficients(polys, germ.context))
-
-
-def nondegeneracy(ls: LambdaSystem):
-    """Rank of the Jacobian of the lambdas at 0; full rank m-n+1 passes."""
-    rank = jacobian_at_origin(ls.lambdas, ls.germ).rank()
-    required = ls.germ.m - ls.germ.n + 1
-    return {"pass": rank == required, "rank": rank, "required": required}
 
 
 def hessian(ls: LambdaSystem) -> HessData:
@@ -203,7 +185,7 @@ def rank_condition_b(ls: LambdaSystem, hd: HessData, k: int):
     stack = list(ls.lambdas)
     if k >= 2:
         stack.extend(hd.h_derivs[: k - 1])
-    jac = jacobian_at_origin(stack, ls.germ)
+    jac = RationalMatrix.from_rows(linear_coefficients(stack, ls.germ.context))
     required = ls.germ.m - ls.germ.n + k
     return {"rank": jac.rank(), "required": required, "matrix": jac}
 
@@ -226,13 +208,8 @@ def kernel_hessian_at_origin(ng: NormalizedGerm):
     `normalize` leaves them), E(0) holds the eta coefficients at 0 and H is
     the Hessian of f_n at 0.  Since d(f_n)_0 = 0, dlambda(0) is
     det B(0) E(0)^T H and h(0) is det B(0)^(m-n+1) det K (step 5 above).
+    Both matrices come as rows of the germ's own coefficient type.
     """
-    det_b, eta_hess, kern = _kernel_hessian_rows(ng)
-    return det_b, RationalMatrix.from_rows(eta_hess), RationalMatrix.from_rows(kern)
-
-
-def _kernel_hessian_rows(ng: NormalizedGerm):
-    """`kernel_hessian_at_origin` as rows of the germ's own coefficient type."""
     germ = ng.germ
     ctx = germ.context
     src = ctx.source_indices
@@ -259,47 +236,20 @@ def _kernel_hessian_rows(ng: NormalizedGerm):
             a, b = (k for k, d in enumerate(degrees) for _ in range(d))
             hess[a][b] += coeff
             hess[b][a] += coeff  # so a square term counts twice
-    # integer products: RationalMatrix products would go through Fractions
+    # plain products keep the germ's ints, where a RationalMatrix holds Fractions
     eta_hess = [[sum(e * h for e, h in zip(eta, row)) for row in hess] for eta in etas]
     kern = [[sum(x * e for x, e in zip(row, eta)) for eta in etas] for row in eta_hess]
     return det_b, eta_hess, kern
 
 
 def fold_fast_path(ng: NormalizedGerm, frame: AdaptedFrame = None):
-    """Fold test straight from the kernel Hessian of the last component."""
+    """Fold test from the kernel Hessian of f_n on the polynomial frame, a check on `classify`."""
     if frame is None:
         frame = build_frame(ng)
     hess = kernel_hessian_of_last(ng, frame)
     pos, neg, zero = hess.signature()
     full = ng.germ.m - ng.germ.n + 1
     return {"is_fold": zero == 0 and pos + neg == full, "signature": (pos, neg)}
-
-
-def cusp_fast_path(ng: NormalizedGerm, frame: AdaptedFrame = None):
-    """Cusp test via the kernel line of the Hessian of the last component.
-
-    Applicable only when that Hessian has a one-dimensional kernel at 0; the
-    cusp holds iff the third derivative of f_n along the kernel field is
-    nonzero at 0 and d(theta f_n)_0 != 0.
-    """
-    if frame is None:
-        frame = build_frame(ng)
-    hess = kernel_hessian_of_last(ng, frame)
-    kernel_dim = hess.rows - hess.rank()
-    if kernel_dim != 1:
-        return {"applicable": False, "is_cusp": False, "kernel_dim": kernel_dim}
-    ls = lambdas_for_frame(ng.germ, frame)
-    hd = hessian(ls)
-    try:
-        hd = build_theta(ls, hd)
-    except ThetaUnavailableError:
-        return {"applicable": False, "is_cusp": False, "kernel_dim": kernel_dim}
-    fn = ng.germ.components[-1]
-    t1 = hd.theta.apply(fn)
-    t3 = hd.theta.apply(hd.theta.apply(t1))
-    grad = jacobian_at_origin([t1], ng.germ)
-    is_cusp = t3.constant_term() != 0 and any(e != 0 for e in grad.entries)
-    return {"applicable": True, "is_cusp": is_cusp, "kernel_dim": kernel_dim}
 
 
 class _Exact:
@@ -393,7 +343,7 @@ def _classify_at_origin(work: MapGerm, decide, trace=False):
     ng = normalized(work, t, pivot_rows, pivot_cols, decide.exact)
     if decide.exact:
         ng = frame_jets(ng)
-    det_b0, eta_hess, kern = _kernel_hessian_rows(ng)
+    det_b0, eta_hess, kern = kernel_hessian_at_origin(ng)
     h0 = det_b0**size * eliminate(kern)[0]
     record["frame"] = {
         "pivots": list(ng.pivot_names),

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .context import VariableContext
-from .linalg import RationalMatrix, eliminate, first_nonzero_row, row_reduce
+from .linalg import eliminate, first_nonzero_row, row_reduce
 from .polynomial import Polynomial, cut_to_order
 from .rationals import rat
 
@@ -99,10 +99,6 @@ class MapGerm:
         """The Jacobian at 0 as rows of coefficients, of whatever type the germ has."""
         return linear_coefficients(self.components, self.context)
 
-    def jacobian_at_origin(self) -> RationalMatrix:
-        self.check_bound()
-        return RationalMatrix.from_rows(self.linear_coefficients())
-
     def bind_parameters(self, values) -> "MapGerm":
         """Substitute rational values for all parameter variables."""
         bindings = {}
@@ -169,22 +165,17 @@ class PolyVectorField:
         )
 
 
-def coordinate_field(context, name) -> PolyVectorField:
-    coeffs = [Polynomial.zero(context) for _ in context.source_names]
-    coeffs[context.source_names.index(name)] = Polynomial.constant(context, 1)
-    return PolyVectorField(context, tuple(coeffs))
-
-
 @dataclass(frozen=True)
 class AdaptedFrame:
     """Frame (xi_1..xi_{n-1}, eta_1..eta_{m-n+1}) adapted to a germ.
 
-    `pivot_minor` is the determinant of the pivot block of the Jacobian of the
-    first n-1 components: the frame is a genuine kernel frame wherever it does
-    not vanish, and it is nonzero at the origin by construction.
+    The xi are the coordinate fields of the `pivot_names`, so only the eta
+    are stored.  `pivot_minor` is the determinant of the pivot block of the
+    Jacobian of the first n-1 components: the frame is a genuine kernel frame
+    wherever it does not vanish, and it is nonzero at the origin by
+    construction.
     """
 
-    xi: tuple
     eta: tuple
     pivot_names: tuple
     nonpivot_names: tuple
@@ -201,10 +192,17 @@ class NormalizedGerm:
     nonpivot_names: tuple
 
 
+def _reduce_at_origin(germ: MapGerm):
+    """`row_reduce` of the Jacobian at 0 over Q, pivoting on first nonzero entries."""
+    germ.check_wellformed()
+    germ.check_bound()
+    rows = [[rat(e) for e in row] for row in germ.linear_coefficients()]
+    return row_reduce(rows, first_nonzero_row)
+
+
 def validate(germ: MapGerm) -> str:
     """Exact corank test at the origin: Regular, Corank1 or CorankHigh."""
-    germ.check_wellformed()
-    rank = len(row_reduce(germ.jacobian_at_origin().to_rows(), first_nonzero_row)[1])
+    rank = len(_reduce_at_origin(germ)[1])
     if rank == germ.n:
         return REGULAR
     if rank == germ.n - 1:
@@ -220,8 +218,7 @@ def normalize(germ: MapGerm) -> NormalizedGerm:
     variables whose block is invertible at 0.  The number of pivots is the
     rank of that Jacobian, which must be n-1.
     """
-    germ.check_wellformed()
-    t, pivot_rows, pivot_cols = row_reduce(germ.jacobian_at_origin().to_rows(), first_nonzero_row)
+    t, pivot_rows, pivot_cols = _reduce_at_origin(germ)
     if len(pivot_rows) != germ.n - 1:
         raise MalformedGermError("normalize expects a corank-one germ")
     return normalized(germ, t, pivot_rows, pivot_cols)
@@ -313,7 +310,6 @@ def cramer_frame(germ: MapGerm, pivot_names) -> AdaptedFrame:
         entries = [e for row in b for e in row]
         det_b = cut_to_order(det_b, entries)
         adj_w = [[cut_to_order(e, entries) for e in row] for row in adj_w]
-    xi = tuple(coordinate_field(ctx, v) for v in pivot_names)
     eta = []
     for col, v in enumerate(nonpivot_names):
         coeffs = {name: Polynomial.zero(ctx) for name in source_names}
@@ -322,7 +318,6 @@ def cramer_frame(germ: MapGerm, pivot_names) -> AdaptedFrame:
             coeffs[pname] = -adj_w[j][col]
         eta.append(PolyVectorField(ctx, tuple(coeffs[name] for name in source_names)))
     return AdaptedFrame(
-        xi=xi,
         eta=tuple(eta),
         pivot_names=pivot_names,
         nonpivot_names=nonpivot_names,

@@ -66,21 +66,6 @@ class PolyMatrix:
     def to_rows(self):
         return [self.entries[r * self.cols:(r + 1) * self.cols] for r in range(self.rows)]
 
-    def map(self, fn):
-        return PolyMatrix(self.rows, self.cols, [fn(p) for p in self.entries])
-
-    def __mul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
-        out = []
-        for r in range(self.rows):
-            for c in range(other.cols):
-                acc = Polynomial.zero(self.context)
-                for k in range(self.cols):
-                    acc = acc + self[r, k] * other[k, c]
-                out.append(acc)
-        return PolyMatrix(self.rows, other.cols, out)
-
     def determinant(self):
         if self.rows != self.cols:
             raise NonSquareMatrixError("determinant of a non-square matrix")
@@ -90,13 +75,9 @@ class PolyMatrix:
         """Exact adjugate: adj(M) * M = det(M) * I as a polynomial identity."""
         if self.rows != self.cols:
             raise NonSquareMatrixError("adjugate of a non-square matrix")
-        identity = poly_identity(self.context, self.rows).to_rows()
+        one, zero = Polynomial.constant(self.context, 1), Polynomial.zero(self.context)
+        identity = [[one if r == c else zero for c in range(self.rows)] for r in range(self.rows)]
         return PolyMatrix.from_rows(eliminate(self.to_rows(), identity)[1])
-
-    def evaluate(self, assignment):
-        return RationalMatrix(
-            self.rows, self.cols, [p.evaluate(assignment) for p in self.entries]
-        )
 
 
 class RationalMatrix:
@@ -124,15 +105,6 @@ class RationalMatrix:
 
     def to_rows(self):
         return [self.entries[r * self.cols:(r + 1) * self.cols] for r in range(self.rows)]
-
-    def __mul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
-        out = []
-        for r in range(self.rows):
-            for c in range(other.cols):
-                out.append(sum((self[r, k] * other[k, c] for k in range(self.cols)), Fraction(0)))
-        return RationalMatrix(self.rows, other.cols, out)
 
     def __eq__(self, other):
         return (
@@ -208,12 +180,6 @@ class RationalMatrix:
                     a[r][c] = (pivot * a[r][c] - a[r][k] * a[k][c]) // prev
             prev = pivot
         return (pos, neg, n - pos - neg)
-
-
-def poly_identity(context, n):
-    one = Polynomial.constant(context, 1)
-    zero = Polynomial.zero(context)
-    return PolyMatrix(n, n, [one if r == c else zero for r in range(n) for c in range(n)])
 
 
 # -- the elimination engine -------------------------------------------------------

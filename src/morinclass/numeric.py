@@ -30,10 +30,14 @@ class Tolerances:
     max_newton_iters: int = 50
 
     def __post_init__(self):
-        if min(self.residual_tol, self.rank_tol, self.zero_tol) <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_newton_iters <= 0:
-            raise ValueError("max_newton_iters must be positive")
+        for name in ("residual_tol", "rank_tol", "zero_tol"):
+            value = getattr(self, name)
+            # NaN fails every comparison, so test for the good case
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        iters = self.max_newton_iters
+        if isinstance(iters, bool) or not isinstance(iters, int) or iters <= 0:
+            raise ValueError(f"max_newton_iters must be a positive int, got {iters!r}")
 
 
 @dataclass

@@ -9,8 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from morinclass import MapGerm, Polynomial, RationalMatrix, VariableContext
+from morinclass import MapGerm, Polynomial, PolyVectorField, RationalMatrix, VariableContext
 from morinclass.context import MAX_DEGREE, DegreeOverflowError
+from morinclass.criteria import (
+    ThetaUnavailableError,
+    build_theta,
+    hessian,
+    kernel_hessian_of_last,
+    lambdas_for_frame,
+)
+from morinclass.germ import build_frame, linear_coefficients
 from morinclass.parsing import MAX_POWER_BITS, ParseError, _tokenize
 
 
@@ -365,9 +373,21 @@ def naive_divide(p, divisor):
     return quotient, remainder
 
 
+def coordinate_field(context, name):
+    """The vector field d/d(name)."""
+    coeffs = [Polynomial.zero(context) for _ in context.source_names]
+    coeffs[context.source_names.index(name)] = Polynomial.constant(context, 1)
+    return PolyVectorField(context, tuple(coeffs))
+
+
+def pivot_fields(frame, context):
+    """xi_1, ..., xi_{n-1}: the coordinate fields of the frame's pivot variables."""
+    return [coordinate_field(context, v) for v in frame.pivot_names]
+
+
 def lambda_matrix(germ, frame, eta):
     """The defining n x n matrix (xi_1 f, ..., xi_{n-1} f, eta f) of one lambda."""
-    fields = list(frame.xi) + [eta]
+    fields = pivot_fields(frame, germ.context) + [eta]
     return [[vf.apply(comp) for vf in fields] for comp in germ.components]
 
 
@@ -380,15 +400,58 @@ def transpose(mat):
 
 def frame_matrix_at(frame, assignment):
     """Coefficients of xi_1, ..., xi_{n-1}, eta_1, ... at a point, one field a row."""
-    fields = list(frame.xi) + list(frame.eta)
+    context = frame.pivot_minor.context
+    fields = pivot_fields(frame, context) + list(frame.eta)
     return RationalMatrix.from_rows(
         [[c.evaluate(assignment) for c in f.coefficients] for f in fields]
     )
 
 
+def evaluate_rows(rows, assignment):
+    """A matrix of polynomials, given as rows, evaluated at a point."""
+    return RationalMatrix.from_rows([[p.evaluate(assignment) for p in row] for row in rows])
+
+
+def rows_times_rows(a, b):
+    """The matrix product of two matrices given as rows (of rationals or polynomials)."""
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(1, len(b))), a[i][0] * b[0][j])
+         for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
 def is_singular(germ, point):
     """Whether the differential of the germ drops rank at a source point."""
-    return germ.translate(point).jacobian_at_origin().rank() < germ.n
+    return RationalMatrix.from_rows(germ.translate(point).linear_coefficients()).rank() < germ.n
+
+
+def cusp_fast_path(ng, frame=None):
+    """Cusp test via the kernel line of the Hessian of the last component.
+
+    Applicable only when that Hessian has a one-dimensional kernel at 0; the
+    cusp holds iff the third derivative of f_n along the kernel field is
+    nonzero at 0 and d(theta f_n)_0 != 0.  An oracle for `classify`'s Morin 2
+    label, from the polynomial frame.
+    """
+    if frame is None:
+        frame = build_frame(ng)
+    hess = kernel_hessian_of_last(ng, frame)
+    kernel_dim = hess.rows - hess.rank()
+    if kernel_dim != 1:
+        return {"applicable": False, "is_cusp": False, "kernel_dim": kernel_dim}
+    ls = lambdas_for_frame(ng.germ, frame)
+    hd = hessian(ls)
+    try:
+        hd = build_theta(ls, hd)
+    except ThetaUnavailableError:
+        return {"applicable": False, "is_cusp": False, "kernel_dim": kernel_dim}
+    fn = ng.germ.components[-1]
+    t1 = hd.theta.apply(fn)
+    t3 = hd.theta.apply(hd.theta.apply(t1))
+    (grad,) = linear_coefficients([t1], ng.germ.context)
+    is_cusp = t3.constant_term() != 0 and any(e != 0 for e in grad)
+    return {"applicable": True, "is_cusp": is_cusp, "kernel_dim": kernel_dim}
 
 
 def minor_rank(rows):
@@ -546,12 +609,18 @@ def polynomial_parse(text, context, line_offset=1):
     return PolynomialParser(_tokenize(text, line_offset), context).parse()
 
 
+def perfbench_module(name):
+    """The benchmark's module `perfbench/<name>.py`, loaded by path."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", Path(__file__).parent.parent / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def ainv_request_texts(seed):
     """The germ-file texts the benchmark's `ainv_replay` workload sends at `seed`."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_inputs", Path(__file__).parent.parent / "perfbench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
+    inputs = perfbench_module("inputs")
     return [r["text"] for r in inputs.ainv_requests(random.Random(seed))]
 
 

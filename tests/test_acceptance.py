@@ -32,6 +32,7 @@ from morinclass.germ import build_frame, normalize
 from conftest import (
     battery,
     component_samples,
+    evaluate_rows,
     labels_equivalent,
     linear_source_change,
     linear_target_change,
@@ -155,7 +156,7 @@ def test_criterion_4_hessian_symmetry_on_singular_locus():
                     continue
                 if frame.pivot_minor.evaluate(assignment) == 0:
                     continue
-                mat = hd.h_matrix.evaluate(assignment)
+                mat = evaluate_rows(hd.h_matrix.to_rows(), assignment)
                 checked += 1
                 if not mat.is_symmetric():
                     bad += 1

@@ -195,6 +195,26 @@ class TestClassifyCommand:
         assert verdict["residual"] is None
         assert verdict["label"] == {"kind": "Regular"}
 
+    @pytest.mark.parametrize("option, value", [
+        ("--tol-zero", "nan"), ("--tol-rank", "inf"), ("--tol-residual", "-inf"),
+        ("--tol-zero", "-1"), ("--tol-rank", "0"),
+    ])
+    def test_numeric_bad_tolerance_is_an_option_error(self, capsys, tmp_path, option, value):
+        path = tmp_path / "fold.germ"
+        path.write_text("vars: x y z\nmap: x ; y^2+z^2\n")
+        code, out, err = run_cli(capsys, "classify", str(path), "--numeric", f"{option}={value}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad --tol-* value: ") and err.count("\n") == 1
+
+    def test_numeric_point_beyond_float_range(self, capsys, cusp_file):
+        code, out, err = run_cli(
+            capsys, "classify", str(cusp_file), "--numeric", "--point", "1e400,0,0")
+        assert code == 2 and out == ""
+        assert err == "error: base point is out of the float range of --numeric\n"
+        # the exact path takes the same point
+        code, out, _ = run_cli(capsys, "classify", str(cusp_file), "--point", "1e400,0,0")
+        assert code == 0 and json.loads(out)["label"] == {"kind": "Regular"}
+
     def test_deterministic_bytes(self, capsys, cusp_file):
         _, out1, _ = run_cli(capsys, "classify", str(cusp_file), "--trace")
         _, out2, _ = run_cli(capsys, "classify", str(cusp_file), "--trace")
@@ -277,6 +297,17 @@ class TestLefschetzCommands:
             "slice_b2_1_2.csv",
             "slice_b2_1_4.csv",
         ]
+
+    def test_all_paper_slices_outdir_is_a_file(self, capsys, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, out, err = run_cli(
+            capsys, "lefschetz", "slice", "--all-paper-slices", "--grid", "2",
+            "--outdir", str(taken),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot create {taken}: ") and err.count("\n") == 1
+        assert taken.read_text() == ""
 
     def test_witness_command(self, capsys):
         code, out, _ = run_cli(capsys, "lefschetz", "witness", "--params", "0,2,0,3")

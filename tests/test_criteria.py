@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,13 +10,10 @@ import pytest
 from morinclass import (
     MapGerm,
     Polynomial,
+    RationalMatrix,
     build_frame,
     classify,
-    compute_lambdas,
-    cusp_fast_path,
-    fold_fast_path,
     hessian,
-    nondegeneracy,
     normalize,
 )
 from morinclass.criteria import (
@@ -24,18 +22,21 @@ from morinclass.criteria import (
     _EXACT,
     Label,
     build_theta,
+    fold_fast_path,
     frame_jets,
     iterate_h,
-    jacobian_at_origin,
     kernel_hessian_at_origin,
     kernel_hessian_of_last,
     lambdas_for_frame,
     rank_condition_b,
 )
+from morinclass.germ import linear_coefficients
 from morinclass.lefschetz import lefschetz_lambdas
 
 from conftest import (
     cofactor_determinant,
+    cusp_fast_path,
+    evaluate_rows,
     labels_equivalent,
     lambda_matrix,
     linear_source_change,
@@ -43,6 +44,7 @@ from conftest import (
     make_context,
     minor_rank,
     normal_form,
+    perfbench_module,
     random_polynomial,
     unipotent_source_change,
     unipotent_target_change,
@@ -51,6 +53,15 @@ from conftest import (
 
 def origin(ctx):
     return {n: Fraction(0) for n in ctx.names}
+
+
+def lambda_system(ng):
+    return lambdas_for_frame(ng.germ, build_frame(ng))
+
+
+def nondegeneracy_rank(ls):
+    """Rank of the Jacobian of the lambdas at 0."""
+    return RationalMatrix.from_rows(linear_coefficients(ls.lambdas, ls.germ.context)).rank()
 
 
 @pytest.fixture
@@ -75,14 +86,14 @@ class TestLambdas:
     def test_cusp_form(self, cusp_data):
         ctx, germ, ng = cusp_data
         x, y, z = (Polynomial.variable(ctx, n) for n in ("x", "y", "z"))
-        ls = compute_lambdas(ng)
+        ls = lambda_system(ng)
         assert ls.lambdas == (2 * y, 3 * z**2 + x)
 
     def test_fold_form(self):
         ctx = make_context("x", "y", "z")
         x, y, z = (Polynomial.variable(ctx, n) for n in ("x", "y", "z"))
         ng = normalize(MapGerm(ctx, (x, y**2 + z**2)))
-        assert compute_lambdas(ng).lambdas == (2 * y, 2 * z)
+        assert lambda_system(ng).lambdas == (2 * y, 2 * z)
 
     def test_lefschetz_normalized_lambda(self):
         data = lefschetz_lambdas()
@@ -204,30 +215,33 @@ class TestJetBudgets:
 
 
 class TestNondegeneracy:
+    """The rank of dlambda(0) from the polynomial lambdas, and as `classify` records it."""
+
     def test_fails_without_linear_term(self):
         ctx = make_context("x", "y", "z")
         x, y, z = (Polynomial.variable(ctx, n) for n in ("x", "y", "z"))
-        ng = normalize(MapGerm(ctx, (x, y**2 + z**3)))
-        result = nondegeneracy(compute_lambdas(ng))
-        assert result == {"pass": False, "rank": 1, "required": 2}
+        germ = MapGerm(ctx, (x, y**2 + z**3))
+        assert nondegeneracy_rank(lambda_system(normalize(germ))) == 1
+        assert classify(germ).trace["nondegeneracy"] == {"rank": 1, "required": 2}
 
     def test_passes_with_unfolding_term(self, cusp_data):
-        _, _, ng = cusp_data
-        result = nondegeneracy(compute_lambdas(ng))
-        assert result["pass"] and result["rank"] == 2
+        _, germ, ng = cusp_data
+        assert nondegeneracy_rank(lambda_system(ng)) == 2
+        assert classify(germ).trace["nondegeneracy"] == {"rank": 2, "required": 2}
 
     def test_fold_passes(self):
         ctx = make_context("x", "y", "z")
         x, y, z = (Polynomial.variable(ctx, n) for n in ("x", "y", "z"))
-        ng = normalize(MapGerm(ctx, (x, y**2 + z**2)))
-        assert nondegeneracy(compute_lambdas(ng))["rank"] == 2
+        germ = MapGerm(ctx, (x, y**2 + z**2))
+        assert nondegeneracy_rank(lambda_system(normalize(germ))) == 2
+        assert classify(germ).trace["nondegeneracy"] == {"rank": 2, "required": 2}
 
 
 class TestHessian:
     def test_cusp_form(self, cusp_data):
         ctx, _, ng = cusp_data
         z = Polynomial.variable(ctx, "z")
-        hd = hessian(compute_lambdas(ng))
+        hd = hessian(lambda_system(ng))
         rows = hd.h_matrix.to_rows()
         assert rows[0][0] == Polynomial.constant(ctx, 2)
         assert rows[0][1].is_zero() and rows[1][0].is_zero()
@@ -238,21 +252,21 @@ class TestHessian:
         ctx = make_context("x", "y", "z")
         x, y, z = (Polynomial.variable(ctx, n) for n in ("x", "y", "z"))
         ng = normalize(MapGerm(ctx, (x, y**2 + z**2)))
-        hd = hessian(compute_lambdas(ng))
+        hd = hessian(lambda_system(ng))
         assert hd.h == Polynomial.constant(ctx, 4)
 
     def test_higher_morin_form(self, morin3_data):
         ctx, _, ng = morin3_data
         x2 = Polynomial.variable(ctx, "x2")
         z = Polynomial.variable(ctx, "z")
-        hd = hessian(compute_lambdas(ng))
+        hd = hessian(lambda_system(ng))
         assert hd.h == 24 * z**2 + 4 * x2
 
 
 class TestTheta:
     def test_adjugate_column_choice(self, cusp_data):
         ctx, _, ng = cusp_data
-        ls = compute_lambdas(ng)
+        ls = lambda_system(ng)
         hd = build_theta(ls, hessian(ls))
         assert hd.theta_column == 1  # first column vanishes at 0
         values = [c.evaluate(origin(ctx)) for c in hd.theta.coefficients]
@@ -260,7 +274,7 @@ class TestTheta:
 
     def test_theta_annihilates_lambdas_at_origin(self, cusp_data):
         ctx, _, ng = cusp_data
-        ls = compute_lambdas(ng)
+        ls = lambda_system(ng)
         hd = build_theta(ls, hessian(ls))
         for lam in ls.lambdas:
             assert hd.theta.apply(lam).evaluate(origin(ctx)) == 0
@@ -269,7 +283,7 @@ class TestTheta:
         # the matrix times the theta coefficient vector equals h times the
         # chosen adjugate column, identically
         ctx, _, ng = cusp_data
-        ls = compute_lambdas(ng)
+        ls = lambda_system(ng)
         hd = build_theta(ls, hessian(ls))
         adj = hd.h_matrix.adjugate()
         size = hd.h_matrix.rows
@@ -372,7 +386,7 @@ class TestThetaRule:
 class TestIterateH:
     def test_cusp_chain(self, cusp_data):
         ctx, _, ng = cusp_data
-        ls = compute_lambdas(ng)
+        ls = lambda_system(ng)
         hd = iterate_h(build_theta(ls, hessian(ls)), 1)
         assert hd.h_derivs[0] == 12 * Polynomial.variable(ctx, "z")
         assert hd.h_derivs[1] == Polynomial.constant(ctx, 24)
@@ -381,7 +395,7 @@ class TestIterateH:
         ctx, _, ng = morin3_data
         x2 = Polynomial.variable(ctx, "x2")
         z = Polynomial.variable(ctx, "z")
-        ls = compute_lambdas(ng)
+        ls = lambda_system(ng)
         hd = iterate_h(build_theta(ls, hessian(ls)), 2)
         assert hd.h_derivs[0] == 24 * z**2 + 4 * x2
         assert hd.h_derivs[1] == 96 * z
@@ -391,14 +405,14 @@ class TestIterateH:
 class TestRankConditionB:
     def test_cusp(self, cusp_data):
         _, _, ng = cusp_data
-        ls = compute_lambdas(ng)
+        ls = lambda_system(ng)
         hd = iterate_h(build_theta(ls, hessian(ls)), 1)
         res = rank_condition_b(ls, hd, 2)
         assert res["rank"] == 3 and res["required"] == 3
 
     def test_higher_morin(self, morin3_data):
         _, _, ng = morin3_data
-        ls = compute_lambdas(ng)
+        ls = lambda_system(ng)
         hd = iterate_h(build_theta(ls, hessian(ls)), 2)
         res = rank_condition_b(ls, hd, 3)
         assert res["rank"] == 4 and res["required"] == 4
@@ -407,7 +421,7 @@ class TestRankConditionB:
         ctx = make_context("x", "y", "z")
         x, y, z = (Polynomial.variable(ctx, n) for n in ("x", "y", "z"))
         ng = normalize(MapGerm(ctx, (x, y**2 + z**2)))
-        ls = compute_lambdas(ng)
+        ls = lambda_system(ng)
         res = rank_condition_b(ls, hessian(ls), 1)
         assert res["rank"] == res["required"] == 2
 
@@ -566,22 +580,24 @@ class TestFoldOverQ:
         for germ in self.germs(battery_germs):
             ng = normalize(germ.truncated(germ.n + 1))
             det_b, eta_hess, kern = kernel_hessian_at_origin(ng)
+            kern = RationalMatrix.from_rows(kern)
             frame = build_frame(ng)
             assert det_b == frame.pivot_minor.constant_term()
             assert kern == kernel_hessian_of_last(ng, frame)
             ls = lambdas_for_frame(ng.germ, frame)
             # dlambda(0) = det B(0) E(0)^T H, fold or not
-            assert jacobian_at_origin(ls.lambdas, ng.germ).entries == [
-                det_b * e for e in eta_hess.entries
+            assert linear_coefficients(ls.lambdas, ng.germ.context) == [
+                [det_b * e for e in row] for row in eta_hess
             ]
             if kern.determinant() != 0:
-                assert eta_hess.rank() == nondegeneracy(ls)["rank"]
+                assert RationalMatrix.from_rows(eta_hess).rank() == nondegeneracy_rank(ls)
                 folds += 1
         assert folds >= 40
 
     def test_pivot_block_with_nonunit_determinant(self):
         germ = self.pivot_block_germ()
         det_b, _, kern = kernel_hessian_at_origin(normalize(germ))
+        kern = RationalMatrix.from_rows(kern)
         assert det_b == 10
         report = classify(germ, trace=False)
         assert report.label.is_fold()
@@ -609,10 +625,10 @@ class TestInvariance:
                 # original singular set: y = 0, 3z^2 + x = 0
                 pt = {"x1": -3 * t * t, "y1": Fraction(0), "z": t}
                 # map through nothing: check the plain form instead
-                ls0 = compute_lambdas(normalize(base))
+                ls0 = lambda_system(normalize(base))
                 assert all(l.evaluate(pt) == 0 for l in ls0.lambdas)
                 hd0 = hessian(ls0)
-                mat = hd0.h_matrix.evaluate(pt)
+                mat = evaluate_rows(hd0.h_matrix.to_rows(), pt)
                 assert mat.is_symmetric()
                 count += 1
         assert count >= 18
@@ -654,7 +670,7 @@ class TestInvariance:
         assert report.label.is_fold()
         assert sorted(report.label.signature) == sorted((signs.count(1), signs.count(-1)))
         ng = normalize(germ.truncated(3))
-        assert hessian(compute_lambdas(ng)).h_matrix.rows == 9
+        assert hessian(lambda_system(ng)).h_matrix.rows == 9
 
     def test_normal_form_completeness(self, battery_germs):
         for m, n, k, signs, germ in battery_germs:
@@ -664,3 +680,25 @@ class TestInvariance:
                 assert label.signature == (signs.count(1), signs.count(-1))
             else:
                 assert label.is_morin(k), (m, n, k, signs)
+
+
+def test_bench_surface_resolves(monkeypatch):
+    """Every function the benchmark wraps or imports is still where it looks.
+
+    The tracer wraps `owner.__dict__[attr]` for each of its targets, and the
+    workloads import their helpers by name, so deleting one would break the
+    traced benchmark without failing any other test.
+    """
+    from morinclass import criteria
+    from morinclass.lefschetz import chart_hessian
+
+    monkeypatch.setitem(sys.modules, "inputs", perfbench_module("inputs"))
+    tracer = perfbench_module("tracer")
+    workloads = perfbench_module("workloads")
+    for span, owner, attr, _ in tracer.TARGETS:
+        assert attr in owner.__dict__, (span, attr)
+    assert set(workloads.WORKLOADS) == {
+        "ainv_replay", "dim_ladder", "lefschetz_witness", "float_scan_export"}
+    assert workloads.fold_fast_path is criteria.fold_fast_path
+    # the witness workload checks the chart's adjugate column
+    assert workloads.LefschetzWitness._adjugate_column_ok(chart_hessian())

@@ -49,6 +49,24 @@ def cusp_germ():
     return MapGerm(ctx, (x, y**2 + z**3 + x * z))
 
 
+class TestTolerances:
+    @pytest.mark.parametrize("name", ["residual_tol", "rank_tol", "zero_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
+    def test_tolerance_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            Tolerances(**{name: value})
+
+    @pytest.mark.parametrize("iters", [2.5, True, False, 0, -3, "50", 50.0])
+    def test_newton_iterations_must_be_a_positive_int(self, iters):
+        with pytest.raises(ValueError, match="max_newton_iters"):
+            Tolerances(max_newton_iters=iters)
+
+    def test_valid_values_are_kept(self):
+        tol = Tolerances(residual_tol=1, rank_tol=1e-300, zero_tol=0.5, max_newton_iters=1)
+        assert (tol.residual_tol, tol.rank_tol, tol.zero_tol, tol.max_newton_iters) == (
+            1, 1e-300, 0.5, 1)
+
+
 class TestProjection:
     def test_fold_axis(self, fold_germ):
         p = project_to_singular_locus(fold_germ, (0.3, 0.1, 0.2))
