@@ -245,6 +245,37 @@ class TestRederivationChain:
         assert boundary["boundary_collapse"]
 
 
+def _sha256_lines(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestRenderPins:
+    """sha256 of the rendered chart Hessian data and chain results, byte for byte."""
+
+    def test_chart_hessian_renders(self):
+        from morinclass.lefschetz import chart_hessian
+
+        data = chart_hessian()
+        lines = [data["h"].render()]
+        lines += [c.render() for c in data["theta"].coefficients]
+        lines.append(data["theta_h"].render())
+        lines += [data["adjugate"][i, 2].render() for i in range(3)]
+        assert _sha256_lines(lines) == (
+            "07eeb6082e298b3626e773746ad352d03535928a976f3b23acc55e04c1989882"
+        )
+
+    def test_chain_renders(self, chain):
+        lines = [chain["g_branch"].render(), chain["theta_h_residual"].render()]
+        lines += [
+            f"{key} {sorted(chain[key].items())}"
+            for key in ("h_branch_factors", "theta_h_factors", "subbranch_factors")
+        ]
+        lines += [e["eliminant"].render() for e in chain["eliminations"]]
+        assert _sha256_lines(lines) == (
+            "e35ae7ff2becd404ff0ebd5104f45af8e97682384b2604791e9e0911f8cef9b4"
+        )
+
+
 def test_oracle_affine_reduction_and_eliminant():
     """sympy evidence for the actual non-cusp locus {a1=b1=0} u {a2=b2=0}.
 
