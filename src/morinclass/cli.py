@@ -110,9 +110,9 @@ def cmd_classify(args):
             return _fail(f"bad --tol-* value: {exc}")
         try:
             at = [float(v) for v in point or (0,) * len(doc.source_vars)]
-        except OverflowError:
+            verdict = numeric_classify(germ, at, tol)
+        except (OverflowError, ValueError):
             return _fail("base point is out of the float range of --numeric")
-        verdict = numeric_classify(germ, at, tol)
         payload = {"numeric": True, "verdict": verdict_to_dict(verdict)}
         _emit(payload)
         return EXIT_OK

@@ -10,9 +10,10 @@ The decision pipeline:
      f_{n-1}, so the last column is (0, ..., 0, eta_i f_n) and
      lambda_i = det(B) * eta_i f_n with B the pivot block of the frame.
   4. the (m-n+1)-square matrix M with M[i][j] = eta_j lambda_i, its
-     determinant h, the kernel field theta from one column of adj(M) (over
-     Q the first column of adj(M(0)) that is not zero), and the iterated
-     directional derivatives h' = theta h, h'' = theta h', ...
+     determinant h, the kernel field theta from one column of adj(M) (the
+     column is a decision, over Q the first column of adj(M(0)) that is not
+     zero, and `build_theta` takes it), and the iterated directional
+     derivatives h' = theta h, h'' = theta h', ...
   5. label: fold iff h(0) != 0.  As d(f_n)_0 = 0, with E(0) the eta
      coefficients at 0, H the Hessian of f_n at 0, K = E(0)^T H E(0) and
      s = m-n+1,
@@ -33,7 +34,9 @@ the float (n+1)-jet at its point and makes each decision against a
 threshold instead, recording a margin: the decision object handed to the
 stages picks which.  There are six: the corank and pivots, the fold test,
 the signature, the ranks of dlambda(0) and of condition (b), the theta
-column, and the zero tests of the h-derivatives.
+column, and the zero tests of the h-derivatives.  The Lefschetz study
+(`lefschetz.chart_hessian`) runs `hessian` and `build_theta` too, on its
+chart's lambdas and the published last column.
 
 Every mathematical failure is a report label, never an exception.  The
 tests read values and first derivatives at the base point only; a first
@@ -126,10 +129,6 @@ class CriteriaReport:
     trace: dict = field(default_factory=dict)
 
 
-class ThetaUnavailableError(ValueError):
-    """The adjugate of the kernel Hessian vanishes at the origin."""
-
-
 def lambdas_for_frame(germ: MapGerm, frame: AdaptedFrame) -> LambdaSystem:
     """lambda_i = det(B) * eta_i f_n, det(B) being `frame.pivot_minor` (step 3 above)."""
     f_n = germ.components[-1]
@@ -145,20 +144,17 @@ def hessian(ls: LambdaSystem) -> HessData:
     return HessData(h_matrix=m, h=cut_to_order(m.determinant(), m.entries))
 
 
-def build_theta(ls: LambdaSystem, hd: HessData, column=None) -> HessData:
+def build_theta(ls: LambdaSystem, hd: HessData, column: int) -> HessData:
     """Kernel field theta from column `column` of adj(M), built as adj(M) e_c.
 
     Because adj(M) . M = det(M) . I holds identically, theta lies in the
     kernel of M at every point where h vanishes; 2-non-degeneracy makes some
-    column nonzero at the origin.  By default the column is the exact rule's,
-    the first column of adj(M(0)) that is not zero; the label does not depend
-    on which nonzero column is taken, which the test suite exercises.
+    column nonzero at the origin.  `classify` takes the column its decision
+    picks (`theta_column`: over Q the first column of adj(M(0)) that is not
+    zero); the label does not depend on which nonzero column is taken, which
+    the test suite exercises.
     """
     rows = hd.h_matrix.to_rows()
-    if column is None:
-        column = _EXACT.theta_column([[e.constant_term() for e in row] for row in rows])
-        if column is None:
-            raise ThetaUnavailableError("adjugate of the kernel Hessian vanishes at 0")
     unit = [[Polynomial.constant(hd.h_matrix.context, int(r == column))] for r in range(len(rows))]
     coeffs = None
     for eta, (entry,) in zip(ls.frame.eta, eliminate(rows, unit)[1]):
@@ -176,16 +172,24 @@ def iterate_h(hd: HessData, up_to: int) -> HessData:
     return replace(hd, h_derivs=tuple(derivs))
 
 
+def _condition_b_rows(ls: LambdaSystem, hd: HessData, k: int):
+    """Rows of the Jacobian at 0 of the stacked (lambdas, h, ..., h^(k-2)).
+
+    For k = 1 the stack is the lambdas alone, and `hd` may lack `h_derivs`.
+    """
+    stack = list(ls.lambdas)
+    if k >= 2:
+        stack.extend(hd.h_derivs[: k - 1])
+    return linear_coefficients(stack, ls.germ.context)
+
+
 def rank_condition_b(ls: LambdaSystem, hd: HessData, k: int):
     """Rank at 0 of the stacked Jacobian of (lambdas, h, ..., h^(k-2)).
 
     A Morin k point needs rank m-n+k; for k = 1 the stack is the lambdas
     alone and the condition is non-degeneracy.
     """
-    stack = list(ls.lambdas)
-    if k >= 2:
-        stack.extend(hd.h_derivs[: k - 1])
-    jac = RationalMatrix.from_rows(linear_coefficients(stack, ls.germ.context))
+    jac = RationalMatrix.from_rows(_condition_b_rows(ls, hd, k))
     required = ls.germ.m - ls.germ.n + k
     return {"rank": jac.rank(), "required": required, "matrix": jac}
 
@@ -389,7 +393,7 @@ def _classify_at_origin(work: MapGerm, decide, trace=False):
         return Label("Degenerate", reason=ALL_DERIVATIVES_VANISH), record
 
     # condition (b): the stacked Jacobian of (lambdas, h, ..., h^(k-2)) at 0
-    jac = linear_coefficients(list(ls.lambdas) + list(hd.h_derivs[: k - 1]), work.context)
+    jac = _condition_b_rows(ls, hd, k)
     rank_b = decide.rank("condition-b", jac)
     required = m - n + k
     record["condition_b"] = {

@@ -7,7 +7,11 @@ second.  This module reproduces the classical study of that family: the
 singular-locus equations of the chart x-pivot frame, the kernel Hessian and
 its determinant, the five published non-cusp locus displays with CSV slice
 export, witness search over the singular set, and the full symbolic
-substitution chain behind those displays.
+substitution chain behind those displays.  The frame, the lambdas, the
+kernel Hessian, h and theta come from the classifier's own stages
+(`germ.cramer_frame`, `criteria.lambdas_for_frame`, `criteria.hessian`,
+`criteria.build_theta`), and the chain from `Polynomial` arithmetic and
+`substitute`.
 
 The published displays are printed as published; they are not the non-cusp
 locus.  With alpha = a1+ib1 and beta = a2+ib2 the family is
@@ -24,15 +28,14 @@ cubic factor has discriminant 108 (p^2+q^2)^2.  See `cusp_tau_polynomial`.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .context import VariableContext
-from .criteria import Label, classify, lambdas_for_frame
+from .criteria import Label, build_theta, classify, hessian, lambdas_for_frame
 from .germ import MapGerm, cramer_frame
-from .linalg import PolyMatrix
 from .polynomial import Polynomial
 from .rationals import rat
 
@@ -96,11 +99,6 @@ def _params_tuple(params):
     return tuple(d[k] for k in PARAM_VARS)
 
 
-def chart_frame(germ: MapGerm):
-    """The x1-pivot kernel frame of the first component (valid where a1+x2 != 0)."""
-    return cramer_frame(germ, ("x1",))
-
-
 def lefschetz_lambdas(params=None):
     """Singular-locus equations of the family in the x1-pivot chart.
 
@@ -111,7 +109,8 @@ def lefschetz_lambdas(params=None):
     """
     fam = LefschetzFamily.symbolic()
     germ = fam.germ if params is None else fam.at(params)
-    frame = chart_frame(germ)
+    # the x1-pivot kernel frame of the first component, valid where a1+x2 != 0
+    frame = cramer_frame(germ, ("x1",))
     ls = lambdas_for_frame(germ, frame)
     f_2 = germ.components[-1]
     return {
@@ -127,24 +126,21 @@ def lefschetz_lambdas(params=None):
 def chart_hessian(params=None):
     """Kernel Hessian data of the chart: matrix (eta_j lam_i), h = det, theta, theta h.
 
-    Built from the normalized lambdas so the substitution chain matches the
-    published displays; theta is the last-column adjugate combination (the
-    published three-cofactor formula).
+    The classifier's own stages (`criteria.hessian`, `criteria.build_theta`)
+    run on the normalized lambdas, so the substitution chain matches the
+    published displays; theta is built from the last adjugate column (the
+    published three-cofactor formula).  `adjugate` is adj(M) in full.
     """
     data = lefschetz_lambdas(params)
-    etas = data["frame"].eta
-    lams = data["normalized"]
-    rows = [[eta.apply(lam) for eta in etas] for lam in lams]
-    mat = PolyMatrix.from_rows(rows)
-    h = mat.determinant()
-    adj = mat.adjugate()
-    theta = None
-    for i, eta in enumerate(etas):
-        scaled = eta.scaled(adj[i, 2])
-        theta = scaled if theta is None else theta + scaled
-    data.update(
-        {"h_matrix": mat, "h": h, "adjugate": adj, "theta": theta, "theta_h": theta.apply(h)}
-    )
+    ls = replace(data["system"], lambdas=tuple(data["normalized"]))
+    hd = build_theta(ls, hessian(ls), column=2)
+    data.update({
+        "h_matrix": hd.h_matrix,
+        "h": hd.h,
+        "adjugate": hd.h_matrix.adjugate(),
+        "theta": hd.theta,
+        "theta_h": hd.theta.apply(hd.h),
+    })
     return data
 
 
@@ -299,20 +295,16 @@ def witness_verify(params) -> WitnessReport:
     germ = fam.at(params)
 
     candidates = []
-    taus = [Fraction(n, d) for d in (1, 2, 3) for n in range(-3 * d, 3 * d + 1)]
+    # the slopes n/d with |n/d| <= 3 and d <= 3, each once, in order of first listing
+    taus = dict.fromkeys(Fraction(n, d) for d in (1, 2, 3) for n in range(-3 * d, 3 * d + 1))
     seen = set()
-    points = []
-    for name, pt in distinguished_points(params):
-        points.append((name, pt))
+    points = distinguished_points(params)
     for tau in taus:
-        try:
-            points.append((f"circle tau={tau}", circle_point(params, tau)))
-        except ZeroDivisionError:
-            pass
-        try:
-            points.append((f"swap-circle tau={tau}", swap_circle_point(params, tau)))
-        except ZeroDivisionError:
-            pass
+        for where, point in (("circle", circle_point), ("swap-circle", swap_circle_point)):
+            try:
+                points.append((f"{where} tau={tau}", point(params, tau)))
+            except ZeroDivisionError:
+                pass
     witness = None
     witness_label = None
     for name, pt in points:
@@ -338,19 +330,22 @@ def witness_verify(params) -> WitnessReport:
 
 # -- symbolic substitution chain ------------------------------------------------
 
+def _by_power(p, var):
+    """{e: c_e} with p = sum of c_e var^e and no c_e involving var."""
+    iv = p.context.index(var)
+    parts = {}
+    for exps, coeff in p.items():
+        parts.setdefault(exps[iv], {})[exps[:iv] + (0,) + exps[iv + 1:]] = coeff
+    return {e: Polynomial(p.context, terms) for e, terms in parts.items()}
+
+
 def _substitute_cleared(p, var, numerator, denominator):
     """p with var -> numerator/denominator, multiplied by denominator^deg_var(p)."""
-    ctx = p.context
-    iv = ctx.index(var)
-    # group the terms by their power of var, so each power of the numerator
-    # and the denominator is computed and multiplied in once
-    by_power = {}
-    for exps, coeff in p.items():
-        by_power.setdefault(exps[iv], {})[exps[:iv] + (0,) + exps[iv + 1:]] = coeff
-    deg = max(by_power, default=0)
-    out = Polynomial.zero(ctx)
-    for e, terms in by_power.items():
-        term = Polynomial(ctx, terms)
+    # each power of the numerator and the denominator is multiplied in once
+    parts = _by_power(p, var)
+    deg = max(parts, default=0)
+    out = Polynomial.zero(p.context)
+    for e, term in parts.items():
         if e:
             term = term * numerator**e
         if deg - e:
@@ -453,24 +448,15 @@ def rederive_noncusp_chain():
     theta_branch = etas[1].scaled(a2) + etas[2].scaled(a1 + x2)
     tb_h = theta_branch.apply(h)
     zero = Polynomial.zero(ctx)
-    tb_h = tb_h.substitute({"x1": zero, "y1": zero})
-    tb_h = tb_h.substitute({"b1": -2 * y2})
+    tb_h = tb_h.substitute({"x1": zero, "y1": zero, "b1": -2 * y2})
 
     def reduce_y2sq(p):
+        # y2^e -> (a1x2 + x2^2)^(e//2) y2^(e%2)
         y2sq = a1 * x2 + x2**2
-        iy2 = ctx.index("y2")
-        while max((e[iy2] for e in p.exponents()), default=0) >= 2:
-            nxt = Polynomial.zero(ctx)
-            for exps, coeff in p.items():
-                e = exps[iy2]
-                if e >= 2:
-                    base = list(exps)
-                    base[iy2] = e - 2
-                    nxt = nxt + Polynomial(ctx, {tuple(base): coeff}) * y2sq
-                else:
-                    nxt = nxt + Polynomial(ctx, {tuple(exps): coeff})
-            p = nxt
-        return p
+        out = zero
+        for e, c in _by_power(p, "y2").items():
+            out = out + c * y2sq ** (e // 2) * y2 ** (e % 2)
+        return out
 
     reduced = reduce_y2sq(tb_h)
     sub_display = 3 * a1**2 + 7 * a1 * x2 + 4 * x2**2 + 2 * y2**2
@@ -500,10 +486,11 @@ def rederive_noncusp_chain():
 
     # branch a2 + x1 = 0: x1 = -a2, then the circle equation forces y1 = -b2,
     # and g = 0 eliminates to a parameter relation
-    g1 = g_published.substitute({"x1": -a2, "y1": -b2})
-    g1 = _to_locus_poly(g1, lctx)
-    lb2 = Polynomial.variable(lctx, "b2")
-    g1, g1_tally = _drop_factors(g1.primitive_part(), [("b2", lb2)])
+    locus_vars = {n: Polynomial.variable(lctx, n) for n in PARAM_VARS}
+    g1 = g_published.substitute(
+        {**locus_vars, "x1": -locus_vars["a2"], "y1": -locus_vars["b2"]}, target_context=lctx
+    )
+    g1, _ = _drop_factors(g1.primitive_part(), [("b2", locus_vars["b2"])])
     branch1 = {"branch": "a2+x1", "eliminant": g1, "per_component": []}
     for idx, comp in enumerate(locus.components):
         branch1["per_component"].append(
@@ -530,19 +517,6 @@ def rederive_noncusp_chain():
         "subbranch_ok": subbranch_ok,
         "eliminations": eliminations,
     }
-
-
-def _to_locus_poly(p, lctx):
-    """Rebase a parameters-only polynomial onto the locus context."""
-    src_ctx = p.context
-    keep = [src_ctx.index(n) for n in PARAM_VARS]
-    drop = [i for i in range(len(src_ctx)) if i not in keep]
-    terms = {}
-    for exps, coeff in p.items():
-        if any(exps[i] for i in drop):
-            raise ValueError("polynomial still involves source variables")
-        terms[tuple(exps[i] for i in keep)] = coeff
-    return Polynomial(lctx, terms)
 
 
 def _divisible(p, f):

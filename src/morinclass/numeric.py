@@ -315,16 +315,23 @@ def numeric_classify(germ: MapGerm, point, tol: Tolerances = None) -> NumericVer
     """Thresholded classification at a float point: `classify`'s stages on the float jet there.
 
     The residual is the norm of the chart's lambdas at the point, None where
-    the germ has no chart at 0.
+    the germ has no chart at 0.  A point where the jet or the residual
+    overflows the float range raises ValueError.
     """
     tol = tol or Tolerances()
     pipe = _pipeline(germ, tol)
     x = tuple(float(v) for v in point)
+    jet = pipe.germ.translate(x).truncated(germ.n + 1)
+    if not all(math.isfinite(c) for p in jet.components for c in p.coefficients()):
+        raise ValueError("the jet at the point is not finite in floats")
     residual = None
     if pipe.lambdas is not None:
-        residual = float(_norms(pipe.values(np.array([x])))[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = float(_norms(pipe.values(np.array([x])))[0])
+        if not math.isfinite(residual):
+            raise ValueError("the residual at the point is not finite in floats")
     decide = _Thresholds(tol)
-    label, _ = _classify_at_origin(pipe.germ.translate(x).truncated(germ.n + 1), decide)
+    label, _ = _classify_at_origin(jet, decide)
     if any(m.inconclusive for m in decide.margins):
         label = Label("Inconclusive")
     return NumericVerdict(point=x, label=label, margins=decide.margins, residual=residual)

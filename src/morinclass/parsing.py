@@ -329,7 +329,8 @@ def parse_germ_document(text) -> GermDocument:
     param_vars = ()
     component_texts = None
     bindings = {}
-    base_point = None
+    bound_at = {}  # the line of each binding, for errors found after the loop
+    base_point = point_line = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -355,6 +356,7 @@ def parse_germ_document(text) -> GermDocument:
                     name = name.strip()
                     names.append(name)
                     bindings[name] = _parse_rational_token(val.strip(), lineno)
+                    bound_at[name] = lineno
                 else:
                     names.extend(_split_values(piece))
             param_vars = tuple(names)
@@ -371,9 +373,12 @@ def parse_germ_document(text) -> GermDocument:
                 if "=" not in piece:
                     raise ParseError(f"bind: entries look like name = value, got {piece!r}", lineno)
                 name, _, val = piece.partition("=")
-                bindings[name.strip()] = _parse_rational_token(val.strip(), lineno)
+                name = name.strip()
+                bindings[name] = _parse_rational_token(val.strip(), lineno)
+                bound_at[name] = lineno
         elif key == "point":
             base_point = tuple(_parse_rational_token(v, lineno) for v in _split_values(rest))
+            point_line = lineno
         else:
             raise ParseError(f"unknown section {key!r}", lineno)
     if source_vars is None:
@@ -382,10 +387,10 @@ def parse_germ_document(text) -> GermDocument:
         raise ParseError("missing map: line", 1)
     for name in bindings:
         if name not in param_vars:
-            raise ParseError(f"bind: references undeclared parameter {name!r}", 1)
+            raise ParseError(f"bind: references undeclared parameter {name!r}", bound_at[name])
     if base_point is not None and len(base_point) != len(source_vars):
         raise ParseError(
-            f"point: needs {len(source_vars)} coordinates, got {len(base_point)}", 1
+            f"point: needs {len(source_vars)} coordinates, got {len(base_point)}", point_line
         )
     return GermDocument(
         source_vars=source_vars,

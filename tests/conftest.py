@@ -12,7 +12,6 @@ import pytest
 from morinclass import MapGerm, Polynomial, PolyVectorField, RationalMatrix, VariableContext
 from morinclass.context import MAX_DEGREE, DegreeOverflowError
 from morinclass.criteria import (
-    ThetaUnavailableError,
     build_theta,
     hessian,
     kernel_hessian_of_last,
@@ -441,10 +440,8 @@ def cusp_fast_path(ng, frame=None):
     if kernel_dim != 1:
         return {"applicable": False, "is_cusp": False, "kernel_dim": kernel_dim}
     ls = lambdas_for_frame(ng.germ, frame)
-    hd = hessian(ls)
-    try:
-        hd = build_theta(ls, hd)
-    except ThetaUnavailableError:
+    hd = first_column_theta(ls, hessian(ls))
+    if hd is None:
         return {"applicable": False, "is_cusp": False, "kernel_dim": kernel_dim}
     fn = ng.germ.components[-1]
     t1 = hd.theta.apply(fn)
@@ -452,6 +449,20 @@ def cusp_fast_path(ng, frame=None):
     (grad,) = linear_coefficients([t1], ng.germ.context)
     is_cusp = t3.constant_term() != 0 and any(e != 0 for e in grad)
     return {"applicable": True, "is_cusp": is_cusp, "kernel_dim": kernel_dim}
+
+
+def first_column_theta(ls, hd):
+    """`build_theta` on the first column of adj(M(0)) that is not zero, or None if none is.
+
+    Column c of adj(M(0)) is not zero iff M(0) less row c has rank s-1, the
+    rank read here by `minor_rank`.
+    """
+    m0 = [[e.constant_term() for e in row] for row in hd.h_matrix.to_rows()]
+    size = len(m0)
+    column = next(
+        (c for c in range(size) if minor_rank(m0[:c] + m0[c + 1:]) == size - 1), None
+    )
+    return None if column is None else build_theta(ls, hd, column)
 
 
 def minor_rank(rows):

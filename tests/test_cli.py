@@ -215,6 +215,15 @@ class TestClassifyCommand:
         code, out, _ = run_cli(capsys, "classify", str(cusp_file), "--point", "1e400,0,0")
         assert code == 0 and json.loads(out)["label"] == {"kind": "Regular"}
 
+    def test_numeric_point_whose_values_overflow(self, capsys, tmp_path):
+        # the coordinates are floats, but y^2 at the point is not
+        path = tmp_path / "fold.germ"
+        path.write_text("vars: x y z\nmap: x ; y^2+z^2\n")
+        code, out, err = run_cli(
+            capsys, "classify", str(path), "--numeric", "--point", "1e200,1e200,0")
+        assert code == 2 and out == ""
+        assert err == "error: base point is out of the float range of --numeric\n"
+
     def test_deterministic_bytes(self, capsys, cusp_file):
         _, out1, _ = run_cli(capsys, "classify", str(cusp_file), "--trace")
         _, out2, _ = run_cli(capsys, "classify", str(cusp_file), "--trace")

@@ -37,6 +37,7 @@ from conftest import (
     cofactor_determinant,
     cusp_fast_path,
     evaluate_rows,
+    first_column_theta,
     labels_equivalent,
     lambda_matrix,
     linear_source_change,
@@ -194,7 +195,7 @@ class TestJetBudgets:
                 assert all(lam.jet == n for lam in ls.lambdas)
                 assert hd.h.jet == n - 1
                 if hd.h.constant_term() == 0:
-                    hd = iterate_h(build_theta(ls, hd), n - 1)
+                    hd = iterate_h(first_column_theta(ls, hd), n - 1)
                     assert [p.jet for p in hd.h_derivs] == list(range(n - 1, -1, -1))
 
     def test_fold_value_from_kernel_hessian(self, battery_germs):
@@ -267,7 +268,7 @@ class TestTheta:
     def test_adjugate_column_choice(self, cusp_data):
         ctx, _, ng = cusp_data
         ls = lambda_system(ng)
-        hd = build_theta(ls, hessian(ls))
+        hd = first_column_theta(ls, hessian(ls))
         assert hd.theta_column == 1  # first column vanishes at 0
         values = [c.evaluate(origin(ctx)) for c in hd.theta.coefficients]
         assert values == [0, 0, 2]
@@ -275,7 +276,7 @@ class TestTheta:
     def test_theta_annihilates_lambdas_at_origin(self, cusp_data):
         ctx, _, ng = cusp_data
         ls = lambda_system(ng)
-        hd = build_theta(ls, hessian(ls))
+        hd = first_column_theta(ls, hessian(ls))
         for lam in ls.lambdas:
             assert hd.theta.apply(lam).evaluate(origin(ctx)) == 0
 
@@ -284,7 +285,7 @@ class TestTheta:
         # chosen adjugate column, identically
         ctx, _, ng = cusp_data
         ls = lambda_system(ng)
-        hd = build_theta(ls, hessian(ls))
+        hd = first_column_theta(ls, hessian(ls))
         adj = hd.h_matrix.adjugate()
         size = hd.h_matrix.rows
         coeffs = [adj[i, hd.theta_column] for i in range(size)]
@@ -387,7 +388,7 @@ class TestIterateH:
     def test_cusp_chain(self, cusp_data):
         ctx, _, ng = cusp_data
         ls = lambda_system(ng)
-        hd = iterate_h(build_theta(ls, hessian(ls)), 1)
+        hd = iterate_h(first_column_theta(ls, hessian(ls)), 1)
         assert hd.h_derivs[0] == 12 * Polynomial.variable(ctx, "z")
         assert hd.h_derivs[1] == Polynomial.constant(ctx, 24)
 
@@ -396,7 +397,7 @@ class TestIterateH:
         x2 = Polynomial.variable(ctx, "x2")
         z = Polynomial.variable(ctx, "z")
         ls = lambda_system(ng)
-        hd = iterate_h(build_theta(ls, hessian(ls)), 2)
+        hd = iterate_h(first_column_theta(ls, hessian(ls)), 2)
         assert hd.h_derivs[0] == 24 * z**2 + 4 * x2
         assert hd.h_derivs[1] == 96 * z
         assert hd.h_derivs[2] == Polynomial.constant(ctx, 192)
@@ -406,14 +407,14 @@ class TestRankConditionB:
     def test_cusp(self, cusp_data):
         _, _, ng = cusp_data
         ls = lambda_system(ng)
-        hd = iterate_h(build_theta(ls, hessian(ls)), 1)
+        hd = iterate_h(first_column_theta(ls, hessian(ls)), 1)
         res = rank_condition_b(ls, hd, 2)
         assert res["rank"] == 3 and res["required"] == 3
 
     def test_higher_morin(self, morin3_data):
         _, _, ng = morin3_data
         ls = lambda_system(ng)
-        hd = iterate_h(build_theta(ls, hessian(ls)), 2)
+        hd = iterate_h(first_column_theta(ls, hessian(ls)), 2)
         res = rank_condition_b(ls, hd, 3)
         assert res["rank"] == 4 and res["required"] == 4
 

@@ -224,6 +224,14 @@ class TestNumericClassify:
         assert h_tight.distance >= h_loose.distance
         assert not h_tight.inconclusive
 
+    @pytest.mark.parametrize("point, what", [
+        ((1e200, 1e200, 0.0), "jet"),  # y^2 = 1e400 at the point
+        ((0.0, 1e154, 0.0), "residual"),  # the jet holds, |lambda|^2 = 4e308 does not
+    ])
+    def test_point_beyond_float_range_raises(self, fold_germ, point, what):
+        with pytest.raises(ValueError, match=f"the {what} at the point is not finite"):
+            numeric_classify(fold_germ, point)
+
 
 class TestScan:
     def test_fold_region_scan(self, fold_germ):

@@ -361,6 +361,16 @@ class TestGermDocuments:
         with pytest.raises(ParseError):
             parse_germ_document("vars: x y z\nmap: x ; y\nbind: q = 1")
 
+    @pytest.mark.parametrize("entry, message", [
+        ("point: 1 2", "point: needs 3 coordinates, got 2"),
+        ("bind: q = 1", "bind: references undeclared parameter 'q'"),
+    ])
+    def test_entries_checked_after_reading_report_their_line(self, entry, message):
+        text = f"vars: x y z\nparams: a\n\nmap: x ; y^2 + a*z^2\n{entry}\nbind: a = 1\n"
+        with pytest.raises(ParseError) as err:
+            parse_germ_document(text)
+        assert (err.value.message, err.value.line) == (message, 5)
+
     def test_inline_parameter_values(self):
         doc = parse_germ_document(
             "vars: x y z\nparams: a = 1/2, b\nmap: x ; y^2 + a*z^2\nbind: b = 3"
