@@ -451,18 +451,17 @@ def cusp_fast_path(ng, frame=None):
     return {"applicable": True, "is_cusp": is_cusp, "kernel_dim": kernel_dim}
 
 
-def first_column_theta(ls, hd):
-    """`build_theta` on the first column of adj(M(0)) that is not zero, or None if none is.
-
-    Column c of adj(M(0)) is not zero iff M(0) less row c has rank s-1, the
-    rank read here by `minor_rank`.
-    """
-    m0 = [[e.constant_term() for e in row] for row in hd.h_matrix.to_rows()]
+def nonzero_adjugate_columns(m0):
+    """The c with M(0) less row c of rank s-1: the nonzero columns of adj(M(0)), by `minor_rank`."""
     size = len(m0)
-    column = next(
-        (c for c in range(size) if minor_rank(m0[:c] + m0[c + 1:]) == size - 1), None
-    )
-    return None if column is None else build_theta(ls, hd, column)
+    return [c for c in range(size) if minor_rank(m0[:c] + m0[c + 1:]) == size - 1]
+
+
+def first_column_theta(ls, hd):
+    """`build_theta` on the first column of adj(M(0)) that is not zero, or None if none is."""
+    m0 = [[e.constant_term() for e in row] for row in hd.h_matrix.to_rows()]
+    columns = nonzero_adjugate_columns(m0)
+    return build_theta(ls, hd, columns[0]) if columns else None
 
 
 def minor_rank(rows):

@@ -43,7 +43,7 @@ from conftest import (
     linear_source_change,
     linear_target_change,
     make_context,
-    minor_rank,
+    nonzero_adjugate_columns,
     normal_form,
     perfbench_module,
     random_polynomial,
@@ -314,12 +314,6 @@ class TestTheta:
 
 class TestThetaRule:
     @staticmethod
-    def nonzero_columns(m0):
-        """The c with M(0) less row c of rank s-1: the nonzero columns of adj(M(0))."""
-        size = len(m0)
-        return [c for c in range(size) if minor_rank(m0[:c] + m0[c + 1:]) == size - 1]
-
-    @staticmethod
     def linear_change(rng, germ):
         return linear_target_change(rng, linear_source_change(rng, germ))
 
@@ -341,7 +335,7 @@ class TestThetaRule:
     def test_exact_rule_matches_minor_rank_oracle(self, battery_germs):
         changes = (self.linear_change, self.unipotent_change)
         for *_, m0 in self.changed_stages(battery_germs, random.Random(31), changes):
-            assert _EXACT.theta_column(m0) == (self.nonzero_columns(m0) or [None])[0]
+            assert _EXACT.theta_column(m0) == (nonzero_adjugate_columns(m0) or [None])[0]
 
     def test_exact_rule_on_fraction_entries_of_size_four(self):
         a = [Fraction(1, 2), Fraction(1, 3), 0, Fraction(-2, 5)]
@@ -357,7 +351,7 @@ class TestThetaRule:
             ([a, b, mix, zero], None),  # rank 2: adj(M(0)) = 0
         )
         for m0, expected in cases:
-            assert (self.nonzero_columns(m0) or [None])[0] == expected
+            assert (nonzero_adjugate_columns(m0) or [None])[0] == expected
             assert _EXACT.theta_column(m0) == expected
 
     def test_label_data_do_not_depend_on_the_column(self, battery_germs):
@@ -370,7 +364,7 @@ class TestThetaRule:
             if k == 1:
                 continue
             germs += 1
-            columns = self.nonzero_columns(m0)
+            columns = nonzero_adjugate_columns(m0)
             outcomes = set()
             for c in columns:
                 chain = iterate_h(build_theta(ls, hd, c), n - 1)
