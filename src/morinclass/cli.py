@@ -1,7 +1,7 @@
 """Command-line interface: classify germs, export Lefschetz study data.
 
 Commands:
-    morinclass classify FILE [--trace] [--point ...] [--numeric] [--tol-*]
+    morinclass classify FILE [--trace] [--point ...] [--numeric [--tol-rank R] [--tol-zero Z]]
     morinclass lefschetz slice --b2 R [--grid N] [--range lo:hi] [--out FILE]
     morinclass lefschetz slice --all-paper-slices [--outdir DIR]
     morinclass lefschetz noncusp
@@ -15,14 +15,13 @@ status 2 and an `error: ...` line.
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import lefschetz
 from .criteria import classify
 from .germ import MalformedGermError
 from .numeric import Tolerances, numeric_classify
-from .parsing import ParseError, parse_germ_document
+from .parsing import ParseError, parse_germ_document, parse_rational
 from .rationals import format_rational
 
 EXIT_OK = 0
@@ -97,15 +96,15 @@ def cmd_classify(args):
     point = doc.base_point
     if args.point:
         try:
-            point = tuple(Fraction(v) for v in args.point.split(","))
-        except (ValueError, ZeroDivisionError):
+            point = tuple(parse_rational(v) for v in args.point.split(","))
+        except ParseError:
             return _fail(f"bad --point value {args.point!r}")
         if len(point) != len(doc.source_vars):
             return _fail(f"--point needs {len(doc.source_vars)} coordinates")
 
     if args.numeric:
         try:
-            tol = Tolerances(args.tol_residual, args.tol_rank, args.tol_zero)
+            tol = Tolerances(rank_tol=args.tol_rank, zero_tol=args.tol_zero)
         except ValueError as exc:
             return _fail(f"bad --tol-* value: {exc}")
         try:
@@ -132,13 +131,13 @@ def cmd_classify(args):
 
 def _parse_range(text):
     lo, _, hi = text.partition(":")
-    return Fraction(lo), Fraction(hi)
+    return parse_rational(lo), parse_rational(hi)
 
 
 def cmd_lefschetz_slice(args):
     try:
         rng = _parse_range(args.range)
-    except (ValueError, ZeroDivisionError):
+    except ParseError:
         return _fail(f"bad --range value {args.range!r} (expected lo:hi)")
     if args.grid < 2:
         return _fail("--grid must be at least 2")
@@ -155,8 +154,8 @@ def cmd_lefschetz_slice(args):
         if args.b2 is None:
             return _fail("--b2 is required (or use --all-paper-slices)")
         try:
-            b2 = Fraction(args.b2)
-        except (ValueError, ZeroDivisionError):
+            b2 = parse_rational(args.b2)
+        except ParseError:
             return _fail(f"bad --b2 value {args.b2!r}")
         out = Path(args.out) if args.out else Path(lefschetz.slice_filename(b2))
         jobs.append((b2, out))
@@ -179,10 +178,10 @@ def cmd_lefschetz_noncusp(_args):
 
 def cmd_lefschetz_witness(args):
     try:
-        params = tuple(Fraction(v) for v in args.params.split(","))
+        params = tuple(parse_rational(v) for v in args.params.split(","))
         if len(params) != 4:
             raise ValueError
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         return _fail("--params needs four rationals a1,a2,b1,b2")
     report = lefschetz.witness_verify(params)
     payload = {
@@ -216,7 +215,6 @@ def build_parser():
     )
     p_classify.add_argument("--point", help="classify at a translated base point a,b,...")
     p_classify.add_argument("--numeric", action="store_true", help="threshold classification")
-    p_classify.add_argument("--tol-residual", type=float, default=1e-10)
     p_classify.add_argument("--tol-rank", type=float, default=1e-6)
     p_classify.add_argument("--tol-zero", type=float, default=1e-8)
     p_classify.set_defaults(func=cmd_classify)

@@ -41,10 +41,10 @@ chart's lambdas and the published last column.
 Every mathematical failure is a report label, never an exception.  The
 tests read values and first derivatives at the base point only; a first
 derivative at 0 is read as a linear coefficient (`germ.linear_coefficients`),
-not built as a polynomial.  So each stage needs the jet of its input one
-order deeper than its output, and every derivative spends one order: the
-lambdas are read to order n; M, h and theta to order n-1; and h^(j) to
-order n-1-j.  As d(f_n)_0 = 0, eta f_n vanishes at 0, so by the jet rule of
+not built as a polynomial, and H as those of the first derivatives of the
+2-jet of f_n.  So each stage needs the jet of its input one order deeper
+than its output, and every derivative spends one order: the lambdas are
+read to order n; M, h and theta to order n-1; and h^(j) to order n-1-j.  As d(f_n)_0 = 0, eta f_n vanishes at 0, so by the jet rule of
 `Polynomial` (a product gains the order of vanishing of its factors) a
 frame known to order n-1 still gives eta f_n and the lambdas to order n.
 `classify` therefore reads f_n to order n+1 and f_1, ..., f_{n-1} to order
@@ -64,6 +64,7 @@ from .germ import (
     NormalizedGerm,
     PolyVectorField,
     build_frame,
+    kernel_fields,
     linear_coefficients,
     normalized,
 )
@@ -209,15 +210,16 @@ def kernel_hessian_at_origin(ng: NormalizedGerm):
     """det B(0), E(0)^T H and K = E(0)^T H E(0), over Q from the jets at 0.
 
     B(0) and W(0) are the linear coefficients of f_1..f_{n-1} (ints, as
-    `normalize` leaves them), E(0) holds the eta coefficients at 0 and H is
-    the Hessian of f_n at 0.  Since d(f_n)_0 = 0, dlambda(0) is
-    det B(0) E(0)^T H and h(0) is det B(0)^(m-n+1) det K (step 5 above).
-    Both matrices come as rows of the germ's own coefficient type.
+    `normalize` leaves them), E(0) holds the eta coefficients at 0
+    (`germ.kernel_fields`) and H, the Hessian of f_n at 0, holds the linear
+    coefficients of the first derivatives of its 2-jet.  Since d(f_n)_0 = 0,
+    dlambda(0) is det B(0) E(0)^T H and h(0) is det B(0)^(m-n+1) det K (step
+    5 above).  Both matrices come as rows of the germ's own coefficient type.
     """
     germ = ng.germ
     ctx = germ.context
-    src = ctx.source_indices
-    col = {v: k for k, v in enumerate(ctx.source_names)}
+    names = ctx.source_names
+    col = {v: k for k, v in enumerate(names)}
     first = linear_coefficients(germ.components[:-1], ctx)
     if first:
         det_b, adj_w = eliminate(
@@ -226,31 +228,18 @@ def kernel_hessian_at_origin(ng: NormalizedGerm):
         )
     else:
         det_b, adj_w = 1, []
-    etas = []
-    for c, v in enumerate(ng.nonpivot_names):
-        eta = [0] * len(src)
-        eta[col[v]] = det_b
-        for j, p in enumerate(ng.pivot_names):
-            eta[col[p]] = -adj_w[j][c]
-        etas.append(eta)
-    hess = [[0] * len(src) for _ in src]
-    for exps, coeff in germ.components[-1].items():
-        degrees = [exps[i] for i in src]
-        if sum(degrees) == 2:
-            a, b = (k for k, d in enumerate(degrees) for _ in range(d))
-            hess[a][b] += coeff
-            hess[b][a] += coeff  # so a square term counts twice
+    etas = kernel_fields(names, ng.pivot_names, ng.nonpivot_names, det_b, adj_w, 0)
+    quadric = germ.components[-1].truncated(2)
+    hess = linear_coefficients([quadric.derivative(v) for v in names], ctx)
     # plain products keep the germ's ints, where a RationalMatrix holds Fractions
     eta_hess = [[sum(e * h for e, h in zip(eta, row)) for row in hess] for eta in etas]
     kern = [[sum(x * e for x, e in zip(row, eta)) for eta in etas] for row in eta_hess]
     return det_b, eta_hess, kern
 
 
-def fold_fast_path(ng: NormalizedGerm, frame: AdaptedFrame = None):
+def fold_fast_path(ng: NormalizedGerm):
     """Fold test from the kernel Hessian of f_n on the polynomial frame, a check on `classify`."""
-    if frame is None:
-        frame = build_frame(ng)
-    hess = kernel_hessian_of_last(ng, frame)
+    hess = kernel_hessian_of_last(ng, build_frame(ng))
     pos, neg, zero = hess.signature()
     full = ng.germ.m - ng.germ.n + 1
     return {"is_fold": zero == 0 and pos + neg == full, "signature": (pos, neg)}

@@ -279,6 +279,23 @@ def normalized(germ: MapGerm, t, pivot_rows, pivot_cols, exact=True) -> Normaliz
     )
 
 
+def kernel_fields(source_names, pivot_names, nonpivot_names, det_b, adj_w, zero):
+    """The coefficients of each eta_v = det(B) d/dv - sum_j (adj(B) w_v)_j d/dp_j.
+
+    One list per non-pivot v, one entry per source variable; `adj_w` holds
+    the adj(B) w_v as its columns and `zero` fills the other entries.
+    """
+    col = {v: k for k, v in enumerate(source_names)}
+    fields = []
+    for c, v in enumerate(nonpivot_names):
+        eta = [zero] * len(source_names)
+        eta[col[v]] = det_b
+        for j, p in enumerate(pivot_names):
+            eta[col[p]] = -adj_w[j][c]
+        fields.append(eta)
+    return fields
+
+
 def cramer_frame(germ: MapGerm, pivot_names) -> AdaptedFrame:
     """Kernel frame of the first n-1 components with an explicit pivot choice.
 
@@ -310,15 +327,10 @@ def cramer_frame(germ: MapGerm, pivot_names) -> AdaptedFrame:
         entries = [e for row in b for e in row]
         det_b = cut_to_order(det_b, entries)
         adj_w = [[cut_to_order(e, entries) for e in row] for row in adj_w]
-    eta = []
-    for col, v in enumerate(nonpivot_names):
-        coeffs = {name: Polynomial.zero(ctx) for name in source_names}
-        coeffs[v] = det_b
-        for j, pname in enumerate(pivot_names):
-            coeffs[pname] = -adj_w[j][col]
-        eta.append(PolyVectorField(ctx, tuple(coeffs[name] for name in source_names)))
+    fields = kernel_fields(source_names, pivot_names, nonpivot_names, det_b, adj_w,
+                           Polynomial.zero(ctx))
     return AdaptedFrame(
-        eta=tuple(eta),
+        eta=tuple(PolyVectorField(ctx, coeffs) for coeffs in fields),
         pivot_names=pivot_names,
         nonpivot_names=nonpivot_names,
         pivot_minor=det_b,

@@ -67,8 +67,7 @@ class LefschetzFamily:
 
     def at(self, params) -> MapGerm:
         """Bind (a1, a2, b1, b2) to exact rationals."""
-        vals = _params_dict(params)
-        return self.germ.bind_parameters(vals)
+        return self.germ.bind_parameters(dict(zip(PARAM_VARS, _params(params))))
 
 
 def lefschetz_germ() -> MapGerm:
@@ -82,21 +81,17 @@ def wrinkling_germ(s) -> MapGerm:
     return LefschetzFamily.symbolic().at((s, s, 0, 0))
 
 
-def _params_dict(params):
+def _params(params):
+    """(a1, a2, b1, b2) as exact rationals, from a sequence or a dict by name."""
     if isinstance(params, dict):
         missing = [k for k in PARAM_VARS if k not in params]
         if missing:
             raise ValueError(f"missing parameter values for {missing}")
-        return {k: rat(params[k]) for k in PARAM_VARS}
-    vals = [rat(v) for v in params]
+        params = [params[k] for k in PARAM_VARS]
+    vals = tuple(rat(v) for v in params)
     if len(vals) != 4:
         raise ValueError("expected four parameter values (a1, a2, b1, b2)")
-    return dict(zip(PARAM_VARS, vals))
-
-
-def _params_tuple(params):
-    d = _params_dict(params)
-    return tuple(d[k] for k in PARAM_VARS)
+    return vals
 
 
 def lefschetz_lambdas(params=None):
@@ -123,7 +118,7 @@ def lefschetz_lambdas(params=None):
     }
 
 
-def chart_hessian(params=None):
+def chart_hessian():
     """Kernel Hessian data of the chart: matrix (eta_j lam_i), h = det, theta, theta h.
 
     The classifier's own stages (`criteria.hessian`, `criteria.build_theta`)
@@ -131,7 +126,7 @@ def chart_hessian(params=None):
     published displays; theta is built from the last adjugate column (the
     published three-cofactor formula).  `adjugate` is adj(M) in full.
     """
-    data = lefschetz_lambdas(params)
+    data = lefschetz_lambdas()
     ls = replace(data["system"], lambdas=tuple(data["normalized"]))
     hd = build_theta(ls, hessian(ls), column=2)
     data.update({
@@ -163,7 +158,7 @@ class NoncuspLocus:
     components: tuple
 
     def evaluate(self, params):
-        vals = _params_dict(params)
+        vals = dict(zip(PARAM_VARS, _params(params)))
         return [c.evaluate(vals) for c in self.components]
 
 
@@ -196,7 +191,7 @@ def cusp_tau_polynomial(params):
     chart-edge point (-a2, -a1, 0, 0), and the cubic factor has discriminant
     108 (p^2 + q^2)^2.
     """
-    a1, a2, b1, b2 = _params_tuple(params)
+    a1, a2, b1, b2 = _params(params)
     p = a1 * a2 - b1 * b2
     q = a1 * b2 + a2 * b1
     return [Fraction(0), p, 3 * q, -3 * p, -q]
@@ -204,7 +199,7 @@ def cusp_tau_polynomial(params):
 
 def circle_point(params, tau):
     """Rational singular point of the family from the slope parametrization."""
-    a1, a2, b1, b2 = _params_tuple(params)
+    a1, a2, b1, b2 = _params(params)
     tau = rat(tau)
     x1 = -(a2 + b2 * tau) / (1 + tau * tau)
     y1 = tau * x1
@@ -213,14 +208,14 @@ def circle_point(params, tau):
 
 def swap_circle_point(params, tau):
     """Singular point from the swap-symmetric chart (x1<->x2, y1<->y2, a<->b pairs)."""
-    a1, a2, b1, b2 = _params_tuple(params)
+    a1, a2, b1, b2 = _params(params)
     pt = circle_point((a2, a1, b2, b1), tau)
     return (pt[1], pt[0], pt[3], pt[2])
 
 
 def _branch_point(params, x1, y1):
     """(x2, y2) closed forms over a circle point with (x1, y1) != 0."""
-    a1, a2, b1, b2 = _params_tuple(params)
+    a1, a2, b1, b2 = _params(params)
     d = x1 * x1 + y1 * y1
     if d == 0:
         raise ZeroDivisionError("branch point needs (x1, y1) != (0, 0)")
@@ -235,7 +230,7 @@ def distinguished_points(params):
     point and its swap twin, the sheet points in the (a1,b1) and (a2,b2)
     directions, and the x1=x2=0 point.
     """
-    a1, a2, b1, b2 = _params_tuple(params)
+    a1, a2, b1, b2 = _params(params)
     out = [("edge", (-a2, -a1, Fraction(0), Fraction(0)))]
     d2 = a2 * a2 + b2 * b2
     if d2 != 0:
@@ -287,9 +282,9 @@ def witness_verify(params) -> WitnessReport:
     raised.  Witnesses exist exactly on the planes {a1 = b1 = 0} and
     {a2 = b2 = 0}.
     """
-    params = _params_tuple(params)
+    params = _params(params)
     locus = noncusp_polynomials()
-    values = locus.evaluate(dict(zip(PARAM_VARS, params)))
+    values = locus.evaluate(params)
     on_locus = any(v == 0 for v in values)
     fam = LefschetzFamily.symbolic()
     germ = fam.at(params)
@@ -550,9 +545,7 @@ def emit_slice(b2, resolution: int, value_range=(-1, 1)) -> SliceGrid:
     lo, hi = rat(value_range[0]), rat(value_range[1])
     step = (hi - lo) / (resolution - 1)
     nodes = [lo + k * step for k in range(resolution)]
-    den = 1
-    for v in nodes + [b2]:
-        den = den * v.denominator // math.gcd(den, v.denominator)
+    den = math.lcm(*(v.denominator for v in nodes + [b2]))
     ints = [int(v * den) for v in nodes]
     b2_int = int(b2 * den)
 

@@ -53,10 +53,6 @@ class Margin:
         v = abs(self.value)
         return self.threshold / 10 <= v <= self.threshold * 10
 
-    @property
-    def distance(self):
-        return abs(abs(self.value) - self.threshold)
-
 
 @dataclass
 class NumericVerdict:

@@ -314,8 +314,11 @@ def _split_values(text):
     return [piece for piece in text.replace(",", " ").split() if piece]
 
 
-def _parse_rational_token(text, line):
-    # Fraction() would read non-ASCII digits such as '٣' as ASCII ones
+def parse_rational(text, line=None):
+    """An ASCII rational such as `-3/2`, `0.5` or `1e3`, else ParseError.
+
+    Fraction() alone would read non-ASCII digits such as '٣' as ASCII ones.
+    """
     if text.isascii():
         try:
             return Fraction(text)
@@ -355,7 +358,7 @@ def parse_germ_document(text) -> GermDocument:
                     name, _, val = piece.partition("=")
                     name = name.strip()
                     names.append(name)
-                    bindings[name] = _parse_rational_token(val.strip(), lineno)
+                    bindings[name] = parse_rational(val.strip(), lineno)
                     bound_at[name] = lineno
                 else:
                     names.extend(_split_values(piece))
@@ -374,10 +377,10 @@ def parse_germ_document(text) -> GermDocument:
                     raise ParseError(f"bind: entries look like name = value, got {piece!r}", lineno)
                 name, _, val = piece.partition("=")
                 name = name.strip()
-                bindings[name] = _parse_rational_token(val.strip(), lineno)
+                bindings[name] = parse_rational(val.strip(), lineno)
                 bound_at[name] = lineno
         elif key == "point":
-            base_point = tuple(_parse_rational_token(v, lineno) for v in _split_values(rest))
+            base_point = tuple(parse_rational(v, lineno) for v in _split_values(rest))
             point_line = lineno
         else:
             raise ParseError(f"unknown section {key!r}", lineno)

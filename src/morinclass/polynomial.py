@@ -26,6 +26,7 @@ ordering is the contract for golden-file tests.
 
 import heapq
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import _termops_py as kernel
 from .context import MAX_DEGREE, ContextMismatchError, VariableContext, check_same_context
@@ -273,8 +274,6 @@ class Polynomial:
 
     def integer_scaled(self):
         """A positive integer multiple of this polynomial with int coefficients."""
-        from math import lcm
-
         den = lcm(*(c.denominator for c in self.terms.values()))  # an int's is 1
         terms = {k: c.numerator * (den // c.denominator) for k, c in self.terms.items()}
         return Polynomial._wrap(self.context, terms, self.jet)
@@ -479,14 +478,8 @@ class Polynomial:
             raise ValueError("zero polynomial has no content")
         exps = list(self.exponents())
         exps_min = [min(e[i] for e in exps) for i in range(len(self.context))]
-        from math import gcd
-
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        coeff = Fraction(num, den)
+        coeff = Fraction(gcd(*(c.numerator for c in self.terms.values())),
+                         lcm(*(c.denominator for c in self.terms.values())))
         if self.leading_term()[1] < 0:
             coeff = -coeff
         return tuple(exps_min), coeff

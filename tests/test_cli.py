@@ -171,6 +171,24 @@ class TestClassifyCommand:
         )
         assert code == 2 and "--range" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("classify", "{cusp}", "--point", "\u0663,0,0"), "bad --point value"),
+        (("lefschetz", "witness", "--params", "\u0661,0,0,\u0667"),
+         "--params needs four rationals"),
+        (("lefschetz", "slice", "--b2", "\u0661/\u0664", "--grid", "2"), "bad --b2 value"),
+        (("lefschetz", "slice", "--b2", "0", "--grid", "2", "--range=-\u0661:1"),
+         "bad --range value"),
+    ], ids=["point", "params", "b2", "range"])
+    def test_non_ascii_digits_are_option_errors(
+            self, capsys, tmp_path, monkeypatch, cusp_file, argv, message):
+        # Fraction() alone reads the Arabic-Indic digit '\u0663' as 3, where a
+        # germ file's point: line rejects it
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *(a.format(cusp=cusp_file) for a in argv))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert list(tmp_path.glob("*.csv")) == []
+
     def test_numeric_mode(self, capsys, cusp_file):
         code, out, _ = run_cli(
             capsys, "classify", str(cusp_file), "--numeric", "--tol-zero", "1e-8"
@@ -196,7 +214,7 @@ class TestClassifyCommand:
         assert verdict["label"] == {"kind": "Regular"}
 
     @pytest.mark.parametrize("option, value", [
-        ("--tol-zero", "nan"), ("--tol-rank", "inf"), ("--tol-residual", "-inf"),
+        ("--tol-zero", "nan"), ("--tol-rank", "inf"),
         ("--tol-zero", "-1"), ("--tol-rank", "0"),
     ])
     def test_numeric_bad_tolerance_is_an_option_error(self, capsys, tmp_path, option, value):

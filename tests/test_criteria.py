@@ -18,7 +18,9 @@ from morinclass import (
 )
 from morinclass.criteria import (
     ALL_DERIVATIVES_VANISH,
+    NOT_2_NONDEGENERATE,
     NOT_NONDEGENERATE,
+    RANK_CONDITION_FAILED,
     _EXACT,
     Label,
     build_theta,
@@ -454,7 +456,30 @@ class TestClassify:
         ctx = make_context("x", "y", "z")
         x, y, z = (Polynomial.variable(ctx, n) for n in ("x", "y", "z"))
         rep = classify(MapGerm(ctx, (x, y**2 + z**4 + x * z)))
-        assert rep.label.is_morin(2) or rep.label.kind == "Degenerate"
+        assert rep.label == Label("Degenerate", reason=ALL_DERIVATIVES_VANISH)
+        assert rep.trace["h_derivs_at_0"] == ["0", "0"]
+
+    def test_not_2_nondegenerate_reason(self):
+        # nondegenerate, but M(0) = 0: every column of adj(M(0)) is zero
+        ctx = make_context("x1", "x2", "x3", "x4", "x5")
+        x1, x2, x3, x4, x5 = (Polynomial.variable(ctx, n) for n in ctx.names)
+        rep = classify(MapGerm(ctx, (x1, x2, x3**2 + x1 * x4 + x2 * x5)))
+        assert rep.label == Label("Degenerate", reason=NOT_2_NONDEGENERATE)
+        assert rep.trace["nondegeneracy"] == {"rank": 3, "required": 3}
+        assert "theta_column" not in rep.trace
+
+    def test_rank_condition_failed_reason(self):
+        # z^4 without the x2 z^2 unfolding: h'' proposes Morin 3, and the
+        # stacked Jacobian of (lambdas, h, h') misses one rank
+        ctx = make_context("x1", "x2", "y", "z")
+        x1, x2, y, z = (Polynomial.variable(ctx, n) for n in ctx.names)
+        fn = y**2 + z**4 + x1 * z
+        rep = classify(MapGerm(ctx, (x1, x2, fn)))
+        assert rep.label == Label("Degenerate", reason=RANK_CONDITION_FAILED)
+        assert rep.trace["h_derivs_at_0"] == ["0", "0", "192"]
+        cond = rep.trace["condition_b"]
+        assert (cond["k"], cond["rank"], cond["required"]) == (3, 3, 4)
+        assert classify(MapGerm(ctx, (x1, x2, fn + x2 * z**2))).label == Label("Morin", k=3)
 
     def test_single_component_germs_are_morse_classification(self):
         # n = 1: the criteria reduce to the Morse dichotomy
@@ -514,13 +539,12 @@ class TestFastPaths:
             if rep.label.kind in ("Regular", "CorankHigh"):
                 continue
             ng = normalize(germ)
-            frame = build_frame(ng)
-            fold_res = fold_fast_path(ng, frame)
+            fold_res = fold_fast_path(ng)
             assert fold_res["is_fold"] == rep.label.is_fold()
             if rep.label.is_fold():
                 assert fold_res["signature"] == rep.label.signature
                 checked_fold += 1
-            cusp_res = cusp_fast_path(ng, frame)
+            cusp_res = cusp_fast_path(ng)
             if cusp_res["applicable"]:
                 assert cusp_res["is_cusp"] == rep.label.is_morin(2)
                 checked_cusp += 1

@@ -197,7 +197,7 @@ class TestNumericClassify:
         assert verdict.label.signature == (2, 0)
         h_margin = next(m for m in verdict.margins if m.name == "h")
         assert abs(h_margin.value) == pytest.approx(4.0)
-        assert h_margin.distance == pytest.approx(4.0, rel=1e-6)
+        assert abs(abs(h_margin.value) - h_margin.threshold) == pytest.approx(4.0, rel=1e-6)
 
     def test_near_threshold_is_inconclusive(self):
         # a fold whose h value sits inside the ten-times band of zero_tol
@@ -221,7 +221,8 @@ class TestNumericClassify:
         h_loose = next(m for m in loose.margins if m.name == "h")
         h_tight = next(m for m in tight.margins if m.name == "h")
         assert abs(h_loose.value) > 10 * h_loose.threshold
-        assert h_tight.distance >= h_loose.distance
+        assert (abs(abs(h_tight.value) - h_tight.threshold)
+                >= abs(abs(h_loose.value) - h_loose.threshold))
         assert not h_tight.inconclusive
 
     @pytest.mark.parametrize("point, what", [
