@@ -36,7 +36,7 @@ from .germ import (
 )
 from .linalg import PolyMatrix, RationalMatrix
 from .polynomial import Polynomial
-from .rationals import Rational, format_rational, rat
+from .rationals import format_rational, rat
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "PolyMatrix",
     "PolyVectorField",
     "Polynomial",
-    "Rational",
     "RationalMatrix",
     "REGULAR",
     "SOURCE",

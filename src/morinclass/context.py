@@ -56,11 +56,13 @@ class VariableContext:
     source_names: tuple = field(init=False, repr=False, compare=False, hash=False)
     parameter_names: tuple = field(init=False, repr=False, compare=False, hash=False)
     # the packed-monomial layout: the degree shift S, the degree field's unit,
-    # and the shift and unit of each variable's field
+    # the shift and unit of each variable's field, and the key of each
+    # source variable's monomial x_j
     degree_shift: int = field(init=False, repr=False, compare=False, hash=False)
     degree_unit: int = field(init=False, repr=False, compare=False, hash=False)
     field_shifts: tuple = field(init=False, repr=False, compare=False, hash=False)
     units: tuple = field(init=False, repr=False, compare=False, hash=False)
+    linear_keys: tuple = field(init=False, repr=False, compare=False, hash=False)
     _fields: struct.Struct = field(init=False, repr=False, compare=False, hash=False)
     _exponents: struct.Struct = field(init=False, repr=False, compare=False, hash=False)
 
@@ -82,9 +84,11 @@ class VariableContext:
         n = len(self.names)
         shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
         object.__setattr__(self, "degree_shift", FIELD_BITS * n)
-        object.__setattr__(self, "degree_unit", 1 << (FIELD_BITS * n))
+        degree_unit, units = 1 << (FIELD_BITS * n), tuple(1 << s for s in shifts)
+        object.__setattr__(self, "degree_unit", degree_unit)
         object.__setattr__(self, "field_shifts", shifts)
-        object.__setattr__(self, "units", tuple(1 << s for s in shifts))
+        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "linear_keys", tuple(degree_unit + units[i] for i in src))
         # a key as big-endian bytes: the degree field, then one field per variable
         object.__setattr__(self, "_fields", struct.Struct(">" + "H" * (n + 1)))
         object.__setattr__(self, "_exponents", struct.Struct(">2x" + "H" * n))

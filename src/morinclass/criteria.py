@@ -40,9 +40,9 @@ chart's lambdas and the published last column.
 
 Every mathematical failure is a report label, never an exception.  The
 tests read values and first derivatives at the base point only; a first
-derivative at 0 is read as a linear coefficient (`germ.linear_coefficients`),
-not built as a polynomial, and H as those of the first derivatives of the
-2-jet of f_n.  So each stage needs the jet of its input one order deeper
+derivative at 0 is read as a linear coefficient
+(`Polynomial.linear_coefficients`), not built as a polynomial, and H as
+those of the first derivatives of the 2-jet of f_n.  So each stage needs the jet of its input one order deeper
 than its output, and every derivative spends one order: the lambdas are
 read to order n; M, h and theta to order n-1; and h^(j) to order n-1-j.  As d(f_n)_0 = 0, eta f_n vanishes at 0, so by the jet rule of
 `Polynomial` (a product gains the order of vanishing of its factors) a
@@ -65,7 +65,6 @@ from .germ import (
     PolyVectorField,
     build_frame,
     kernel_fields,
-    linear_coefficients,
     normalized,
 )
 from .linalg import PolyMatrix, RationalMatrix, eliminate, first_nonzero_row, row_reduce
@@ -181,7 +180,7 @@ def _condition_b_rows(ls: LambdaSystem, hd: HessData, k: int):
     stack = list(ls.lambdas)
     if k >= 2:
         stack.extend(hd.h_derivs[: k - 1])
-    return linear_coefficients(stack, ls.germ.context)
+    return [p.linear_coefficients() for p in stack]
 
 
 def rank_condition_b(ls: LambdaSystem, hd: HessData, k: int):
@@ -217,10 +216,9 @@ def kernel_hessian_at_origin(ng: NormalizedGerm):
     5 above).  Both matrices come as rows of the germ's own coefficient type.
     """
     germ = ng.germ
-    ctx = germ.context
-    names = ctx.source_names
+    names = germ.context.source_names
     col = {v: k for k, v in enumerate(names)}
-    first = linear_coefficients(germ.components[:-1], ctx)
+    first = [p.linear_coefficients() for p in germ.components[:-1]]
     if first:
         det_b, adj_w = eliminate(
             [[row[col[v]] for v in ng.pivot_names] for row in first],
@@ -230,7 +228,7 @@ def kernel_hessian_at_origin(ng: NormalizedGerm):
         det_b, adj_w = 1, []
     etas = kernel_fields(names, ng.pivot_names, ng.nonpivot_names, det_b, adj_w, 0)
     quadric = germ.components[-1].truncated(2)
-    hess = linear_coefficients([quadric.derivative(v) for v in names], ctx)
+    hess = [quadric.derivative(v).linear_coefficients() for v in names]
     # plain products keep the germ's ints, where a RationalMatrix holds Fractions
     eta_hess = [[sum(e * h for e, h in zip(eta, row)) for row in hess] for eta in etas]
     kern = [[sum(x * e for x, e in zip(row, eta)) for eta in etas] for row in eta_hess]

@@ -39,18 +39,6 @@ def check_dimensions(m, n):
         )
 
 
-def linear_coefficients(polys, context):
-    """The gradients at 0 of `polys`, one row each, one entry per source variable.
-
-    d(p)/d(x_j) at 0 is the coefficient of the monomial x_j in p, so no
-    derivative is built.  A 0-jet does not know that coefficient.
-    """
-    if any(p.jet == 0 for p in polys):
-        raise ValueError("a 0-jet has no derivative")
-    units = [tuple(int(k == j) for k in range(len(context))) for j in context.source_indices]
-    return [[p.coefficient(u) for u in units] for p in polys]
-
-
 @dataclass(frozen=True)
 class MapGerm:
     """m source variables, n polynomial components vanishing at the origin."""
@@ -97,7 +85,7 @@ class MapGerm:
 
     def linear_coefficients(self):
         """The Jacobian at 0 as rows of coefficients, of whatever type the germ has."""
-        return linear_coefficients(self.components, self.context)
+        return [p.linear_coefficients() for p in self.components]
 
     def bind_parameters(self, values) -> "MapGerm":
         """Substitute rational values for all parameter variables."""
@@ -269,7 +257,7 @@ def normalized(germ: MapGerm, t, pivot_rows, pivot_cols, exact=True) -> Normaliz
     pivot_names = tuple(source_names[c] for c in pivot_cols)
     nonpivot_names = tuple(v for v in source_names if v not in pivot_names)
     # the construction guarantees this; fail loudly if it ever breaks
-    if exact and any(linear_coefficients(comps[-1:], germ.context)[0]):
+    if exact and any(comps[-1].linear_coefficients()):
         raise AssertionError("normalization failed to make the last component critical")
     return NormalizedGerm(
         germ=new_germ,

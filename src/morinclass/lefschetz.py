@@ -82,28 +82,21 @@ def wrinkling_germ(s) -> MapGerm:
 
 
 def _params(params):
-    """(a1, a2, b1, b2) as exact rationals, from a sequence or a dict by name."""
-    if isinstance(params, dict):
-        missing = [k for k in PARAM_VARS if k not in params]
-        if missing:
-            raise ValueError(f"missing parameter values for {missing}")
-        params = [params[k] for k in PARAM_VARS]
+    """(a1, a2, b1, b2) as exact rationals, from a sequence of four."""
     vals = tuple(rat(v) for v in params)
     if len(vals) != 4:
         raise ValueError("expected four parameter values (a1, a2, b1, b2)")
     return vals
 
 
-def lefschetz_lambdas(params=None):
-    """Singular-locus equations of the family in the x1-pivot chart.
+def lefschetz_lambdas():
+    """Singular-locus equations of the family in the x1-pivot chart, symbolic in the parameters.
 
     Returns a dict with the Cramer lambdas (a1+x2) * eta_i f_2, the
     normalized lambdas eta_i f_2 (the Cramer lambdas divided by the pivot
-    minor a1+x2), and that minor once per lambda as `units`.  With `params`
-    the family is bound first; otherwise everything is symbolic.
+    minor a1+x2), and that minor once per lambda as `units`.
     """
-    fam = LefschetzFamily.symbolic()
-    germ = fam.germ if params is None else fam.at(params)
+    germ = LefschetzFamily.symbolic().germ
     # the x1-pivot kernel frame of the first component, valid where a1+x2 != 0
     frame = cramer_frame(germ, ("x1",))
     ls = lambdas_for_frame(germ, frame)

@@ -8,12 +8,17 @@ the float (n+1)-jet there.  Where `classify` decides exactly, `_Thresholds`
 compares a value with its tolerance and records a `Margin`.  The exact
 classifier remains the authority; any decision within a factor of ten of its
 threshold makes the verdict Inconclusive.
+
+`Tolerances` holds the two thresholds a caller may set, `rank_tol` and
+`zero_tol`; the projection's residual target and iteration limit are class
+constants.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product, takewhile
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,20 +29,17 @@ from .linalg import eliminate, row_reduce
 
 @dataclass(frozen=True)
 class Tolerances:
-    residual_tol: float = 1e-10   # |lambda| for membership in the singular locus
     rank_tol: float = 1e-6        # pivot threshold for numeric rank
     zero_tol: float = 1e-8        # threshold for "value at the point is zero"
-    max_newton_iters: int = 50
+    residual_tol: ClassVar[float] = 1e-10   # |lambda| for membership in the singular locus
+    max_newton_iters: ClassVar[int] = 50
 
     def __post_init__(self):
-        for name in ("residual_tol", "rank_tol", "zero_tol"):
+        for name in ("rank_tol", "zero_tol"):
             value = getattr(self, name)
             # NaN fails every comparison, so test for the good case
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        iters = self.max_newton_iters
-        if isinstance(iters, bool) or not isinstance(iters, int) or iters <= 0:
-            raise ValueError(f"max_newton_iters must be a positive int, got {iters!r}")
 
 
 @dataclass

@@ -16,6 +16,7 @@ values may also arrive on a separate `bind: a = 1, b = -3/2` line.
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import _termops_py as kernel
 from .context import MAX_DEGREE, DegreeOverflowError, VariableContext, check_degree
@@ -28,10 +29,11 @@ from .polynomial import Polynomial
 MAX_POWER_BITS = 1 << 17
 
 # The most term products a `^` may run, by the count of `_power_products`.
-# (x+y)^700 fits and expands in about 0.2 s, and a base with fraction
-# coefficients runs over ten times slower per product.  A power of a
-# many-term base, such as (x+y)^65535, passes both the degree and the
-# coefficient bound but would expand for hours.
+# (x+y)^700 fits and expands in about 0.2 s; a base with fraction
+# coefficients is expanded as an integer base scaled by the lcm of its
+# denominators, so its products cost about as much.  A power of a many-term
+# base, such as (x+y)^65535, passes both the degree and the coefficient
+# bound but would expand for hours.
 MAX_POWER_TERMS = 10**6
 
 
@@ -196,8 +198,6 @@ class _ExpressionParser:
         if self.tokens[self.pos][1] == "^":
             self.pos += 1
             etok = self.peek()
-            if etok[0] == "op" and etok[1] == "-":
-                self.error("exponent must be a non-negative integer literal", etok)
             if etok[0] != "int":
                 self.error("exponent must be a non-negative integer literal", etok)
             self.advance()
@@ -233,7 +233,17 @@ class _ExpressionParser:
                     f"expanding this power would take more than {MAX_POWER_TERMS} term products",
                     etok,
                 )
-            return kernel.pow_terms(base, k, self.context)
+            if not all(isinstance(c, Fraction) for c in base.values()):
+                # an int coefficient gives the kernel's mix of int and Fraction terms
+                return kernel.pow_terms(base, k, self.context)
+            # Integer products cost a tenth of Fraction ones, so expand the
+            # integer base den * base.  Each partial sum of its power is den^j
+            # times that of base^k: the same terms cancel, in the same order.
+            den = lcm(*(c.denominator for c in base.values()))
+            scaled = {key: c.numerator * (den // c.denominator) for key, c in base.items()}
+            den_k = den**k
+            return {key: Fraction(c, den_k)
+                    for key, c in kernel.pow_terms(scaled, k, self.context).items()}
         return base
 
     def literal(self, tok):

@@ -6,7 +6,8 @@ per exponent vector laid out by the context (see `morinclass.context`), and
 they stay private to this module, the kernel and the parser, which
 computes on term dicts and wraps its result: the public constructor
 takes exponent tuples, and `items`, `exponents`, `coefficients` and
-`coefficient` speak in them.  Results of the kernel are wrapped as they
+`coefficient` speak in them; `linear_coefficients` reads the gradient at 0
+by the context's packed keys of x_j.  Results of the kernel are wrapped as they
 come, without packing or truncating them again.  A product whose total
 degree would exceed `context.MAX_DEGREE` raises DegreeOverflowError.
 
@@ -15,8 +16,7 @@ Coefficients are exact rational scalars: plain ints are kept as ints
 (integer arithmetic is far cheaper than normalized fractions), everything
 else is a Fraction, and the two mix freely.  The float companion
 (`morinclass.numeric`) runs the same code on float coefficients, which
-`constant`, scalar products and `MapGerm.translate` accept; `rat` and so
-`from_terms` stay exact.
+`constant`, scalar products and `MapGerm.translate` accept.
 
 Canonical text rendering sorts monomials by graded lexicographic order,
 where the grade counts source-role variables only (parameters weigh zero)
@@ -89,8 +89,8 @@ def cut_to_order(p, polys):
 
 
 class Polynomial:
-    """`jet` is an optional total-degree cap: arithmetic on capped polynomials
-    truncates every result, so whole pipelines can run in the jet ring at the
+    """`jet` is an optional total-degree cap, set by `truncated(k)`: arithmetic
+    on capped polynomials truncates every result, so whole pipelines can run in the jet ring at the
     base point without intermediate term blowup.
 
     The cap is the order to which the terms are known.  A sum is known to
@@ -107,15 +107,13 @@ class Polynomial:
 
     __slots__ = ("context", "terms", "jet")
 
-    def __init__(self, context: VariableContext, terms: dict, jet: int = None):
+    def __init__(self, context: VariableContext, terms: dict):
         """`terms` maps exponent tuples to nonzero coefficients."""
         pack = context.pack
-        terms = {pack(exps): coeff for exps, coeff in terms.items()}
-        if jet is not None:
-            terms = kernel.truncate_terms(terms, jet, context)
         self.context = context
-        self.terms = terms  # packed and canonical: no zero coefficients; treat as immutable
-        self.jet = jet
+        # packed and canonical: no zero coefficients; treat as immutable
+        self.terms = {pack(exps): coeff for exps, coeff in terms.items()}
+        self.jet = None
 
     @classmethod
     def _wrap(cls, context, terms, jet=None):
@@ -127,21 +125,6 @@ class Polynomial:
         return p
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_terms(cls, context, mapping):
-        terms = {}
-        for exps, coeff in mapping.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != len(context):
-                raise ValueError(f"exponent vector {exps} has wrong length for context")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            if not isinstance(coeff, int):
-                coeff = rat(coeff)
-            if coeff:
-                terms[exps] = terms.get(exps, 0) + coeff
-        return cls(context, {e: c for e, c in terms.items() if c})
 
     @classmethod
     def constant(cls, context, value):
@@ -173,6 +156,16 @@ class Polynomial:
 
     def coefficient(self, exps):
         return self.terms.get(self.context.pack(exps), 0)
+
+    def linear_coefficients(self):
+        """The coefficient of each source variable x_j: the gradient at 0, no derivative built.
+
+        A 0-jet does not know these coefficients.
+        """
+        if self.jet == 0:
+            raise ValueError("a 0-jet has no derivative")
+        get = self.terms.get
+        return [get(key, 0) for key in self.context.linear_keys]
 
     # -- term access: exponent tuples, in term order --------------------------
 

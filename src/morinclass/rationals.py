@@ -1,24 +1,21 @@
 """Exact rational scalars.
 
-`Rational` is `fractions.Fraction`: arbitrary-precision, normalized on
-construction (gcd 1, positive denominator), with exact arithmetic.  The
+Scalars are `fractions.Fraction`: arbitrary-precision, normalized on
+construction (gcd 1, positive denominator), with exact arithmetic.  `rat`
+takes ints and Fractions; text is read by `parsing.parse_rational`.  The
 helpers below fix the text form used everywhere in reports and goldens:
 `p` for integers, `p/q` otherwise, minus sign on the numerator.
 """
 
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def rat(value) -> Fraction:
-    """Coerce ints, strings like '-3/2', floats-free input to an exact Fraction."""
+    """Coerce an int or a Fraction to an exact Fraction."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 

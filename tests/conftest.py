@@ -17,7 +17,7 @@ from morinclass.criteria import (
     kernel_hessian_of_last,
     lambdas_for_frame,
 )
-from morinclass.germ import build_frame, linear_coefficients
+from morinclass.germ import build_frame
 from morinclass.parsing import MAX_POWER_BITS, ParseError, _tokenize
 
 
@@ -101,7 +101,7 @@ def random_polynomial(rng, ctx, max_degree=2, n_terms=4, den_max=2):
         coeff = random_rational(rng, den_max=den_max)
         if coeff:
             terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + coeff
-    return Polynomial.from_terms(ctx, terms)
+    return Polynomial(ctx, {e: c for e, c in terms.items() if c})
 
 
 def random_invertible_matrix(rng, size, lo=-3, hi=3):
@@ -201,7 +201,7 @@ def fraction_normalized(germ, t, pivot_rows):
         den = 1
         for c in acc.coefficients():
             den = den * c.denominator // gcd(den, c.denominator)
-        comps.append(Polynomial(germ.context, {e: int(c * den) for e, c in acc.items()}, acc.jet))
+        comps.append(acc.map_coefficients(lambda c: int(c * den)))
         t_rows.append(tuple(Fraction(den) * w for w in t[r]))
     return tuple(comps), tuple(t_rows)
 
@@ -446,7 +446,7 @@ def cusp_fast_path(ng, frame=None):
     fn = ng.germ.components[-1]
     t1 = hd.theta.apply(fn)
     t3 = hd.theta.apply(hd.theta.apply(t1))
-    (grad,) = linear_coefficients([t1], ng.germ.context)
+    grad = t1.linear_coefficients()
     is_cusp = t3.constant_term() != 0 and any(e != 0 for e in grad)
     return {"applicable": True, "is_cusp": is_cusp, "kernel_dim": kernel_dim}
 

@@ -32,7 +32,6 @@ from morinclass.criteria import (
     lambdas_for_frame,
     rank_condition_b,
 )
-from morinclass.germ import linear_coefficients
 from morinclass.lefschetz import lefschetz_lambdas
 
 from conftest import (
@@ -64,7 +63,7 @@ def lambda_system(ng):
 
 def nondegeneracy_rank(ls):
     """Rank of the Jacobian of the lambdas at 0."""
-    return RationalMatrix.from_rows(linear_coefficients(ls.lambdas, ls.germ.context)).rank()
+    return RationalMatrix.from_rows([lam.linear_coefficients() for lam in ls.lambdas]).rank()
 
 
 @pytest.fixture
@@ -605,7 +604,7 @@ class TestFoldOverQ:
             assert kern == kernel_hessian_of_last(ng, frame)
             ls = lambdas_for_frame(ng.germ, frame)
             # dlambda(0) = det B(0) E(0)^T H, fold or not
-            assert linear_coefficients(ls.lambdas, ng.germ.context) == [
+            assert [lam.linear_coefficients() for lam in ls.lambdas] == [
                 [det_b * e for e in row] for row in eta_hess
             ]
             if kern.determinant() != 0:

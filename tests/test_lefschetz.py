@@ -87,8 +87,9 @@ class TestLambdas:
             assert raw == cofactor_determinant(lambda_matrix(germ, frame, eta))
 
     def test_bound_parameters(self):
-        data = lefschetz_lambdas((1, 0, 0, 7))
-        assert all(not lam.is_zero() for lam in data["normalized"])
+        data = lefschetz_lambdas()
+        bound = {"a1": 1, "a2": 0, "b1": 0, "b2": 7}
+        assert all(not lam.substitute(bound).is_zero() for lam in data["normalized"])
 
 
 class TestNoncuspPolynomials:
@@ -288,7 +289,7 @@ def test_oracle_affine_reduction_and_eliminant():
     and the target factor rs reduce that to UV + conj(U) + conj(V).  So every
     member with alpha beta != 0 has the same singularities, folds and cusps.
     """
-    sympy = pytest.importorskip("sympy")
+    import sympy
     x1, x2, y1, y2, a1, a2, b1, b2 = sympy.symbols("x1 x2 y1 y2 a1 a2 b1 b2", real=True)
     u1, u2, v1, v2, r1, r2, s1, s2, t = sympy.symbols("u1 u2 v1 v2 r1 r2 s1 s2 t", real=True)
     i, conj = sympy.I, sympy.conjugate
@@ -379,7 +380,7 @@ class TestSliceExport:
             for a1 in grid.nodes
             for a2 in grid.nodes
             for b1 in grid.nodes
-            for v in locus.evaluate({"a1": a1, "a2": a2, "b1": b1, "b2": b2})
+            for v in locus.evaluate((a1, a2, b1, b2))
         ]
         assert len(expected) == 135
         assert [v.hex() for v in grid.values.T.reshape(-1).tolist()] == expected

@@ -53,18 +53,21 @@ class TestTolerances:
     @pytest.mark.parametrize("name", ["residual_tol", "rank_tol", "zero_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
     def test_tolerance_must_be_finite_and_positive(self, name, value):
-        with pytest.raises(ValueError, match=name):
+        # residual_tol is a class constant, which no caller may set at all
+        error = TypeError if name == "residual_tol" else ValueError
+        with pytest.raises(error, match=name):
             Tolerances(**{name: value})
 
     @pytest.mark.parametrize("iters", [2.5, True, False, 0, -3, "50", 50.0])
     def test_newton_iterations_must_be_a_positive_int(self, iters):
-        with pytest.raises(ValueError, match="max_newton_iters"):
+        # a class constant, which no caller may set at all
+        with pytest.raises(TypeError, match="max_newton_iters"):
             Tolerances(max_newton_iters=iters)
 
     def test_valid_values_are_kept(self):
-        tol = Tolerances(residual_tol=1, rank_tol=1e-300, zero_tol=0.5, max_newton_iters=1)
+        tol = Tolerances(rank_tol=1e-300, zero_tol=0.5)
         assert (tol.residual_tol, tol.rank_tol, tol.zero_tol, tol.max_newton_iters) == (
-            1, 1e-300, 0.5, 1)
+            1e-10, 1e-300, 0.5, 50)
 
 
 class TestProjection:
@@ -101,13 +104,13 @@ class TestProjection:
         p = project_to_singular_locus(germ, [0.1] * 6)
         assert numeric_classify(germ, p).residual <= 1e-10
 
-    def test_nonconvergence_raises(self, cusp_germ):
+    def test_nonconvergence_raises(self, cusp_germ, monkeypatch):
         # the system is genuinely nonlinear, so one step cannot reach an
         # unattainable residual target
-        with pytest.raises(ProjectionError):
-            project_to_singular_locus(
-                cusp_germ, (0.3, 0.4, 0.5), Tolerances(max_newton_iters=1, residual_tol=1e-300)
-            )
+        monkeypatch.setattr(Tolerances, "max_newton_iters", 1)
+        monkeypatch.setattr(Tolerances, "residual_tol", 1e-300)
+        with pytest.raises(ProjectionError, match="no convergence"):
+            project_to_singular_locus(cusp_germ, (0.3, 0.4, 0.5))
 
 
 class TestFloatLambdas:
@@ -345,11 +348,13 @@ class TestBatchProjection:
         except ProjectionError as err:
             return str(err)
 
-    def test_failed_seeds_are_none_beside_converged_ones(self, cusp_germ):
+    def test_failed_seeds_are_none_beside_converged_ones(self, cusp_germ, monkeypatch):
         # (-0.75, 0, 0.5) lies on the cusp germ's fold curve x = -3 z^2 with
         # residual exactly 0, so it converges at once; the others cannot
         # reach 1e-300 in one step
-        tol = Tolerances(max_newton_iters=1, residual_tol=1e-300)
+        monkeypatch.setattr(Tolerances, "max_newton_iters", 1)
+        monkeypatch.setattr(Tolerances, "residual_tol", 1e-300)
+        tol = Tolerances()
         seeds = [(0.3, 0.4, 0.5), (-0.75, 0.0, 0.5), (-0.2, 0.7, 0.1)]
         batch = project_to_singular_locus(cusp_germ, seeds, tol)
         singles = [self.fails(cusp_germ, seed, tol) for seed in seeds]

@@ -267,6 +267,23 @@ class TestPowerBound:
         assert parse_expression("(x+y)^200", ctx) == polynomial_parse("(x+y)^200", ctx)
         assert parse_expression("(x-x+y)^65535", ctx) == polynomial_parse("y^65535", ctx)
 
+    def test_fraction_base_matches_its_unscaled_expansion(self):
+        # a base of Fraction coefficients is expanded as an integer base: the
+        # terms of `pow_terms` on the Fraction base, in order and of one type;
+        # the xy term of the first square cancels
+        ctx = make_context("x", "y", "z")
+        rng = random.Random(87)
+        monomials = ["1", "x", "y", "z", "x*y", "y*z", "x^2", "z^2"]
+        bases = [("1/2 + 1/1*x - 1/1*y + 2/1*x*y", 2), ("1/2*x+2/3*y-3/7*z", 9)]
+        for _ in range(30):
+            terms = [f"{rng.choice('+-')}{rng.randint(1, 7)}/{rng.randint(1, 6)}*{mono}"
+                     for mono in rng.sample(monomials, rng.randint(2, 5))]
+            bases.append((" ".join(terms), rng.randint(2, 6)))
+        for base, k in bases:
+            unscaled = _termops_py.pow_terms(parse_expression(base, ctx).terms, k, ctx)
+            assert _parsed(parse_expression, f"({base})^{k}", ctx) == [
+                (key, coeff, type(coeff)) for key, coeff in unscaled.items()], base
+
     def test_product_count_bounds_the_expansion(self, monkeypatch):
         # (x_1 + ... + x_t)^k has as many terms as any t-term base can give
         ctx = make_context("x", "y", "z", "w")

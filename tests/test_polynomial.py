@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, calculus and canonical rendering."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,7 @@ class TestArithmetic:
         ctx = lefschetz_ctx()
         x1, x2, y1, y2, a1, a2, b1, b2 = (Polynomial.variable(ctx, n) for n in ctx.names)
         combined = (x1 * x2 - y1 * y2) + (a1 * x1 + a2 * x2)
-        expected = Polynomial.from_terms(
+        expected = Polynomial(
             ctx,
             {
                 (1, 1, 0, 0, 0, 0, 0, 0): 1,
@@ -237,7 +238,24 @@ def jet_operand(rng, ctx, kind, cap):
     terms = random_terms(rng, ctx, kind, low, cap, rng.randint(1, 5))
     if shape == "order 0":
         terms[(0,) * len(ctx)] = coefficient(rng, kind)
-    return Polynomial(ctx, terms, jet=cap)
+    return Polynomial(ctx, terms).truncated(cap)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+def test_linear_coefficients_read_the_source_variables(kind):
+    # parameters between the sources: the keys must index x, y and z only
+    ctx = VariableContext(("a", "x", "b", "y", "z"), (PARAMETER, SOURCE, PARAMETER, SOURCE, SOURCE))
+    units = [tuple(int(k == j) for k in range(len(ctx))) for j in ctx.source_indices]
+    rng = random.Random(61)
+    nonzero = 0
+    for _ in range(100):
+        p = jet_operand(rng, ctx, kind, rng.randint(1, 3))
+        row = p.linear_coefficients()
+        assert row == [p.coefficient(u) for u in units]
+        nonzero += any(row)
+    assert nonzero >= 20
+    with pytest.raises(ValueError, match="0-jet"):
+        Polynomial.variable(ctx, "x").truncated(0).linear_coefficients()
 
 
 def coefficient(rng, kind):
