@@ -42,8 +42,9 @@ Every mathematical failure is a report label, never an exception.  The
 tests read values and first derivatives at the base point only; a first
 derivative at 0 is read as a linear coefficient
 (`Polynomial.linear_coefficients`), not built as a polynomial, and H as
-those of the first derivatives of the 2-jet of f_n.  So each stage needs the jet of its input one order deeper
-than its output, and every derivative spends one order: the lambdas are
+those of the first derivatives of the 2-jet of f_n.  So each stage needs
+the jet of its input one order deeper than its output, and every
+derivative spends one order: the lambdas are
 read to order n; M, h and theta to order n-1; and h^(j) to order n-1-j.  As d(f_n)_0 = 0, eta f_n vanishes at 0, so by the jet rule of
 `Polynomial` (a product gains the order of vanishing of its factors) a
 frame known to order n-1 still gives eta f_n and the lambdas to order n.

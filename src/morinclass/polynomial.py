@@ -7,8 +7,8 @@ they stay private to this module, the kernel and the parser, which
 computes on term dicts and wraps its result: the public constructor
 takes exponent tuples, and `items`, `exponents`, `coefficients` and
 `coefficient` speak in them; `linear_coefficients` reads the gradient at 0
-by the context's packed keys of x_j.  Results of the kernel are wrapped as they
-come, without packing or truncating them again.  A product whose total
+by the context's packed keys of x_j.  Results of the kernel are wrapped as
+they come, without packing or truncating them again.  A product whose total
 degree would exceed `context.MAX_DEGREE` raises DegreeOverflowError.
 
 The heavy term-merging loops live in `morinclass._termops_py`.
@@ -90,8 +90,8 @@ def cut_to_order(p, polys):
 
 class Polynomial:
     """`jet` is an optional total-degree cap, set by `truncated(k)`: arithmetic
-    on capped polynomials truncates every result, so whole pipelines can run in the jet ring at the
-    base point without intermediate term blowup.
+    on capped polynomials truncates every result, so whole pipelines can run
+    in the jet ring at the base point without intermediate term blowup.
 
     The cap is the order to which the terms are known.  A sum is known to
     the smaller cap of its operands.  A product also uses the order of
@@ -158,9 +158,9 @@ class Polynomial:
         return self.terms.get(self.context.pack(exps), 0)
 
     def linear_coefficients(self):
-        """The coefficient of each source variable x_j: the gradient at 0, no derivative built.
+        """The coefficient of each source variable x_j: the gradient at 0.
 
-        A 0-jet does not know these coefficients.
+        No derivative is built.  A 0-jet does not know these coefficients.
         """
         if self.jet == 0:
             raise ValueError("a 0-jet has no derivative")
