@@ -160,7 +160,11 @@ def cmd_lefschetz_slice(args):
         out = Path(args.out) if args.out else Path(lefschetz.slice_filename(b2))
         jobs.append((b2, out))
     for b2, path in jobs:
-        grid = lefschetz.emit_slice(b2, args.grid, rng)
+        try:
+            grid = lefschetz.emit_slice(b2, args.grid, rng)
+        except MemoryError:
+            return _fail(f"--grid {args.grid} is too large: "
+                         f"{args.grid}^3 grid points do not fit in memory")
         try:
             lefschetz.write_slice_csv(grid, path)
         except OSError as exc:

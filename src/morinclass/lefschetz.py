@@ -28,6 +28,7 @@ cubic factor has discriminant 108 (p^2+q^2)^2.  See `cusp_tau_polynomial`.
 """
 
 import math
+import tempfile
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -570,23 +571,72 @@ def emit_slice(b2, resolution: int, value_range=(-1, 1)) -> SliceGrid:
     return SliceGrid(b2=b2, lo=lo, hi=hi, resolution=resolution, nodes=nodes, values=values)
 
 
+_MAGNITUDE = np.uint64(2**63 - 1)  # a float64 bit pattern with the sign bit cleared
+_SEPARATORS = np.frombuffer(b",,,,\n", dtype=np.uint8)  # after n1..n4, after n5
+
+
 def write_slice_csv(grid: SliceGrid, path):
-    """CSV per the plot-data contract: header a1,a2,b1,n1..n5, lex grid order."""
+    """CSV per the plot-data contract: header a1,a2,b1,n1..n5, lex grid order.
+
+    Every value is written as ``"%.17g"`` writes it.  The nodes are symmetric
+    in a symmetric range, so the a1 blocks i and res-1-i share most of their
+    magnitudes: the writer takes them as a pair (the middle block of an odd
+    res alone), finds the distinct magnitudes of the pair with one
+    `np.unique` over the float64 bit patterns with the sign bit cleared, and
+    formats each once.  Bit patterns, not float equality, so -0.0 and NaN are
+    never merged with another value.  A cell whose sign bit is set gets a
+    ``-`` prefix, except a NaN: ``"%.17g"`` writes ``nan`` for either sign.
+    Block i goes straight to `path` and block res-1-i to an anonymous spool,
+    whose blocks are copied to `path` in reverse order at the end, so memory
+    stays that of one pair of blocks.
+    """
     res = grid.resolution
+    # the node columns take res values only: format each once, NUL-padded to
+    # one width
+    nodes = np.array([b"%.17g," % float(v) for v in grid.nodes])
+    nodes = nodes.view(np.uint8).reshape(res, -1)
+    spooled = []  # (offset, size) of each block in the spool, in write order
+    with open(path, "wb") as fh, tempfile.TemporaryFile() as spool:
+        fh.write(b"a1,a2,b1,n1,n2,n3,n4,n5\n")
+        for i in range((res + 1) // 2):
+            pair = (i,) if 2 * i == res - 1 else (i, res - 1 - i)
+            for k, data in zip(pair, _block_texts(grid, pair, nodes)):
+                if k == i:
+                    fh.write(data)
+                else:
+                    spooled.append((spool.tell(), len(data)))
+                    spool.write(data)
+        for offset, size in reversed(spooled):
+            spool.seek(offset)
+            fh.write(spool.read(size))
+
+
+def _block_texts(grid, pair, nodes):
+    """The CSV bytes of each a1 block in `pair`, with each distinct magnitude formatted once."""
+    res, width = nodes.shape
     block = res * res
-    # the node columns take res values only: format each once, and the
-    # a2,b1 prefix of each of the res^2 rows of a block once
-    cells = ["%.17g" % float(v) for v in grid.nodes]
-    inner = [f"{a2},{b1}," for a2 in cells for b1 in cells]
-    tail = ",".join(["%.17g"] * 5) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write("a1,a2,b1,n1,n2,n3,n4,n5\n")
-        # one write per a1 value; converting a block at a time keeps the
-        # Python floats of only res^2 rows alive
-        for i, a1 in enumerate(cells):
-            values = grid.values[:, i * block:(i + 1) * block].T.tolist()
-            head = a1 + ","
-            fh.write("".join([head + pre + tail % tuple(v) for pre, v in zip(inner, values)]))
+    bits = np.concatenate(
+        [grid.values[:, k * block:(k + 1) * block].T for k in pair]
+    ).view(np.uint64)
+    mags, codes = np.unique(bits & _MAGNITUDE, return_inverse=True)
+    codes = codes.reshape(bits.shape)
+    minus = (bits >> 63).astype(bool) & ~np.isnan(mags.view(float))[codes]
+    table = np.array([b"%.17g" % v for v in mags.view(float).tolist()])
+    table = table.view(np.uint8).reshape(len(mags), -1)
+    # one NUL-padded byte row per CSV row: the a1, a2 and b1 slots, then a
+    # sign, a value and a separator slot for each of n1..n5; "%.17g" writes
+    # no NUL, so dropping the NULs leaves the CSV text
+    text = np.zeros((block, 3 * width + 5 * (table.shape[1] + 2)), dtype=np.uint8)
+    text[:, width:2 * width] = np.repeat(nodes, res, axis=0)
+    text[:, 2 * width:3 * width] = np.tile(nodes, (res, 1))
+    cells = text[:, 3 * width:].reshape(block, 5, -1)
+    cells[:, :, -1] = _SEPARATORS
+    for j, k in enumerate(pair):
+        rows = slice(j * block, (j + 1) * block)
+        text[:, :width] = nodes[k]
+        cells[:, :, 0] = minus[rows] * ord("-")
+        cells[:, :, 1:-1] = table[codes[rows]]
+        yield text[text != 0]
 
 
 def slice_filename(b2) -> str:

@@ -619,6 +619,21 @@ def polynomial_parse(text, context, line_offset=1):
     return PolynomialParser(_tokenize(text, line_offset), context).parse()
 
 
+def reference_write_slice_csv(grid, path):
+    """`lefschetz.write_slice_csv` as one `"%.17g"` per cell, row by row (oracle)."""
+    res = grid.resolution
+    block = res * res
+    cells = ["%.17g" % float(v) for v in grid.nodes]
+    inner = [f"{a2},{b1}," for a2 in cells for b1 in cells]
+    tail = ",".join(["%.17g"] * 5) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write("a1,a2,b1,n1,n2,n3,n4,n5\n")
+        for i, a1 in enumerate(cells):
+            values = grid.values[:, i * block:(i + 1) * block].T.tolist()
+            head = a1 + ","
+            fh.write("".join([head + pre + tail % tuple(v) for pre, v in zip(inner, values)]))
+
+
 def perfbench_module(name):
     """The benchmark's module `perfbench/<name>.py`, loaded by path."""
     spec = importlib.util.spec_from_file_location(

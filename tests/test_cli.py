@@ -325,6 +325,14 @@ class TestLefschetzCommands:
             "slice_b2_1_4.csv",
         ]
 
+    def test_slice_grid_too_large_for_memory(self, capsys, tmp_path, monkeypatch):
+        # 5 * 100000^3 floats is 35.5 PiB: the allocation fails at once
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "lefschetz", "slice", "--b2", "0", "--grid", "100000")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --grid 100000 is too large") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_all_paper_slices_outdir_is_a_file(self, capsys, tmp_path):
         taken = tmp_path / "taken"
         taken.write_text("")

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from morinclass.lefschetz import (
     LefschetzFamily,
     PARAM_VARS,
     STANDARD_SLICE_VALUES,
+    SliceGrid,
     circle_point,
     cusp_tau_polynomial,
     distinguished_points,
@@ -27,7 +29,14 @@ from morinclass.lefschetz import (
     write_slice_csv,
 )
 
-from conftest import cofactor_determinant, is_singular, lambda_matrix, rows_times_rows, to_sympy
+from conftest import (
+    cofactor_determinant,
+    is_singular,
+    lambda_matrix,
+    reference_write_slice_csv,
+    rows_times_rows,
+    to_sympy,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "lefschetz_lambdas.txt"
 
@@ -339,6 +348,18 @@ def test_oracle_affine_reduction_and_eliminant():
     assert sympy.expand(comps[0] - eliminant) != 0
 
 
+CSV_CASES = [
+    *[(b2, res, (-1, 1)) for b2 in STANDARD_SLICE_VALUES for res in (2, 3, 4, 21, 22)],
+    (Fraction(1, 4), 47, (-1, 1)),
+    (Fraction(0), 47, (-1, 1)),
+    # the mirror blocks of an asymmetric range share almost no magnitude
+    *[(Fraction(-1, 4), res, rng) for res in (21, 22)
+      for rng in ((0, 1), (Fraction(-2, 3), Fraction(5, 4)))],
+    # den^3 > 2^53: the grid is summed in Python ints
+    *[(Fraction(1, 300007), res, (-1, 1)) for res in (3, 4, 21)],
+]
+
+
 class TestSliceExport:
     def test_small_grid_values(self):
         grid = emit_slice(0, 2, (-1, 1))
@@ -402,6 +423,50 @@ class TestSliceExport:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "4ae9fe728ef3d19ec1ca8559ba7824f72b4cb7bbdccd6937f0efbabffa18b3b8"
         )
+
+    @pytest.mark.parametrize("b2, resolution, value_range", CSV_CASES, ids=[
+        f"{b2}-{res}-{lo}:{hi}" for b2, res, (lo, hi) in CSV_CASES])
+    def test_csv_matches_reference_writer(self, tmp_path, b2, resolution, value_range):
+        grid = emit_slice(b2, resolution, value_range)
+        path, expected = tmp_path / "slice.csv", tmp_path / "reference.csv"
+        write_slice_csv(grid, path)
+        reference_write_slice_csv(grid, expected)
+        assert path.read_bytes() == expected.read_bytes()
+
+    def test_csv_special_values_as_percent_g(self, tmp_path):
+        nan = float("nan")
+        neg_nan = -np.float64(nan)
+        payload_nan = np.array([0x7FF8000000000123], dtype=np.uint64).view(float)[0]
+        assert np.signbit(neg_nan) and not np.signbit(nan)
+        specials = [0.0, -0.0, np.inf, -np.inf, nan, neg_nan, payload_nan, -payload_nan,
+                    5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.25]
+        res = 3
+        values = np.array([specials[k % len(specials)] for k in range(5 * res**3)])
+        values = values[np.random.default_rng(7).permutation(values.size)].reshape(5, res**3)
+        nodes = [Fraction(-1), Fraction(0), Fraction(1)]
+        grid = SliceGrid(b2=Fraction(0), lo=nodes[0], hi=nodes[-1], resolution=res,
+                         nodes=nodes, values=values)
+        path = tmp_path / "special.csv"
+        write_slice_csv(grid, path)
+        rows = path.read_text().splitlines()[1:]
+        cells = [row.split(",")[3:] for row in rows]
+        assert cells == [["%.17g" % v for v in values[:, r].tolist()] for r in range(res**3)]
+        written = {c for row in cells for c in row}
+        assert {"-0", "-inf", "nan", "4.9406564584124654e-324"} <= written
+        assert "-nan" not in written
+
+    def test_csv_memory_stays_below_a_third_of_its_size(self, tmp_path):
+        # one pair of a1 blocks at a time; a text table of the whole grid
+        # would hold 0.65 of the CSV's size or more
+        grid = emit_slice(Fraction(1, 4), 47)
+        path = tmp_path / "slice.csv"
+        tracemalloc.start()
+        try:
+            write_slice_csv(grid, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 3
 
     def test_resolution_guard(self):
         with pytest.raises(ValueError):
