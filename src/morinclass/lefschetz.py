@@ -616,7 +616,7 @@ def _block_texts(grid, pair, nodes):
     res, width = nodes.shape
     block = res * res
     bits = np.concatenate(
-        [grid.values[:, k * block:(k + 1) * block].T for k in pair]
+        [grid.values[:, k * block:(k + 1) * block].T for k in pair], dtype=np.float64
     ).view(np.uint64)
     mags, codes = np.unique(bits & _MAGNITUDE, return_inverse=True)
     codes = codes.reshape(bits.shape)

@@ -455,6 +455,17 @@ class TestSliceExport:
         assert {"-0", "-inf", "nan", "4.9406564584124654e-324"} <= written
         assert "-nan" not in written
 
+    def test_csv_integer_values_as_percent_g(self, tmp_path):
+        # a hand-built grid may hold ints: they are written as floats, not
+        # read as float bit patterns
+        nodes = [Fraction(-1), Fraction(1)]
+        grid = SliceGrid(b2=Fraction(0), lo=nodes[0], hi=nodes[-1], resolution=2,
+                         nodes=nodes, values=np.arange(-20, 20).reshape(5, 8))
+        path, expected = tmp_path / "slice.csv", tmp_path / "reference.csv"
+        write_slice_csv(grid, path)
+        reference_write_slice_csv(grid, expected)
+        assert path.read_bytes() == expected.read_bytes()
+
     def test_csv_memory_stays_below_a_third_of_its_size(self, tmp_path):
         # one pair of a1 blocks at a time; a text table of the whole grid
         # would hold 0.65 of the CSV's size or more
