@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morinclass import ContextMismatchError, Polynomial, VariableContext
@@ -211,6 +211,7 @@ def test_add_then_subtract_roundtrip(seed_p, seed_q):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
+@example(41763)  # q = 0, so the product with the exact q is exact
 def test_truncation_is_a_jet(seed):
     import random as _random
 
@@ -222,10 +223,14 @@ def test_truncation_is_a_jet(seed):
         jp = p.truncated(cap_p)
         jq = q if cap_q is None else q.truncated(cap_q)
         jetwise = jp * jq
-        # right in every degree the product claims, and never below the old
-        # rule's smaller cap
-        assert jetwise.jet >= min(c for c in (cap_p, cap_q) if c is not None)
-        assert jetwise == (p * q).truncated(jetwise.jet)
+        if jetwise.jet is None:
+            # exact: only an exact factor 0 makes a jet's product exact
+            assert jetwise == p * q
+        else:
+            # right in every degree the product claims, and never below the
+            # old rule's smaller cap
+            assert jetwise.jet >= min(c for c in (cap_p, cap_q) if c is not None)
+            assert jetwise == (p * q).truncated(jetwise.jet)
         assert jp**2 == (p * p).truncated((jp**2).jet)
 
 
