@@ -467,8 +467,8 @@ class TestSliceExport:
         assert path.read_bytes() == expected.read_bytes()
 
     def test_csv_memory_stays_below_a_third_of_its_size(self, tmp_path):
-        # one pair of a1 blocks at a time; a text table of the whole grid
-        # would hold 0.65 of the CSV's size or more
+        # the writer holds one pair of a1 blocks at a time, so a faster writer
+        # that holds the text of the whole grid fails here
         grid = emit_slice(Fraction(1, 4), 47)
         path = tmp_path / "slice.csv"
         tracemalloc.start()
