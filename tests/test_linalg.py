@@ -1,9 +1,11 @@
 """Exact linear algebra: determinants, adjugates, rank, inertia."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from morinclass import Polynomial, PolyMatrix, RationalMatrix
@@ -403,3 +405,55 @@ class TestSignature:
             pos, neg, zero = m.signature()
             assert pos + neg == m.rank()
             assert pos + neg + zero == size
+
+
+class TestFloatEliminationBits:
+    """`float.hex` of `eliminate`'s det(A) and adj(A) W on floats and float jets, pinned.
+
+    A 5x5 float matrix takes two forward steps before the 3x3 cofactor
+    base, so the back-assembly divides by p^2 and p^3, p the last pivot: by
+    `/` for floats and through the scaled inverse series for float jets.
+    The values were recorded before the division helpers were merged into
+    one; any change in the order of a float product or sum shows here.
+    """
+
+    @staticmethod
+    def matrix():
+        return [[((3 * i + 5 * j * j + 2 * i * j) % 11 - 5) / 7 + (2.5 if i == j else 0.0)
+                 for j in range(5)] for i in range(5)]
+
+    @staticmethod
+    def digest(det, adj_w):
+        def hexes(p):
+            if isinstance(p, float):
+                return [p.hex()]
+            return [f"{e}:{c.hex()}" for e, c in sorted(p.items())]
+
+        lines = hexes(det) + [h for row in adj_w for e in row for h in hexes(e)]
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+    def test_floats(self):
+        rows = self.matrix()
+        extra = [[(i - 2 * j + 1) / 3 for j in range(2)] for i in range(5)]
+        det, adj_w = eliminate(rows, extra)
+        assert det.hex() == "0x1.e0827a9d9671ap+5"
+        assert det == pytest.approx(np.linalg.det(np.array(rows)), rel=1e-12)
+        assert self.digest(det, adj_w) == (
+            "6d4c58977ec4fdf4838cf2a22d3a56eeb0b85d3bb627923d632d0881e105f1d4")
+
+    def test_float_jets(self):
+        ctx = make_context("x", "y")
+        rows = [
+            [Polynomial(ctx, {(0, 0): a, (1, 0): ((i + 2 * j) % 5 - 2) / 9,
+                              (0, 1): ((2 * i + j) % 7 - 3) / 5,
+                              (1, 1): ((i * j) % 3 - 1) / 11}).truncated(2)
+             for j, a in enumerate(row)]
+            for i, row in enumerate(self.matrix())
+        ]
+        extra = [[Polynomial(ctx, {(0, 0): (i + 1) / 3, (0, 1): (2 - i) / 7}).truncated(2)]
+                 for i in range(5)]
+        det, adj_w = eliminate(rows, extra)
+        assert det.jet == 2 and all(row[0].jet == 2 for row in adj_w)
+        assert det.constant_term() == pytest.approx(np.linalg.det(np.array(self.matrix())))
+        assert self.digest(det, adj_w) == (
+            "fadd2329297f464b80a02e307be99e761463b624638fa43411797f693e80196d")
