@@ -57,7 +57,6 @@ degree it prints and prints the same degrees on both paths.
 """
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 from .germ import (
     AdaptedFrame,
@@ -68,7 +67,7 @@ from .germ import (
     kernel_fields,
     normalized,
 )
-from .linalg import PolyMatrix, RationalMatrix, eliminate, first_nonzero_row, row_reduce
+from .linalg import PolyMatrix, RationalMatrix, adjugate, eliminate, exact_row_reduce, integer_rows
 from .polynomial import Polynomial, cut_to_order
 from .rationals import format_rational
 
@@ -256,7 +255,7 @@ class _Exact:
 
     def reduce(self, name, rows):
         """Row elimination on the first nonzero entries: (T, pivot rows, pivot columns)."""
-        return row_reduce([[Fraction(e) for e in row] for row in rows], first_nonzero_row)
+        return exact_row_reduce(rows)
 
     def nonzero(self, name, value):
         return value != 0
@@ -269,12 +268,10 @@ class _Exact:
 
     def theta_column(self, m0):
         """The first column of adj(M(0)) that is not zero, or None."""
-        size = len(m0)
         # integer rows for `eliminate`: scaling row r by d_r scales column c
         # of the adjugate by the product of the other d's, keeping its zeros
-        rows = RationalMatrix.from_rows(m0)._integer_rows()[0]
-        adj = eliminate(rows, [[int(r == c) for c in range(size)] for r in range(size)])[1]
-        return next((c for c in range(size) if any(row[c] for row in adj)), None)
+        adj = adjugate(integer_rows(m0)[0], 1, 0)
+        return next((c for c in range(len(m0)) if any(row[c] for row in adj)), None)
 
 
 _EXACT = _Exact()

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .context import VariableContext
-from .linalg import eliminate, first_nonzero_row, row_reduce
+from .linalg import eliminate, exact_row_reduce
 from .polynomial import Polynomial, cut_to_order
 from .rationals import rat
 
@@ -184,8 +184,7 @@ def _reduce_at_origin(germ: MapGerm):
     """`row_reduce` of the Jacobian at 0 over Q, pivoting on first nonzero entries."""
     germ.check_wellformed()
     germ.check_bound()
-    rows = [[rat(e) for e in row] for row in germ.linear_coefficients()]
-    return row_reduce(rows, first_nonzero_row)
+    return exact_row_reduce(germ.linear_coefficients())
 
 
 def validate(germ: MapGerm) -> str:

@@ -6,12 +6,15 @@ entries (a nonzero int or uncapped polynomial, or a jet with a nonzero
 constant term: a unit of Q[x]/m^{N+1}) and divides exactly by the previous
 pivot.  Cofactor expansion finishes a block of at most 3x3, or one left
 without a usable entry.  The same code runs on floats and float jets for
-the float companion: it then pivots on the largest constant term and
-divides with `/`.
+the float companion: it then pivots on the largest constant term.  Every
+exact division, by a pivot or by a power of the last one, goes through
+`_divider`: `//` for ints, `/` for floats, `div_exact` for polynomials, and
+for a jet a product with its inverse series.  `adjugate` is `eliminate`
+with W the identity.
 
 `row_reduce` is the row elimination of a Jacobian at the base point, with
-the pivot rule as a parameter: the first nonzero entry over Q, the largest
-entry above a threshold over the floats.
+the pivot rule as a parameter: the first nonzero entry over Q
+(`exact_row_reduce`), the largest entry above a threshold over the floats.
 """
 
 from fractions import Fraction
@@ -29,64 +32,13 @@ class AsymmetricMatrixError(ValueError):
     pass
 
 
-class PolyMatrix:
-    """Row-major matrix of polynomials sharing one context."""
+class _Matrix:
+    """Row-major matrix: `rows` x `cols` entries in one flat list."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries):
-        if rows <= 0 or cols <= 0:
-            raise ValueError("matrix dimensions must be positive")
         entries = list(entries)
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        ctx = entries[0].context
-        for p in entries:
-            if p.context != ctx:
-                raise ValueError("matrix entries must share one context")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, rows_of_entries):
-        rows = len(rows_of_entries)
-        cols = len(rows_of_entries[0])
-        flat = [p for row in rows_of_entries for p in row]
-        return cls(rows, cols, flat)
-
-    @property
-    def context(self):
-        return self.entries[0].context
-
-    def __getitem__(self, rc):
-        r, c = rc
-        return self.entries[r * self.cols + c]
-
-    def to_rows(self):
-        return [self.entries[r * self.cols:(r + 1) * self.cols] for r in range(self.rows)]
-
-    def determinant(self):
-        if self.rows != self.cols:
-            raise NonSquareMatrixError("determinant of a non-square matrix")
-        return eliminate(self.to_rows())[0]
-
-    def adjugate(self):
-        """Exact adjugate: adj(M) * M = det(M) * I as a polynomial identity."""
-        if self.rows != self.cols:
-            raise NonSquareMatrixError("adjugate of a non-square matrix")
-        one, zero = Polynomial.constant(self.context, 1), Polynomial.zero(self.context)
-        identity = [[one if r == c else zero for c in range(self.rows)] for r in range(self.rows)]
-        return PolyMatrix.from_rows(eliminate(self.to_rows(), identity)[1])
-
-
-class RationalMatrix:
-    """Row-major matrix of exact rationals."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries):
-        entries = [rat(e) for e in entries]
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
         self.rows = rows
@@ -106,6 +58,49 @@ class RationalMatrix:
     def to_rows(self):
         return [self.entries[r * self.cols:(r + 1) * self.cols] for r in range(self.rows)]
 
+    def _check_square(self, what):
+        if self.rows != self.cols:
+            raise NonSquareMatrixError(f"{what} of a non-square matrix")
+
+
+class PolyMatrix(_Matrix):
+    """Row-major matrix of polynomials sharing one context."""
+
+    __slots__ = ()
+
+    def __init__(self, rows, cols, entries):
+        if rows <= 0 or cols <= 0:
+            raise ValueError("matrix dimensions must be positive")
+        super().__init__(rows, cols, entries)
+        ctx = self.entries[0].context
+        for p in self.entries:
+            if p.context != ctx:
+                raise ValueError("matrix entries must share one context")
+
+    @property
+    def context(self):
+        return self.entries[0].context
+
+    def determinant(self):
+        self._check_square("determinant")
+        return eliminate(self.to_rows())[0]
+
+    def adjugate(self):
+        """Exact adjugate: adj(M) * M = det(M) * I as a polynomial identity."""
+        self._check_square("adjugate")
+        ctx = self.context
+        one, zero = Polynomial.constant(ctx, 1), Polynomial.zero(ctx)
+        return PolyMatrix.from_rows(adjugate(self.to_rows(), one, zero))
+
+
+class RationalMatrix(_Matrix):
+    """Row-major matrix of exact rationals."""
+
+    __slots__ = ()
+
+    def __init__(self, rows, cols, entries):
+        super().__init__(rows, cols, [rat(e) for e in entries])
+
     def __eq__(self, other):
         return (
             isinstance(other, RationalMatrix)
@@ -122,23 +117,13 @@ class RationalMatrix:
             self[r, c] == self[c, r] for r in range(self.rows) for c in range(r)
         )
 
-    def _integer_rows(self):
-        """The rows times the lcm of their denominators, and the product of those lcms."""
-        rows, scale = [], 1
-        for row in self.to_rows():
-            den = lcm(*(e.denominator for e in row))
-            rows.append([e.numerator * (den // e.denominator) for e in row])
-            scale *= den
-        return rows, scale
-
     def rank(self) -> int:
         """Exact rank: the number of steps of the forward pass on integer rows."""
-        return _forward(self._integer_rows()[0], self.cols, 0)[0]
+        return _forward(integer_rows(self.to_rows())[0], self.cols, 0)[0]
 
     def determinant(self) -> Fraction:
-        if self.rows != self.cols:
-            raise NonSquareMatrixError("determinant of a non-square matrix")
-        rows, scale = self._integer_rows()
+        self._check_square("determinant")
+        rows, scale = integer_rows(self.to_rows())
         return Fraction(eliminate(rows)[0], scale)
 
     def signature(self):
@@ -201,49 +186,29 @@ def _usable(e):
     return not e.is_zero() and not isinstance(next(iter(e.coefficients())), float)
 
 
-def _same(x):
-    return x
+def _divider(p, power):
+    """x -> x / p^power, for p a usable pivot (or None) and x a multiple of p^power.
 
-
-def _dividers(p, power):
-    """x -> x / p^(power-1) and x -> x / p^power, for power >= 1.
-
-    p is a usable pivot (or None) and x a multiple of the power, in the jet
-    ring for a jet.  A jet's scaled inverse series is built once, and its
-    power-th power is its (power-1)-th times it.
+    An int divides with `//`, a float with `/` and an uncapped polynomial
+    with `div_exact`.  A jet p of order N divides through its inverse: with
+    c = p(0) and t = c - p, t^(N+1) vanishes in the N-jet ring, so
+    s = sum_k c^(N-k) t^k has p s = c^(N+1), an inverse scaled to keep
+    integer coefficients integral, and x / p^power = x s^power / c^((N+1) power).
     """
-    if p is None:
-        return _same, _same
+    if p is None or power == 0:
+        return lambda x: x
     if not isinstance(p, Polynomial) or p.jet is None:
-        return (_same if power == 1 else _plain_divider(p, power - 1)), _plain_divider(p, power)
-    # with c = p(0) and t = c - p, t^(N+1) vanishes in the N-jet ring, so
-    # s = sum_k c^(N-k) t^k has p s = c^(N+1): an inverse scaled to keep
-    # integer coefficients integral
-    c, order = p.constant_term(), p.jet + 1
+        d = p**power
+        if isinstance(p, int):
+            return lambda x: x // d
+        if isinstance(p, float):
+            return lambda x: x / d
+        return lambda x: x.div_exact(d)
+    c = p.constant_term()
     t, s = c - p, Polynomial.constant(p.context, 1)
     for j in range(1, p.jet + 1):
         s = s * t + c**j
-    if power == 1:
-        return _same, _series_divider(s, c**order)
-    low = s ** (power - 1)
-    return (
-        _series_divider(low, c ** (order * (power - 1))),
-        _series_divider(low * s, c ** (order * power)),
-    )
-
-
-def _plain_divider(p, power):
-    """x -> x / p^power for an int, a float or an uncapped polynomial p."""
-    d = p**power
-    if isinstance(p, int):
-        return lambda x: x // d
-    if isinstance(p, float):
-        return lambda x: x / d
-    return lambda x: x.div_exact(d)
-
-
-def _series_divider(s, scale):
-    """x -> x s / scale, for s the inverse of a jet times scale."""
+    s, scale = s**power, c ** ((p.jet + 1) * power)
     if isinstance(scale, float):
         s = s * (1 / scale)
         return lambda x: x * s
@@ -252,10 +217,7 @@ def _series_divider(s, scale):
         q, r = divmod(v, scale)
         return q if r == 0 else Fraction(v) / scale
 
-    def divide(x):
-        return (x * s).map_coefficients(exact_quotient)
-
-    return divide
+    return lambda x: (x * s).map_coefficients(exact_quotient)
 
 
 def _forward(rows, ncols, stop):
@@ -288,7 +250,7 @@ def _forward(rows, ncols, stop):
                 row[j], row[k] = row[k], row[j]
             order[j], order[k] = order[k], order[j]
             sign = -sign
-        divide = _dividers(pivot, 1)[1]
+        divide = _divider(pivot, 1)
         pivot, top = rows[k][k], rows[k]
         for i in range(len(rows)):
             if i != k:
@@ -332,6 +294,21 @@ def row_reduce(rows, pick):
 def first_nonzero_row(rows, col, free):
     """The pivot rule over Q: the first free row with a nonzero entry in `col`."""
     return next((r for r in free if rows[r][col] != 0), None)
+
+
+def exact_row_reduce(rows):
+    """`row_reduce` over Q: the rows as Fractions, pivoting on first nonzero entries."""
+    return row_reduce([[Fraction(e) for e in row] for row in rows], first_nonzero_row)
+
+
+def integer_rows(rows):
+    """Rational rows, each times the lcm of its denominators, and the product of those lcms."""
+    out, scale = [], 1
+    for row in rows:
+        den = lcm(*(e.denominator for e in row))
+        out.append([e.numerator * (den // e.denominator) for e in row])
+        scale *= den
+    return out, scale
 
 
 def _dot(xs, ys):
@@ -384,7 +361,7 @@ def eliminate(a, w=None):
     det_s, adj_t = _cofactor([row[k:n] for row in rows[k:]], [row[n:] for row in rows[k:]])
     if sign < 0:
         det_s, adj_t = -det_s, [[-v for v in row] for row in adj_t]
-    down, down_top = _dividers(pivot, r)
+    down, down_top = _divider(pivot, r - 1), _divider(pivot, r)
     adj_w = [None] * n
     for i in range(k):
         x, y = rows[i][k:n], rows[i][n:]
@@ -394,3 +371,10 @@ def eliminate(a, w=None):
     for i in range(r):
         adj_w[order[k + i]] = [down(v) for v in adj_t[i]]
     return down(det_s), adj_w
+
+
+def adjugate(rows, one, zero):
+    """adj(A) for a square A given as rows, `one` and `zero` being its ring's units."""
+    size = len(rows)
+    identity = [[one if r == c else zero for c in range(size)] for r in range(size)]
+    return eliminate(rows, identity)[1]

@@ -24,7 +24,7 @@ import numpy as np
 
 from .criteria import Label, _classify_at_origin, lambdas_for_frame
 from .germ import MapGerm, cramer_frame, normalized
-from .linalg import eliminate, row_reduce
+from .linalg import adjugate, row_reduce
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ class _Thresholds:
     def theta_column(self, m0):
         """The column of adj(M(0)) with the largest entry, if that is above zero_tol."""
         size = len(m0)
-        adj = eliminate(m0, [[float(r == c) for c in range(size)] for r in range(size)])[1]
+        adj = adjugate(m0, 1.0, 0.0)
         norms = [max(abs(adj[r][c]) for r in range(size)) for c in range(size)]
         best = max(range(size), key=norms.__getitem__)
         self.margins.append(Margin("adjugate column", norms[best], self.tol.zero_tol))
