@@ -20,7 +20,7 @@ from pathlib import Path
 from . import lefschetz
 from .criteria import classify
 from .germ import MalformedGermError
-from .numeric import Tolerances, numeric_classify
+from .numeric import FloatRangeError, Tolerances, numeric_classify
 from .parsing import ParseError, parse_germ_document, parse_rational
 from .rationals import format_rational
 
@@ -110,8 +110,10 @@ def cmd_classify(args):
         try:
             at = [float(v) for v in point or (0,) * len(doc.source_vars)]
             verdict = numeric_classify(germ, at, tol)
-        except (OverflowError, ValueError):
+        except (OverflowError, FloatRangeError):
             return _fail("base point is out of the float range of --numeric")
+        except ValueError as exc:
+            return _fail(exc)
         payload = {"numeric": True, "verdict": verdict_to_dict(verdict)}
         _emit(payload)
         return EXIT_OK

@@ -11,7 +11,9 @@ threshold makes the verdict Inconclusive.
 
 `Tolerances` holds the two thresholds a caller may set, `rank_tol` and
 `zero_tol`; the projection's residual target and iteration limit are class
-constants.
+constants.  The chart is expanded symbolically, so a germ whose frame or
+chart may exceed `CHART_TERM_BOUND` terms gets none: it is classified, not
+projected.
 """
 
 import math
@@ -25,6 +27,12 @@ import numpy as np
 from .criteria import Label, _classify_at_origin, lambdas_for_frame
 from .germ import MapGerm, cramer_frame, normalized
 from .linalg import adjugate, row_reduce
+
+# the largest frame and chart `_frame_size` and `_chart_size` admit.  On
+# dimension-ladder germs (one core of a 2-core host) charts bounded by 54264
+# and 65780 terms expanded in 0.5 s and 8-13 s, one bounded by 170544 in
+# 28 s, and the (5, 4, 4) germ's, bounded by 237336, ran for minutes
+CHART_TERM_BOUND = 100_000
 
 
 @dataclass(frozen=True)
@@ -66,6 +74,10 @@ class NumericVerdict:
 
 class ProjectionError(RuntimeError):
     """Gauss-Newton failed to reach the residual tolerance."""
+
+
+class FloatRangeError(ValueError):
+    """A value at the point is not finite in floats."""
 
 
 def _norms(r):
@@ -154,13 +166,49 @@ class _Thresholds:
         return best if norms[best] > self.tol.zero_tol else None
 
 
+def _monomials(terms, degree, m):
+    """A term count capped by C(degree+m, m), the monomials of that degree in m variables."""
+    return min(terms, math.comb(degree + m, m))
+
+
+def _frame_size(first, names):
+    """A bound on the terms of det B and of each eta coefficient, before the frame is built.
+
+    Each is a sum of products of one first derivative of each of f_1, ...,
+    f_{n-1}, so its terms are at most the product over those components of
+    their derivatives' term counts, summed, and its degree the sum of their
+    largest degrees.
+    """
+    terms, degree = 1, 0
+    for f in first:
+        grads = [f.derivative(v) for v in names]
+        terms *= sum(len(g.terms) for g in grads)
+        degree += max(g.degree() for g in grads)
+    return _monomials(terms, degree, len(names))
+
+
+def _chart_size(frame, f_n, names):
+    """A bound on the terms of each chart lambda = det B * eta f_n, before it is expanded."""
+    m, det_b = len(names), frame.pivot_minor
+    grads = [f_n.derivative(v) for v in names]
+    size = 0
+    for eta in frame.eta:
+        pairs = [(c, g) for c, g in zip(eta.coefficients, grads) if not c.is_zero()]
+        degree = max((c.degree() + g.degree() for c, g in pairs), default=0)
+        eta_fn = _monomials(sum(len(c.terms) * len(g.terms) for c, g in pairs), degree, m)
+        size = max(size, _monomials(len(det_b.terms) * eta_fn, det_b.degree() + degree, m))
+    return size
+
+
 class _FloatPipeline:
     """The float copy of a germ and the lambdas of its chart at 0, with their gradients.
 
     The chart is `normalize`'s with `_Thresholds` pivots, kept at rank n
     too: the projection solves its lambdas wherever the germ is regular at 0.
-    Where the Jacobian at 0 has rank below n-1 there is no chart, and
-    `lambdas` is None: such a germ can be classified but not projected.
+    Where the Jacobian at 0 has rank below n-1 there is no chart, and where
+    `_frame_size` or `_chart_size` exceeds CHART_TERM_BOUND it is not built:
+    `lambdas` is None and `no_chart` says why.  Such a germ can be
+    classified but not projected.
     """
 
     def __init__(self, germ: MapGerm, tol: Tolerances):
@@ -174,11 +222,20 @@ class _FloatPipeline:
         n = germ.n
         t, pivot_rows, pivot_cols = _Thresholds(tol).reduce(
             "corank", self.germ.linear_coefficients())
+        self.lambdas, self.no_chart = None, None
         if len(pivot_rows) < n - 1:
-            self.lambdas = None
+            self.no_chart = "the chart at 0 needs a Jacobian of rank at least n-1 there"
             return
         ng = normalized(self.germ, t, pivot_rows[: n - 1], pivot_cols[: n - 1], exact=False)
-        self.lambdas = lambdas_for_frame(ng.germ, cramer_frame(ng.germ, ng.pivot_names)).lambdas
+        names, comps = ctx.source_names, ng.germ.components
+        if (size := _frame_size(comps[:-1], names)) <= CHART_TERM_BOUND:
+            frame = cramer_frame(ng.germ, ng.pivot_names)
+            size = _chart_size(frame, comps[-1], names)
+        if size > CHART_TERM_BOUND:
+            self.no_chart = (f"the chart at 0 may need polynomials of {size} terms, "
+                             f"above CHART_TERM_BOUND = {CHART_TERM_BOUND}")
+            return
+        self.lambdas = lambdas_for_frame(ng.germ, frame).lambdas
         src = ctx.source_indices
         columns = list(self.lambdas) + [
             lam.derivative(v) for lam in self.lambdas for v in ctx.source_names]
@@ -295,7 +352,7 @@ def project_to_singular_locus(germ: MapGerm, seed, tol: Tolerances = None):
     tol = tol or Tolerances()
     pipe = _pipeline(germ, tol)
     if pipe.lambdas is None:
-        raise ValueError("the chart at 0 needs a Jacobian of rank at least n-1 there")
+        raise ValueError(pipe.no_chart)
     x = np.array(seed, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != germ.m:
         raise ValueError(f"seed needs {germ.m} coordinates")
@@ -314,20 +371,20 @@ def numeric_classify(germ: MapGerm, point, tol: Tolerances = None) -> NumericVer
 
     The residual is the norm of the chart's lambdas at the point, None where
     the germ has no chart at 0.  A point where the jet or the residual
-    overflows the float range raises ValueError.
+    overflows the float range raises FloatRangeError, a ValueError.
     """
     tol = tol or Tolerances()
     pipe = _pipeline(germ, tol)
     x = tuple(float(v) for v in point)
     jet = pipe.germ.translate(x).truncated(germ.n + 1)
     if not all(math.isfinite(c) for p in jet.components for c in p.coefficients()):
-        raise ValueError("the jet at the point is not finite in floats")
+        raise FloatRangeError("the jet at the point is not finite in floats")
     residual = None
     if pipe.lambdas is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             residual = float(_norms(pipe.values(np.array([x])))[0])
         if not math.isfinite(residual):
-            raise ValueError("the residual at the point is not finite in floats")
+            raise FloatRangeError("the residual at the point is not finite in floats")
     decide = _Thresholds(tol)
     label, _ = _classify_at_origin(jet, decide)
     if any(m.inconclusive for m in decide.margins):
@@ -342,6 +399,7 @@ def scan_region(germ: MapGerm, box, grid: int, tol: Tolerances = None):
     left the box, deduplicates the rest (cluster radius 10x the residual
     tolerance), and classifies each representative.
     Results are ordered by point coordinates, so the scan is deterministic.
+    A germ without a chart at 0 raises ValueError, as in the projection.
     """
     tol = tol or Tolerances()
     if grid <= 0:

@@ -16,6 +16,7 @@ from conftest import (
     linear_source_change,
     linear_target_change,
     normal_form,
+    perfbench_module,
     unipotent_target_change,
 )
 
@@ -241,6 +242,22 @@ class TestClassifyCommand:
             capsys, "classify", str(path), "--numeric", "--point", "1e200,1e200,0")
         assert code == 2 and out == ""
         assert err == "error: base point is out of the float range of --numeric\n"
+
+    def test_numeric_mode_above_the_chart_bound(self, capsys, tmp_path):
+        # the seed-1 (5, 4, 4) ladder germ of the benchmark, 245 terms per
+        # component: its chart would take minutes to expand, so the verdict
+        # comes without a residual
+        inputs = perfbench_module("inputs")
+        germ = inputs.ladder_case(random.Random(1), 5, 4, 4)["germ"]
+        path = tmp_path / "ladder.germ"
+        path.write_text(inputs.germ_text(germ, [p.render() for p in germ.components]))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "classify", str(path), "--numeric")
+        assert time.perf_counter() - start < 10
+        assert code == 0 and err == ""
+        verdict = json.loads(out)["verdict"]
+        assert verdict["residual"] is None
+        assert verdict["margins"]
 
     def test_deterministic_bytes(self, capsys, cusp_file):
         _, out1, _ = run_cli(capsys, "classify", str(cusp_file), "--trace")

@@ -15,6 +15,7 @@ from morinclass.germ import normalized
 from morinclass.lefschetz import LefschetzFamily, circle_point
 from morinclass import numeric
 from morinclass.numeric import (
+    CHART_TERM_BOUND,
     ProjectionError,
     Tolerances,
     numeric_classify,
@@ -31,6 +32,7 @@ from conftest import (
     linear_target_change,
     make_context,
     normal_form,
+    perfbench_module,
     unipotent_target_change,
 )
 
@@ -235,6 +237,43 @@ class TestNumericClassify:
     def test_point_beyond_float_range_raises(self, fold_germ, point, what):
         with pytest.raises(ValueError, match=f"the {what} at the point is not finite"):
             numeric_classify(fold_germ, point)
+
+
+class TestChartBound:
+    """The float chart is expanded only below CHART_TERM_BOUND monomials."""
+
+    @staticmethod
+    def ladder(*case):
+        inputs = perfbench_module("inputs")
+        return inputs.ladder_case(random.Random(1), *case)["germ"]
+
+    @pytest.mark.parametrize("case", [(6, 2, 2), (6, 3, 2), (5, 3, 3), None])
+    def test_estimates_bound_the_chart(self, case):
+        # ladder germs are dense; the (6, 5, 5) normal form under a target
+        # change alone is sparse, and only the sizes of its frame bound it
+        if case is None:
+            germ = linear_target_change(random.Random(5), normal_form(6, 5, 5, (1,)))
+        else:
+            germ = self.ladder(*case)
+        tol = Tolerances()
+        chart_germ, frame, lambdas = TestFloatLambdas.chart(
+            numeric._FloatPipeline(germ, tol).germ, tol)
+        names, comps = germ.context.source_names, chart_germ.components
+        frame_terms = [frame.pivot_minor] + [c for eta in frame.eta for c in eta.coefficients]
+        assert max(len(p.terms) for p in frame_terms) <= numeric._frame_size(comps[:-1], names)
+        chart_size = numeric._chart_size(frame, comps[-1], names)
+        assert max(len(lam.terms) for lam in lambdas) <= chart_size <= CHART_TERM_BOUND
+
+    def test_germ_above_the_bound(self):
+        # the (5, 4, 4) normal form under a dense linear change: the chart
+        # estimate is 237336 monomials and its expansion ran for minutes
+        germ = self.ladder(5, 4, 4)
+        verdict = numeric_classify(germ, (0.0,) * germ.m)
+        assert verdict.residual is None and verdict.margins
+        with pytest.raises(ValueError, match="CHART_TERM_BOUND"):
+            project_to_singular_locus(germ, (0.0,) * germ.m)
+        with pytest.raises(ValueError, match="CHART_TERM_BOUND"):
+            scan_region(germ, [(-1, 1)] * germ.m, 2)
 
 
 class TestScan:
