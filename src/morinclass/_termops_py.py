@@ -6,8 +6,9 @@ field per context variable below it (`context.VariableContext` fixes the
 layout).  A monomial product is one integer addition and the total degree is
 one shift.  Coefficients are exact rationals, where plain ints and Fractions
 mix freely and integer inputs give integer outputs, or floats for the float
-companion.  Every function returns a new canonical dict (no stored zeros)
-and never mutates its inputs.
+companion.  `Polynomial` hands `scale_terms` an integral Fraction scalar as
+its int, so an int polynomial scales to ints.  Every function returns a new
+canonical dict (no stored zeros) and never mutates its inputs.
 
 The ops that raise degrees check the largest degree they can form against
 `context.MAX_DEGREE` once per call, and raise DegreeOverflowError above it,

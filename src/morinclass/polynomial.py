@@ -14,7 +14,9 @@ degree would exceed `context.MAX_DEGREE` raises DegreeOverflowError.
 The heavy term-merging loops live in `morinclass._termops_py`.
 Coefficients are exact rational scalars: plain ints are kept as ints
 (integer arithmetic is far cheaper than normalized fractions), everything
-else is a Fraction, and the two mix freely.  The float companion
+else is a Fraction, and the two mix freely.  A scalar product takes an
+integral Fraction as its int, so an int polynomial times an entry of a
+`RationalMatrix` such as `Fraction(3, 1)` stays int.  The float companion
 (`morinclass.numeric`) runs the same code on float coefficients, which
 `constant`, scalar products and `MapGerm.translate` accept.
 
@@ -232,6 +234,8 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, Fraction)):
+            if isinstance(other, Fraction) and other.denominator == 1:
+                other = other.numerator  # int terms stay ints
             return Polynomial._wrap(self.context, kernel.scale_terms(self.terms, other), self.jet)
         other = self._coerce(other)
         ctx = self.context

@@ -284,6 +284,22 @@ class TestPowerBound:
             assert _parsed(parse_expression, f"({base})^{k}", ctx) == [
                 (key, coeff, type(coeff)) for key, coeff in unscaled.items()], base
 
+    @pytest.mark.parametrize("base", ["(x+2/3*y-3/7*z)", "(1/1*x+2/3*y-3/7*z)", "(1/2+x)"])
+    def test_fraction_base_expands_on_ints(self, base, monkeypatch):
+        # the power adds no Fraction sum or product to those of its base
+        ctx = make_context("x", "y", "z")
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+            op = getattr(Fraction, name)
+            monkeypatch.setattr(Fraction, name, lambda a, b, op=op: calls.append(1) or op(a, b))
+
+        def fraction_ops(text):
+            calls.clear()
+            parse_expression(text, ctx)
+            return len(calls)
+
+        assert fraction_ops(f"{base}^20") == fraction_ops(base)
+
     def test_product_count_bounds_the_expansion(self, monkeypatch):
         # (x_1 + ... + x_t)^k has as many terms as any t-term base can give
         ctx = make_context("x", "y", "z", "w")
@@ -519,6 +535,24 @@ class TestAgainstPolynomialParser:
                     assert _parsed(parse_expression, comp, ctx, line) == _parsed(
                         polynomial_parse, comp, ctx, line), comp
                 doc.to_germ()
+
+    def test_mixed_base_powers(self):
+        # a base of int and Fraction terms keeps the coefficient types of
+        # `pow_terms`: an int where only int products reached a term since it
+        # last cancelled.  In the first four, a term cancels while a Fraction
+        # and comes back as an int
+        ctx = self.CTX
+        bases = [("1/1*y - 2*x*y - 2*x - 2", 2), ("-x + x*y - 1/1*y - 2", 3),
+                 ("1/2*y + 2*x + 2 - x*y", 4), ("x^2 + z - 1/2 - x", 4), ("x+2/3*y-3/7*z", 9)]
+        rng = random.Random(88)
+        monomials = ["1", "x", "y", "z", "a", "x*y", "x^2", "y^2"]
+        for _ in range(80):
+            terms = [f"{rng.choice('+-')}{rng.choice(['1', '2', '1/2', '3/2', '1/1'])}*{mono}"
+                     for mono in rng.sample(monomials, rng.randint(2, 5))]
+            bases.append((" ".join(terms), rng.randint(1, 5)))
+        for base, k in bases:
+            text = f"({base})^{k}"
+            assert _parsed(parse_expression, text, ctx) == _parsed(polynomial_parse, text, ctx), text
 
     def test_battery_texts(self, battery_germs):
         for *_, germ in battery_germs:

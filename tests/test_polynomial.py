@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, calculus and canonical rendering."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morinclass import ContextMismatchError, Polynomial, VariableContext
+from morinclass import ContextMismatchError, MapGerm, Polynomial, VariableContext, classify
+from morinclass.cli import report_to_dict
 from morinclass.context import PARAMETER, SOURCE
 
-from conftest import make_context, naive_divide, random_polynomial
+from conftest import make_context, naive_divide, perfbench_module, random_polynomial
 
 
 @pytest.fixture
@@ -331,6 +333,67 @@ def test_divide_against_rescanning_oracle(seed, with_params, exact):
     assert list(q.items()) == list(nq.items())
     assert list(r.items()) == list(nr.items())
     assert [type(c) for c in q.coefficients()] == [type(c) for c in nq.coefficients()]
+
+
+class TestScalarProduct:
+    """An integral Fraction scalar multiplies as its int, so int terms stay ints."""
+
+    CTX = make_context("x", "y", "z")
+
+    def exact_polynomial(self, rng):
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            exps = tuple(rng.randint(0, 3) for _ in range(len(self.CTX)))
+            num = rng.choice([-4, -3, -1, 1, 2, 5])
+            terms[exps] = num if rng.random() < 0.5 else Fraction(num, rng.randint(1, 4))
+        return Polynomial(self.CTX, terms)
+
+    @staticmethod
+    def scalars(rng):
+        k = rng.randint(-6, 6)
+        return [k, Fraction(k), Fraction(rng.randint(-6, 6), rng.randint(2, 5)),
+                rng.randint(-8, 8) / 4]
+
+    def test_terms_values_and_types(self):
+        rng = random.Random(2718)
+        kinds = set()
+        for _ in range(200):
+            p = self.exact_polynomial(rng)
+            for c in self.scalars(rng):
+                # the term-by-term product, in p's order; exact ones as Fractions
+                exact = not isinstance(c, float)
+                expected = [(key, Fraction(coeff) * c if exact else coeff * c)
+                            for key, coeff in p.terms.items()] if c else []
+                integral = exact and Fraction(c).denominator == 1
+                for product in (p * c, c * p):
+                    assert list(product.terms.items()) == expected
+                    for key, coeff in product.terms.items():
+                        assert isinstance(coeff, int) == (type(p.terms[key]) is int and integral)
+                        kinds.add((type(p.terms[key]), type(c), type(coeff)))
+        assert (int, Fraction, int) in kinds and (int, Fraction, Fraction) in kinds
+
+    def test_float_bits(self):
+        rng = random.Random(3141)
+        for _ in range(100):
+            p = Polynomial(self.CTX, {
+                tuple(rng.randint(0, 3) for _ in range(3)): rng.uniform(-10, 10) * 10**rng.randint(-20, 20)
+                for _ in range(rng.randint(1, 6))})
+            k = rng.choice([rng.randint(-9, 9), rng.randint(-2**60, 2**60)])
+            for product in (p * Fraction(k), Fraction(k) * p):
+                assert [(key, coeff.hex()) for key, coeff in product.terms.items()] == (
+                    [(key, (coeff * float(k)).hex()) for key, coeff in p.terms.items()] if k else [])
+
+    def test_ladder_germ_reports_as_its_fraction_twin(self):
+        # the seed-1 (6,5,5) ladder germ is built under dense integer
+        # RationalMatrix changes, and its terms stay ints
+        germ = perfbench_module("inputs").ladder_case(random.Random(1), 6, 5, 5)["germ"]
+        assert all(type(c) is int for p in germ.components for c in p.coefficients())
+        twin = MapGerm(germ.context, tuple(
+            Polynomial(germ.context, {exps: Fraction(c) for exps, c in p.items()})
+            for p in germ.components))
+        assert twin.components == germ.components
+        reports = [json.dumps(report_to_dict(classify(g), include_trace=True)) for g in (germ, twin)]
+        assert reports[0] == reports[1]
 
 
 class TestContext:

@@ -1,0 +1,175 @@
+"""One sha256 per output family of the checkout this file sits in.
+
+    python3 tools/output_digest.py
+
+imports `src/` and `perfbench/inputs.py` next to this directory, writes
+nothing into the checkout (no bytecode; the slice CSVs go to a temporary
+directory) and prints one line `<sha256>  <family>` per family:
+
+  ainv_replay.traced / .untraced   `report_to_dict` JSON of every seed-1 and
+                                   seed-2 `ainv_replay` request
+  ladder.traced                    traced reports of ladder germs, seeds 1 and 2
+  ladder.verdicts                  `float.hex` of `verdict_to_dict` at the
+                                   origin of ladder germs, residuals included
+  scan_region                      the verdicts of three scans
+  witness_verify                   the 9 + 9 `lefschetz_witness` points
+  chain                            renders of `lefschetz_lambdas`,
+                                   `chart_hessian`, `rederive_noncusp_chain`
+  slice_csv                        the bytes of four slice CSVs
+
+Two checkouts give the same outputs when they print the same lines, e.g.
+for `git archive` copies of two commits A and B:
+
+    diff <(python3 A/tools/output_digest.py) <(python3 B/tools/output_digest.py)
+
+It takes about 8 s on a 2-core host.
+"""
+
+import dataclasses
+import hashlib
+import importlib.util
+import json
+import random
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+sys.dont_write_bytecode = True
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from morinclass import VariableContext, classify, lefschetz, numeric  # noqa: E402
+from morinclass.cli import report_to_dict, verdict_to_dict  # noqa: E402
+from morinclass.linalg import PolyMatrix, RationalMatrix  # noqa: E402
+from morinclass.parsing import parse_germ_document  # noqa: E402
+from morinclass.polynomial import Polynomial  # noqa: E402
+
+
+def _load_inputs():
+    spec = importlib.util.spec_from_file_location("inputs", ROOT / "perfbench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+inputs = _load_inputs()
+
+SEEDS = (1, 2)
+LADDER_REPORTS = ((6, 2, 1), (7, 2, 1), (5, 3, 3), (5, 4, 4), (8, 2, 1), (6, 4, 4), (6, 5, 5))
+LADDER_VERDICTS = ((6, 2, 1), (7, 2, 1), (6, 2, 2), (7, 2, 2), (6, 3, 2), (5, 3, 3), (6, 3, 3))
+SCAN_POINTS = ((Fraction(3, 2), 1, -2, Fraction(-1, 2)),
+               (0, Fraction(1, 2), 2, Fraction(3, 2)),
+               (Fraction(1, 2), -1, 1, 1))
+SCAN_BOX, SCAN_GRID = ((-1, 1),) * 4, 5  # the `float_scan_export` workload's
+SLICES = ((Fraction(1, 4), 47), (0, 21), (Fraction(-3, 8), 22), (Fraction(1, 300007), 4))
+
+
+def canon(obj):
+    """A JSON-ready form: polynomials rendered, floats as `float.hex`, exact scalars as text."""
+    if obj is None or isinstance(obj, (bool, str)):
+        return obj
+    if isinstance(obj, (int, Fraction)):
+        return str(obj)
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, Polynomial):
+        return obj.render()
+    if isinstance(obj, (PolyMatrix, RationalMatrix)):
+        return canon(obj.to_rows())
+    if isinstance(obj, VariableContext):
+        return repr(obj)
+    if isinstance(obj, dict):
+        return [[canon(k), canon(v)] for k, v in obj.items()]
+    if isinstance(obj, (list, tuple)):
+        return [canon(v) for v in obj]
+    if dataclasses.is_dataclass(obj):
+        return [type(obj).__name__] + [
+            [f.name, canon(getattr(obj, f.name))] for f in dataclasses.fields(obj)]
+    raise TypeError(f"no canonical form for {type(obj).__name__}")
+
+
+def ainv_reports(traced):
+    for seed in SEEDS:
+        for request in inputs.ainv_requests(random.Random(seed)):
+            germ = parse_germ_document(request["text"]).to_germ()
+            report = classify(germ, trace=traced)
+            yield json.dumps(report_to_dict(report, include_trace=traced))
+
+
+def ladder_germ(seed, case):
+    return inputs.ladder_case(random.Random(seed), *case)["germ"]
+
+
+def ladder_reports():
+    for seed in SEEDS:
+        for case in LADDER_REPORTS:
+            yield json.dumps(report_to_dict(classify(ladder_germ(seed, case)), include_trace=True))
+
+
+def ladder_verdicts():
+    for case in LADDER_VERDICTS:
+        germ = ladder_germ(1, case)
+        origin = (0,) * len(germ.context.source_names)
+        yield canon(verdict_to_dict(numeric.numeric_classify(germ, origin)))
+
+
+def scans():
+    family = lefschetz.LefschetzFamily.symbolic()
+    for params in SCAN_POINTS:
+        verdicts = numeric.scan_region(family.at(params), SCAN_BOX, SCAN_GRID)
+        yield [canon(verdict_to_dict(v)) for v in verdicts]
+
+
+def witness_points(seed):
+    """The parameter points of the `lefschetz_witness` workload at `seed`."""
+    rng = random.Random(seed)
+    points = [p for _, p in inputs.component_points(rng, 1)]
+    return points + inputs.off_locus_points(rng, 2) + inputs.degenerate_pairs(rng, 2)
+
+
+def witnesses():
+    for seed in SEEDS:
+        for params in witness_points(seed):
+            yield canon(lefschetz.witness_verify(params))
+
+
+def chain():
+    lambdas = lefschetz.lefschetz_lambdas()
+    yield canon({key: lambdas[key] for key in ("cramer", "normalized", "units")})
+    data = lefschetz.chart_hessian()
+    yield canon({key: data[key] for key in ("h_matrix", "h", "adjugate", "theta", "theta_h")})
+    yield canon(lefschetz.rederive_noncusp_chain())
+
+
+def slice_csvs():
+    with tempfile.TemporaryDirectory() as tmp:
+        for b2, resolution in SLICES:
+            path = Path(tmp) / lefschetz.slice_filename(b2)
+            lefschetz.write_slice_csv(lefschetz.emit_slice(Fraction(b2), resolution), path)
+            yield path.read_bytes().decode()
+
+
+FAMILIES = (
+    ("ainv_replay.traced", lambda: ainv_reports(True)),
+    ("ainv_replay.untraced", lambda: ainv_reports(False)),
+    ("ladder.traced", ladder_reports),
+    ("ladder.verdicts", ladder_verdicts),
+    ("scan_region", scans),
+    ("witness_verify", witnesses),
+    ("chain", chain),
+    ("slice_csv", slice_csvs),
+)
+
+
+def main():
+    for name, outputs in FAMILIES:
+        digest = hashlib.sha256()
+        for item in outputs():
+            text = item if isinstance(item, str) else json.dumps(item)
+            digest.update(text.encode() + b"\n")
+        print(f"{digest.hexdigest()}  {name}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
