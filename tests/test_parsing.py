@@ -552,7 +552,8 @@ class TestAgainstPolynomialParser:
             bases.append((" ".join(terms), rng.randint(1, 5)))
         for base, k in bases:
             text = f"({base})^{k}"
-            assert _parsed(parse_expression, text, ctx) == _parsed(polynomial_parse, text, ctx), text
+            assert _parsed(parse_expression, text, ctx) == _parsed(
+                polynomial_parse, text, ctx), text
 
     def test_battery_texts(self, battery_germs):
         for *_, germ in battery_germs:

@@ -376,12 +376,13 @@ class TestScalarProduct:
         rng = random.Random(3141)
         for _ in range(100):
             p = Polynomial(self.CTX, {
-                tuple(rng.randint(0, 3) for _ in range(3)): rng.uniform(-10, 10) * 10**rng.randint(-20, 20)
+                tuple(rng.randint(0, 3) for _ in range(3)):
+                    rng.uniform(-9, 9) * 10.0**rng.randint(-9, 9)
                 for _ in range(rng.randint(1, 6))})
             k = rng.choice([rng.randint(-9, 9), rng.randint(-2**60, 2**60)])
+            expected = [(key, (c * float(k)).hex()) for key, c in p.terms.items()] if k else []
             for product in (p * Fraction(k), Fraction(k) * p):
-                assert [(key, coeff.hex()) for key, coeff in product.terms.items()] == (
-                    [(key, (coeff * float(k)).hex()) for key, coeff in p.terms.items()] if k else [])
+                assert [(key, coeff.hex()) for key, coeff in product.terms.items()] == expected
 
     def test_ladder_germ_reports_as_its_fraction_twin(self):
         # the seed-1 (6,5,5) ladder germ is built under dense integer
@@ -392,7 +393,8 @@ class TestScalarProduct:
             Polynomial(germ.context, {exps: Fraction(c) for exps, c in p.items()})
             for p in germ.components))
         assert twin.components == germ.components
-        reports = [json.dumps(report_to_dict(classify(g), include_trace=True)) for g in (germ, twin)]
+        reports = [json.dumps(report_to_dict(classify(g), include_trace=True))
+                   for g in (germ, twin)]
         assert reports[0] == reports[1]
 
 
