@@ -8,7 +8,8 @@ one shift.  Coefficients are exact rationals, where plain ints and Fractions
 mix freely and integer inputs give integer outputs, or floats for the float
 companion.  `Polynomial` hands `scale_terms` an integral Fraction scalar as
 its int, so an int polynomial scales to ints.  Every function returns a new
-canonical dict (no stored zeros) and never mutates its inputs.
+canonical dict (no stored zeros) and never mutates its inputs, except the
+row cache that `shift_terms` fills.
 
 The ops that raise degrees check the largest degree they can form against
 `context.MAX_DEGREE` once per call, and raise DegreeOverflowError above it,
@@ -16,8 +17,6 @@ so a field never carries into its neighbour.
 
 `Polynomial` runs its arithmetic through these functions.
 """
-
-from fractions import Fraction
 
 from .context import MAX_DEGREE, check_degree
 
@@ -106,7 +105,7 @@ def mul_terms(a, b, ctx, trunc=-1):
 
 def pow_terms(a, k, ctx, trunc=-1):
     if k == 0:
-        return {0: Fraction(1)}
+        return {0: 1}
     if a:
         # before any product: the degree of a^k must fit
         top = (max(a) >> ctx.degree_shift) * k
@@ -123,6 +122,77 @@ def pow_terms(a, k, ctx, trunc=-1):
     for _ in range(k - 1):
         result = mul_terms(result, a, ctx, trunc)
     return result
+
+
+def shift_terms(a, point, ctx, rows):
+    """The terms of a(x + p) - a(p): the Taylor shift of `a` to a point p.
+
+    `point` lists the pairs (i, p_i) with p_i != 0; every other variable
+    stays.  `rows` caches the powers of the x_i + p_i: the calls at one
+    point may share it, and a new point needs a new dict.
+
+    Each term c x^alpha of `a`, in exponent-tuple order, expands as
+    c (x_i + p_i)^alpha_i ... over the listed i in context order, each
+    factor the power `pow_terms` gives, paired as `mul_terms` pairs its
+    factors, and joins the sum as `add_terms` would add it; a product by
+    the int 1 is skipped.  So every float coefficient has the bits of that
+    product and sum, and a product that underflows to zero is dropped.  The
+    constant term a(p) - a(p) is dropped too, unless it is NaN, where a(p)
+    overflowed the floats: that NaN keeps its place.
+    """
+    degree_unit = ctx.degree_unit
+    factors = [(i, ctx.field_shifts[i], degree_unit + ctx.units[i], v) for i, v in point]
+    out = {}
+    get = out.get
+    # a key without its degree field orders as its exponent tuple
+    for key in sorted(a, key=(degree_unit - 1).__and__):
+        term = {key: a[key]}
+        for i, shift, step, v in factors:
+            e = key >> shift & MAX_DEGREE
+            if not e:
+                continue
+            row = rows.get((i, e))
+            if row is None:
+                # (x_i + p_i)^e as pairs (key offset, coefficient): the offset
+                # lowers x_i^e to the pair's power of x_i, and None is the int 1
+                row = rows[(i, e)] = [
+                    (k - e * step, None if c.__class__ is int and c == 1 else c)
+                    for k, c in pow_terms({step: 1, 0: v}, e, ctx).items()
+                ]
+            moved = {}
+            if len(term) > len(row):  # as in `mul_terms`, the smaller factor goes outer
+                for offset, c in row:
+                    for k, t in term.items():
+                        if c is None:
+                            moved[k + offset] = t
+                        elif p := c * t:
+                            moved[k + offset] = p
+            else:
+                for k, t in term.items():
+                    one = t.__class__ is int and t == 1
+                    for offset, c in row:
+                        if c is None:
+                            moved[k + offset] = t
+                        elif one:
+                            moved[k + offset] = c
+                        elif p := t * c:
+                            moved[k + offset] = p
+            term = moved
+        for k, t in term.items():
+            s = get(k)
+            if s is None:
+                out[k] = t
+            elif s := s + t:
+                out[k] = s
+            else:
+                del out[k]
+    if 0 in out:
+        rest = out[0] - out[0]  # NaN where a(p) is infinite or NaN, else zero
+        if rest:
+            out[0] = rest
+        else:
+            del out[0]
+    return out
 
 
 def diff_terms(a, idx, ctx):

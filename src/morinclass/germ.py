@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from . import _termops_py as kernel
 from .context import VariableContext
 from .linalg import eliminate, exact_row_reduce
 from .polynomial import Polynomial, cut_to_order
@@ -97,25 +98,38 @@ class MapGerm:
         return MapGerm(self.context, tuple(p.substitute(bindings) for p in self.components))
 
     def translate(self, point) -> "MapGerm":
-        """Recenter at a source point p: x -> x + p, then drop f(p) so 0 maps to 0.
+        """Recenter at a source point p: the germ x -> f(x + p) - f(p), so 0 maps to 0.
 
-        Float coordinates are kept as floats, for a germ with float coefficients.
+        Each component is Taylor-shifted on its terms (`kernel.shift_terms`):
+        f(x + p) = sum_beta (sum_{alpha >= beta} c_alpha C(alpha, beta)
+        p^(alpha - beta)) x^beta, expanded term by term in exponent-tuple
+        order through the rows (x_i + p_i)^alpha_i of the nonzero p_i.  That
+        is the order, and so the result, of the composition
+        f.substitute({x_i: x_i + p_i}) - f(p): the same terms in the same
+        order, of the same types, float coefficients to the bit.  Where f(p)
+        overflows the floats the constant term is the NaN f(p) - f(p), which
+        the float companion reads as a non-finite jet.
+
+        Float coordinates are kept as floats, for a germ with float
+        coefficients.  A jet is refused: a k-jet at 0 fixes no coefficient
+        at another point.
         """
-        names = self.context.source_names
+        ctx = self.context
         point = [v if isinstance(v, float) else rat(v) for v in point]
-        if len(point) != len(names):
+        if len(point) != len(ctx.source_indices):
             raise MalformedGermError(
-                f"base point needs {len(names)} coordinates, got {len(point)}"
+                f"base point needs {len(ctx.source_indices)} coordinates, got {len(point)}"
             )
-        shift = {
-            name: Polynomial.variable(self.context, name) + Polynomial.constant(self.context, v)
-            for name, v in zip(names, point)
-        }
-        comps = []
-        for p in self.components:
-            moved = p.substitute(shift)
-            comps.append(moved - Polynomial.constant(self.context, moved.constant_term()))
-        return MapGerm(self.context, tuple(comps))
+        if any(p.jet is not None for p in self.components):
+            raise MalformedGermError(
+                "cannot translate a jet: a jet at the origin does not determine "
+                "the germ at another point"
+            )
+        shifts, rows = [(i, v) for i, v in zip(ctx.source_indices, point) if v], {}
+        return MapGerm(ctx, tuple(
+            Polynomial._wrap(ctx, kernel.shift_terms(p.terms, shifts, ctx, rows))
+            for p in self.components
+        ))
 
     def truncated(self, max_degree) -> "MapGerm":
         return MapGerm(self.context, tuple(p.truncated(max_degree) for p in self.components))

@@ -8,7 +8,7 @@ pivot.  Cofactor expansion finishes a block of at most 3x3, or one left
 without a usable entry.  The same code runs on floats and float jets for
 the float companion: it then pivots on the largest constant term.  Every
 exact division, by a pivot or by a power of the last one, goes through
-`_divider`: `//` for ints, `/` for floats, `div_exact` for polynomials, and
+`_dividers`: `//` for ints, `/` for floats, `div_exact` for polynomials, and
 for a jet a product with its inverse series.  `adjugate` is `eliminate`
 with W the identity.
 
@@ -186,38 +186,46 @@ def _usable(e):
     return not e.is_zero() and not isinstance(next(iter(e.coefficients())), float)
 
 
-def _divider(p, power):
-    """x -> x / p^power, for p a usable pivot (or None) and x a multiple of p^power.
+def _dividers(p, *powers):
+    """The maps x -> x / p^power, one per power, for p a usable pivot (or None)
+    and x a multiple of p^power.
 
     An int divides with `//`, a float with `/` and an uncapped polynomial
     with `div_exact`.  A jet p of order N divides through its inverse: with
     c = p(0) and t = c - p, t^(N+1) vanishes in the N-jet ring, so
     s = sum_k c^(N-k) t^k has p s = c^(N+1), an inverse scaled to keep
     integer coefficients integral, and x / p^power = x s^power / c^((N+1) power).
+    The series s is built once for all the powers.
     """
-    if p is None or power == 0:
-        return lambda x: x
-    if not isinstance(p, Polynomial) or p.jet is None:
-        d = p**power
-        if isinstance(p, int):
-            return lambda x: x // d
-        if isinstance(p, float):
-            return lambda x: x / d
-        return lambda x: x.div_exact(d)
-    c = p.constant_term()
-    t, s = c - p, Polynomial.constant(p.context, 1)
-    for j in range(1, p.jet + 1):
-        s = s * t + c**j
-    s, scale = s**power, c ** ((p.jet + 1) * power)
-    if isinstance(scale, float):
-        s = s * (1 / scale)
-        return lambda x: x * s
+    jet = isinstance(p, Polynomial) and p.jet is not None
+    if jet:
+        c = p.constant_term()
+        t, s = c - p, Polynomial.constant(p.context, 1)
+        for j in range(1, p.jet + 1):
+            s = s * t + c**j
 
-    def exact_quotient(v):
-        q, r = divmod(v, scale)
-        return q if r == 0 else Fraction(v) / scale
+    def divider(power):
+        if p is None or power == 0:
+            return lambda x: x
+        if not jet:
+            d = p**power
+            if isinstance(p, int):
+                return lambda x: x // d
+            if isinstance(p, float):
+                return lambda x: x / d
+            return lambda x: x.div_exact(d)
+        s_power, scale = s**power, c ** ((p.jet + 1) * power)
+        if isinstance(scale, float):
+            s_power = s_power * (1 / scale)
+            return lambda x: x * s_power
 
-    return lambda x: (x * s).map_coefficients(exact_quotient)
+        def exact_quotient(v):
+            q, r = divmod(v, scale)
+            return q if r == 0 else Fraction(v) / scale
+
+        return lambda x: (x * s_power).map_coefficients(exact_quotient)
+
+    return [divider(power) for power in powers]
 
 
 def _forward(rows, ncols, stop):
@@ -250,7 +258,7 @@ def _forward(rows, ncols, stop):
                 row[j], row[k] = row[k], row[j]
             order[j], order[k] = order[k], order[j]
             sign = -sign
-        divide = _divider(pivot, 1)
+        (divide,) = _dividers(pivot, 1)
         pivot, top = rows[k][k], rows[k]
         for i in range(len(rows)):
             if i != k:
@@ -361,7 +369,7 @@ def eliminate(a, w=None):
     det_s, adj_t = _cofactor([row[k:n] for row in rows[k:]], [row[n:] for row in rows[k:]])
     if sign < 0:
         det_s, adj_t = -det_s, [[-v for v in row] for row in adj_t]
-    down, down_top = _divider(pivot, r - 1), _divider(pivot, r)
+    down, down_top = _dividers(pivot, r - 1, r)
     adj_w = [None] * n
     for i in range(k):
         x, y = rows[i][k:n], rows[i][n:]

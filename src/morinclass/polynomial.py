@@ -3,9 +3,9 @@
 The term map is canonical (no zero coefficients), so two polynomials are
 equal iff their term maps are equal.  Its keys are packed monomials, one int
 per exponent vector laid out by the context (see `morinclass.context`), and
-they stay private to this module, the kernel and the parser, which
-computes on term dicts and wraps its result: the public constructor
-takes exponent tuples, and `items`, `exponents`, `coefficients` and
+they stay private to this module, the kernel, the parser and
+`MapGerm.translate`, which wrap the term dicts they compute: the public
+constructor takes exponent tuples, and `items`, `exponents`, `coefficients` and
 `coefficient` speak in them; `linear_coefficients` reads the gradient at 0
 by the context's packed keys of x_j.  Results of the kernel are wrapped as
 they come, without packing or truncating them again.  A product whose total

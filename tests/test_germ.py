@@ -1,5 +1,6 @@
 """Germ validation, normalization and adapted frames."""
 
+import math
 import random
 from fractions import Fraction
 from math import lcm
@@ -21,14 +22,18 @@ from morinclass import (
 )
 from morinclass.linalg import first_nonzero_row, row_reduce
 from morinclass.lefschetz import LefschetzFamily, lefschetz_germ
+from morinclass.parsing import parse_germ_document
+from morinclass.rationals import rat
 
 from conftest import (
+    ainv_request_texts,
     coordinate_field,
     fraction_normalized,
     frame_matrix_at,
     linear_source_change,
     linear_target_change,
     make_context,
+    perfbench_module,
 )
 
 
@@ -226,6 +231,21 @@ class TestTranslate:
         # derivative data shifts with the point
         assert classify(moved).label.kind == "Regular"
 
+    def test_translate_refuses_a_jet(self, xyz):
+        # a jet at 0 fixes no coefficient at another point: translating one
+        # would return exact-looking polynomials with wrong terms
+        ctx, x, y, z = xyz
+        germ = MapGerm(ctx, (x + y**3, y**2 + z**2 + x * z**3))
+        for capped in (germ.truncated(2), MapGerm(ctx, (x + y**3, (y**2 + z**2).truncated(3)))):
+            with pytest.raises(MalformedGermError, match="jet"):
+                capped.translate((1, 2, 3))
+        assert all(p.jet is None for p in germ.translate((1, 2, 3)).components)
+
+    def test_translate_checks_the_point(self, xyz):
+        ctx, x, y, z = xyz
+        with pytest.raises(MalformedGermError, match="3 coordinates, got 2"):
+            MapGerm(ctx, (x, y**2)).translate((1, 2))
+
     def test_label_invariant_under_target_change(self, rng, battery_germs):
         from conftest import labels_equivalent
 
@@ -233,3 +253,98 @@ class TestTranslate:
             base = classify(germ).label
             changed = linear_target_change(rng, germ)
             assert labels_equivalent(classify(changed).label, base)
+
+
+def translated_by_substitution(germ, point):
+    """The oracle: f(x + p) - f(p) composed through `substitute`, as terms."""
+    ctx = germ.context
+    point = [v if isinstance(v, float) else rat(v) for v in point]
+    shift = {
+        name: Polynomial.variable(ctx, name) + Polynomial.constant(ctx, v)
+        for name, v in zip(ctx.source_names, point)
+    }
+    moved = [p.substitute(shift) for p in germ.components]
+    return [q - Polynomial.constant(ctx, q.constant_term()) for q in moved]
+
+
+def term_bits(polys):
+    """Keys in order, with each coefficient's type and value (`float.hex` for floats)."""
+    return [
+        [(k, type(c), c.hex() if isinstance(c, float) else c) for k, c in p.terms.items()]
+        for p in polys
+    ]
+
+
+def floated(germ):
+    return MapGerm(germ.context, tuple(p.map_coefficients(float) for p in germ.components))
+
+
+class TestTranslateOracle:
+    """`translate` shifts terms directly; it must give the substitution's terms,
+    in its order, of its types and to the bit."""
+
+    @staticmethod
+    def check(germ, point):
+        moved = germ.translate(point)
+        assert term_bits(moved.components) == term_bits(translated_by_substitution(germ, point))
+        return moved
+
+    @staticmethod
+    def points(rng, m, count, values):
+        # a zero coordinate in about every third place
+        return [[rng.choice(values) for _ in range(m)] for _ in range(count)]
+
+    def test_ainv_replay_germs(self):
+        rng = random.Random(31)
+        values = (0, 0, 1, -2, Fraction(1, 3), Fraction(-5, 2))
+        for text in ainv_request_texts(1):
+            germ = parse_germ_document(text).to_germ()
+            for point in self.points(rng, germ.m, 1, values):
+                self.check(germ, point)
+
+    @pytest.mark.parametrize("case", [(6, 2, 1), (5, 3, 3), (6, 3, 2)])
+    def test_ladder_germs(self, case):
+        rng = random.Random(32)
+        germ = perfbench_module("inputs").ladder_case(random.Random(1), *case)["germ"]
+        for point in self.points(rng, germ.m, 3, (0, 1, Fraction(-1, 2))):
+            self.check(germ, point)
+        for point in self.points(rng, germ.m, 3, (0.0, 1.5, -0.3, 2.0 / 3.0)):
+            self.check(floated(germ), point)
+
+    def test_symbolic_lefschetz_germ(self):
+        # the parameters stay unbound and ride along unshifted
+        rng = random.Random(33)
+        germ = LefschetzFamily.symbolic().germ
+        assert germ.uses_parameters()
+        for point in self.points(rng, germ.m, 8, (0, 1, Fraction(-3, 2), Fraction(2, 7))):
+            self.check(germ, point)
+
+    def test_high_powers_with_mixed_coefficients(self):
+        ctx = make_context("x", "y", "z", params=("a",))
+        x, y, z, a = (Polynomial.variable(ctx, v) for v in "xyza")
+        germ = MapGerm(ctx, (
+            x**5 * y + Fraction(2, 3) * y**3 * z**2 - 7 * x**3 + a * z**4,
+            x * y + Fraction(1, 2) * z**5 + 3 * y**4 - x**3 * z**3,
+        ))
+        assert {type(c) for p in germ.components for c in p.coefficients()} == {int, Fraction}
+        rng = random.Random(34)
+        for point in self.points(rng, 3, 12, (0, 1, -1, 2, Fraction(1, 3), Fraction(-7, 2))):
+            self.check(germ, point)
+        for point in self.points(rng, 3, 12, (0.0, -0.0, 0.5, -1.25, 3.0e5, 1.0e-7)):
+            self.check(floated(germ), point)
+
+    def test_overflow_keeps_the_nan(self, xyz):
+        ctx, x, y, z = xyz
+        germ = floated(MapGerm(ctx, (x**2 + y * z, x * y - z**3)))
+        moved = self.check(germ, (1e200, 1e200, 0.0))
+        # f(p) is infinite, so f(p) - f(p) is NaN and stays as the constant term
+        assert all(math.isnan(p.constant_term()) for p in moved.components)
+
+    def test_underflow_drops_the_product(self, xyz):
+        ctx, x, y, z = xyz
+        germ = floated(MapGerm(ctx, (x**2 + y * z, x * y * z + y**2)))
+        moved = self.check(germ, (1e-200, -1e-170, 3.0))
+        # p_x p_y underflows to zero, so x y z shifts to no z term at all
+        assert moved.components[1].coefficient((0, 0, 1)) == 0
+        assert moved.components[1].coefficient((1, 0, 0)) == -1e-170 * 3.0
+        assert all(c for p in moved.components for c in p.coefficients())

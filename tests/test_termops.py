@@ -93,7 +93,10 @@ class TestAgainstTupleKernel:
             for k in range(1, 4):
                 got = kernel.pow_terms(packed(ctx, a), k, ctx, trunc)
                 assert unpacked(ctx, got) == list(tuple_pow_terms(a, k, trunc).items())
-        assert kernel.pow_terms({}, 0, ctx) == {0: 1}
+        # the zeroth power is the int 1, as `Polynomial.__pow__` and the parser give it
+        for base in ({}, packed(ctx, a)):
+            assert kernel.pow_terms(base, 0, ctx) == {0: 1}
+            assert type(kernel.pow_terms(base, 0, ctx)[0]) is int
 
     @pytest.mark.parametrize("trunc", [-1, 2, 6])
     def test_power_of_a_monomial(self, trunc):
