@@ -159,7 +159,7 @@ def shift_terms(a, point, ctx, rows):
                     (k - e * step, None if c.__class__ is int and c == 1 else c)
                     for k, c in pow_terms({step: 1, 0: v}, e, ctx).items()
                 ]
-            moved = {}
+            moved = {}  # distinct pairs give distinct keys: nothing merges here
             if len(term) > len(row):  # as in `mul_terms`, the smaller factor goes outer
                 for offset, c in row:
                     for k, t in term.items():

@@ -125,7 +125,8 @@ class MapGerm:
                 "cannot translate a jet: a jet at the origin does not determine "
                 "the germ at another point"
             )
-        shifts, rows = [(i, v) for i, v in zip(ctx.source_indices, point) if v], {}
+        shifts = [(i, v) for i, v in zip(ctx.source_indices, point) if v]
+        rows = {}  # the powers of the x_i + p_i, shared by the components
         return MapGerm(ctx, tuple(
             Polynomial._wrap(ctx, kernel.shift_terms(p.terms, shifts, ctx, rows))
             for p in self.components
