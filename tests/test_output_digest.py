@@ -22,7 +22,7 @@ PINNED = dict(
 @pytest.fixture(scope="module")
 def tool():
     # the script keeps bytecode out of the checkout and puts `src` on the
-    # path when it loads; undo both for the rest of the session
+    # path when it loads; undo both for the other tests
     saved = sys.dont_write_bytecode, list(sys.path)
     spec = importlib.util.spec_from_file_location("output_digest", ROOT / "tools" / "output_digest.py")
     module = importlib.util.module_from_spec(spec)
