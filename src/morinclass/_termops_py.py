@@ -7,9 +7,10 @@ layout).  A monomial product is one integer addition and the total degree is
 one shift.  Coefficients are exact rationals, where plain ints and Fractions
 mix freely and integer inputs give integer outputs, or floats for the float
 companion.  `Polynomial` hands `scale_terms` an integral Fraction scalar as
-its int, so an int polynomial scales to ints.  Every function returns a new
-canonical dict (no stored zeros) and never mutates its inputs, except the
-row cache that `shift_terms` fills.
+its int, so an int polynomial scales to ints.  Every result is a canonical
+dict (no stored zeros).  `iadd_terms` and `isub_terms` merge into their first
+argument and return it, and `shift_terms` fills the row cache it is given;
+every other function returns a new dict and mutates none of its inputs.
 
 The ops that raise degrees check the largest degree they can form against
 `context.MAX_DEGREE` once per call, and raise DegreeOverflowError above it,
@@ -21,32 +22,43 @@ so a field never carries into its neighbour.
 from .context import MAX_DEGREE, check_degree
 
 
+def iadd_terms(out, b):
+    """Add `b` into `out` in place and return `out`, still canonical: a new
+    key takes its coefficient as given, and a sum that cancels is deleted."""
+    get = out.get
+    for key, coeff in b.items():
+        s = get(key)
+        if s is None:
+            out[key] = coeff
+        elif s := s + coeff:
+            out[key] = s
+        else:
+            del out[key]
+    return out
+
+
+def isub_terms(out, b):
+    """Subtract `b` from `out` in place and return `out`, as `iadd_terms` adds."""
+    get = out.get
+    for key, coeff in b.items():
+        s = get(key)
+        if s is None:
+            out[key] = -coeff
+        elif s := s - coeff:
+            out[key] = s
+        else:
+            del out[key]
+    return out
+
+
 def add_terms(a, b):
     if not a:
         return dict(b)
-    if not b:
-        return dict(a)
-    out = dict(a)
-    for key, coeff in b.items():
-        s = out.get(key, 0) + coeff
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-    return out
+    return iadd_terms(dict(a), b)
 
 
 def sub_terms(a, b):
-    if not b:
-        return dict(a)
-    out = dict(a)
-    for key, coeff in b.items():
-        s = out.get(key, 0) - coeff
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-    return out
+    return isub_terms(dict(a), b)
 
 
 def neg_terms(a):
@@ -134,16 +146,15 @@ def shift_terms(a, point, ctx, rows):
     Each term c x^alpha of `a`, in exponent-tuple order, expands as
     c (x_i + p_i)^alpha_i ... over the listed i in context order, each
     factor the power `pow_terms` gives, paired as `mul_terms` pairs its
-    factors, and joins the sum as `add_terms` would add it; a product by
-    the int 1 is skipped.  So every float coefficient has the bits of that
-    product and sum, and a product that underflows to zero is dropped.  The
-    constant term a(p) - a(p) is dropped too, unless it is NaN, where a(p)
-    overflowed the floats: that NaN keeps its place.
+    factors, and joins the sum through `iadd_terms`; a product by the int 1
+    is skipped.  So every float coefficient has the bits of that product and
+    sum, and a product that underflows to zero is dropped.  The constant term
+    a(p) - a(p) is dropped too, unless it is NaN, where a(p) overflowed the
+    floats: that NaN keeps its place.
     """
     degree_unit = ctx.degree_unit
     factors = [(i, ctx.field_shifts[i], degree_unit + ctx.units[i], v) for i, v in point]
     out = {}
-    get = out.get
     # a key without its degree field orders as its exponent tuple
     for key in sorted(a, key=(degree_unit - 1).__and__):
         term = {key: a[key]}
@@ -178,14 +189,7 @@ def shift_terms(a, point, ctx, rows):
                         elif p := t * c:
                             moved[k + offset] = p
             term = moved
-        for k, t in term.items():
-            s = get(k)
-            if s is None:
-                out[k] = t
-            elif s := s + t:
-                out[k] = s
-            else:
-                del out[k]
+        iadd_terms(out, term)
     if 0 in out:
         rest = out[0] - out[0]  # NaN where a(p) is infinite or NaN, else zero
         if rest:

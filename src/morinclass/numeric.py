@@ -17,7 +17,7 @@ projected.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product, takewhile
 from typing import ClassVar
@@ -68,8 +68,8 @@ class Margin:
 class NumericVerdict:
     point: tuple
     label: Label
-    margins: list = field(default_factory=list)
-    residual: float = 0.0  # None where the germ has no chart at 0
+    margins: list
+    residual: float  # None where the germ has no chart at 0
 
 
 class ProjectionError(RuntimeError):

@@ -139,11 +139,11 @@ class _ExpressionParser:
 
     Every value is a fresh dict the parser owns, wrapped as one `Polynomial`
     at the end.  A sum accumulates in place in the dict of its first term,
-    with the get/set/del sequence of `add_terms` and `sub_terms`, so its terms
-    keep the order that `+` and `-` on polynomials give them; that order fixes
-    the order of every float sum downstream.  A product of two monomials is
-    one key sum and one coefficient product; other products, powers and
-    negation go through the kernel.
+    through `iadd_terms` and `isub_terms`, so its terms keep the order that
+    `+` and `-` on polynomials give them; that order fixes the order of every
+    float sum downstream.  A product of two monomials is one key sum and one
+    coefficient product; other products, powers and negation go through the
+    kernel.
     """
 
     def __init__(self, tokens, context):
@@ -181,22 +181,10 @@ class _ExpressionParser:
         tokens = self.tokens
         while (op := tokens[self.pos][1]) == "+" or op == "-":
             self.pos += 1
-            rhs = self.term()
-            get = acc.get
             if op == "+":
-                for key, coeff in rhs.items():
-                    s = get(key, 0) + coeff
-                    if s:
-                        acc[key] = s
-                    elif key in acc:
-                        del acc[key]
+                kernel.iadd_terms(acc, self.term())
             else:
-                for key, coeff in rhs.items():
-                    s = get(key, 0) - coeff
-                    if s:
-                        acc[key] = s
-                    elif key in acc:
-                        del acc[key]
+                kernel.isub_terms(acc, self.term())
         return acc
 
     def term(self):

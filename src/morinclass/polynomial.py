@@ -104,7 +104,8 @@ class Polynomial:
     neither cap goes past MAX_DEGREE.  A
     derivative of a k-jet is a (k-1)-jet.  So every result of capped
     arithmetic is exact in each degree it holds; this is precision tracking
-    in the m-adic setting.  Uncapped polynomials stay uncapped.
+    in the m-adic setting.  Uncapped polynomials stay uncapped, and
+    `substitute` and `divide` refuse jets.
     """
 
     __slots__ = ("context", "terms", "jet")
@@ -316,9 +317,12 @@ class Polynomial:
 
         Without `target_context` the result stays in this context and unbound
         variables map to themselves.  With it, every variable actually present
-        must be bound by a polynomial over the target context.
+        must be bound by a polynomial over the target context.  A jet, here or
+        among the images, is refused: composition is computed uncapped only.
         """
         ctx = target_context if target_context is not None else self.context
+        if self.jet is not None:
+            raise ValueError("cannot substitute into a jet")
         images = []
         for i, name in enumerate(self.context.names):
             if name in bindings:
@@ -329,18 +333,20 @@ class Polynomial:
                     raise ContextMismatchError(
                         f"binding for {name!r} lives in a different context"
                     )
+                elif img.jet is not None:
+                    raise ValueError(f"cannot substitute the jet bound to {name!r}")
                 images.append(img)
             elif target_context is None:
                 images.append(Polynomial.variable(ctx, name))
             else:
                 images.append(None)  # must stay unused
-        out, jet = {}, None
+        out = {}
         power_cache = {}
         # in exponent-tuple order, which fixes the order of every float sum;
         # each term is the product coeff * p_1 * p_2 * ... and joins the sum
-        # as `*` and `+` would join them, caps included
+        # as `*` and `+` would join them
         for exps, coeff in sorted(self.items()):
-            term, term_jet = {0: coeff}, None
+            term = {0: coeff}
             for i, e in enumerate(exps):
                 if e == 0:
                     continue
@@ -353,13 +359,9 @@ class Polynomial:
                 if p is None:
                     p = images[i] ** e
                     power_cache[key] = p
-                term_jet = _product_jet(term, term_jet, p.terms, p.jet, ctx.degree_shift)
-                term = kernel.mul_terms(term, p.terms, ctx, -1 if term_jet is None else term_jet)
-            out = kernel.add_terms(out, term)
-            if jet != term_jet:
-                jet = _jet_min(jet, term_jet)
-                out = kernel.truncate_terms(out, jet, ctx)
-        return Polynomial._wrap(ctx, out, jet)
+                term = kernel.mul_terms(term, p.terms, ctx)
+            kernel.iadd_terms(out, term)
+        return Polynomial._wrap(ctx, out)
 
     # -- canonical ordering, rendering, division ------------------------------
 

@@ -1,9 +1,10 @@
 """Every output family of `tools/output_digest.py` matches its pinned digest.
 
 `tests/data/output_digest.txt` holds the script's lines for the current
-outputs: reports, verdicts, scans, witnesses, the Lefschetz chain and the
-slice CSVs.  A change that moves an output on purpose replaces that family's
-line with the one `python3 tools/output_digest.py` prints after it.
+outputs: reports, verdicts, scans, witnesses, the Lefschetz chain, the
+slice CSVs and the text of three CLI commands.  A change that moves an output
+on purpose replaces that family's line with the one
+`python3 tools/output_digest.py` prints after it.
 """
 
 import importlib.util

@@ -160,6 +160,23 @@ class TestSubstitute:
         with pytest.raises(KeyError):
             p.substitute({"x": u}, target_context=target)
 
+    def test_refuses_jets(self):
+        # binding a = 2 in the 3-jet of a x y + a x^3 must not answer with the
+        # exact-looking 2 x y: to order 3 the composition is 2 x^3 + 2 x y
+        ctx = make_context("x", "y", params=("a",))
+        x, y, a = (Polynomial.variable(ctx, n) for n in ("x", "y", "a"))
+        p = a * x * y + a * x**3
+        two = Polynomial.constant(ctx, 2)
+        assert p.substitute({"a": two}) == 2 * x**3 + 2 * x * y
+        with pytest.raises(ValueError, match="jet"):
+            p.truncated(3).substitute({"a": two})
+        with pytest.raises(ValueError, match="jet"):
+            p.substitute({"a": two.truncated(3)})
+        with pytest.raises(ValueError, match="jet"):
+            MapGerm(ctx, (x, p)).truncated(3).bind_parameters({"a": 2})
+        assert MapGerm(ctx, (x, p)).bind_parameters({"a": 2}).components[1] == p.substitute(
+            {"a": two})
+
 
 class TestCanonicalForm:
     def test_no_zero_terms_stored(self, xyz):

@@ -81,6 +81,21 @@ class TestAgainstTupleKernel:
             assert unpacked(ctx, kernel.scale_terms(pa, c)) == list(
                 tuple_scale_terms(a, c).items())
 
+    def test_in_place_sum_and_difference(self):
+        # the merge the parser, `shift_terms` and `substitute` accumulate
+        # through: the key order, values and coefficient types of the tuple
+        # kernel's sum, written into the dict it was given
+        def typed(items):
+            return [(k, type(c), c) for k, c in items]
+
+        for _, _, ctx, a, b in cases(11):
+            pb = packed(ctx, b)
+            for merge, oracle in ((kernel.iadd_terms, tuple_add_terms),
+                                  (kernel.isub_terms, tuple_sub_terms)):
+                out = packed(ctx, a)
+                assert merge(out, pb) is out
+                assert typed(unpacked(ctx, out)) == typed(oracle(a, b).items())
+
     @pytest.mark.parametrize("trunc", [-1, 0, 1, 2, 3, 5])
     def test_product(self, trunc):
         for _, _, ctx, a, b in cases(12 + trunc):

@@ -16,21 +16,32 @@ directory) and prints one line `<sha256>  <family>` per family:
   chain                            renders of `lefschetz_lambdas`,
                                    `chart_hessian`, `rederive_noncusp_chain`
   slice_csv                        the bytes of four slice CSVs
+  cli.noncusp                      the text of `morinclass lefschetz noncusp`
+  cli.witness                      the text of `morinclass lefschetz witness`
+                                   at the 9 seed-3 `lefschetz_witness` points
+  cli.classify_numeric             the text of `morinclass classify --numeric`
+                                   on 16 of the `ainv_replay` germ files, at
+                                   the origin and with `--point`
+
+Each `cli.*` text is the exit status and the standard output.
 
 Two checkouts give the same outputs when they print the same lines, e.g.
 for `git archive` copies of two commits A and B:
 
     diff <(python3 A/tools/output_digest.py) <(python3 B/tools/output_digest.py)
 
-It takes about 8 s on a 2-core host.  `tests/data/output_digest.txt` holds
+It takes about 6 s on a 2-core host.  `tests/data/output_digest.txt` holds
 its lines for the current outputs, and `tests/test_output_digest.py` fails on
 any family that no longer matches: a change that moves an output on purpose
 says so and replaces that family's line with this script's new one.
 """
 
+import contextlib
 import dataclasses
+import functools
 import hashlib
 import importlib.util
+import io
 import json
 import random
 import sys
@@ -42,7 +53,7 @@ sys.dont_write_bytecode = True
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from morinclass import VariableContext, classify, lefschetz, numeric  # noqa: E402
+from morinclass import VariableContext, classify, cli, lefschetz, numeric  # noqa: E402
 from morinclass.cli import report_to_dict, verdict_to_dict  # noqa: E402
 from morinclass.linalg import PolyMatrix, RationalMatrix  # noqa: E402
 from morinclass.parsing import parse_germ_document  # noqa: E402
@@ -66,6 +77,8 @@ SCAN_POINTS = ((Fraction(3, 2), 1, -2, Fraction(-1, 2)),
                (Fraction(1, 2), -1, 1, 1))
 SCAN_BOX, SCAN_GRID = ((-1, 1),) * 4, 5  # the `float_scan_export` workload's
 SLICES = ((Fraction(1, 4), 47), (0, 21), (Fraction(-3, 8), 22), (Fraction(1, 300007), 4))
+WITNESS_SEED = 3  # the `witness_verify` family has seeds 1 and 2
+NUMERIC_POINT = ("1/2", "-1/3", "1/5", "2", "-3/4")  # its first m coordinates
 
 
 def canon(obj):
@@ -92,12 +105,22 @@ def canon(obj):
     raise TypeError(f"no canonical form for {type(obj).__name__}")
 
 
+@functools.cache
+def replay_requests():
+    """The seed-1 and seed-2 `ainv_replay` requests, built once for every family."""
+    return tuple(request for seed in SEEDS for request in inputs.ainv_requests(random.Random(seed)))
+
+
+@functools.cache
+def replay_germs():
+    """The germs parsed from `replay_requests`, once for both report families."""
+    return tuple(parse_germ_document(request["text"]).to_germ() for request in replay_requests())
+
+
 def ainv_reports(traced):
-    for seed in SEEDS:
-        for request in inputs.ainv_requests(random.Random(seed)):
-            germ = parse_germ_document(request["text"]).to_germ()
-            report = classify(germ, trace=traced)
-            yield json.dumps(report_to_dict(report, include_trace=traced))
+    for germ in replay_germs():
+        report = classify(germ, trace=traced)
+        yield json.dumps(report_to_dict(report, include_trace=traced))
 
 
 def ladder_germ(seed, case):
@@ -153,6 +176,35 @@ def slice_csvs():
             yield path.read_bytes().decode()
 
 
+def cli_text(*argv):
+    """The exit status and standard output of one `morinclass` command."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli.main(list(argv))
+    return f"{status}\n{out.getvalue()}"
+
+
+def cli_noncusp():
+    yield cli_text("lefschetz", "noncusp")
+
+
+def cli_witnesses():
+    for params in witness_points(WITNESS_SEED):
+        # one argument: a value starting with "-" would read as an option
+        yield cli_text("lefschetz", "witness", "--params=" + ",".join(map(str, params)))
+
+
+def cli_numeric():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "germ.txt"
+        # both seeds, every battery dimension, both kinds of A-change
+        for request in replay_requests()[::21]:
+            path.write_text(request["text"])
+            point = ",".join(NUMERIC_POINT[: request["germ"].m])
+            yield cli_text("classify", str(path), "--numeric")
+            yield cli_text("classify", str(path), "--numeric", "--point=" + point)
+
+
 FAMILIES = (
     ("ainv_replay.traced", lambda: ainv_reports(True)),
     ("ainv_replay.untraced", lambda: ainv_reports(False)),
@@ -162,6 +214,9 @@ FAMILIES = (
     ("witness_verify", witnesses),
     ("chain", chain),
     ("slice_csv", slice_csvs),
+    ("cli.noncusp", cli_noncusp),
+    ("cli.witness", cli_witnesses),
+    ("cli.classify_numeric", cli_numeric),
 )
 
 
