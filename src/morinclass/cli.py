@@ -14,6 +14,7 @@ status 2 and an `error: ...` line.
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -26,6 +27,10 @@ from .rationals import format_rational
 
 EXIT_OK = 0
 EXIT_ERROR = 2
+
+# options whose value may start with "-", as in `--b2 -1/2`, which argparse
+# would read as an option of its own
+SIGNED_VALUE_OPTIONS = ("--b2", "--params", "--point", "--range")
 
 
 def label_to_dict(label):
@@ -251,9 +256,20 @@ def build_parser():
     return parser
 
 
+def _attach_signed_values(argv):
+    """Join `--b2 -1/2` into `--b2=-1/2` for the options of SIGNED_VALUE_OPTIONS."""
+    out = []
+    for token in argv:
+        if out and out[-1] in SIGNED_VALUE_OPTIONS and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     return args.func(args)
 
 

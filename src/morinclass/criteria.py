@@ -21,22 +21,25 @@ The decision pipeline:
          h(0) = det B(0)^s det K   and   dlambda(0) = det B(0) E(0)^T H,
 
      so a fold is decided over Q from the 1-jet of f_1, ..., f_{n-1} and the
-     2-jet of f_n, before any polynomial frame is built: its signature is
-     the inertia of K and its non-degeneracy rank that of E(0)^T H.  The
-     lambdas and h are then built only for the trace.  Otherwise the least
-     k with h^{(k-1)}(0) != 0 gives a candidate Morin k, confirmed by the
-     rank of the stacked Jacobian of (lambdas, h, h', ..., h^{(k-2)}) at 0
-     being m-n+k.
+     2-jet of f_n, before any polynomial frame is built.  One congruence
+     elimination of the integer matrix K (`linalg.congruence`) gives det K
+     and the inertia of K, the fold's signature.  Its non-degeneracy rank,
+     that of E(0)^T H, needs no elimination: a nonsingular
+     K = (E(0)^T H) E(0) forces it to be s.  The lambdas and h are then
+     built only for the trace.  Otherwise the least k with
+     h^{(k-1)}(0) != 0 gives a candidate Morin k, confirmed by the rank of
+     the stacked Jacobian of (lambdas, h, h', ..., h^{(k-2)}) at 0 being
+     m-n+k.
 
 `classify` makes each decision exactly over Q.  The float companion
 (`numeric.numeric_classify`) runs the same stages, `_classify_at_origin`, on
 the float (n+1)-jet at its point and makes each decision against a
 threshold instead, recording a margin: the decision object handed to the
-stages picks which.  There are six: the corank and pivots, the fold test,
-the signature, the ranks of dlambda(0) and of condition (b), the theta
-column, and the zero tests of the h-derivatives.  The Lefschetz study
-(`lefschetz.chart_hessian`) runs `hessian` and `build_theta` too, on its
-chart's lambdas and the published last column.
+stages picks which.  There are five: the corank and pivots, the fold test
+(h(0), the rank of dlambda(0) and the signature), the rank of condition
+(b), the theta column, and the zero tests of the h-derivatives.  The
+Lefschetz study (`lefschetz.chart_hessian`) runs `hessian` and
+`build_theta` too, on its chart's lambdas and the published last column.
 
 Every mathematical failure is a report label, never an exception.  The
 tests read values and first derivatives at the base point only; a first
@@ -67,7 +70,16 @@ from .germ import (
     kernel_fields,
     normalized,
 )
-from .linalg import PolyMatrix, RationalMatrix, adjugate, eliminate, exact_row_reduce, integer_rows
+from .linalg import (
+    PolyMatrix,
+    RationalMatrix,
+    _forward,
+    adjugate,
+    congruence,
+    eliminate,
+    exact_row_reduce,
+    integer_rows,
+)
 from .polynomial import Polynomial, cut_to_order
 from .rationals import format_rational
 
@@ -246,8 +258,8 @@ def fold_fast_path(ng: NormalizedGerm):
 class _Exact:
     """The decisions of `classify`, made exactly over Q.
 
-    `numeric._Thresholds` makes the same decisions on floats.  Each takes the
-    name of its margin there, which the exact decisions ignore.
+    `numeric._Thresholds` makes the same decisions on floats.  Those that
+    record a margin there take its name, which the exact decisions ignore.
     """
 
     exact = True
@@ -261,10 +273,21 @@ class _Exact:
         return value != 0
 
     def rank(self, name, rows):
-        return RationalMatrix.from_rows(rows).rank()
+        return _forward(integer_rows(rows)[0], len(rows[0]), 0)[0]
 
-    def signature(self, rows):
-        return RationalMatrix.from_rows(rows).signature()
+    def fold_test(self, det_b0, eta_hess, kern):
+        """(h(0), the non-degeneracy rank, the inertia of K if h(0) != 0 else None).
+
+        One congruence elimination of the integer matrix K gives its inertia
+        and det K.  A nonsingular K = (E(0)^T H) E(0) forces rank E(0)^T H = s,
+        so only a singular K takes the rank of dlambda(0), that of E(0)^T H
+        as det B(0) != 0.
+        """
+        inertia, det_k = congruence(kern)
+        h0 = det_b0 ** len(kern) * det_k
+        if h0:
+            return h0, len(kern), inertia
+        return h0, self.rank("nondegeneracy", eta_hess), None
 
     def theta_column(self, m0):
         """The first column of adj(M(0)) that is not zero, or None."""
@@ -281,9 +304,11 @@ def classify(germ: MapGerm, trace=True) -> CriteriaReport:
     """Full classification of a polynomial map germ at the origin.
 
     A fold is decided over Q from the 2-jet of f_n at 0
-    (`kernel_hessian_at_origin`).  The polynomial lambdas and h are built
-    for every other germ, and for a fold only when `trace` is set; `trace`
-    also adds them to the report's trace as "lambdas" and "h".
+    (`kernel_hessian_at_origin`): one congruence elimination of the kernel
+    Hessian K gives det K and the signature, and a fold's non-degeneracy
+    rank is s without an elimination.  The polynomial lambdas and h are
+    built for every other germ, and for a fold only when `trace` is set;
+    `trace` also adds them to the report's trace as "lambdas" and "h".
     """
     germ.check_wellformed()
     germ.check_bound()
@@ -333,15 +358,13 @@ def _classify_at_origin(work: MapGerm, decide, trace=False):
     if decide.exact:
         ng = frame_jets(ng)
     det_b0, eta_hess, kern = kernel_hessian_at_origin(ng)
-    h0 = det_b0**size * eliminate(kern)[0]
     record["frame"] = {
         "pivots": list(ng.pivot_names),
         "target_change": [[fmt(e) for e in row] for row in ng.target_change],
         "pivot_minor_at_0": fmt(det_b0),
     }
-    # dlambda(0) = det B(0) E(0)^T H, fold or not
-    nd_rank = decide.rank("nondegeneracy", [[det_b0 * e for e in row] for row in eta_hess])
-    fold = decide.nonzero("h", h0)
+    h0, nd_rank, inertia = decide.fold_test(det_b0, eta_hess, kern)
+    fold = inertia is not None
     if trace or not fold:
         ls = lambdas_for_frame(ng.germ, build_frame(ng))
         hd = hessian(ls)
@@ -352,7 +375,7 @@ def _classify_at_origin(work: MapGerm, decide, trace=False):
     record["h_at_0"] = fmt(h0)
 
     if fold:
-        pos, neg, zero = decide.signature(kern)
+        pos, neg, zero = inertia
         record["h_derivs_at_0"] = [fmt(h0)]
         record["signature"] = [pos, neg]
         # only a float decision can find h(0) nonzero and an eigenvalue zero

@@ -192,12 +192,22 @@ def cusp_tau_polynomial(params):
 
 
 def circle_point(params, tau):
-    """Rational singular point of the family from the slope parametrization."""
+    """Rational singular point (x1, x2, y1, y2) of the family on the circle slope y1 = tau x1.
+
+    On the circle x1 = -(a2 + b2 tau)/(1 + tau^2), and the branch closed form
+    (x2, y2) = -(x1, y1) (a1 x1 + b1 y1)/(x1^2 + y1^2) reduces, with
+    y1 = tau x1, to x2 = -(a1 + b1 tau)/(1 + tau^2) and y2 = tau x2.  The
+    slope with a2 + b2 tau = 0 meets the circle only at x1 = y1 = 0, where
+    the branch has no closed form: it raises ZeroDivisionError.
+    """
     a1, a2, b1, b2 = _params(params)
     tau = rat(tau)
-    x1 = -(a2 + b2 * tau) / (1 + tau * tau)
-    y1 = tau * x1
-    return _branch_point(params, x1, y1)
+    s2 = a2 + b2 * tau
+    if s2 == 0:
+        raise ZeroDivisionError("branch point needs (x1, y1) != (0, 0)")
+    den = 1 + tau * tau
+    x1, x2 = -s2 / den, -(a1 + b1 * tau) / den
+    return (x1, x2, tau * x1, tau * x2)
 
 
 def swap_circle_point(params, tau):
@@ -205,16 +215,6 @@ def swap_circle_point(params, tau):
     a1, a2, b1, b2 = _params(params)
     pt = circle_point((a2, a1, b2, b1), tau)
     return (pt[1], pt[0], pt[3], pt[2])
-
-
-def _branch_point(params, x1, y1):
-    """(x2, y2) closed forms over a circle point with (x1, y1) != 0."""
-    a1, a2, b1, b2 = _params(params)
-    d = x1 * x1 + y1 * y1
-    if d == 0:
-        raise ZeroDivisionError("branch point needs (x1, y1) != (0, 0)")
-    s = a1 * x1 + b1 * y1
-    return (x1, -x1 * s / d, y1, -y1 * s / d)
 
 
 def distinguished_points(params):

@@ -15,6 +15,11 @@ with W the identity.
 `row_reduce` is the row elimination of a Jacobian at the base point, with
 the pivot rule as a parameter: the first nonzero entry over Q
 (`exact_row_reduce`), the largest entry above a threshold over the floats.
+
+`congruence` is the fraction-free symmetric elimination of a symmetric
+integer matrix: the signs of its pivots give the inertia (Sylvester's law)
+and its last pivot the determinant.  `RationalMatrix.signature` runs it on
+the matrix times its common denominator.
 """
 
 from fractions import Fraction
@@ -127,44 +132,13 @@ class RationalMatrix(_Matrix):
         return Fraction(eliminate(rows)[0], scale)
 
     def signature(self):
-        """Inertia (positives, negatives, zeros) of a symmetric matrix.
-
-        Fraction-free elimination with symmetric swaps, on the matrix times
-        its common denominator: pivot k is the leading principal minor d_k of
-        a congruent matrix and adds a positive eigenvalue when d_k d_(k-1) > 0,
-        a negative one otherwise.  A trailing block with a zero diagonal but an
-        entry a_ij != 0 first gets row and column j added to row and column i,
-        a congruence that makes a_ii = 2 a_ij.
-        """
+        """Inertia (positives, negatives, zeros) of a symmetric matrix, by `congruence`."""
         if not self.is_symmetric():
             raise AsymmetricMatrixError("signature needs a symmetric matrix")
         den = lcm(*(e.denominator for e in self.entries))
-        a = [[e.numerator * (den // e.denominator) for e in row] for row in self.to_rows()]
-        n, prev, pos, neg = self.rows, 1, 0, 0
-        for k in range(n):
-            rest = range(k, n)
-            i = next((i for i in rest if a[i][i]), None)
-            if i is None:
-                pair = next(((i, j) for i in rest for j in rest if a[i][j]), None)
-                if pair is None:
-                    break
-                i, j = pair
-                for row in a:
-                    row[i] += row[j]
-                a[i] = [x + y for x, y in zip(a[i], a[j])]
-            for row in a:
-                row[i], row[k] = row[k], row[i]
-            a[i], a[k] = a[k], a[i]
-            pivot = a[k][k]
-            if pivot * prev > 0:
-                pos += 1
-            else:
-                neg += 1
-            for r in range(k + 1, n):
-                for c in range(k + 1, n):
-                    a[r][c] = (pivot * a[r][c] - a[r][k] * a[k][c]) // prev
-            prev = pivot
-        return (pos, neg, n - pos - neg)
+        return congruence(
+            [[e.numerator * (den // e.denominator) for e in row] for row in self.to_rows()]
+        )[0]
 
 
 # -- the elimination engine -------------------------------------------------------
@@ -267,6 +241,47 @@ def _forward(rows, ncols, stop):
                     row[j] = divide(pivot * row[j] - f * top[j])
         k += 1
     return k, pivot, sign, order
+
+
+def congruence(a):
+    """Inertia (positives, negatives, zeros) and determinant of a symmetric integer matrix.
+
+    Fraction-free elimination with symmetric swaps, on a copy of the rows:
+    pivot k is the leading principal minor d_k of a congruent matrix and adds
+    a positive eigenvalue when d_k d_(k-1) > 0, a negative one otherwise.  A
+    trailing block with a zero diagonal but an entry a_ij != 0 first gets row
+    and column j added to row and column i, a congruence that makes
+    a_ii = 2 a_ij.  Each congruence P A P^T taken has det P = +-1, so the
+    last pivot d_n is det(A) when the elimination runs n steps, and det(A)
+    is 0 when it stops at a zero trailing block.
+    """
+    a = [list(row) for row in a]
+    n, prev, pos, neg = len(a), 1, 0, 0
+    for k in range(n):
+        rest = range(k, n)
+        i = next((i for i in rest if a[i][i]), None)
+        if i is None:
+            pair = next(((i, j) for i in rest for j in rest if a[i][j]), None)
+            if pair is None:
+                break
+            i, j = pair
+            for row in a:
+                row[i] += row[j]
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+        for row in a:
+            row[i], row[k] = row[k], row[i]
+        a[i], a[k] = a[k], a[i]
+        pivot = a[k][k]
+        if pivot * prev > 0:
+            pos += 1
+        else:
+            neg += 1
+        for r in range(k + 1, n):
+            for c in range(k + 1, n):
+                a[r][c] = (pivot * a[r][c] - a[r][k] * a[k][c]) // prev
+        prev = pivot
+    det = prev if pos + neg == n else 0
+    return (pos, neg, n - pos - neg), det
 
 
 def row_reduce(rows, pick):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .criteria import Label, _classify_at_origin, lambdas_for_frame
 from .germ import MapGerm, cramer_frame, normalized
-from .linalg import adjugate, row_reduce
+from .linalg import adjugate, eliminate, row_reduce
 
 # the largest frame and chart `_frame_size` and `_chart_size` admit.  On
 # dimension-ladder germs (one core of a 2-core host) charts bounded by 54264
@@ -148,13 +148,18 @@ class _Thresholds:
         self.margins.append(Margin(name, value, self.tol.zero_tol))
         return abs(value) > self.tol.zero_tol
 
-    def signature(self, rows):
-        k = np.array(rows, dtype=float)
+    def fold_test(self, det_b0, eta_hess, kern):
+        """(h(0), the rank of dlambda(0), the inertia of K if h(0) is above zero_tol else None)."""
+        h0 = det_b0 ** len(kern) * eliminate(kern)[0]
+        nd_rank = self.rank("nondegeneracy", [[det_b0 * e for e in row] for row in eta_hess])
+        if not self.nonzero("h", h0):
+            return h0, nd_rank, None
+        k = np.array(kern, dtype=float)
         eigs = np.linalg.eigvalsh(0.5 * (k + k.T))
         zero_tol = self.tol.zero_tol
         self.margins.append(Margin("hessian smallest |eig|", float(np.min(np.abs(eigs))), zero_tol))
         pos, neg = int(np.sum(eigs > zero_tol)), int(np.sum(eigs < -zero_tol))
-        return pos, neg, len(rows) - pos - neg
+        return h0, nd_rank, (pos, neg, len(kern) - pos - neg)
 
     def theta_column(self, m0):
         """The column of adj(M(0)) with the largest entry, if that is above zero_tol."""

@@ -390,6 +390,28 @@ class TestLefschetzCommands:
         assert code == 2 and "four rationals" in err
 
 
+class TestSignedOptionValues:
+    """A value starting with "-" reads the same after a space as after "="."""
+
+    @pytest.mark.parametrize("option, value, argv", [
+        ("--point", "-1,0,0,0", ("classify", "{family}")),
+        ("--params", "-4/35,2,-1/3,1/3", ("lefschetz", "witness")),
+        ("--b2", "-1/2", ("lefschetz", "slice", "--grid", "3", "--out", "{csv}")),
+        ("--range", "-1:1", ("lefschetz", "slice", "--b2", "0", "--grid", "3", "--out", "{csv}")),
+    ], ids=["point", "params", "b2", "range"])
+    def test_space_separated_negative_value(self, capsys, tmp_path, option, value, argv):
+        family = tmp_path / "family.germ"
+        family.write_text(FAMILY_DOC)
+        results = []
+        for tail in ((option, value), (f"{option}={value}",)):
+            csv = tmp_path / f"slice{len(results)}.csv"
+            args = [a.format(family=family, csv=csv) for a in argv] + list(tail)
+            code, out, err = run_cli(capsys, *args)
+            assert code == 0, err
+            results.append((out.replace(str(csv), "CSV"), csv.read_bytes() if csv.exists() else None))
+        assert results[0] == results[1]
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self, cusp_file):
         import os

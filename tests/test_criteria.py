@@ -32,7 +32,7 @@ from morinclass.criteria import (
     lambdas_for_frame,
     rank_condition_b,
 )
-from morinclass.lefschetz import lefschetz_lambdas
+from morinclass.lefschetz import LefschetzFamily, lefschetz_lambdas, witness_verify
 
 from conftest import (
     cofactor_determinant,
@@ -44,6 +44,7 @@ from conftest import (
     linear_source_change,
     linear_target_change,
     make_context,
+    minor_rank,
     nonzero_adjugate_columns,
     normal_form,
     perfbench_module,
@@ -421,6 +422,20 @@ class TestRankConditionB:
         res = rank_condition_b(ls, hessian(ls), 1)
         assert res["rank"] == res["required"] == 2
 
+    def test_exact_rank_matches_minor_rank_oracle(self):
+        # int rows, as `classify` hands them over, and Fraction rows, with
+        # rank-deficient ones from a repeated combination of two rows
+        rng = random.Random(577)
+        for trial in range(200):
+            n_rows, n_cols = rng.randint(1, 4), rng.randint(1, 5)
+            rows = [[rng.randint(-3, 3) for _ in range(n_cols)] for _ in range(n_rows)]
+            if n_rows > 2 and trial % 3 == 0:
+                rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[1])]
+            fractions = [[Fraction(v, rng.randint(1, 4)) for v in row] for row in rows]
+            for case in (rows, fractions):
+                expected = minor_rank(case)
+                assert _EXACT.rank("oracle", [list(row) for row in case]) == expected, case
+
 
 class TestClassify:
     def test_fold(self):
@@ -611,6 +626,78 @@ class TestFoldOverQ:
                 assert RationalMatrix.from_rows(eta_hess).rank() == nondegeneracy_rank(ls)
                 folds += 1
         assert folds >= 40
+
+    @staticmethod
+    def witness_germs():
+        """The germs, translated to each candidate, of the seed-1 `lefschetz_witness` points."""
+        inputs = perfbench_module("inputs")
+        rng = random.Random(1)
+        points = [p for _, p in inputs.component_points(rng, 1)]
+        points += inputs.off_locus_points(rng, 2) + inputs.degenerate_pairs(rng, 2)
+        family = LefschetzFamily.symbolic()
+        for params in points:
+            germ = family.at(params)
+            for _, pt, _ in witness_verify(params).candidates:
+                yield germ.translate(pt)
+
+    @staticmethod
+    def changed_battery(battery_germs):
+        """Each battery germ under a linear and under a unipotent A-change."""
+        rng = random.Random(2718)
+        for *_, germ in battery_germs:
+            yield linear_target_change(rng, linear_source_change(rng, germ))
+            yield unipotent_target_change(rng, unipotent_source_change(rng, germ))
+
+    def test_fold_nondegeneracy_rank_is_the_minor_rank(self, battery_germs):
+        # a fold records rank s without an elimination: nonsingular
+        # K = (E(0)^T H) E(0) forces rank E(0)^T H = s
+        folds = {}
+        for source, germs in (("battery", self.changed_battery(battery_germs)),
+                              ("witness", self.witness_germs())):
+            folds[source] = 0
+            for germ in germs:
+                report = classify(germ, trace=False)
+                if not report.label.is_fold():
+                    continue
+                det_b, eta_hess, _ = kernel_hessian_at_origin(normalize(germ.truncated(germ.n + 1)))
+                dlambda = [[det_b * e for e in row] for row in eta_hess]
+                nondegeneracy = report.trace["nondegeneracy"]
+                assert nondegeneracy["rank"] == nondegeneracy["required"] == minor_rank(dlambda)
+                folds[source] += 1
+        assert folds == {"battery": 48, "witness": 200}
+
+    def test_exact_fold_runs_one_elimination(self, battery_germs, monkeypatch):
+        # counts, not times: the one `eliminate` is that of [B(0) | W(0)]
+        # in `kernel_hessian_at_origin`, and no rank's forward pass runs
+        from morinclass import criteria, germ as germ_module, linalg
+
+        eliminations, rank_passes = [], []
+        eliminate, forward = linalg.eliminate, linalg._forward
+
+        def counted_eliminate(a, w=None):
+            eliminations.append((len(a), w is not None and len(w)))
+            return eliminate(a, w)
+
+        def counted_forward(rows, ncols, stop):
+            if stop == 0:
+                rank_passes.append(ncols)
+            return forward(rows, ncols, stop)
+
+        for module in (linalg, criteria, germ_module):
+            monkeypatch.setattr(module, "eliminate", counted_eliminate)
+        for module in (linalg, criteria):
+            monkeypatch.setattr(module, "_forward", counted_forward, raising=False)
+        folds = 0
+        for germ in self.changed_battery(battery_germs):
+            eliminations.clear()
+            rank_passes.clear()
+            if not classify(germ, trace=False).label.is_fold():
+                continue
+            n = germ.n
+            assert eliminations == ([(n - 1, n - 1)] if n > 1 else [])
+            assert rank_passes == []
+            folds += 1
+        assert folds == 48
 
     def test_pivot_block_with_nonunit_determinant(self):
         germ = self.pivot_block_germ()

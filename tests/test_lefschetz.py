@@ -33,6 +33,7 @@ from conftest import (
     cofactor_determinant,
     is_singular,
     lambda_matrix,
+    random_rational,
     reference_write_slice_csv,
     rows_times_rows,
     to_sympy,
@@ -147,6 +148,38 @@ class TestCuspStructure:
         # the slope pointing at the circle's origin has no branch point
         with pytest.raises(ZeroDivisionError):
             circle_point(params, Fraction(-2))
+
+    def test_circle_point_matches_branch_formula(self, rng):
+        # the branch closed form over (x1, y1) = (x1, tau x1) on the circle
+        # x1 = -(a2 + b2 tau)/(1 + tau^2): (x2, y2) = -(x1, y1) s / d, with
+        # s = a1 x1 + b1 y1 and d = x1^2 + y1^2, raising where d = 0
+        def branch_point(params, tau):
+            a1, a2, b1, b2 = params
+            x1 = -(a2 + b2 * tau) / (1 + tau * tau)
+            y1 = tau * x1
+            d = x1 * x1 + y1 * y1
+            if d == 0:
+                raise ZeroDivisionError
+            s = a1 * x1 + b1 * y1
+            return (x1, -x1 * s / d, y1, -y1 * s / d)
+
+        # the slope grid of `witness_verify`: 39 listings, 25 distinct slopes
+        taus = dict.fromkeys(Fraction(n, d) for d in (1, 2, 3) for n in range(-3 * d, 3 * d + 1))
+        assert len(taus) == 25
+        raised = 0
+        for _ in range(40):
+            params = tuple(random_rational(rng) for _ in range(4))
+            for tau in taus:
+                try:
+                    expected = branch_point(params, tau)
+                except ZeroDivisionError:
+                    raised += 1
+                    with pytest.raises(ZeroDivisionError):
+                        circle_point(params, tau)
+                    continue
+                got = circle_point(params, tau)
+                assert got == expected and all(type(v) is Fraction for v in got)
+        assert raised
 
     def test_distinguished_points_are_singular(self):
         params = (Fraction(2), Fraction(3), Fraction(5), Fraction(7))

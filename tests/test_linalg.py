@@ -13,6 +13,7 @@ from morinclass.polynomial import jet_order
 from morinclass.linalg import (
     AsymmetricMatrixError,
     NonSquareMatrixError,
+    congruence,
     eliminate,
 )
 
@@ -405,6 +406,48 @@ class TestSignature:
             pos, neg, zero = m.signature()
             assert pos + neg == m.rank()
             assert pos + neg + zero == size
+
+
+class TestCongruence:
+    """`congruence` against sympy: det(A), and the inertia from the real roots of det(x I - A)."""
+
+    @staticmethod
+    def random_symmetric(rng, size, kind):
+        if kind == "low-rank":
+            # B^T D B with B of fewer rows than columns, possibly none
+            k = rng.randint(0, size - 1)
+            b = [[rng.randint(-2, 2) for _ in range(size)] for _ in range(k)]
+            d = [rng.choice((1, -1, 2)) for _ in range(k)]
+            return [[sum(b[r][i] * d[r] * b[r][j] for r in range(k)) for j in range(size)]
+                    for i in range(size)]
+        sym = [[0] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i, size):
+                if i != j or kind == "dense":
+                    sym[i][j] = sym[j][i] = rng.choice((0, 1, -1, 2, -3))
+        return sym
+
+    def test_inertia_and_determinant_match_sympy(self):
+        import sympy
+
+        x = sympy.Symbol("x")
+        rng = random.Random(6173)
+        singular = 0
+        for trial in range(150):
+            kind = ("dense", "zero-diagonal", "low-rank")[trial % 3]
+            size = rng.randint(1, 6)
+            sym = self.random_symmetric(rng, size, kind)
+            copy = [list(row) for row in sym]
+            inertia, det = congruence(sym)
+            assert sym == copy
+            matrix = sympy.Matrix(sym)
+            assert det == matrix.det(), sym
+            roots = matrix.charpoly(x).real_roots()
+            assert len(roots) == size  # a symmetric matrix has real eigenvalues
+            pos, neg = sum(1 for r in roots if r > 0), sum(1 for r in roots if r < 0)
+            assert inertia == (pos, neg, size - pos - neg), sym
+            singular += det == 0
+        assert singular >= 50
 
 
 class TestFloatEliminationBits:
