@@ -26,10 +26,12 @@ The decision pipeline:
      and the inertia of K, the fold's signature.  Its non-degeneracy rank,
      that of E(0)^T H, needs no elimination: a nonsingular
      K = (E(0)^T H) E(0) forces it to be s.  The lambdas and h are then
-     built only for the trace.  Otherwise the least k with
-     h^{(k-1)}(0) != 0 gives a candidate Morin k, confirmed by the rank of
-     the stacked Jacobian of (lambdas, h, h', ..., h^{(k-2)}) at 0 being
-     m-n+k.
+     built only for the trace, as they are when that rank is below s
+     (NotNondegenerate).  Otherwise the least k with h^{(k-1)}(0) != 0
+     gives a candidate Morin k, confirmed by condition (b),
+     `rank_condition_b`: the stacked Jacobian of
+     (lambdas, h, h', ..., h^{(k-2)}) at 0 has rank m-n+k.  Every exact
+     rank, that one and the non-degeneracy rank, is `RationalMatrix.rank`.
 
 `classify` makes each decision exactly over Q.  The float companion
 (`numeric.numeric_classify`) runs the same stages, `_classify_at_origin`, on
@@ -73,7 +75,6 @@ from .germ import (
 from .linalg import (
     PolyMatrix,
     RationalMatrix,
-    _forward,
     adjugate,
     congruence,
     eliminate,
@@ -184,28 +185,6 @@ def iterate_h(hd: HessData, up_to: int) -> HessData:
     return replace(hd, h_derivs=tuple(derivs))
 
 
-def _condition_b_rows(ls: LambdaSystem, hd: HessData, k: int):
-    """Rows of the Jacobian at 0 of the stacked (lambdas, h, ..., h^(k-2)).
-
-    For k = 1 the stack is the lambdas alone, and `hd` may lack `h_derivs`.
-    """
-    stack = list(ls.lambdas)
-    if k >= 2:
-        stack.extend(hd.h_derivs[: k - 1])
-    return [p.linear_coefficients() for p in stack]
-
-
-def rank_condition_b(ls: LambdaSystem, hd: HessData, k: int):
-    """Rank at 0 of the stacked Jacobian of (lambdas, h, ..., h^(k-2)).
-
-    A Morin k point needs rank m-n+k; for k = 1 the stack is the lambdas
-    alone and the condition is non-degeneracy.
-    """
-    jac = RationalMatrix.from_rows(_condition_b_rows(ls, hd, k))
-    required = ls.germ.m - ls.germ.n + k
-    return {"rank": jac.rank(), "required": required, "matrix": jac}
-
-
 def kernel_hessian_of_last(ng: NormalizedGerm, frame: AdaptedFrame) -> RationalMatrix:
     """(eta_j eta_i f_n)(0): well-defined symmetric since d(f_n)_0 = 0."""
     fn = ng.germ.components[-1]
@@ -273,7 +252,7 @@ class _Exact:
         return value != 0
 
     def rank(self, name, rows):
-        return _forward(integer_rows(rows)[0], len(rows[0]), 0)[0]
+        return RationalMatrix.from_rows(rows).rank()
 
     def fold_test(self, det_b0, eta_hess, kern):
         """(h(0), the non-degeneracy rank, the inertia of K if h(0) != 0 else None).
@@ -300,6 +279,21 @@ class _Exact:
 _EXACT = _Exact()
 
 
+def rank_condition_b(ls: LambdaSystem, hd: HessData, k: int, decide=_EXACT):
+    """Rank at 0 of the stacked Jacobian of (lambdas, h, ..., h^(k-2)), by `decide`.
+
+    A Morin k point needs rank m-n+k; for k = 1 the stack is the lambdas
+    alone, the condition is non-degeneracy and `hd` may lack `h_derivs`.
+    The Jacobian's rows come back as "matrix".
+    """
+    stack = list(ls.lambdas)
+    if k >= 2:
+        stack.extend(hd.h_derivs[: k - 1])
+    rows = [p.linear_coefficients() for p in stack]
+    required = ls.germ.m - ls.germ.n + k
+    return {"rank": decide.rank("condition-b", rows), "required": required, "matrix": rows}
+
+
 def classify(germ: MapGerm, trace=True) -> CriteriaReport:
     """Full classification of a polynomial map germ at the origin.
 
@@ -307,8 +301,9 @@ def classify(germ: MapGerm, trace=True) -> CriteriaReport:
     (`kernel_hessian_at_origin`): one congruence elimination of the kernel
     Hessian K gives det K and the signature, and a fold's non-degeneracy
     rank is s without an elimination.  The polynomial lambdas and h are
-    built for every other germ, and for a fold only when `trace` is set;
-    `trace` also adds them to the report's trace as "lambdas" and "h".
+    built for every germ that passes both tests, and for the others only
+    when `trace` is set; `trace` also adds them to the report's trace as
+    "lambdas" and "h".
     """
     germ.check_wellformed()
     germ.check_bound()
@@ -365,7 +360,10 @@ def _classify_at_origin(work: MapGerm, decide, trace=False):
     }
     h0, nd_rank, inertia = decide.fold_test(det_b0, eta_hess, kern)
     fold = inertia is not None
-    if trace or not fold:
+    # a fold, and a germ that fails non-degeneracy, are labelled without the
+    # polynomial frame, which only the trace builds for them
+    labelled = fold or nd_rank != size
+    if trace or not labelled:
         ls = lambdas_for_frame(ng.germ, build_frame(ng))
         hd = hessian(ls)
     if trace:
@@ -401,15 +399,9 @@ def _classify_at_origin(work: MapGerm, decide, trace=False):
         return Label("Degenerate", reason=ALL_DERIVATIVES_VANISH), record
 
     # condition (b): the stacked Jacobian of (lambdas, h, ..., h^(k-2)) at 0
-    jac = _condition_b_rows(ls, hd, k)
-    rank_b = decide.rank("condition-b", jac)
-    required = m - n + k
-    record["condition_b"] = {
-        "k": k,
-        "rank": rank_b,
-        "required": required,
-        "matrix": [[fmt(e) for e in row] for row in jac],
-    }
-    if rank_b != required:
+    cond_b = rank_condition_b(ls, hd, k, decide)
+    matrix = [[fmt(e) for e in row] for row in cond_b["matrix"]]
+    record["condition_b"] = {"k": k, **cond_b, "matrix": matrix}
+    if cond_b["rank"] != cond_b["required"]:
         return Label("Degenerate", reason=RANK_CONDITION_FAILED), record
     return Label("Morin", k=k), record

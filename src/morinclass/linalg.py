@@ -26,7 +26,6 @@ from fractions import Fraction
 from math import lcm
 
 from .polynomial import Polynomial
-from .rationals import rat
 
 
 class NonSquareMatrixError(ValueError):
@@ -99,12 +98,20 @@ class PolyMatrix(_Matrix):
 
 
 class RationalMatrix(_Matrix):
-    """Row-major matrix of exact rationals."""
+    """Row-major matrix of exact rationals, each an int or a Fraction as given.
+
+    Ints stay ints: `rank` and `determinant` scale every row to integers
+    anyway, and making each entry a Fraction first about doubles the time
+    to rank a small int matrix.
+    """
 
     __slots__ = ()
 
     def __init__(self, rows, cols, entries):
-        super().__init__(rows, cols, [rat(e) for e in entries])
+        super().__init__(rows, cols, entries)
+        for e in self.entries:
+            if not isinstance(e, (int, Fraction)):
+                raise TypeError(f"cannot interpret {e!r} as an exact rational")
 
     def __eq__(self, other):
         return (

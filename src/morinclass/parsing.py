@@ -51,7 +51,8 @@ class ParseError(ValueError):
 # Blanks, then one token or one character that starts none.  Digits and
 # identifiers are ASCII only: str.isdigit() also holds for '²' and '٣', which
 # int() then rejects or reads as another digit.
-_TOKEN = re.compile(r"([^\S\n]*)(?:(\n)|([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()/])|(\S))")
+_NAME = "[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN = re.compile(rf"([^\S\n]*)(?:(\n)|([0-9]+)|({_NAME})|([-+*^()/])|(\S))")
 
 
 def _tokenize(text, line_offset=1):
@@ -363,6 +364,16 @@ def parse_rational(text, line=None):
     raise ParseError(f"not a rational number: {text!r}", line)
 
 
+def _names(names, lineno):
+    """The names declared at line `lineno` as a tuple, if each is an identifier and new."""
+    for k, name in enumerate(names):
+        if not re.fullmatch(_NAME, name):
+            raise ParseError(f"not a variable name: {name!r}", lineno)
+        if name in names[:k]:
+            raise ParseError(f"{name!r} is declared twice", lineno)
+    return tuple(names)
+
+
 def parse_germ_document(text) -> GermDocument:
     source_vars = None
     param_vars = ()
@@ -370,6 +381,16 @@ def parse_germ_document(text) -> GermDocument:
     bindings = {}
     bound_at = {}  # the line of each binding, for errors found after the loop
     base_point = point_line = None
+    declared_at = {}  # the line of the vars: and params: declarations
+
+    def bind(piece, lineno):
+        """Read one `name = value` entry into `bindings`; return the name."""
+        name, _, value = piece.partition("=")
+        (name,) = _names([name.strip()], lineno)
+        bindings[name] = parse_rational(value.strip(), lineno)
+        bound_at[name] = lineno
+        return name
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -380,25 +401,20 @@ def parse_germ_document(text) -> GermDocument:
         key = key.strip().lower()
         rest = rest.strip()
         if key == "vars":
-            source_vars = tuple(_split_values(rest))
+            source_vars = _names(_split_values(rest), lineno)
             if not source_vars:
                 raise ParseError("vars: needs at least one variable", lineno)
+            declared_at[key] = lineno
         elif key == "params":
             # entries are names, optionally with inline values: a1 or a1 = 1/2
             names = []
             for piece in rest.split(","):
-                piece = piece.strip()
-                if not piece:
-                    continue
                 if "=" in piece:
-                    name, _, val = piece.partition("=")
-                    name = name.strip()
-                    names.append(name)
-                    bindings[name] = parse_rational(val.strip(), lineno)
-                    bound_at[name] = lineno
+                    names.append(bind(piece, lineno))
                 else:
                     names.extend(_split_values(piece))
-            param_vars = tuple(names)
+            param_vars = _names(names, lineno)
+            declared_at[key] = lineno
         elif key == "map":
             parts = [p.strip() for p in rest.split(";")]
             if not all(parts):
@@ -411,10 +427,7 @@ def parse_germ_document(text) -> GermDocument:
                     continue
                 if "=" not in piece:
                     raise ParseError(f"bind: entries look like name = value, got {piece!r}", lineno)
-                name, _, val = piece.partition("=")
-                name = name.strip()
-                bindings[name] = parse_rational(val.strip(), lineno)
-                bound_at[name] = lineno
+                bind(piece, lineno)
         elif key == "point":
             base_point = tuple(parse_rational(v, lineno) for v in _split_values(rest))
             point_line = lineno
@@ -424,6 +437,8 @@ def parse_germ_document(text) -> GermDocument:
         raise ParseError("missing vars: line", 1)
     if component_texts is None:
         raise ParseError("missing map: line", 1)
+    # a name in both vars: and params: is an error at the later of the two
+    _names(source_vars + param_vars, max(declared_at.values()))
     for name in bindings:
         if name not in param_vars:
             raise ParseError(f"bind: references undeclared parameter {name!r}", bound_at[name])

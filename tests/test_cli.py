@@ -89,6 +89,20 @@ class TestClassifyCommand:
         assert code == 2
         assert "line 2" in err and "column" in err
 
+    @pytest.mark.parametrize("declarations, line, message", [
+        ("vars: x x y\n", 1, "'x' is declared twice"),
+        ("vars: x y z\nparams: x\n", 2, "'x' is declared twice"),
+        ("vars: x 2y z\n", 1, "not a variable name: '2y'"),
+        ("vars: x y z\nparams: = 3\n", 2, "not a variable name: ''"),
+        ("vars: x y z\nparams: a b = 2\n", 2, "not a variable name: 'a b'"),
+    ])
+    def test_bad_declared_name_is_a_parse_error(self, capsys, tmp_path, declarations, line,
+                                                message):
+        path = tmp_path / "names.germ"
+        path.write_text(f"{declarations}map: x ; z^2\n")
+        code, out, err = run_cli(capsys, "classify", str(path))
+        assert (code, out, err) == (2, "", f"error: {message} at line {line}\n")
+
     @pytest.mark.parametrize("component, column", [("y^\u00b2 + z^2", 3), ("y^2 + \u0663", 7)])
     def test_non_ascii_digit_is_a_positioned_parse_error(
         self, capsys, tmp_path, component, column

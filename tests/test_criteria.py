@@ -4,6 +4,7 @@ import dataclasses
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -434,6 +435,105 @@ class TestRankConditionB:
             fractions = [[Fraction(v, rng.randint(1, 4)) for v in row] for row in rows]
             for case in (rows, fractions):
                 assert _EXACT.rank("oracle", case) == minor_rank(case), case
+
+
+def kernel_hessian_zero_germ(m, seed=0):
+    """`x1 ; x2 ; f`, f a dense cubic in y1..y_{m-2} with seeded coefficients 1-3.
+
+    K = 0, so every entry of M vanishes at 0: NotNondegenerate.
+    """
+    rng = random.Random(seed)
+    names = ("x1", "x2") + tuple(f"y{i}" for i in range(1, m - 1))
+    ctx = make_context(*names)
+    x1, x2, *ys = (Polynomial.variable(ctx, n) for n in names)
+    f = Polynomial.zero(ctx)
+    for a, b, c in combinations_with_replacement(ys, 3):
+        f = f + rng.randint(1, 3) * a * b * c
+    return MapGerm(ctx, (x1, x2, f))
+
+
+class TestStageRouting:
+    """Counts, not times: `classify` does its work in the named stages.
+
+    The counts go through the module global `criteria.rank_condition_b` and
+    the class attribute `RationalMatrix.rank`, the names a tracer wraps.
+    """
+
+    @staticmethod
+    def germs():
+        ctx = make_context("x", "y", "z", "w")
+        x, y, z, w = (Polynomial.variable(ctx, n) for n in ctx.names)
+        return [
+            (normal_form(3, 2, 2, (1,)), Label("Morin", k=2)),
+            (normal_form(4, 3, 3, (-1,)), Label("Morin", k=3)),
+            (MapGerm(ctx, (x, y, z**2 + w**4 + x * w)),
+             Label("Degenerate", reason=RANK_CONDITION_FAILED)),
+        ]
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """The decision objects `rank_condition_b` gets, `RationalMatrix.rank`
+        calls and the rank forward passes (those run to a block of size 0)."""
+        from morinclass import criteria, linalg
+
+        calls = {"condition_b": [], "rank": [], "rank_pass": []}
+        rank_condition_b, rank = criteria.rank_condition_b, RationalMatrix.rank
+        forward = linalg._forward
+
+        def counted_condition_b(ls, hd, k, decide=_EXACT):
+            calls["condition_b"].append(decide)
+            return rank_condition_b(ls, hd, k, decide)
+
+        def counted_rank(matrix):
+            calls["rank"].append(matrix.rows)
+            return rank(matrix)
+
+        def counted_forward(rows, ncols, stop):
+            if stop == 0:
+                calls["rank_pass"].append(len(rows))
+            return forward(rows, ncols, stop)
+
+        monkeypatch.setattr(criteria, "rank_condition_b", counted_condition_b)
+        monkeypatch.setattr(RationalMatrix, "rank", counted_rank)
+        for module in (linalg, criteria):
+            monkeypatch.setattr(module, "_forward", counted_forward, raising=False)
+        return calls
+
+    def test_classify_ranks_through_the_named_stages(self, counted):
+        for germ, label in self.germs():
+            for calls in counted.values():
+                calls.clear()
+            assert classify(germ, trace=False).label == label
+            assert counted["condition_b"] == [_EXACT]
+            # the non-degeneracy rank and condition (b), each one RationalMatrix.rank
+            assert counted["rank"] == counted["rank_pass"]
+            assert len(counted["rank"]) == 2
+
+    def test_numeric_classify_hands_condition_b_its_thresholds(self, counted):
+        from morinclass.numeric import _Thresholds, numeric_classify
+
+        for germ, label in self.germs():
+            counted["condition_b"].clear()
+            assert numeric_classify(germ, (0,) * germ.m).label == label
+            (decide,) = counted["condition_b"]
+            assert isinstance(decide, _Thresholds)
+
+    def test_kernel_hessian_zero_is_labelled_without_the_frame(self, monkeypatch):
+        # untraced, a germ that fails non-degeneracy needs no polynomial
+        # frame: M(0) = 0 would leave its whole block to cofactor expansion
+        from morinclass import criteria
+        from morinclass.numeric import numeric_classify
+
+        def refused(*args):
+            raise AssertionError("the polynomial frame was built")
+
+        for name in ("build_frame", "lambdas_for_frame", "hessian"):
+            monkeypatch.setattr(criteria, name, refused)
+        label = Label("Degenerate", reason=NOT_NONDEGENERATE)
+        for m in range(5, 13):
+            germ = kernel_hessian_zero_germ(m)
+            assert classify(germ, trace=False).label == label, m
+            assert numeric_classify(germ, (0,) * m).label == label, m
 
 
 class TestClassify:

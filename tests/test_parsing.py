@@ -404,6 +404,22 @@ class TestGermDocuments:
             parse_germ_document(text)
         assert (err.value.message, err.value.line) == (message, 5)
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("vars: x x y\nmap: x ; y", 1, "'x' is declared twice"),
+        ("vars: x y z\nparams: x\nmap: x ; y", 2, "'x' is declared twice"),
+        ("params: a\nvars: x a z\nmap: x ; z", 2, "'a' is declared twice"),
+        ("vars: x y z\nparams: a, a = 1\nmap: x ; y", 2, "'a' is declared twice"),
+        ("vars: x 2y z\nmap: x ; z", 1, "not a variable name: '2y'"),
+        ("vars: x y\u00b2 z\nmap: x ; z", 1, "not a variable name: 'y\u00b2'"),
+        ("vars: x y z\nparams: = 3\nmap: x ; y", 2, "not a variable name: ''"),
+        ("vars: x y z\nparams: a b = 2\nmap: x ; y", 2, "not a variable name: 'a b'"),
+        ("vars: x y z\nparams: a\nmap: x ; y\nbind: 1a = 2", 4, "not a variable name: '1a'"),
+    ])
+    def test_declared_names_are_distinct_identifiers(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_germ_document(text)
+        assert (err.value.message, err.value.line) == (message, line)
+
     def test_inline_parameter_values(self):
         doc = parse_germ_document(
             "vars: x y z\nparams: a = 1/2, b\nmap: x ; y^2 + a*z^2\nbind: b = 3"

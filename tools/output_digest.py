@@ -22,6 +22,10 @@ directory) and prints one line `<sha256>  <family>` per family:
   cli.classify_numeric             the text of `morinclass classify --numeric`
                                    on 16 of the `ainv_replay` germ files, at
                                    the origin and with `--point`
+  degenerate                       traced and untraced reports, and `float.hex`
+                                   of `verdict_to_dict` at the origin, of one
+                                   germ per non-Morin label, plain and under
+                                   one seeded linear A-change
 
 Each `cli.*` text is the exit status and the standard output.
 
@@ -47,6 +51,7 @@ import random
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 sys.dont_write_bytecode = True
@@ -79,6 +84,15 @@ SCAN_BOX, SCAN_GRID = ((-1, 1),) * 4, 5  # the `float_scan_export` workload's
 SLICES = ((Fraction(1, 4), 47), (0, 21), (Fraction(-3, 8), 22), (Fraction(1, 300007), 4))
 WITNESS_SEED = 3  # the `witness_verify` family has seeds 1 and 2
 NUMERIC_POINT = ("1/2", "-1/3", "1/5", "2", "-3/4")  # its first m coordinates
+DEGENERATE_TEXTS = (
+    "vars: x y z\nmap: x ; y^2 + z^3",  # NotNondegenerate
+    "vars: x1 x2 y1 y2\nmap: x1 ; x2 ; x1*y1 + x2*y2",  # Not2Nondegenerate
+    "vars: x y z\nmap: x ; x*z + y^2 + z^4",  # AllDerivativesVanish
+    "vars: x y z w\nmap: x ; y ; z^2 + w^4 + x*w",  # RankConditionFailed
+    "vars: x y z\nmap: x^2 ; y^2 + z^2",  # CorankHigh
+)
+KERNEL_HESSIAN_ZERO_M = (5, 6)
+DEGENERATE_SEED = 24
 
 
 def canon(obj):
@@ -205,6 +219,35 @@ def cli_numeric():
             yield cli_text("classify", str(path), "--numeric", "--point=" + point)
 
 
+def kernel_hessian_zero_text(m):
+    """`x1 ; x2 ; f`, f a dense cubic in y1..y_{m-2} with seeded coefficients 1-3.
+
+    Its kernel Hessian K is 0, so every entry of M vanishes at 0: the germ
+    is NotNondegenerate.
+    """
+    rng = random.Random(m)
+    ys = [f"y{i}" for i in range(1, m - 1)]
+    cubic = " + ".join(f"{rng.randint(1, 3)}*{'*'.join(mono)}"
+                       for mono in combinations_with_replacement(ys, 3))
+    return f"vars: x1 x2 {' '.join(ys)}\nmap: x1 ; x2 ; {cubic}"
+
+
+def degenerate_germs():
+    rng = random.Random(DEGENERATE_SEED)
+    texts = DEGENERATE_TEXTS + tuple(map(kernel_hessian_zero_text, KERNEL_HESSIAN_ZERO_M))
+    for text in texts:
+        germ = parse_germ_document(text).to_germ()
+        yield germ
+        yield inputs.linear_target_change(rng, inputs.linear_source_change(rng, germ))
+
+
+def degenerate():
+    for germ in degenerate_germs():
+        for traced in (True, False):
+            yield json.dumps(report_to_dict(classify(germ, trace=traced), include_trace=traced))
+        yield canon(verdict_to_dict(numeric.numeric_classify(germ, (0,) * germ.m)))
+
+
 FAMILIES = (
     ("ainv_replay.traced", lambda: ainv_reports(True)),
     ("ainv_replay.untraced", lambda: ainv_reports(False)),
@@ -217,6 +260,7 @@ FAMILIES = (
     ("cli.noncusp", cli_noncusp),
     ("cli.witness", cli_witnesses),
     ("cli.classify_numeric", cli_numeric),
+    ("degenerate", degenerate),
 )
 
 
