@@ -7,7 +7,9 @@ layout).  A monomial product is one integer addition and the total degree is
 one shift.  Coefficients are exact rationals, where plain ints and Fractions
 mix freely and integer inputs give integer outputs, or floats for the float
 companion.  `Polynomial` hands `scale_terms` an integral Fraction scalar as
-its int, so an int polynomial scales to ints.  Every result is a canonical
+its int, so an int polynomial scales to ints.  `pow_terms` expands a power
+k >= 2 of an exact base on ints, so each of its terms is an int exactly
+where it is integral.  Every result is a canonical
 dict (no stored zeros).  `iadd_terms` and `isub_terms` merge into their first
 argument and return it, and `shift_terms` fills the row cache it is given;
 every other function returns a new dict and mutates none of its inputs.
@@ -18,6 +20,9 @@ so a field never carries into its neighbour.
 
 `Polynomial` runs its arithmetic through these functions.
 """
+
+from fractions import Fraction
+from math import lcm
 
 from .context import MAX_DEGREE, check_degree
 
@@ -116,13 +121,35 @@ def mul_terms(a, b, ctx, trunc=-1):
 
 
 def pow_terms(a, k, ctx, trunc=-1):
+    """a^k by k - 1 products `mul_terms(a^j, a)`, optionally capped at `trunc`.
+
+    For k >= 2 an exact base with a Fraction coefficient is expanded on ints,
+    which cost a tenth of Fractions: as the integer base den * a, den the
+    lcm of its denominators.  Each partial sum of that power is den^j times
+    the one of a^k, so the same terms cancel in the same order, and each
+    term is then divided by den^k: an int where that division is exact,
+    else a Fraction.  A base with a float coefficient multiplies as it is,
+    which fixes its bits.
+    """
     if k == 0:
         return {0: 1}
     if a:
         # before any product: the degree of a^k must fit
         top = (max(a) >> ctx.degree_shift) * k
         check_degree(top if trunc < 0 else min(trunc, top))
-    if len(a) == 1 and k > 1:
+    if k == 1:
+        return dict(a)
+    kinds = {c.__class__ for c in a.values()}
+    if Fraction in kinds and float not in kinds:
+        den = lcm(*(c.denominator for c in a.values()))  # an int's is 1
+        den_k = den**k
+        out = pow_terms({key: c.numerator * (den // c.denominator) for key, c in a.items()},
+                        k, ctx, trunc)
+        for key, c in out.items():
+            q, r = divmod(c, den_k)
+            out[key] = Fraction(c, den_k) if r else q
+        return out
+    if len(a) == 1:
         ((key, coeff),) = a.items()
         # a monomial's k-th power is its key times k; floats keep the
         # rounding of the products below

@@ -81,7 +81,7 @@ from .linalg import (
     exact_row_reduce,
     integer_rows,
 )
-from .polynomial import Polynomial, cut_to_order
+from .polynomial import Polynomial, cut_to_order, jet_order
 from .rationals import format_rational
 
 NOT_NONDEGENERATE = "NotNondegenerate"
@@ -150,10 +150,19 @@ def lambdas_for_frame(germ: MapGerm, frame: AdaptedFrame) -> LambdaSystem:
 
 
 def hessian(ls: LambdaSystem) -> HessData:
-    """The kernel Hessian matrix M[i][j] = eta_j lambda_i and h = det M."""
+    """The kernel Hessian matrix M[i][j] = eta_j lambda_i and h = det M.
+
+    Where no entry of M has a constant term, each product in det M has
+    order at least the size of M.  When that size exceeds the order h is
+    read to, h is the zero jet of that order, and the block, which holds no
+    unit to pivot on, is not expanded by cofactors.
+    """
     etas = ls.frame.eta
     rows = [[eta_j.apply(lam_i) for eta_j in etas] for lam_i in ls.lambdas]
     m = PolyMatrix.from_rows(rows)
+    order = jet_order(m.entries)
+    if order is not None and len(rows) > order and not any(p.constant_term() for p in m.entries):
+        return HessData(h_matrix=m, h=Polynomial.zero(m.context).truncated(order))
     return HessData(h_matrix=m, h=cut_to_order(m.determinant(), m.entries))
 
 

@@ -16,7 +16,6 @@ values may also arrive on a separate `bind: a = 1, b = -3/2` line.
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from . import _termops_py as kernel
 from .context import MAX_DEGREE, DegreeOverflowError, VariableContext, check_degree
@@ -29,11 +28,10 @@ from .polynomial import Polynomial
 MAX_POWER_BITS = 1 << 17
 
 # The most term products a `^` may run, by the count of `_power_products`.
-# (x+y)^700 fits and expands in about 0.2 s; a base with a fraction
-# coefficient is expanded as an integer base scaled by the lcm of its
-# denominators, so its products cost about as much.  A power of a many-term
-# base, such as (x+y)^65535, passes both the degree and the coefficient
-# bound but would expand for hours.
+# (x+y)^700 fits and expands in about 0.2 s; `pow_terms` expands a base
+# with a Fraction coefficient on ints too, so its products cost about as
+# much.  A power of a many-term base, such as (x+y)^65535, passes both the
+# degree and the coefficient bound but would expand for hours.
 MAX_POWER_TERMS = 10**6
 
 
@@ -99,40 +97,6 @@ def _power_products(t, k):
         if bound > MAX_POWER_TERMS:
             break
     return bound
-
-
-def _flagged_power(base, fractions, k):
-    """base^k as `kernel.pow_terms` expands it, and the keys a Fraction reached.
-
-    `fractions` holds the keys of `base` whose coefficient stands for a
-    Fraction.  Each of the k - 1 products follows `mul_terms`: the smaller
-    factor outside and the same get/set/del sequence, so the same terms
-    cancel in the same order.  A key is flagged while a product with a
-    flagged factor has reached it since it last cancelled, which is where
-    `pow_terms` on the Fraction base holds a Fraction and not an int.
-    """
-    result, flagged = base, fractions
-    factor = [(key, c, key in fractions) for key, c in base.items()]
-    for _ in range(k - 1):
-        left = [(key, c, key in flagged) for key, c in result.items()]
-        right = factor
-        if len(left) > len(right):
-            left, right = right, left
-        out, flagged = {}, set()
-        get, flag, unflag = out.get, flagged.add, flagged.discard
-        for ka, ca, fa in left:
-            for kb, cb, fb in right:
-                key = ka + kb
-                s = get(key, 0) + ca * cb
-                if s:
-                    out[key] = s
-                    if fa or fb:
-                        flag(key)
-                else:  # the product is nonzero, so the key was there
-                    del out[key]
-                    unflag(key)
-        result = out
-    return result, flagged
 
 
 class _ExpressionParser:
@@ -243,8 +207,6 @@ class _ExpressionParser:
                     f" coefficient size of {MAX_POWER_BITS} bits",
                     etok,
                 )
-            if k == 0:
-                return {0: 1}
             try:
                 # before any product: x^99999999 would run 10^8 of them
                 if base:
@@ -256,21 +218,7 @@ class _ExpressionParser:
                     f"expanding this power would take more than {MAX_POWER_TERMS} term products",
                     etok,
                 )
-            fractions = {key for key, c in base.items() if isinstance(c, Fraction)}
-            if not fractions:
-                return kernel.pow_terms(base, k, self.context)
-            # Integer products cost a tenth of Fraction ones, so expand the
-            # integer base den * base.  Each partial sum of its power is den^j
-            # times that of base^k: the same terms cancel, in the same order.
-            den = lcm(*(c.denominator for c in base.values()))
-            scaled = {key: c.numerator * (den // c.denominator) for key, c in base.items()}
-            if len(fractions) == len(base):  # then every term of the power is a Fraction
-                terms = fractions = kernel.pow_terms(scaled, k, self.context)
-            else:
-                terms, fractions = _flagged_power(scaled, fractions, k)
-            den_k = den**k
-            return {key: Fraction(c, den_k) if key in fractions else c // den_k
-                    for key, c in terms.items()}
+            return kernel.pow_terms(base, k, self.context)
         return base
 
     def literal(self, tok):

@@ -34,6 +34,7 @@ from morinclass.criteria import (
     rank_condition_b,
 )
 from morinclass.lefschetz import LefschetzFamily, lefschetz_lambdas, witness_verify
+from morinclass.linalg import PolyMatrix
 
 from conftest import (
     cofactor_determinant,
@@ -534,6 +535,20 @@ class TestStageRouting:
             germ = kernel_hessian_zero_germ(m)
             assert classify(germ, trace=False).label == label, m
             assert numeric_classify(germ, (0,) * m).label == label, m
+
+    def test_kernel_hessian_zero_traces_h_without_a_determinant(self, monkeypatch):
+        # traced, M is built, but no entry has a constant term and M has more
+        # rows than its jet order: h is the zero jet, without the cofactor
+        # expansion of a block that holds no unit
+        def refused(*args):
+            raise AssertionError("det M was expanded")
+
+        monkeypatch.setattr(PolyMatrix, "determinant", refused)
+        label = Label("Degenerate", reason=NOT_NONDEGENERATE)
+        for m in range(7, 15):
+            report = classify(kernel_hessian_zero_germ(m), trace=True)
+            assert report.label == label, m
+            assert report.trace["h"] == "0", m
 
 
 class TestClassify:

@@ -268,9 +268,8 @@ class TestPowerBound:
         assert parse_expression("(x-x+y)^65535", ctx) == polynomial_parse("y^65535", ctx)
 
     def test_fraction_base_matches_its_unscaled_expansion(self):
-        # a base of Fraction coefficients is expanded as an integer base: the
-        # terms of `pow_terms` on the Fraction base, in order and of one type;
-        # the xy term of the first square cancels
+        # the parser's `^` is `pow_terms` on the parsed base: its terms in
+        # order and of its types; the xy term of the first square cancels
         ctx = make_context("x", "y", "z")
         rng = random.Random(87)
         monomials = ["1", "x", "y", "z", "x*y", "y*z", "x^2", "z^2"]
@@ -299,6 +298,11 @@ class TestPowerBound:
             return len(calls)
 
         assert fraction_ops(f"{base}^20") == fraction_ops(base)
+        # and so does `Polynomial.__pow__`, through the same `pow_terms`
+        power = parse_expression(base, ctx)
+        calls.clear()
+        power**20
+        assert not calls
 
     def test_product_count_bounds_the_expansion(self, monkeypatch):
         # (x_1 + ... + x_t)^k has as many terms as any t-term base can give
@@ -554,9 +558,8 @@ class TestAgainstPolynomialParser:
 
     def test_mixed_base_powers(self):
         # a base of int and Fraction terms keeps the coefficient types of
-        # `pow_terms`: an int where only int products reached a term since it
-        # last cancelled.  In the first four, a term cancels while a Fraction
-        # and comes back as an int
+        # `pow_terms`: an int exactly where a term is integral.  In the first
+        # four, a term of a partial product cancels and comes back
         ctx = self.CTX
         bases = [("1/1*y - 2*x*y - 2*x - 2", 2), ("-x + x*y - 1/1*y - 2", 3),
                  ("1/2*y + 2*x + 2 - x*y", 4), ("x^2 + z - 1/2 - x", 4), ("x+2/3*y-3/7*z", 9)]

@@ -26,6 +26,8 @@ KINDS = ("int", "fraction", "float")
 
 
 def random_coeff(rng, kind):
+    if kind == "mixed":
+        kind = rng.choice(("int", "fraction"))
     while True:
         num = rng.randint(-6, 6)
         if num:
@@ -124,6 +126,32 @@ class TestAgainstTupleKernel:
             for k in range(1, 6):
                 got = kernel.pow_terms(packed(ctx, a), k, ctx, trunc)
                 assert unpacked(ctx, got) == list(tuple_pow_terms(a, k, trunc).items())
+
+    @pytest.mark.parametrize("trunc", [-1, 3, 6])
+    def test_exact_power_is_int_where_integral(self, trunc):
+        # an exact base with a Fraction expands on ints: the terms of the
+        # repeated products, each an int exactly where it is integral
+        rng = random.Random(26 + trunc)
+        for i in range(36):
+            kind = ("int", "fraction", "mixed")[i % 3]
+            ctx = make_context(*(f"v{j}" for j in range(rng.randint(1, 4))))
+            a = random_terms(rng, len(ctx), kind, rng.randint(1, 5), max_degree=3)
+            for k in range(2, 7):
+                got = kernel.pow_terms(packed(ctx, a), k, ctx, trunc)
+                assert unpacked(ctx, got) == list(tuple_pow_terms(a, k, trunc).items())
+                assert all((type(c) is int) == (c.denominator == 1) for c in got.values())
+
+    def test_float_base_with_a_fraction_multiplies_as_it_is(self):
+        # a float fixes the bits: the power of the repeated products, with
+        # their types, and no integer expansion
+        ctx = make_context("x", "y")
+        a = packed(ctx, {(1, 0): 0.5, (0, 1): Fraction(1, 3)})
+        expected = a
+        for k in range(2, 5):
+            expected = kernel.mul_terms(expected, a, ctx)
+            got = kernel.pow_terms(a, k, ctx)
+            assert [(key, type(c), c) for key, c in got.items()] == [
+                (key, type(c), c) for key, c in expected.items()]
 
     def test_derivative_truncation_evaluation(self):
         for rng, kind, ctx, a, _ in cases(13):

@@ -26,6 +26,13 @@ directory) and prints one line `<sha256>  <family>` per family:
                                    of `verdict_to_dict` at the origin, of one
                                    germ per non-Morin label, plain and under
                                    one seeded linear A-change
+  exact_terms                      the (exponents, coefficient text) pairs,
+                                   in term order, of the parsed `ainv_replay`
+                                   germs, of every 7th translated to a
+                                   seeded rational point, and of seeded int,
+                                   Fraction and mixed powers through
+                                   `Polynomial.__pow__` (capped and not) and
+                                   the parser
 
 Each `cli.*` text is the exit status and the standard output.
 
@@ -61,7 +68,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from morinclass import VariableContext, classify, cli, lefschetz, numeric  # noqa: E402
 from morinclass.cli import report_to_dict, verdict_to_dict  # noqa: E402
 from morinclass.linalg import PolyMatrix, RationalMatrix  # noqa: E402
-from morinclass.parsing import parse_germ_document  # noqa: E402
+from morinclass.parsing import parse_expression, parse_germ_document  # noqa: E402
 from morinclass.polynomial import Polynomial  # noqa: E402
 
 
@@ -93,6 +100,8 @@ DEGENERATE_TEXTS = (
 )
 KERNEL_HESSIAN_ZERO_M = (5, 6)
 DEGENERATE_SEED = 24
+EXACT_SEED, EXACT_STRIDE, EXACT_POWERS = 25, 7, 200
+POWER_MONOMIALS = ("1", "x", "y", "z", "x*y", "y*z", "x^2", "z^2", "x*y*z")
 
 
 def canon(obj):
@@ -248,6 +257,39 @@ def degenerate():
         yield canon(verdict_to_dict(numeric.numeric_classify(germ, (0,) * germ.m)))
 
 
+def term_pairs(p):
+    """The (exponents, coefficient text) pairs of `p` in term order: no types."""
+    return [[list(exps), str(coeff)] for exps, coeff in p.items()]
+
+
+def power_base_text(rng, kind):
+    """2 to 5 terms with int coefficients, `p/q` ones, or each either way."""
+    terms = []
+    for mono in rng.sample(POWER_MONOMIALS, rng.randint(2, 5)):
+        num = rng.choice((-1, 1)) * rng.randint(1, 6)
+        if kind == "fraction" or kind == "mixed" and rng.random() < 0.5:
+            terms.append(f"{num}/{rng.choice((1, 2, 3, 5))}*{mono}")
+        else:
+            terms.append(f"{num}*{mono}")
+    return " + ".join(terms)
+
+
+def exact_terms():
+    germs = replay_germs()
+    for germ in germs:
+        yield [term_pairs(p) for p in germ.components]
+    rng = random.Random(EXACT_SEED)
+    for germ in germs[::EXACT_STRIDE]:
+        point = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(germ.m)]
+        yield [term_pairs(p) for p in germ.translate(point).components]
+    ctx = VariableContext.make(("x", "y", "z"))
+    for i in range(EXACT_POWERS):
+        text = power_base_text(rng, ("int", "fraction", "mixed")[i % 3])
+        base, k = parse_expression(text, ctx), rng.randint(1, 6)
+        capped = base.truncated(rng.randint(1, 8))
+        yield [term_pairs(p) for p in (base**k, capped**k, parse_expression(f"({text})^{k}", ctx))]
+
+
 FAMILIES = (
     ("ainv_replay.traced", lambda: ainv_reports(True)),
     ("ainv_replay.untraced", lambda: ainv_reports(False)),
@@ -261,6 +303,7 @@ FAMILIES = (
     ("cli.witness", cli_witnesses),
     ("cli.classify_numeric", cli_numeric),
     ("degenerate", degenerate),
+    ("exact_terms", exact_terms),
 )
 
 
