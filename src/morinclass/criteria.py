@@ -9,11 +9,11 @@ The decision pipeline:
      the common zero set of the lambdas.  Each eta_i annihilates f_1, ...,
      f_{n-1}, so the last column is (0, ..., 0, eta_i f_n) and
      lambda_i = det(B) * eta_i f_n with B the pivot block of the frame.
-  4. the (m-n+1)-square matrix M with M[i][j] = eta_j lambda_i, its
-     determinant h, the kernel field theta from one column of adj(M) (the
-     column is a decision, over Q the first column of adj(M(0)) that is not
-     zero, and `build_theta` takes it), and the iterated directional
-     derivatives h' = theta h, h'' = theta h', ...
+  4. the (m-n+1)-square matrix M with M[i][j] = eta_j lambda_i; the kernel
+     field theta from one column c of adj(M) (a decision: over Q the first
+     column of adj(M(0)) that is not zero) and h = det M, both from one
+     elimination of [M | e_c] (`build_theta`), so an untraced germ with
+     adj(M(0)) = 0 never takes det M; and h' = theta h, h'' = theta h', ...
   5. label: fold iff h(0) != 0.  As d(f_n)_0 = 0, with E(0) the eta
      coefficients at 0, H the Hessian of f_n at 0, K = E(0)^T H E(0) and
      s = m-n+1,
@@ -130,7 +130,7 @@ class LambdaSystem:
 @dataclass(frozen=True)
 class HessData:
     h_matrix: PolyMatrix  # entry (i, j) is eta_j applied to lambda_i
-    h: Polynomial
+    h: Polynomial = None  # det M, once `hessian` or `build_theta` takes it
     theta: PolyVectorField = None
     theta_column: int = None
     h_derivs: tuple = None  # h, theta h, theta^2 h, ...
@@ -149,25 +149,33 @@ def lambdas_for_frame(germ: MapGerm, frame: AdaptedFrame) -> LambdaSystem:
     return LambdaSystem(lambdas=lambdas, frame=frame, germ=germ)
 
 
+def _kernel_matrix(ls: LambdaSystem) -> PolyMatrix:
+    etas = ls.frame.eta
+    return PolyMatrix.from_rows([[eta_j.apply(lam_i) for eta_j in etas] for lam_i in ls.lambdas])
+
+
 def hessian(ls: LambdaSystem) -> HessData:
     """The kernel Hessian matrix M[i][j] = eta_j lambda_i and h = det M.
 
+    Of `classify`'s paths only the traced one calls it; the others take h
+    from `build_theta`.
     Where no entry of M has a constant term, each product in det M has
     order at least the size of M.  When that size exceeds the order h is
     read to, h is the zero jet of that order, and the block, which holds no
     unit to pivot on, is not expanded by cofactors.
     """
-    etas = ls.frame.eta
-    rows = [[eta_j.apply(lam_i) for eta_j in etas] for lam_i in ls.lambdas]
-    m = PolyMatrix.from_rows(rows)
+    m = _kernel_matrix(ls)
     order = jet_order(m.entries)
-    if order is not None and len(rows) > order and not any(p.constant_term() for p in m.entries):
+    if order is not None and m.rows > order and not any(p.constant_term() for p in m.entries):
         return HessData(h_matrix=m, h=Polynomial.zero(m.context).truncated(order))
     return HessData(h_matrix=m, h=cut_to_order(m.determinant(), m.entries))
 
 
 def build_theta(ls: LambdaSystem, hd: HessData, column: int) -> HessData:
-    """Kernel field theta from column `column` of adj(M), built as adj(M) e_c.
+    """Kernel field theta from column `column` of adj(M), built as adj(M) e_c, and h.
+
+    One elimination of [M | e_c] gives adj(M) e_c and h = det M, the same
+    det M term for term as `hessian`'s: it pivots only in M's columns.
 
     Because adj(M) . M = det(M) . I holds identically, theta lies in the
     kernel of M at every point where h vanishes; 2-non-degeneracy makes some
@@ -178,12 +186,14 @@ def build_theta(ls: LambdaSystem, hd: HessData, column: int) -> HessData:
     """
     rows = hd.h_matrix.to_rows()
     unit = [[Polynomial.constant(hd.h_matrix.context, int(r == column))] for r in range(len(rows))]
+    det, adj_col = eliminate(rows, unit)
     coeffs = None
-    for eta, (entry,) in zip(ls.frame.eta, eliminate(rows, unit)[1]):
+    for eta, (entry,) in zip(ls.frame.eta, adj_col):
         scaled = eta.scaled(entry)
         coeffs = scaled if coeffs is None else coeffs + scaled
     theta = [cut_to_order(c, hd.h_matrix.entries) for c in coeffs.coefficients]
-    return replace(hd, theta=PolyVectorField(coeffs.context, theta), theta_column=column)
+    return replace(hd, h=cut_to_order(det, hd.h_matrix.entries),
+                   theta=PolyVectorField(coeffs.context, theta), theta_column=column)
 
 
 def iterate_h(hd: HessData, up_to: int) -> HessData:
@@ -309,10 +319,10 @@ def classify(germ: MapGerm, trace=True) -> CriteriaReport:
     A fold is decided over Q from the 2-jet of f_n at 0
     (`kernel_hessian_at_origin`): one congruence elimination of the kernel
     Hessian K gives det K and the signature, and a fold's non-degeneracy
-    rank is s without an elimination.  The polynomial lambdas and h are
-    built for every germ that passes both tests, and for the others only
-    when `trace` is set; `trace` also adds them to the report's trace as
-    "lambdas" and "h".
+    rank is s without an elimination.  The polynomial lambdas and M are
+    built for every germ that passes both tests, and h for those with a
+    theta column; `trace` builds all three for every corank-one germ and
+    adds the lambdas and h to the report's trace as "lambdas" and "h".
     """
     germ.check_wellformed()
     germ.check_bound()
@@ -374,7 +384,8 @@ def _classify_at_origin(work: MapGerm, decide, trace=False):
     labelled = fold or nd_rank != size
     if trace or not labelled:
         ls = lambdas_for_frame(ng.germ, build_frame(ng))
-        hd = hessian(ls)
+        # only the trace reads det M before `build_theta` takes it
+        hd = hessian(ls) if trace else HessData(_kernel_matrix(ls))
     if trace:
         record["lambdas"] = [p.render() for p in ls.lambdas]
         record["h"] = hd.h.render()

@@ -453,6 +453,29 @@ def kernel_hessian_zero_germ(m, seed=0):
     return MapGerm(ctx, (x1, x2, f))
 
 
+def cubic_forms_germ(r, seed=0):
+    """`x1 ; ... ; x_r ; sum_i x_i y_i + sum_j (sum_i c_ji y_i)^3`, seeded c_ji in {-2, -1, 1, 2}.
+
+    (m, n) = (2r, r+1).  K = 0 and E(0)^T H has rank r, so the germ passes
+    non-degeneracy; M(0) = 0, so it is Not2Nondegenerate, and no entry of
+    the r x r matrix M is a unit to pivot on.
+    """
+    rng = random.Random(seed)
+    names = tuple(f"x{i}" for i in range(1, r + 1)) + tuple(f"y{i}" for i in range(1, r + 1))
+    ctx = make_context(*names)
+    gens = [Polynomial.variable(ctx, n) for n in names]
+    xs, ys = gens[:r], gens[r:]
+    f = Polynomial.zero(ctx)
+    for x, y in zip(xs, ys):
+        f = f + x * y
+    for _ in range(r):
+        form = Polynomial.zero(ctx)
+        for y in ys:
+            form = form + rng.choice((-2, -1, 1, 2)) * y
+        f = f + form**3
+    return MapGerm(ctx, (*xs, f))
+
+
 class TestStageRouting:
     """Counts, not times: `classify` does its work in the named stages.
 
@@ -549,6 +572,135 @@ class TestStageRouting:
             report = classify(kernel_hessian_zero_germ(m), trace=True)
             assert report.label == label, m
             assert report.trace["h"] == "0", m
+
+    @staticmethod
+    def m_eliminations(monkeypatch, size):
+        """A list that gets one entry per elimination of a `size`-square polynomial
+        matrix, through `criteria`'s `eliminate` (theta) or `linalg`'s
+        (`PolyMatrix.determinant`)."""
+        from morinclass import criteria, linalg
+
+        calls, eliminate = [], linalg.eliminate
+
+        def counted(a, w=None):
+            if len(a) == size and isinstance(a[0][0], Polynomial):
+                calls.append(len(a))
+            return eliminate(a, w)
+
+        for module in (criteria, linalg):
+            monkeypatch.setattr(module, "eliminate", counted)
+        return calls
+
+    def test_untraced_and_float_paths_eliminate_m_once(self, monkeypatch):
+        # det M comes from the elimination that gives theta: once for a Morin
+        # candidate, never for a germ labelled from M(0) alone
+        from morinclass.numeric import numeric_classify
+
+        ctx = make_context("x", "y", "z")
+        x, y, z = (Polynomial.variable(ctx, n) for n in ctx.names)
+        vanish = (MapGerm(ctx, (x, x * z + y**2 + z**4)),
+                  Label("Degenerate", reason=ALL_DERIVATIVES_VANISH))
+        ctx = make_context("x1", "x2", "y1", "y2")
+        x1, x2, y1, y2 = (Polynomial.variable(ctx, n) for n in ctx.names)
+        not2 = Label("Degenerate", reason=NOT_2_NONDEGENERATE)
+        cases = [(germ, label, 1) for germ, label in self.germs() + [vanish]]
+        cases.append((MapGerm(ctx, (x1, x2, x1 * y1 + x2 * y2)), not2, 0))
+        cases.extend((cubic_forms_germ(r), not2, 0) for r in (3, 4, 5))
+        for germ, label, times in cases:
+            calls = self.m_eliminations(monkeypatch, germ.m - germ.n + 1)
+            assert classify(germ, trace=False).label == label
+            assert numeric_classify(germ, (0,) * germ.m).label == label
+            assert len(calls) == 2 * times, (label, calls)
+            monkeypatch.undo()
+
+    def test_theta_elimination_gives_hessian_h(self, battery_germs, monkeypatch):
+        # the h `build_theta` takes from [M | e_c] is `hessian`'s det M term
+        # for term, in the same order and with the same float bits, on the
+        # exact and float jets the classifier hands it
+        from morinclass import criteria
+        from morinclass.numeric import numeric_classify
+
+        def bits(p):
+            return p.jet, [(k, type(c), c.hex() if isinstance(c, float) else c)
+                           for k, c in p.terms.items()]
+
+        seen, build_theta_ = [], criteria.build_theta
+
+        def spied(ls, hd, column):
+            seen.append((ls, column))
+            return build_theta_(ls, hd, column)
+
+        monkeypatch.setattr(criteria, "build_theta", spied)
+        rng = random.Random(41)
+        changes = (TestThetaRule.linear_change, TestThetaRule.unipotent_change)
+        for m, n, k, signs, germ in battery_germs:
+            for change in changes:
+                moved = change(rng, germ)
+                classify(moved, trace=False)
+                numeric_classify(moved, (0,) * m)
+        floats = [isinstance(next(iter(ls.lambdas[0].terms.values())), float) for ls, _ in seen]
+        assert any(floats) and not all(floats)
+        for ls, column in seen:
+            hd = hessian(ls)
+            # without the h it is handed, as the untraced path calls it
+            assert bits(build_theta_(ls, dataclasses.replace(hd, h=None), column).h) == bits(hd.h)
+            assert bits(build_theta_(ls, hd, column).h) == bits(hd.h)
+
+
+class TestScaling:
+    """Counts, not times: untraced `classify` and `numeric_classify` at the
+    origin stay polynomial where M holds no unit.
+
+    Each count, `_cofactor` expansions and `mul_terms` term pairs, is at
+    most its value at the smallest size times (size / smallest)^DEGREE.
+    Measured, both grow about as size^3: on `cubic_forms_germ` in r, and on
+    `kernel_hessian_zero_germ` in the m - 2 variables of its dense cubic,
+    which has about (m - 2)^3 / 6 terms.  A cofactor expansion of M would
+    grow as r!.
+    """
+
+    DEGREE = 4
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from morinclass import _termops_py, linalg
+
+        counts = {"expansions": 0, "term_pairs": 0}
+        cofactor, mul_terms = linalg._cofactor, _termops_py.mul_terms
+
+        def counted_cofactor(a, w):
+            counts["expansions"] += 1
+            return cofactor(a, w)
+
+        def counted_mul_terms(a, b, *args):
+            counts["term_pairs"] += len(a) * len(b)
+            return mul_terms(a, b, *args)
+
+        monkeypatch.setattr(linalg, "_cofactor", counted_cofactor)
+        monkeypatch.setattr(_termops_py, "mul_terms", counted_mul_terms)
+        return counts
+
+    def assert_polynomial_growth(self, counts, sizes, germ_of):
+        from morinclass.numeric import numeric_classify
+
+        smallest = {}
+        for size in sizes:
+            germ = germ_of(size)
+            runs = {"classify": lambda: classify(germ, trace=False),
+                    "numeric": lambda: numeric_classify(germ, (0,) * germ.m)}
+            for path, run in runs.items():
+                counts.update(expansions=0, term_pairs=0)
+                run()
+                for key, value in counts.items():
+                    first, base = smallest.setdefault((path, key), (size, max(value, 1)))
+                    assert value <= base * (size / first) ** self.DEGREE, (path, key, size, value)
+
+    def test_cubic_forms_family(self, counts):
+        self.assert_polynomial_growth(counts, range(3, 11), cubic_forms_germ)
+
+    def test_kernel_hessian_zero_family(self, counts):
+        # m = 5..14
+        self.assert_polynomial_growth(counts, range(3, 13), lambda k: kernel_hessian_zero_germ(k + 2))
 
 
 class TestClassify:

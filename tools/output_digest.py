@@ -26,6 +26,10 @@ directory) and prints one line `<sha256>  <family>` per family:
                                    of `verdict_to_dict` at the origin, of one
                                    germ per non-Morin label, plain and under
                                    one seeded linear A-change
+  cubic_forms                      traced and untraced reports, and `float.hex`
+                                   of `verdict_to_dict` at the origin, of
+                                   `x1 ; ... ; x_r ; sum x_i y_i` plus r
+                                   seeded cubes of linear forms in y, r = 3, 4
   exact_terms                      the (exponents, coefficient text) pairs,
                                    in term order, of the parsed `ainv_replay`
                                    germs, of every 7th translated to a
@@ -100,6 +104,7 @@ DEGENERATE_TEXTS = (
 )
 KERNEL_HESSIAN_ZERO_M = (5, 6)
 DEGENERATE_SEED = 24
+CUBIC_FORMS_R, CUBIC_FORMS_SEEDS = (3, 4), (0, 1)
 EXACT_SEED, EXACT_STRIDE, EXACT_POWERS = 25, 7, 200
 POWER_MONOMIALS = ("1", "x", "y", "z", "x*y", "y*z", "x^2", "z^2", "x*y*z")
 
@@ -257,6 +262,27 @@ def degenerate():
         yield canon(verdict_to_dict(numeric.numeric_classify(germ, (0,) * germ.m)))
 
 
+def cubic_forms_text(r, seed):
+    """`x1 ; ... ; x_r ; sum_i x_i y_i + sum_j (sum_i c_ji y_i)^3`, seeded c_ji in {-2, -1, 1, 2}.
+
+    M(0) = 0 and no entry of M is a unit: the germ is Not2Nondegenerate.
+    """
+    rng = random.Random(seed)
+    xs, ys = [f"x{i}" for i in range(1, r + 1)], [f"y{i}" for i in range(1, r + 1)]
+    cubes = [" + ".join(f"{rng.choice((-2, -1, 1, 2))}*{y}" for y in ys) for _ in range(r)]
+    last = " + ".join([f"{x}*{y}" for x, y in zip(xs, ys)] + [f"({c})^3" for c in cubes])
+    return f"vars: {' '.join(xs + ys)}\nmap: {' ; '.join(xs)} ; {last}"
+
+
+def cubic_forms():
+    for r in CUBIC_FORMS_R:
+        for seed in CUBIC_FORMS_SEEDS:
+            germ = parse_germ_document(cubic_forms_text(r, seed)).to_germ()
+            for traced in (True, False):
+                yield json.dumps(report_to_dict(classify(germ, trace=traced), include_trace=traced))
+            yield canon(verdict_to_dict(numeric.numeric_classify(germ, (0,) * germ.m)))
+
+
 def term_pairs(p):
     """The (exponents, coefficient text) pairs of `p` in term order: no types."""
     return [[list(exps), str(coeff)] for exps, coeff in p.items()]
@@ -303,6 +329,7 @@ FAMILIES = (
     ("cli.witness", cli_witnesses),
     ("cli.classify_numeric", cli_numeric),
     ("degenerate", degenerate),
+    ("cubic_forms", cubic_forms),
     ("exact_terms", exact_terms),
 )
 
