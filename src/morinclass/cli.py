@@ -77,7 +77,7 @@ def verdict_to_dict(verdict):
 
 
 def _emit(payload):
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _fail(message):

@@ -12,8 +12,9 @@ The decision pipeline:
   4. the (m-n+1)-square matrix M with M[i][j] = eta_j lambda_i; the kernel
      field theta from one column c of adj(M) (a decision: over Q the first
      column of adj(M(0)) that is not zero) and h = det M, both from one
-     elimination of [M | e_c] (`build_theta`), so an untraced germ with
-     adj(M(0)) = 0 never takes det M; and h' = theta h, h'' = theta h', ...
+     elimination of [M | e_c] (`build_theta`), the only one of M on any
+     path: the trace's h without a column is M's alone, and an untraced
+     germ with adj(M(0)) = 0 never takes det M; and h' = theta h, ...
   5. label: fold iff h(0) != 0.  As d(f_n)_0 = 0, with E(0) the eta
      coefficients at 0, H the Hessian of f_n at 0, K = E(0)^T H E(0) and
      s = m-n+1,
@@ -40,8 +41,8 @@ threshold instead, recording a margin: the decision object handed to the
 stages picks which.  There are five: the corank and pivots, the fold test
 (h(0), the rank of dlambda(0) and the signature), the rank of condition
 (b), the theta column, and the zero tests of the h-derivatives.  The
-Lefschetz study (`lefschetz.chart_hessian`) runs `hessian` and
-`build_theta` too, on its chart's lambdas and the published last column.
+Lefschetz study (`lefschetz.chart_hessian`) runs `build_theta` too, on
+its chart's lambdas and the published last column.
 
 Every mathematical failure is a report label, never an exception.  The
 tests read values and first derivatives at the base point only; a first
@@ -63,24 +64,10 @@ degree it prints and prints the same degrees on both paths.
 
 from dataclasses import dataclass, field, replace
 
-from .germ import (
-    AdaptedFrame,
-    MapGerm,
-    NormalizedGerm,
-    PolyVectorField,
-    build_frame,
-    kernel_fields,
-    normalized,
-)
-from .linalg import (
-    PolyMatrix,
-    RationalMatrix,
-    adjugate,
-    congruence,
-    eliminate,
-    exact_row_reduce,
-    integer_rows,
-)
+from .germ import (AdaptedFrame, MapGerm, NormalizedGerm, PolyVectorField, build_frame,
+                   kernel_fields, normalized)
+from .linalg import (PolyMatrix, RationalMatrix, adjugate, congruence, eliminate,
+                     exact_row_reduce, integer_rows)
 from .polynomial import Polynomial, cut_to_order, jet_order
 from .rationals import format_rational
 
@@ -130,7 +117,7 @@ class LambdaSystem:
 @dataclass(frozen=True)
 class HessData:
     h_matrix: PolyMatrix  # entry (i, j) is eta_j applied to lambda_i
-    h: Polynomial = None  # det M, once `hessian` or `build_theta` takes it
+    h: Polynomial = None  # det M, once `build_theta` takes it
     theta: PolyVectorField = None
     theta_column: int = None
     h_derivs: tuple = None  # h, theta h, theta^2 h, ...
@@ -149,33 +136,25 @@ def lambdas_for_frame(germ: MapGerm, frame: AdaptedFrame) -> LambdaSystem:
     return LambdaSystem(lambdas=lambdas, frame=frame, germ=germ)
 
 
-def _kernel_matrix(ls: LambdaSystem) -> PolyMatrix:
+def kernel_matrix(ls: LambdaSystem) -> PolyMatrix:
     etas = ls.frame.eta
     return PolyMatrix.from_rows([[eta_j.apply(lam_i) for eta_j in etas] for lam_i in ls.lambdas])
 
 
 def hessian(ls: LambdaSystem) -> HessData:
-    """The kernel Hessian matrix M[i][j] = eta_j lambda_i and h = det M.
-
-    Of `classify`'s paths only the traced one calls it; the others take h
-    from `build_theta`.
-    Where no entry of M has a constant term, each product in det M has
-    order at least the size of M.  When that size exceeds the order h is
-    read to, h is the zero jet of that order, and the block, which holds no
-    unit to pivot on, is not expanded by cofactors.
-    """
-    m = _kernel_matrix(ls)
-    order = jet_order(m.entries)
-    if order is not None and m.rows > order and not any(p.constant_term() for p in m.entries):
-        return HessData(h_matrix=m, h=Polynomial.zero(m.context).truncated(order))
-    return HessData(h_matrix=m, h=cut_to_order(m.determinant(), m.entries))
+    """The kernel Hessian matrix M[i][j] = eta_j lambda_i and h = det M, by `build_theta`."""
+    return build_theta(ls, HessData(kernel_matrix(ls)), None)
 
 
 def build_theta(ls: LambdaSystem, hd: HessData, column: int) -> HessData:
-    """Kernel field theta from column `column` of adj(M), built as adj(M) e_c, and h.
+    """h = det M and, for a column c, the kernel field theta = adj(M) e_c.
 
-    One elimination of [M | e_c] gives adj(M) e_c and h = det M, the same
-    det M term for term as `hessian`'s: it pivots only in M's columns.
+    The one elimination of M on every path: of [M | e_c], or of M alone for
+    `column` None, with the same det M term for term (it pivots only in M's
+    columns).  Where no entry of M has a constant term, each product in
+    det M has order at least the size of M; when that size exceeds the order
+    h is read to and no column is asked for, h is the zero jet of that order
+    and the block, which holds no unit to pivot on, is not expanded.
 
     Because adj(M) . M = det(M) . I holds identically, theta lies in the
     kernel of M at every point where h vanishes; 2-non-degeneracy makes some
@@ -184,16 +163,23 @@ def build_theta(ls: LambdaSystem, hd: HessData, column: int) -> HessData:
     zero); the label does not depend on which nonzero column is taken, which
     the test suite exercises.
     """
-    rows = hd.h_matrix.to_rows()
-    unit = [[Polynomial.constant(hd.h_matrix.context, int(r == column))] for r in range(len(rows))]
-    det, adj_col = eliminate(rows, unit)
+    m = hd.h_matrix
+    order = jet_order(m.entries)
+    if (column is None and order is not None and m.rows > order
+            and not any(p.constant_term() for p in m.entries)):
+        return replace(hd, h=Polynomial.zero(m.context).truncated(order))
+    unit = None if column is None else [
+        [Polynomial.constant(m.context, int(r == column))] for r in range(m.rows)]
+    det, adj_col = eliminate(m.to_rows(), unit)
+    hd = replace(hd, h=cut_to_order(det, m.entries))
+    if column is None:
+        return hd
     coeffs = None
     for eta, (entry,) in zip(ls.frame.eta, adj_col):
         scaled = eta.scaled(entry)
         coeffs = scaled if coeffs is None else coeffs + scaled
-    theta = [cut_to_order(c, hd.h_matrix.entries) for c in coeffs.coefficients]
-    return replace(hd, h=cut_to_order(det, hd.h_matrix.entries),
-                   theta=PolyVectorField(coeffs.context, theta), theta_column=column)
+    theta = [cut_to_order(c, m.entries) for c in coeffs.coefficients]
+    return replace(hd, theta=PolyVectorField(coeffs.context, theta), theta_column=column)
 
 
 def iterate_h(hd: HessData, up_to: int) -> HessData:
@@ -276,10 +262,8 @@ class _Exact:
     def fold_test(self, det_b0, eta_hess, kern):
         """(h(0), the non-degeneracy rank, the inertia of K if h(0) != 0 else None).
 
-        One congruence elimination of the integer matrix K gives its inertia
-        and det K.  A nonsingular K = (E(0)^T H) E(0) forces rank E(0)^T H = s,
-        so only a singular K takes the rank of dlambda(0), that of E(0)^T H
-        as det B(0) != 0.
+        One `congruence` of K, and the rank of E(0)^T H only where K is
+        singular (step 5 above).
         """
         inertia, det_k = congruence(kern)
         h0 = det_b0 ** len(kern) * det_k
@@ -314,15 +298,12 @@ def rank_condition_b(ls: LambdaSystem, hd: HessData, k: int, decide=_EXACT):
 
 
 def classify(germ: MapGerm, trace=True) -> CriteriaReport:
-    """Full classification of a polynomial map germ at the origin.
+    """Full classification of a polynomial map germ at the origin, by the stages above.
 
-    A fold is decided over Q from the 2-jet of f_n at 0
-    (`kernel_hessian_at_origin`): one congruence elimination of the kernel
-    Hessian K gives det K and the signature, and a fold's non-degeneracy
-    rank is s without an elimination.  The polynomial lambdas and M are
-    built for every germ that passes both tests, and h for those with a
-    theta column; `trace` builds all three for every corank-one germ and
-    adds the lambdas and h to the report's trace as "lambdas" and "h".
+    The polynomial lambdas and M are built for every germ that passes the
+    fold and non-degeneracy tests, and h for those with a theta column;
+    `trace` builds all three for every corank-one germ and adds the lambdas
+    and h to the report's trace as "lambdas" and "h".
     """
     germ.check_wellformed()
     germ.check_bound()
@@ -382,10 +363,16 @@ def _classify_at_origin(work: MapGerm, decide, trace=False):
     # a fold, and a germ that fails non-degeneracy, are labelled without the
     # polynomial frame, which only the trace builds for them
     labelled = fold or nd_rank != size
+    column = None
     if trace or not labelled:
         ls = lambdas_for_frame(ng.germ, build_frame(ng))
-        # only the trace reads det M before `build_theta` takes it
-        hd = hessian(ls) if trace else HessData(_kernel_matrix(ls))
+        hd = HessData(kernel_matrix(ls))
+        if not labelled:
+            m0 = [[e.constant_term() for e in row] for row in hd.h_matrix.to_rows()]
+            column = decide.theta_column(m0)
+        # the one elimination of M: [M | e_c] for theta and h, M alone for the trace's h
+        if trace or column is not None:
+            hd = build_theta(ls, hd, column)
     if trace:
         record["lambdas"] = [p.render() for p in ls.lambdas]
         record["h"] = hd.h.render()
@@ -402,11 +389,8 @@ def _classify_at_origin(work: MapGerm, decide, trace=False):
 
     if nd_rank != size:
         return Label("Degenerate", reason=NOT_NONDEGENERATE), record
-    m0 = [[e.constant_term() for e in row] for row in hd.h_matrix.to_rows()]
-    column = decide.theta_column(m0)
     if column is None:
         return Label("Degenerate", reason=NOT_2_NONDEGENERATE), record
-    hd = build_theta(ls, hd, column)
     record["theta_column"] = hd.theta_column
     record["theta_at_0"] = [fmt(c.constant_term()) for c in hd.theta.coefficients]
     hd = iterate_h(hd, n - 1)

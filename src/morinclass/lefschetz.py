@@ -9,9 +9,9 @@ its determinant, the five published non-cusp locus displays with CSV slice
 export, witness search over the singular set, and the full symbolic
 substitution chain behind those displays.  The frame, the lambdas, the
 kernel Hessian, h and theta come from the classifier's own stages
-(`germ.cramer_frame`, `criteria.lambdas_for_frame`, `criteria.hessian`,
-`criteria.build_theta`), and the chain from `Polynomial` arithmetic and
-`substitute`.
+(`germ.cramer_frame`, `criteria.lambdas_for_frame`, `criteria.kernel_matrix`,
+`criteria.build_theta`, whose one elimination of M gives h and theta), and
+the chain from `Polynomial` arithmetic and `substitute`.
 
 The published displays are printed as published; they are not the non-cusp
 locus.  With alpha = a1+ib1 and beta = a2+ib2 the family is
@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .context import VariableContext
-from .criteria import Label, build_theta, classify, hessian, lambdas_for_frame
+from .criteria import HessData, Label, build_theta, classify, kernel_matrix, lambdas_for_frame
 from .germ import MapGerm, cramer_frame
 from .polynomial import Polynomial
 from .rationals import rat
@@ -115,14 +115,15 @@ def lefschetz_lambdas():
 def chart_hessian():
     """Kernel Hessian data of the chart: matrix (eta_j lam_i), h = det, theta, theta h.
 
-    The classifier's own stages (`criteria.hessian`, `criteria.build_theta`)
+    The classifier's own stages (`criteria.kernel_matrix`, `criteria.build_theta`)
     run on the normalized lambdas, so the substitution chain matches the
-    published displays; theta is built from the last adjugate column (the
-    published three-cofactor formula).  `adjugate` is adj(M) in full.
+    published displays; h and theta come from one elimination of M with its
+    last adjugate column (the published three-cofactor formula).  `adjugate`
+    is adj(M) in full.
     """
     data = lefschetz_lambdas()
     ls = replace(data["system"], lambdas=tuple(data["normalized"]))
-    hd = build_theta(ls, hessian(ls), column=2)
+    hd = build_theta(ls, HessData(kernel_matrix(ls)), column=2)
     data.update({
         "h_matrix": hd.h_matrix,
         "h": hd.h,

@@ -5,8 +5,9 @@ every exact matrix, and its forward pass gives ranks.  It pivots on usable
 entries (a nonzero int or uncapped polynomial, or a jet with a nonzero
 constant term: a unit of Q[x]/m^{N+1}) and divides exactly by the previous
 pivot.  Cofactor expansion finishes a block of at most 3x3, or one left
-without a usable entry.  The same code runs on floats and float jets for
-the float companion: it then pivots on the largest constant term.  Every
+without a usable entry, unless that block is 2x2 or larger and exactly zero.
+The same code runs on floats and float jets for the float companion: it
+then pivots on the largest constant term.  Every
 exact division, by a pivot or by a power of the last one, goes through
 `_dividers`: `//` for ints, `/` for floats, `div_exact` for polynomials, and
 for a jet a product with its inverse series.  `adjugate` is `eliminate`
@@ -152,6 +153,11 @@ class RationalMatrix(_Matrix):
 
 def _is_zero(e):
     return e == 0 if isinstance(e, (int, float)) else e.is_zero()
+
+
+def _exact_zero(e):
+    """An int 0 or an uncapped zero polynomial; never a float, whose zeros carry a sign."""
+    return e == 0 and not isinstance(e, float) and getattr(e, "jet", None) is None
 
 
 def _at0(e):
@@ -388,7 +394,13 @@ def eliminate(a, w=None):
     rows = [list(row) + list(extra) for row, extra in zip(a, w or [[]] * n)]
     k, pivot, sign, order = _forward(rows, n, 3)
     r = n - k
-    det_s, adj_t = _cofactor([row[k:n] for row in rows[k:]], [row[n:] for row in rows[k:]])
+    block, extra = [row[k:n] for row in rows[k:]], [row[n:] for row in rows[k:]]
+    if r >= 2 and all(_exact_zero(e) for row in block for e in row):
+        # det(S) = 0 and, as r >= 2, adj(S) = 0: zeros of T's type, with no expansion
+        det_s = block[0][0]
+        adj_t = [[det_s * t for t in row] for row in extra]
+    else:
+        det_s, adj_t = _cofactor(block, extra)
     if sign < 0:
         det_s, adj_t = -det_s, [[-v for v in row] for row in adj_t]
     down, down_top = _dividers(pivot, r - 1, r)

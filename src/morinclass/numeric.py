@@ -111,7 +111,8 @@ def _scale(a):
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return 1e-300
-    return max(float(np.linalg.norm(r)) for r in a) or 1e-300
+    with np.errstate(over="ignore"):  # an overflow is inf, which `_Thresholds` refuses
+        return max(float(np.linalg.norm(r)) for r in a) or 1e-300
 
 
 class _Thresholds:
@@ -124,6 +125,12 @@ class _Thresholds:
         self.tol = tol
         self.margins = []
 
+    def record(self, name, value, threshold):
+        """Record a Margin; a value or threshold that is not finite raises FloatRangeError."""
+        if not (math.isfinite(value) and math.isfinite(threshold)):
+            raise FloatRangeError(f"the {name} decision is not finite in floats")
+        self.margins.append(Margin(name, value, threshold))
+
     def reduce(self, name, rows):
         """Row elimination on the largest entry of each column above rank_tol times the scale."""
         rows = [[float(v) for v in row] for row in rows]
@@ -135,17 +142,17 @@ class _Thresholds:
 
         t, pivot_rows, pivot_cols = row_reduce(rows, largest)
         for k, (r, c) in enumerate(zip(pivot_rows, pivot_cols), 1):
-            self.margins.append(Margin(f"{name} pivot {k}", abs(rows[r][c]), thr))
+            self.record(f"{name} pivot {k}", abs(rows[r][c]), thr)
         rest = [abs(v) for r, row in enumerate(rows) if r not in pivot_rows for v in row]
         if rest:
-            self.margins.append(Margin(f"{name} largest rejected entry", max(rest), thr))
+            self.record(f"{name} largest rejected entry", max(rest), thr)
         return t, pivot_rows, pivot_cols
 
     def rank(self, name, rows):
         return len(self.reduce(name, rows)[1])
 
     def nonzero(self, name, value):
-        self.margins.append(Margin(name, value, self.tol.zero_tol))
+        self.record(name, value, self.tol.zero_tol)
         return abs(value) > self.tol.zero_tol
 
     def fold_test(self, det_b0, eta_hess, kern):
@@ -157,7 +164,7 @@ class _Thresholds:
         k = np.array(kern, dtype=float)
         eigs = np.linalg.eigvalsh(0.5 * (k + k.T))
         zero_tol = self.tol.zero_tol
-        self.margins.append(Margin("hessian smallest |eig|", float(np.min(np.abs(eigs))), zero_tol))
+        self.record("hessian smallest |eig|", float(np.min(np.abs(eigs))), zero_tol)
         pos, neg = int(np.sum(eigs > zero_tol)), int(np.sum(eigs < -zero_tol))
         return h0, nd_rank, (pos, neg, len(kern) - pos - neg)
 
@@ -167,7 +174,7 @@ class _Thresholds:
         adj = adjugate(m0, 1.0, 0.0)
         norms = [max(abs(adj[r][c]) for r in range(size)) for c in range(size)]
         best = max(range(size), key=norms.__getitem__)
-        self.margins.append(Margin("adjugate column", norms[best], self.tol.zero_tol))
+        self.record("adjugate column", norms[best], self.tol.zero_tol)
         return best if norms[best] > self.tol.zero_tol else None
 
 
@@ -375,8 +382,8 @@ def numeric_classify(germ: MapGerm, point, tol: Tolerances = None) -> NumericVer
     """Thresholded classification at a float point: `classify`'s stages on the float jet there.
 
     The residual is the norm of the chart's lambdas at the point, None where
-    the germ has no chart at 0.  A point where the jet or the residual
-    overflows the float range raises FloatRangeError, a ValueError.
+    the germ has no chart at 0.  A point where the jet, the residual or a
+    decision overflows the float range raises FloatRangeError, a ValueError.
     """
     tol = tol or Tolerances()
     pipe = _pipeline(germ, tol)

@@ -10,7 +10,8 @@ non-negative integer literal.  Germ files are line-oriented:
     point: 0, 0, 1/2          # optional base point
 
 `#` starts a comment; separators may be commas or whitespace; parameter
-values may also arrive on a separate `bind: a = 1, b = -3/2` line.
+values may also arrive on a separate `bind: a = 1, b = -3/2` line.  Only
+`bind:` may repeat, and no parameter is bound twice.
 """
 
 import re
@@ -328,13 +329,15 @@ def parse_germ_document(text) -> GermDocument:
     component_texts = None
     bindings = {}
     bound_at = {}  # the line of each binding, for errors found after the loop
-    base_point = point_line = None
-    declared_at = {}  # the line of the vars: and params: declarations
+    base_point = None
+    section_at = {}  # the line of each section but bind:, which may repeat
 
     def bind(piece, lineno):
         """Read one `name = value` entry into `bindings`; return the name."""
         name, _, value = piece.partition("=")
         (name,) = _names([name.strip()], lineno)
+        if name in bindings:
+            raise ParseError(f"parameter {name!r} is bound twice", lineno)
         bindings[name] = parse_rational(value.strip(), lineno)
         bound_at[name] = lineno
         return name
@@ -348,11 +351,12 @@ def parse_germ_document(text) -> GermDocument:
         key, _, rest = line.partition(":")
         key = key.strip().lower()
         rest = rest.strip()
+        if key != "bind" and section_at.setdefault(key, lineno) != lineno:
+            raise ParseError(f"{key}: repeats the one at line {section_at[key]}", lineno)
         if key == "vars":
             source_vars = _names(_split_values(rest), lineno)
             if not source_vars:
                 raise ParseError("vars: needs at least one variable", lineno)
-            declared_at[key] = lineno
         elif key == "params":
             # entries are names, optionally with inline values: a1 or a1 = 1/2
             names = []
@@ -362,7 +366,6 @@ def parse_germ_document(text) -> GermDocument:
                 else:
                     names.extend(_split_values(piece))
             param_vars = _names(names, lineno)
-            declared_at[key] = lineno
         elif key == "map":
             parts = [p.strip() for p in rest.split(";")]
             if not all(parts):
@@ -378,7 +381,6 @@ def parse_germ_document(text) -> GermDocument:
                 bind(piece, lineno)
         elif key == "point":
             base_point = tuple(parse_rational(v, lineno) for v in _split_values(rest))
-            point_line = lineno
         else:
             raise ParseError(f"unknown section {key!r}", lineno)
     if source_vars is None:
@@ -386,18 +388,11 @@ def parse_germ_document(text) -> GermDocument:
     if component_texts is None:
         raise ParseError("missing map: line", 1)
     # a name in both vars: and params: is an error at the later of the two
-    _names(source_vars + param_vars, max(declared_at.values()))
+    _names(source_vars + param_vars, max(section_at["vars"], section_at.get("params", 0)))
     for name in bindings:
         if name not in param_vars:
             raise ParseError(f"bind: references undeclared parameter {name!r}", bound_at[name])
     if base_point is not None and len(base_point) != len(source_vars):
-        raise ParseError(
-            f"point: needs {len(source_vars)} coordinates, got {len(base_point)}", point_line
-        )
-    return GermDocument(
-        source_vars=source_vars,
-        param_vars=param_vars,
-        component_texts=component_texts,
-        bindings=bindings,
-        base_point=base_point,
-    )
+        raise ParseError(f"point: needs {len(source_vars)} coordinates, got {len(base_point)}",
+                         section_at["point"])
+    return GermDocument(source_vars, param_vars, component_texts, bindings, base_point)

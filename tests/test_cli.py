@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from morinclass import classify
+from morinclass import classify, cli
 from morinclass.cli import main, report_to_dict
 
 from conftest import (
@@ -256,6 +256,21 @@ class TestClassifyCommand:
             capsys, "classify", str(path), "--numeric", "--point", "1e200,1e200,0")
         assert code == 2 and out == ""
         assert err == "error: base point is out of the float range of --numeric\n"
+
+    def test_numeric_decision_beyond_float_range(self, capsys, tmp_path):
+        # finite coefficients whose products overflow: no NaN verdict, and no
+        # numpy overflow warning (the suite turns it into an error)
+        path = tmp_path / "big.germ"
+        path.write_text("vars: x y z\nmap: x ; 10^200*y^2 + 10^200*z^2 + 10^200*y*z\n")
+        code, out, err = run_cli(capsys, "classify", str(path), "--numeric")
+        assert code == 2 and out == ""
+        assert err == "error: base point is out of the float range of --numeric\n"
+        code, out, _ = run_cli(capsys, "classify", str(path))
+        assert code == 0 and json.loads(out)["label"]["kind"] == "Fold"
+
+    def test_reports_are_strict_json(self):
+        with pytest.raises(ValueError):
+            cli._emit({"value": float("nan")})
 
     def test_numeric_mode_above_the_chart_bound(self, capsys, tmp_path):
         # the seed-1 (5, 4, 4) ladder germ of the benchmark, 245 terms per

@@ -592,26 +592,44 @@ class TestStageRouting:
         return calls
 
     def test_untraced_and_float_paths_eliminate_m_once(self, monkeypatch):
-        # det M comes from the elimination that gives theta: once for a Morin
-        # candidate, never for a germ labelled from M(0) alone
+        # det M comes from the elimination that gives theta: untraced, once for
+        # a Morin candidate and never for a germ labelled from M(0) alone;
+        # traced, once for every germ whose h is printed, none where h is the
+        # zero jet of its order
         from morinclass.numeric import numeric_classify
 
         ctx = make_context("x", "y", "z")
         x, y, z = (Polynomial.variable(ctx, n) for n in ctx.names)
         vanish = (MapGerm(ctx, (x, x * z + y**2 + z**4)),
                   Label("Degenerate", reason=ALL_DERIVATIVES_VANISH))
+        fold = (MapGerm(ctx, (x, y**2 - z**2)), Label("Fold", k=1, signature=(1, 1)))
         ctx = make_context("x1", "x2", "y1", "y2")
         x1, x2, y1, y2 = (Polynomial.variable(ctx, n) for n in ctx.names)
         not2 = Label("Degenerate", reason=NOT_2_NONDEGENERATE)
-        cases = [(germ, label, 1) for germ, label in self.germs() + [vanish]]
-        cases.append((MapGerm(ctx, (x1, x2, x1 * y1 + x2 * y2)), not2, 0))
-        cases.extend((cubic_forms_germ(r), not2, 0) for r in (3, 4, 5))
-        for germ, label, times in cases:
+        nondegenerate = Label("Degenerate", reason=NOT_NONDEGENERATE)
+        cases = [(germ, label, 1, 1) for germ, label in self.germs() + [vanish]]
+        cases.append((*fold, 0, 1))
+        cases.append((MapGerm(ctx, (x1, x2, x1 * y1 + x2 * y2)), not2, 0, 1))
+        cases.extend((cubic_forms_germ(r), not2, 0, 1) for r in (3, 4, 5))
+        cases.extend((kernel_hessian_zero_germ(m), nondegenerate, 0, 0) for m in (7, 9))
+        for germ, label, untraced, traced in cases:
             calls = self.m_eliminations(monkeypatch, germ.m - germ.n + 1)
             assert classify(germ, trace=False).label == label
             assert numeric_classify(germ, (0,) * germ.m).label == label
-            assert len(calls) == 2 * times, (label, calls)
+            assert len(calls) == 2 * untraced, (label, calls)
+            calls.clear()
+            assert classify(germ).label == label
+            assert len(calls) == traced, (label, calls)
             monkeypatch.undo()
+
+    def test_chart_hessian_eliminates_m_for_theta_and_the_adjugate(self, monkeypatch):
+        # one elimination of the chart's 3x3 M gives h and theta, one more
+        # the full adjugate it reports
+        from morinclass.lefschetz import chart_hessian
+
+        calls = self.m_eliminations(monkeypatch, 3)
+        chart_hessian()
+        assert calls == [3, 3]
 
     def test_theta_elimination_gives_hessian_h(self, battery_germs, monkeypatch):
         # the h `build_theta` takes from [M | e_c] is `hessian`'s det M term
@@ -640,6 +658,7 @@ class TestStageRouting:
                 numeric_classify(moved, (0,) * m)
         floats = [isinstance(next(iter(ls.lambdas[0].terms.values())), float) for ls, _ in seen]
         assert any(floats) and not all(floats)
+        monkeypatch.undo()  # `hessian` calls `build_theta`, which would grow `seen`
         for ls, column in seen:
             hd = hessian(ls)
             # without the h it is handed, as the untraced path calls it
@@ -697,6 +716,17 @@ class TestScaling:
 
     def test_cubic_forms_family(self, counts):
         self.assert_polynomial_growth(counts, range(3, 11), cubic_forms_germ)
+
+    def test_zero_adjugate_block_is_not_expanded(self, counts):
+        # the exact theta column decision eliminates M(0) = 0, an r x r block
+        # of zeros: det 0 and adj 0 without expansion, so the count of
+        # expansions does not grow with r
+        expansions = []
+        for r in range(3, 11):
+            counts["expansions"] = 0
+            assert classify(cubic_forms_germ(r), trace=False).label.reason == NOT_2_NONDEGENERATE
+            expansions.append(counts["expansions"])
+        assert expansions == expansions[:1] * len(expansions), expansions
 
     def test_kernel_hessian_zero_family(self, counts):
         # m = 5..14

@@ -245,6 +245,32 @@ class TestElimination:
         extra = [[random_polynomial(rng, ctx, 1, 2)] for _ in range(size)]
         self.check(rows, extra)
 
+    def test_exact_zero_block_is_not_expanded(self, monkeypatch):
+        # rows 2..5 are multiples of row 1, so one step leaves an exactly zero
+        # 4x4 block: det 0 and adj 0 with no cofactor expansion.  A block of
+        # float zeros is expanded still, as the bits of its signed zeros need
+        from morinclass import linalg
+
+        calls, cofactor = [], linalg._cofactor
+
+        def counted(a, w):
+            calls.append(len(a))
+            return cofactor(a, w)
+
+        monkeypatch.setattr(linalg, "_cofactor", counted)
+        ctx = make_context("x", "y")
+        rng = random.Random(23)
+        top = [random_polynomial(rng, ctx, 1, 2) for _ in range(5)]
+        top[0] = top[0] + 1
+        factors = [random_polynomial(rng, ctx, 1, 2) for _ in range(4)]
+        rows = [top] + [[q * e for e in top] for q in factors]
+        extra = [[random_polynomial(rng, ctx, 1, 2)] for _ in range(5)]
+        self.check(rows, extra)
+        assert eliminate([[0] * 5 for _ in range(5)], [[1]] * 5) == (0, [[0]] * 5)
+        assert calls == []
+        eliminate([[0.0] * 4 for _ in range(4)])
+        assert calls == [4, 3, 2, 1]
+
     def test_singular_uncapped(self):
         ctx = make_context("x", "y")
         rng = random.Random(17)

@@ -16,6 +16,7 @@ from morinclass.lefschetz import LefschetzFamily, circle_point
 from morinclass import numeric
 from morinclass.numeric import (
     CHART_TERM_BOUND,
+    FloatRangeError,
     ProjectionError,
     Tolerances,
     numeric_classify,
@@ -237,6 +238,26 @@ class TestNumericClassify:
     def test_point_beyond_float_range_raises(self, fold_germ, point, what):
         with pytest.raises(ValueError, match=f"the {what} at the point is not finite"):
             numeric_classify(fold_germ, point)
+
+    def test_decision_beyond_float_range_raises(self):
+        # every coefficient is finite, but the scale of dlambda(0) and h(0)
+        # are not: a definite verdict on inf or NaN would be no verdict
+        ctx = make_context("x", "y", "z")
+        x, y, z = (Polynomial.variable(ctx, n) for n in ("x", "y", "z"))
+        big = 10**200
+        germ = MapGerm(ctx, (x, big * y**2 + big * z**2 + big * y * z))
+        assert classify(germ).label.kind == "Fold"
+        assert numeric._scale([[2e200, 1e200]]) == math.inf  # with no overflow warning
+        with pytest.raises(FloatRangeError, match="decision is not finite"):
+            numeric_classify(germ, [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("value, threshold", [
+        (math.nan, 1e-8), (math.inf, 1e-8), (1.0, math.inf), (-math.inf, 1e-8)])
+    def test_non_finite_margin_is_refused(self, value, threshold):
+        decide = numeric._Thresholds(Tolerances())
+        with pytest.raises(FloatRangeError):
+            decide.record("h", value, threshold)
+        assert decide.margins == []
 
 
 class TestChartBound:

@@ -424,6 +424,27 @@ class TestGermDocuments:
             parse_germ_document(text)
         assert (err.value.message, err.value.line) == (message, line)
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("vars: x y z\nmap: x ; y^2 + z^2\nmap: y ; x^2 + z^3", 3, "map: repeats the one at line 2"),
+        ("vars: x y z\n\nvars: x y\nmap: x ; y", 3, "vars: repeats the one at line 1"),
+        ("vars: x y z\nparams: a\nparams: b\nmap: x ; y", 3, "params: repeats the one at line 2"),
+        ("vars: x y z\nmap: x ; y\npoint: 0 0 0\npoint: 1 0 0", 4,
+         "point: repeats the one at line 3"),
+        ("vars: x y z\nparams: a = 1\nmap: x ; y\nbind: a = 0", 4, "parameter 'a' is bound twice"),
+        ("vars: x y z\nparams: a\nmap: x ; y\nbind: a = 1, a = 0", 4,
+         "parameter 'a' is bound twice"),
+        ("vars: x y z\nparams: a\nbind: a = 1\nmap: x ; y\nbind: a = 0", 5,
+         "parameter 'a' is bound twice"),
+    ])
+    def test_repeated_section_or_binding_is_an_error_at_the_later_line(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_germ_document(text)
+        assert (err.value.message, err.value.line) == (message, line)
+
+    def test_bind_may_repeat_for_distinct_parameters(self):
+        doc = parse_germ_document("vars: x y z\nparams: a, b\nbind: a = 1\nmap: x ; y\nbind: b = 2")
+        assert doc.bindings == {"a": 1, "b": 2}
+
     def test_inline_parameter_values(self):
         doc = parse_germ_document(
             "vars: x y z\nparams: a = 1/2, b\nmap: x ; y^2 + a*z^2\nbind: b = 3"
