@@ -21,7 +21,7 @@ from pathlib import Path
 from . import lefschetz
 from .criteria import classify
 from .germ import MalformedGermError
-from .numeric import FloatRangeError, Tolerances, numeric_classify
+from .numeric import Tolerances, numeric_classify
 from .parsing import ParseError, parse_germ_document, parse_rational
 from .rationals import format_rational
 
@@ -114,10 +114,11 @@ def cmd_classify(args):
             return _fail(f"bad --tol-* value: {exc}")
         try:
             at = [float(v) for v in point or (0,) * len(doc.source_vars)]
-            verdict = numeric_classify(germ, at, tol)
-        except (OverflowError, FloatRangeError):
+        except OverflowError:
             return _fail("base point is out of the float range of --numeric")
-        except ValueError as exc:
+        try:
+            verdict = numeric_classify(germ, at, tol)
+        except (OverflowError, ValueError) as exc:  # FloatRangeError among them
             return _fail(exc)
         payload = {"numeric": True, "verdict": verdict_to_dict(verdict)}
         _emit(payload)

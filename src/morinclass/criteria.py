@@ -38,7 +38,9 @@ The decision pipeline:
 (`numeric.numeric_classify`) runs the same stages, `_classify_at_origin`, on
 the float (n+1)-jet at its point and makes each decision against a
 threshold instead, recording a margin: the decision object handed to the
-stages picks which.  There are five: the corank and pivots, the fold test
+stages picks which.  (Its scans run the stages up to the fold test stacked
+over all their points, and only the points left undecided through
+`_classify_at_origin`.)  There are five: the corank and pivots, the fold test
 (h(0), the rank of dlambda(0) and the signature), the rank of condition
 (b), the theta column, and the zero tests of the h-derivatives.  The
 Lefschetz study (`lefschetz.chart_hessian`) runs `build_theta` too, on

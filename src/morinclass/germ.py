@@ -196,7 +196,7 @@ class NormalizedGerm:
 
 
 def _reduce_at_origin(germ: MapGerm):
-    """`row_reduce` of the Jacobian at 0 over Q, pivoting on first nonzero entries."""
+    """`exact_row_reduce` of the Jacobian at 0, pivoting on first nonzero entries."""
     germ.check_wellformed()
     germ.check_bound()
     return exact_row_reduce(germ.linear_coefficients())
@@ -227,7 +227,7 @@ def normalize(germ: MapGerm) -> NormalizedGerm:
 
 
 def normalized(germ: MapGerm, t, pivot_rows, pivot_cols, exact=True) -> NormalizedGerm:
-    """The germ under the target change T of `row_reduce` on its Jacobian at 0.
+    """The germ under the target change T of a row elimination of its Jacobian at 0.
 
     The n-1 pivot rows of T f come first and the one row left last; at rank
     n-1 that row has no linear part.  Over Q each row is scaled to integer

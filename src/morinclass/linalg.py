@@ -13,9 +13,9 @@ exact division, by a pivot or by a power of the last one, goes through
 for a jet a product with its inverse series.  `adjugate` is `eliminate`
 with W the identity.
 
-`row_reduce` is the row elimination of a Jacobian at the base point, with
-the pivot rule as a parameter: the first nonzero entry over Q
-(`exact_row_reduce`), the largest entry above a threshold over the floats.
+`exact_row_reduce` is the row elimination of a Jacobian at the base point
+over Q, on first nonzero entries; the float companion's, on the largest
+entry above a threshold, is `numeric._reduce`.
 
 `congruence` is the fraction-free symmetric elimination of a symmetric
 integer matrix: the signs of its pivots give the inertia (Sylvester's law)
@@ -297,16 +297,16 @@ def congruence(a):
     return (pos, neg, n - pos - neg), det
 
 
-def row_reduce(rows, pick):
-    """Row elimination of `rows` in place, pivoting where `pick` says.
+def exact_row_reduce(rows):
+    """Row elimination of `rows` over Q, on the first nonzero entry of each column.
 
-    Columns are taken in order.  `pick(rows, col, free)` returns the free
-    row to pivot on in column `col`, or None to pass the column over; every
-    other free row then loses its multiple of the pivot row.  Returns T, the
-    product of those row operations (T times the input is the result), and
-    the pivot rows and their columns in the order taken: the rank is their
-    number.
+    The rows are taken as Fractions and columns in order: the pivot is the
+    first free row with a nonzero entry in the column, and every other free
+    row then loses its multiple of the pivot row.  Returns T, the product of
+    those row operations (T times the input is the result), and the pivot
+    rows and their columns in the order taken: the rank is their number.
     """
+    rows = [[Fraction(e) for e in row] for row in rows]
     n = len(rows)
     t = [[int(r == c) for c in range(n)] for r in range(n)]
     pivot_rows, pivot_cols = [], []
@@ -314,7 +314,7 @@ def row_reduce(rows, pick):
         free = [r for r in range(n) if r not in pivot_rows]
         if not free:
             break
-        piv = pick(rows, col, free)
+        piv = next((r for r in free if rows[r][col] != 0), None)
         if piv is None:
             continue
         pivot_rows.append(piv)
@@ -325,16 +325,6 @@ def row_reduce(rows, pick):
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[piv])]
                 t[r] = [a - f * b for a, b in zip(t[r], t[piv])]
     return t, pivot_rows, pivot_cols
-
-
-def first_nonzero_row(rows, col, free):
-    """The pivot rule over Q: the first free row with a nonzero entry in `col`."""
-    return next((r for r in free if rows[r][col] != 0), None)
-
-
-def exact_row_reduce(rows):
-    """`row_reduce` over Q: the rows as Fractions, pivoting on first nonzero entries."""
-    return row_reduce([[Fraction(e) for e in row] for row in rows], first_nonzero_row)
 
 
 def integer_rows(rows):

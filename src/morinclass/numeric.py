@@ -9,6 +9,16 @@ compares a value with its tolerance and records a `Margin`.  The exact
 classifier remains the authority; any decision within a factor of ten of its
 threshold makes the verdict Inconclusive.
 
+A scan classifies its representatives as one batch, and `numeric_classify`
+is the batch of one.  The fold test reads only df and the Hessian of f_n at
+the point (`criteria` step 5), so the stages up to it run as stacked numpy
+operations over all points (`_stacked_verdicts`): each takes the float
+operations of the scalar stage in its order, so every margin has the bits
+the point gets alone.  `_Thresholds.reduce` and `.fold_test` are the batch of
+one of the stacked `_reduce` and `_fold_test`.  The points the fold test
+leaves undecided, Morin candidates first of all, run `_classify_at_origin`
+one at a time.
+
 `Tolerances` holds the two thresholds a caller may set, `rank_tol` and
 `zero_tol`; the projection's residual target and iteration limit are class
 constants.  The chart is expanded symbolically, so a germ whose frame or
@@ -17,16 +27,16 @@ projected.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product, takewhile
 from typing import ClassVar
 
 import numpy as np
 
-from .criteria import Label, _classify_at_origin, lambdas_for_frame
+from .criteria import NOT_NONDEGENERATE, Label, _classify_at_origin, lambdas_for_frame
 from .germ import MapGerm, cramer_frame, normalized
-from .linalg import adjugate, eliminate, row_reduce
+from .linalg import adjugate, eliminate
 
 # the largest frame and chart `_frame_size` and `_chart_size` admit.  On
 # dimension-ladder germs (one core of a 2-core host) charts bounded by 54264
@@ -107,16 +117,206 @@ def _min_norm_steps(jac, rhs):
     return step
 
 
+def _python_max(values, use, later_ties=False):
+    """Python's `max` over the used entries of each row of `values`, taken in order.
+
+    Returns the maximum, its column and whether any entry was used.  An entry
+    replaces the maximum where it is larger, or, with `later_ties`, equal, as
+    `max` over (value, index) pairs does; so a NaN replaces none and stays
+    only where it comes first.
+    """
+    k = values.shape[0]
+    best, at, seen = np.zeros(k), np.full(k, -1), np.zeros(k, dtype=bool)
+    for j in range(values.shape[1]):
+        v, used = values[:, j], use[:, j]
+        take = used & (~seen | ((v >= best) if later_ties else (v > best)))
+        best, at, seen = np.where(take, v, best), np.where(take, j, at), seen | used
+    return best, at, seen
+
+
 def _scale(a):
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+    """The largest Euclidean row norm of each matrix of a stack (its last two axes), 1e-300 for 0.
+
+    Each norm is `np.linalg.norm`'s to the bit (one BLAS dot per row) and
+    the largest is taken as Python's `max` takes it.  An overflow is inf,
+    which `_Thresholds.record` refuses.
+    """
+    a = np.asarray(a, dtype=float)
     if a.size == 0:
-        return 1e-300
-    with np.errstate(over="ignore"):  # an overflow is inf, which `_Thresholds` refuses
-        return max(float(np.linalg.norm(r)) for r in a) or 1e-300
+        return np.full(a.shape[:-2], 1e-300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(a[..., None, :] @ a[..., :, None])[..., 0, 0]
+    flat = norms.reshape(-1, norms.shape[-1])
+    largest = _python_max(flat, np.ones(flat.shape, dtype=bool))[0].reshape(norms.shape[:-1])
+    return np.where(largest == 0, 1e-300, largest)
+
+
+@dataclass
+class _Reduction:
+    """`_reduce` of each matrix of a stack: T, the pivots taken and the values of the margins."""
+
+    t: np.ndarray           # (k, r, r): T times each matrix is its reduced rows
+    pivot_rows: np.ndarray  # (k, min(r, c)): the row and column of each step, -1 past the rank
+    pivot_cols: np.ndarray
+    rank: np.ndarray
+    pivots: np.ndarray      # |pivot| of each step
+    free: np.ndarray        # (k, r): the rows left without a pivot
+    rejected: np.ndarray    # the largest |entry| of those rows, where `has_rest`
+    has_rest: np.ndarray
+    threshold: np.ndarray
+
+    def __getitem__(self, points):
+        return _Reduction(*(getattr(self, f.name)[points] for f in fields(self)))
+
+    def margins(self, i, name):
+        """The (name, value, threshold) of each margin of matrix i, in the order `reduce` records them."""
+        thr = float(self.threshold[i])
+        out = [(f"{name} pivot {j}", v, thr)
+               for j, v in enumerate(self.pivots[i, :self.rank[i]].tolist(), 1)]
+        if self.has_rest[i]:
+            out.append((f"{name} largest rejected entry", float(self.rejected[i]), thr))
+        return out
+
+
+def _reduce(rows, rank_tol):
+    """Row elimination of each matrix of a (k, r, c) stack, on its largest entries.
+
+    Column by column, the pivot is the free row of largest |entry|, the last
+    of equal ones, if that is above rank_tol times the matrix's `_scale`.
+    Every other free row with a nonzero entry there then loses its multiple
+    of the pivot row, and so does its row of T.  Each entry meets the same
+    float operations in the same order as in a matrix reduced alone, so the
+    bits do not depend on the rest of the stack, non-finite entries included.
+    """
+    rows = np.array(rows, dtype=float)
+    k, nr, nc = rows.shape
+    thr = rank_tol * _scale(rows)
+    t = np.broadcast_to(np.eye(nr), (k, nr, nr)).copy()
+    free = np.ones((k, nr), dtype=bool)
+    steps = min(nr, nc)
+    pivot_rows, pivot_cols = np.full((k, steps), -1), np.full((k, steps), -1)
+    pivots, rank = np.zeros((k, steps)), np.zeros(k, dtype=int)
+    with np.errstate(all="ignore"):
+        for col in range(nc):
+            if not free.any():
+                break
+            best, piv, seen = _python_max(np.abs(rows[:, :, col]), free, later_ties=True)
+            took = np.flatnonzero(seen & (best > thr))
+            if not len(took):
+                continue
+            p = piv[took]
+            prow, trow = rows[took, p], t[took, p]
+            entries = rows[took, :, col]
+            update = free[took] & (entries != 0)
+            update[np.arange(len(took)), p] = False
+            f = (entries / prow[:, col, None])[:, :, None]
+            update = update[:, :, None]
+            rows[took] = np.where(update, rows[took] - f * prow[:, None, :], rows[took])
+            t[took] = np.where(update, t[took] - f * trow[:, None, :], t[took])
+            step = rank[took]
+            pivot_rows[took, step], pivot_cols[took, step] = p, col
+            pivots[took, step] = best[took]
+            free[took, p] = False
+            rank[took] += 1
+        rejected, has_rest = np.zeros(k), free.any(axis=1) & (nc > 0)
+        if has_rest.any():
+            rejected = _python_max(np.abs(rows).reshape(k, nr * nc), np.repeat(free, nc, 1))[0]
+    return _Reduction(t, pivot_rows, pivot_cols, rank, pivots, free, rejected, has_rest, thr)
+
+
+def _sum_kept(terms, kept):
+    """`linalg._dot`'s sum, in order, of the terms whose column of `kept` is set.
+
+    Where none is, the first term alone, as `_cofactor`'s `or [0]` keeps it.
+    """
+    kept = kept.copy()
+    kept[:, 0] |= ~kept.any(axis=1)
+    total, seen = terms[0], kept[:, 0]
+    for term, keep in zip(terms[1:], kept.T[1:]):
+        total = np.where(keep, np.where(seen, total + term, term), total)
+        seen = seen | keep
+    return total
+
+
+def _cofactor(a, w=None):
+    """`linalg._cofactor` on a (k, s, s) stack: det(A), and adj(A) W for a (k, s, q) W.
+
+    The same products and sums in the same order, each entry that
+    `_cofactor` skips as zero (in the first row of A, or a zero row of W)
+    left out here too, so every bit is that of `linalg.eliminate` on a
+    block of at most 3x3.
+    """
+    size = a.shape[1]
+    if size == 1:
+        return a[:, 0, 0], w
+    cofactors = {}
+    others = [[i for i in range(size) if i != r] for r in range(size)]
+
+    def cofactor(r, c):
+        if (r, c) not in cofactors:
+            det = _cofactor(a[:, others[r]][:, :, others[c]])[0]
+            cofactors[r, c] = -det if (r + c) % 2 else det
+        return cofactors[r, c]
+
+    det = _sum_kept([a[:, 0, c] * cofactor(0, c) for c in range(size)], a[:, 0, :] != 0)
+    if w is None:
+        return det, None
+    live = (w != 0).any(axis=2)
+    adj_w = [[_sum_kept([cofactor(r, i) * w[:, r, j] for r in range(size)], live)
+              for j in range(w.shape[2])] for i in range(size)]
+    return det, np.array(adj_w).transpose(2, 0, 1)
+
+
+def _power(x, k):
+    """x ** k in Python floats, and inf of its sign where that overflows, as a product would."""
+    try:
+        return x ** k
+    except OverflowError:
+        return math.copysign(math.inf, x) if k % 2 else math.inf
+
+
+@dataclass
+class _FoldTests:
+    """`_fold_test` of each point of a stack."""
+
+    h0: list                   # det B(0)^s det K, in Python floats
+    nondegeneracy: _Reduction  # of det B(0) E(0)^T H
+    fold: np.ndarray           # h(0) finite and above zero_tol
+    smallest_eig: np.ndarray   # min |eig| of K, where `fold`
+    pos: np.ndarray
+    neg: np.ndarray
+
+
+def _fold_test(det_b, eta_hess, kern, tol):
+    """The fold test of `criteria` step 5 at each point of a stack, by `_Thresholds`' rules.
+
+    det K is `_cofactor`'s for s <= 3 and `eliminate`'s one matrix at a time
+    above; the inertia of K is that of its eigenvalues beyond zero_tol.
+    """
+    s = kern.shape[1]
+    with np.errstate(all="ignore"):
+        if s <= 3:
+            det_k = _cofactor(kern)[0].tolist()
+        else:
+            det_k = [eliminate(rows)[0] for rows in kern.tolist()]
+        h0 = [_power(d, s) * dk for d, dk in zip(det_b.tolist(), det_k)]
+        nondegeneracy = _reduce(det_b[:, None, None] * eta_hess, tol.rank_tol)
+        h = np.array(h0)
+        fold = np.isfinite(h) & (np.abs(h) > tol.zero_tol)
+        eigs = np.zeros((len(h0), s))
+        if fold.any():
+            k = kern[fold]
+            eigs[fold] = np.linalg.eigvalsh(0.5 * (k + k.transpose(0, 2, 1)))
+        smallest = np.min(np.abs(eigs), axis=1)
+    pos, neg = (eigs > tol.zero_tol).sum(axis=1), (eigs < -tol.zero_tol).sum(axis=1)
+    return _FoldTests(h0, nondegeneracy, fold, smallest, pos, neg)
 
 
 class _Thresholds:
-    """The decisions of `criteria`'s stages on floats, each recorded as a Margin."""
+    """The decisions of `criteria`'s stages on floats, each recorded as a Margin.
+
+    `reduce` and `fold_test` are the batch of one of `_reduce` and `_fold_test`.
+    """
 
     exact = False
     fmt = float
@@ -133,20 +333,11 @@ class _Thresholds:
 
     def reduce(self, name, rows):
         """Row elimination on the largest entry of each column above rank_tol times the scale."""
-        rows = [[float(v) for v in row] for row in rows]
-        thr = self.tol.rank_tol * _scale(rows)
-
-        def largest(rows, col, free):
-            best, r0 = max((abs(rows[r][col]), r) for r in free)
-            return r0 if best > thr else None
-
-        t, pivot_rows, pivot_cols = row_reduce(rows, largest)
-        for k, (r, c) in enumerate(zip(pivot_rows, pivot_cols), 1):
-            self.record(f"{name} pivot {k}", abs(rows[r][c]), thr)
-        rest = [abs(v) for r, row in enumerate(rows) if r not in pivot_rows for v in row]
-        if rest:
-            self.record(f"{name} largest rejected entry", max(rest), thr)
-        return t, pivot_rows, pivot_cols
+        red = _reduce(np.array([rows], dtype=float), self.tol.rank_tol)
+        for margin in red.margins(0, name):
+            self.record(*margin)
+        rank = red.rank[0]
+        return red.t[0].tolist(), red.pivot_rows[0, :rank].tolist(), red.pivot_cols[0, :rank].tolist()
 
     def rank(self, name, rows):
         return len(self.reduce(name, rows)[1])
@@ -157,15 +348,15 @@ class _Thresholds:
 
     def fold_test(self, det_b0, eta_hess, kern):
         """(h(0), the rank of dlambda(0), the inertia of K if h(0) is above zero_tol else None)."""
-        h0 = det_b0 ** len(kern) * eliminate(kern)[0]
-        nd_rank = self.rank("nondegeneracy", [[det_b0 * e for e in row] for row in eta_hess])
+        test = _fold_test(np.array([det_b0], dtype=float), np.array([eta_hess], dtype=float),
+                          np.array([kern], dtype=float), self.tol)
+        for margin in test.nondegeneracy.margins(0, "nondegeneracy"):
+            self.record(*margin)
+        h0, nd_rank = test.h0[0], int(test.nondegeneracy.rank[0])
         if not self.nonzero("h", h0):
             return h0, nd_rank, None
-        k = np.array(kern, dtype=float)
-        eigs = np.linalg.eigvalsh(0.5 * (k + k.T))
-        zero_tol = self.tol.zero_tol
-        self.record("hessian smallest |eig|", float(np.min(np.abs(eigs))), zero_tol)
-        pos, neg = int(np.sum(eigs > zero_tol)), int(np.sum(eigs < -zero_tol))
+        self.record("hessian smallest |eig|", float(test.smallest_eig[0]), self.tol.zero_tol)
+        pos, neg = int(test.pos[0]), int(test.neg[0])
         return h0, nd_rank, (pos, neg, len(kern) - pos - neg)
 
     def theta_column(self, m0):
@@ -349,6 +540,108 @@ def _shared_pipeline(germ, tol, term_order):
     return _FloatPipeline(germ, tol)
 
 
+def _verdict(label, margins):
+    """(label, Margins), or None where a margin is not finite: there the scalar stages raise."""
+    if all(math.isfinite(value) and math.isfinite(thr) for _, value, thr in margins):
+        return label, [Margin(*margin) for margin in margins]
+    return None
+
+
+def _kernel_hessians(coef, red, n, m):
+    """`normalized` and `kernel_hessian_at_origin` at each point of a stack of corank-one germs.
+
+    `coef` holds each component's `two_jet_coefficients` and `red` their
+    corank reduction.  Returns det B(0), E(0)^T H and K, and where their bits
+    are surely the scalar stages'.  The rows of T f are plain sums here,
+    where `normalized` skips a zero weight, drops a sum that cancels and
+    leaves an absent term an int 0.  With finite weights those differ only in
+    the sign of a zero, which the stages read only through a zero det B(0).
+    Such points, and those with a weight that is not finite, are left to the
+    scalar stages.
+    """
+    k, s = len(coef), m - n + 1
+    at, ks = np.arange(k)[:, None], np.arange(s)
+    critical = np.argmax(red.free, axis=1)
+    weights = red.t[at, np.concatenate([red.pivot_rows[:, :n - 1], critical[:, None]], axis=1)]
+    acc = np.zeros((k, n, coef.shape[2]))
+    for c in range(n):
+        acc = acc + coef[:, None, c] * weights[:, :, c, None]
+    pivot_cols = red.pivot_cols[:, :n - 1]
+    rest = np.ones((k, m), dtype=bool)
+    rest[at, pivot_cols] = False
+    other_cols = np.nonzero(rest)[1].reshape(k, s)
+    e = np.zeros((k, s, m))
+    if n > 1:
+        def block(a, cols):
+            return np.take_along_axis(a[:, :n - 1, :m], np.repeat(cols[:, None], n - 1, axis=1), 2)
+        det_b, adj_w = _cofactor(block(acc, pivot_cols), block(acc, other_cols))
+        usable = det_b != 0
+        for j in range(n - 1):
+            e[at, ks, pivot_cols[:, j, None]] = -adj_w[:, j]
+    else:
+        det_b, usable = np.ones(k), np.ones(k, dtype=bool)
+    e[at, ks, other_cols] = det_b[:, None]
+    hess = np.zeros((k, m, m))
+    pairs = [(a, b) for a in range(m) for b in range(a, m)]
+    for q, (a, b) in zip(acc[:, n - 1, m:].T, pairs):
+        # the derivative of c x_a^2 is 2 c x_a, that of c x_a x_b is c x_b
+        hess[:, a, b] = hess[:, b, a] = q * 2 if a == b else q
+    eta_hess = np.zeros((k, s, m))
+    for v in range(m):
+        eta_hess = eta_hess + e[:, :, v, None] * hess[:, None, :, v]
+    kern = np.zeros((k, s, s))
+    for v in range(m):
+        kern = kern + eta_hess[:, :, v, None] * e[:, None, :, v]
+    return det_b, eta_hess, kern, usable & np.isfinite(weights).all(axis=(1, 2))
+
+
+def _stacked_verdicts(jets, n, m, tol):
+    """(label, margins) of `_classify_at_origin` at each of `jets` the stacked stages decide, else None.
+
+    The stages before the polynomial frame run on all the jets at once: the
+    corank reduction, `normalized`, `kernel_hessian_at_origin` and the fold
+    test, each with the float operations of the scalar stage in its order
+    (`_kernel_hessians` says where it need not).
+    They decide Regular and CorankHigh points, folds, and points that fail
+    non-degeneracy.  A point is left undecided where the frame is needed (a
+    Morin candidate), where a margin is not finite (the scalar stages raise
+    there), and everywhere when n-1 or s exceeds 3, the largest block
+    `_cofactor` takes.
+    """
+    out = [None] * len(jets)
+    s = m - n + 1
+    if not jets or n - 1 > 3 or s > 3:
+        return out
+    coef = np.array([[c for p in jet.components for c in p.two_jet_coefficients()]
+                     for jet in jets], dtype=float).reshape(len(jets), n, -1)
+    with np.errstate(all="ignore"):
+        corank = _reduce(coef[:, :, :m], tol.rank_tol)
+        for i in np.flatnonzero(corank.rank != n - 1):
+            label = Label("Regular") if corank.rank[i] == n else Label("CorankHigh")
+            out[i] = _verdict(label, corank.margins(i, "corank"))
+        sub = np.flatnonzero(corank.rank == n - 1)
+        if not len(sub):
+            return out
+        det_b, eta_hess, kern, usable = _kernel_hessians(coef[sub], corank[sub], n, m)
+        test = _fold_test(det_b, eta_hess, kern, tol)
+    for j, i in enumerate(sub):
+        margins = (corank.margins(i, "corank") + test.nondegeneracy.margins(j, "nondegeneracy")
+                   + [("h", test.h0[j], tol.zero_tol)])
+        if test.fold[j]:
+            margins.append(("hessian smallest |eig|", float(test.smallest_eig[j]), tol.zero_tol))
+            pos, neg = int(test.pos[j]), int(test.neg[j])
+            label = Label("Fold", k=1, signature=(pos, neg)) if pos + neg == s else Label(
+                "Inconclusive")
+        elif test.nondegeneracy.rank[j] != s:
+            label = Label("Degenerate", reason=NOT_NONDEGENERATE)
+        else:
+            continue  # a Morin candidate: the polynomial frame decides
+        if usable[j]:
+            out[i] = _verdict(label, margins)
+    return out
+
+
+
 # -- public operations ----------------------------------------------------------
 
 def project_to_singular_locus(germ: MapGerm, seed, tol: Tolerances = None):
@@ -378,30 +671,53 @@ def project_to_singular_locus(germ: MapGerm, seed, tol: Tolerances = None):
     return points[0]
 
 
+def _classify_batch(germ: MapGerm, points, tol: Tolerances):
+    """`numeric_classify` at each of `points`, their stages run as one batch.
+
+    Each point's jet comes from its own `translate`; the residuals from one
+    evaluation of the chart, whose rows do not depend on each other; the
+    decisions up to the fold test from `_stacked_verdicts`.  A point those
+    leave undecided goes through `_classify_at_origin` on its (n+1)-jet
+    alone.  Every bit is the one that point gets alone, and a point whose
+    jet, residual or decision is not finite raises the FloatRangeError it
+    raises alone, the first such point in order.
+    """
+    pipe = _pipeline(germ, tol)
+    n = germ.n
+    xs = [tuple(float(v) for v in point) for point in points]
+    jets = [pipe.germ.translate(x) for x in xs]
+    finite = [i for i, jet in enumerate(jets) if all(p.is_finite_to(n + 1) for p in jet.components)]
+    residuals = [None] * len(xs)
+    if pipe.lambdas is not None and xs:
+        with np.errstate(over="ignore", invalid="ignore"):
+            residuals = _norms(pipe.values(np.array(xs))).tolist()
+    decided = dict(zip(finite, _stacked_verdicts([jets[i] for i in finite], n, germ.m, tol)))
+    verdicts = []
+    for i, (x, jet, residual) in enumerate(zip(xs, jets, residuals)):
+        if i not in decided:
+            raise FloatRangeError("the jet at the point is not finite in floats")
+        if residual is not None and not math.isfinite(residual):
+            raise FloatRangeError("the residual at the point is not finite in floats")
+        if decided[i] is None:
+            decide = _Thresholds(tol)
+            label, _ = _classify_at_origin(jet.truncated(n + 1), decide)
+            decided[i] = label, decide.margins
+        label, margins = decided[i]
+        if any(m.inconclusive for m in margins):
+            label = Label("Inconclusive")
+        verdicts.append(NumericVerdict(point=x, label=label, margins=margins, residual=residual))
+    return verdicts
+
+
 def numeric_classify(germ: MapGerm, point, tol: Tolerances = None) -> NumericVerdict:
     """Thresholded classification at a float point: `classify`'s stages on the float jet there.
 
-    The residual is the norm of the chart's lambdas at the point, None where
-    the germ has no chart at 0.  A point where the jet, the residual or a
-    decision overflows the float range raises FloatRangeError, a ValueError.
+    The batch of one of the scan's classification.  The residual is the norm
+    of the chart's lambdas at the point, None where the germ has no chart at
+    0.  A point where the jet, the residual or a decision overflows the float
+    range raises FloatRangeError, a ValueError.
     """
-    tol = tol or Tolerances()
-    pipe = _pipeline(germ, tol)
-    x = tuple(float(v) for v in point)
-    jet = pipe.germ.translate(x).truncated(germ.n + 1)
-    if not all(math.isfinite(c) for p in jet.components for c in p.coefficients()):
-        raise FloatRangeError("the jet at the point is not finite in floats")
-    residual = None
-    if pipe.lambdas is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            residual = float(_norms(pipe.values(np.array([x])))[0])
-        if not math.isfinite(residual):
-            raise FloatRangeError("the residual at the point is not finite in floats")
-    decide = _Thresholds(tol)
-    label, _ = _classify_at_origin(jet, decide)
-    if any(m.inconclusive for m in decide.margins):
-        label = Label("Inconclusive")
-    return NumericVerdict(point=x, label=label, margins=decide.margins, residual=residual)
+    return _classify_batch(germ, [point], tol or Tolerances())[0]
 
 
 def scan_region(germ: MapGerm, box, grid: int, tol: Tolerances = None):
@@ -409,7 +725,7 @@ def scan_region(germ: MapGerm, box, grid: int, tol: Tolerances = None):
 
     Seeds a per-axis grid, projects every seed, drops converged points that
     left the box, deduplicates the rest (cluster radius 10x the residual
-    tolerance), and classifies each representative.
+    tolerance), and classifies the representatives as one batch.
     Results are ordered by point coordinates, so the scan is deterministic.
     A germ without a chart at 0 raises ValueError, as in the projection.
     """
@@ -435,4 +751,4 @@ def scan_region(germ: MapGerm, box, grid: int, tol: Tolerances = None):
         if any(math.dist(p, r) <= radius for r in near):
             continue
         reps.append(p)
-    return [numeric_classify(germ, p, tol) for p in reps]
+    return _classify_batch(germ, reps, tol)

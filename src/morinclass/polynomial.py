@@ -6,8 +6,9 @@ per exponent vector laid out by the context (see `morinclass.context`), and
 they stay private to this module, the kernel, the parser and
 `MapGerm.translate`, which wrap the term dicts they compute: the public
 constructor takes exponent tuples, and `items`, `exponents`, `coefficients` and
-`coefficient` speak in them; `linear_coefficients` reads the gradient at 0
-by the context's packed keys of x_j.  Results of the kernel are wrapped as
+`coefficient` speak in them; `linear_coefficients` and
+`two_jet_coefficients` read the gradient and the quadratic part at 0 by the
+context's packed keys of x_j and x_a x_b.  Results of the kernel are wrapped as
 they come, without packing or truncating them again.  A product whose total
 degree would exceed `context.MAX_DEGREE` raises DegreeOverflowError.
 
@@ -28,7 +29,7 @@ ordering is the contract for golden-file tests.
 
 import heapq
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 
 from . import _termops_py as kernel
 from .context import MAX_DEGREE, ContextMismatchError, VariableContext, check_same_context
@@ -169,6 +170,20 @@ class Polynomial:
             raise ValueError("a 0-jet has no derivative")
         get = self.terms.get
         return [get(key, 0) for key in self.context.linear_keys]
+
+    def two_jet_coefficients(self):
+        """The coefficients of each x_j, then of each x_a x_b (a <= b), source variables in order.
+
+        Like `linear_coefficients`, this reads the packed keys and builds no jet.
+        """
+        get, keys = self.terms.get, self.context.linear_keys
+        return [get(key, 0) for key in keys] + [
+            get(a + b, 0) for i, a in enumerate(keys) for b in keys[i:]]
+
+    def is_finite_to(self, degree):
+        """Whether every coefficient of total degree at most `degree` is finite, with no jet built."""
+        limit = (degree + 1) << self.context.degree_shift
+        return all(isfinite(c) for key, c in self.terms.items() if key < limit)
 
     # -- term access: exponent tuples, in term order --------------------------
 

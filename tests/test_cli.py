@@ -255,7 +255,7 @@ class TestClassifyCommand:
         code, out, err = run_cli(
             capsys, "classify", str(path), "--numeric", "--point", "1e200,1e200,0")
         assert code == 2 and out == ""
-        assert err == "error: base point is out of the float range of --numeric\n"
+        assert err == "error: the jet at the point is not finite in floats\n"
 
     def test_numeric_decision_beyond_float_range(self, capsys, tmp_path):
         # finite coefficients whose products overflow: no NaN verdict, and no
@@ -264,7 +264,9 @@ class TestClassifyCommand:
         path.write_text("vars: x y z\nmap: x ; 10^200*y^2 + 10^200*z^2 + 10^200*y*z\n")
         code, out, err = run_cli(capsys, "classify", str(path), "--numeric")
         assert code == 2 and out == ""
-        assert err == "error: base point is out of the float range of --numeric\n"
+        # the cause is a decision's scale, at the origin: the error names it
+        assert err == ("error: the nondegeneracy largest rejected entry decision "
+                       "is not finite in floats\n")
         code, out, _ = run_cli(capsys, "classify", str(path))
         assert code == 0 and json.loads(out)["label"]["kind"] == "Fold"
 

@@ -670,8 +670,8 @@ class TestScaling:
     """Counts, not times: untraced `classify` and `numeric_classify` at the
     origin stay polynomial where M holds no unit.
 
-    Each count, `_cofactor` expansions and `mul_terms` term pairs, is at
-    most its value at the smallest size times (size / smallest)^DEGREE.
+    Each count, `_cofactor` expansions (`linalg`'s and the stacked one of
+    `numeric`) and `mul_terms` term pairs, is at most its value at the smallest size times (size / smallest)^DEGREE.
     Measured, both grow about as size^3: on `cubic_forms_germ` in r, and on
     `kernel_hessian_zero_germ` in the m - 2 variables of its dense cubic,
     which has about (m - 2)^3 / 6 terms.  A cofactor expansion of M would
@@ -682,20 +682,27 @@ class TestScaling:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        from morinclass import _termops_py, linalg
+        from morinclass import _termops_py, linalg, numeric
 
         counts = {"expansions": 0, "term_pairs": 0}
         cofactor, mul_terms = linalg._cofactor, _termops_py.mul_terms
+        stacked = numeric._cofactor
 
         def counted_cofactor(a, w):
             counts["expansions"] += 1
             return cofactor(a, w)
+
+        def counted_stacked(a, w=None):
+            counts["expansions"] += 1
+            return stacked(a, w)
 
         def counted_mul_terms(a, b, *args):
             counts["term_pairs"] += len(a) * len(b)
             return mul_terms(a, b, *args)
 
         monkeypatch.setattr(linalg, "_cofactor", counted_cofactor)
+        # the float companion's batch expands blocks of at most 3x3 stacked
+        monkeypatch.setattr(numeric, "_cofactor", counted_stacked)
         monkeypatch.setattr(_termops_py, "mul_terms", counted_mul_terms)
         return counts
 

@@ -20,7 +20,7 @@ from morinclass import (
     normalize,
     validate,
 )
-from morinclass.linalg import first_nonzero_row, row_reduce
+from morinclass.linalg import exact_row_reduce
 from morinclass.lefschetz import LefschetzFamily, lefschetz_germ
 from morinclass.parsing import parse_germ_document
 from morinclass.rationals import rat
@@ -129,9 +129,7 @@ class TestNormalize:
             germs.append(germs[-1].truncated(3))
         shared = 0
         for germ in germs:
-            t, pivot_rows, pivot_cols = row_reduce(
-                [[Fraction(e) for e in row] for row in germ.linear_coefficients()],
-                first_nonzero_row)
+            t, pivot_rows, pivot_cols = exact_row_reduce(germ.linear_coefficients())
             assert len(pivot_rows) == germ.n - 1
             ng = normalize(germ)
             comps, t_rows = fraction_normalized(germ, t, pivot_rows)

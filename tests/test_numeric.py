@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 
 from morinclass import MapGerm, Polynomial, classify, cramer_frame
-from morinclass.criteria import Label, lambdas_for_frame
+from morinclass.cli import verdict_to_dict
+from morinclass.criteria import (Label, _classify_at_origin, kernel_hessian_at_origin,
+                                 lambdas_for_frame)
 from morinclass.germ import normalized
 from morinclass.lefschetz import LefschetzFamily, circle_point
+from morinclass.linalg import eliminate
 from morinclass import numeric
 from morinclass.numeric import (
     CHART_TERM_BOUND,
@@ -575,3 +578,280 @@ class TestFloatBits:
         assert str(verdict.label) == label
         assert verdict.residual.hex() == residual
         assert [float(m.value).hex() for m in verdict.margins] == margins
+
+
+# -- the scan's batch against the stages run one point at a time --------------------
+
+def scalar_reduce(rows, rank_tol):
+    """Row elimination on the largest entry above rank_tol times the scale, one matrix in Python.
+
+    The rule `numeric._reduce` stacks, as plain floats: (T, pivot rows,
+    pivot columns, margins as (suffix, value, threshold)).
+    """
+    rows = [[float(v) for v in row] for row in rows]
+    with np.errstate(over="ignore"):
+        thr = rank_tol * (max(float(np.linalg.norm(r)) for r in np.array(rows)) or 1e-300)
+    n = len(rows)
+    t = [[int(r == c) for c in range(n)] for r in range(n)]
+    pivot_rows, pivot_cols = [], []
+    for col in range(len(rows[0])):
+        free = [r for r in range(n) if r not in pivot_rows]
+        if not free:
+            break
+        best, piv = max((abs(rows[r][col]), r) for r in free)
+        if not best > thr:
+            continue
+        pivot_rows.append(piv)
+        pivot_cols.append(col)
+        for r in free:
+            if r != piv and rows[r][col] != 0:
+                f = rows[r][col] / rows[piv][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[piv])]
+                t[r] = [a - f * b for a, b in zip(t[r], t[piv])]
+    margins = [(f"pivot {k}", abs(rows[r][c]), thr)
+               for k, (r, c) in enumerate(zip(pivot_rows, pivot_cols), 1)]
+    rest = [abs(v) for r, row in enumerate(rows) if r not in pivot_rows for v in row]
+    if rest:
+        margins.append(("largest rejected entry", max(rest), thr))
+    return t, pivot_rows, pivot_cols, margins
+
+
+class ScalarThresholds(numeric._Thresholds):
+    """`_Thresholds` with its stacked `reduce` and `fold_test` done one matrix at a time."""
+
+    def reduce(self, name, rows):
+        t, pivot_rows, pivot_cols, margins = scalar_reduce(rows, self.tol.rank_tol)
+        for suffix, value, thr in margins:
+            self.record(f"{name} {suffix}", value, thr)
+        return t, pivot_rows, pivot_cols
+
+    def fold_test(self, det_b0, eta_hess, kern):
+        # a float, also where K is all int 0 (n = 1 and no quadratic term)
+        h0 = float(det_b0 ** len(kern) * eliminate(kern)[0])
+        nd_rank = self.rank("nondegeneracy", [[det_b0 * e for e in row] for row in eta_hess])
+        if not self.nonzero("h", h0):
+            return h0, nd_rank, None
+        k = np.array(kern, dtype=float)
+        eigs = np.linalg.eigvalsh(0.5 * (k + k.T))
+        zero_tol = self.tol.zero_tol
+        self.record("hessian smallest |eig|", float(np.min(np.abs(eigs))), zero_tol)
+        pos, neg = int(np.sum(eigs > zero_tol)), int(np.sum(eigs < -zero_tol))
+        return h0, nd_rank, (pos, neg, len(kern) - pos - neg)
+
+
+def per_point(germ, point, decide, tol=Tolerances()):
+    """One point alone: `translate`, cut to the (n+1)-jet, then `_classify_at_origin`."""
+    pipe = numeric._pipeline(germ, tol)
+    x = tuple(float(v) for v in point)
+    jet = pipe.germ.translate(x).truncated(germ.n + 1)
+    if not all(math.isfinite(c) for p in jet.components for c in p.coefficients()):
+        raise FloatRangeError("the jet at the point is not finite in floats")
+    residual = None
+    if pipe.lambdas is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = float(numeric._norms(pipe.values(np.array([x])))[0])
+        if not math.isfinite(residual):
+            raise FloatRangeError("the residual at the point is not finite in floats")
+    decision = decide(tol)
+    label, _ = _classify_at_origin(jet, decision)
+    if any(m.inconclusive for m in decision.margins):
+        label = Label("Inconclusive")
+    return numeric.NumericVerdict(point=x, label=label, margins=decision.margins, residual=residual)
+
+
+def hex_dict(verdict):
+    """`verdict_to_dict` with every float as `float.hex`."""
+    def walk(obj):
+        if isinstance(obj, float):
+            return obj.hex()
+        if isinstance(obj, dict):
+            return {k: walk(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [walk(v) for v in obj]
+        return obj
+    return walk(verdict_to_dict(verdict))
+
+
+def assert_batch_matches(germ, points, tol=Tolerances()):
+    """The batch, `numeric_classify` and both per-point paths agree in every bit."""
+    batch = [hex_dict(v) for v in numeric._classify_batch(germ, points, tol)]
+    assert len(batch) == len(points)
+    for got, point in zip(batch, points):
+        for decide in (numeric._Thresholds, ScalarThresholds):
+            assert got == hex_dict(per_point(germ, point, decide, tol)), point
+        assert got == hex_dict(numeric_classify(germ, point, tol))
+    return batch
+
+
+def far_germs(seed):
+    """The far-point germs of the benchmark's `float_scan_export` at `seed`."""
+    inputs = perfbench_module("inputs")
+    params = inputs.scan_points(random.Random(seed), inputs.FAR_POINTS)
+    return [LefschetzFamily.symbolic().at(p) for p in params]
+
+
+class TestBatchOracle:
+    """`_classify_batch` against each point classified alone, `float.hex` for `float.hex`."""
+
+    @pytest.mark.parametrize("params", [
+        (Fraction(3, 2), 1, -2, Fraction(-1, 2)),
+        (0, Fraction(1, 2), 2, Fraction(3, 2)),
+        (Fraction(1, 2), -1, 1, 1),  # near the chart's edge: Morin candidates fall back
+    ])
+    def test_scan_representatives(self, params):
+        germ = LefschetzFamily.symbolic().at(params)
+        verdicts = scan_region(germ, [(-1, 1)] * 4, 5)
+        assert_batch_matches(germ, [v.point for v in verdicts])
+
+    def test_seeded_points_of_the_far_germs(self):
+        rng = random.Random(2828)
+        kinds = Counter()
+        for germ in far_germs(1):
+            points = [[rng.uniform(-1, 1) for _ in range(4)] for _ in range(200)]
+            kinds.update(v["label"]["kind"] for v in assert_batch_matches(germ, points))
+        assert kinds["Regular"] > 300
+
+    def test_fixtures_at_points(self, fold_germ, cusp_germ):
+        rng = random.Random(2929)
+        for germ in (fold_germ, cusp_germ):
+            points = [[rng.uniform(-1, 1) for _ in range(3)] for _ in range(40)]
+            points += [(0.0, 0.0, 0.0), (0.2, 0.0, 0.0), (0.0, 0.0, 0.3), (-0.75, 0.0, 0.5)]
+            assert_batch_matches(germ, points)
+
+    def test_fallback_points(self):
+        germ = LefschetzFamily.symbolic().at((Fraction(3, 2), 1, -2, Fraction(-1, 2)))
+        # a zero coordinate drops terms in `translate`; an exact zero entry in df
+        assert_batch_matches(germ, [(0.0, 0.5, -0.25, 0.0), (0.0, 0.0, 0.0, 0.0),
+                                    (-1.0, -1.5, 0.0, 0.0), (0.5, -1.5, 2.0, 0.0)])
+        # every corank column ties: max over (|entry|, row) takes the later row
+        ctx = make_context("x", "y", "z")
+        x, y, z = (Polynomial.variable(ctx, n) for n in ("x", "y", "z"))
+        tie = MapGerm(ctx, (x + y**2 + z**3, -x + z**2 + y * z))
+        assert_batch_matches(tie, [(0.0, 0.0, 0.0), (0.0, 0.25, -0.5), (0.1, 0.0, 0.0)])
+        # n = 1 and no quadratic term at 0: K holds int zeros, h(0) is 0.0
+        cubic = MapGerm(ctx, (x**3 + y**3 - z**3,))
+        verdicts = assert_batch_matches(cubic, [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0)])
+        assert [m["value"] for m in verdicts[0]["margins"] if m["name"] == "h"] == ["0x0.0p+0"]
+
+    def test_larger_blocks(self):
+        # n-1 = 2 and 3 run `_cofactor` with W, at folds on the projected
+        # seeds; s = 4 and n-1 = 4 fall back whole
+        rng = random.Random(3030)
+        folds = Counter()
+        # a source change makes the n = 4 and 5 charts slow to expand
+        for m, n, k, signs, count in ((5, 3, 1, (1, -1, 1), 12), (5, 4, 2, (1,), 12),
+                                      (4, 3, 2, (1,), 12), (6, 3, 1, (1, 1, -1, 1), 2),
+                                      (6, 5, 1, (1, -1), 2)):
+            germ = normal_form(m, n, k, signs)
+            if n <= 3:
+                germ = linear_source_change(rng, germ)
+            germ = linear_target_change(rng, germ)
+            seeds = [[rng.uniform(-0.1, 0.1) for _ in range(m)] for _ in range(count)]
+            points = [(0.0,) * m] + seeds
+            points += [p for p in project_to_singular_locus(germ, seeds) if p is not None]
+            verdicts = assert_batch_matches(germ, points)
+            folds[n] += sum(v["label"]["kind"] == "Fold" for v in verdicts)
+        assert folds[3] >= 10 and folds[4] >= 2
+
+    def test_first_failing_point_raises(self):
+        ctx = make_context("x", "y", "z")
+        x, y, z = (Polynomial.variable(ctx, n) for n in ("x", "y", "z"))
+        big = 10**200
+        germ = MapGerm(ctx, (x, big * y**2 + big * z**2 + big * y * z))
+        # the first point fails a decision, the second its jet: the first one raises
+        points = [(0.0, 0.0, 0.0), (0.0, 1e200, 0.0)]
+        for batch in (points, points[1:]):
+            with pytest.raises(FloatRangeError) as alone:
+                per_point(germ, batch[0], numeric._Thresholds)
+            with pytest.raises(FloatRangeError, match=str(alone.value)):
+                numeric._classify_batch(germ, batch, Tolerances())
+
+    def test_reduce_matches_the_scalar_rule(self):
+        rng = np.random.default_rng(3131)
+        for shape in ((2, 4), (3, 4), (4, 3), (3, 3)):
+            stack = rng.standard_normal((400,) + shape)
+            stack[::5] = np.round(stack[::5])  # ties and zeros
+            stack[1::7, 0] = stack[1::7, -1]  # a tie between the first and last rows
+            stack[2::11, :, 1] = 0.0
+            stack[3::13, 1, 2] = rng.choice([math.inf, -math.inf, math.nan], size=len(stack[3::13]))
+            stack[4::17] *= 1e300
+            stack[5::19] = np.where(stack[5::19] < -0.5, -0.0, stack[5::19])
+            # a zero under the pivot leaves its row alone, the pivot row's NaN too
+            stack[6::23] = 1.0
+            stack[6::23, 0, 0], stack[6::23, -1, :2] = 0.0, (3.0, math.nan)
+            red = numeric._reduce(stack, 1e-6)
+            for i, rows in enumerate(stack.tolist()):
+                t, pivot_rows, pivot_cols, margins = scalar_reduce(rows, 1e-6)
+                assert red.pivot_rows[i, :red.rank[i]].tolist() == pivot_rows
+                assert red.pivot_cols[i, :red.rank[i]].tolist() == pivot_cols
+                assert [[float(v).hex() for v in row] for row in t] == [
+                    [v.hex() for v in row] for row in red.t[i].tolist()]
+                assert [(f"x {name}", float(v).hex(), thr.hex()) for name, v, thr in margins] == [
+                    (name, v.hex(), thr.hex()) for name, v, thr in red.margins(i, "x")]
+
+
+    def test_cofactor_matches_eliminate(self):
+        rng = np.random.default_rng(3232)
+        for size, cols in ((2, 3), (3, 2), (3, 0)):
+            a = rng.choice([0.0, -0.0, 1.5, -2.0, 3.25, 1e300, math.inf, math.nan],
+                           size=(600, size, size), p=[.2, .1, .2, .2, .2, .04, .03, .03])
+            w = rng.choice([0.0, -0.0, 1.5, -0.75], size=(600, size, cols)) if cols else None
+            with np.errstate(all="ignore"):
+                det, adj_w = numeric._cofactor(a, w)
+            for i, rows in enumerate(a.tolist()):
+                want_det, want_adj = eliminate(rows, w[i].tolist() if cols else None)
+                assert det[i].hex() == want_det.hex()
+                if cols:
+                    assert [v.hex() for v in _flat(adj_w[i].tolist())] == [
+                        v.hex() for v in _flat(want_adj)]
+
+    def test_rows_of_t_f_as_normalized_sums_them(self):
+        # exact cancellations, absent terms and products that underflow to
+        # -0.0: `normalized` drops a sum that cancels and keeps a zero
+        # product, where the stacked sums add them up; every bit the stages
+        # read must agree all the same
+        ctx = make_context("x1", "x2", "y1", "y2")
+        exps = [e for e in product(range(3), repeat=4) if 1 <= sum(e) <= 2]
+        rng = random.Random(3333)
+        pool, weights = (1.5, -1.5, 2.0, 1e-300, -1e-300), (0.0, 1.0, -1.0, 1e-300, 0.5)
+        t = [[[rng.choice(weights) for _ in range(3)] for _ in range(3)] for _ in range(300)]
+        germs = [MapGerm(ctx, tuple(
+            Polynomial(ctx, {e: rng.choice(pool) for e in exps if rng.random() < 0.6})
+            for _ in range(3))) for _ in t]
+        for rows, germ in zip(t, germs):
+            rows[0][0] = rows[1][1] = 1.0  # pivots (0, x1) and (1, x2): the weights T f takes
+        coef = np.array([[c for p in g.components for c in p.two_jet_coefficients()]
+                         for g in germs], dtype=float).reshape(300, 3, -1)
+        red = numeric._Reduction(
+            t=np.array(t), pivot_rows=np.tile([0, 1, -1], (300, 1)),
+            pivot_cols=np.tile([0, 1, -1], (300, 1)), rank=np.full(300, 2),
+            pivots=np.ones((300, 3)), free=np.tile([False, False, True], (300, 1)),
+            rejected=np.zeros(300), has_rest=np.ones(300, dtype=bool), threshold=np.ones(300))
+        with np.errstate(all="ignore"):
+            det_b, eta_hess, kern, usable = numeric._kernel_hessians(coef, red, 3, 4)
+        assert usable.sum() > 150
+        for i, (rows, germ) in enumerate(zip(t, germs)):
+            if not usable[i]:
+                continue
+            ng = normalized(germ, rows, [0, 1], [0, 1], exact=False)
+            want = kernel_hessian_at_origin(ng)
+            got = (float(det_b[i]), eta_hess[i].tolist(), kern[i].tolist())
+            assert [float(v).hex() for v in _flat(want)] == [v.hex() for v in _flat(got)]
+
+
+def _flat(values):
+    if isinstance(values, (list, tuple)):
+        return [v for item in values for v in _flat(item)]
+    return [values]
+
+
+class TestBatchCounts:
+    def test_one_point_alone_per_scan_at_the_far_point(self, monkeypatch):
+        # 378 representatives: 377 folds decided in the batch, one Morin{2}
+        calls = []
+        alone = numeric._classify_at_origin
+        monkeypatch.setattr(numeric, "_classify_at_origin",
+                            lambda *args: calls.append(args) or alone(*args))
+        germ = LefschetzFamily.symbolic().at((Fraction(3, 2), 1, -2, Fraction(-1, 2)))
+        verdicts = scan_region(germ, [(-1, 1)] * 4, 5)
+        assert len(verdicts) == 378 and len(calls) == 1

@@ -45,3 +45,17 @@ def test_family_output_is_pinned(tool, family):
         f"the {family} outputs changed; if that is intended, pin the new line "
         f"of `python3 tools/output_digest.py` in tests/data/output_digest.txt"
     )
+
+
+def test_named_families_only(tool, capsys):
+    assert tool.main(["cli.noncusp", "chain"]) == 0
+    # in the script's order, whatever the order named
+    assert capsys.readouterr().out == "".join(
+        f"{PINNED[name]}  {name}\n" for name in ("chain", "cli.noncusp"))
+
+
+def test_unknown_family_lists_the_valid_ones(tool, capsys):
+    assert tool.main(["chain", "scan"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"unknown family: scan\nfamilies: {' '.join(PINNED)}\n"

@@ -1,10 +1,12 @@
 """One sha256 per output family of the checkout this file sits in.
 
-    python3 tools/output_digest.py
+    python3 tools/output_digest.py [FAMILY ...]
 
 imports `src/` and `perfbench/inputs.py` next to this directory, writes
 nothing into the checkout (no bytecode; the slice CSVs go to a temporary
-directory) and prints one line `<sha256>  <family>` per family:
+directory) and prints one line `<sha256>  <family>` per family, in the order
+below; named families only, where any are named (an unknown name exits 2
+and lists the valid ones):
 
   ainv_replay.traced / .untraced   `report_to_dict` JSON of every seed-1 and
                                    seed-2 `ainv_replay` request
@@ -343,10 +345,18 @@ def family_digest(outputs):
     return digest.hexdigest()
 
 
-def main():
+def main(names):
+    known = dict(FAMILIES)
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"unknown famil{'ies' if len(unknown) > 1 else 'y'}: {' '.join(unknown)}\n"
+              f"families: {' '.join(known)}", file=sys.stderr)
+        return 2
     for name, outputs in FAMILIES:
-        print(f"{family_digest(outputs)}  {name}", flush=True)
+        if not names or name in names:
+            print(f"{family_digest(outputs)}  {name}", flush=True)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))
