@@ -169,7 +169,7 @@ class _Reduction:
         return _Reduction(*(getattr(self, f.name)[points] for f in fields(self)))
 
     def margins(self, i, name):
-        """The (name, value, threshold) of each margin of matrix i, in the order `reduce` records them."""
+        """The (name, value, threshold) of each margin of matrix i, in `reduce`'s order."""
         thr = float(self.threshold[i])
         out = [(f"{name} pivot {j}", v, thr)
                for j, v in enumerate(self.pivots[i, :self.rank[i]].tolist(), 1)]
@@ -337,7 +337,8 @@ class _Thresholds:
         for margin in red.margins(0, name):
             self.record(*margin)
         rank = red.rank[0]
-        return red.t[0].tolist(), red.pivot_rows[0, :rank].tolist(), red.pivot_cols[0, :rank].tolist()
+        pivot_rows, pivot_cols = red.pivot_rows[0, :rank], red.pivot_cols[0, :rank]
+        return red.t[0].tolist(), pivot_rows.tolist(), pivot_cols.tolist()
 
     def rank(self, name, rows):
         return len(self.reduce(name, rows)[1])
@@ -596,7 +597,7 @@ def _kernel_hessians(coef, red, n, m):
 
 
 def _stacked_verdicts(jets, n, m, tol):
-    """(label, margins) of `_classify_at_origin` at each of `jets` the stacked stages decide, else None.
+    """(label, margins) of `_classify_at_origin` at each jet the stacked stages decide, else None.
 
     The stages before the polynomial frame run on all the jets at once: the
     corank reduction, `normalized`, `kernel_hessian_at_origin` and the fold
@@ -630,8 +631,8 @@ def _stacked_verdicts(jets, n, m, tol):
         if test.fold[j]:
             margins.append(("hessian smallest |eig|", float(test.smallest_eig[j]), tol.zero_tol))
             pos, neg = int(test.pos[j]), int(test.neg[j])
-            label = Label("Fold", k=1, signature=(pos, neg)) if pos + neg == s else Label(
-                "Inconclusive")
+            zero = s - pos - neg
+            label = Label("Inconclusive") if zero else Label("Fold", k=1, signature=(pos, neg))
         elif test.nondegeneracy.rank[j] != s:
             label = Label("Degenerate", reason=NOT_NONDEGENERATE)
         else:
@@ -639,7 +640,6 @@ def _stacked_verdicts(jets, n, m, tol):
         if usable[j]:
             out[i] = _verdict(label, margins)
     return out
-
 
 
 # -- public operations ----------------------------------------------------------

@@ -181,7 +181,7 @@ class Polynomial:
             get(a + b, 0) for i, a in enumerate(keys) for b in keys[i:]]
 
     def is_finite_to(self, degree):
-        """Whether every coefficient of total degree at most `degree` is finite, with no jet built."""
+        """Whether each coefficient of total degree at most `degree` is finite; builds no jet."""
         limit = (degree + 1) << self.context.degree_shift
         return all(isfinite(c) for key, c in self.terms.items() if key < limit)
 
