@@ -10,6 +10,8 @@ Commands:
 Any mathematical outcome (including degeneracies) exits 0 with a JSON
 report; only parse and I/O problems and bad options exit nonzero, with
 status 2 and an `error: ...` line.
+
+Only `classify --numeric` and `lefschetz slice` load numpy, on first use.
 """
 
 import argparse
@@ -21,7 +23,6 @@ from pathlib import Path
 from . import lefschetz
 from .criteria import classify
 from .germ import MalformedGermError
-from .numeric import Tolerances, numeric_classify
 from .parsing import ParseError, parse_germ_document, parse_rational
 from .rationals import format_rational
 
@@ -108,8 +109,11 @@ def cmd_classify(args):
             return _fail(f"--point needs {len(doc.source_vars)} coordinates")
 
     if args.numeric:
+        from .numeric import Tolerances, numeric_classify
+
+        given = {"rank_tol": args.tol_rank, "zero_tol": args.tol_zero}
         try:
-            tol = Tolerances(rank_tol=args.tol_rank, zero_tol=args.tol_zero)
+            tol = Tolerances(**{k: v for k, v in given.items() if v is not None})
         except ValueError as exc:
             return _fail(f"bad --tol-* value: {exc}")
         try:
@@ -147,6 +151,8 @@ def cmd_lefschetz_slice(args):
         rng = _parse_range(args.range)
     except ParseError:
         return _fail(f"bad --range value {args.range!r} (expected lo:hi)")
+    if rng[0] >= rng[1]:
+        return _fail(f"bad --range value {args.range!r} (expected lo < hi)")
     if args.grid < 2:
         return _fail("--grid must be at least 2")
     jobs = []
@@ -227,8 +233,8 @@ def build_parser():
     )
     p_classify.add_argument("--point", help="classify at a translated base point a,b,...")
     p_classify.add_argument("--numeric", action="store_true", help="threshold classification")
-    p_classify.add_argument("--tol-rank", type=float, default=1e-6)
-    p_classify.add_argument("--tol-zero", type=float, default=1e-8)
+    p_classify.add_argument("--tol-rank", type=float)
+    p_classify.add_argument("--tol-zero", type=float)
     p_classify.set_defaults(func=cmd_classify)
 
     p_lef = sub.add_parser("lefschetz", help="Lefschetz bifurcation study")

@@ -25,14 +25,14 @@ A structural fact this module computes along the way: in the chart
 parametrization tau = y1/x1 of the singular circle, the cusp condition is
 tau * (p + 3q tau - 3p tau^2 - q tau^3) with p + iq = (a1+ib1)(a2+ib2), whose
 cubic factor has discriminant 108 (p^2+q^2)^2.  See `cusp_tau_polynomial`.
+
+Only the slice export (`emit_slice`, `write_slice_csv`) imports numpy.
 """
 
 import math
 import tempfile
 from dataclasses import dataclass, replace
 from fractions import Fraction
-
-import numpy as np
 
 from .context import VariableContext
 from .criteria import HessData, Label, build_theta, classify, kernel_matrix, lambdas_for_frame
@@ -525,7 +525,7 @@ class SliceGrid:
     hi: Fraction
     resolution: int
     nodes: list              # grid values, one list shared by the three axes
-    values: np.ndarray       # shape (5, resolution^3), component-major, lex order
+    values: "np.ndarray"     # shape (5, resolution^3), component-major, lex order
 
 
 def emit_slice(b2, resolution: int, value_range=(-1, 1)) -> SliceGrid:
@@ -534,10 +534,14 @@ def emit_slice(b2, resolution: int, value_range=(-1, 1)) -> SliceGrid:
     Evaluation is exact (integer arithmetic over a common denominator) and
     each value is the correctly rounded float of the exact one.
     """
+    import numpy as np
+
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     b2 = rat(b2)
     lo, hi = rat(value_range[0]), rat(value_range[1])
+    if lo >= hi:
+        raise ValueError(f"value range needs lo < hi, got {lo}:{hi}")
     step = (hi - lo) / (resolution - 1)
     nodes = [lo + k * step for k in range(resolution)]
     den = math.lcm(*(v.denominator for v in nodes + [b2]))
@@ -572,10 +576,6 @@ def emit_slice(b2, resolution: int, value_range=(-1, 1)) -> SliceGrid:
     return SliceGrid(b2=b2, lo=lo, hi=hi, resolution=resolution, nodes=nodes, values=values)
 
 
-_MAGNITUDE = np.uint64(2**63 - 1)  # a float64 bit pattern with the sign bit cleared
-_SEPARATORS = np.frombuffer(b",,,,\n", dtype=np.uint8)  # after n1..n4, after n5
-
-
 def write_slice_csv(grid: SliceGrid, path):
     """CSV per the plot-data contract: header a1,a2,b1,n1..n5, lex grid order.
 
@@ -591,6 +591,8 @@ def write_slice_csv(grid: SliceGrid, path):
     whose blocks are copied to `path` in reverse order at the end, so memory
     stays that of one pair of blocks.
     """
+    import numpy as np
+
     res = grid.resolution
     # the node columns take res values only: format each once, NUL-padded to
     # one width
@@ -614,12 +616,16 @@ def write_slice_csv(grid: SliceGrid, path):
 
 def _block_texts(grid, pair, nodes):
     """The CSV bytes of each a1 block in `pair`, with each distinct magnitude formatted once."""
+    import numpy as np
+
+    magnitude = np.uint64(2**63 - 1)  # a float64 bit pattern with the sign bit cleared
+    separators = np.frombuffer(b",,,,\n", dtype=np.uint8)  # after n1..n4, after n5
     res, width = nodes.shape
     block = res * res
     bits = np.concatenate(
         [grid.values[:, k * block:(k + 1) * block].T for k in pair], dtype=np.float64
     ).view(np.uint64)
-    mags, codes = np.unique(bits & _MAGNITUDE, return_inverse=True)
+    mags, codes = np.unique(bits & magnitude, return_inverse=True)
     codes = codes.reshape(bits.shape)
     minus = (bits >> 63).astype(bool) & ~np.isnan(mags.view(float))[codes]
     table = np.array([b"%.17g" % v for v in mags.view(float).tolist()])
@@ -631,7 +637,7 @@ def _block_texts(grid, pair, nodes):
     text[:, width:2 * width] = np.repeat(nodes, res, axis=0)
     text[:, 2 * width:3 * width] = np.tile(nodes, (res, 1))
     cells = text[:, 3 * width:].reshape(block, 5, -1)
-    cells[:, :, -1] = _SEPARATORS
+    cells[:, :, -1] = separators
     for j, k in enumerate(pair):
         rows = slice(j * block, (j + 1) * block)
         text[:, :width] = nodes[k]

@@ -2,12 +2,17 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import morinclass
 from morinclass import classify, cli
 from morinclass.cli import main, report_to_dict
 
@@ -178,13 +183,22 @@ class TestClassifyCommand:
         assert traced.pop("trace") == {"lambdas": ["x + 2*y", "-2*z"], "h": "-4"}
         assert traced == plain
 
-    def test_bad_b2_and_range_values(self, capsys):
+    def test_bad_b2_and_range_values(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         code, _, err = run_cli(capsys, "lefschetz", "slice", "--b2", "one")
         assert code == 2 and "--b2" in err
         code, _, err = run_cli(
             capsys, "lefschetz", "slice", "--b2", "0", "--range", "broken"
         )
         assert code == 2 and "--range" in err
+        # an empty or reversed range has no nodes in ascending order
+        for rng in ("0:0", "1:-1"):
+            code, out, err = run_cli(
+                capsys, "lefschetz", "slice", "--b2", "1/4", "--grid", "3", f"--range={rng}"
+            )
+            assert (code, out) == (2, "")
+            assert err == f"error: bad --range value '{rng}' (expected lo < hi)\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, message", [
         (("classify", "{cusp}", "--point", "\u0663,0,0"), "bad --point value"),
@@ -443,24 +457,54 @@ class TestSignedOptionValues:
         assert results[0] == results[1]
 
 
+def run_python(*args, cwd=None):
+    """Run a fresh interpreter that imports the package from where this process found it."""
+    src = str(Path(morinclass.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+# run in a fresh interpreter: each CLI command, its exit status and whether
+# numpy is loaded after it, one JSON list per line
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import morinclass, morinclass.parsing, morinclass.lefschetz
+from morinclass import cli
+print(json.dumps(["import", 0, "numpy" in sys.modules]))
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    print(json.dumps([" ".join(argv[:2]), code, "numpy" in sys.modules]))
+"""
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self, cusp_file):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import morinclass
-
-        # the child imports the package from where this process found it
-        src = str(Path(morinclass.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "morinclass", "classify", str(cusp_file)],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=path),
-        )
+        proc = run_python("-m", "morinclass", "classify", str(cusp_file))
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["label"] == {"kind": "Morin", "k": 2}
+
+    def test_exact_commands_do_not_load_numpy(self, cusp_file, tmp_path):
+        # pytest's own process has numpy loaded, so the check needs a fresh one
+        germ = str(cusp_file)
+        commands = [
+            ["classify", germ],
+            ["classify", germ, "--trace", "--point", "1,0,0"],
+            ["lefschetz", "noncusp"],
+            ["lefschetz", "witness", "--params", "0,1,0,2"],
+            ["classify", germ, "--numeric"],
+        ]
+        proc = run_python("-c", NUMPY_PROBE, json.dumps(commands), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        steps = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert steps == [
+            ["import", 0, False],
+            ["classify " + germ, 0, False],
+            ["classify " + germ, 0, False],
+            ["lefschetz noncusp", 0, False],
+            ["lefschetz witness", 0, False],
+            # the float companion does load it, so the probe can see numpy
+            ["classify " + germ, 0, True],
+        ]

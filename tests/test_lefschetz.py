@@ -516,6 +516,11 @@ class TestSliceExport:
         with pytest.raises(ValueError):
             emit_slice(0, 1, (-1, 1))
 
+    @pytest.mark.parametrize("value_range", [(0, 0), (1, -1)])
+    def test_range_guard(self, value_range):
+        with pytest.raises(ValueError, match="lo < hi"):
+            emit_slice(Fraction(1, 4), 3, value_range)
+
     def test_filenames(self):
         assert slice_filename(Fraction(1, 4)) == "slice_b2_1_4.csv"
         assert slice_filename(Fraction(-1, 2)) == "slice_b2_-1_2.csv"
