@@ -88,6 +88,8 @@ def _fail(message):
 
 
 def cmd_classify(args):
+    if not args.numeric and (args.tol_rank is not None or args.tol_zero is not None):
+        return _fail("--tol-rank and --tol-zero need --numeric")
     try:
         text = Path(args.file).read_text()
     except OSError as exc:

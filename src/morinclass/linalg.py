@@ -5,7 +5,9 @@ every exact matrix, and its forward pass gives ranks.  It pivots on usable
 entries (a nonzero int or uncapped polynomial, or a jet with a nonzero
 constant term: a unit of Q[x]/m^{N+1}) and divides exactly by the previous
 pivot.  Cofactor expansion finishes a block of at most 3x3, or one left
-without a usable entry, unless that block is 2x2 or larger and exactly zero.
+without a usable entry, unless that block is 2x2 or larger and exactly zero;
+it expands each minor once, so det of an r x r block costs at most r 2^(r-1)
+products.
 The same code runs on floats and float jets for the float companion: it
 then pivots on the largest constant term.  Every
 exact division, by a pivot or by a power of the last one, goes through
@@ -343,29 +345,38 @@ def _dot(xs, ys):
 
 
 def _cofactor(a, w):
-    """det(A) and adj(A) W by cofactor expansion: the base and residual case."""
+    """det(A) and adj(A) W by cofactor expansion: the base and residual case.
+
+    Each minor, keyed by the rows and the columns of A it keeps, is expanded
+    once along its first row: det(A) costs at most r 2^(r-1) products for
+    r x r, and adj(A) W about r times that; expanding anew costs about e r!.
+    """
     size = len(a)
     if size == 1:
         return a[0][0], [list(w[0])]
 
-    cofactors = {}  # adj(A) W reuses those of the first row, which det(A) used
+    minors = {}  # det(A) and the cofactors of adj(A) W share these
 
-    def cofactor(r, c):
-        if (r, c) not in cofactors:
-            minor = [row[:c] + row[c + 1:] for i, row in enumerate(a) if i != r]
-            det = _cofactor(minor, [[]] * (size - 1))[0]
-            cofactors[r, c] = -det if (r + c) % 2 else det
-        return cofactors[r, c]
+    def minor(rows, cols):
+        if len(rows) == 1:
+            return a[rows[0]][cols[0]]
+        if (rows, cols) not in minors:
+            # zero entries of the first row, as zero rows of W below, add nothing
+            js = [j for j, c in enumerate(cols) if not _is_zero(a[rows[0]][c])] or [0]
+            cofs = [minor(rows[1:], cols[:j] + cols[j + 1:]) for j in js]
+            minors[rows, cols] = _dot([a[rows[0]][cols[j]] for j in js],
+                                      [-d if j % 2 else d for j, d in zip(js, cofs)])
+        return minors[rows, cols]
 
-    # zero entries of the first row, and zero rows of W, add nothing
-    cols = [c for c, e in enumerate(a[0]) if not _is_zero(e)] or [0]
-    det = _dot([a[0][c] for c in cols], [cofactor(0, c) for c in cols])
+    full = tuple(range(size))
+    det = minor(full, full)
     if not w[0]:
         return det, [[] for _ in a]
     live = [r for r in range(size) if not all(_is_zero(e) for e in w[r])] or [0]
     adj_w = []
     for i in range(size):
-        cofs = [cofactor(r, i) for r in live]  # adj(A)[i][r] is cofactor(r, i)
+        cofs = [minor(full[:r] + full[r + 1:], full[:i] + full[i + 1:]) for r in live]
+        cofs = [-d if (r + i) % 2 else d for r, d in zip(live, cofs)]  # adj(A)[i][r]
         adj_w.append([_dot(cofs, [w[r][j] for r in live]) for j in range(len(w[0]))])
     return det, adj_w
 

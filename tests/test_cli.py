@@ -253,6 +253,17 @@ class TestClassifyCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: bad --tol-* value: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("options", [
+        ["--tol-rank", "0"], ["--tol-zero", "nan"], ["--tol-rank", "1e-9", "--tol-zero", "1e-9"],
+    ])
+    def test_tolerance_without_numeric_is_an_option_error(self, capsys, tmp_path, options):
+        # the exact path reads no tolerance, so one given is a mistake, not ignored
+        path = tmp_path / "germ.germ"
+        path.write_text("vars: x y z\nmap: x ; y^3 + x*y + z^2\n")
+        code, out, err = run_cli(capsys, "classify", str(path), *options)
+        assert code == 2 and out == ""
+        assert err == "error: --tol-rank and --tol-zero need --numeric\n"
+
     def test_numeric_point_beyond_float_range(self, capsys, cusp_file):
         code, out, err = run_cli(
             capsys, "classify", str(cusp_file), "--numeric", "--point", "1e400,0,0")

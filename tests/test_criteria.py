@@ -675,7 +675,9 @@ class TestScaling:
     Measured, both grow about as size^3: on `cubic_forms_germ` in r, and on
     `kernel_hessian_zero_germ` in the m - 2 variables of its dense cubic,
     which has about (m - 2)^3 / 6 terms.  A cofactor expansion of M would
-    grow as r!.
+    grow as r!.  `expansions` counts residual blocks, one `_cofactor` call
+    each, which expands the block's minors inside; `test_traced_minors`
+    counts those minors, through `linalg._dot`, on the traced path.
     """
 
     DEGREE = 4
@@ -738,6 +740,39 @@ class TestScaling:
     def test_kernel_hessian_zero_family(self, counts):
         # m = 5..14
         self.assert_polynomial_growth(counts, range(3, 13), lambda k: kernel_hessian_zero_germ(k + 2))
+
+    def test_traced_minors(self, monkeypatch):
+        # traced, h is det M, and on `cubic_forms_germ` no entry of M is a
+        # unit: `_cofactor` expands the whole r x r block.  One `_dot` call
+        # per minor expanded (and per entry assembled after elimination)
+        # at most doubles from r to r + 1 when each minor is expanded once;
+        # expanding every minor anew, it grows as r!
+        from morinclass import linalg
+
+        calls, dot = [0], linalg._dot
+
+        def counted(xs, ys):
+            calls[0] += 1
+            return dot(xs, ys)
+
+        def traced(germ):
+            calls[0] = 0
+            classify(germ, trace=True)
+            return max(calls[0], 1)
+
+        monkeypatch.setattr(linalg, "_dot", counted)
+        cubic = [traced(cubic_forms_germ(r)) for r in range(3, 8)]
+        assert all(b <= 2 * a for a, b in zip(cubic, cubic[1:])), cubic
+        families = (
+            (range(3, 11), lambda m: normal_form(m, 2, 1, (1,) * (m - 1))),
+            (range(5, 11), lambda m: normal_form(m, 4, 4, (1,) * (m - 4))),
+            (range(5, 15), kernel_hessian_zero_germ),
+        )
+        for sizes, germ_of in families:
+            base = traced(germ_of(sizes[0]))
+            for size in sizes[1:]:
+                count = traced(germ_of(size))
+                assert count <= base * (size / sizes[0]) ** self.DEGREE, (size, count)
 
 
 class TestClassify:

@@ -8,7 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from morinclass import Polynomial, PolyMatrix, RationalMatrix
+from morinclass import Polynomial, PolyMatrix, RationalMatrix, linalg
 from morinclass.polynomial import jet_order
 from morinclass.linalg import (
     AsymmetricMatrixError,
@@ -128,6 +128,41 @@ def exact_entries(rows, cap=None):
     return exact if cap is None else [[p.truncated(cap) for p in row] for row in exact]
 
 
+def sparse_block(rng, size, entry, zero):
+    """A size x size block of `entry()` values, about a third of them `zero`."""
+    return [[zero if rng.random() < 0.35 else entry() for _ in range(size)]
+            for _ in range(size)]
+
+
+def plain_cofactor(a, w):
+    """det(A) and adj(A) W expanding every minor anew along its first row: the
+    recursion `linalg._cofactor` ran before it kept its minors, as the
+    reference for the bits of the kept ones."""
+    size = len(a)
+    if size == 1:
+        return a[0][0], [list(w[0])]
+
+    cofactors = {}
+
+    def cofactor(r, c):
+        if (r, c) not in cofactors:
+            minor = [row[:c] + row[c + 1:] for i, row in enumerate(a) if i != r]
+            det = plain_cofactor(minor, [[]] * (size - 1))[0]
+            cofactors[r, c] = -det if (r + c) % 2 else det
+        return cofactors[r, c]
+
+    cols = [c for c, e in enumerate(a[0]) if not linalg._is_zero(e)] or [0]
+    det = linalg._dot([a[0][c] for c in cols], [cofactor(0, c) for c in cols])
+    if not w[0]:
+        return det, [[] for _ in a]
+    live = [r for r in range(size) if not all(linalg._is_zero(e) for e in w[r])] or [0]
+    adj_w = []
+    for i in range(size):
+        cofs = [cofactor(r, i) for r in live]
+        adj_w.append([linalg._dot(cofs, [w[r][j] for r in live]) for j in range(len(w[0]))])
+    return det, adj_w
+
+
 def jet_matrix(rng, ctx, size, rank, jet, den_max=1):
     """A random size x size N-jet matrix whose constant part has the given rank.
 
@@ -245,19 +280,43 @@ class TestElimination:
         extra = [[random_polynomial(rng, ctx, 1, 2)] for _ in range(size)]
         self.check(rows, extra)
 
+    @pytest.mark.parametrize("size", [4, 5, 6])
+    def test_jets_without_constant_terms(self, size):
+        # no entry is a unit, so `_cofactor` expands the whole block, each
+        # minor once; zero entries in first rows are skipped
+        ctx = make_context("x", "y")
+        rng = random.Random(41 * size)
+        jet = size + 1
+
+        def entry():
+            p = random_polynomial(rng, ctx, max_degree=2, n_terms=2)
+            return (p - p.constant_term()).truncated(jet)
+
+        rows = sparse_block(rng, size, entry, Polynomial.zero(ctx).truncated(jet))
+        extra = [[random_polynomial(rng, ctx, 1, 2).truncated(jet)] for _ in range(size)]
+        assert not eliminate(rows)[0].is_zero()
+        self.check(rows, extra)
+
     def test_exact_zero_block_is_not_expanded(self, monkeypatch):
         # rows 2..5 are multiples of row 1, so one step leaves an exactly zero
         # 4x4 block: det 0 and adj 0 with no cofactor expansion.  A block of
-        # float zeros is expanded still, as the bits of its signed zeros need
+        # float zeros is expanded still, as the bits of its signed zeros need:
+        # one call of `_cofactor`, which expands its minors inside
         from morinclass import linalg
 
-        calls, cofactor = [], linalg._cofactor
+        calls, dots = [], []
+        cofactor, dot = linalg._cofactor, linalg._dot
 
         def counted(a, w):
             calls.append(len(a))
             return cofactor(a, w)
 
+        def counted_dot(xs, ys):
+            dots.append(len(xs))
+            return dot(xs, ys)
+
         monkeypatch.setattr(linalg, "_cofactor", counted)
+        monkeypatch.setattr(linalg, "_dot", counted_dot)
         ctx = make_context("x", "y")
         rng = random.Random(23)
         top = [random_polynomial(rng, ctx, 1, 2) for _ in range(5)]
@@ -268,8 +327,9 @@ class TestElimination:
         self.check(rows, extra)
         assert eliminate([[0] * 5 for _ in range(5)], [[1]] * 5) == (0, [[0]] * 5)
         assert calls == []
+        dots.clear()
         eliminate([[0.0] * 4 for _ in range(4)])
-        assert calls == [4, 3, 2, 1]
+        assert calls == [4] and dots
 
     def test_singular_uncapped(self):
         ctx = make_context("x", "y")
@@ -484,6 +544,8 @@ class TestFloatEliminationBits:
     `/` for floats and through the scaled inverse series for float jets.
     The values were recorded before the division helpers were merged into
     one; any change in the order of a float product or sum shows here.
+    Blocks without a pivot, which `_cofactor` expands whole, are checked
+    against `plain_cofactor`, which expands every minor anew.
     """
 
     @staticmethod
@@ -526,3 +588,24 @@ class TestFloatEliminationBits:
         assert det.constant_term() == pytest.approx(np.linalg.det(np.array(self.matrix())))
         assert self.digest(det, adj_w) == (
             "fadd2329297f464b80a02e307be99e761463b624638fa43411797f693e80196d")
+
+    @pytest.mark.parametrize("size", [4, 5, 6])
+    def test_blocks_without_a_pivot_match_plain_expansion(self, size):
+        # float jets without constant terms, and signed float zeros, leave
+        # the whole block to `_cofactor`: its kept minors give the bits of
+        # expanding every minor anew
+        ctx = make_context("x", "y")
+        rng = random.Random(43 * size)
+
+        def entry():
+            terms = {(1, 0): rng.uniform(-1, 1), (0, 1): rng.uniform(-1, 1),
+                     (1, 1): rng.uniform(-1, 1)}
+            return Polynomial(ctx, terms).truncated(size)
+
+        jets = sparse_block(rng, size, entry, Polynomial(ctx, {}).truncated(size))
+        jet_extra = [[Polynomial(ctx, {(0, 0): rng.uniform(-1, 1)}).truncated(size)]
+                     for _ in range(size)]
+        zeros = [[rng.choice((0.0, -0.0)) for _ in range(size)] for _ in range(size)]
+        extra = [[rng.uniform(-1, 1) for _ in range(2)] for _ in range(size)]
+        for a, w in ((jets, jet_extra), (zeros, extra)):
+            assert self.digest(*eliminate(a, w)) == self.digest(*plain_cofactor(a, w))
