@@ -36,32 +36,31 @@ The decision pipeline:
 
 `classify` makes each decision exactly over Q.  The float companion
 (`numeric.numeric_classify`) runs the same stages, `_classify_at_origin`, on
-the float (n+1)-jet at its point and makes each decision against a
-threshold instead, recording a margin: the decision object handed to the
-stages picks which.  (Its scans run the stages up to the fold test stacked
-over all their points, and only the points left undecided through
-`_classify_at_origin`.)  There are five: the corank and pivots, the fold test
-(h(0), the rank of dlambda(0) and the signature), the rank of condition
-(b), the theta column, and the zero tests of the h-derivatives.  The
-Lefschetz study (`lefschetz.chart_hessian`) runs `build_theta` too, on
-its chart's lambdas and the published last column.
+the float (n+1)-jet at its point and makes each decision against a threshold
+instead, recording a margin: the decision object handed to the stages picks
+which.  (Its scans run the stages up to the fold test stacked over all their
+points and hand each outcome to `_after_fold_test`.)  There are five: the
+corank and pivots, the fold test (h(0), the rank of dlambda(0) and the
+signature), the rank of condition (b), the theta column, and the zero tests
+of the h-derivatives.  The Lefschetz study (`lefschetz.chart_hessian`) runs
+`build_theta` too, on its chart's lambdas and the published last column.
 
-Every mathematical failure is a report label, never an exception.  The
-tests read values and first derivatives at the base point only; a first
-derivative at 0 is read as a linear coefficient
-(`Polynomial.linear_coefficients`), not built as a polynomial, and H as
-those of the first derivatives of the 2-jet of f_n.  So each stage needs
-the jet of its input one order deeper than its output, and every
-derivative spends one order: the lambdas are
-read to order n; M, h and theta to order n-1; and h^(j) to order n-1-j.  As d(f_n)_0 = 0, eta f_n vanishes at 0, so by the jet rule of
-`Polynomial` (a product gains the order of vanishing of its factors) a
-frame known to order n-1 still gives eta f_n and the lambdas to order n.
-`classify` therefore reads f_n to order n+1 and f_1, ..., f_{n-1} to order
-n (`frame_jets`): the frame (det B, the eta coefficients) runs at order
-n-1.  The float path keeps every component at n+1 and the frame at n (see
-`frame_jets`).  Where the rule knows a stage further than it is read, the
-stage truncates to its budget, so every trace polynomial is exact in each
-degree it prints and prints the same degrees on both paths.
+Every mathematical failure is a report label, never an exception.  The tests
+read values and first derivatives at the base point only; a first derivative
+at 0 is read as a linear coefficient (`Polynomial.linear_coefficients`), not
+built as a polynomial, and H as those of the first derivatives of the 2-jet
+of f_n.  So each stage needs the jet of its input one order deeper than its
+output: every derivative spends one order.  The lambdas are read to order n,
+M, h and theta to order n-1, and h^(j) to order n-1-j.  As d(f_n)_0 = 0, eta
+f_n vanishes at 0, so by the jet rule of `Polynomial` (a product gains the
+order of vanishing of its factors) a frame known to order n-1 still gives
+eta f_n and the lambdas to order n.  `classify` therefore reads f_n to order
+n+1 and f_1, ..., f_{n-1} to order n (`frame_jets`): the frame (det B, the
+eta coefficients) runs at order n-1.  The float path keeps every component
+at n+1 and the frame at n (see `frame_jets`).  Where the rule knows a stage
+further than it is read, the stage truncates to its budget, so every trace
+polynomial is exact in each degree it prints and prints the same degrees on
+both paths.
 """
 
 from dataclasses import dataclass, field, replace
@@ -228,9 +227,17 @@ def kernel_hessian_at_origin(ng: NormalizedGerm):
     quadric = germ.components[-1].truncated(2)
     hess = [quadric.derivative(v).linear_coefficients() for v in names]
     # plain products keep the germ's ints, where a RationalMatrix holds Fractions
-    eta_hess = [[sum(e * h for e, h in zip(eta, row)) for row in hess] for eta in etas]
-    kern = [[sum(x * e for x, e in zip(row, eta)) for eta in etas] for row in eta_hess]
+    eta_hess = [[_sum_in_order(e * h for e, h in zip(eta, row)) for row in hess] for eta in etas]
+    kern = [[_sum_in_order(x * e for x, e in zip(row, eta)) for eta in etas] for row in eta_hess]
     return det_b, eta_hess, kern
+
+
+def _sum_in_order(terms):
+    """0 + t_1 + t_2 + ... left to right, as `numeric._kernel_hessians` adds (not 3.12's `sum`)."""
+    total = 0
+    for term in terms:
+        total = total + term
+    return total
 
 
 def fold_fast_path(ng: NormalizedGerm):
@@ -339,11 +346,10 @@ def _classify_at_origin(work: MapGerm, decide, trace=False):
 
     `decide` makes every decision: `_EXACT`, or the thresholded float
     decisions of `numeric`; `decide.fmt` writes numbers into the record.
+    The stages after the fold test are `_after_fold_test`'s.
     """
-    m, n = work.m, work.n
-    size = m - n + 1
-    fmt = decide.fmt
-    record = {"m": m, "n": n}
+    n = work.n
+    record = {"m": work.m, "n": n}
     t, pivot_rows, pivot_cols = decide.reduce("corank", work.linear_coefficients())
     record["rank_df0"] = rank = len(pivot_rows)
     if rank == n:
@@ -357,10 +363,22 @@ def _classify_at_origin(work: MapGerm, decide, trace=False):
     det_b0, eta_hess, kern = kernel_hessian_at_origin(ng)
     record["frame"] = {
         "pivots": list(ng.pivot_names),
-        "target_change": [[fmt(e) for e in row] for row in ng.target_change],
-        "pivot_minor_at_0": fmt(det_b0),
+        "target_change": [[decide.fmt(e) for e in row] for row in ng.target_change],
+        "pivot_minor_at_0": decide.fmt(det_b0),
     }
     h0, nd_rank, inertia = decide.fold_test(det_b0, eta_hess, kern)
+    return _after_fold_test(ng, decide, trace, record, h0, nd_rank, inertia)
+
+
+def _after_fold_test(ng, decide, trace, record, h0, nd_rank, inertia):
+    """The stages after the fold test, the one place its outcome becomes a label.
+
+    `record` holds "m" and "n".  Only a Morin candidate or `trace` reads the
+    normalized germ `ng`: the float scan batch passes None for the others.
+    """
+    n = record["n"]
+    size = record["m"] - n + 1
+    fmt = decide.fmt
     fold = inertia is not None
     # a fold, and a germ that fails non-degeneracy, are labelled without the
     # polynomial frame, which only the trace builds for them

@@ -340,8 +340,15 @@ def integer_rows(rows):
 
 
 def _dot(xs, ys):
-    """The sum of x * y over the pairs of two equally long, nonempty sequences."""
-    return sum((x * y for x, y in zip(xs[1:], ys[1:])), xs[0] * ys[0])
+    """The sum of x * y over the pairs of two equally long, nonempty sequences.
+
+    Added left to right from the first product, as the stacked
+    `numeric._cofactor` adds: CPython's `sum` compensates float sums from 3.12.
+    """
+    total = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        total = total + x * y
+    return total
 
 
 def _cofactor(a, w):

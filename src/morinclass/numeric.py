@@ -12,12 +12,12 @@ threshold makes the verdict Inconclusive.
 A scan classifies its representatives as one batch, and `numeric_classify`
 is the batch of one.  The fold test reads only df and the Hessian of f_n at
 the point (`criteria` step 5), so the stages up to it run as stacked numpy
-operations over all points (`_stacked_verdicts`): each takes the float
-operations of the scalar stage in its order, so every margin has the bits
-the point gets alone.  `_Thresholds.reduce` and `.fold_test` are the batch of
-one of the stacked `_reduce` and `_fold_test`.  The points the fold test
-leaves undecided, Morin candidates first of all, run `_classify_at_origin`
-one at a time.
+operations over all points (`_stacked_stages`), with the float operations
+of each scalar stage in its order: every margin has the bits the point gets
+alone.  `_Thresholds.reduce` and `.fold_test` are the batch of one of the
+stacked `_reduce` and `_fold_test`.  Each point's fold test outcome then
+goes, in order, to `criteria`'s tail, which builds a Morin candidate's
+frame; a point the stack cannot reproduce runs `_classify_at_origin` alone.
 
 `Tolerances` holds the two thresholds a caller may set, `rank_tol` and
 `zero_tol`; the projection's residual target and iteration limit are class
@@ -34,7 +34,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .criteria import NOT_NONDEGENERATE, Label, _classify_at_origin, lambdas_for_frame
+from .criteria import Label, _after_fold_test, _classify_at_origin, lambdas_for_frame
 from .germ import MapGerm, cramer_frame, normalized
 from .linalg import adjugate, eliminate
 
@@ -275,23 +275,13 @@ def _power(x, k):
         return math.copysign(math.inf, x) if k % 2 else math.inf
 
 
-@dataclass
-class _FoldTests:
-    """`_fold_test` of each point of a stack."""
-
-    h0: list                   # det B(0)^s det K, in Python floats
-    nondegeneracy: _Reduction  # of det B(0) E(0)^T H
-    fold: np.ndarray           # h(0) finite and above zero_tol
-    smallest_eig: np.ndarray   # min |eig| of K, where `fold`
-    pos: np.ndarray
-    neg: np.ndarray
-
-
 def _fold_test(det_b, eta_hess, kern, tol):
     """The fold test of `criteria` step 5 at each point of a stack, by `_Thresholds`' rules.
 
-    det K is `_cofactor`'s for s <= 3 and `eliminate`'s one matrix at a time
-    above; the inertia of K is that of its eigenvalues beyond zero_tol.
+    Gives each point's margins, in `_Thresholds`' order, and the (h(0), rank,
+    inertia) of `_Thresholds.fold_test`.  det K is `_cofactor`'s for s <= 3
+    and `eliminate`'s one matrix at a time above; the inertia of K is that
+    of its eigenvalues beyond zero_tol.
     """
     s = kern.shape[1]
     with np.errstate(all="ignore"):
@@ -308,8 +298,17 @@ def _fold_test(det_b, eta_hess, kern, tol):
             k = kern[fold]
             eigs[fold] = np.linalg.eigvalsh(0.5 * (k + k.transpose(0, 2, 1)))
         smallest = np.min(np.abs(eigs), axis=1)
-    pos, neg = (eigs > tol.zero_tol).sum(axis=1), (eigs < -tol.zero_tol).sum(axis=1)
-    return _FoldTests(h0, nondegeneracy, fold, smallest, pos, neg)
+    pos = (eigs > tol.zero_tol).sum(axis=1).tolist()
+    neg = (eigs < -tol.zero_tol).sum(axis=1).tolist()
+    out = []
+    for j, h in enumerate(h0):
+        margins = nondegeneracy.margins(j, "nondegeneracy") + [("h", h, tol.zero_tol)]
+        inertia = None
+        if fold[j]:
+            margins.append(("hessian smallest |eig|", float(smallest[j]), tol.zero_tol))
+            inertia = pos[j], neg[j], s - pos[j] - neg[j]
+        out.append((margins, (h, int(nondegeneracy.rank[j]), inertia)))
+    return out
 
 
 class _Thresholds:
@@ -349,16 +348,11 @@ class _Thresholds:
 
     def fold_test(self, det_b0, eta_hess, kern):
         """(h(0), the rank of dlambda(0), the inertia of K if h(0) is above zero_tol else None)."""
-        test = _fold_test(np.array([det_b0], dtype=float), np.array([eta_hess], dtype=float),
-                          np.array([kern], dtype=float), self.tol)
-        for margin in test.nondegeneracy.margins(0, "nondegeneracy"):
+        stack = [np.array([a], dtype=float) for a in (det_b0, eta_hess, kern)]
+        [(margins, outcome)] = _fold_test(*stack, self.tol)
+        for margin in margins:
             self.record(*margin)
-        h0, nd_rank = test.h0[0], int(test.nondegeneracy.rank[0])
-        if not self.nonzero("h", h0):
-            return h0, nd_rank, None
-        self.record("hessian smallest |eig|", float(test.smallest_eig[0]), self.tol.zero_tol)
-        pos, neg = int(test.pos[0]), int(test.neg[0])
-        return h0, nd_rank, (pos, neg, len(kern) - pos - neg)
+        return outcome
 
     def theta_column(self, m0):
         """The column of adj(M(0)) with the largest entry, if that is above zero_tol."""
@@ -541,10 +535,10 @@ def _shared_pipeline(germ, tol, term_order):
     return _FloatPipeline(germ, tol)
 
 
-def _verdict(label, margins):
-    """(label, Margins), or None where a margin is not finite: there the scalar stages raise."""
+def _state(margins, *rest):
+    """(Margins, *rest), or None where a margin is not finite: there the scalar stages raise."""
     if all(math.isfinite(value) and math.isfinite(thr) for _, value, thr in margins):
-        return label, [Margin(*margin) for margin in margins]
+        return [Margin(*margin) for margin in margins], *rest
     return None
 
 
@@ -596,18 +590,17 @@ def _kernel_hessians(coef, red, n, m):
     return det_b, eta_hess, kern, usable & np.isfinite(weights).all(axis=(1, 2))
 
 
-def _stacked_verdicts(jets, n, m, tol):
-    """(label, margins) of `_classify_at_origin` at each jet the stacked stages decide, else None.
+def _stacked_stages(jets, n, m, tol):
+    """`_classify_at_origin` up to the fold test at each jet, the stages run on all at once.
 
-    The stages before the polynomial frame run on all the jets at once: the
-    corank reduction, `normalized`, `kernel_hessian_at_origin` and the fold
-    test, each with the float operations of the scalar stage in its order
-    (`_kernel_hessians` says where it need not).
-    They decide Regular and CorankHigh points, folds, and points that fail
-    non-degeneracy.  A point is left undecided where the frame is needed (a
-    Morin candidate), where a margin is not finite (the scalar stages raise
-    there), and everywhere when n-1 or s exceeds 3, the largest block
-    `_cofactor` takes.
+    The corank reduction, `normalized`, `kernel_hessian_at_origin` and the
+    fold test, each with the float operations of the scalar stage in its
+    order (`_kernel_hessians` says where not).  A jet's state: its Margins;
+    Regular or CorankHigh where the corank decides, else None; the fold
+    test's (h(0), rank, inertia); and a Morin candidate's normalized germ.
+    It is None where the stack cannot give the scalar stages' bits: a margin
+    not finite (they raise there), `usable` false, and every jet when n-1
+    or s exceeds 3, the largest block `_cofactor` takes.
     """
     out = [None] * len(jets)
     s = m - n + 1
@@ -619,26 +612,20 @@ def _stacked_verdicts(jets, n, m, tol):
         corank = _reduce(coef[:, :, :m], tol.rank_tol)
         for i in np.flatnonzero(corank.rank != n - 1):
             label = Label("Regular") if corank.rank[i] == n else Label("CorankHigh")
-            out[i] = _verdict(label, corank.margins(i, "corank"))
+            out[i] = _state(corank.margins(i, "corank"), label, None, None)
         sub = np.flatnonzero(corank.rank == n - 1)
         if not len(sub):
             return out
         det_b, eta_hess, kern, usable = _kernel_hessians(coef[sub], corank[sub], n, m)
-        test = _fold_test(det_b, eta_hess, kern, tol)
-    for j, i in enumerate(sub):
-        margins = (corank.margins(i, "corank") + test.nondegeneracy.margins(j, "nondegeneracy")
-                   + [("h", test.h0[j], tol.zero_tol)])
-        if test.fold[j]:
-            margins.append(("hessian smallest |eig|", float(test.smallest_eig[j]), tol.zero_tol))
-            pos, neg = int(test.pos[j]), int(test.neg[j])
-            zero = s - pos - neg
-            label = Label("Inconclusive") if zero else Label("Fold", k=1, signature=(pos, neg))
-        elif test.nondegeneracy.rank[j] != s:
-            label = Label("Degenerate", reason=NOT_NONDEGENERATE)
-        else:
-            continue  # a Morin candidate: the polynomial frame decides
-        if usable[j]:
-            out[i] = _verdict(label, margins)
+        tests = _fold_test(det_b, eta_hess, kern, tol)
+    for j in np.flatnonzero(usable):
+        i, (margins, outcome) = sub[j], tests[j]
+        _, nd_rank, inertia = outcome
+        ng = None
+        if inertia is None and nd_rank == s:  # a Morin candidate: the polynomial frame decides
+            pivots = corank.pivot_rows[i, :n - 1].tolist(), corank.pivot_cols[i, :n - 1].tolist()
+            ng = normalized(jets[i].truncated(n + 1), corank.t[i].tolist(), *pivots, exact=False)
+        out[i] = _state(corank.margins(i, "corank") + margins, None, outcome, ng)
     return out
 
 
@@ -676,14 +663,15 @@ def _classify_batch(germ: MapGerm, points, tol: Tolerances):
 
     Each point's jet comes from its own `translate`; the residuals from one
     evaluation of the chart, whose rows do not depend on each other; the
-    decisions up to the fold test from `_stacked_verdicts`.  A point those
-    leave undecided goes through `_classify_at_origin` on its (n+1)-jet
-    alone.  Every bit is the one that point gets alone, and a point whose
-    jet, residual or decision is not finite raises the FloatRangeError it
-    raises alone, the first such point in order.
+    stages up to the fold test from `_stacked_stages`, whose outcome goes
+    to `criteria`'s tail; a point the stack leaves undecided goes through
+    `_classify_at_origin` on its (n+1)-jet alone.  Every bit is the one that
+    point gets alone, and a point whose jet, residual or decision is not
+    finite raises the FloatRangeError it raises alone, the first such point
+    in order.
     """
     pipe = _pipeline(germ, tol)
-    n = germ.n
+    n, m = germ.n, germ.m
     xs = [tuple(float(v) for v in point) for point in points]
     jets = [pipe.germ.translate(x) for x in xs]
     finite = [i for i, jet in enumerate(jets) if all(p.is_finite_to(n + 1) for p in jet.components)]
@@ -691,21 +679,23 @@ def _classify_batch(germ: MapGerm, points, tol: Tolerances):
     if pipe.lambdas is not None and xs:
         with np.errstate(over="ignore", invalid="ignore"):
             residuals = _norms(pipe.values(np.array(xs))).tolist()
-    decided = dict(zip(finite, _stacked_verdicts([jets[i] for i in finite], n, germ.m, tol)))
+    stacked = dict(zip(finite, _stacked_stages([jets[i] for i in finite], n, m, tol)))
     verdicts = []
     for i, (x, jet, residual) in enumerate(zip(xs, jets, residuals)):
-        if i not in decided:
+        if i not in stacked:
             raise FloatRangeError("the jet at the point is not finite in floats")
         if residual is not None and not math.isfinite(residual):
             raise FloatRangeError("the residual at the point is not finite in floats")
-        if decided[i] is None:
-            decide = _Thresholds(tol)
+        decide = _Thresholds(tol)
+        if stacked[i] is None:
             label, _ = _classify_at_origin(jet.truncated(n + 1), decide)
-            decided[i] = label, decide.margins
-        label, margins = decided[i]
-        if any(m.inconclusive for m in margins):
+        else:
+            decide.margins, label, outcome, ng = stacked[i]
+            if outcome is not None:
+                label, _ = _after_fold_test(ng, decide, False, {"m": m, "n": n}, *outcome)
+        if any(margin.inconclusive for margin in decide.margins):
             label = Label("Inconclusive")
-        verdicts.append(NumericVerdict(point=x, label=label, margins=margins, residual=residual))
+        verdicts.append(NumericVerdict(x, label, decide.margins, residual))
     return verdicts
 
 

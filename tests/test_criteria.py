@@ -1,6 +1,9 @@
 """The classification pipeline: lambdas, kernel Hessian, theta, labels."""
 
 import dataclasses
+import functools
+import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -33,8 +36,9 @@ from morinclass.criteria import (
     lambdas_for_frame,
     rank_condition_b,
 )
+from morinclass.germ import normalized
 from morinclass.lefschetz import LefschetzFamily, lefschetz_lambdas, witness_verify
-from morinclass.linalg import PolyMatrix
+from morinclass.linalg import PolyMatrix, _dot
 
 from conftest import (
     cofactor_determinant,
@@ -1036,6 +1040,36 @@ class TestFoldOverQ:
             assert rank_passes == []
             folds += 1
         assert folds == 48
+
+    def test_float_sums_run_in_order(self):
+        # 1e16 + 1.0 - 1e16 is 0.0 added in order and 1.0 compensated, as
+        # `math.fsum` adds, and CPython's `sum` from 3.12
+        terms = [1e16, 1.0, -1e16]
+        in_order = functools.reduce(operator.add, terms)
+        assert (in_order, math.fsum(terms)) == (0.0, 1.0)
+        assert _dot(terms, [1.0] * 3) == in_order
+        # f_1 = x - z, f_2 = y - z: eta_z = (1, 1, 1, 0) and eta_w = (0, 0, 0, 1);
+        # E(0)^T H at column z sums 1e16 + 1.0 - 1e16, and K sums its row
+        ctx = make_context("x", "y", "z", "w")
+        x, y, z, w = (Polynomial.variable(ctx, n) for n in ctx.names)
+        last = 1e16 * x * z + 1.0 * y * z - 5e15 * z**2 + 1e16 * x**2 + 3.0 * w**2
+        germ = MapGerm(ctx, (x - z, y - z, last))
+        eye = [[float(r == c) for c in range(3)] for r in range(3)]
+        _, eta_hess, kern = kernel_hessian_at_origin(normalized(germ, eye, [0, 1], [0, 1], False))
+        etas = [[1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+        hess = [[2e16, 0.0, 1e16, 0.0], [0.0, 0.0, 1.0, 0.0],
+                [1e16, 1.0, -1e16, 0.0], [0.0, 0.0, 0.0, 6.0]]
+
+        def folds(add):
+            want_eta_hess = [[add(e * h for e, h in zip(eta, column)) for column in zip(*hess)]
+                             for eta in etas]
+            want_kern = [[add(v * e for v, e in zip(row, eta)) for eta in etas]
+                         for row in want_eta_hess]
+            return want_eta_hess, want_kern
+
+        assert (eta_hess, kern) == folds(lambda terms: functools.reduce(operator.add, terms, 0))
+        assert (eta_hess, kern) != folds(math.fsum)
+        assert eta_hess[0][2] == 0.0
 
     def test_pivot_block_with_nonunit_determinant(self):
         germ = self.pivot_block_germ()

@@ -13,8 +13,10 @@ from morinclass import Polynomial, classify, validate
 from morinclass.lefschetz import (
     LefschetzFamily,
     PARAM_VARS,
+    SOURCE_VARS,
     STANDARD_SLICE_VALUES,
     SliceGrid,
+    chart_hessian,
     circle_point,
     cusp_tau_polynomial,
     distinguished_points,
@@ -132,13 +134,30 @@ class TestNoncuspPolynomials:
 class TestCuspStructure:
     def test_tau_quartic_matches_direct_evaluation(self):
         # the h-polynomial of the chart, restricted to the circle, carries the
-        # quartic's roots: spot-check root/non-root behavior via classification
+        # quartic as a factor: its coefficients, then h at rational circle points
         params = (Fraction(1), Fraction(2), Fraction(1), Fraction(1))
         coeffs = cusp_tau_polynomial(params)
         # p and q assemble from the complex product (a1+ib1)(a2+ib2)
         p = Fraction(1) * 2 - 1 * 1
         q = Fraction(1) * 1 + 2 * 1
         assert coeffs == [0, p, 3 * q, -3 * p, -q]
+        # on the circle the chart's h is -2 tau^2 (a1 tau - b1)^4 (1 + tau^2)^-5 Q(tau)
+        h = chart_hessian()["h"]
+        cases = [(params, Fraction(t)) for t in ("0", "1", "-1", "1/3", "-2", "2", "5/7")]
+        cases += [((Fraction(3, 2), Fraction(1), Fraction(-2), Fraction(-1, 2)), Fraction(1, 3)),
+                  ((Fraction(-1, 2), Fraction(3), Fraction(2), Fraction(-5, 4)), Fraction(-3, 2))]
+        checked = set()
+        for point_params, tau in cases:
+            try:
+                point = circle_point(point_params, tau)
+            except ZeroDivisionError:
+                continue  # the slope through the circle's origin has no branch point
+            a1, _, b1, _ = point_params
+            quartic = sum(c * tau**i for i, c in enumerate(cusp_tau_polynomial(point_params)))
+            value = h.evaluate(dict(zip(SOURCE_VARS + PARAM_VARS, point + point_params)))
+            assert value == -2 * tau**2 * (a1 * tau - b1) ** 4 / (1 + tau**2) ** 5 * quartic
+            checked.add(point_params)
+        assert len(checked) == 3
 
     def test_circle_points_are_singular(self):
         params = (Fraction(1), Fraction(2), Fraction(1), Fraction(1))

@@ -765,6 +765,15 @@ class TestBatchOracle:
                 per_point(germ, batch[0], numeric._Thresholds)
             with pytest.raises(FloatRangeError, match=str(alone.value)):
                 numeric._classify_batch(germ, batch, Tolerances())
+        # a Morin candidate at 0 whose condition-(b) decision overflows, before
+        # and after the point whose jet overflows: its tail runs in order
+        candidate = MapGerm(ctx, (x, big * y**3 + x * y + z**2))
+        for batch, error in ((points, "condition-b largest rejected entry"),
+                             (points[::-1], "jet at the point")):
+            with pytest.raises(FloatRangeError, match=error):
+                per_point(candidate, batch[0], numeric._Thresholds)
+            with pytest.raises(FloatRangeError, match=error):
+                numeric._classify_batch(candidate, batch, Tolerances())
 
     def test_reduce_matches_the_scalar_rule(self):
         rng = np.random.default_rng(3131)
@@ -846,12 +855,28 @@ def _flat(values):
 
 
 class TestBatchCounts:
-    def test_one_point_alone_per_scan_at_the_far_point(self, monkeypatch):
-        # 378 representatives: 377 folds decided in the batch, one Morin{2}
+    """Counts, not times: every scan point's fold test runs once, in the stack."""
+
+    @pytest.mark.parametrize("params, labels", [
+        ((Fraction(3, 2), 1, -2, Fraction(-1, 2)),
+         {"Fold(signature=(1, 2))": 377, "Morin{2}": 1}),
+        ((0, Fraction(1, 2), 2, Fraction(3, 2)),
+         {"Fold(signature=(2, 1))": 33, "Fold(signature=(1, 2))": 393}),
+        ((Fraction(1, 2), -1, 1, 1),
+         {"Regular": 282, "Fold(signature=(1, 2))": 102, "Fold(signature=(2, 1))": 42,
+          "Inconclusive": 7, "Degenerate(AllDerivativesVanish)": 2}),
+    ])
+    def test_no_point_repeats_the_fold_test(self, params, labels, monkeypatch):
+        # the Morin candidates take `criteria`'s tail on their stacked fold
+        # test, where they ran the corank reduction and the fold test again
         calls = []
-        alone = numeric._classify_at_origin
-        monkeypatch.setattr(numeric, "_classify_at_origin",
-                            lambda *args: calls.append(args) or alone(*args))
-        germ = LefschetzFamily.symbolic().at((Fraction(3, 2), 1, -2, Fraction(-1, 2)))
+        reduce, fold_test = numeric._Thresholds.reduce, numeric._Thresholds.fold_test
+        monkeypatch.setattr(numeric._Thresholds, "reduce",
+                            lambda self, name, rows: calls.append(name) or reduce(self, name, rows))
+        monkeypatch.setattr(numeric._Thresholds, "fold_test",
+                            lambda self, *args: calls.append("fold test") or fold_test(self, *args))
+        numeric._shared_pipeline.cache_clear()  # so the pipeline reduces its own germ here
+        germ = LefschetzFamily.symbolic().at(params)
         verdicts = scan_region(germ, [(-1, 1)] * 4, 5)
-        assert len(verdicts) == 378 and len(calls) == 1
+        assert Counter(str(v.label) for v in verdicts) == labels
+        assert calls.count("corank") == 1 and "fold test" not in calls

@@ -39,6 +39,12 @@ and lists the valid ones):
                                    Fraction and mixed powers through
                                    `Polynomial.__pow__` (capped and not) and
                                    the parser
+  criteria.records                 `json.dumps(report.trace, sort_keys=True)`
+                                   of traced and untraced `classify` on the
+                                   seed-1 `ainv_replay` germs and the
+                                   `degenerate` germs: the whole trace record,
+                                   "signature" included, which
+                                   `report_to_dict` drops
 
 Each `cli.*` text is the exit status and the standard output.
 
@@ -47,7 +53,7 @@ for `git archive` copies of two commits A and B:
 
     diff <(python3 A/tools/output_digest.py) <(python3 B/tools/output_digest.py)
 
-It takes about 6 s on a 2-core host.  `tests/data/output_digest.txt` holds
+It takes about 7 s on a 2-core host.  `tests/data/output_digest.txt` holds
 its lines for the current outputs, and `tests/test_output_digest.py` fails on
 any family that no longer matches: a change that moves an output on purpose
 says so and replaces that family's line with this script's new one.
@@ -136,9 +142,14 @@ def canon(obj):
 
 
 @functools.cache
+def seed_requests(seed):
+    """The `ainv_replay` requests of one seed, built once for every family."""
+    return tuple(inputs.ainv_requests(random.Random(seed)))
+
+
 def replay_requests():
-    """The seed-1 and seed-2 `ainv_replay` requests, built once for every family."""
-    return tuple(request for seed in SEEDS for request in inputs.ainv_requests(random.Random(seed)))
+    """The seed-1 and seed-2 `ainv_replay` requests."""
+    return tuple(request for seed in SEEDS for request in seed_requests(seed))
 
 
 @functools.cache
@@ -318,6 +329,13 @@ def exact_terms():
         yield [term_pairs(p) for p in (base**k, capped**k, parse_expression(f"({text})^{k}", ctx))]
 
 
+def criteria_records():
+    seed_one = replay_germs()[:len(seed_requests(1))]
+    for germ in seed_one + tuple(degenerate_germs()):
+        for traced in (True, False):
+            yield json.dumps(classify(germ, trace=traced).trace, sort_keys=True)
+
+
 FAMILIES = (
     ("ainv_replay.traced", lambda: ainv_reports(True)),
     ("ainv_replay.untraced", lambda: ainv_reports(False)),
@@ -333,6 +351,7 @@ FAMILIES = (
     ("degenerate", degenerate),
     ("cubic_forms", cubic_forms),
     ("exact_terms", exact_terms),
+    ("criteria.records", criteria_records),
 )
 
 
