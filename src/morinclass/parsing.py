@@ -2,7 +2,8 @@
 
 The expression grammar is deliberately small: identifiers, integer and
 rational literals `p/q`, `+ - * ^` with parentheses, `^` taking a
-non-negative integer literal.  Germ files are line-oriented:
+non-negative integer literal.  Its tokens are plain strings; a token's line
+and column are worked out only for an error.  Germ files are line-oriented:
 
     vars: x y z
     params: a = 1, b = -3/2   # optional; bare names also allowed
@@ -35,6 +36,9 @@ MAX_POWER_BITS = 1 << 17
 # degree and the coefficient bound but would expand for hours.
 MAX_POWER_TERMS = 10**6
 
+# The most parentheses open at once; about 190 would exhaust Python's recursion limit.
+MAX_NESTING = 100
+
 
 class ParseError(ValueError):
     def __init__(self, message, line=None, column=None):
@@ -47,39 +51,35 @@ class ParseError(ValueError):
         super().__init__(message + where)
 
 
-# Blanks, then one token or one character that starts none.  Digits and
-# identifiers are ASCII only: str.isdigit() also holds for '²' and '٣', which
-# int() then rejects or reads as another digit.
+# A token is a run of digits, an identifier or one operator character;
+# blanks (re's \s) separate them.  Digits and identifiers are ASCII only:
+# str.isdigit() also holds for '²' and '٣', which int() then rejects or
+# reads as another digit.
 _NAME = "[A-Za-z_][A-Za-z0-9_]*"
-_TOKEN = re.compile(rf"([^\S\n]*)(?:(\n)|([0-9]+)|({_NAME})|([-+*^()/])|(\S))")
+_TOKEN = re.compile(rf"[0-9]+|{_NAME}|[-+*^()/]")
+_BAD = re.compile(r"[^\s0-9A-Za-z_+\-*^()/]")  # a character that starts no token
+
+
+def _place(text, offset, line_offset):
+    """The line and column of the character at `offset` in `text`."""
+    return line_offset + text.count("\n", 0, offset), offset - text.rfind("\n", 0, offset)
 
 
 def _tokenize(text, line_offset=1):
-    """(kind, text, line, column) tuples, ending with an "end" token."""
-    tokens = []
-    append = tokens.append
-    line = line_offset
-    pos = 0
-    line_start = -1  # the column of pos is pos - line_start
-    for blank, newline, number, ident, op, bad in _TOKEN.findall(text):
-        pos += len(blank)
-        if number:
-            append(("int", number, line, pos - line_start))
-            pos += len(number)
-        elif ident:
-            append(("ident", ident, line, pos - line_start))
-            pos += len(ident)
-        elif op:
-            append(("op", op, line, pos - line_start))
-            pos += 1
-        elif newline:
-            line += 1
-            line_start = pos
-            pos += 1
-        else:
-            raise ParseError(f"unexpected character {bad!r}", line, pos - line_start)
-    append(("end", "", line, len(text) - line_start))
+    """The token strings of `text`, then "" for its end; a character starting none is an error."""
+    bad = _BAD.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}",
+                         *_place(text, bad.start(), line_offset))
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
     return tokens
+
+
+def _token_place(text, index, line_offset=1):
+    """The line and column of token `index` of `_tokenize(text)`, found again by its offset."""
+    starts = [match.start() for match in _TOKEN.finditer(text)] + [len(text)]
+    return _place(text, starts[index], line_offset)
 
 
 def _power_products(t, k):
@@ -103,49 +103,54 @@ def _power_products(t, k):
 class _ExpressionParser:
     """Recursive descent on packed term dicts (`morinclass._termops_py`).
 
-    Every value is a fresh dict the parser owns, wrapped as one `Polynomial`
-    at the end.  A sum accumulates in place in the dict of its first term,
-    through `iadd_terms` and `isub_terms`, so its terms keep the order that
-    `+` and `-` on polynomials give them; that order fixes the order of every
-    float sum downstream.  A product of two monomials is one key sum and one
-    coefficient product; other products, powers and negation go through the
-    kernel.
+    The tokens are the strings of `_tokenize`; a token's line and column are
+    found from its offset only for an error.  Every value is a fresh dict the
+    parser owns, wrapped as one `Polynomial` at the end.  A sum accumulates in
+    place in the dict of its first term, through `iadd_terms` and
+    `isub_terms`, so its terms keep the order that `+` and `-` on polynomials
+    give them; that order fixes the order of every float sum downstream.  A
+    product by a variable (to a power) adds its key (times k) to each key, a
+    product of two monomials is one key sum and one coefficient product, and
+    a power of a monomial with coefficient 1 is its key times k: the terms
+    `mul_terms` and `pow_terms` give, which run every other product and power.
     """
 
-    def __init__(self, tokens, context):
-        self.tokens = tokens
+    def __init__(self, text, context, line_offset):
+        self.text = text
+        self.line_offset = line_offset
+        self.tokens = _tokenize(text, line_offset)
         self.pos = 0
+        self.depth = 0  # parentheses open at pos
         self.context = context
         self.shift = context.degree_shift
         unit = context.degree_unit
-        self.keys = {name: unit + u for name, u in zip(context.names, context.units)}
+        # only names a token can spell: the loops look tokens up here first
+        self.keys = {name: unit + u for name, u in zip(context.names, context.units)
+                     if re.fullmatch(_NAME, name)}
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def error(self, message, index=None):
+        place = _token_place(self.text, self.pos if index is None else index, self.line_offset)
+        raise ParseError(message, *place)
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok[2], tok[3])
+    def degree_bound(self, degree, index):
+        try:
+            check_degree(degree)
+        except DegreeOverflowError as exc:
+            self.error(str(exc), index)
 
     def parse(self):
         value = self.expr()
-        kind, text, line, colno = self.peek()
-        if kind != "end":
-            self.error(f"unexpected {text!r} after expression")
+        if tok := self.tokens[self.pos]:
+            self.error(f"unexpected {tok!r} after expression")
         return value
 
-    # An operator token's text is its one character, and no other token's
-    # text is one of "+-*^()/": the loops below test the text alone.
+    # An operator token is its one character, and no other token is one of
+    # "+-*^()/": the loops below test the token alone.
 
     def expr(self):
         acc = self.term()
         tokens = self.tokens
-        while (op := tokens[self.pos][1]) == "+" or op == "-":
+        while (op := tokens[self.pos]) == "+" or op == "-":
             self.pos += 1
             if op == "+":
                 kernel.iadd_terms(acc, self.term())
@@ -155,115 +160,134 @@ class _ExpressionParser:
 
     def term(self):
         value = self.factor()
-        tokens, shift = self.tokens, self.shift
-        while (op := tokens[self.pos])[1] == "*":
-            self.pos += 1
-            rhs = self.factor()
+        tokens, shift, keys = self.tokens, self.shift, self.keys
+        while tokens[at := self.pos] == "*":
+            key = keys.get(tokens[at + 1])
             try:
+                if key is not None:
+                    # a variable, maybe to a power: `mul_terms` would add its key to each
+                    self.pos = at + 2
+                    if tokens[at + 2] == "^":
+                        (key,) = self.power({key: 1})
+                    if value:
+                        check_degree((max(value) >> shift) + (key >> shift))
+                    value = {k + key: c for k, c in value.items()}
+                    continue
+                self.pos = at + 1
+                rhs = self.factor()
                 if len(value) == 1 == len(rhs):
                     ((ka, ca),) = value.items()
                     ((kb, cb),) = rhs.items()
                     check_degree((ka >> shift) + (kb >> shift))
-                    value = {ka + kb: ca * cb}
+                    # ca * 1 is ca, of its type, Fraction and float too
+                    value = {ka + kb: ca if cb.__class__ is int and cb == 1 else ca * cb}
                 else:
                     value = kernel.mul_terms(value, rhs, self.context)
             except DegreeOverflowError as exc:
-                self.error(str(exc), op)
-        if op[1] == "/":
+                self.error(str(exc), at)
+        if tokens[at] == "/":
             self.error("'/' is only allowed inside rational literals like 3/2")
         return value
 
     def factor(self):
-        sign = self.tokens[self.pos][1]
-        if sign == "+" or sign == "-":
+        # a run of signs in a loop: negation is exact, so the parity of the minus signs decides
+        tokens = self.tokens
+        negate = False
+        while (sign := tokens[self.pos]) == "-" or sign == "+":
             self.pos += 1
-            inner = self.factor()
-            return inner if sign == "+" else kernel.neg_terms(inner)
-        return self.power()
+            negate ^= sign == "-"
+        value = self.atom()
+        if tokens[self.pos] == "^":
+            value = self.power(value)
+        return kernel.neg_terms(value) if negate else value
 
-    def power(self):
-        base = self.atom()
-        if self.tokens[self.pos][1] == "^":
-            self.pos += 1
-            etok = self.peek()
-            if etok[0] != "int":
-                self.error("exponent must be a non-negative integer literal", etok)
-            self.advance()
-            try:
-                k = int(etok[1])
-            except ValueError:  # more digits than int() converts
-                self.error("exponent is too large", etok)
-            if k > MAX_DEGREE:
-                # whatever the base: a constant one has degree 0 and would
-                # pass the degree bound, then take k - 1 growing products
-                self.error(f"exponent {k} exceeds the largest supported degree {MAX_DEGREE}", etok)
-            # each coefficient of base^k has about k times the bits of the base's
-            bits = k * max(
-                (max(abs(c.numerator), c.denominator).bit_length() for c in base.values()),
-                default=0,
-            )
-            if bits > MAX_POWER_BITS:
-                self.error(
-                    f"power of about {bits} bits exceeds the largest supported"
-                    f" coefficient size of {MAX_POWER_BITS} bits",
-                    etok,
-                )
-            try:
-                # before any product: x^99999999 would run 10^8 of them
-                if base:
-                    check_degree((max(base) >> self.shift) * k)
-            except DegreeOverflowError as exc:
-                self.error(str(exc), etok)
-            if _power_products(len(base), k) > MAX_POWER_TERMS:
-                self.error(
-                    f"expanding this power would take more than {MAX_POWER_TERMS} term products",
-                    etok,
-                )
-            return kernel.pow_terms(base, k, self.context)
-        return base
-
-    def literal(self, tok):
+    def exponent(self):
+        """The exponent after the `^` at pos, and the index of its token."""
+        at = self.pos + 1
+        tok = self.tokens[at]
+        if not tok.isdigit():
+            self.error("exponent must be a non-negative integer literal", at)
+        self.pos = at + 1
         try:
-            return int(tok[1])
+            k = int(tok)
         except ValueError:  # more digits than int() converts
-            self.error("integer literal is too large", tok)
+            self.error("exponent is too large", at)
+        if k > MAX_DEGREE:
+            # whatever the base: a constant one has degree 0 and would
+            # pass the degree bound, then take k - 1 growing products
+            self.error(f"exponent {k} exceeds the largest supported degree {MAX_DEGREE}", at)
+        return k, at
+
+    def power(self, base):
+        """`base` to the exponent after the `^` at pos, within the bounds."""
+        k, at = self.exponent()
+        if len(base) == 1:
+            ((key, c),) = base.items()
+            if c.__class__ is int and c == 1:
+                # k bits and k - 1 products: of the bounds below, only the degree's can fail
+                self.degree_bound((key >> self.shift) * k, at)
+                return {key * k: 1}
+        # each coefficient of base^k has about k times the bits of the base's
+        bits = k * max(
+            (max(abs(c.numerator), c.denominator).bit_length() for c in base.values()),
+            default=0,
+        )
+        if bits > MAX_POWER_BITS:
+            self.error(
+                f"power of about {bits} bits exceeds the largest supported"
+                f" coefficient size of {MAX_POWER_BITS} bits",
+                at,
+            )
+        if base:  # before any product: x^99999999 would run 10^8 of them
+            self.degree_bound((max(base) >> self.shift) * k, at)
+        if _power_products(len(base), k) > MAX_POWER_TERMS:
+            self.error(
+                f"expanding this power would take more than {MAX_POWER_TERMS} term products",
+                at,
+            )
+        return kernel.pow_terms(base, k, self.context)
+
+    def literal(self, index):
+        try:
+            return int(self.tokens[index])
+        except ValueError:  # more digits than int() converts
+            self.error("integer literal is too large", index)
 
     def atom(self):
-        tok = self.advance()
-        kind, text, line, colno = tok
-        if kind == "int":
-            value = self.literal(tok)
-            nxt = self.peek()
-            if nxt[0] == "op" and nxt[1] == "/":
-                save = self.pos
-                self.advance()
-                dtok = self.peek()
-                if dtok[0] == "int":
-                    self.advance()
-                    den = self.literal(dtok)
-                    if den == 0:
-                        raise ParseError("zero denominator", dtok[2], dtok[3])
-                    value = Fraction(value, den)
-                else:
-                    self.pos = save
-            return {0: value} if value else {}
-        if kind == "ident":
-            key = self.keys.get(text)
-            if key is None:
-                raise ParseError(f"unknown identifier {text!r}", line, colno)
+        tokens = self.tokens
+        at = self.pos
+        tok = tokens[at]
+        self.pos = at + 1
+        key = self.keys.get(tok)
+        if key is not None:
             return {key: 1}
-        if kind == "op" and text == "(":
+        if tok.isdigit():
+            value = self.literal(at)
+            if tokens[at + 1] == "/" and tokens[at + 2].isdigit():
+                self.pos = at + 3
+                den = self.literal(at + 2)
+                if den == 0:
+                    self.error("zero denominator", at + 2)
+                value = Fraction(value, den)
+            return {0: value} if value else {}
+        if tok == "(":
+            if self.depth == MAX_NESTING:
+                self.error(f"more than {MAX_NESTING} nested parentheses", at)
+            self.depth += 1
             value = self.expr()
-            close = self.advance()
-            if close[0] != "op" or close[1] != ")":
-                raise ParseError("expected ')'", close[2], close[3])
+            if tokens[self.pos] != ")":
+                self.error("expected ')'")
+            self.pos += 1
+            self.depth -= 1
             return value
-        raise ParseError(f"unexpected {text or 'end of input'!r}", line, colno)
+        if tok[:1].isalpha() or tok[:1] == "_":
+            self.error(f"unknown identifier {tok!r}", at)
+        self.error(f"unexpected {tok or 'end of input'!r}", at)
 
 
 def parse_expression(text, context, line_offset=1) -> Polynomial:
     """Parse one polynomial expression over the given variable context."""
-    terms = _ExpressionParser(_tokenize(text, line_offset), context).parse()
+    terms = _ExpressionParser(text, context, line_offset).parse()
     return Polynomial._wrap(context, terms)
 
 

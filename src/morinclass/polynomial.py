@@ -23,8 +23,10 @@ integral Fraction as its int, so an int polynomial times an entry of a
 
 Canonical text rendering sorts monomials by graded lexicographic order,
 where the grade counts source-role variables only (parameters weigh zero)
-and ties break on the exponent vector, descending, in context order.  That
-ordering is the contract for golden-file tests.
+and ties break on the exponent vector, descending, in context order: the
+packed key less its parameter exponents in the degree field (the key itself
+without parameters).  Each key's order and text are built once, in a table
+on its context.  That ordering is the contract for golden-file tests.
 """
 
 import heapq
@@ -33,7 +35,7 @@ from math import gcd, isfinite, lcm
 
 from . import _termops_py as kernel
 from .context import MAX_DEGREE, ContextMismatchError, VariableContext, check_same_context
-from .rationals import format_rational, rat
+from .rationals import rat
 
 
 def _jet_min(a, b):
@@ -73,6 +75,17 @@ def _product_jet(a, ja, b, jb, shift):
         if order is not None and (jet is None or jb + order < jet):
             jet = jb + order
     return jet if jet is None or jet < MAX_DEGREE else MAX_DEGREE
+
+
+def _monomial(context, key):
+    """The canonical order of a packed monomial, and its text: parameter factors first."""
+    exps = context.unpack(key)
+    params = context.parameter_indices
+    order = key - (sum(exps[i] for i in params) << context.degree_shift)
+    names = context.names
+    text = "*".join([names[i] if exps[i] == 1 else f"{names[i]}^{exps[i]}"
+                     for i in params + context.source_indices if exps[i]])
+    return order, text
 
 
 def jet_order(polys):
@@ -380,48 +393,47 @@ class Polynomial:
 
     # -- canonical ordering, rendering, division ------------------------------
 
-    def _order_key(self, exps):
-        idx = self.context.source_indices
-        return (sum(exps[i] for i in idx), exps)
+    def _monomial_entries(self):
+        """The (order, text) pair of each term's key, from the context's table."""
+        table = self.context._monomials
+        try:
+            return list(map(table.__getitem__, self.terms))
+        except KeyError:  # build each missing one once
+            for key in self.terms.keys() - table.keys():
+                table[key] = _monomial(self.context, key)
+            return list(map(table.__getitem__, self.terms))
 
     def sorted_terms(self):
         """Terms in canonical (graded-lex, descending) order."""
-        return sorted(self.items(), key=lambda t: self._order_key(t[0]), reverse=True)
+        unpack = self.context.unpack
+        pairs = sorted(zip(self._monomial_entries(), self.terms.items()), reverse=True)
+        return [(unpack(key), coeff) for _, (key, coeff) in pairs]
 
     def leading_term(self):
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        return max(self.items(), key=lambda t: self._order_key(t[0]))
+        key = max(zip(self._monomial_entries(), self.terms))[1]
+        return self.context.unpack(key), self.terms[key]
 
     def render(self) -> str:
         """Canonical text form, e.g. `x2^2 + y2^2 + a1*x2 + b1*y2`.
 
         Within a monomial, parameter factors print before source factors
-        (each group in context order), matching the classical displays.
+        (each group in context order), matching the classical displays.  A
+        float magnitude prints as its `repr`.
         """
         if not self.terms:
             return "0"
-        order = list(self.context.parameter_indices) + list(self.context.source_indices)
         pieces = []
-        for n, (exps, coeff) in enumerate(self.sorted_terms()):
-            factors = []
-            for i in order:
-                name, e = self.context.names[i], exps[i]
-                if e == 0:
-                    continue
-                factors.append(name if e == 1 else f"{name}^{e}")
-            mag = abs(coeff)
-            if not factors:
-                body = format_rational(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = format_rational(mag) + "*" + "*".join(factors)
-            if n == 0:
-                pieces.append(body if coeff > 0 else "-" + body)
-            else:
-                pieces.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(pieces)
+        entries = zip(self._monomial_entries(), self.terms.values())
+        for (_, mono), coeff in sorted(entries, reverse=True):
+            text = str(coeff)  # `format_rational`'s text, or a float's repr
+            sign, text = ("- ", text[1:]) if text[0] == "-" else ("+ ", text)
+            if mono:
+                text = mono if text == "1" or text == "1.0" else text + "*" + mono
+            pieces.append(sign + text)
+        text = " ".join(pieces)
+        return "-" + text[2:] if text[0] == "-" else text[2:]
 
     def __repr__(self):
         return f"Polynomial({self.render()})"
@@ -443,7 +455,7 @@ class Polynomial:
         src = self.context.source_indices
 
         def heap_key(exps):
-            # `_order_key` negated, so heapq's smallest entry leads
+            # the canonical order negated, so heapq's smallest entry leads
             return (-sum(exps[i] for i in src), tuple(-e for e in exps))
 
         # Each step removes the leading term and adds only terms below it, so

@@ -18,7 +18,8 @@ from morinclass.criteria import (
     lambdas_for_frame,
 )
 from morinclass.germ import build_frame
-from morinclass.parsing import MAX_POWER_BITS, ParseError, _tokenize
+from morinclass.parsing import MAX_POWER_BITS, ParseError
+from morinclass.rationals import format_rational
 
 
 def make_context(*names, params=()):
@@ -480,8 +481,40 @@ def minor_rank(rows):
 
 
 # The expression parser on `Polynomial` arithmetic, one polynomial per atom
-# and per operator: `morinclass.parsing`, which computes on term dicts, must
-# agree with it in values, coefficient types, term order and errors.
+# and per operator, over the tokens of a scan one character at a time:
+# `morinclass.parsing`, which computes on term dicts, must agree with it in
+# values, coefficient types, term order and errors.
+
+
+def character_tokens(text, line_offset=1):
+    """(kind, text, line, column) tuples by a scan one character at a time (ASCII classes)."""
+    tokens = []
+    line, col, i = line_offset, 1, 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line, col, i = line + 1, 1, i + 1
+            continue
+        if ch.isspace():
+            col, i = col + 1, i + 1
+            continue
+        j = i + 1
+        if ch in "0123456789":
+            kind = "int"
+            while j < len(text) and text[j] in "0123456789":
+                j += 1
+        elif ch.isascii() and (ch.isalpha() or ch == "_"):
+            kind = "ident"
+            while j < len(text) and text[j].isascii() and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+        elif ch in "+-*^()/":
+            kind = "op"
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        tokens.append((kind, text[i:j], line, col))
+        col, i = col + j - i, j
+    tokens.append(("end", "", line, col))
+    return tokens
 
 
 class PolynomialParser:
@@ -616,7 +649,51 @@ class PolynomialParser:
 
 
 def polynomial_parse(text, context, line_offset=1):
-    return PolynomialParser(_tokenize(text, line_offset), context).parse()
+    return PolynomialParser(character_tokens(text, line_offset), context).parse()
+
+
+# `Polynomial.sorted_terms`, `leading_term` and `render` on exponent tuples,
+# sorted through a per-term key: the canonical order and text that the
+# versions on packed keys must give byte for byte.
+
+
+def _reference_order(p, exps):
+    """(degree in the source variables, exponent tuple): graded lex, parameters weighing zero."""
+    return (sum(exps[i] for i in p.context.source_indices), exps)
+
+
+def reference_sorted_terms(p):
+    return sorted(p.items(), key=lambda t: _reference_order(p, t[0]), reverse=True)
+
+
+def reference_leading_term(p):
+    return max(p.items(), key=lambda t: _reference_order(p, t[0]))
+
+
+def reference_render(p):
+    if not p.terms:
+        return "0"
+    order = list(p.context.parameter_indices) + list(p.context.source_indices)
+    pieces = []
+    for n, (exps, coeff) in enumerate(reference_sorted_terms(p)):
+        factors = []
+        for i in order:
+            name, e = p.context.names[i], exps[i]
+            if e == 0:
+                continue
+            factors.append(name if e == 1 else f"{name}^{e}")
+        mag = abs(coeff)
+        if not factors:
+            body = format_rational(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = format_rational(mag) + "*" + "*".join(factors)
+        if n == 0:
+            pieces.append(body if coeff > 0 else "-" + body)
+        else:
+            pieces.append(("+ " if coeff > 0 else "- ") + body)
+    return " ".join(pieces)
 
 
 def reference_write_slice_csv(grid, path):

@@ -152,6 +152,20 @@ class TestClassifyCommand:
             " coefficient size of 131072 bits at line 2, column 11\n"
         )
 
+    def test_deep_nesting_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "nested.germ"
+        path.write_text("vars: x y z\nmap: x ; " + "(" * 300 + "y" + ")" * 300 + "^2 + z^2\n")
+        code, out, err = run_cli(capsys, "classify", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: more than 100 nested parentheses at line 2, column 101\n"
+
+    def test_long_sign_run_classifies(self, capsys, tmp_path):
+        path = tmp_path / "signs.germ"
+        path.write_text("vars: x y z\nmap: x ; " + "-" * 1200 + "y^2 + z^2\n")
+        code, out, err = run_cli(capsys, "classify", str(path))
+        assert code == 0 and err == ""
+        assert json.loads(out)["label"]["kind"] == "Fold"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "classify", str(tmp_path / "nope.germ"))
         assert code == 2 and "cannot read" in err

@@ -64,6 +64,11 @@ class TestValidate:
         with pytest.raises(MalformedGermError):
             validate(MapGerm(ctx, (x + 1, y**2)))
 
+    def test_float_germ_not_vanishing_is_malformed(self, xyz):
+        ctx, x, y, z = xyz
+        with pytest.raises(MalformedGermError, match="component 1 .* origin: 0.5$"):
+            MapGerm(ctx, (x + 0.5, y**2 + z**2)).check_wellformed()
+
     def test_too_few_source_vars(self):
         ctx = make_context("x", "y")
         x = Polynomial.variable(ctx, "x")

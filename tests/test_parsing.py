@@ -13,10 +13,12 @@ from morinclass import MalformedGermError, MapGerm, Polynomial, VariableContext
 from morinclass import _termops_py
 from morinclass.context import MAX_DEGREE
 from morinclass.parsing import (
+    MAX_NESTING,
     MAX_POWER_BITS,
     MAX_POWER_TERMS,
     ParseError,
     _power_products,
+    _token_place,
     _tokenize,
     parse_expression,
     parse_germ_document,
@@ -24,6 +26,7 @@ from morinclass.parsing import (
 
 from conftest import (
     ainv_request_texts,
+    character_tokens,
     make_context,
     polynomial_parse,
     random_polynomial,
@@ -97,35 +100,12 @@ class TestExpressions:
         assert err.value.line == 1
 
 
-def _character_tokens(text, line_offset=1):
-    """The tokens of `text` by a scan one character at a time (ASCII classes)."""
-    tokens = []
-    line, col, i = line_offset, 1, 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line, col, i = line + 1, 1, i + 1
-            continue
-        if ch.isspace():
-            col, i = col + 1, i + 1
-            continue
-        j = i + 1
-        if ch in "0123456789":
-            kind = "int"
-            while j < len(text) and text[j] in "0123456789":
-                j += 1
-        elif ch.isascii() and (ch.isalpha() or ch == "_"):
-            kind = "ident"
-            while j < len(text) and text[j].isascii() and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-        elif ch in "+-*^()/":
-            kind = "op"
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        tokens.append((kind, text[i:j], line, col))
-        col, i = col + j - i, j
-    tokens.append(("end", "", line, col))
-    return tokens
+def _token_tuples(text, line_offset=1):
+    """`_tokenize`'s strings as (kind, text, line, column), each place from `_token_place`."""
+    kinds = {"": "end", **dict.fromkeys("+-*^()/", "op")}
+    return [(kinds.get(tok) or ("int" if tok[0].isdigit() else "ident"), tok,
+             *_token_place(text, i, line_offset))
+            for i, tok in enumerate(_tokenize(text, line_offset))]
 
 
 def _outcome(tokenize, text):
@@ -143,10 +123,11 @@ class TestTokenizer:
         alphabet = "xyz_AZ0129+-*^()/ \t\r\n\u00a0\x1c\u2028\u200b$."
         for _ in range(2000):
             text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 24)))
-            assert _outcome(_tokenize, text) == _outcome(_character_tokens, text), text
+            assert _outcome(_token_tuples, text) == _outcome(character_tokens, text), text
 
     def test_token_tuples(self):
-        assert _tokenize("x2 +\n 13*_a^2", 4) == [
+        assert _tokenize("x2 +\n 13*_a^2", 4) == ["x2", "+", "13", "*", "_a", "^", "2", ""]
+        assert _token_tuples("x2 +\n 13*_a^2", 4) == [
             ("ident", "x2", 4, 1), ("op", "+", 4, 4), ("int", "13", 5, 2), ("op", "*", 5, 4),
             ("ident", "_a", 5, 5), ("op", "^", 5, 7), ("int", "2", 5, 8), ("end", "", 5, 9),
         ]
@@ -163,6 +144,43 @@ class TestTokenizer:
             parse_expression(text, ctx)
         assert err.value.line == 1 and err.value.column == column
         assert "unexpected character" in err.value.message
+
+
+class TestDeepInput:
+    """Nesting and sign runs: a bound and a loop, not Python's recursion limit."""
+
+    def test_nesting_up_to_the_bound_parses(self):
+        ctx = make_context("x")
+        text = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        assert parse_expression(text, ctx) == Polynomial.variable(ctx, "x")
+        # the bound counts the parentheses open at once, not all of them
+        assert parse_expression(" - ".join([text] * 3), ctx) == -Polynomial.variable(ctx, "x")
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 200, 300, 5000])
+    def test_deeper_nesting_fails_at_the_parenthesis_too_deep(self, depth):
+        ctx = make_context("x")
+        with pytest.raises(ParseError) as err:
+            parse_expression("(" * depth + "x" + ")" * depth, ctx)
+        assert err.value.message == f"more than {MAX_NESTING} nested parentheses"
+        assert (err.value.line, err.value.column) == (1, MAX_NESTING + 1)
+
+    def test_nesting_error_on_a_later_line(self):
+        ctx = make_context("x", "y")
+        text = "x +\n  " + "(-y*" * MAX_NESTING + "(x" + ")" * (MAX_NESTING + 1)
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, ctx, line_offset=4)
+        assert (err.value.line, err.value.column) == (5, 3 + 4 * MAX_NESTING)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 40, 1199, 1200, 5001])
+    def test_sign_runs_read_by_their_parity(self, count):
+        ctx = make_context("x", "y")
+        text = "-" * count + "3/2*x^2 + " + "+-" * count + "y - " + "-+" * count + "2"
+        p = parse_expression(text, ctx)
+        sign = -1 if count % 2 else 1
+        x, y = Polynomial.variable(ctx, "x"), Polynomial.variable(ctx, "y")
+        assert p == sign * (Fraction(3, 2) * x**2 + y) - sign * 2
+        if count <= 40:  # the oracle recurses once per sign
+            assert _parsed(parse_expression, text, ctx) == _parsed(polynomial_parse, text, ctx)
 
 
 class TestPowerBound:
@@ -618,3 +636,35 @@ class TestAgainstPolynomialParser:
             for p, q in zip(got.components, want.components):
                 assert p == q
                 assert list(p.terms.items()) == list(q.terms.items())
+
+
+class TestErrorPlaces:
+    """Lines and columns found from a token's offset, on texts of several lines."""
+
+    def test_mangled_multiline_expressions(self):
+        # pieces joined across lines, then one character dropped, doubled or
+        # replaced, or the text cut short: same value or same error message,
+        # line and column as `conftest.polynomial_parse`
+        ctx = TestAgainstPolynomialParser.CTX
+        rng = random.Random(32)
+        alphabet = "xyzab0123/+-*^() \n\t$"
+        joins = (" +\n", "\n- ", " *\n  ", "\n\n+ ", "\r\n+")
+        errors = later = at_end = 0
+        for _ in range(400):
+            text = random_expression(rng, ctx.names, depth=2)
+            for _ in range(rng.randint(1, 3)):
+                text += rng.choice(joins) + random_expression(rng, ctx.names, depth=1)
+            i = rng.randrange(len(text))
+            text = rng.choice((
+                text[:i] + text[i + 1:],
+                text[:i] + text[i] + text[i:],
+                text[:i] + rng.choice(alphabet) + text[i + 1:],
+                text[:i],
+            ))
+            new = _parsed(parse_expression, text, ctx, 4)
+            assert new == _parsed(polynomial_parse, text, ctx, 4), text
+            if isinstance(new, tuple):
+                errors += 1
+                later += new[1] > 4
+                at_end += new[1:] == (4 + text.count("\n"), len(text) - text.rfind("\n"))
+        assert errors >= 200 and later >= 100 and at_end >= 50, (errors, later, at_end)

@@ -12,7 +12,17 @@ from morinclass import ContextMismatchError, MapGerm, Polynomial, VariableContex
 from morinclass.cli import report_to_dict
 from morinclass.context import PARAMETER, SOURCE
 
-from conftest import make_context, naive_divide, perfbench_module, random_polynomial
+from morinclass.lefschetz import locus_context
+
+from conftest import (
+    make_context,
+    naive_divide,
+    perfbench_module,
+    random_polynomial,
+    reference_leading_term,
+    reference_render,
+    reference_sorted_terms,
+)
 
 
 @pytest.fixture
@@ -197,6 +207,54 @@ class TestCanonicalForm:
         assert Polynomial.constant(ctx, Fraction(-3, 2)).render() == "-3/2"
         assert (Fraction(1, 2) * x).render() == "1/2*x"
         assert (-x).render() == "-x"
+
+    def test_float_coefficients_render_as_their_repr(self, xyz):
+        ctx, x, y, z = xyz
+        moved = MapGerm(ctx, (x, y**2 + z**2)).translate((0.5, 0.25, 0.0))
+        assert repr(moved.components[1]) == "Polynomial(y^2 + z^2 + 0.5*y)"
+        p = Polynomial(ctx, {(1, 0, 0): float("nan"), (0, 1, 0): -float("inf"),
+                             (0, 0, 2): -1.0, (0, 0, 1): 1e-300, (0, 0, 0): 1.0})
+        assert p.render() == "-z^2 + nan*x - inf*y + 1e-300*z + 1.0"
+
+
+# parameters last, first, interleaved with the sources, parameters only, and
+# the locus context, whose names are the parameters' but whose roles are sources
+RENDER_LAYOUTS = {
+    "params_last": VariableContext.make(("x", "y", "z"), ("a", "b")),
+    "params_first": VariableContext(("a", "b", "x", "y", "z"), (PARAMETER,) * 2 + (SOURCE,) * 3),
+    "interleaved": VariableContext(("a", "x", "b", "y", "z"),
+                                   (PARAMETER, SOURCE, PARAMETER, SOURCE, SOURCE)),
+    "params_only": VariableContext(("a1", "a2", "b1", "b2"), (PARAMETER,) * 4),
+    "locus": locus_context(),
+}
+
+
+def render_operand(rng, ctx):
+    """Int and Fraction terms of either sign, a constant term at times, exponents up to 11."""
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        exps = tuple(rng.choice((0, 0, 0, 1, 2, 3, 10, 11)) for _ in ctx.names)
+        if rng.random() < 0.15:
+            exps = (0,) * len(ctx)
+        num = rng.choice((-1, 1)) * rng.choice((1, 1, 2, 3, 7, 10**12))
+        den = rng.choice((1, 1, 2, 5))
+        terms[exps] = Fraction(num, den) if den > 1 or rng.random() < 0.2 else num
+    return Polynomial(ctx, terms)
+
+
+@pytest.mark.parametrize("layout", list(RENDER_LAYOUTS))
+def test_canonical_order_and_text_match_the_tuple_sorting_versions(layout):
+    ctx = RENDER_LAYOUTS[layout]
+    rng = random.Random(2015)
+    constants = 0
+    for _ in range(300):
+        p = render_operand(rng, ctx)
+        constants += 0 in p.terms
+        assert p.render() == reference_render(p)
+        assert p.render() == reference_render(p)  # from the context's table
+        assert p.sorted_terms() == reference_sorted_terms(p)
+        assert p.leading_term() == reference_leading_term(p)
+    assert constants >= 30
 
     def test_divide_exact_and_remainder(self, xyz):
         ctx, x, y, _ = xyz

@@ -45,6 +45,12 @@ and lists the valid ones):
                                    `degenerate` germs: the whole trace record,
                                    "signature" included, which
                                    `report_to_dict` drops
+  render.roles                     `render()` and the term pairs of
+                                   `parse_expression(render())` of seeded
+                                   int and Fraction polynomials, exponents up
+                                   to 12, over four role layouts: parameters
+                                   last, first, interleaved, and parameters
+                                   only
 
 Each `cli.*` text is the exit status and the standard output.
 
@@ -79,6 +85,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from morinclass import VariableContext, classify, cli, lefschetz, numeric  # noqa: E402
 from morinclass.cli import report_to_dict, verdict_to_dict  # noqa: E402
+from morinclass.context import PARAMETER, SOURCE  # noqa: E402
 from morinclass.linalg import PolyMatrix, RationalMatrix  # noqa: E402
 from morinclass.parsing import parse_expression, parse_germ_document  # noqa: E402
 from morinclass.polynomial import Polynomial  # noqa: E402
@@ -115,6 +122,13 @@ DEGENERATE_SEED = 24
 CUBIC_FORMS_R, CUBIC_FORMS_SEEDS = (3, 4), (0, 1)
 EXACT_SEED, EXACT_STRIDE, EXACT_POWERS = 25, 7, 200
 POWER_MONOMIALS = ("1", "x", "y", "z", "x*y", "y*z", "x^2", "z^2", "x*y*z")
+RENDER_SEED, RENDER_POLYS = 26, 60
+RENDER_LAYOUTS = (  # the roles of x, y, z, a, b in that order of names
+    (("x", "y", "z", "a", "b"), (SOURCE,) * 3 + (PARAMETER,) * 2),
+    (("a", "b", "x", "y", "z"), (PARAMETER,) * 2 + (SOURCE,) * 3),
+    (("a", "x", "b", "y", "z"), (PARAMETER, SOURCE, PARAMETER, SOURCE, SOURCE)),
+    (("a1", "a2", "b1", "b2"), (PARAMETER,) * 4),
+)
 
 
 def canon(obj):
@@ -329,6 +343,22 @@ def exact_terms():
         yield [term_pairs(p) for p in (base**k, capped**k, parse_expression(f"({text})^{k}", ctx))]
 
 
+def render_roles():
+    rng = random.Random(RENDER_SEED)
+    for names, roles in RENDER_LAYOUTS:
+        ctx = VariableContext(names, roles)
+        for _ in range(RENDER_POLYS):
+            terms = {}
+            for _ in range(rng.randint(1, 8)):
+                exps = [rng.choice((0, 0, 1, 2, 3, 10, 12)) if rng.random() < 0.4 else 0
+                        for _ in names]
+                num = rng.choice((-1, 1)) * rng.choice((1, 1, 2, 3, 17, 10**20))
+                den = rng.choice((1, 1, 2, 9))
+                terms[tuple(exps)] = num if den == 1 else Fraction(num, den)
+            text = Polynomial(ctx, terms).render()
+            yield [text, term_pairs(parse_expression(text, ctx))]
+
+
 def criteria_records():
     seed_one = replay_germs()[:len(seed_requests(1))]
     for germ in seed_one + tuple(degenerate_germs()):
@@ -352,6 +382,7 @@ FAMILIES = (
     ("cubic_forms", cubic_forms),
     ("exact_terms", exact_terms),
     ("criteria.records", criteria_records),
+    ("render.roles", render_roles),
 )
 
 
