@@ -65,8 +65,6 @@ class VariableContext:
     linear_keys: tuple = field(init=False, repr=False, compare=False, hash=False)
     _fields: struct.Struct = field(init=False, repr=False, compare=False, hash=False)
     _exponents: struct.Struct = field(init=False, repr=False, compare=False, hash=False)
-    # `polynomial`'s canonical order and text of each packed key met so far
-    _monomials: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if len(self.names) != len(set(self.names)):
@@ -94,7 +92,6 @@ class VariableContext:
         # a key as big-endian bytes: the degree field, then one field per variable
         object.__setattr__(self, "_fields", struct.Struct(">" + "H" * (n + 1)))
         object.__setattr__(self, "_exponents", struct.Struct(">2x" + "H" * n))
-        object.__setattr__(self, "_monomials", {})
 
     @classmethod
     def make(cls, source_vars, parameter_vars=()):

@@ -179,8 +179,7 @@ class _ExpressionParser:
                     ((ka, ca),) = value.items()
                     ((kb, cb),) = rhs.items()
                     check_degree((ka >> shift) + (kb >> shift))
-                    # ca * 1 is ca, of its type, Fraction and float too
-                    value = {ka + kb: ca if cb.__class__ is int and cb == 1 else ca * cb}
+                    value = {ka + kb: ca * cb}
                 else:
                     value = kernel.mul_terms(value, rhs, self.context)
             except DegreeOverflowError as exc:
@@ -224,7 +223,8 @@ class _ExpressionParser:
         if len(base) == 1:
             ((key, c),) = base.items()
             if c.__class__ is int and c == 1:
-                # k bits and k - 1 products: of the bounds below, only the degree's can fail
+                # `pow_terms`' monomial case: k bits and k - 1 products, so of
+                # the bounds below only the degree's can fail
                 self.degree_bound((key >> self.shift) * k, at)
                 return {key * k: 1}
         # each coefficient of base^k has about k times the bits of the base's

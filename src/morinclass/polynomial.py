@@ -25,8 +25,7 @@ Canonical text rendering sorts monomials by graded lexicographic order,
 where the grade counts source-role variables only (parameters weigh zero)
 and ties break on the exponent vector, descending, in context order: the
 packed key less its parameter exponents in the degree field (the key itself
-without parameters).  Each key's order and text are built once, in a table
-on its context.  That ordering is the contract for golden-file tests.
+without parameters).  That ordering is the contract for golden-file tests.
 """
 
 import heapq
@@ -77,15 +76,22 @@ def _product_jet(a, ja, b, jb, shift):
     return jet if jet is None or jet < MAX_DEGREE else MAX_DEGREE
 
 
-def _monomial(context, key):
-    """The canonical order of a packed monomial, and its text: parameter factors first."""
-    exps = context.unpack(key)
+def _canonical_order(context):
+    """The sort key of the canonical order on packed keys, None for the key itself.
+
+    The key less its parameter exponents in the degree field: source degree,
+    then the exponents in context order.  Without parameters that is the key.
+    """
     params = context.parameter_indices
-    order = key - (sum(exps[i] for i in params) << context.degree_shift)
-    names = context.names
-    text = "*".join([names[i] if exps[i] == 1 else f"{names[i]}^{exps[i]}"
-                     for i in params + context.source_indices if exps[i]])
-    return order, text
+    if not params:
+        return None
+    unpack, shift = context.unpack, context.degree_shift
+
+    def order(key):
+        exps = unpack(key)
+        return key - (sum([exps[i] for i in params]) << shift)
+
+    return order
 
 
 def jet_order(polys):
@@ -393,26 +399,16 @@ class Polynomial:
 
     # -- canonical ordering, rendering, division ------------------------------
 
-    def _monomial_entries(self):
-        """The (order, text) pair of each term's key, from the context's table."""
-        table = self.context._monomials
-        try:
-            return list(map(table.__getitem__, self.terms))
-        except KeyError:  # build each missing one once
-            for key in self.terms.keys() - table.keys():
-                table[key] = _monomial(self.context, key)
-            return list(map(table.__getitem__, self.terms))
-
     def sorted_terms(self):
         """Terms in canonical (graded-lex, descending) order."""
-        unpack = self.context.unpack
-        pairs = sorted(zip(self._monomial_entries(), self.terms.items()), reverse=True)
-        return [(unpack(key), coeff) for _, (key, coeff) in pairs]
+        unpack, terms = self.context.unpack, self.terms
+        return [(unpack(key), terms[key])
+                for key in sorted(terms, key=_canonical_order(self.context), reverse=True)]
 
     def leading_term(self):
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        key = max(zip(self._monomial_entries(), self.terms))[1]
+        key = max(self.terms, key=_canonical_order(self.context))
         return self.context.unpack(key), self.terms[key]
 
     def render(self) -> str:
@@ -424,12 +420,17 @@ class Polynomial:
         """
         if not self.terms:
             return "0"
+        context, terms = self.context, self.terms
+        unpack, names = context.unpack, context.names
+        factors = context.parameter_indices + context.source_indices
         pieces = []
-        entries = zip(self._monomial_entries(), self.terms.values())
-        for (_, mono), coeff in sorted(entries, reverse=True):
-            text = str(coeff)  # `format_rational`'s text, or a float's repr
+        for key in sorted(terms, key=_canonical_order(context), reverse=True):
+            text = str(terms[key])  # `format_rational`'s text, or a float's repr
             sign, text = ("- ", text[1:]) if text[0] == "-" else ("+ ", text)
-            if mono:
+            if key:
+                exps = unpack(key)
+                mono = "*".join([names[i] if exps[i] == 1 else f"{names[i]}^{exps[i]}"
+                                 for i in factors if exps[i]])
                 text = mono if text == "1" or text == "1.0" else text + "*" + mono
             pieces.append(sign + text)
         text = " ".join(pieces)

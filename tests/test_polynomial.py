@@ -217,6 +217,23 @@ class TestCanonicalForm:
         assert p.render() == "-z^2 + nan*x - inf*y + 1e-300*z + 1.0"
 
 
+    def test_divide_exact_and_remainder(self, xyz):
+        ctx, x, y, _ = xyz
+        p = (x + y) * (x - y)
+        q, r = p.divide(x + y)
+        assert r.is_zero() and q == x - y
+        q, r = (p + 1).divide(x + y)
+        assert not r.is_zero()
+        assert q * (x + y) + r == p + 1
+
+    def test_monomial_content(self, xyz):
+        ctx, x, y, _ = xyz
+        p = 6 * x**2 * y - 4 * x * y**2
+        exps, coeff = p.monomial_content()
+        assert exps == (1, 1, 0) and coeff == 2
+        assert p.primitive_part() == 3 * x - 2 * y
+
+
 # parameters last, first, interleaved with the sources, parameters only, and
 # the locus context, whose names are the parameters' but whose roles are sources
 RENDER_LAYOUTS = {
@@ -251,26 +268,34 @@ def test_canonical_order_and_text_match_the_tuple_sorting_versions(layout):
         p = render_operand(rng, ctx)
         constants += 0 in p.terms
         assert p.render() == reference_render(p)
-        assert p.render() == reference_render(p)  # from the context's table
         assert p.sorted_terms() == reference_sorted_terms(p)
         assert p.leading_term() == reference_leading_term(p)
     assert constants >= 30
 
-    def test_divide_exact_and_remainder(self, xyz):
-        ctx, x, y, _ = xyz
-        p = (x + y) * (x - y)
-        q, r = p.divide(x + y)
-        assert r.is_zero() and q == x - y
-        q, r = (p + 1).divide(x + y)
-        assert not r.is_zero()
-        assert q * (x + y) + r == p + 1
 
-    def test_monomial_content(self, xyz):
-        ctx, x, y, _ = xyz
-        p = 6 * x**2 * y - 4 * x * y**2
-        exps, coeff = p.monomial_content()
-        assert exps == (1, 1, 0) and coeff == 2
-        assert p.primitive_part() == 3 * x - 2 * y
+@pytest.mark.parametrize("layout", list(RENDER_LAYOUTS))
+def test_divide_follows_the_canonical_order(layout):
+    # `divide` orders the dividend by its own heap key and the divisor by
+    # `leading_term`: both must be the canonical order in every role layout
+    ctx = RENDER_LAYOUTS[layout]
+    rng = random.Random(907)
+    exact = 0
+    for n in range(80):
+        d = random_polynomial(rng, ctx, max_degree=2, n_terms=3)
+        if d.is_zero():
+            continue
+        p = random_polynomial(rng, ctx, max_degree=4, n_terms=6)
+        if n % 2:
+            p = p * d
+        assert d.leading_term() == reference_leading_term(d)
+        q, r = p.divide(d)
+        nq, nr = naive_divide(p, d)
+        assert list(q.items()) == list(nq.items())
+        assert list(r.items()) == list(nr.items())
+        assert p == q * d + r
+        exact += n % 2
+        assert r.is_zero() or not n % 2
+    assert exact >= 30
 
 
 @settings(max_examples=60, deadline=None)
