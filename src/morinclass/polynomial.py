@@ -33,7 +33,8 @@ from fractions import Fraction
 from math import gcd, isfinite, lcm
 
 from . import _termops_py as kernel
-from .context import MAX_DEGREE, ContextMismatchError, VariableContext, check_same_context
+from .context import (MAX_DEGREE, ContextMismatchError, VariableContext, check_degree,
+                      check_same_context)
 from .rationals import rat
 
 
@@ -125,7 +126,8 @@ class Polynomial:
     derivative of a k-jet is a (k-1)-jet.  So every result of capped
     arithmetic is exact in each degree it holds; this is precision tracking
     in the m-adic setting.  Uncapped polynomials stay uncapped, and
-    `substitute` and `divide` refuse jets.
+    `substitute` and `divide` refuse jets; both read exponents from the
+    packed keys' fields and add and subtract keys, without exponent tuples.
     """
 
     __slots__ = ("context", "terms", "jet")
@@ -351,59 +353,48 @@ class Polynomial:
 
         Without `target_context` the result stays in this context and unbound
         variables map to themselves.  With it, every variable actually present
-        must be bound by a polynomial over the target context.  A jet, here or
-        among the images, is refused: composition is computed uncapped only.
+        must be bound by a polynomial over the target context.  Binding a name
+        that is no variable here raises KeyError.  A jet, here or among the
+        images, is refused: composition is computed uncapped only.
         """
-        ctx = target_context if target_context is not None else self.context
+        src = self.context
+        ctx = target_context if target_context is not None else src
         if self.jet is not None:
             raise ValueError("cannot substitute into a jet")
-        images = []
-        for i, name in enumerate(self.context.names):
-            if name in bindings:
-                img = bindings[name]
-                if not isinstance(img, Polynomial):
-                    img = Polynomial.constant(ctx, img)
-                elif img.context != ctx:
-                    raise ContextMismatchError(
-                        f"binding for {name!r} lives in a different context"
-                    )
-                elif img.jet is not None:
-                    raise ValueError(f"cannot substitute the jet bound to {name!r}")
-                images.append(img)
-            elif target_context is None:
-                images.append(Polynomial.variable(ctx, name))
-            else:
-                images.append(None)  # must stay unused
+        if target_context is None:
+            images = [Polynomial.variable(ctx, name) for name in src.names]
+        else:
+            images = [None] * len(src)  # an unbound variable must stay unused
+        for name, img in bindings.items():
+            i = src.index(name)
+            if not isinstance(img, Polynomial):
+                img = Polynomial.constant(ctx, img)
+            elif img.context != ctx:
+                raise ContextMismatchError(f"binding for {name!r} lives in a different context")
+            elif img.jet is not None:
+                raise ValueError(f"cannot substitute the jet bound to {name!r}")
+            images[i] = img
         out = {}
         power_cache = {}
-        # in exponent-tuple order, which fixes the order of every float sum;
-        # each term is the product coeff * p_1 * p_2 * ... and joins the sum
-        # as `*` and `+` would join them
-        for exps, coeff in sorted(self.items()):
-            term = {0: coeff}
-            for i, e in enumerate(exps):
+        # in exponent-tuple order (a key's, less its degree field), which fixes
+        # the order of every float sum; each term is the product
+        # coeff * p_1 * p_2 * ... and joins the sum as `*` and `+` would join them
+        for key in sorted(self.terms, key=(src.degree_unit - 1).__and__):
+            term = {0: self.terms[key]}
+            for i, shift in enumerate(src.field_shifts):
+                e = key >> shift & MAX_DEGREE
                 if e == 0:
                     continue
                 if images[i] is None:
-                    raise KeyError(
-                        f"variable {self.context.names[i]!r} is unbound under the target context"
-                    )
-                key = (i, e)
-                p = power_cache.get(key)
+                    raise KeyError(f"variable {src.names[i]!r} is unbound under the target context")
+                p = power_cache.get((i, e))
                 if p is None:
-                    p = images[i] ** e
-                    power_cache[key] = p
+                    p = power_cache[i, e] = images[i] ** e
                 term = kernel.mul_terms(term, p.terms, ctx)
             kernel.iadd_terms(out, term)
         return Polynomial._wrap(ctx, out)
 
     # -- canonical ordering, rendering, division ------------------------------
-
-    def sorted_terms(self):
-        """Terms in canonical (graded-lex, descending) order."""
-        unpack, terms = self.context.unpack, self.terms
-        return [(unpack(key), terms[key])
-                for key in sorted(terms, key=_canonical_order(self.context), reverse=True)]
 
     def leading_term(self):
         if not self.terms:
@@ -442,52 +433,56 @@ class Polynomial:
     def divide(self, divisor):
         """Single-divisor multivariate division: returns (quotient, remainder).
 
-        Uses the canonical monomial order.  When `self` is a multiple of
-        `divisor` the remainder is exactly zero, so this doubles as an exact
-        divisibility test.
+        Uses the canonical monomial order: the lead is `leading_term`'s, and
+        quotient and remainder hold their terms in descending order.  When
+        `self` is a multiple of `divisor` the remainder is exactly zero, so this
+        doubles as an exact divisibility test.  A step that would form a term
+        of degree above MAX_DEGREE raises DegreeOverflowError.
         """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.jet is not None or divisor.jet is not None:
             raise ValueError("division is not defined on jet-capped polynomials")
-        div_exps, div_coeff = divisor.leading_term()
-        tail = [(e, c) for e, c in divisor.items() if e != div_exps]
-        src = self.context.source_indices
-
-        def heap_key(exps):
-            # the canonical order negated, so heapq's smallest entry leads
-            return (-sum(exps[i] for i in src), tuple(-e for e in exps))
+        ctx, shift = self.context, self.context.degree_shift
+        order = _canonical_order(ctx) or int  # int: the key itself
+        lead = max(divisor.terms, key=order)
+        lead_coeff = divisor.terms[lead]
+        tail = [(k, c) for k, c in divisor.terms.items() if k != lead]
+        # a term is divisible when it has at least each nonzero field of the lead
+        fields = [(f, e) for f in ctx.field_shifts if (e := lead >> f & MAX_DEGREE)]
+        degree = divisor.degree()  # a quotient term times the divisor must fit a key
 
         # Each step removes the leading term and adds only terms below it, so
-        # a popped exponent never returns; keys of cancelled terms go stale.
-        work = dict(self.items())
-        heap = [(heap_key(e), e) for e in work]
+        # a popped key never returns; entries of cancelled terms go stale.
+        work = dict(self.terms)
+        heap = [(-order(key), key) for key in work]
         heapq.heapify(heap)
         quotient, remainder = {}, {}
         while heap:
-            exps = heapq.heappop(heap)[1]
-            coeff = work.pop(exps, None)
+            key = heapq.heappop(heap)[1]
+            coeff = work.pop(key, None)
             if coeff is None:
                 continue
-            delta = tuple(a - b for a, b in zip(exps, div_exps))
-            if delta and min(delta) < 0:
-                remainder[exps] = coeff
+            if not all(key >> f & MAX_DEGREE >= e for f, e in fields):
+                remainder[key] = coeff
                 continue
-            ratio = Fraction(coeff, div_coeff)
+            delta = key - lead
+            check_degree((delta >> shift) + degree)
+            ratio = Fraction(coeff, lead_coeff)
             if ratio.denominator == 1:
                 ratio = ratio.numerator
             quotient[delta] = ratio
-            for e, c in tail:
-                e = tuple(a + b for a, b in zip(delta, e))
-                s = work.get(e, 0) - ratio * c
+            for k, c in tail:
+                k += delta
+                s = work.get(k, 0) - ratio * c
                 if not s:
-                    del work[e]
+                    del work[k]
                     continue
-                if e not in work:
-                    heapq.heappush(heap, (heap_key(e), e))
-                work[e] = s
-        return Polynomial(self.context, quotient), Polynomial(self.context, remainder)
+                if k not in work:
+                    heapq.heappush(heap, (-order(k), k))
+                work[k] = s
+        return Polynomial._wrap(ctx, quotient), Polynomial._wrap(ctx, remainder)
 
     def div_exact(self, divisor):
         q, r = self.divide(divisor)

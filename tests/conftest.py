@@ -652,9 +652,9 @@ def polynomial_parse(text, context, line_offset=1):
     return PolynomialParser(character_tokens(text, line_offset), context).parse()
 
 
-# `Polynomial.sorted_terms`, `leading_term` and `render` on exponent tuples,
-# sorted through a per-term key: the canonical order and text that the
-# versions on packed keys must give byte for byte.
+# The canonical order, `leading_term` and `render` on exponent tuples, sorted
+# through a per-term key: the order and text that `Polynomial`'s versions on
+# packed keys must give byte for byte.
 
 
 def _reference_order(p, exps):

@@ -233,6 +233,14 @@ class TestDegreeOverflow:
             big * x * x
         with pytest.raises(DegreeOverflowError):
             (x + 1) ** (MAX_DEGREE + 1)
+        # a parameter weighs zero, so x leads x + a^1000, and x^66 divided
+        # by it leaves the remainder a^66000, which no key holds
+        wide = make_context("x", params=("a",))
+        x_, a = Polynomial.variable(wide, "x"), Polynomial.variable(wide, "a")
+        with pytest.raises(DegreeOverflowError):
+            (x_**66).divide(x_ + a**1000)
+        q, r = (x_**65).divide(x_ + a**1000)
+        assert r == -(a**65000) and q * (x_ + a**1000) + r == x_**65
         # in the jet ring the cap bounds every degree, so no error: the rule
         # lifts a cap by the other factor's order, but never past MAX_DEGREE
         assert (x + 1).truncated(2) * (big * x + 1) == x + 1

@@ -51,6 +51,15 @@ and lists the valid ones):
                                    to 12, over four role layouts: parameters
                                    last, first, interleaved, and parameters
                                    only
+  chain.terms                      the term pairs, in term order, of the
+                                   normalized `lefschetz_lambdas`, of
+                                   `chart_hessian`'s h and theta_h, of the
+                                   polynomials `rederive_noncusp_chain`
+                                   returns, and of seeded `divide`,
+                                   `substitute` (int, Fraction and float
+                                   images; with and without a target
+                                   context) and `primitive_part` over those
+                                   four layouts and the locus context
 
 Each `cli.*` text is the exit status and the standard output.
 
@@ -123,6 +132,7 @@ CUBIC_FORMS_R, CUBIC_FORMS_SEEDS = (3, 4), (0, 1)
 EXACT_SEED, EXACT_STRIDE, EXACT_POWERS = 25, 7, 200
 POWER_MONOMIALS = ("1", "x", "y", "z", "x*y", "y*z", "x^2", "z^2", "x*y*z")
 RENDER_SEED, RENDER_POLYS = 26, 60
+CHAIN_SEED, CHAIN_POLYS = 27, 40
 RENDER_LAYOUTS = (  # the roles of x, y, z, a, b in that order of names
     (("x", "y", "z", "a", "b"), (SOURCE,) * 3 + (PARAMETER,) * 2),
     (("a", "b", "x", "y", "z"), (PARAMETER,) * 2 + (SOURCE,) * 3),
@@ -359,6 +369,55 @@ def render_roles():
             yield [text, term_pairs(parse_expression(text, ctx))]
 
 
+def polynomial_terms(obj):
+    """The term pairs of every polynomial in `obj`, dicts and lists walked in order."""
+    if isinstance(obj, Polynomial):
+        return [term_pairs(obj)]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [pairs for item in obj for pairs in polynomial_terms(item)]
+    return []
+
+
+def random_exact(rng, ctx, max_degree, n_terms):
+    """Up to `n_terms` int or Fraction terms of total degree at most `max_degree`."""
+    terms = {}
+    for _ in range(n_terms):
+        exps = [0] * len(ctx)
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.randrange(len(ctx))] += 1
+        num, den = rng.choice((-3, -2, -1, 1, 2, 5)), rng.choice((1, 1, 2, 3))
+        terms[tuple(exps)] = num if den == 1 else Fraction(num, den)
+    return Polynomial(ctx, terms)
+
+
+def chain_terms():
+    yield polynomial_terms(lefschetz.lefschetz_lambdas()["normalized"])
+    data = lefschetz.chart_hessian()
+    yield polynomial_terms([data["h"], data["theta_h"]])
+    yield polynomial_terms(lefschetz.rederive_noncusp_chain())
+    rng = random.Random(CHAIN_SEED)
+    target = VariableContext.make(("u", "v"), ("c",))
+    layouts = [VariableContext(names, roles) for names, roles in RENDER_LAYOUTS]
+    for ctx in layouts + [lefschetz.locus_context()]:
+        for n in range(CHAIN_POLYS):
+            d = random_exact(rng, ctx, 2, 3)
+            p = random_exact(rng, ctx, 4, 6)
+            if n % 2:
+                p = p * d
+            if not d.is_zero():
+                yield polynomial_terms(p.divide(d))
+            if not p.is_zero():
+                yield term_pairs(p.primitive_part())
+            image = random_exact(rng, ctx, 2, 3) * rng.choice((1, 0.7, -1.3))
+            name = rng.choice(ctx.names)
+            yield term_pairs(p.substitute({name: image, ctx.names[0]: 2}))
+            images = {name: random_exact(rng, target, 2, 3) * rng.choice((1, 0.3))
+                      for name in ctx.names}
+            yield term_pairs(p.substitute(images, target_context=target))
+
+
 def criteria_records():
     seed_one = replay_germs()[:len(seed_requests(1))]
     for germ in seed_one + tuple(degenerate_germs()):
@@ -383,6 +442,7 @@ FAMILIES = (
     ("exact_terms", exact_terms),
     ("criteria.records", criteria_records),
     ("render.roles", render_roles),
+    ("chain.terms", chain_terms),
 )
 
 
