@@ -35,15 +35,17 @@ The decision pipeline:
      rank, that one and the non-degeneracy rank, is `RationalMatrix.rank`.
 
 `classify` makes each decision exactly over Q.  The float companion
-(`numeric.numeric_classify`) runs the same stages, `_classify_at_origin`, on
-the float (n+1)-jet at its point and makes each decision against a threshold
-instead, recording a margin: the decision object handed to the stages picks
-which.  (Its scans run the stages up to the fold test stacked over all their
-points and hand each outcome to `_after_fold_test`.)  There are five: the
-corank and pivots, the fold test (h(0), the rank of dlambda(0) and the
-signature), the rank of condition (b), the theta column, and the zero tests
-of the h-derivatives.  The Lefschetz study (`lefschetz.chart_hessian`) runs
-`build_theta` too, on its chart's lambdas and the published last column.
+(`numeric.numeric_classify`) runs the same stages on the float (n+1)-jet at
+its point and makes each decision against a threshold instead, recording a
+margin: the decision object handed to the stages picks which.  It runs the
+stages up to the fold test stacked over all its points and hands each
+outcome to `_after_fold_test`; the tests hold every bit to
+`_classify_at_origin` run on one point with `numeric._Thresholds`.  There
+are five decisions: the corank and pivots, the fold test (h(0), the rank of
+dlambda(0) and the signature), the rank of condition (b), the theta column,
+and the zero tests of the h-derivatives.  The Lefschetz study
+(`lefschetz.chart_hessian`) runs `build_theta` too, on its chart's lambdas
+and the published last column.
 
 Every mathematical failure is a report label, never an exception.  The tests
 read values and first derivatives at the base point only; a first derivative
@@ -344,9 +346,10 @@ def frame_jets(ng: NormalizedGerm) -> NormalizedGerm:
 def _classify_at_origin(work: MapGerm, decide, trace=False):
     """The stages of `classify` on a germ capped at order n+1: (label, trace record).
 
-    `decide` makes every decision: `_EXACT`, or the thresholded float
-    decisions of `numeric`; `decide.fmt` writes numbers into the record.
-    The stages after the fold test are `_after_fold_test`'s.
+    `decide` makes every decision: `_EXACT`, or `numeric._Thresholds`, with
+    which the tests run it as the reference for `numeric`'s stacked stages;
+    `decide.fmt` writes numbers into the record.  The stages after the fold
+    test are `_after_fold_test`'s.
     """
     n = work.n
     record = {"m": work.m, "n": n}

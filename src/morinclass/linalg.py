@@ -25,6 +25,7 @@ and its last pivot the determinant.  `RationalMatrix.signature` runs it on
 the matrix times its common denominator.
 """
 
+import math
 from fractions import Fraction
 from math import lcm
 
@@ -179,8 +180,9 @@ def _dividers(p, *powers):
     """The maps x -> x / p^power, one per power, for p a usable pivot (or None)
     and x a multiple of p^power.
 
-    An int divides with `//`, a float with `/` and an uncapped polynomial
-    with `div_exact`.  A jet p of order N divides through its inverse: with
+    An int divides with `//`, a float with `/` (never raising: p^power is
+    inf where it overflows) and an uncapped polynomial with `div_exact`.  A
+    jet p of order N divides through its inverse: with
     c = p(0) and t = c - p, t^(N+1) vanishes in the N-jet ring, so
     s = sum_k c^(N-k) t^k has p s = c^(N+1), an inverse scaled to keep
     integer coefficients integral, and x / p^power = x s^power / c^((N+1) power).
@@ -196,12 +198,16 @@ def _dividers(p, *powers):
     def divider(power):
         if p is None or power == 0:
             return lambda x: x
+        if isinstance(p, float):
+            d = float_power(p, power)
+            if not d:  # p^power underflowed: x / 0.0 as IEEE 754 gives it, where Python raises
+                sign = math.copysign(1.0, d)
+                return lambda x: math.copysign(math.inf, x) * sign if x == x and x else math.nan
+            return lambda x: x / d
         if not jet:
             d = p**power
             if isinstance(p, int):
                 return lambda x: x // d
-            if isinstance(p, float):
-                return lambda x: x / d
             return lambda x: x.div_exact(d)
         s_power, scale = s**power, c ** ((p.jet + 1) * power)
         if isinstance(scale, float):
@@ -215,6 +221,14 @@ def _dividers(p, *powers):
         return lambda x: (x * s_power).map_coefficients(exact_quotient)
 
     return [divider(power) for power in powers]
+
+
+def float_power(x, k):
+    """x ** k in Python floats, and inf of its sign where that overflows, as a product would."""
+    try:
+        return x**k
+    except OverflowError:
+        return math.copysign(math.inf, x) if k % 2 else math.inf
 
 
 def _forward(rows, ncols, stop):

@@ -3,21 +3,22 @@
 Projects seed points onto the singular locus by Gauss-Newton on the
 determinantal equations of the chart at 0, one seed or a whole batch at once
 (a batch gives `None` where a single seed would fail), and classifies a point
-by running the exact classifier's stages (`criteria._classify_at_origin`) on
-the float (n+1)-jet there.  Where `classify` decides exactly, `_Thresholds`
-compares a value with its tolerance and records a `Margin`.  The exact
-classifier remains the authority; any decision within a factor of ten of its
-threshold makes the verdict Inconclusive.
+by running the exact classifier's stages on the float (n+1)-jet there.
+Where `classify` decides exactly, `_Thresholds` compares a value with its
+tolerance and records a `Margin`.  The exact classifier remains the
+authority; any decision within a factor of ten of its threshold makes the
+verdict Inconclusive.
 
 A scan classifies its representatives as one batch, and `numeric_classify`
 is the batch of one.  The fold test reads only df and the Hessian of f_n at
 the point (`criteria` step 5), so the stages up to it run as stacked numpy
 operations over all points (`_stacked_stages`), with the float operations
 of each scalar stage in its order: every margin has the bits the point gets
-alone.  `_Thresholds.reduce` and `.fold_test` are the batch of one of the
-stacked `_reduce` and `_fold_test`.  Each point's fold test outcome then
-goes, in order, to `criteria`'s tail, which builds a Morin candidate's
-frame; a point the stack cannot reproduce runs `_classify_at_origin` alone.
+from `criteria._classify_at_origin` with `_Thresholds`, whose `reduce` and
+`fold_test` are the batch of one of the stacked `_reduce` and `_fold_test`.
+Each point's margins then go, in order, through `_Thresholds.record`, and
+its fold test outcome to `criteria`'s tail, which builds a Morin
+candidate's frame.
 
 `Tolerances` holds the two thresholds a caller may set, `rank_tol` and
 `zero_tol`; the projection's residual target and iteration limit are class
@@ -34,9 +35,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .criteria import Label, _after_fold_test, _classify_at_origin, lambdas_for_frame
+from .criteria import Label, _after_fold_test, kernel_hessian_at_origin, lambdas_for_frame
 from .germ import MapGerm, cramer_frame, normalized
-from .linalg import adjugate, eliminate
+from .linalg import adjugate, eliminate, float_power
 
 # the largest frame and chart `_frame_size` and `_chart_size` admit.  On
 # dimension-ladder germs (one core of a 2-core host) charts bounded by 54264
@@ -267,14 +268,6 @@ def _cofactor(a, w=None):
     return det, np.array(adj_w).transpose(2, 0, 1)
 
 
-def _power(x, k):
-    """x ** k in Python floats, and inf of its sign where that overflows, as a product would."""
-    try:
-        return x ** k
-    except OverflowError:
-        return math.copysign(math.inf, x) if k % 2 else math.inf
-
-
 def _fold_test(det_b, eta_hess, kern, tol):
     """The fold test of `criteria` step 5 at each point of a stack, by `_Thresholds`' rules.
 
@@ -289,7 +282,7 @@ def _fold_test(det_b, eta_hess, kern, tol):
             det_k = _cofactor(kern)[0].tolist()
         else:
             det_k = [eliminate(rows)[0] for rows in kern.tolist()]
-        h0 = [_power(d, s) * dk for d, dk in zip(det_b.tolist(), det_k)]
+        h0 = [float_power(d, s) * dk for d, dk in zip(det_b.tolist(), det_k)]
         nondegeneracy = _reduce(det_b[:, None, None] * eta_hess, tol.rank_tol)
         h = np.array(h0)
         fold = np.isfinite(h) & (np.abs(h) > tol.zero_tol)
@@ -535,24 +528,17 @@ def _shared_pipeline(germ, tol, term_order):
     return _FloatPipeline(germ, tol)
 
 
-def _state(margins, *rest):
-    """(Margins, *rest), or None where a margin is not finite: there the scalar stages raise."""
-    if all(math.isfinite(value) and math.isfinite(thr) for _, value, thr in margins):
-        return [Margin(*margin) for margin in margins], *rest
-    return None
-
-
 def _kernel_hessians(coef, red, n, m):
     """`normalized` and `kernel_hessian_at_origin` at each point of a stack of corank-one germs.
 
     `coef` holds each component's `two_jet_coefficients` and `red` their
     corank reduction.  Returns det B(0), E(0)^T H and K, and where their bits
-    are surely the scalar stages'.  The rows of T f are plain sums here,
-    where `normalized` skips a zero weight, drops a sum that cancels and
-    leaves an absent term an int 0.  With finite weights those differ only in
-    the sign of a zero, which the stages read only through a zero det B(0).
-    Such points, and those with a weight that is not finite, are left to the
-    scalar stages.
+    are surely the scalar stages'.  det B and adj(B) W are `_cofactor`'s up
+    to 3x3, `eliminate`'s above.  The rows of T f are plain sums here, where
+    `normalized` skips a zero weight, drops a sum that cancels and leaves an
+    absent term an int 0.  With finite weights those differ only in the sign
+    of a zero, which the stages read only through a zero det B(0): such
+    points, and those with a weight that is not finite, are not `usable`.
     """
     k, s = len(coef), m - n + 1
     at, ks = np.arange(k)[:, None], np.arange(s)
@@ -569,7 +555,11 @@ def _kernel_hessians(coef, red, n, m):
     if n > 1:
         def block(a, cols):
             return np.take_along_axis(a[:, :n - 1, :m], np.repeat(cols[:, None], n - 1, axis=1), 2)
-        det_b, adj_w = _cofactor(block(acc, pivot_cols), block(acc, other_cols))
+        b, w = block(acc, pivot_cols), block(acc, other_cols)
+        if n - 1 <= 3:
+            det_b, adj_w = _cofactor(b, w)
+        else:
+            det_b, adj_w = map(np.array, zip(*map(eliminate, b.tolist(), w.tolist())))
         usable = det_b != 0
         for j in range(n - 1):
             e[at, ks, pivot_cols[:, j, None]] = -adj_w[:, j]
@@ -595,37 +585,39 @@ def _stacked_stages(jets, n, m, tol):
 
     The corank reduction, `normalized`, `kernel_hessian_at_origin` and the
     fold test, each with the float operations of the scalar stage in its
-    order (`_kernel_hessians` says where not).  A jet's state: its Margins;
-    Regular or CorankHigh where the corank decides, else None; the fold
-    test's (h(0), rank, inertia); and a Morin candidate's normalized germ.
-    It is None where the stack cannot give the scalar stages' bits: a margin
-    not finite (they raise there), `usable` false, and every jet when n-1
-    or s exceeds 3, the largest block `_cofactor` takes.
+    order.  A point `_kernel_hessians` finds not `usable` takes det B(0),
+    E(0)^T H and K from `kernel_hessian_at_origin` on its normalized germ.
+    A jet's state: its margins as (name, value, threshold); Regular or
+    CorankHigh where the corank decides, else None; the fold test's (h(0),
+    rank, inertia); and a Morin candidate's normalized germ.
     """
-    out = [None] * len(jets)
+    if not jets:
+        return []
     s = m - n + 1
-    if not jets or n - 1 > 3 or s > 3:
-        return out
     coef = np.array([[c for p in jet.components for c in p.two_jet_coefficients()]
                      for jet in jets], dtype=float).reshape(len(jets), n, -1)
     with np.errstate(all="ignore"):
         corank = _reduce(coef[:, :, :m], tol.rank_tol)
-        for i in np.flatnonzero(corank.rank != n - 1):
-            label = Label("Regular") if corank.rank[i] == n else Label("CorankHigh")
-            out[i] = _state(corank.margins(i, "corank"), label, None, None)
+        out = [(corank.margins(i, "corank"), Label("Regular" if rank == n else "CorankHigh"),
+                None, None) for i, rank in enumerate(corank.rank.tolist())]
         sub = np.flatnonzero(corank.rank == n - 1)
         if not len(sub):
             return out
-        det_b, eta_hess, kern, usable = _kernel_hessians(coef[sub], corank[sub], n, m)
-        tests = _fold_test(det_b, eta_hess, kern, tol)
-    for j in np.flatnonzero(usable):
-        i, (margins, outcome) = sub[j], tests[j]
-        _, nd_rank, inertia = outcome
-        ng = None
-        if inertia is None and nd_rank == s:  # a Morin candidate: the polynomial frame decides
+
+        def normal(i):
             pivots = corank.pivot_rows[i, :n - 1].tolist(), corank.pivot_cols[i, :n - 1].tolist()
-            ng = normalized(jets[i].truncated(n + 1), corank.t[i].tolist(), *pivots, exact=False)
-        out[i] = _state(corank.margins(i, "corank") + margins, None, outcome, ng)
+            return normalized(jets[i].truncated(n + 1), corank.t[i].tolist(), *pivots, exact=False)
+
+        det_b, eta_hess, kern, usable = _kernel_hessians(coef[sub], corank[sub], n, m)
+        ngs = {j: normal(i) for j, i in enumerate(sub) if not usable[j]}
+        for j, ng in ngs.items():
+            det_b[j], eta_hess[j], kern[j] = kernel_hessian_at_origin(ng)
+        tests = _fold_test(det_b, eta_hess, kern, tol)
+    for j, (i, (margins, outcome)) in enumerate(zip(sub, tests)):
+        _, nd_rank, inertia = outcome
+        # a Morin candidate: the polynomial frame decides
+        ng = (ngs.get(j) or normal(i)) if inertia is None and nd_rank == s else None
+        out[i] = out[i][0] + margins, None, outcome, ng
     return out
 
 
@@ -663,12 +655,11 @@ def _classify_batch(germ: MapGerm, points, tol: Tolerances):
 
     Each point's jet comes from its own `translate`; the residuals from one
     evaluation of the chart, whose rows do not depend on each other; the
-    stages up to the fold test from `_stacked_stages`, whose outcome goes
-    to `criteria`'s tail; a point the stack leaves undecided goes through
-    `_classify_at_origin` on its (n+1)-jet alone.  Every bit is the one that
-    point gets alone, and a point whose jet, residual or decision is not
-    finite raises the FloatRangeError it raises alone, the first such point
-    in order.
+    stages up to the fold test from `_stacked_stages`, whose margins go
+    through `_Thresholds.record` and whose outcome goes to `criteria`'s
+    tail.  Every bit is the one that point gets alone, and a point whose
+    jet, residual or decision is not finite raises the FloatRangeError it
+    raises alone, the first such point in order.
     """
     pipe = _pipeline(germ, tol)
     n, m = germ.n, germ.m
@@ -681,18 +672,17 @@ def _classify_batch(germ: MapGerm, points, tol: Tolerances):
             residuals = _norms(pipe.values(np.array(xs))).tolist()
     stacked = dict(zip(finite, _stacked_stages([jets[i] for i in finite], n, m, tol)))
     verdicts = []
-    for i, (x, jet, residual) in enumerate(zip(xs, jets, residuals)):
+    for i, (x, residual) in enumerate(zip(xs, residuals)):
         if i not in stacked:
             raise FloatRangeError("the jet at the point is not finite in floats")
         if residual is not None and not math.isfinite(residual):
             raise FloatRangeError("the residual at the point is not finite in floats")
         decide = _Thresholds(tol)
-        if stacked[i] is None:
-            label, _ = _classify_at_origin(jet.truncated(n + 1), decide)
-        else:
-            decide.margins, label, outcome, ng = stacked[i]
-            if outcome is not None:
-                label, _ = _after_fold_test(ng, decide, False, {"m": m, "n": n}, *outcome)
+        margins, label, outcome, ng = stacked[i]
+        for margin in margins:
+            decide.record(*margin)
+        if outcome is not None:
+            label, _ = _after_fold_test(ng, decide, False, {"m": m, "n": n}, *outcome)
         if any(margin.inconclusive for margin in decide.margins):
             label = Label("Inconclusive")
         verdicts.append(NumericVerdict(x, label, decide.margins, residual))
@@ -717,9 +707,17 @@ def scan_region(germ: MapGerm, box, grid: int, tol: Tolerances = None):
     left the box, deduplicates the rest (cluster radius 10x the residual
     tolerance), and classifies the representatives as one batch.
     Results are ordered by point coordinates, so the scan is deterministic.
-    A germ without a chart at 0 raises ValueError, as in the projection.
+    A box without one (lo, hi) axis per source variable, lo < hi, raises
+    ValueError, and so does a germ without a chart at 0, as in the projection.
     """
     tol = tol or Tolerances()
+    names = germ.context.source_names
+    if len(box) != len(names):
+        raise ValueError(f"the scan box needs {len(names)} axes, one per source variable, "
+                         f"got {len(box)}")
+    for name, (lo, hi) in zip(names, box):
+        if not float(lo) < float(hi):  # NaN fails too
+            raise ValueError(f"the scan box axis {name} needs lo < hi, got {lo}:{hi}")
     if grid <= 0:
         return []
     axes = [np.linspace(float(lo), float(hi), grid) for lo, hi in box]

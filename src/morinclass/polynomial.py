@@ -95,6 +95,12 @@ def _canonical_order(context):
     return order
 
 
+def _refuse_floats(what, *polys):
+    """Exact division reads each coefficient as a rational: refuse a float one."""
+    if any(isinstance(c, float) for p in polys for c in p.terms.values()):
+        raise ValueError(f"{what} is not defined on float coefficients")
+
+
 def jet_order(polys):
     """The order to which all of `polys` are known: their smallest cap, None if all are exact."""
     caps = [p.jet for p in polys if p.jet is not None]
@@ -126,8 +132,9 @@ class Polynomial:
     derivative of a k-jet is a (k-1)-jet.  So every result of capped
     arithmetic is exact in each degree it holds; this is precision tracking
     in the m-adic setting.  Uncapped polynomials stay uncapped, and
-    `substitute` and `divide` refuse jets; both read exponents from the
-    packed keys' fields and add and subtract keys, without exponent tuples.
+    `substitute` and `divide` refuse jets, and `divide` and the content
+    float coefficients; both read exponents from the packed keys' fields and
+    add and subtract keys, without exponent tuples.
     """
 
     __slots__ = ("context", "terms", "jet")
@@ -437,13 +444,15 @@ class Polynomial:
         quotient and remainder hold their terms in descending order.  When
         `self` is a multiple of `divisor` the remainder is exactly zero, so this
         doubles as an exact divisibility test.  A step that would form a term
-        of degree above MAX_DEGREE raises DegreeOverflowError.
+        of degree above MAX_DEGREE raises DegreeOverflowError, and a jet or a
+        float coefficient, of either operand, ValueError.
         """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.jet is not None or divisor.jet is not None:
             raise ValueError("division is not defined on jet-capped polynomials")
+        _refuse_floats("division", self, divisor)
         ctx, shift = self.context, self.context.degree_shift
         order = _canonical_order(ctx) or int  # int: the key itself
         lead = max(divisor.terms, key=order)
@@ -498,6 +507,7 @@ class Polynomial:
         """
         if not self.terms:
             raise ValueError("zero polynomial has no content")
+        _refuse_floats("content", self)
         exps = list(self.exponents())
         exps_min = [min(e[i] for e in exps) for i in range(len(self.context))]
         coeff = Fraction(gcd(*(c.numerator for c in self.terms.values())),

@@ -1,6 +1,7 @@
 """Exact linear algebra: determinants, adjugates, rank, inertia."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -15,6 +16,7 @@ from morinclass.linalg import (
     NonSquareMatrixError,
     congruence,
     eliminate,
+    float_power,
 )
 
 from conftest import (
@@ -588,6 +590,20 @@ class TestFloatEliminationBits:
         assert det.constant_term() == pytest.approx(np.linalg.det(np.array(self.matrix())))
         assert self.digest(det, adj_w) == (
             "fadd2329297f464b80a02e307be99e761463b624638fa43411797f693e80196d")
+
+    def test_pivot_powers_out_of_range_do_not_raise(self):
+        # p^3 overflows for p = 1e110 and underflows to 0.0 for p = 1e-110,
+        # where Python's `**` and `/` raise: the quotients are IEEE 754's
+        for scale in (1e110, 1e-110):
+            rows = [[scale * (i == j) for j in range(4)] for i in range(4)]
+            det, adj_w = eliminate(rows, [[1.0] for _ in range(4)])
+            assert math.isnan(adj_w[0][0])
+        over, under = linalg._dividers(-1e110, 3)[0], linalg._dividers(-1e-110, 3)[0]
+        assert over(1e300).hex() == "-0x0.0p+0" and math.isnan(over(math.inf))
+        assert [under(v) for v in (2.0, -math.inf)] == [-math.inf, math.inf]
+        assert math.isnan(under(0.0)) and math.isnan(under(math.nan))
+        assert float_power(-1e200, 3) == -math.inf and float_power(-1e200, 2) == math.inf
+        assert float_power(1.5, 2) == 2.25
 
     @pytest.mark.parametrize("size", [4, 5, 6])
     def test_blocks_without_a_pivot_match_plain_expansion(self, size):

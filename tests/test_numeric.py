@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -308,6 +309,18 @@ class TestScan:
 
     def test_empty_grid(self, fold_germ):
         assert scan_region(fold_germ, [(-1, 1)] * 3, 0) == []
+
+    def test_box_is_checked_before_any_projection(self, fold_germ, monkeypatch):
+        # a reversed box used to project every seed and return []
+        monkeypatch.setattr(numeric, "project_to_singular_locus", None)
+        for box, error in (([(-1, 1), (1, -1), (-1, 1)], "axis y needs lo < hi, got 1:-1"),
+                           ([(-1, 1), (-1, 1), (0.5, 0.5)], "axis z needs lo < hi"),
+                           ([(-1, 1), (math.nan, 1), (-1, 1)], "axis y needs lo < hi"),
+                           ([(-1, 1)] * 2, "needs 3 axes, one per source variable, got 2"),
+                           ([(-1, 1)] * 4, "needs 3 axes")):
+            for grid in (0, 3):
+                with pytest.raises(ValueError, match=re.escape(error)):
+                    scan_region(fold_germ, box, grid)
 
     def test_scan_is_deterministic(self, fold_germ):
         a = scan_region(fold_germ, [(-1, 1)] * 3, 4)
@@ -683,6 +696,58 @@ def assert_batch_matches(germ, points, tol=Tolerances()):
     return batch
 
 
+def underflow_germs():
+    """Germs whose stacked det B(0) underflows to 0 at the origin, built with 10^-200."""
+    ctx = make_context("x", "y", "z", "w")
+    x, y, z, w = (Polynomial.variable(ctx, n) for n in ("x", "y", "z", "w"))
+    tiny = Fraction(1, 10**200)
+    return [MapGerm(ctx, (tiny * x, tiny * y, z**2 + w**2)),
+            MapGerm(ctx, (tiny * x + x * z, tiny * y + w**2, z**2 - w**2 + x * y))]
+
+
+def larger_block_germs():
+    """Normal forms at five (m, n), the last two with K or B above 3x3, and their points.
+
+    Each germ is under a seeded target change, and a source change for
+    n <= 3 only: one makes the n = 4 and 5 charts slow to expand.  Its
+    points are the origin, seeds near it and the seeds' projections onto
+    the singular locus.
+    """
+    rng = random.Random(3030)
+    out = []
+    for m, n, k, signs, count in ((5, 3, 1, (1, -1, 1), 12), (5, 4, 2, (1,), 12),
+                                  (4, 3, 2, (1,), 12), (6, 3, 1, (1, 1, -1, 1), 2),
+                                  (6, 5, 1, (1, -1), 2)):
+        germ = normal_form(m, n, k, signs)
+        if n <= 3:
+            germ = linear_source_change(rng, germ)
+        germ = linear_target_change(rng, germ)
+        seeds = [[rng.uniform(-0.1, 0.1) for _ in range(m)] for _ in range(count)]
+        points = [(0.0,) * m] + seeds
+        points += [p for p in project_to_singular_locus(germ, seeds) if p is not None]
+        out.append((germ, points))
+    return out
+
+
+def failing_germs():
+    """Germs whose first decision at the origin that is not finite is h(0), or condition (b)'s."""
+    ctx = make_context("x", "y", "z")
+    x, y, z = (Polynomial.variable(ctx, n) for n in ("x", "y", "z"))
+    big = 10**200
+    return (MapGerm(ctx, (x, big * y**2 + big * z**2 + big * y * z)),
+            MapGerm(ctx, (x, big * y**3 + x * y + z**2)))
+
+
+def extreme_block_germs():
+    """Germs whose B or K is 4x4, at 10^110 or 10^-110: a power of a pivot leaves the floats."""
+    ctx = make_context(*(f"x{i}" for i in range(1, 7)))
+    xs = [Polynomial.variable(ctx, name) for name in ctx.names]
+    rest = xs[4]**2 + xs[5]**2
+    for scale in (10**110, Fraction(1, 10**110)):
+        yield MapGerm(ctx, tuple(scale * x for x in xs[:4]) + (rest,))
+        yield MapGerm(ctx, (xs[0], xs[1], scale * sum(x * x for x in xs[2:])))
+
+
 def far_germs(seed):
     """The far-point germs of the benchmark's `float_scan_export` at `seed`."""
     inputs = perfbench_module("inputs")
@@ -696,7 +761,7 @@ class TestBatchOracle:
     @pytest.mark.parametrize("params", [
         (Fraction(3, 2), 1, -2, Fraction(-1, 2)),
         (0, Fraction(1, 2), 2, Fraction(3, 2)),
-        (Fraction(1, 2), -1, 1, 1),  # near the chart's edge: Morin candidates fall back
+        (Fraction(1, 2), -1, 1, 1),  # near the chart's edge: Morin candidates take the tail
     ])
     def test_scan_representatives(self, params):
         germ = LefschetzFamily.symbolic().at(params)
@@ -720,7 +785,9 @@ class TestBatchOracle:
 
     def test_fallback_points(self):
         germ = LefschetzFamily.symbolic().at((Fraction(3, 2), 1, -2, Fraction(-1, 2)))
-        # a zero coordinate drops terms in `translate`; an exact zero entry in df
+        # points whose zeros the stack could read apart from `normalized`,
+        # though all stay usable: a zero coordinate drops terms in
+        # `translate`; an exact zero entry in df
         assert_batch_matches(germ, [(0.0, 0.5, -0.25, 0.0), (0.0, 0.0, 0.0, 0.0),
                                     (-1.0, -1.5, 0.0, 0.0), (0.5, -1.5, 2.0, 0.0)])
         # every corank column ties: max over (|entry|, row) takes the later row
@@ -732,32 +799,27 @@ class TestBatchOracle:
         cubic = MapGerm(ctx, (x**3 + y**3 - z**3,))
         verdicts = assert_batch_matches(cubic, [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0)])
         assert [m["value"] for m in verdicts[0]["margins"] if m["name"] == "h"] == ["0x0.0p+0"]
+        # det B(0) = 10^-400 underflows to 0 in the stack, at the origin and,
+        # for the first germ, in the x-y plane: such a point is not usable
+        # and takes `kernel_hessian_at_origin`'s values
+        rng = random.Random(3434)
+        for germ in underflow_germs():
+            near = [(rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-3, 1e-3), 0.0, 0.0)
+                    for _ in range(5)]
+            near += [[rng.uniform(-1e-3, 1e-3) for _ in range(4)] for _ in range(3)]
+            assert_batch_matches(germ, [(0.0,) * 4] + near)
 
     def test_larger_blocks(self):
         # n-1 = 2 and 3 run `_cofactor` with W, at folds on the projected
-        # seeds; s = 4 and n-1 = 4 fall back whole
-        rng = random.Random(3030)
+        # seeds; s = 4 and n-1 = 4 run `eliminate` one matrix at a time
         folds = Counter()
-        # a source change makes the n = 4 and 5 charts slow to expand
-        for m, n, k, signs, count in ((5, 3, 1, (1, -1, 1), 12), (5, 4, 2, (1,), 12),
-                                      (4, 3, 2, (1,), 12), (6, 3, 1, (1, 1, -1, 1), 2),
-                                      (6, 5, 1, (1, -1), 2)):
-            germ = normal_form(m, n, k, signs)
-            if n <= 3:
-                germ = linear_source_change(rng, germ)
-            germ = linear_target_change(rng, germ)
-            seeds = [[rng.uniform(-0.1, 0.1) for _ in range(m)] for _ in range(count)]
-            points = [(0.0,) * m] + seeds
-            points += [p for p in project_to_singular_locus(germ, seeds) if p is not None]
+        for germ, points in larger_block_germs():
             verdicts = assert_batch_matches(germ, points)
-            folds[n] += sum(v["label"]["kind"] == "Fold" for v in verdicts)
+            folds[germ.n] += sum(v["label"]["kind"] == "Fold" for v in verdicts)
         assert folds[3] >= 10 and folds[4] >= 2
 
     def test_first_failing_point_raises(self):
-        ctx = make_context("x", "y", "z")
-        x, y, z = (Polynomial.variable(ctx, n) for n in ("x", "y", "z"))
-        big = 10**200
-        germ = MapGerm(ctx, (x, big * y**2 + big * z**2 + big * y * z))
+        germ, candidate = failing_germs()
         # the first point fails a decision, the second its jet: the first one raises
         points = [(0.0, 0.0, 0.0), (0.0, 1e200, 0.0)]
         for batch in (points, points[1:]):
@@ -767,13 +829,23 @@ class TestBatchOracle:
                 numeric._classify_batch(germ, batch, Tolerances())
         # a Morin candidate at 0 whose condition-(b) decision overflows, before
         # and after the point whose jet overflows: its tail runs in order
-        candidate = MapGerm(ctx, (x, big * y**3 + x * y + z**2))
         for batch, error in ((points, "condition-b largest rejected entry"),
                              (points[::-1], "jet at the point")):
             with pytest.raises(FloatRangeError, match=error):
                 per_point(candidate, batch[0], numeric._Thresholds)
             with pytest.raises(FloatRangeError, match=error):
                 numeric._classify_batch(candidate, batch, Tolerances())
+
+    def test_out_of_range_block_raises_in_order(self):
+        # `eliminate` on these blocks used to raise OverflowError or
+        # ZeroDivisionError, before the points ahead of it raised theirs
+        for germ in extreme_block_germs():
+            origin = (0.0,) * 6
+            with pytest.raises(FloatRangeError) as alone:
+                per_point(germ, origin, numeric._Thresholds)
+            for batch in ([origin], [origin, (0.5,) * 6]):
+                with pytest.raises(FloatRangeError, match=re.escape(str(alone.value))):
+                    numeric._classify_batch(germ, batch, Tolerances())
 
     def test_reduce_matches_the_scalar_rule(self):
         rng = np.random.default_rng(3131)
@@ -854,8 +926,19 @@ def _flat(values):
     return [values]
 
 
+def counted_calls(monkeypatch):
+    """The names `_Thresholds.reduce` and `.fold_test` are called with from here on, in order."""
+    calls = []
+    reduce, fold_test = numeric._Thresholds.reduce, numeric._Thresholds.fold_test
+    monkeypatch.setattr(numeric._Thresholds, "reduce",
+                        lambda self, name, rows: calls.append(name) or reduce(self, name, rows))
+    monkeypatch.setattr(numeric._Thresholds, "fold_test",
+                        lambda self, *args: calls.append("fold test") or fold_test(self, *args))
+    return calls
+
+
 class TestBatchCounts:
-    """Counts, not times: every scan point's fold test runs once, in the stack."""
+    """Counts, not times: every point's fold test runs once, in the stack."""
 
     @pytest.mark.parametrize("params, labels", [
         ((Fraction(3, 2), 1, -2, Fraction(-1, 2)),
@@ -869,14 +952,23 @@ class TestBatchCounts:
     def test_no_point_repeats_the_fold_test(self, params, labels, monkeypatch):
         # the Morin candidates take `criteria`'s tail on their stacked fold
         # test, where they ran the corank reduction and the fold test again
-        calls = []
-        reduce, fold_test = numeric._Thresholds.reduce, numeric._Thresholds.fold_test
-        monkeypatch.setattr(numeric._Thresholds, "reduce",
-                            lambda self, name, rows: calls.append(name) or reduce(self, name, rows))
-        monkeypatch.setattr(numeric._Thresholds, "fold_test",
-                            lambda self, *args: calls.append("fold test") or fold_test(self, *args))
+        calls = counted_calls(monkeypatch)
         numeric._shared_pipeline.cache_clear()  # so the pipeline reduces its own germ here
         germ = LefschetzFamily.symbolic().at(params)
         verdicts = scan_region(germ, [(-1, 1)] * 4, 5)
         assert Counter(str(v.label) for v in verdicts) == labels
         assert calls.count("corank") == 1 and "fold test" not in calls
+
+    def test_no_batch_runs_the_scalar_fold_test(self, monkeypatch):
+        # blocks above 3x3, a det B(0) that underflows in the stack and a
+        # decision that is not finite take the stacked fold test too
+        germs = [(germ, points) for germ, points in larger_block_germs()
+                 if max(germ.n - 1, germ.m - germ.n + 1) > 3]
+        germs += [(germ, [(0.0,) * 4]) for germ in underflow_germs()]
+        calls = counted_calls(monkeypatch)
+        for germ, points in germs:
+            numeric._classify_batch(germ, points, Tolerances())
+        for germ in failing_germs():
+            with pytest.raises(FloatRangeError):
+                numeric._classify_batch(germ, [(0.0, 0.0, 0.0)], Tolerances())
+        assert len(germs) == 4 and "fold test" not in calls

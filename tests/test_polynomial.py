@@ -236,6 +236,20 @@ class TestCanonicalForm:
         assert not r.is_zero()
         assert q * (x + y) + r == p + 1
 
+    def test_division_refuses_jets_and_floats(self, xyz):
+        # a float quotient would not be exact: x^2 + y^2 at (0.5, 0.25) has
+        # the float terms 1.0*x and 0.5*y
+        ctx, x, y, _ = xyz
+        p = x**2 + y**2
+        shifted = MapGerm(ctx, (p,)).translate((0.5, 0.25, 0.0)).components[0]
+        refusals = [(p.truncated(2).divide, (x,), "jet"), (p.divide, (x.truncated(1),), "jet"),
+                    (shifted.divide, (x,), "float"), (shifted.div_exact, (x,), "float"),
+                    (p.divide, (0.5 * x,), "float"),
+                    (shifted.primitive_part, (), "float"), (shifted.monomial_content, (), "float")]
+        for method, args, what in refusals:
+            with pytest.raises(ValueError, match=f"not defined on {what}"):
+                method(*args)
+
     def test_monomial_content(self, xyz):
         ctx, x, y, _ = xyz
         p = 6 * x**2 * y - 4 * x * y**2

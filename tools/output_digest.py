@@ -60,6 +60,11 @@ and lists the valid ones):
                                    images; with and without a target
                                    context) and `primitive_part` over those
                                    four layouts and the locus context
+  verdicts.underflow               `float.hex` of `verdict_to_dict` of two
+                                   germs with 10^-200 x and 10^-200 y terms,
+                                   whose det B(0) underflows to 0 at the
+                                   origin, there and at 3 seeded points
+                                   of the x-y plane within 10^-3 of it
 
 Each `cli.*` text is the exit status and the standard output.
 
@@ -92,7 +97,7 @@ sys.dont_write_bytecode = True
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from morinclass import VariableContext, classify, cli, lefschetz, numeric  # noqa: E402
+from morinclass import MapGerm, VariableContext, classify, cli, lefschetz, numeric  # noqa: E402
 from morinclass.cli import report_to_dict, verdict_to_dict  # noqa: E402
 from morinclass.context import PARAMETER, SOURCE  # noqa: E402
 from morinclass.linalg import PolyMatrix, RationalMatrix  # noqa: E402
@@ -133,6 +138,7 @@ EXACT_SEED, EXACT_STRIDE, EXACT_POWERS = 25, 7, 200
 POWER_MONOMIALS = ("1", "x", "y", "z", "x*y", "y*z", "x^2", "z^2", "x*y*z")
 RENDER_SEED, RENDER_POLYS = 26, 60
 CHAIN_SEED, CHAIN_POLYS = 27, 40
+UNDERFLOW_SEED, UNDERFLOW_POINTS = 28, 3
 RENDER_LAYOUTS = (  # the roles of x, y, z, a, b in that order of names
     (("x", "y", "z", "a", "b"), (SOURCE,) * 3 + (PARAMETER,) * 2),
     (("a", "b", "x", "y", "z"), (PARAMETER,) * 2 + (SOURCE,) * 3),
@@ -418,6 +424,28 @@ def chain_terms():
             yield term_pairs(p.substitute(images, target_context=target))
 
 
+def underflow_germs():
+    """`10^-200 x ; 10^-200 y ; z^2 + w^2` and a variant, built through `Polynomial`.
+
+    The germ-file grammar has no 10^-200.
+    """
+    ctx = VariableContext.make(("x", "y", "z", "w"))
+    x, y, z, w = (Polynomial.variable(ctx, name) for name in ctx.names)
+    tiny = Fraction(1, 10**200)
+    return (MapGerm(ctx, (tiny * x, tiny * y, z**2 + w**2)),
+            MapGerm(ctx, (tiny * x + x * z, tiny * y + w**2, z**2 - w**2 + x * y)))
+
+
+def underflow_verdicts():
+    rng = random.Random(UNDERFLOW_SEED)
+    for germ in underflow_germs():
+        # in the x-y plane, where the first germ's det B(0) underflows too
+        near = [(rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-3, 1e-3), 0.0, 0.0)
+                for _ in range(UNDERFLOW_POINTS)]
+        for point in [(0.0,) * 4] + near:
+            yield canon(verdict_to_dict(numeric.numeric_classify(germ, point)))
+
+
 def criteria_records():
     seed_one = replay_germs()[:len(seed_requests(1))]
     for germ in seed_one + tuple(degenerate_germs()):
@@ -443,6 +471,7 @@ FAMILIES = (
     ("criteria.records", criteria_records),
     ("render.roles", render_roles),
     ("chain.terms", chain_terms),
+    ("verdicts.underflow", underflow_verdicts),
 )
 
 
