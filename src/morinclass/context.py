@@ -31,6 +31,10 @@ class DegreeOverflowError(ValueError):
     """A monomial of total degree above MAX_DEGREE, which no packed key holds."""
 
 
+class WorkLimitError(ValueError):
+    """A product that would take a `_termops_py.work_limit` block past its term pairs."""
+
+
 def check_degree(degree):
     if degree > MAX_DEGREE:
         raise DegreeOverflowError(

@@ -405,7 +405,6 @@ def _after_fold_test(ng, decide, trace, record, h0, nd_rank, inertia):
     if fold:
         pos, neg, zero = inertia
         record["h_derivs_at_0"] = [fmt(h0)]
-        record["signature"] = [pos, neg]
         # only a float decision can find h(0) nonzero and an eigenvalue zero
         label = Label("Inconclusive") if zero else Label("Fold", k=1, signature=(pos, neg))
         return label, record

@@ -22,9 +22,9 @@ candidate's frame.
 
 `Tolerances` holds the two thresholds a caller may set, `rank_tol` and
 `zero_tol`; the projection's residual target and iteration limit are class
-constants.  The chart is expanded symbolically, so a germ whose frame or
-chart may exceed `CHART_TERM_BOUND` terms gets none: it is classified, not
-projected.
+constants.  The chart is expanded symbolically, within
+`_termops_py.MAX_TERM_PAIRS` term pairs: a germ whose frame and lambdas
+would take more gets none.  It is classified, not projected.
 """
 
 import math
@@ -35,15 +35,11 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import _termops_py as kernel
+from .context import WorkLimitError
 from .criteria import Label, _after_fold_test, kernel_hessian_at_origin, lambdas_for_frame
 from .germ import MapGerm, cramer_frame, normalized
 from .linalg import adjugate, eliminate, float_power
-
-# the largest frame and chart `_frame_size` and `_chart_size` admit.  On
-# dimension-ladder germs (one core of a 2-core host) charts bounded by 54264
-# and 65780 terms expanded in 0.5 s and 8-13 s, one bounded by 170544 in
-# 28 s, and the (5, 4, 4) germ's, bounded by 237336, ran for minutes
-CHART_TERM_BOUND = 100_000
 
 
 @dataclass(frozen=True)
@@ -357,49 +353,15 @@ class _Thresholds:
         return best if norms[best] > self.tol.zero_tol else None
 
 
-def _monomials(terms, degree, m):
-    """A term count capped by C(degree+m, m), the monomials of that degree in m variables."""
-    return min(terms, math.comb(degree + m, m))
-
-
-def _frame_size(first, names):
-    """A bound on the terms of det B and of each eta coefficient, before the frame is built.
-
-    Each is a sum of products of one first derivative of each of f_1, ...,
-    f_{n-1}, so its terms are at most the product over those components of
-    their derivatives' term counts, summed, and its degree the sum of their
-    largest degrees.
-    """
-    terms, degree = 1, 0
-    for f in first:
-        grads = [f.derivative(v) for v in names]
-        terms *= sum(len(g.terms) for g in grads)
-        degree += max(g.degree() for g in grads)
-    return _monomials(terms, degree, len(names))
-
-
-def _chart_size(frame, f_n, names):
-    """A bound on the terms of each chart lambda = det B * eta f_n, before it is expanded."""
-    m, det_b = len(names), frame.pivot_minor
-    grads = [f_n.derivative(v) for v in names]
-    size = 0
-    for eta in frame.eta:
-        pairs = [(c, g) for c, g in zip(eta.coefficients, grads) if not c.is_zero()]
-        degree = max((c.degree() + g.degree() for c, g in pairs), default=0)
-        eta_fn = _monomials(sum(len(c.terms) * len(g.terms) for c, g in pairs), degree, m)
-        size = max(size, _monomials(len(det_b.terms) * eta_fn, det_b.degree() + degree, m))
-    return size
-
-
 class _FloatPipeline:
     """The float copy of a germ and the lambdas of its chart at 0, with their gradients.
 
     The chart is `normalize`'s with `_Thresholds` pivots, kept at rank n
     too: the projection solves its lambdas wherever the germ is regular at 0.
     Where the Jacobian at 0 has rank below n-1 there is no chart, and where
-    `_frame_size` or `_chart_size` exceeds CHART_TERM_BOUND it is not built:
-    `lambdas` is None and `no_chart` says why.  Such a germ can be
-    classified but not projected.
+    the frame and lambdas would take more than MAX_TERM_PAIRS term pairs it
+    is not built: `lambdas` is None and `no_chart` says why.  Such a germ
+    can be classified but not projected.
     """
 
     def __init__(self, germ: MapGerm, tol: Tolerances):
@@ -418,15 +380,14 @@ class _FloatPipeline:
             self.no_chart = "the chart at 0 needs a Jacobian of rank at least n-1 there"
             return
         ng = normalized(self.germ, t, pivot_rows[: n - 1], pivot_cols[: n - 1], exact=False)
-        names, comps = ctx.source_names, ng.germ.components
-        if (size := _frame_size(comps[:-1], names)) <= CHART_TERM_BOUND:
-            frame = cramer_frame(ng.germ, ng.pivot_names)
-            size = _chart_size(frame, comps[-1], names)
-        if size > CHART_TERM_BOUND:
-            self.no_chart = (f"the chart at 0 may need polynomials of {size} terms, "
-                             f"above CHART_TERM_BOUND = {CHART_TERM_BOUND}")
+        try:
+            with kernel.work_limit(kernel.MAX_TERM_PAIRS):
+                frame = cramer_frame(ng.germ, ng.pivot_names)
+                self.lambdas = lambdas_for_frame(ng.germ, frame).lambdas
+        except WorkLimitError:
+            self.no_chart = (f"expanding the chart at 0 takes more than "
+                             f"MAX_TERM_PAIRS = {kernel.MAX_TERM_PAIRS} term products")
             return
-        self.lambdas = lambdas_for_frame(ng.germ, frame).lambdas
         src = ctx.source_indices
         columns = list(self.lambdas) + [
             lam.derivative(v) for lam in self.lambdas for v in ctx.source_names]
@@ -682,7 +643,14 @@ def _classify_batch(germ: MapGerm, points, tol: Tolerances):
         for margin in margins:
             decide.record(*margin)
         if outcome is not None:
-            label, _ = _after_fold_test(ng, decide, False, {"m": m, "n": n}, *outcome)
+            try:
+                label, _ = _after_fold_test(ng, decide, False, {"m": m, "n": n}, *outcome)
+            except (OverflowError, ZeroDivisionError):
+                # `linalg._dividers` on float jets: a power of a pivot's
+                # constant term that leaves the float range
+                raise FloatRangeError(
+                    "a jet division in the frame or theta at the point is not finite in floats"
+                ) from None
         if any(margin.inconclusive for margin in decide.margins):
             label = Label("Inconclusive")
         verdicts.append(NumericVerdict(x, label, decide.margins, residual))

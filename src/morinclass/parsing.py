@@ -20,21 +20,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _termops_py as kernel
-from .context import MAX_DEGREE, DegreeOverflowError, VariableContext, check_degree
+from .context import (MAX_DEGREE, DegreeOverflowError, VariableContext, WorkLimitError,
+                      check_degree)
 from .germ import MapGerm, check_dimensions
 from .polynomial import Polynomial
 
 # The largest coefficient a `^` may build, in bits (about 39,000 digits):
 # 3^65535 fits.  A power of a big coefficient, such as (3^65535)^65535, has
-# a small degree but would run k - 1 products of ever larger integers.
+# a small degree, and a one-term base makes no term products for the work
+# limit to count, but its coeff**k would hold about 7 * 10^9 bits.  The
+# term products of a `^`, or of a product of two sums, are counted by
+# `_termops_py.work_limit`, up to `_termops_py.MAX_TERM_PAIRS`.
 MAX_POWER_BITS = 1 << 17
-
-# The most term products a `^` may run, by the count of `_power_products`.
-# (x+y)^700 fits and expands in about 0.2 s; `pow_terms` expands a base
-# with a Fraction coefficient on ints too, so its products cost about as
-# much.  A power of a many-term base, such as (x+y)^65535, passes both the
-# degree and the coefficient bound but would expand for hours.
-MAX_POWER_TERMS = 10**6
 
 # The most parentheses open at once; about 190 would exhaust Python's recursion limit.
 MAX_NESTING = 100
@@ -80,24 +77,6 @@ def _token_place(text, index, line_offset=1):
     """The line and column of token `index` of `_tokenize(text)`, found again by its offset."""
     starts = [match.start() for match in _TOKEN.finditer(text)] + [len(text)]
     return _place(text, starts[index], line_offset)
-
-
-def _power_products(t, k):
-    """The term products `pow_terms` runs at most for a t-term base to the k.
-
-    Each of its k - 1 products multiplies the running power, which holds at
-    most C(k+t-2, t-1) terms (the monomials of degree k - 1 in t symbols),
-    by the t terms of the base.  The binomial grows one factor at a time, and
-    the count is returned as soon as it passes MAX_POWER_TERMS, so a huge
-    base or exponent costs few steps.
-    """
-    bound = (k - 1) * t
-    n = k + t - 2
-    for i in range(1, min(t, k)):  # C(n, i) from C(n, i - 1), by factors >= 1
-        bound = bound * (n - i + 1) // i
-        if bound > MAX_POWER_TERMS:
-            break
-    return bound
 
 
 class _ExpressionParser:
@@ -181,7 +160,7 @@ class _ExpressionParser:
                     check_degree((ka >> shift) + (kb >> shift))
                     value = {ka + kb: ca * cb}
                 else:
-                    value = kernel.mul_terms(value, rhs, self.context)
+                    value = self.expand(kernel.mul_terms, at, "product", value, rhs)
             except DegreeOverflowError as exc:
                 self.error(str(exc), at)
         if tokens[at] == "/":
@@ -240,12 +219,16 @@ class _ExpressionParser:
             )
         if base:  # before any product: x^99999999 would run 10^8 of them
             self.degree_bound((max(base) >> self.shift) * k, at)
-        if _power_products(len(base), k) > MAX_POWER_TERMS:
-            self.error(
-                f"expanding this power would take more than {MAX_POWER_TERMS} term products",
-                at,
-            )
-        return kernel.pow_terms(base, k, self.context)
+        return self.expand(kernel.pow_terms, at, "power", base, k)
+
+    def expand(self, op, index, what, *args):
+        """`op(*args, context)` within MAX_TERM_PAIRS term pairs, else an error at token `index`."""
+        try:
+            with kernel.work_limit(kernel.MAX_TERM_PAIRS):
+                return op(*args, self.context)
+        except WorkLimitError:
+            self.error(f"expanding this {what} would take more than"
+                       f" {kernel.MAX_TERM_PAIRS} term products", index)
 
     def literal(self, index):
         try:

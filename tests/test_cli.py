@@ -309,14 +309,29 @@ class TestClassifyCommand:
         code, out, _ = run_cli(capsys, "classify", str(path))
         assert code == 0 and json.loads(out)["label"]["kind"] == "Fold"
 
+    @pytest.mark.parametrize("scale", ["1000000000000000000", "1/1000000000000000000"])
+    def test_numeric_frame_beyond_float_range(self, capsys, tmp_path, scale):
+        # a Morin{2} germ whose float frame divides by a power of a pivot that
+        # overflows or underflows: an error line, not a traceback
+        path = tmp_path / "scaled.germ"
+        path.write_text("vars: x1 x2 x3 x4 x5 x6\nmap: "
+                        + " ; ".join(f"{scale}*x{i}" for i in range(1, 5))
+                        + " ; x5^2 + x6^3 + x1*x6\n")
+        code, out, err = run_cli(capsys, "classify", str(path), "--numeric")
+        assert code == 2 and out == ""
+        assert err == ("error: a jet division in the frame or theta at the point "
+                       "is not finite in floats\n")
+        code, out, _ = run_cli(capsys, "classify", str(path))
+        assert code == 0 and json.loads(out)["label"] == {"kind": "Morin", "k": 2}
+
     def test_reports_are_strict_json(self):
         with pytest.raises(ValueError):
             cli._emit({"value": float("nan")})
 
     def test_numeric_mode_above_the_chart_bound(self, capsys, tmp_path):
         # the seed-1 (5, 4, 4) ladder germ of the benchmark, 245 terms per
-        # component: its chart would take minutes to expand, so the verdict
-        # comes without a residual
+        # component: its chart would take more than MAX_TERM_PAIRS term
+        # pairs to expand, so the verdict comes without a residual
         inputs = perfbench_module("inputs")
         germ = inputs.ladder_case(random.Random(1), 5, 4, 4)["germ"]
         path = tmp_path / "ladder.germ"

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 
 from morinclass import MalformedGermError, MapGerm, Polynomial, VariableContext
 from morinclass import _termops_py
+from morinclass._termops_py import MAX_TERM_PAIRS
 from morinclass.context import MAX_DEGREE
 from morinclass.parsing import (
     MAX_NESTING,
     MAX_POWER_BITS,
-    MAX_POWER_TERMS,
     ParseError,
-    _power_products,
     _token_place,
     _tokenize,
     parse_expression,
@@ -266,11 +265,12 @@ class TestPowerBound:
             parse_expression(f"x^{half} * x^{half}", ctx)
         assert err.value.column == len(f"x^{half} ") + 1
 
-    @pytest.mark.parametrize("base, k", [("(x+y)", 65535), ("(x + y + z)", 5000)])
+    @pytest.mark.parametrize("base, k", [
+        ("(x+y)", 65535), ("(x + y + z)", 5000), ("(x+y+z+w)", 60)])
     def test_many_term_base_fails_at_its_exponent(self, base, k):
         # each passes the degree and the coefficient bound, but expanding it
         # would take hours
-        ctx = make_context("x", "y", "z")
+        ctx = make_context("x", "y", "z", "w")
         text = f"y +\n  {base}^{k}*x"
         start = time.perf_counter()
         with pytest.raises(ParseError) as err:
@@ -278,12 +278,53 @@ class TestPowerBound:
         assert time.perf_counter() - start < 1.0
         assert (err.value.line, err.value.column) == (8, 3 + len(base) + 1)
         assert err.value.message == (
-            f"expanding this power would take more than {MAX_POWER_TERMS} term products")
+            f"expanding this power would take more than {MAX_TERM_PAIRS} term products")
 
     def test_many_term_base_below_the_bound_keeps_its_value(self):
         ctx = make_context("x", "y", "z")
         assert parse_expression("(x+y)^200", ctx) == polynomial_parse("(x+y)^200", ctx)
         assert parse_expression("(x-x+y)^65535", ctx) == polynomial_parse("y^65535", ctx)
+        # 515,097 term pairs: the count admits it, where a bound predicted
+        # from the monomials of each degree refused it
+        assert parse_expression("(x+y+z)^100", ctx) == polynomial_parse("(x+y+z)^100", ctx)
+
+    def test_refusal_follows_the_pair_count(self, monkeypatch):
+        # the first power refused is the first whose products, len(a) * len(b)
+        # each, counted outside any limit, pass MAX_TERM_PAIRS
+        ctx = make_context("x", "y", "z")
+        calls = []
+        mul_terms = _termops_py.mul_terms
+
+        def counting(a, b, *args):
+            assert _termops_py._pairs_left is None
+            calls.append(len(a) * len(b))
+            return mul_terms(a, b, *args)
+
+        monkeypatch.setattr(_termops_py, "mul_terms", counting)
+        parse_expression("x+y+z", ctx) ** 126  # the products of (x+y+z)^k are its first k - 1
+        monkeypatch.undo()
+        total, k = 0, 1
+        while total <= MAX_TERM_PAIRS:
+            total += calls[k - 1]
+            k += 1
+        assert k == 125
+        assert parse_expression(f"(x+y+z)^{k - 1}", ctx).degree() == k - 1
+        with pytest.raises(ParseError, match="expanding this power"):
+            parse_expression(f"(x+y+z)^{k}", ctx)
+
+    def test_product_of_two_sums_fails_at_its_operator(self):
+        # each factor fits, but their product takes 2556^2 = 6.5M term pairs
+        ctx = make_context("x", "y", "z")
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_expression("(x+y+z)^70 * (x+y+z)^70", ctx)
+        assert time.perf_counter() - start < 1.0
+        assert err.value.column == len("(x+y+z)^70 ") + 1
+        assert err.value.message == (
+            f"expanding this product would take more than {MAX_TERM_PAIRS} term products")
+        # 861^2 = 741,321 pairs fit
+        text = "(x+y+z)^40 * (x+y+z)^40"
+        assert parse_expression(text, ctx) == polynomial_parse(text, ctx)
 
     def test_fraction_base_matches_its_unscaled_expansion(self):
         # the parser's `^` is `pow_terms` on the parsed base: its terms in
@@ -321,27 +362,6 @@ class TestPowerBound:
         calls.clear()
         power**20
         assert not calls
-
-    def test_product_count_bounds_the_expansion(self, monkeypatch):
-        # (x_1 + ... + x_t)^k has as many terms as any t-term base can give
-        ctx = make_context("x", "y", "z", "w")
-        calls = []
-        mul_terms = _termops_py.mul_terms
-
-        def counting(a, b, *args):
-            calls.append(len(a) * len(b))
-            return mul_terms(a, b, *args)
-
-        monkeypatch.setattr(_termops_py, "mul_terms", counting)
-        for t in range(1, 5):
-            base = "(" + " + ".join(f"{i + 1}*{v}" for i, v in enumerate(ctx.names[:t])) + ")"
-            for k in range(1, 9):
-                calls.clear()
-                parse_expression(f"{base}^{k}", ctx)
-                assert sum(calls) <= _power_products(t, k), (t, k)
-                if t > 1 and k > 1:
-                    # the last product meets every term of degree k - 1
-                    assert calls[-1] * (k - 1) == _power_products(t, k)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 
 from morinclass import Polynomial
 from morinclass import _termops_py as kernel
-from morinclass.context import MAX_DEGREE, DegreeOverflowError
+from morinclass.context import MAX_DEGREE, DegreeOverflowError, WorkLimitError
 
 from conftest import (
     make_context,
@@ -254,3 +254,51 @@ class TestDegreeOverflow:
             assert got.jet == MAX_DEGREE and got.is_zero()
         got = x.truncated(MAX_DEGREE + 5) * x.truncated(MAX_DEGREE + 5)
         assert got.jet == MAX_DEGREE and got == x * x
+
+
+class TestWorkLimit:
+    @staticmethod
+    def operands(ctx, *sizes):
+        # 1 + x + ... + x^(size-1): len(a) * len(b) term pairs for a product
+        return [{ctx.pack((e, 0)): 1 for e in range(size)} for size in sizes]
+
+    def test_products_are_charged_their_term_pairs(self):
+        ctx = make_context("x", "y")
+        a, b, c = self.operands(ctx, 3, 4, 2)
+        with kernel.work_limit(3 * 4 + 3 * 2):
+            expected = kernel.mul_terms(a, b, ctx)
+            assert kernel._pairs_left == 3 * 2
+            kernel.mul_terms(a, c, ctx, 1)  # a cap drops terms, not pairs
+            assert kernel._pairs_left == 0
+            assert kernel.mul_terms(a, {}, ctx) == {}  # an empty factor costs nothing
+            with pytest.raises(WorkLimitError):
+                kernel.mul_terms(c, c, ctx)
+        assert kernel._pairs_left is None
+        assert kernel.mul_terms(a, b, ctx) == expected
+
+    def test_the_product_that_would_pass_the_limit_raises_before_it_runs(self, monkeypatch):
+        ctx = make_context("x", "y")
+        a, b = self.operands(ctx, 5, 5)
+        degrees = []
+        monkeypatch.setattr(kernel, "check_degree", degrees.append)
+        with kernel.work_limit(24), pytest.raises(WorkLimitError):
+            kernel.mul_terms(a, b, ctx)
+        assert degrees == []
+
+    def test_outer_state_is_restored(self):
+        ctx = make_context("x", "y")
+        a, b = self.operands(ctx, 3, 3)
+        with pytest.raises(WorkLimitError):
+            with kernel.work_limit(8):
+                kernel.mul_terms(a, b, ctx)
+        assert kernel._pairs_left is None
+        with kernel.work_limit(100):
+            kernel.mul_terms(a, b, ctx)
+            with kernel.work_limit(9):
+                kernel.mul_terms(a, b, ctx)
+                assert kernel._pairs_left == 0
+            assert kernel._pairs_left == 91
+            with pytest.raises(ZeroDivisionError), kernel.work_limit(1):
+                1 / 0
+            assert kernel._pairs_left == 91
+        assert kernel._pairs_left is None

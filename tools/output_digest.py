@@ -43,8 +43,7 @@ and lists the valid ones):
                                    of traced and untraced `classify` on the
                                    seed-1 `ainv_replay` germs and the
                                    `degenerate` germs: the whole trace record,
-                                   "signature" included, which
-                                   `report_to_dict` drops
+                                   as `classify` writes it
   render.roles                     `render()` and the term pairs of
                                    `parse_expression(render())` of seeded
                                    int and Fraction polynomials, exponents up
