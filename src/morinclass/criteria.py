@@ -13,8 +13,9 @@ The decision pipeline:
      field theta from one column c of adj(M) (a decision: over Q the first
      column of adj(M(0)) that is not zero) and h = det M, both from one
      elimination of [M | e_c] (`build_theta`), the only one of M on any
-     path: the trace's h without a column is M's alone, and an untraced
-     germ with adj(M(0)) = 0 never takes det M; and h' = theta h, ...
+     path: the trace's h without a column is `PolyMatrix.determinant` of
+     M alone (`hessian`, for a germ labelled at the fold test), and an
+     untraced germ with adj(M(0)) = 0 never takes det M; and h' = theta h, ...
   5. label: fold iff h(0) != 0.  As d(f_n)_0 = 0, with E(0) the eta
      coefficients at 0, H the Hessian of f_n at 0, K = E(0)^T H E(0) and
      s = m-n+1,
@@ -152,12 +153,13 @@ def hessian(ls: LambdaSystem) -> HessData:
 def build_theta(ls: LambdaSystem, hd: HessData, column: int) -> HessData:
     """h = det M and, for a column c, the kernel field theta = adj(M) e_c.
 
-    The one elimination of M on every path: of [M | e_c], or of M alone for
-    `column` None, with the same det M term for term (it pivots only in M's
-    columns).  Where no entry of M has a constant term, each product in
-    det M has order at least the size of M; when that size exceeds the order
-    h is read to and no column is asked for, h is the zero jet of that order
-    and the block, which holds no unit to pivot on, is not expanded.
+    The one elimination of M on every path: of [M | e_c], or for `column`
+    None `PolyMatrix.determinant`, the elimination of M alone, with the same
+    det M term for term (it pivots only in M's columns).  Where no entry of
+    M has a constant term, each product in det M has order at least the
+    size of M; when that size exceeds the order h is read to and no column
+    is asked for, h is the zero jet of that order and the block, which holds
+    no unit to pivot on, is not expanded.
 
     Because adj(M) . M = det(M) . I holds identically, theta lies in the
     kernel of M at every point where h vanishes; 2-non-degeneracy makes some
@@ -167,16 +169,14 @@ def build_theta(ls: LambdaSystem, hd: HessData, column: int) -> HessData:
     the test suite exercises.
     """
     m = hd.h_matrix
-    order = jet_order(m.entries)
-    if (column is None and order is not None and m.rows > order
-            and not any(p.constant_term() for p in m.entries)):
-        return replace(hd, h=Polynomial.zero(m.context).truncated(order))
-    unit = None if column is None else [
-        [Polynomial.constant(m.context, int(r == column))] for r in range(m.rows)]
+    if column is None:
+        order = jet_order(m.entries)
+        if order is not None and m.rows > order and not any(p.constant_term() for p in m.entries):
+            return replace(hd, h=Polynomial.zero(m.context).truncated(order))
+        return replace(hd, h=cut_to_order(m.determinant(), m.entries))
+    unit = [[Polynomial.constant(m.context, int(r == column))] for r in range(m.rows)]
     det, adj_col = eliminate(m.to_rows(), unit)
     hd = replace(hd, h=cut_to_order(det, m.entries))
-    if column is None:
-        return hd
     coeffs = None
     for eta, (entry,) in zip(ls.frame.eta, adj_col):
         scaled = eta.scaled(entry)
@@ -389,13 +389,15 @@ def _after_fold_test(ng, decide, trace, record, h0, nd_rank, inertia):
     column = None
     if trace or not labelled:
         ls = lambdas_for_frame(ng.germ, build_frame(ng))
-        hd = HessData(kernel_matrix(ls))
-        if not labelled:
+        if labelled:
+            hd = hessian(ls)
+        else:
+            hd = HessData(kernel_matrix(ls))
             m0 = [[e.constant_term() for e in row] for row in hd.h_matrix.to_rows()]
             column = decide.theta_column(m0)
-        # the one elimination of M: [M | e_c] for theta and h, M alone for the trace's h
-        if trace or column is not None:
-            hd = build_theta(ls, hd, column)
+            # the one elimination of M: [M | e_c] for theta and h, M alone for the trace's h
+            if trace or column is not None:
+                hd = build_theta(ls, hd, column)
     if trace:
         record["lambdas"] = [p.render() for p in ls.lambdas]
         record["h"] = hd.h.render()

@@ -567,12 +567,22 @@ def emit_slice(b2, resolution: int, value_range=(-1, 1)) -> SliceGrid:
         exact64 = bound < 2**53 and scale_den < 2**53
         n_arr = np.array(ints, dtype=np.int64 if exact64 else object)
         pows = {0: np.ones_like(n_arr), 1: n_arr, 2: n_arr * n_arr, 3: n_arr**3}
-        total = np.zeros((resolution, resolution, resolution), dtype=n_arr.dtype)
+        if exact64:
+            total = np.zeros((resolution, resolution, resolution), dtype=n_arr.dtype)
+            for c_int, e1, e2, e3 in terms:
+                total += c_int * (
+                    pows[e1][:, None, None] * pows[e2][None, :, None] * pows[e3][None, None, :]
+                )
+            values[ci] = total.reshape(-1) / scale_den
+            continue
+        # Python ints: the terms of each power of a1 summed once into an
+        # (a2, b1) plane, then each a1 block from those planes
+        planes = {}
         for c_int, e1, e2, e3 in terms:
-            total += c_int * (
-                pows[e1][:, None, None] * pows[e2][None, :, None] * pows[e3][None, None, :]
-            )
-        values[ci] = total.reshape(-1) / scale_den
+            planes[e1] = planes.get(e1, 0) + c_int * (pows[e2][:, None] * pows[e3][None, :])
+        for block, a1 in zip(values[ci].reshape(resolution, -1), ints):
+            first, *rest = (a1**e1 * plane if e1 else plane for e1, plane in planes.items())
+            block[:] = sum(rest, first).reshape(-1) / scale_den
     return SliceGrid(b2=b2, lo=lo, hi=hi, resolution=resolution, nodes=nodes, values=values)
 
 

@@ -104,9 +104,9 @@ class PolyMatrix(_Matrix):
 class RationalMatrix(_Matrix):
     """Row-major matrix of exact rationals, each an int or a Fraction as given.
 
-    Ints stay ints: `rank` and `determinant` scale every row to integers
-    anyway, and making each entry a Fraction first about doubles the time
-    to rank a small int matrix.
+    Ints stay ints: `rank` scales every row to integers anyway, and making
+    each entry a Fraction first about doubles the time to rank a small int
+    matrix.
     """
 
     __slots__ = ()
@@ -136,11 +136,6 @@ class RationalMatrix(_Matrix):
     def rank(self) -> int:
         """Exact rank: the number of steps of the forward pass on integer rows."""
         return _forward(integer_rows(self.to_rows())[0], self.cols, 0)[0]
-
-    def determinant(self) -> Fraction:
-        self._check_square("determinant")
-        rows, scale = integer_rows(self.to_rows())
-        return Fraction(eliminate(rows)[0], scale)
 
     def signature(self):
         """Inertia (positives, negatives, zeros) of a symmetric matrix, by `congruence`."""

@@ -458,6 +458,19 @@ class TestSliceExport:
         assert len(expected) == 135
         assert [v.hex() for v in grid.values.T.reshape(-1).tolist()] == expected
 
+    @pytest.mark.parametrize("b2", [Fraction(1, 300007), Fraction(1, 4)])
+    def test_seeded_points_match_exact_evaluate_bitwise(self, b2):
+        # 1/300007 sums Python ints one a1 block at a time, 1/4 sums int64
+        res = 31
+        grid = emit_slice(b2, res)
+        locus = noncusp_polynomials()
+        rng = random.Random(4141)
+        for _ in range(200):
+            i, j, k = (rng.randrange(res) for _ in range(3))
+            exact = locus.evaluate((grid.nodes[i], grid.nodes[j], grid.nodes[k], b2))
+            idx = (i * res + j) * res + k
+            assert [float(v).hex() for v in exact] == [v.hex() for v in grid.values[:, idx].tolist()]
+
     def test_csv_deterministic(self, tmp_path):
         grid = emit_slice(Fraction(1, 4), 4, (-1, 1))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

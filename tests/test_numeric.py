@@ -832,8 +832,8 @@ class TestBatchOracle:
             assert_batch_matches(germ, [(0.0,) * 4] + near)
 
     def test_larger_blocks(self):
-        # n-1 = 2 and 3 run `_cofactor` with W, at folds on the projected
-        # seeds; s = 4 and n-1 = 4 run `eliminate` one matrix at a time
+        # n-1 = 2 and 3 run `eliminate` on B one point at a time, at folds on
+        # the projected seeds; s = 4 runs it on K, and n-1 = 4 on B
         folds = Counter()
         for germ, points in larger_block_germs():
             verdicts = assert_batch_matches(germ, points)
@@ -895,18 +895,49 @@ class TestBatchOracle:
 
     def test_cofactor_matches_eliminate(self):
         rng = np.random.default_rng(3232)
-        for size, cols in ((2, 3), (3, 2), (3, 0)):
+        for size in (2, 3):
             a = rng.choice([0.0, -0.0, 1.5, -2.0, 3.25, 1e300, math.inf, math.nan],
                            size=(600, size, size), p=[.2, .1, .2, .2, .2, .04, .03, .03])
-            w = rng.choice([0.0, -0.0, 1.5, -0.75], size=(600, size, cols)) if cols else None
             with np.errstate(all="ignore"):
-                det, adj_w = numeric._cofactor(a, w)
+                det = numeric._cofactor(a)
             for i, rows in enumerate(a.tolist()):
-                want_det, want_adj = eliminate(rows, w[i].tolist() if cols else None)
-                assert det[i].hex() == want_det.hex()
-                if cols:
-                    assert [v.hex() for v in _flat(adj_w[i].tolist())] == [
-                        v.hex() for v in _flat(want_adj)]
+                assert det[i].hex() == eliminate(rows)[0].hex()
+
+    @pytest.mark.parametrize("m, n", [(4, 3), (5, 3), (5, 4), (6, 4)])
+    def test_kernel_hessians_with_larger_b(self, m, n):
+        # n-1 = 2 and 3: det B(0) and adj(B) W come from `eliminate` one point
+        # at a time, with the bits of `kernel_hessian_at_origin` on the point's
+        # normalized germ.  f_n's linear part is a combination of the others',
+        # so the corank reduction leaves it a row of rounding residue or zeros
+        ctx = make_context(*(f"x{i}" for i in range(1, m + 1)))
+        rng = random.Random(3535 + 10 * m + n)
+        pool = (0.0, -0.0, 1.5, -2.0, 0.75, 3.25, 1e-300)
+        quadratic = [e for e in product(range(3), repeat=m) if sum(e) == 2]
+        units = [tuple(int(j == i) for j in range(m)) for i in range(m)]
+        germs = []
+        for _ in range(150):
+            rows = [[rng.choice(pool) for _ in range(m)] for _ in range(n - 1)]
+            mix = [rng.choice((0.0, 1.0, -0.5)) for _ in rows]
+            rows.append([sum(c * row[j] for c, row in zip(mix, rows)) for j in range(m)])
+            germs.append(MapGerm(ctx, tuple(Polynomial(ctx, {
+                **{u: c for u, c in zip(units, row) if c},
+                **{e: rng.choice(pool[2:]) for e in quadratic if rng.random() < 0.5}})
+                for row in rows)))
+        coef = np.array([[c for p in g.components for c in p.two_jet_coefficients()]
+                         for g in germs], dtype=float).reshape(len(germs), n, -1)
+        with np.errstate(all="ignore"):
+            corank = numeric._reduce(coef[:, :, :m], 1e-6)
+            sub = np.flatnonzero(corank.rank == n - 1)
+            det_b, eta_hess, kern, usable = numeric._kernel_hessians(coef[sub], corank[sub], n, m)
+        assert usable.sum() > 50
+        for j, i in enumerate(sub):
+            if not usable[j]:
+                continue
+            pivots = corank.pivot_rows[i, :n - 1].tolist(), corank.pivot_cols[i, :n - 1].tolist()
+            ng = normalized(germs[i], corank.t[i].tolist(), *pivots, exact=False)
+            want = kernel_hessian_at_origin(ng)
+            got = (float(det_b[j]), eta_hess[j].tolist(), kern[j].tolist())
+            assert [float(v).hex() for v in _flat(want)] == [v.hex() for v in _flat(got)]
 
     def test_rows_of_t_f_as_normalized_sums_them(self):
         # exact cancellations, absent terms and products that underflow to
