@@ -8,8 +8,8 @@ Commands:
     morinclass lefschetz witness --params a1,a2,b1,b2
 
 Any mathematical outcome (including degeneracies) exits 0 with a JSON
-report; only parse and I/O problems and bad options exit nonzero, with
-status 2 and an `error: ...` line.
+report; only parse and I/O problems, bad options and slice values beyond
+the float range exit nonzero, with status 2 and an `error: ...` line.
 
 Only `classify --numeric` and `lefschetz slice` load numpy, on first use.
 """
@@ -91,8 +91,8 @@ def cmd_classify(args):
     if not args.numeric and (args.tol_rank is not None or args.tol_zero is not None):
         return _fail("--tol-rank and --tol-zero need --numeric")
     try:
-        text = Path(args.file).read_text()
-    except OSError as exc:
+        text = Path(args.file).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail(f"cannot read {args.file}: {exc}")
     try:
         doc = parse_germ_document(text)
@@ -173,14 +173,17 @@ def cmd_lefschetz_slice(args):
             b2 = parse_rational(args.b2)
         except ParseError:
             return _fail(f"bad --b2 value {args.b2!r}")
-        out = Path(args.out) if args.out else Path(lefschetz.slice_filename(b2))
-        jobs.append((b2, out))
+        jobs.append((b2, Path(args.out) if args.out else None))
     for b2, path in jobs:
         try:
             grid = lefschetz.emit_slice(b2, args.grid, rng)
         except MemoryError:
             return _fail(f"--grid {args.grid} is too large: "
                          f"{args.grid}^3 grid points do not fit in memory")
+        except ValueError as exc:  # a value beyond the float range
+            return _fail(exc)
+        # the default name once the values are floats: a huge b2 takes long to write out
+        path = path or Path(lefschetz.slice_filename(b2))
         try:
             lefschetz.write_slice_csv(grid, path)
         except OSError as exc:

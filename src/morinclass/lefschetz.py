@@ -38,7 +38,7 @@ from .context import VariableContext
 from .criteria import HessData, Label, build_theta, classify, kernel_matrix, lambdas_for_frame
 from .germ import MapGerm, cramer_frame
 from .polynomial import Polynomial
-from .rationals import rat
+from .rationals import brief_rational, format_rational, rat
 
 SOURCE_VARS = ("x1", "x2", "y1", "y2")
 PARAM_VARS = ("a1", "a2", "b1", "b2")
@@ -531,8 +531,12 @@ class SliceGrid:
 def emit_slice(b2, resolution: int, value_range=(-1, 1)) -> SliceGrid:
     """Evaluate the five published non-cusp displays on an (a1, a2, b1) grid at fixed b2.
 
-    Evaluation is exact (integer arithmetic over a common denominator) and
-    each value is the correctly rounded float of the exact one.
+    Evaluation is exact.  Each display times den^deg, for den the common
+    denominator of the nodes and b2, is summed over integers: the terms of
+    each power of a1 once into an (a2, b1) plane, then each a1 block from
+    those planes, divided by den^deg once.  So each value is the correctly
+    rounded float of the exact one (0.0 or a subnormal on underflow); a value
+    whose rounded float would overflow raises ValueError.
     """
     import numpy as np
 
@@ -562,27 +566,23 @@ def emit_slice(b2, resolution: int, value_range=(-1, 1)) -> SliceGrid:
             assert c_int.denominator == 1
             terms.append((int(c_int), e1, e2, e3))
             bound += abs(int(c_int)) * max_n ** (e1 + e2 + e3)
-        # below 2^53 int64 sums are exact and so is their float division by
+        # integer sums are exact in either dtype.  Below 2^53 (every partial
+        # sum and den^deg) int64 ones are, and so is their float division by
         # den^deg; above it Python ints are, and int / int rounds correctly
-        exact64 = bound < 2**53 and scale_den < 2**53
-        n_arr = np.array(ints, dtype=np.int64 if exact64 else object)
+        n_arr = np.array(ints, dtype=np.int64 if bound < 2**53 and scale_den < 2**53 else object)
         pows = {0: np.ones_like(n_arr), 1: n_arr, 2: n_arr * n_arr, 3: n_arr**3}
-        if exact64:
-            total = np.zeros((resolution, resolution, resolution), dtype=n_arr.dtype)
-            for c_int, e1, e2, e3 in terms:
-                total += c_int * (
-                    pows[e1][:, None, None] * pows[e2][None, :, None] * pows[e3][None, None, :]
-                )
-            values[ci] = total.reshape(-1) / scale_den
-            continue
-        # Python ints: the terms of each power of a1 summed once into an
-        # (a2, b1) plane, then each a1 block from those planes
         planes = {}
         for c_int, e1, e2, e3 in terms:
             planes[e1] = planes.get(e1, 0) + c_int * (pows[e2][:, None] * pows[e3][None, :])
         for block, a1 in zip(values[ci].reshape(resolution, -1), ints):
             first, *rest = (a1**e1 * plane if e1 else plane for e1, plane in planes.items())
-            block[:] = sum(rest, first).reshape(-1) / scale_den
+            try:
+                block[:] = sum(rest, first).reshape(-1) / scale_den
+            except OverflowError:
+                raise ValueError(
+                    f"n{ci + 1} at b2 = {brief_rational(b2)} on the range "
+                    f"{brief_rational(lo)}:{brief_rational(hi)} has values beyond the float range"
+                ) from None
     return SliceGrid(b2=b2, lo=lo, hi=hi, resolution=resolution, nodes=nodes, values=values)
 
 
@@ -658,12 +658,7 @@ def _block_texts(grid, pair, nodes):
 
 def slice_filename(b2) -> str:
     """`slice_b2_<value>.csv` with `/` replaced by `_` (path-safe)."""
-    b2 = rat(b2)
-    if b2.denominator == 1:
-        tag = str(b2.numerator)
-    else:
-        tag = f"{b2.numerator}_{b2.denominator}"
-    return f"slice_b2_{tag}.csv"
+    return f"slice_b2_{format_rational(rat(b2)).replace('/', '_')}.csv"
 
 
 STANDARD_SLICE_VALUES = (

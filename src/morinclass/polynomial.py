@@ -35,7 +35,7 @@ from math import gcd, isfinite, lcm
 from . import _termops_py as kernel
 from .context import (MAX_DEGREE, ContextMismatchError, VariableContext, check_degree,
                       check_same_context)
-from .rationals import rat
+from .rationals import format_rational, rat
 
 
 def _jet_min(a, b):
@@ -414,7 +414,7 @@ class Polynomial:
 
         Within a monomial, parameter factors print before source factors
         (each group in context order), matching the classical displays.  A
-        float magnitude prints as its `repr`.
+        float magnitude prints as its `repr`, an exact one with every digit.
         """
         if not self.terms:
             return "0"
@@ -423,7 +423,10 @@ class Polynomial:
         factors = context.parameter_indices + context.source_indices
         pieces = []
         for key in sorted(terms, key=_canonical_order(context), reverse=True):
-            text = str(terms[key])  # `format_rational`'s text, or a float's repr
+            try:
+                text = str(terms[key])  # `format_rational`'s text, or a float's repr
+            except ValueError:  # more digits than `str` prints
+                text = format_rational(terms[key])
             sign, text = ("- ", text[1:]) if text[0] == "-" else ("+ ", text)
             if key:
                 exps = unpack(key)

@@ -1,7 +1,9 @@
 """Shared fixtures: contexts, normal-form battery, random generators, oracles."""
 
+import contextlib
 import importlib.util
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -20,6 +22,17 @@ from morinclass.criteria import (
 from morinclass.germ import build_frame
 from morinclass.parsing import MAX_POWER_BITS, ParseError
 from morinclass.rationals import format_rational
+
+
+@contextlib.contextmanager
+def int_str_digits(limit):
+    """`sys.set_int_max_str_digits(limit)` within the block (0: no limit)."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def make_context(*names, params=()):

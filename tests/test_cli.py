@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -15,9 +16,11 @@ import pytest
 import morinclass
 from morinclass import classify, cli
 from morinclass.cli import main, report_to_dict
+from morinclass.parsing import parse_germ_document
 
 from conftest import (
     battery,
+    int_str_digits,
     linear_source_change,
     linear_target_change,
     normal_form,
@@ -27,6 +30,8 @@ from conftest import (
 
 CUSP_DOC = "vars: x y z\nmap: x ; y^2 + z^3 + x*z\n"
 DEGENERATE_DOC = "vars: x y z\nmap: x ; y^2 + z^3\n"
+# 3^10000 has 4772 digits, more than `str` prints by default (4300)
+LONG_NUMBER_DOC = "vars: x y z\nmap: x ; y^2 + 3^10000*z^2\n"
 FAMILY_DOC = (
     "vars: x1 x2 y1 y2\n"
     "params: a1 a2 b1 b2\n"
@@ -473,6 +478,67 @@ class TestLefschetzCommands:
     def test_witness_bad_params(self, capsys):
         code, _, err = run_cli(capsys, "lefschetz", "witness", "--params", "1,2")
         assert code == 2 and "four rationals" in err
+
+
+class TestLongNumbers:
+    def test_reports_print_every_digit(self, capsys, tmp_path):
+        path = tmp_path / "long.germ"
+        path.write_text(LONG_NUMBER_DOC)
+        commands = [
+            ("classify", str(path)),
+            ("classify", str(path), "--trace"),
+            ("lefschetz", "witness", "--params", "1e300,1,1,1"),
+        ]
+        germ = parse_germ_document(LONG_NUMBER_DOC).to_germ()
+        runs = {}
+        for limit in (4300, 0):  # the default limit of `str`, and none
+            with int_str_digits(limit):
+                runs[limit] = [run_cli(capsys, *argv) for argv in commands] + [
+                    json.dumps(classify(germ, trace=traced).trace) for traced in (True, False)]
+        assert runs[4300] == runs[0]
+        assert [(code, err) for code, _, err in runs[0][:3]] == [(0, "")] * 3
+        # the witness search formats h(0) at its candidates but prints labels only
+        assert all(re.search(r"\d{4301}", out) for _, out, _ in runs[0][:2])
+
+
+# each once ended in a traceback with exit status 1; a failed slice writes
+# no CSV
+EXIT_CONTRACT = [
+    (["lefschetz", "slice", "--b2", "1e200", "--grid", "3"], 2),
+    (["lefschetz", "slice", "--range", "-1e200:1e200", "--grid", "2", "--b2", "0"], 2),
+    (["lefschetz", "slice", "--b2", "1e5000", "--grid", "2"], 2),  # its default name, first
+    (["lefschetz", "witness", "--params", "1e300,1,1,1"], 0),
+    (["classify", "long.germ"], 0),
+    (["classify", "long.germ", "--trace"], 0),
+    (["classify", "long.germ", "--numeric"], 2),
+    (["classify", "latin1.germ"], 2),
+]
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("argv, status", EXIT_CONTRACT,
+                             ids=[" ".join(argv) for argv, _ in EXIT_CONTRACT])
+    def test_exit_status_and_one_error_line(self, tmp_path, argv, status):
+        (tmp_path / "long.germ").write_text(LONG_NUMBER_DOC)
+        (tmp_path / "latin1.germ").write_bytes("vars: x y\nmap: x ; y^2 # \xe9\n".encode("latin-1"))
+        proc = run_python("-m", "morinclass", *argv, cwd=tmp_path)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == status
+        if status == 2:
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["latin1.germ", "long.germ"]
+
+    def test_messages(self, capsys, tmp_path):
+        path = tmp_path / "latin1.germ"
+        path.write_bytes(b"vars: x\xff\nmap: x\n")
+        code, _, err = run_cli(capsys, "classify", str(path))
+        assert code == 2 and err.startswith(f"error: cannot read {path}: 'utf-8' codec")
+        code, _, err = run_cli(capsys, "lefschetz", "slice", "--b2", "0", "--grid", "2",
+                               "--range=-1e200:1e200", "--out", str(tmp_path / "s.csv"))
+        assert code == 2 and err == (f"error: n1 at b2 = 0 on the range -1{'0' * 200}:1{'0' * 200}"
+                                     " has values beyond the float range\n")
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestSignedOptionValues:

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -407,7 +408,7 @@ CSV_CASES = [
     # the mirror blocks of an asymmetric range share almost no magnitude
     *[(Fraction(-1, 4), res, rng) for res in (21, 22)
       for rng in ((0, 1), (Fraction(-2, 3), Fraction(5, 4)))],
-    # den^3 > 2^53: the grid is summed in Python ints
+    # den^3 > 2^53: the one evaluation loop runs on Python ints, not int64
     *[(Fraction(1, 300007), res, (-1, 1)) for res in (3, 4, 21)],
 ]
 
@@ -444,7 +445,7 @@ class TestSliceExport:
                     idx += 1
 
     def test_wide_denominator_matches_exact_evaluate_bitwise(self):
-        # den^3 = 300007^3 > 2^53, so the grid is summed in Python ints
+        # den^3 = 300007^3 > 2^53, so the planes and blocks are Python ints
         b2 = Fraction(1, 300007)
         grid = emit_slice(b2, 3)
         locus = noncusp_polynomials()
@@ -460,7 +461,7 @@ class TestSliceExport:
 
     @pytest.mark.parametrize("b2", [Fraction(1, 300007), Fraction(1, 4)])
     def test_seeded_points_match_exact_evaluate_bitwise(self, b2):
-        # 1/300007 sums Python ints one a1 block at a time, 1/4 sums int64
+        # the same loop on Python ints at 1/300007 and on int64 at 1/4
         res = 31
         grid = emit_slice(b2, res)
         locus = noncusp_polynomials()
@@ -470,6 +471,35 @@ class TestSliceExport:
             exact = locus.evaluate((grid.nodes[i], grid.nodes[j], grid.nodes[k], b2))
             idx = (i * res + j) * res + k
             assert [float(v).hex() for v in exact] == [v.hex() for v in grid.values[:, idx].tolist()]
+
+    def test_values_beyond_the_float_range_raise(self):
+        # n1 reaches b2^2 at a1 = 1: 10^400, and 10^600 at the range's corners
+        with pytest.raises(ValueError, match=r"^n1 at b2 = 10{200} on the range -1:1 has values beyond"):
+            emit_slice(10**200, 3)
+        with pytest.raises(ValueError, match=r"^n1 at b2 = 0 on the range -10{200}:10{200} "):
+            emit_slice(0, 2, (-(10**200), 10**200))
+        # past the digits `str` writes, the message gives the size only
+        with pytest.raises(ValueError, match=r"^n1 at b2 = a rational of about 5000 digits on "):
+            emit_slice(10**5000, 2)
+        # n2 = a2 (a1^2 + b1^2) at b2 = 0 reaches 2^1021, which is a float
+        big = 2**340
+        grid = emit_slice(0, 2, (-big, big))
+        assert grid.values.max() == 2.0**1021 and np.isfinite(grid.values).all()
+
+    def test_underflow_is_correctly_rounded(self):
+        # cubes of 10^-105 are about 10^-315: subnormal floats, and 0.0 below them
+        tiny = Fraction(1, 10**105)
+        grid = emit_slice(tiny, 3, (-tiny, tiny))
+        locus = noncusp_polynomials()
+        expected = [
+            float(v).hex()
+            for a1 in grid.nodes
+            for a2 in grid.nodes
+            for b1 in grid.nodes
+            for v in locus.evaluate((a1, a2, b1, tiny))
+        ]
+        assert [v.hex() for v in grid.values.T.reshape(-1).tolist()] == expected
+        assert any(0 < abs(v) < sys.float_info.min for v in grid.values.reshape(-1).tolist())
 
     def test_csv_deterministic(self, tmp_path):
         grid = emit_slice(Fraction(1, 4), 4, (-1, 1))

@@ -2,8 +2,8 @@
 
 `tests/data/output_digest.txt` holds the script's lines for the current
 outputs: reports, verdicts, scans, witnesses, the Lefschetz chain, the
-slice CSVs and the text of three CLI commands.  A change that moves an output
-on purpose replaces that family's line with the one
+slice CSVs and values, and the text of three CLI commands.  A change that
+moves an output on purpose replaces that family's line with the one
 `python3 tools/output_digest.py` prints after it.
 """
 

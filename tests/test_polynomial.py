@@ -13,8 +13,10 @@ from morinclass.cli import report_to_dict
 from morinclass.context import PARAMETER, SOURCE
 
 from morinclass.lefschetz import locus_context
+from morinclass.rationals import format_rational, integer_text
 
 from conftest import (
+    int_str_digits,
     make_context,
     naive_divide,
     perfbench_module,
@@ -225,6 +227,20 @@ class TestCanonicalForm:
         p = Polynomial(ctx, {(1, 0, 0): float("nan"), (0, 1, 0): -float("inf"),
                              (0, 0, 2): -1.0, (0, 0, 1): 1e-300, (0, 0, 0): 1.0})
         assert p.render() == "-z^2 + nan*x - inf*y + 1e-300*z + 1.0"
+
+    @pytest.mark.parametrize("limit", [640, 4300])
+    def test_numbers_print_every_digit(self, xyz, limit):
+        # `str` refuses ints of more than `limit` digits; the text has them all
+        ctx, x, y, _ = xyz
+        edge = 10**limit
+        numbers = [0, -7, edge - 1, edge, -edge, 3 ** (5 * limit), -edge * edge - 1, edge * edge + edge]
+        big = Fraction(-(3**10000), 2**20000)
+        p = big * x + (5**8000) * y + Fraction(1, edge)
+        with int_str_digits(0):
+            expected = [str(n) for n in numbers], str(big), p.render()
+        with int_str_digits(limit):
+            got = [integer_text(n) for n in numbers], format_rational(big), p.render()
+        assert got == expected
 
 
     def test_divide_exact_and_remainder(self, xyz):

@@ -18,6 +18,10 @@ and lists the valid ones):
   chain                            renders of `lefschetz_lambdas`,
                                    `chart_hessian`, `rederive_noncusp_chain`
   slice_csv                        the bytes of four slice CSVs
+  slice.values                     the sha256 of `emit_slice(...).values.tobytes()`
+                                   at four (b2, grid) points: int64 and
+                                   Python-int sums at sizes `slice_csv` does
+                                   not reach
   cli.noncusp                      the text of `morinclass lefschetz noncusp`
   cli.witness                      the text of `morinclass lefschetz witness`
                                    at the 9 seed-3 `lefschetz_witness` points
@@ -121,6 +125,8 @@ SCAN_POINTS = ((Fraction(3, 2), 1, -2, Fraction(-1, 2)),
                (Fraction(1, 2), -1, 1, 1))
 SCAN_BOX, SCAN_GRID = ((-1, 1),) * 4, 5  # the `float_scan_export` workload's
 SLICES = ((Fraction(1, 4), 47), (0, 21), (Fraction(-3, 8), 22), (Fraction(1, 300007), 4))
+SLICE_VALUES = ((Fraction(1, 4), 101), (Fraction(-3, 8), 47), (Fraction(1, 300007), 31),
+                (Fraction(-5, 10**20 + 7), 9))
 WITNESS_SEED = 3  # the `witness_verify` family has seeds 1 and 2
 NUMERIC_POINT = ("1/2", "-1/3", "1/5", "2", "-3/4")  # its first m coordinates
 DEGENERATE_TEXTS = (
@@ -244,6 +250,11 @@ def slice_csvs():
             path = Path(tmp) / lefschetz.slice_filename(b2)
             lefschetz.write_slice_csv(lefschetz.emit_slice(Fraction(b2), resolution), path)
             yield path.read_bytes().decode()
+
+
+def slice_values():
+    for b2, resolution in SLICE_VALUES:
+        yield hashlib.sha256(lefschetz.emit_slice(b2, resolution).values.tobytes()).hexdigest()
 
 
 def cli_text(*argv):
@@ -461,6 +472,7 @@ FAMILIES = (
     ("witness_verify", witnesses),
     ("chain", chain),
     ("slice_csv", slice_csvs),
+    ("slice.values", slice_values),
     ("cli.noncusp", cli_noncusp),
     ("cli.witness", cli_witnesses),
     ("cli.classify_numeric", cli_numeric),
