@@ -18,17 +18,27 @@ The ops that raise degrees check the largest degree they can form against
 `context.MAX_DEGREE` once per call, and raise DegreeOverflowError above it,
 so a field never carries into its neighbour.
 
+A product capped at total degree `trunc` sorts the larger factor once by
+total degree, stably, so terms of one degree keep their order.  Each term
+of the smaller factor, in its order, then walks that list and stops at the
+first partner whose key sum reaches the keys of degree trunc + 1: the pairs
+it forms are exactly those whose degrees sum within the cap.
+
 Work is counted, not predicted.  Inside a `work_limit(pairs)` block the
 module state `_pairs_left` holds the term pairs the block still allows, and
-each `mul_terms` product is charged len(a) * len(b) of them before it runs;
-the product that would pass the limit raises WorkLimitError instead.
-Outside any block `_pairs_left` is None and nothing is counted.  The parser
-runs each `^` and each product of two sums in a block of MAX_TERM_PAIRS,
-and the float companion builds its chart in one.
+each `mul_terms` product is charged, before it runs, the pairs it will
+form: len(a) * len(b) uncapped, and capped, for each term of the smaller
+factor the number of partners of allowed degree, found by bisection over
+the sorted degrees.  The product that would pass the limit raises
+WorkLimitError instead.  Outside any block `_pairs_left` is None and
+nothing is counted.  The parser runs each `^` and each product of two sums
+in a block of MAX_TERM_PAIRS, and the float companion builds its chart in
+one.
 
 `Polynomial` runs its arithmetic through these functions.
 """
 
+from bisect import bisect_right
 from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
@@ -112,43 +122,41 @@ def mul_terms(a, b, ctx, trunc=-1):
     global _pairs_left
     if not a or not b:
         return {}
+    small, large = (b, a) if len(a) > len(b) else (a, b)
+    shift = ctx.degree_shift
+    if trunc >= 0:
+        # stable: by total degree, and within a degree in their order
+        partners = sorted(large.items(), key=lambda term: term[0] >> shift)
     if _pairs_left is not None:
-        pairs = len(a) * len(b)
+        if trunc < 0:
+            pairs = len(a) * len(b)
+        else:
+            degrees = [kb >> shift for kb, _ in partners]
+            pairs = sum([bisect_right(degrees, trunc - (ka >> shift)) for ka in small])
         if pairs > _pairs_left:
             raise WorkLimitError(
                 f"a product of {len(a)} by {len(b)} terms would pass the work limit")
         _pairs_left -= pairs
-    if len(a) > len(b):
-        a, b = b, a
-    shift = ctx.degree_shift
     out = {}
     get = out.get
     if trunc >= 0:
-        # bucket the large factor by total degree so each term of the small
-        # factor only meets partners that survive the cap
-        buckets = {}
-        for kb, cb in b.items():
-            buckets.setdefault(kb >> shift, []).append((kb, cb))
-        degrees = sorted(buckets)
-        check_degree(min(trunc, (max(a) >> shift) + degrees[-1]))
-        for ka, ca in a.items():
-            allowed = trunc - (ka >> shift)
-            if allowed < 0:
-                continue
-            for d in degrees:
-                if d > allowed:
+        check_degree(min(trunc, (max(small) >> shift) + (partners[-1][0] >> shift)))
+        limit = (trunc + 1) << shift  # a key lies below it iff its degree is at most trunc
+        for ka, ca in small.items():
+            stop = limit - ka
+            for kb, cb in partners:
+                if kb >= stop:
                     break
-                for kb, cb in buckets[d]:
-                    key = ka + kb
-                    s = get(key, 0) + ca * cb
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
+                key = ka + kb
+                s = get(key, 0) + ca * cb
+                if s:
+                    out[key] = s
+                elif key in out:
+                    del out[key]
         return out
-    check_degree((max(a) >> shift) + (max(b) >> shift))
-    for ka, ca in a.items():
-        for kb, cb in b.items():
+    check_degree((max(small) >> shift) + (max(large) >> shift))
+    for ka, ca in small.items():
+        for kb, cb in large.items():
             key = ka + kb
             s = get(key, 0) + ca * cb
             if s:

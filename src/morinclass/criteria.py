@@ -68,8 +68,8 @@ both paths.
 
 from dataclasses import dataclass, field, replace
 
-from .germ import (AdaptedFrame, MapGerm, NormalizedGerm, PolyVectorField, build_frame,
-                   kernel_fields, normalized)
+from .germ import (AdaptedFrame, MapGerm, NormalizedGerm, PolyVectorField, _apply_fields,
+                   build_frame, kernel_fields, normalized)
 from .linalg import (PolyMatrix, RationalMatrix, adjugate, congruence, eliminate,
                      exact_row_reduce, integer_rows)
 from .polynomial import Polynomial, cut_to_order, jet_order
@@ -135,14 +135,12 @@ class CriteriaReport:
 
 def lambdas_for_frame(germ: MapGerm, frame: AdaptedFrame) -> LambdaSystem:
     """lambda_i = det(B) * eta_i f_n, det(B) being `frame.pivot_minor` (step 3 above)."""
-    f_n = germ.components[-1]
-    lambdas = tuple(frame.pivot_minor * eta.apply(f_n) for eta in frame.eta)
+    lambdas = tuple(frame.pivot_minor * v for v in _apply_fields(frame.eta, germ.components[-1]))
     return LambdaSystem(lambdas=lambdas, frame=frame, germ=germ)
 
 
 def kernel_matrix(ls: LambdaSystem) -> PolyMatrix:
-    etas = ls.frame.eta
-    return PolyMatrix.from_rows([[eta_j.apply(lam_i) for eta_j in etas] for lam_i in ls.lambdas])
+    return PolyMatrix.from_rows([_apply_fields(ls.frame.eta, lam_i) for lam_i in ls.lambdas])
 
 
 def hessian(ls: LambdaSystem) -> HessData:
@@ -195,12 +193,8 @@ def iterate_h(hd: HessData, up_to: int) -> HessData:
 
 def kernel_hessian_of_last(ng: NormalizedGerm, frame: AdaptedFrame) -> RationalMatrix:
     """(eta_j eta_i f_n)(0): well-defined symmetric since d(f_n)_0 = 0."""
-    fn = ng.germ.components[-1]
-    first = [eta.apply(fn) for eta in frame.eta]
-    rows = [
-        [eta_j.apply(first_i).constant_term() for eta_j in frame.eta]
-        for first_i in first
-    ]
+    first = _apply_fields(frame.eta, ng.germ.components[-1])
+    rows = [[e.constant_term() for e in _apply_fields(frame.eta, first_i)] for first_i in first]
     return RationalMatrix.from_rows(rows)
 
 

@@ -18,9 +18,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import _termops_py as kernel
-from .context import VariableContext
+from .context import VariableContext, check_same_context
 from .linalg import eliminate, exact_row_reduce
-from .polynomial import Polynomial, cut_to_order
+from .polynomial import Polynomial, _product_jet, cut_to_order
 from .rationals import rat
 
 REGULAR = "Regular"
@@ -136,6 +136,11 @@ class MapGerm:
         return MapGerm(self.context, tuple(p.truncated(max_degree) for p in self.components))
 
 
+def _exact_zero(p):
+    """Whether `p` is the uncapped zero, which a product or a sum passes through unchanged."""
+    return not p.terms and p.jet is None
+
+
 @dataclass(frozen=True)
 class PolyVectorField:
     """Vector field with one polynomial coefficient per source variable."""
@@ -151,21 +156,60 @@ class PolyVectorField:
 
     def apply(self, p: Polynomial) -> Polynomial:
         """Directional derivative of p along this field."""
-        acc = Polynomial.zero(self.context)
-        for coeff, name in zip(self.coefficients, self.context.source_names):
-            if coeff.is_zero():
-                continue
-            acc = acc + coeff * p.derivative(name)
-        return acc
+        return _apply_fields((self,), p)[0]
 
     def scaled(self, factor):
-        return PolyVectorField(self.context, tuple(factor * c for c in self.coefficients))
+        return PolyVectorField(self.context, tuple(
+            c if _exact_zero(c) else factor * c for c in self.coefficients))
 
     def __add__(self, other):
-        return PolyVectorField(
-            self.context,
-            tuple(a + b for a, b in zip(self.coefficients, other.coefficients)),
-        )
+        return PolyVectorField(self.context, tuple(
+            a if _exact_zero(b) else b if _exact_zero(a) else a + b
+            for a, b in zip(self.coefficients, other.coefficients)))
+
+
+def _apply_fields(fields, p):
+    """[v.apply(p) for v in fields], each partial of p taken once for all of them.
+
+    One pass per field over its nonzero coefficients c_i, on term dicts: the
+    partial d_i p, the product c_i d_i p, and its sum into one dict.  That is
+    sum_i c_i * p.derivative(x_i) as `Polynomial`'s `*` and `+` build it,
+    term for term and in term order, without a polynomial for any part.  The
+    sum is known to the smallest cap `_product_jet` gives a product, and `+`
+    would cut every term above it; so each capped product is formed at that
+    cap alone, which leaves the order of the terms it keeps as it was.  An
+    uncapped product is formed whole and cut with the sum.
+    """
+    ctx, jet = p.context, p.jet
+    shift = ctx.degree_shift
+    partials = {}  # source index -> the terms of d_i p, known to jet - 1
+    out = []
+    for field in fields:
+        steps = []
+        for coeff, idx in zip(field.coefficients, ctx.source_indices):
+            if not coeff.terms:
+                continue
+            d = partials.get(idx)
+            if d is None:
+                if jet == 0:
+                    raise ValueError("a 0-jet has no derivative")
+                d = partials[idx] = kernel.diff_terms(p.terms, idx, ctx)
+            check_same_context(coeff, p)
+            own = _product_jet(coeff.terms, coeff.jet, d, None if jet is None else jet - 1, shift)
+            steps.append((coeff.terms, d, own))
+        if not steps:
+            out.append(Polynomial.zero(field.context))
+            continue
+        caps = [own for _, _, own in steps if own is not None]
+        cap = min(caps, default=None)
+        terms = None
+        for a, d, own in steps:
+            product = kernel.mul_terms(a, d, ctx, -1 if own is None else cap)
+            terms = product if terms is None else kernel.iadd_terms(terms, product)
+        if cap is not None and len(caps) < len(steps):  # an uncapped product ran past the cap
+            terms = kernel.truncate_terms(terms, cap, ctx)
+        out.append(Polynomial._wrap(ctx, terms, cap))
+    return out
 
 
 @dataclass(frozen=True)

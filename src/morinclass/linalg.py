@@ -1,7 +1,9 @@
 """Exact linear algebra over the rationals, the polynomial ring and its jets.
 
 One fraction-free elimination, `eliminate`, gives det(A) and adj(A) W for
-every exact matrix, and its forward pass gives ranks.  It pivots on usable
+every exact matrix, and its forward pass gives ranks.  With extra columns W
+each step updates every other row; for det(A) alone or a rank, only the
+rows below the pivot, which are all that is read.  It pivots on usable
 entries (a nonzero int or uncapped polynomial, or a jet with a nonzero
 constant term: a unit of Q[x]/m^{N+1}) and divides exactly by the previous
 pivot.  Cofactor expansion finishes a block of at most 3x3, or one left
@@ -232,7 +234,9 @@ def _forward(rows, ncols, stop):
     Step k swaps a usable entry of the trailing block to (k, k): the first
     one, or over the floats the one with the largest constant term.  It then
     sets a[i][j] = (a[k][k] a[i][j] - a[i][k] a[k][j]) / p for j > k and
-    every row i but k, p being the previous pivot.  Stops at a trailing
+    every row i but k, p being the previous pivot.  Without extra columns
+    (the rows are `ncols` long) nothing reads the rows above a pivot after
+    its step, so only the rows below it are updated.  Stops at a trailing
     block of at most `stop` rows or columns or without a usable entry.
     Returns the steps taken, the last pivot (None if none), the sign of the
     swaps, and the column order.
@@ -258,7 +262,7 @@ def _forward(rows, ncols, stop):
             sign = -sign
         (divide,) = _dividers(pivot, 1)
         pivot, top = rows[k][k], rows[k]
-        for i in range(len(rows)):
+        for i in range(k + 1 if len(top) == ncols else 0, len(rows)):
             if i != k:
                 row, f = rows[i], rows[i][k]
                 for j in range(k + 1, len(row)):

@@ -357,9 +357,14 @@ class _FloatPipeline:
             raise ValueError("bind parameters before numeric work")
         self.tol = tol
         ctx = germ.context
-        self.germ = MapGerm(ctx, tuple(
-            p.map_coefficients(float) for p in germ.components
-        ))
+        comps = []
+        for i, p in enumerate(germ.components, start=1):
+            try:
+                comps.append(p.map_coefficients(float))
+            except OverflowError:
+                raise FloatRangeError(
+                    f"component {i} has a coefficient beyond the float range") from None
+        self.germ = MapGerm(ctx, tuple(comps))
         n = germ.n
         t, pivot_rows, pivot_cols = _Thresholds(tol).reduce(
             "corank", self.germ.linear_coefficients())
@@ -651,7 +656,8 @@ def numeric_classify(germ: MapGerm, point, tol: Tolerances = None) -> NumericVer
     The batch of one of the scan's classification.  The residual is the norm
     of the chart's lambdas at the point, None where the germ has no chart at
     0.  A point where the jet, the residual or a decision overflows the float
-    range raises FloatRangeError, a ValueError.
+    range raises FloatRangeError, a ValueError, and so does a germ with a
+    coefficient beyond that range, naming its component.
     """
     return _classify_batch(germ, [point], tol or Tolerances())[0]
 

@@ -36,6 +36,12 @@ MAX_POWER_BITS = 1 << 17
 # The most parentheses open at once; about 190 would exhaust Python's recursion limit.
 MAX_NESTING = 100
 
+# The largest decimal exponent, in magnitude, that a rational such as `1e3`
+# may carry: the digit limit int() puts on integer text.  Fraction would
+# build 10^e first, which takes seconds from about e = 10^6.
+_MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+
 
 class ParseError(ValueError):
     def __init__(self, message, line=None, column=None):
@@ -311,7 +317,14 @@ def parse_rational(text, line=None):
     """An ASCII rational such as `-3/2`, `0.5` or `1e3`, else ParseError.
 
     Fraction() alone would read non-ASCII digits such as '٣' as ASCII ones.
+    A decimal exponent beyond 4300 in magnitude is refused before the
+    number is built.
     """
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > 4 or int(digits or 0) > _MAX_DECIMAL_EXPONENT:
+            raise ParseError(f"decimal exponent beyond {_MAX_DECIMAL_EXPONENT} in {text!r}", line)
     if text.isascii():
         try:
             return Fraction(text)

@@ -261,13 +261,15 @@ class Polynomial:
         return Polynomial._wrap(self.context, terms, jet)
 
     def __add__(self, other):
-        other = self._coerce(other)
+        if other.__class__ is not Polynomial or other.context is not self.context:
+            other = self._coerce(other)
         return self._capped(other, kernel.add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        if other.__class__ is not Polynomial or other.context is not self.context:
+            other = self._coerce(other)
         return self._capped(other, kernel.sub_terms(self.terms, other.terms))
 
     def __rsub__(self, other):
@@ -277,12 +279,13 @@ class Polynomial:
         return Polynomial._wrap(self.context, kernel.neg_terms(self.terms), self.jet)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, Fraction)):
-            if isinstance(other, Fraction) and other.denominator == 1:
-                other = other.numerator  # int terms stay ints
-            return Polynomial._wrap(self.context, kernel.scale_terms(self.terms, other), self.jet)
-        other = self._coerce(other)
         ctx = self.context
+        if other.__class__ is not Polynomial or other.context is not ctx:
+            if isinstance(other, (int, float, Fraction)):
+                if isinstance(other, Fraction) and other.denominator == 1:
+                    other = other.numerator  # int terms stay ints
+                return Polynomial._wrap(ctx, kernel.scale_terms(self.terms, other), self.jet)
+            other = self._coerce(other)
         jet = _product_jet(self.terms, self.jet, other.terms, other.jet, ctx.degree_shift)
         trunc = -1 if jet is None else jet
         return Polynomial._wrap(ctx, kernel.mul_terms(self.terms, other.terms, ctx, trunc), jet)

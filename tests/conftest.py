@@ -478,6 +478,50 @@ def first_column_theta(ls, hd):
     return build_theta(ls, hd, columns[0]) if columns else None
 
 
+# References for the term order of the jet kernels: the capped product as it
+# bucketed the larger factor by degree, and a field applied through
+# `Polynomial` products and sums.  The kernels must give their terms, in
+# their order and to the bit.
+
+
+def bucketed_mul_terms(a, b, ctx, trunc):
+    """A capped product on packed keys, the larger factor bucketed by total degree.
+
+    Each term of the smaller factor meets the buckets in rising degree while
+    the degree sum stays within `trunc`, each bucket in insertion order.
+    """
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    shift = ctx.degree_shift
+    buckets = {}
+    for kb, cb in b.items():
+        buckets.setdefault(kb >> shift, []).append((kb, cb))
+    out = {}
+    for ka, ca in a.items():
+        for d in sorted(buckets):
+            if d > trunc - (ka >> shift):
+                break
+            for kb, cb in buckets[d]:
+                key = ka + kb
+                s = out.get(key, 0) + ca * cb
+                if s:
+                    out[key] = s
+                elif key in out:
+                    del out[key]
+    return out
+
+
+def polynomial_sum_apply(field, p):
+    """sum_i c_i * p.derivative(x_i) over the nonzero c_i, summed with `Polynomial`'s `+`."""
+    acc = Polynomial.zero(field.context)
+    for coeff, name in zip(field.coefficients, field.context.source_names):
+        if not coeff.is_zero():
+            acc = acc + coeff * p.derivative(name)
+    return acc
+
+
 def minor_rank(rows):
     """Rank as the maximal order of a nonzero minor (enumeration oracle)."""
     from itertools import combinations

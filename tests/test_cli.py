@@ -507,6 +507,8 @@ EXIT_CONTRACT = [
     (["lefschetz", "slice", "--b2", "1e200", "--grid", "3"], 2),
     (["lefschetz", "slice", "--range", "-1e200:1e200", "--grid", "2", "--b2", "0"], 2),
     (["lefschetz", "slice", "--b2", "1e5000", "--grid", "2"], 2),  # its default name, first
+    (["lefschetz", "slice", "--b2", "1e4300", "--grid", "2"], 2),
+    (["lefschetz", "slice", "--b2", "1e10000000", "--grid", "2"], 2),
     (["lefschetz", "witness", "--params", "1e300,1,1,1"], 0),
     (["classify", "long.germ"], 0),
     (["classify", "long.germ", "--trace"], 0),
@@ -538,6 +540,28 @@ class TestExitContract:
                                "--range=-1e200:1e200", "--out", str(tmp_path / "s.csv"))
         assert code == 2 and err == (f"error: n1 at b2 = 0 on the range -1{'0' * 200}:1{'0' * 200}"
                                      " has values beyond the float range\n")
+        assert not (tmp_path / "s.csv").exists()
+        path = tmp_path / "long.germ"
+        path.write_text(LONG_NUMBER_DOC)
+        code, _, err = run_cli(capsys, "classify", str(path), "--numeric")
+        assert code == 2 and err == "error: component 2 has a coefficient beyond the float range\n"
+
+    def test_decimal_exponents_past_the_limit_fail_fast(self, capsys, tmp_path):
+        # 1e4300 reaches the slice and leaves the float range there; 1e4301
+        # is refused as it is read, where 1e10000000 took about 30 s
+        out = str(tmp_path / "s.csv")
+        expected = {
+            "1e4300": "error: n1 at b2 = a rational of about 4300 digits on the range -1:1"
+                      " has values beyond the float range\n",
+            "1e4301": "error: bad --b2 value '1e4301'\n",
+            "1e10000000": "error: bad --b2 value '1e10000000'\n",
+        }
+        for b2, message in expected.items():
+            start = time.perf_counter()
+            code, _, err = run_cli(capsys, "lefschetz", "slice", "--b2", b2, "--grid", "2",
+                                   "--out", out)
+            assert time.perf_counter() - start < 1
+            assert (code, err) == (2, message)
         assert not (tmp_path / "s.csv").exists()
 
 

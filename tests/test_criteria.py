@@ -26,6 +26,7 @@ from morinclass.criteria import (
     NOT_NONDEGENERATE,
     RANK_CONDITION_FAILED,
     _EXACT,
+    HessData,
     Label,
     build_theta,
     fold_fast_path,
@@ -33,6 +34,7 @@ from morinclass.criteria import (
     iterate_h,
     kernel_hessian_at_origin,
     kernel_hessian_of_last,
+    kernel_matrix,
     lambdas_for_frame,
     rank_condition_b,
 )
@@ -54,6 +56,7 @@ from conftest import (
     nonzero_adjugate_columns,
     normal_form,
     perfbench_module,
+    polynomial_sum_apply,
     random_polynomial,
     unipotent_source_change,
     unipotent_target_change,
@@ -403,6 +406,59 @@ class TestIterateH:
         assert hd.h_derivs[0] == 24 * z**2 + 4 * x2
         assert hd.h_derivs[1] == 96 * z
         assert hd.h_derivs[2] == Polynomial.constant(ctx, 192)
+
+
+    LADDER_CASES = ((6, 2, 2), (6, 3, 2), (5, 3, 3), (5, 4, 4))
+
+    def test_stages_match_polynomial_sums_exact_and_float(self, battery_germs):
+        # the lambdas, M and the h-chain apply their fields in one pass on
+        # term dicts, each product at the cap of its sum: on exact jets and
+        # on float ones (thirds and sevenths, so no sum is exact) they give
+        # the terms, term order, caps and bits of the `Polynomial` sums
+        from morinclass.numeric import Tolerances, _Thresholds
+
+        inputs = perfbench_module("inputs")
+        rng = random.Random(59)
+        germs = [linear_target_change(rng, linear_source_change(rng, g))
+                 for *_, g in battery_germs[::2]]
+        germs += [inputs.ladder_case(random.Random(1), *case)["germ"]
+                  for case in self.LADDER_CASES]
+
+        def bits(polys):
+            return [([(k, c.hex() if isinstance(c, float) else c) for k, c in p.terms.items()],
+                     p.jet) for p in polys]
+
+        chains = 0
+        for germ in germs:
+            n = germ.n
+            scales = [Fraction(rng.choice((-2, 1, 5)), rng.choice((3, 7))) for _ in range(n)]
+            comps = [c * p.truncated(n + 1) for c, p in zip(scales, germ.components)]
+            for decide in (_EXACT, _Thresholds(Tolerances())):
+                exact = decide is _EXACT
+                work = MapGerm(germ.context, tuple(
+                    p.integer_scaled() if exact else p.map_coefficients(float) for p in comps))
+                t, pivot_rows, pivot_cols = decide.reduce("corank", work.linear_coefficients())
+                ng = normalized(work, t, pivot_rows, pivot_cols, exact)
+                ng = frame_jets(ng) if exact else ng
+                frame = build_frame(ng)
+                ls = lambdas_for_frame(ng.germ, frame)
+                f_n = ng.germ.components[-1]
+                assert bits(ls.lambdas) == bits(
+                    [frame.pivot_minor * polynomial_sum_apply(eta, f_n) for eta in frame.eta])
+                hd = HessData(kernel_matrix(ls))
+                assert bits(hd.h_matrix.entries) == bits(
+                    [polynomial_sum_apply(eta, lam) for lam in ls.lambdas for eta in frame.eta])
+                column = decide.theta_column([[e.constant_term() for e in row]
+                                              for row in hd.h_matrix.to_rows()])
+                if column is None:
+                    continue
+                hd = iterate_h(build_theta(ls, hd, column), n - 1)
+                chain = [hd.h]
+                for _ in range(n - 1):
+                    chain.append(polynomial_sum_apply(hd.theta, chain[-1]))
+                assert bits(hd.h_derivs) == bits(chain)
+                chains += 1
+        assert chains >= 30
 
 
 class TestRankConditionB:

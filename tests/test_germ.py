@@ -14,12 +14,17 @@ from morinclass import (
     MalformedGermError,
     MapGerm,
     Polynomial,
+    PolyVectorField,
+    VariableContext,
     build_frame,
     classify,
     cramer_frame,
     normalize,
     validate,
 )
+from morinclass import _termops_py as kernel
+from morinclass.context import PARAMETER, SOURCE
+from morinclass.criteria import kernel_matrix, lambdas_for_frame
 from morinclass.linalg import exact_row_reduce
 from morinclass.lefschetz import LefschetzFamily, lefschetz_germ
 from morinclass.parsing import parse_germ_document
@@ -35,6 +40,7 @@ from conftest import (
     linear_target_change,
     make_context,
     perfbench_module,
+    polynomial_sum_apply,
 )
 
 
@@ -224,6 +230,101 @@ class TestDirectionalDerivative:
         first = fam.germ.components[0]
         for eta in frame.eta:
             assert eta.apply(first).is_zero()
+
+
+def random_jet(rng, ctx, kind):
+    """A seeded int, Fraction or float polynomial in the source variables, capped at 1-4 or not."""
+    terms = {}
+    for _ in range(rng.randint(1, 7)):
+        exps = [0] * len(ctx)
+        for _ in range(rng.randint(0, 3)):
+            exps[rng.choice(ctx.source_indices)] += 1
+        num = rng.choice((-3, -2, -1, 1, 2, 5))
+        terms[tuple(exps)] = (num if kind == "int" else Fraction(num, rng.choice((1, 2, 3)))
+                              if kind == "fraction" else num / rng.choice((1.0, 3.0, 7.0)))
+    p = Polynomial(ctx, terms)
+    cap = rng.choice((None, 1, 2, 3, 4))
+    return p if cap is None else p.truncated(cap)
+
+
+def random_field(rng, ctx, kind):
+    """Coefficients drawn from jets, exact zeros and a capped zero."""
+    return PolyVectorField(ctx, tuple(
+        Polynomial.zero(ctx) if (pick := rng.random()) < 0.3
+        else Polynomial.zero(ctx).truncated(2) if pick < 0.4
+        else random_jet(rng, ctx, kind) for _ in ctx.source_indices))
+
+
+FIELD_CONTEXTS = (
+    make_context("x", "y"),
+    make_context("x", "y", "z", "w"),
+    VariableContext(("a", "x", "b", "y", "z"), (PARAMETER, SOURCE, PARAMETER, SOURCE, SOURCE)),
+)
+
+
+class TestFieldApplication:
+    """`apply` sums c_i d_i p on term dicts, in one pass: the terms, the term
+    order, the types, the float bits and the cap of the `Polynomial` sum."""
+
+    def test_matches_the_polynomial_sum(self):
+        rng = random.Random(51)
+        for i in range(300):
+            ctx, kind = FIELD_CONTEXTS[i % 3], ("int", "fraction", "float")[i // 3 % 3]
+            field, p = random_field(rng, ctx, kind), random_jet(rng, ctx, kind)
+            got, want = field.apply(p), polynomial_sum_apply(field, p)
+            assert term_bits([got]) == term_bits([want]) and got.jet == want.jet
+
+    def test_each_partial_is_taken_once(self, monkeypatch, battery_germs):
+        # the lambdas and M apply every eta to one polynomial: each partial
+        # of it is taken once, for all of them
+        calls = []
+
+        def diff_terms(a, idx, ctx):
+            calls.append((id(a), idx))
+            return diff(a, idx, ctx)
+
+        diff = kernel.diff_terms
+        monkeypatch.setattr(kernel, "diff_terms", diff_terms)
+        rng = random.Random(53)
+        for m, n, k, signs, germ in battery_germs[::3]:
+            germ = linear_target_change(rng, linear_source_change(rng, germ))
+            ng = normalize(germ.truncated(n + 1))
+            frame = build_frame(ng)
+            del calls[:]
+            ls = lambdas_for_frame(ng.germ, frame)
+            assert len(set(calls)) == len(calls) <= m
+            del calls[:]
+            rows = kernel_matrix(ls).to_rows()
+            assert len(set(calls)) == len(calls) <= len(ls.lambdas) * m
+            for lam, row in zip(ls.lambdas, rows):
+                want = [polynomial_sum_apply(eta, lam) for eta in frame.eta]
+                assert term_bits(row) == term_bits(want)
+
+    def test_exact_zeros_pass_through(self):
+        # an eta has n nonzero coefficients of m; scaling and sums hand its
+        # exact zeros on as they are, where `*` and `+` would give them again
+        rng = random.Random(52)
+        for i in range(60):
+            ctx, kind = FIELD_CONTEXTS[i % 3], ("int", "fraction", "float")[i % 3]
+            u, v = random_field(rng, ctx, kind), random_field(rng, ctx, kind)
+            factor = random_jet(rng, ctx, kind)
+            for got, want in ((u.scaled(factor), [factor * c for c in u.coefficients]),
+                              (u + v, [a + b for a, b in zip(u.coefficients, v.coefficients)])):
+                assert term_bits(got.coefficients) == term_bits(want)
+                assert [c.jet for c in got.coefficients] == [c.jet for c in want]
+            zero = Polynomial.zero(ctx)
+            field = PolyVectorField(ctx, (zero,) + u.coefficients[1:])
+            assert field.scaled(factor).coefficients[0] is zero
+            zeros = PolyVectorField(ctx, (zero,) * len(u.coefficients))
+            assert (field + zeros).coefficients[0] is zero
+
+    def test_a_zero_jet_has_no_derivative(self, xyz):
+        ctx, x, y, z = xyz
+        zero = Polynomial.zero(ctx)
+        with pytest.raises(ValueError, match="0-jet"):
+            PolyVectorField(ctx, (zero, y, zero)).apply((x + y).truncated(0))
+        # no nonzero coefficient asks for a derivative
+        assert PolyVectorField(ctx, (zero,) * 3).apply(x.truncated(0)) == zero
 
 
 class TestTranslate:

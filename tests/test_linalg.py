@@ -300,6 +300,26 @@ class TestElimination:
         assert not eliminate(rows)[0].is_zero()
         self.check(rows, extra)
 
+    @pytest.mark.parametrize("size", [4, 5, 6, 7])
+    def test_determinant_alone_updates_only_the_rows_below(self, size):
+        # without extra columns each step updates the rows below its pivot
+        # alone: det(A) is the cofactor expansion in every degree its cap
+        # claims, term for term the det of an elimination with a column, and
+        # the pivot rows are left as they were taken
+        ctx = make_context("x", "y")
+        rng = random.Random(61 * size)
+        rows = jet_matrix(rng, ctx, size, size, jet=2)
+        det = eliminate(rows)[0]
+        with_column = eliminate(rows, [[Polynomial.constant(ctx, 1)]] * size)[0]
+        assert list(det.terms.items()) == list(with_column.terms.items())
+        assert det.jet == with_column.jet
+        assert det == cofactor_determinant(exact_entries(rows, det.jet)).truncated(det.jet)
+        # the first pivot is the first unit of column 0; no later step touches its row
+        first = next(r for r, row in enumerate(rows) if row[0].constant_term())
+        work = [list(row) for row in rows]
+        steps, _, _, order = linalg._forward(work, size, 0)
+        assert steps == size and work[0] == [rows[first][j] for j in order]
+
     def test_exact_zero_block_is_not_expanded(self, monkeypatch):
         # rows 2..5 are multiples of row 1, so one step leaves an exactly zero
         # 4x4 block: det 0 and adj 0 with no cofactor expansion.  A block of

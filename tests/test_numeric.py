@@ -255,6 +255,16 @@ class TestNumericClassify:
         with pytest.raises(FloatRangeError, match="decision is not finite"):
             numeric_classify(germ, [0.0, 0.0, 0.0])
 
+    def test_coefficient_beyond_float_range_raises(self):
+        # the float copy of the germ is the first thing built: it names the
+        # component instead of passing on int-to-float's OverflowError
+        ctx = make_context("x", "y", "z")
+        x, y, z = (Polynomial.variable(ctx, n) for n in ("x", "y", "z"))
+        germ = MapGerm(ctx, (x, y**2 + 3**10000 * z**2))
+        message = "^component 2 has a coefficient beyond the float range$"
+        with pytest.raises(FloatRangeError, match=message):
+            numeric_classify(germ, [0.0, 0.0, 0.0])
+
     @pytest.mark.parametrize("scale", [10**18, Fraction(1, 10**18)])
     def test_frame_beyond_float_range_raises(self, scale):
         # B is 4x4: the frame's elimination divides by a power of a jet

@@ -21,6 +21,7 @@ from morinclass.parsing import (
     _tokenize,
     parse_expression,
     parse_germ_document,
+    parse_rational,
 )
 
 from conftest import (
@@ -385,6 +386,40 @@ map: x1*x2 - y1*y2 + a1*x1 + a2*x2 ; x1*y2 + x2*y1 + b1*x1 + b2*x2
 bind: a1 = 1, a2 = 0, b1 = 0, b2 = 7
 point: 0 -1 0 0
 """
+
+
+class TestDecimalExponents:
+    """A decimal exponent is refused beyond 4300 in magnitude, the digit limit
+    int() puts on integer text, before Fraction would build 10^e: that took
+    10.8 s for 1e10000000 alone."""
+
+    def test_the_limit_parses_and_one_past_fails_fast(self):
+        start = time.perf_counter()
+        assert parse_rational("1e4300") == 10**4300
+        assert parse_rational("-2.5E-4_300") == Fraction(-25, 10**4301)
+        assert parse_rational("1e0000004300") == 10**4300
+        for text in ("1e4301", "1e-4301", "3.5E+0004301", "1e10000000", "1e" + "9" * 5000):
+            with pytest.raises(ParseError) as err:
+                parse_rational(text, 7)
+            assert err.value.line == 7
+            assert err.value.message.startswith("decimal exponent beyond 4300 in ")
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("line", [
+        "bind: a = 1e1000000",
+        "params: a = 1e-1000000",
+        "point: 0, 1e1000000, 0",
+    ])
+    def test_germ_files_fail_at_the_line(self, line):
+        text = f"vars: x y z\nparams: a\nmap: x ; y^2 + a*z^2\n{line}"
+        if line.startswith("params"):
+            text = text.replace("params: a\n", "") + "\n"
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_germ_document(text)
+        assert time.perf_counter() - start < 1
+        assert "decimal exponent beyond 4300" in err.value.message
+        assert err.value.line == text.splitlines().index(line) + 1
 
 
 class TestGermDocuments:

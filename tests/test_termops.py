@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -10,6 +11,7 @@ from morinclass import _termops_py as kernel
 from morinclass.context import MAX_DEGREE, DegreeOverflowError, WorkLimitError
 
 from conftest import (
+    bucketed_mul_terms,
     make_context,
     tuple_add_terms,
     tuple_diff_terms,
@@ -56,6 +58,39 @@ def packed(ctx, terms):
 def unpacked(ctx, terms):
     """A packed result as an exponent-tuple dict, in its insertion order."""
     return [(ctx.unpack(k), c) for k, c in terms.items()]
+
+
+def random_jet(rng, ctx, kind, max_degree):
+    """Every monomial of degree at most `max_degree` (dense) or a few (sparse), shuffled."""
+    nv = len(ctx)
+    monomials = [mono for d in range(max_degree + 1)
+                 for mono in combinations_with_replacement(range(nv), d)]
+    rng.shuffle(monomials)
+    if rng.random() < 0.5:
+        monomials = monomials[:rng.randint(1, 8)]
+    terms = {}
+    for mono in monomials:
+        exps = [0] * nv
+        for i in mono:
+            exps[i] += 1
+        terms[ctx.pack(exps)] = random_coeff(rng, kind)
+    return terms
+
+
+def bits(terms):
+    """Keys in order, with each coefficient's type and value (`float.hex` for floats)."""
+    return [(k, type(c), c.hex() if isinstance(c, float) else c) for k, c in terms.items()]
+
+
+def jet_products(seed, count):
+    """Seeded (ctx, a, b, trunc): sparse and dense int, Fraction and float jets, caps 0 to 6."""
+    rng = random.Random(seed)
+    for i in range(count):
+        ctx = make_context(*(f"v{j}" for j in range(rng.randint(1, 4))))
+        kind = KINDS[i % 3]
+        a = random_jet(rng, ctx, kind, rng.randint(0, 4))
+        b = random_jet(rng, ctx, kind, rng.randint(0, 4))
+        yield ctx, a, b, rng.randint(0, 6)
 
 
 def cases(seed, count=40):
@@ -167,6 +202,32 @@ class TestAgainstTupleKernel:
                 assert kernel.eval_terms(pa, values, ctx) == tuple_eval_terms(a, values)
 
 
+class TestCappedProductOrder:
+    """The capped product walks the larger factor sorted stably by degree: the
+    terms of the bucketed product, in its order, of its types, to the bit."""
+
+    def test_matches_the_bucketed_product(self):
+        for ctx, a, b, trunc in jet_products(41, 400):
+            assert bits(kernel.mul_terms(a, b, ctx, trunc)) == bits(
+                bucketed_mul_terms(a, b, ctx, trunc))
+
+    def test_cancelling_and_underflowing_sums(self):
+        # (a + b)(a - b): the cross terms cancel, and products of 1e-170
+        # floats underflow to 0.0; both leave the dict, as in the reference
+        rng = random.Random(42)
+        for _ in range(60):
+            ctx = make_context("x", "y", "z")
+            kind = rng.choice(KINDS)
+            a, b = random_jet(rng, ctx, kind, 3), random_jet(rng, ctx, kind, 3)
+            if kind == "float" and rng.random() < 0.5:
+                a = kernel.scale_terms(a, 1e-170)
+                b = kernel.scale_terms(b, 10.0 ** -rng.randint(140, 160))
+            plus, minus = kernel.add_terms(a, b), kernel.sub_terms(a, b)
+            for trunc in range(7):
+                assert bits(kernel.mul_terms(plus, minus, ctx, trunc)) == bits(
+                    bucketed_mul_terms(plus, minus, ctx, trunc))
+
+
 class TestLayout:
     def test_pack_unpack_round_trip(self):
         rng = random.Random(14)
@@ -268,13 +329,30 @@ class TestWorkLimit:
         with kernel.work_limit(3 * 4 + 3 * 2):
             expected = kernel.mul_terms(a, b, ctx)
             assert kernel._pairs_left == 3 * 2
-            kernel.mul_terms(a, c, ctx, 1)  # a cap drops terms, not pairs
-            assert kernel._pairs_left == 0
+            # capped at degree 1, the product forms 1*1, 1*x and x*1 only
+            kernel.mul_terms(a, c, ctx, 1)
+            assert kernel._pairs_left == 3 * 2 - 3
             assert kernel.mul_terms(a, {}, ctx) == {}  # an empty factor costs nothing
             with pytest.raises(WorkLimitError):
                 kernel.mul_terms(c, c, ctx)
         assert kernel._pairs_left is None
         assert kernel.mul_terms(a, b, ctx) == expected
+
+    def test_capped_products_are_charged_the_pairs_they_form(self):
+        # by bisection over the sorted degrees: the brute-force count of the
+        # pairs whose degrees sum within the cap; uncapped, len(a) * len(b)
+        for ctx, a, b, trunc in jet_products(43, 300):
+            shift = ctx.degree_shift
+            formed = sum(1 for ka in a for kb in b if (ka >> shift) + (kb >> shift) <= trunc)
+            for cap, pairs in ((trunc, formed), (-1, len(a) * len(b))):
+                with kernel.work_limit(10**6):
+                    kernel.mul_terms(a, b, ctx, cap)
+                    assert 10**6 - kernel._pairs_left == pairs
+            if formed:  # one pair short: refused, and nothing charged
+                with kernel.work_limit(formed - 1):
+                    with pytest.raises(WorkLimitError):
+                        kernel.mul_terms(a, b, ctx, trunc)
+                    assert kernel._pairs_left == formed - 1
 
     def test_the_product_that_would_pass_the_limit_raises_before_it_runs(self, monkeypatch):
         ctx = make_context("x", "y")

@@ -68,6 +68,14 @@ and lists the valid ones):
                                    whose det B(0) underflows to 0 at the
                                    origin, there and at 3 seeded points
                                    of the x-y plane within 10^-3 of it
+  kernel.terms                     the term pairs, in term order, each
+                                   coefficient as its `repr` or `float.hex`,
+                                   of seeded sparse and dense int, Fraction
+                                   and float jets through capped `mul_terms`
+                                   (with (a + b)(a - b), whose cross terms
+                                   cancel, and float products that
+                                   underflow) and through
+                                   `PolyVectorField.apply`
 
 Each `cli.*` text is the exit status and the standard output.
 
@@ -101,8 +109,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from morinclass import MapGerm, VariableContext, classify, cli, lefschetz, numeric  # noqa: E402
+from morinclass import _termops_py as kernel  # noqa: E402
 from morinclass.cli import report_to_dict, verdict_to_dict  # noqa: E402
 from morinclass.context import PARAMETER, SOURCE  # noqa: E402
+from morinclass.germ import PolyVectorField  # noqa: E402
 from morinclass.linalg import PolyMatrix, RationalMatrix  # noqa: E402
 from morinclass.parsing import parse_expression, parse_germ_document  # noqa: E402
 from morinclass.polynomial import Polynomial  # noqa: E402
@@ -144,6 +154,8 @@ POWER_MONOMIALS = ("1", "x", "y", "z", "x*y", "y*z", "x^2", "z^2", "x*y*z")
 RENDER_SEED, RENDER_POLYS = 26, 60
 CHAIN_SEED, CHAIN_POLYS = 27, 40
 UNDERFLOW_SEED, UNDERFLOW_POINTS = 28, 3
+KERNEL_SEED, KERNEL_PRODUCTS, KERNEL_FIELDS = 29, 240, 90
+KERNEL_KINDS = ("int", "fraction", "float", "tiny")  # tiny: floats of 10^-166 to 10^-160
 RENDER_LAYOUTS = (  # the roles of x, y, z, a, b in that order of names
     (("x", "y", "z", "a", "b"), (SOURCE,) * 3 + (PARAMETER,) * 2),
     (("a", "b", "x", "y", "z"), (PARAMETER,) * 2 + (SOURCE,) * 3),
@@ -456,6 +468,68 @@ def underflow_verdicts():
             yield canon(verdict_to_dict(numeric.numeric_classify(germ, point)))
 
 
+def kernel_coefficient(rng, kind):
+    num = rng.choice((-3, -2, -1, 1, 2, 5))
+    if kind == "int":
+        return num
+    if kind == "fraction":
+        return Fraction(num, rng.choice((1, 2, 3)))
+    # a product of two tiny ones is subnormal or underflows to 0.0
+    scale = 10.0 ** -rng.randint(160, 166) if kind == "tiny" else 1.0
+    return num / rng.choice((1.0, 3.0, 7.0)) * scale
+
+
+def kernel_jet(rng, ctx, kind, max_degree):
+    """Every monomial of degree at most `max_degree` (dense) or a few (sparse), in seeded order."""
+    monomials = [mono for d in range(max_degree + 1)
+                 for mono in combinations_with_replacement(range(len(ctx)), d)]
+    rng.shuffle(monomials)
+    if rng.random() < 0.5:
+        monomials = monomials[:rng.randint(1, 6)]
+    terms = {}
+    for mono in monomials:
+        exps = [0] * len(ctx)
+        for i in mono:
+            exps[i] += 1
+        terms[ctx.pack(exps)] = kernel_coefficient(rng, kind)
+    return terms
+
+
+def kernel_pairs(ctx, terms):
+    """The (exponents, `repr` or `float.hex`) pairs of packed `terms`, in term order."""
+    return [[list(ctx.unpack(key)), c.hex() if isinstance(c, float) else repr(c)]
+            for key, c in terms.items()]
+
+
+def kernel_terms():
+    rng = random.Random(KERNEL_SEED)
+    for i in range(KERNEL_PRODUCTS):
+        kind = KERNEL_KINDS[i % 4]
+        ctx = VariableContext.make(tuple(f"v{j}" for j in range(rng.randint(1, 4))))
+        a, b = kernel_jet(rng, ctx, kind, rng.randint(1, 4)), kernel_jet(rng, ctx, kind, 3)
+        trunc = rng.randint(-1, 6)
+        yield kernel_pairs(ctx, kernel.mul_terms(a, b, ctx, trunc))
+        yield kernel_pairs(ctx, kernel.mul_terms(
+            kernel.add_terms(a, b), kernel.sub_terms(a, b), ctx, trunc))
+    for i in range(KERNEL_FIELDS):
+        kind = KERNEL_KINDS[i % 3]
+        ctx = VariableContext.make(tuple(f"v{j}" for j in range(rng.randint(2, 4))))
+
+        def jet(max_degree):
+            p = Polynomial._wrap(ctx, kernel_jet(rng, ctx, kind, max_degree))
+            cap = rng.choice((None, 1, 2, 3, 4))
+            return p if cap is None else p.truncated(cap)
+
+        coefficients = []
+        for _ in ctx.names:
+            pick = rng.random()
+            coefficients.append(Polynomial.zero(ctx) if pick < 0.3
+                                else Polynomial.zero(ctx).truncated(2) if pick < 0.4
+                                else jet(rng.randint(0, 2)))
+        q = PolyVectorField(ctx, coefficients).apply(jet(rng.randint(1, 4)))
+        yield [q.jet, kernel_pairs(ctx, q.terms)]
+
+
 def criteria_records():
     seed_one = replay_germs()[:len(seed_requests(1))]
     for germ in seed_one + tuple(degenerate_germs()):
@@ -483,6 +557,7 @@ FAMILIES = (
     ("render.roles", render_roles),
     ("chain.terms", chain_terms),
     ("verdicts.underflow", underflow_verdicts),
+    ("kernel.terms", kernel_terms),
 )
 
 
