@@ -9,7 +9,8 @@ Commands:
 
 Any mathematical outcome (including degeneracies) exits 0 with a JSON
 report; only parse and I/O problems, bad options and slice values beyond
-the float range exit nonzero, with status 2 and an `error: ...` line.
+the float range exit nonzero, with status 2 and an `error: ...` line.  An
+option that the chosen mode would ignore is a bad option.
 
 Only `classify --numeric` and `lefschetz slice` load numpy, on first use.
 """
@@ -90,6 +91,8 @@ def _fail(message):
 def cmd_classify(args):
     if not args.numeric and (args.tol_rank is not None or args.tol_zero is not None):
         return _fail("--tol-rank and --tol-zero need --numeric")
+    if args.numeric and args.trace:
+        return _fail("--trace needs the exact path: --numeric writes no trace")
     try:
         text = Path(args.file).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -149,6 +152,10 @@ def _parse_range(text):
 
 
 def cmd_lefschetz_slice(args):
+    if args.all_paper_slices and (args.b2 is not None or args.out is not None):
+        return _fail("--all-paper-slices takes neither --b2 nor --out")
+    if not args.all_paper_slices and args.outdir is not None:
+        return _fail("--outdir needs --all-paper-slices (--out names one slice's file)")
     try:
         rng = _parse_range(args.range)
     except ParseError:
@@ -159,7 +166,7 @@ def cmd_lefschetz_slice(args):
         return _fail("--grid must be at least 2")
     jobs = []
     if args.all_paper_slices:
-        outdir = Path(args.outdir)
+        outdir = Path(args.outdir or ".")
         try:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -252,7 +259,7 @@ def build_parser():
     p_slice.add_argument("--out", help="output CSV path")
     p_slice.add_argument("--all-paper-slices", action="store_true",
                          help="write the five standard slices b2 in {-1/2,-1/4,0,1/4,1/2}")
-    p_slice.add_argument("--outdir", default=".", help="directory for --all-paper-slices")
+    p_slice.add_argument("--outdir", help="directory for --all-paper-slices (default: .)")
     p_slice.set_defaults(func=cmd_lefschetz_slice)
 
     p_noncusp = lef_sub.add_parser(

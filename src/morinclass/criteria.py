@@ -35,17 +35,18 @@ The decision pipeline:
      (lambdas, h, h', ..., h^{(k-2)}) at 0 has rank m-n+k.  Every exact
      rank, that one and the non-degeneracy rank, is `RationalMatrix.rank`.
 
-`classify` makes each decision exactly over Q.  The float companion
-(`numeric.numeric_classify`) runs the same stages on the float (n+1)-jet at
-its point and makes each decision against a threshold instead, recording a
-margin: the decision object handed to the stages picks which.  It runs the
-stages up to the fold test stacked over all its points and hands each
-outcome to `_after_fold_test`; the tests hold every bit to
-`_classify_at_origin` run on one point with `numeric._Thresholds`.  There
-are five decisions: the corank and pivots, the fold test (h(0), the rank of
-dlambda(0) and the signature), the rank of condition (b), the theta column,
-and the zero tests of the h-derivatives.  The Lefschetz study
-(`lefschetz.chart_hessian`) runs `build_theta` too, on its chart's lambdas
+`_after_fold_test` only decides: it labels a fold test's outcome and
+returns what its stages built.  `_classify_at_origin` alone writes the
+record, and with `trace` adds the lambdas and h, built after the label for a
+germ labelled before theta.  `classify` decides exactly over Q; the float
+companion (`numeric.numeric_classify`) runs the same stages on the float
+(n+1)-jet, each decision against a threshold, recording a margin.  It runs
+the stages up to the fold test stacked over its points and keeps the label
+of `_after_fold_test`; the tests hold every bit to `_classify_at_origin` on
+one point with `numeric._Thresholds`.  The decisions: corank and pivots,
+the fold test (h(0), the rank of dlambda(0), the signature), the theta
+column, the zero tests of the h-derivatives and condition (b)'s rank.
+`lefschetz.chart_hessian` runs `build_theta` too, on its chart's lambdas
 and the published last column.
 
 Every mathematical failure is a report label, never an exception.  The tests
@@ -340,10 +341,11 @@ def frame_jets(ng: NormalizedGerm) -> NormalizedGerm:
 def _classify_at_origin(work: MapGerm, decide, trace=False):
     """The stages of `classify` on a germ capped at order n+1: (label, trace record).
 
-    `decide` makes every decision: `_EXACT`, or `numeric._Thresholds`, with
-    which the tests run it as the reference for `numeric`'s stacked stages;
-    `decide.fmt` writes numbers into the record.  The stages after the fold
-    test are `_after_fold_test`'s.
+    `decide` makes every decision (`_EXACT`, or `numeric._Thresholds` as the
+    tests' reference for `numeric`'s stacked stages); `_after_fold_test`
+    labels, and this function alone writes the record, with `decide.fmt`.
+    With `trace` it builds the lambdas and h that a germ labelled before
+    theta lacks: `hessian` at the fold test, det M alone if Not2Nondegenerate.
     """
     n = work.n
     record = {"m": work.m, "n": n}
@@ -358,72 +360,68 @@ def _classify_at_origin(work: MapGerm, decide, trace=False):
     if decide.exact:
         ng = frame_jets(ng)
     det_b0, eta_hess, kern = kernel_hessian_at_origin(ng)
+    fmt = decide.fmt
     record["frame"] = {
         "pivots": list(ng.pivot_names),
-        "target_change": [[decide.fmt(e) for e in row] for row in ng.target_change],
-        "pivot_minor_at_0": decide.fmt(det_b0),
+        "target_change": [[fmt(e) for e in row] for row in ng.target_change],
+        "pivot_minor_at_0": fmt(det_b0),
     }
     h0, nd_rank, inertia = decide.fold_test(det_b0, eta_hess, kern)
-    return _after_fold_test(ng, decide, trace, record, h0, nd_rank, inertia)
-
-
-def _after_fold_test(ng, decide, trace, record, h0, nd_rank, inertia):
-    """The stages after the fold test, the one place its outcome becomes a label.
-
-    `record` holds "m" and "n".  Only a Morin candidate or `trace` reads the
-    normalized germ `ng`: the float scan batch passes None for the others.
-    """
-    n = record["n"]
-    size = record["m"] - n + 1
-    fmt = decide.fmt
-    fold = inertia is not None
-    # a fold, and a germ that fails non-degeneracy, are labelled without the
-    # polynomial frame, which only the trace builds for them
-    labelled = fold or nd_rank != size
-    column = None
-    if trace or not labelled:
-        ls = lambdas_for_frame(ng.germ, build_frame(ng))
-        if labelled:
-            hd = hessian(ls)
-        else:
-            hd = HessData(kernel_matrix(ls))
-            m0 = [[e.constant_term() for e in row] for row in hd.h_matrix.to_rows()]
-            column = decide.theta_column(m0)
-            # the one elimination of M: [M | e_c] for theta and h, M alone for the trace's h
-            if trace or column is not None:
-                hd = build_theta(ls, hd, column)
+    size = work.m - n + 1
+    label, ls, hd, cond_b = _after_fold_test(ng, decide, size, h0, nd_rank, inertia)
     if trace:
+        if ls is None:
+            ls = lambdas_for_frame(ng.germ, build_frame(ng))
+            hd = hessian(ls)
+        elif hd.h is None:
+            hd = build_theta(ls, hd, None)
         record["lambdas"] = [p.render() for p in ls.lambdas]
         record["h"] = hd.h.render()
     record["nondegeneracy"] = {"rank": nd_rank, "required": size}
     record["h_at_0"] = fmt(h0)
-
-    if fold:
-        pos, neg, zero = inertia
+    if inertia is not None:
         record["h_derivs_at_0"] = [fmt(h0)]
+    elif hd is not None and hd.theta is not None:
+        record["theta_column"] = hd.theta_column
+        record["theta_at_0"] = [fmt(c.constant_term()) for c in hd.theta.coefficients]
+        record["h_derivs_at_0"] = [fmt(p.constant_term()) for p in hd.h_derivs]
+        if cond_b is not None:
+            matrix = [[fmt(e) for e in row] for row in cond_b["matrix"]]
+            record["condition_b"] = {**cond_b, "matrix": matrix}
+    return label, record
+
+
+def _after_fold_test(ng, decide, size, h0, nd_rank, inertia):
+    """The stages after the fold test, in the paper's order: (label, ls, hd, cond_b).
+
+    The one place a fold test's outcome becomes a label; it records and
+    formats nothing.  `size` is m-n+1.  `ls` (the lambdas) and `hd` (M, and
+    past the theta column h, theta and the h-chain) are None for a germ
+    labelled at the fold test; `cond_b` is condition (b)'s rank record with
+    its k, or None.  Only a germ past non-degeneracy reads `ng`: the float
+    batch passes None for the others.
+    """
+    if inertia is not None:
+        pos, neg, zero = inertia
         # only a float decision can find h(0) nonzero and an eigenvalue zero
-        label = Label("Inconclusive") if zero else Label("Fold", k=1, signature=(pos, neg))
-        return label, record
-
+        fold = Label("Inconclusive") if zero else Label("Fold", k=1, signature=(pos, neg))
+        return fold, None, None, None
     if nd_rank != size:
-        return Label("Degenerate", reason=NOT_NONDEGENERATE), record
+        return Label("Degenerate", reason=NOT_NONDEGENERATE), None, None, None
+    ls = lambdas_for_frame(ng.germ, build_frame(ng))
+    hd = HessData(kernel_matrix(ls))
+    column = decide.theta_column([[e.constant_term() for e in row]
+                                  for row in hd.h_matrix.to_rows()])
     if column is None:
-        return Label("Degenerate", reason=NOT_2_NONDEGENERATE), record
-    record["theta_column"] = hd.theta_column
-    record["theta_at_0"] = [fmt(c.constant_term()) for c in hd.theta.coefficients]
-    hd = iterate_h(hd, n - 1)
-    deriv_values = [p.constant_term() for p in hd.h_derivs]
-    record["h_derivs_at_0"] = [fmt(v) for v in deriv_values]
-
-    k = next((j + 1 for j in range(1, n) if decide.nonzero(f"h deriv {j}", deriv_values[j])),
-             None)
+        return Label("Degenerate", reason=NOT_2_NONDEGENERATE), ls, hd, None
+    hd = iterate_h(build_theta(ls, hd, column), ng.germ.n - 1)
+    values = [p.constant_term() for p in hd.h_derivs]
+    k = next((j + 1 for j in range(1, len(values))
+              if decide.nonzero(f"h deriv {j}", values[j])), None)
     if k is None:
-        return Label("Degenerate", reason=ALL_DERIVATIVES_VANISH), record
-
+        return Label("Degenerate", reason=ALL_DERIVATIVES_VANISH), ls, hd, None
     # condition (b): the stacked Jacobian of (lambdas, h, ..., h^(k-2)) at 0
-    cond_b = rank_condition_b(ls, hd, k, decide)
-    matrix = [[fmt(e) for e in row] for row in cond_b["matrix"]]
-    record["condition_b"] = {"k": k, **cond_b, "matrix": matrix}
+    cond_b = {"k": k, **rank_condition_b(ls, hd, k, decide)}
     if cond_b["rank"] != cond_b["required"]:
-        return Label("Degenerate", reason=RANK_CONDITION_FAILED), record
-    return Label("Morin", k=k), record
+        return Label("Degenerate", reason=RANK_CONDITION_FAILED), ls, hd, cond_b
+    return Label("Morin", k=k), ls, hd, cond_b

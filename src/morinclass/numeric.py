@@ -17,8 +17,9 @@ of each scalar stage in its order: every margin has the bits the point gets
 from `criteria._classify_at_origin` with `_Thresholds`, whose `reduce` and
 `fold_test` are the batch of one of the stacked `_reduce` and `_fold_test`.
 Each point's margins then go, in order, through `_Thresholds.record`, and
-its fold test outcome to `criteria`'s tail, which builds a Morin
-candidate's frame.
+its fold test outcome to `criteria._after_fold_test`, which labels it and
+builds a Morin candidate's frame; the batch keeps the label alone and
+writes no trace record.
 
 `Tolerances` holds the two thresholds a caller may set, `rank_tol` and
 `zero_tol`; the projection's residual target and iteration limit are class
@@ -610,8 +611,8 @@ def _classify_batch(germ: MapGerm, points, tol: Tolerances):
     Each point's jet comes from its own `translate`; the residuals from one
     evaluation of the chart, whose rows do not depend on each other; the
     stages up to the fold test from `_stacked_stages`, whose margins go
-    through `_Thresholds.record` and whose outcome goes to `criteria`'s
-    tail.  Every bit is the one that point gets alone, and a point whose
+    through `_Thresholds.record` and whose outcome `criteria._after_fold_test`
+    labels.  Every bit is the one that point gets alone, and a point whose
     jet, residual or decision is not finite raises the FloatRangeError it
     raises alone, the first such point in order.
     """
@@ -637,7 +638,7 @@ def _classify_batch(germ: MapGerm, points, tol: Tolerances):
             decide.record(*margin)
         if outcome is not None:
             try:
-                label, _ = _after_fold_test(ng, decide, False, {"m": m, "n": n}, *outcome)
+                label = _after_fold_test(ng, decide, m - n + 1, *outcome)[0]
             except (OverflowError, ZeroDivisionError):
                 # `linalg._dividers` on float jets: a power of a pivot's
                 # constant term that leaves the float range

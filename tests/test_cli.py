@@ -283,6 +283,32 @@ class TestClassifyCommand:
         assert code == 2 and out == ""
         assert err == "error: --tol-rank and --tol-zero need --numeric\n"
 
+    def test_trace_with_numeric_is_an_option_error(self, capsys, tmp_path):
+        # a float verdict has margins, not a trace: --trace would be dropped
+        path = tmp_path / "germ.germ"
+        path.write_text("vars: x y z\nmap: x ; y^3 + x*y + z^2\n")
+        code, out, err = run_cli(capsys, "classify", str(path), "--numeric", "--trace")
+        assert code == 2 and out == ""
+        assert err == "error: --trace needs the exact path: --numeric writes no trace\n"
+
+    @pytest.mark.parametrize("options, message", [
+        (["--all-paper-slices", "--b2", "1/3", "--out", "x.csv"],
+         "--all-paper-slices takes neither --b2 nor --out"),
+        (["--all-paper-slices", "--b2", "1/3"], "--all-paper-slices takes neither --b2 nor --out"),
+        (["--all-paper-slices", "--out", "x.csv"],
+         "--all-paper-slices takes neither --b2 nor --out"),
+        (["--b2", "1/3", "--outdir", "d"],
+         "--outdir needs --all-paper-slices (--out names one slice's file)"),
+    ], ids=["all-b2-out", "all-b2", "all-out", "b2-outdir"])
+    def test_slice_option_the_mode_ignores_is_an_option_error(self, capsys, tmp_path, monkeypatch,
+                                                              options, message):
+        # each of these once wrote slices and dropped the option; now nothing is written
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "lefschetz", "slice", "--grid", "2", *options)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_numeric_point_beyond_float_range(self, capsys, cusp_file):
         code, out, err = run_cli(
             capsys, "classify", str(cusp_file), "--numeric", "--point", "1e400,0,0")

@@ -41,6 +41,7 @@ from morinclass.criteria import (
 from morinclass.germ import normalized
 from morinclass.lefschetz import LefschetzFamily, lefschetz_lambdas, witness_verify
 from morinclass.linalg import PolyMatrix, _dot
+from morinclass.parsing import parse_germ_document
 
 from conftest import (
     cofactor_determinant,
@@ -1292,3 +1293,40 @@ def test_traced_stages_run_through_the_wrapped_names(monkeypatch, name, trace, h
     assert str(report.label) == label
     assert ("h" in report.trace) == trace
     assert calls == {"hessian": hessians, "determinant": determinants}
+
+
+# one germ per non-Morin label, as in the `degenerate` family of `tools/output_digest.py`
+DEGENERATE_TEXTS = (
+    "vars: x y z\nmap: x ; y^2 + z^3",  # NotNondegenerate
+    "vars: x1 x2 y1 y2\nmap: x1 ; x2 ; x1*y1 + x2*y2",  # Not2Nondegenerate
+    "vars: x y z\nmap: x ; x*z + y^2 + z^4",  # AllDerivativesVanish
+    "vars: x y z w\nmap: x ; y ; z^2 + w^4 + x*w",  # RankConditionFailed
+    "vars: x y z\nmap: x^2 ; y^2 + z^2",  # CorankHigh
+)
+
+
+def test_tracing_only_adds(battery_germs):
+    """A traced record is the untraced one plus "lambdas" and "h", key for key and in order.
+
+    `classify` decides first and builds the trace's polynomials after, so
+    tracing changes neither the label nor any other key of the record.
+    """
+    rng = random.Random(39)
+    germs = [change(rng, germ) for *_, germ in battery_germs
+             for change in (TestThetaRule.linear_change, TestThetaRule.unipotent_change)]
+    degenerate = [parse_germ_document(text).to_germ() for text in DEGENERATE_TEXTS]
+    # the kernel-Hessian-zero germs, with the digest family's seeds
+    degenerate += [kernel_hessian_zero_germ(m, seed=m) for m in (5, 6)]
+    for germ in degenerate:
+        germs += [germ, TestThetaRule.linear_change(rng, germ)]
+    labels = set()
+    for germ in germs:
+        traced, untraced = classify(germ, trace=True), classify(germ, trace=False)
+        assert traced.label == untraced.label
+        labels.add(traced.label.kind if traced.label.is_fold() else str(traced.label))
+        assert set(traced.trace) - set(untraced.trace) <= {"lambdas", "h"}
+        kept = [(key, value) for key, value in traced.trace.items() if key not in ("lambdas", "h")]
+        assert kept == list(untraced.trace.items()), traced.label
+    assert labels == {"Fold", "Morin{2}", "Morin{3}", "CorankHigh"} | {
+        f"Degenerate({reason})" for reason in (NOT_NONDEGENERATE, NOT_2_NONDEGENERATE,
+                                               ALL_DERIVATIVES_VANISH, RANK_CONDITION_FAILED)}

@@ -76,6 +76,14 @@ and lists the valid ones):
                                    cancel, and float products that
                                    underflow) and through
                                    `PolyVectorField.apply`
+  verdicts.h_chain                 `float.hex` of every margin of
+                                   `numeric_classify` at the origin of the
+                                   ladder's normal forms (5,4,4), (5,4,3)
+                                   and (6,5,5), seeds 1 and 2, under a
+                                   seeded source change in thirds and
+                                   sevenths: the float h-chain, theta^2 h
+                                   and later, and condition (b) reach these
+                                   margins
 
 Each `cli.*` text is the exit status and the standard output.
 
@@ -156,6 +164,7 @@ CHAIN_SEED, CHAIN_POLYS = 27, 40
 UNDERFLOW_SEED, UNDERFLOW_POINTS = 28, 3
 KERNEL_SEED, KERNEL_PRODUCTS, KERNEL_FIELDS = 29, 240, 90
 KERNEL_KINDS = ("int", "fraction", "float", "tiny")  # tiny: floats of 10^-166 to 10^-160
+H_CHAIN_CASES = ((5, 4, 4), (5, 4, 3), (6, 5, 5))
 RENDER_LAYOUTS = (  # the roles of x, y, z, a, b in that order of names
     (("x", "y", "z", "a", "b"), (SOURCE,) * 3 + (PARAMETER,) * 2),
     (("a", "b", "x", "y", "z"), (PARAMETER,) * 2 + (SOURCE,) * 3),
@@ -530,6 +539,38 @@ def kernel_terms():
         yield [q.jet, kernel_pairs(ctx, q.terms)]
 
 
+def thirds_and_sevenths(rng, size):
+    """A seeded invertible matrix of entries +-1, 2, 3 over 3 or 7, none of them a float."""
+    while True:
+        entries = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((3, 7)))
+                   for _ in range(size * size)]
+        mat = RationalMatrix(size, size, entries)
+        if mat.rank() == size:
+            return mat
+
+
+def h_chain_germ(seed, case):
+    """The ladder's normal form `case` with seeded signs, under a `thirds_and_sevenths` change.
+
+    Not the ladder's dense integer change: at its scale the float rounding
+    of h(0) or theta h(0) is far above `zero_tol`, so those verdicts stop
+    at the fold test or at k = 2 and never read theta^2 h.  Here the later
+    stages reach the margins, on inexact floats.
+    """
+    m, n, k = case
+    rng = random.Random(seed)
+    signs = tuple(rng.choice((1, -1)) for _ in range(m - n))
+    return inputs.linear_source_change(rng, inputs.normal_form(m, n, k, signs), thirds_and_sevenths)
+
+
+def h_chain_margins():
+    for seed in SEEDS:
+        for case in H_CHAIN_CASES:
+            germ = h_chain_germ(seed, case)
+            verdict = numeric.numeric_classify(germ, (0,) * germ.m)
+            yield [[m.name, m.value.hex(), m.threshold.hex()] for m in verdict.margins]
+
+
 def criteria_records():
     seed_one = replay_germs()[:len(seed_requests(1))]
     for germ in seed_one + tuple(degenerate_germs()):
@@ -558,6 +599,7 @@ FAMILIES = (
     ("chain.terms", chain_terms),
     ("verdicts.underflow", underflow_verdicts),
     ("kernel.terms", kernel_terms),
+    ("verdicts.h_chain", h_chain_margins),
 )
 
 
