@@ -15,6 +15,7 @@ raises DegreeOverflowError instead.
 
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 SOURCE = "source"
 PARAMETER = "parameter"
@@ -99,10 +100,14 @@ class VariableContext:
 
     @classmethod
     def make(cls, source_vars, parameter_vars=()):
-        """Context with the given source variables followed by parameters."""
-        names = tuple(source_vars) + tuple(parameter_vars)
-        roles = (SOURCE,) * len(tuple(source_vars)) + (PARAMETER,) * len(tuple(parameter_vars))
-        return cls(names, roles)
+        """Context with the given source variables followed by parameters.
+
+        Equal variable lists give one shared context (`_shared`), so
+        polynomials parsed from different documents over the same `vars:`
+        line pass `check_same_context` by identity.
+        """
+        source, params = tuple(source_vars), tuple(parameter_vars)
+        return _shared(cls, source + params, (SOURCE,) * len(source) + (PARAMETER,) * len(params))
 
     def __len__(self):
         return len(self.names)
@@ -130,6 +135,12 @@ class VariableContext:
     def field_mask(self, indices) -> int:
         """The bits of the fields of the variables at `indices`."""
         return sum(MAX_DEGREE << self.field_shifts[i] for i in indices)
+
+
+@lru_cache(maxsize=256)
+def _shared(cls, names, roles):
+    """The context of `names` and `roles`, one object per pair: contexts are immutable."""
+    return cls(names, roles)
 
 
 def check_same_context(a, b):

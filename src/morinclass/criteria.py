@@ -158,7 +158,10 @@ def build_theta(ls: LambdaSystem, hd: HessData, column: int) -> HessData:
     M has a constant term, each product in det M has order at least the
     size of M; when that size exceeds the order h is read to and no column
     is asked for, h is the zero jet of that order and the block, which holds
-    no unit to pivot on, is not expanded.
+    no unit to pivot on, is not expanded.  For n = 2, M is read to order 1,
+    and `eliminate` takes det M and the column of adj(M) from scalar
+    matrices by Jacobi's formula (`linalg._first_order`), inside
+    `PolyMatrix.determinant` still for `column` None.
 
     Because adj(M) . M = det(M) . I holds identically, theta lies in the
     kernel of M at every point where h vanishes; 2-non-degeneracy makes some
@@ -204,10 +207,12 @@ def kernel_hessian_at_origin(ng: NormalizedGerm):
 
     B(0) and W(0) are the linear coefficients of f_1..f_{n-1} (ints, as
     `normalize` leaves them), E(0) holds the eta coefficients at 0
-    (`germ.kernel_fields`) and H, the Hessian of f_n at 0, holds the linear
-    coefficients of the first derivatives of its 2-jet.  Since d(f_n)_0 = 0,
-    dlambda(0) is det B(0) E(0)^T H and h(0) is det B(0)^(m-n+1) det K (step
-    5 above).  Both matrices come as rows of the germ's own coefficient type.
+    (`germ.kernel_fields`) and H, the Hessian of f_n at 0, is read from the
+    degree-2 terms of f_n: 2c for c x_i^2 on the diagonal, c for c x_i x_j
+    off it (the linear coefficients of the first derivatives, doubling being
+    exact in floats too).  Since d(f_n)_0 = 0, dlambda(0) is
+    det B(0) E(0)^T H and h(0) is det B(0)^(m-n+1) det K (step 5 above).
+    Both matrices come as rows of the germ's own coefficient type.
     """
     germ = ng.germ
     names = germ.context.source_names
@@ -221,8 +226,8 @@ def kernel_hessian_at_origin(ng: NormalizedGerm):
     else:
         det_b, adj_w = 1, []
     etas = kernel_fields(names, ng.pivot_names, ng.nonpivot_names, det_b, adj_w, 0)
-    quadric = germ.components[-1].truncated(2)
-    hess = [quadric.derivative(v).linear_coefficients() for v in names]
+    get, keys = germ.components[-1].terms.get, germ.context.linear_keys
+    hess = [[get(a + b, 0) if a != b else get(a + a, 0) * 2 for b in keys] for a in keys]
     # plain products keep the germ's ints, where a RationalMatrix holds Fractions
     eta_hess = [[_sum_in_order(e * h for e, h in zip(eta, row)) for row in hess] for eta in etas]
     kern = [[_sum_in_order(x * e for x, e in zip(row, eta)) for eta in etas] for row in eta_hess]

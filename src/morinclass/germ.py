@@ -274,11 +274,10 @@ def normalized(germ: MapGerm, t, pivot_rows, pivot_cols, exact=True) -> Normaliz
     """The germ under the target change T of a row elimination of its Jacobian at 0.
 
     The n-1 pivot rows of T f come first and the one row left last; at rank
-    n-1 that row has no linear part.  Over Q each row is scaled to integer
-    coefficients, T with it, by the least positive factor that does so, and
-    the last row is checked to be critical; the components are combined with
-    integer weights, so an integral germ never meets a Fraction.  A float
-    germ (`exact` false) keeps its rows as they are.
+    n-1 that row has no linear part.  Over Q each row is the least positive
+    multiple of the row of T f with integer coefficients, T's row scaled
+    with it (`_integer_row`), and the last row is checked to be critical.  A
+    float germ (`exact` false) keeps its rows as they are.
     """
     n = germ.n
     # each pivot column was cleared in the one row left as its pivot was
@@ -287,29 +286,16 @@ def normalized(germ: MapGerm, t, pivot_rows, pivot_cols, exact=True) -> Normaliz
     comps = []
     t_rows = []
     for r in list(pivot_rows) + [critical]:
-        weights, scale = t[r], 1
         if exact:
-            # L times the row, L the lcm of its denominators: integer weights
-            scale = lcm(*(w.denominator for w in weights))
-            weights = [w.numerator * (scale // w.denominator) for w in weights]
-        acc = Polynomial.zero(germ.context)
-        for c, w in enumerate(weights):
-            if w:
-                acc = acc + w * germ.components[c]
-        factor = 1
-        if exact:
-            # acc is L times the row of T f.  With E the lcm of its
-            # denominators (1 for an integral germ), the least positive
-            # multiple of that row with integer coefficients is acc E / g,
-            # g = gcd(L E, content(acc E))
-            den = lcm(*(c.denominator for c in acc.coefficients()))
-            acc = acc.integer_scaled()
-            g = gcd(scale * den, *acc.coefficients())
-            factor = Fraction(scale * den // g)
-            if g != 1:
-                acc = acc.map_coefficients(lambda c: c // g)
-        comps.append(acc)
-        t_rows.append(tuple(factor * w for w in t[r]))
+            comp, t_row = _integer_row(germ, t[r])
+        else:
+            comp = Polynomial.zero(germ.context)
+            for c, w in enumerate(t[r]):
+                if w:
+                    comp = comp + w * germ.components[c]
+            t_row = tuple(t[r])
+        comps.append(comp)
+        t_rows.append(t_row)
     new_germ = MapGerm(germ.context, tuple(comps))
     source_names = germ.context.source_names
     pivot_names = tuple(source_names[c] for c in pivot_cols)
@@ -323,6 +309,43 @@ def normalized(germ: MapGerm, t, pivot_rows, pivot_cols, exact=True) -> Normaliz
         pivot_names=pivot_names,
         nonpivot_names=nonpivot_names,
     )
+
+
+def _integer_row(germ: MapGerm, weights):
+    """The least positive multiple of sum_c w_c f_c with integer coefficients, and of T's row.
+
+    The sum runs on term dicts with the integer weights L w_c, L the lcm of
+    the weights' denominators, in the term order of the `Polynomial` sum
+    (the cap is the smallest of the summands').  With E the lcm of its
+    denominators (1 for an integral germ), that multiple is the sum times
+    E / g, g = gcd(L E, content of the sum times E), and T's row is L E / g
+    times the weights, each a Fraction.
+    """
+    scale = lcm(*(w.denominator for w in weights))
+    ints = [w.numerator * (scale // w.denominator) for w in weights]
+    terms, caps = {}, set()
+    for w, comp in zip(ints, germ.components):
+        if w:
+            caps.add(comp.jet)
+            get = terms.get
+            for key, coeff in comp.terms.items():
+                s = get(key)
+                if s is None:
+                    terms[key] = coeff * w
+                elif s := s + coeff * w:
+                    terms[key] = s
+                else:
+                    del terms[key]
+    cap = min(caps - {None}, default=None)
+    if len(caps) > 1:  # a summand may hold terms above the smallest cap
+        terms = kernel.truncate_terms(terms, cap, germ.context)
+    den = lcm(*(c.denominator for c in terms.values()))
+    terms = {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+    g = gcd(scale * den, *terms.values())
+    if g != 1:
+        terms = {k: c // g for k, c in terms.items()}
+    t_row = tuple(Fraction(den * w, g) for w in ints)
+    return Polynomial._wrap(germ.context, terms, cap), t_row
 
 
 def kernel_fields(source_names, pivot_names, nonpivot_names, det_b, adj_w, zero):

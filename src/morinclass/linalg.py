@@ -17,9 +17,18 @@ exact division, by a pivot or by a power of the last one, goes through
 for a jet a product with its inverse series.  `adjugate` is `eliminate`
 with W the identity.
 
+A matrix of exact jets known to order 1 (M, h and theta for n = 2) needs no
+jet arithmetic at all: to order 1 it is A(0) plus one scalar matrix A_v per
+variable, and `_first_order` takes det(A) = det A(0) + sum_v tr(adj A(0) A_v)
+x_v (Jacobi's formula) and each cofactor W reads the same way, from scalar
+dets and adjugates that `eliminate` gives on integers.  Float jets keep the
+elimination: its float bits are pinned, as `pow_terms` keeps floats on their
+own route.
+
 `exact_row_reduce` is the row elimination of a Jacobian at the base point
-over Q, on first nonzero entries; the float companion's, on the largest
-entry above a threshold, is `numeric._reduce`.
+over Q, on first nonzero entries, run fraction-free on integers; it is not
+`_forward`, because the reports print its target change T.  The float
+companion's, on the largest entry above a threshold, is `numeric._reduce`.
 
 `congruence` is the fraction-free symmetric elimination of a symmetric
 integer matrix: the signs of its pivots give the inertia (Sylvester's law)
@@ -29,9 +38,9 @@ the matrix times its common denominator.
 
 import math
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .polynomial import Polynomial
+from .polynomial import Polynomial, jet_order
 
 
 class NonSquareMatrixError(ValueError):
@@ -315,30 +324,50 @@ def congruence(a):
 def exact_row_reduce(rows):
     """Row elimination of `rows` over Q, on the first nonzero entry of each column.
 
-    The rows are taken as Fractions and columns in order: the pivot is the
-    first free row with a nonzero entry in the column, and every other free
-    row then loses its multiple of the pivot row.  Returns T, the product of
-    those row operations (T times the input is the result), and the pivot
-    rows and their columns in the order taken: the rank is their number.
+    Columns are taken in order: the pivot is the first free row with a
+    nonzero entry in the column, and every other free row then loses its
+    multiple of the pivot row.  Returns T, the product of those row
+    operations (T times the input is the result), and the pivot rows and
+    their columns in the order taken: the rank is their number.  T's rows
+    hold Fractions, but for the rows no step changed, which are rows of the
+    identity in ints.
+
+    The work runs on integers, fraction-free: row r is held as an int row
+    with its int row of T, both d_r times the rational ones.  Clearing with
+    pivot row p sets row r to a_pc row_r - a_rc row_p, and T's row alike,
+    and d_r to a_pc d_r; each changed row is divided by the gcd of its
+    entries and d_r.  This is not `_forward`: the reports print T.
     """
-    rows = [[Fraction(e) for e in row] for row in rows]
     n = len(rows)
-    t = [[int(r == c) for c in range(n)] for r in range(n)]
+    a, t, scale = [], [], []
+    for r, row in enumerate(rows):
+        den = lcm(*(e.denominator for e in row))
+        a.append([e.numerator * (den // e.denominator) for e in row])
+        t.append([den if c == r else 0 for c in range(n)])
+        scale.append(den)
+    changed = [False] * n
     pivot_rows, pivot_cols = [], []
     for col in range(len(rows[0]) if rows else 0):
         free = [r for r in range(n) if r not in pivot_rows]
         if not free:
             break
-        piv = next((r for r in free if rows[r][col] != 0), None)
+        piv = next((r for r in free if a[r][col]), None)
         if piv is None:
             continue
         pivot_rows.append(piv)
         pivot_cols.append(col)
+        p, top, t_top = a[piv][col], a[piv], t[piv]
         for r in free:
-            if r != piv and rows[r][col] != 0:
-                f = rows[r][col] / rows[piv][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[piv])]
-                t[r] = [a - f * b for a, b in zip(t[r], t[piv])]
+            f = a[r][col]
+            if r != piv and f:
+                row = [p * x - f * y for x, y in zip(a[r], top)]
+                t_row = [p * x - f * y for x, y in zip(t[r], t_top)]
+                d = p * scale[r]
+                g = gcd(d, *row, *t_row)
+                a[r], t[r], scale[r] = ([x // g for x in row], [x // g for x in t_row], d // g)
+                changed[r] = True
+    t = [[Fraction(x, scale[r]) for x in t[r]] if changed[r] else [int(r == c) for c in range(n)]
+         for r in range(n)]
     return t, pivot_rows, pivot_cols
 
 
@@ -409,8 +438,11 @@ def eliminate(a, w=None):
     last pivot p and r = n - k, the rows are [p I, X | Y] over [0, S | T]
     for A with its rows and columns swapped, so det(A) = det(S) / p^(r-1)
     and adj(A) W is (det(S) Y - X adj(S) T) / p^r over adj(S) T / p^(r-1),
-    up to the sign and the column order of the swaps.
+    up to the sign and the column order of the swaps.  Exact jets known to
+    order 1 take `_first_order` instead.
     """
+    if _exact_first_order(a, w):
+        return _first_order(a, w)
     n = len(a)
     rows = [list(row) + list(extra) for row, extra in zip(a, w or [[]] * n)]
     k, pivot, sign, order = _forward(rows, n, 3)
@@ -434,6 +466,98 @@ def eliminate(a, w=None):
     for i in range(r):
         adj_w[order[k + i]] = [down(v) for v in adj_t[i]]
     return down(det_s), adj_w
+
+
+def _exact_first_order(a, w):
+    """Whether A's entries are polynomials known to order 1 and no entry of A or W is a float.
+
+    W must be known to order 1 too.  Float jets keep the elimination, whose
+    bits the float companion pins.
+    """
+    if not a or not isinstance(a[0][0], Polynomial):
+        return False
+    entries = [p for row in a for p in row]
+    extra = [p for row in w or () for p in row]
+    if jet_order(entries) != 1 or not all(isinstance(p, Polynomial) and p.jet != 0
+                                          for p in extra):
+        return False
+    types = {c.__class__ for p in entries + extra for c in p.terms.values()}
+    return not any(issubclass(t, float) for t in types)
+
+
+def _first_order(a, w):
+    """det(A) and adj(A) W to order 1, A's order, by Jacobi's formula on scalar matrices.
+
+    With A = A0 + sum_v x_v A_v to order 1, det(A) = det(A0) +
+    sum_v tr(adj(A0) A_v) x_v, and each cofactor of A, the det of an
+    (s-1)-submatrix, takes the same formula on the submatrices of A0 and
+    A_v (`minor`).  Only the columns of adj(A) that a nonzero row of W reads
+    are built, and of each scalar adjugate only the columns a nonzero row of
+    some A_v reads.  The scalar dets and adjugates come from `eliminate` on
+    integers: A times the lcm L of its denominators, whose k-minors are L^k
+    times A's.  Each result is a 1-jet, also where the jet rule would know
+    it further: every caller reads it to the order of A.
+    """
+    ctx, size = a[0][0].context, len(a)
+    top = 2 << ctx.degree_shift  # the keys of degree at most 1 lie below it
+    den = lcm(*{c.denominator for row in a for p in row for c in p.terms.values()})
+
+    def scaled(c):
+        return c.numerator * (den // c.denominator)
+
+    const = [[scaled(p.terms.get(0, 0)) for p in row] for row in a]
+    lin = [[[(key, scaled(c)) for key, c in p.terms.items() if 0 < key < top] for p in row]
+           for row in a]
+
+    def minor(rows, cols):
+        # det(B) to order 1 as terms, B the rows and columns of L A kept
+        if not rows:
+            return {0: 1}
+        read = [p for p, i in enumerate(rows) if any(lin[i][j] for j in cols)]
+        b0 = [[const[i][j] for j in cols] for i in rows]
+        det0, adj = eliminate(b0, [[int(p == q) for q in read] for p in range(len(rows))])
+        terms = {0: det0}
+        for k, p in enumerate(read):
+            for q, j in enumerate(cols):
+                f = adj[q][k]  # adj(B0)[q][p]
+                if f:
+                    for key, c in lin[rows[p]][j]:
+                        terms[key] = terms.get(key, 0) + f * c
+        return terms
+
+    def jet(terms, power):
+        # terms / L^power, an int where it divides
+        scale = den**power
+        out = {}
+        for key, v in terms.items():
+            if v:
+                q, r = divmod(v, scale)
+                out[key] = q if r == 0 else Fraction(v) / scale
+        return Polynomial._wrap(ctx, out, 1)
+
+    everything = list(range(size))
+    det = jet(minor(everything, everything), size)
+    if not w or not w[0]:
+        return det, [[] for _ in a]
+    adj_w = [[{} for _ in w[0]] for _ in a]
+    for r, w_row in enumerate(w):
+        if all(not p.terms for p in w_row):
+            continue
+        w_parts = [(p.terms.get(0, 0), [(k, c) for k, c in p.terms.items() if 0 < k < top])
+                   for p in w_row]
+        for i in range(size):
+            # adj(A)[i][r] = (-1)^(i+r) det(A without row r and column i)
+            cof = minor(everything[:r] + everything[r + 1:], everything[:i] + everything[i + 1:])
+            if (i + r) % 2:
+                cof = {key: -v for key, v in cof.items()}
+            c0 = cof.pop(0)
+            for out, (w0, w_lin) in zip(adj_w[i], w_parts):
+                out[0] = out.get(0, 0) + c0 * w0
+                for key, v in cof.items():
+                    out[key] = out.get(key, 0) + v * w0
+                for key, v in w_lin:
+                    out[key] = out.get(key, 0) + c0 * v
+    return det, [[jet(terms, size - 1) for terms in row] for row in adj_w]
 
 
 def adjugate(rows, one, zero):

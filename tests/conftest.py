@@ -198,6 +198,34 @@ def cofactor_determinant(rows):
     return total
 
 
+def fraction_row_reduce(rows):
+    """`linalg.exact_row_reduce` as Gauss-Jordan elimination over Fractions; independent oracle.
+
+    Columns in order, the first free row with a nonzero entry as the pivot;
+    every other free row loses its multiple of the pivot row, and T's row
+    with it.  Returns T, the pivot rows and the pivot columns.
+    """
+    rows = [[Fraction(e) for e in row] for row in rows]
+    n = len(rows)
+    t = [[int(r == c) for c in range(n)] for r in range(n)]
+    pivot_rows, pivot_cols = [], []
+    for col in range(len(rows[0]) if rows else 0):
+        free = [r for r in range(n) if r not in pivot_rows]
+        if not free:
+            break
+        piv = next((r for r in free if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        pivot_rows.append(piv)
+        pivot_cols.append(col)
+        for r in free:
+            if r != piv and rows[r][col] != 0:
+                f = rows[r][col] / rows[piv][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[piv])]
+                t[r] = [a - f * b for a, b in zip(t[r], t[piv])]
+    return t, pivot_rows, pivot_cols
+
+
 def fraction_normalized(germ, t, pivot_rows):
     """The rows and target change of `germ.normalized`, built the plain way.
 

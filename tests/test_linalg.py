@@ -16,15 +16,18 @@ from morinclass.linalg import (
     NonSquareMatrixError,
     congruence,
     eliminate,
+    exact_row_reduce,
     float_power,
     integer_rows,
 )
 
 from conftest import (
     cofactor_determinant,
+    fraction_row_reduce,
     make_context,
     minor_rank,
     random_polynomial,
+    random_rational,
     rows_times_rows,
     to_sympy,
     transpose,
@@ -378,6 +381,184 @@ class TestElimination:
         expected = sympy.Matrix([[to_sympy(p, symbols) for p in row] for row in rows]).det()
         got = PolyMatrix.from_rows(rows).determinant()
         assert sympy.expand(to_sympy(got, symbols) - expected) == 0
+
+
+def first_order_matrix(rng, ctx, size, rank, den_max=1, linear=True):
+    """A size x size matrix of exact 1-jets whose constant part has the given rank.
+
+    The constant part is a product of seeded size x rank and rank x size
+    factors, over `den_max` (redrawn until its rank is exact); with
+    `linear`, every entry gets up to three seeded linear terms.
+    """
+    while True:
+        left = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(size)]
+        right = [[Fraction(rng.randint(-2, 2), rng.randint(1, den_max)) for _ in range(size)]
+                 for _ in range(rank)]
+        const = [[sum((left[i][k] * right[k][j] for k in range(rank)), Fraction(0))
+                  for j in range(size)] for i in range(size)]
+        if minor_rank(const) == rank:
+            break
+    rows = []
+    for i in range(size):
+        row = []
+        for j in range(size):
+            terms = {(0,) * len(ctx): const[i][j]} if const[i][j] else {}
+            for _ in range(3 if linear else 0):
+                exps = [0] * len(ctx)
+                exps[rng.randrange(len(ctx))] = 1
+                terms[tuple(exps)] = Fraction(rng.randint(-3, 3), rng.randint(1, den_max))
+            row.append(Polynomial(ctx, {e: c for e, c in terms.items() if c}).truncated(1))
+        rows.append(row)
+    return rows
+
+
+class TestFirstOrder:
+    """`eliminate` on exact 1-jets, by Jacobi's formula, against the cofactor oracles.
+
+    The oracles run in the ring of 1-jets, where truncation is a ring
+    homomorphism: det(A) and adj(A) W there are the exact results cut at
+    order 1, and `eliminate` gives them with cap 1.
+    """
+
+    def check(self, rows, extra):
+        size = len(rows)
+        det, adj_w = eliminate(rows, extra)
+        assert det.jet == 1 and det == cofactor_determinant(rows).truncated(1)
+        # the columns of adj(A) that the nonzero rows of W read, each cofactor
+        # the oracle's det of a minor
+        live = [r for r in range(size) if any(not p.is_zero() for p in extra[r])]
+        for i in range(size):
+            cofactors = {r: (-1) ** (i + r) * cofactor_determinant(
+                [row[:i] + row[i + 1:] for k, row in enumerate(rows) if k != r])
+                for r in live} if size > 1 else {0: 1}
+            for j, got in enumerate(adj_w[i]):
+                expected = sum((cofactors[r] * extra[r][j] for r in live),
+                               Polynomial.zero(det.context))
+                assert got.jet == 1 and got == expected.truncated(1)
+        assert eliminate(rows)[0] == det and eliminate(rows)[0].jet == 1
+        return det, adj_w
+
+    @pytest.mark.parametrize("size, rank", [
+        (size, size - drop) for size in range(1, 8) for drop in (0, 1, 2) if drop <= size
+    ] + [(3, 0), (4, 1), (4, 0)])
+    def test_unit_columns_by_constant_rank(self, size, rank):
+        # M(0) of rank s, s-1 and at most s-2; W a unit column, as
+        # `build_theta` reads one column of adj(M).  The oracle expands in
+        # the jet ring, where the jet rule keeps the higher terms of
+        # products of entries vanishing at 0: it is slow at rank 0 or at
+        # 7x7, where only Fraction entries run
+        ctx = make_context("x", "y")
+        rng = random.Random(1000 + 10 * size + rank)
+        for den_max in (1, 3) if size < 7 else (3,):
+            rows = first_order_matrix(rng, ctx, size, rank, den_max)
+            column = rng.randrange(size)
+            unit = [[Polynomial.constant(ctx, int(r == column))] for r in range(size)]
+            self.check(rows, unit)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("drop", [0, 1, 2])
+    def test_general_columns(self, size, drop):
+        # W of 1-jets, constants and uncapped polynomials, one row of W zero
+        ctx = make_context("x", "y")
+        rng = random.Random(2000 + 10 * size + drop)
+        rows = first_order_matrix(rng, ctx, size, max(size - drop, 0), den_max=2)
+        extra = [[random_polynomial(rng, ctx, 2, 3).truncated(1),
+                  Polynomial.constant(ctx, random_rational(rng)),
+                  random_polynomial(rng, ctx, 2, 3)] for _ in range(size)]
+        extra[rng.randrange(size)] = [Polynomial.zero(ctx)] * 3
+        self.check(rows, extra)
+
+    @pytest.mark.parametrize("size", [2, 4, 6])
+    def test_zero_linear_parts(self, size):
+        # constant 1-jets: det and adj(A) W are those of A(0); an int A
+        # keeps int coefficients
+        ctx = make_context("x", "y")
+        rng = random.Random(3000 + size)
+        for rank in (size, size - 1, 0):
+            rows = first_order_matrix(rng, ctx, size, rank, linear=False)
+            extra = [[Polynomial.constant(ctx, int(r == 0)),
+                      random_polynomial(rng, ctx, 1, 2, den_max=1).truncated(1)]
+                     for r in range(size)]
+            det, adj_w = self.check(rows, extra)
+            consts = [[p.constant_term() for p in row] for row in rows]
+            assert det.constant_term() == cofactor_determinant(consts)
+            assert all(type(c) is int for p in [det] + [e for row in adj_w for e in row]
+                       for c in p.coefficients())
+
+    def test_route_is_chosen_by_input(self, monkeypatch):
+        # exact 1-jets take the first-order route; float 1-jets, exact
+        # 2-jets and polynomials keep the elimination
+        calls = []
+        first_order = linalg._first_order
+
+        def counted(a, w):
+            calls.append(len(a))
+            return first_order(a, w)
+
+        monkeypatch.setattr(linalg, "_first_order", counted)
+        ctx = make_context("x", "y")
+        rng = random.Random(4000)
+        rows = first_order_matrix(rng, ctx, 4, 3, den_max=2)
+        eliminate(rows)
+        assert calls == [4]
+        floats = [[p.map_coefficients(float) for p in row] for row in rows]
+        deeper = jet_matrix(rng, ctx, 4, 4, jet=2)
+        for a in (floats, [[Polynomial(ctx, dict(p.items())) for p in row] for row in rows]):
+            eliminate(a, [[Polynomial.constant(ctx, 1)]] * 4)
+        eliminate(deeper)
+        zero_jet_w = [[Polynomial.constant(ctx, 1).truncated(0)]] * 4
+        eliminate(rows, zero_jet_w)
+        assert calls == [4]
+        # a float W keeps the elimination too
+        eliminate(rows, [[Polynomial.constant(ctx, 1.0)]] * 4)
+        assert calls == [4]
+
+
+class TestExactRowReduce:
+    """The fraction-free `exact_row_reduce` against the Fraction Gauss-Jordan oracle.
+
+    Same T values and entry types (ints for rows no step changed, Fractions
+    otherwise), the same pivot rows and the same pivot columns.
+    """
+
+    @staticmethod
+    def matrix(rng, n, cols, rank, fractions):
+        left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(n)]
+        right = [[rng.choice((0, 0, -2, -1, 1, 3)) for _ in range(cols)] for _ in range(rank)]
+        rows = [[sum((l[k] * right[k][j] for k in range(rank)), 0) for j in range(cols)]
+                for l in left]
+        if fractions:
+            rows = [[Fraction(e, rng.choice((1, 2, 3, 7))) if e else Fraction(0) for e in row]
+                    for row in rows]
+        return rows
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_fraction_oracle(self, n):
+        rng = random.Random(500 + n)
+        seen_ranks = set()
+        for trial in range(60):
+            cols = rng.randint(1, 9)
+            rank = rng.randint(0, min(n, cols))
+            rows = self.matrix(rng, n, cols, rank, fractions=trial % 2 == 1)
+            if trial % 5 == 2 and n > 1:
+                rows[-1] = list(rows[0])  # a repeated row
+            if trial % 7 == 3:
+                for row in rows:
+                    row[0] = 0 * row[0]  # a zero first column
+            if trial % 3 == 0:
+                rows = [[-e for e in row] for row in rows]  # negative pivots
+            got, want = exact_row_reduce(rows), fraction_row_reduce(rows)
+            assert got == want
+            assert [[type(e) for e in row] for row in got[0]] == [
+                [type(e) for e in row] for row in want[0]]
+            seen_ranks.add(len(got[1]))
+        assert seen_ranks == set(range(n + 1))
+
+    def test_leaves_input_alone(self):
+        rows = [[2, Fraction(1, 3)], [4, Fraction(2, 3)]]
+        copy = [list(row) for row in rows]
+        assert exact_row_reduce(rows) == ([[1, 0], [Fraction(-2), Fraction(1)]], [0], [0])
+        assert rows == copy
 
 
 class TestRank:

@@ -437,6 +437,20 @@ class TestGermDocuments:
         germ = doc.to_germ()
         assert not germ.uses_parameters()
 
+    def test_documents_share_one_context_per_variable_list(self):
+        # one `VariableContext` per (names, roles): documents with the same
+        # `vars:` line, and two `to_germ` calls on one document, share it
+        first, second = parse_germ_document(CUSP_DOC), parse_germ_document(CUSP_DOC)
+        assert first.context is second.context
+        germs = [first.to_germ(), first.to_germ(), second.to_germ()]
+        assert all(g.context is first.context for g in germs)
+        assert first.context is VariableContext.make(("x", "y", "z"))
+        family = parse_germ_document(FAMILY_DOC)
+        # the same names with other roles, or in another order, are other contexts
+        assert VariableContext.make(family.source_vars, family.param_vars) is family.context
+        assert VariableContext.make(family.source_vars + family.param_vars) != family.context
+        assert VariableContext.make(("y", "x", "z")) != first.context
+
     def test_unbound_parameters_rejected(self):
         doc = parse_germ_document(
             "vars: x1 x2 y1 y2\nparams: a1 a2 b1 b2\nmap: x1 ; x2"

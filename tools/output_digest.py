@@ -11,6 +11,10 @@ and lists the valid ones):
   ainv_replay.traced / .untraced   `report_to_dict` JSON of every seed-1 and
                                    seed-2 `ainv_replay` request
   ladder.traced                    traced reports of ladder germs, seeds 1 and 2
+  ladder.first_order               traced reports of the n = 2 Morin{2} ladder
+                                   germs (6,2,2), (7,2,2) and (8,2,2), seeds 1
+                                   and 2: theta from a first-order adjugate
+                                   column above s = 3
   ladder.verdicts                  `float.hex` of `verdict_to_dict` at the
                                    origin of ladder germs, residuals included
   scan_region                      the verdicts of three scans
@@ -137,6 +141,7 @@ inputs = _load_inputs()
 
 SEEDS = (1, 2)
 LADDER_REPORTS = ((6, 2, 1), (7, 2, 1), (5, 3, 3), (5, 4, 4), (8, 2, 1), (6, 4, 4), (6, 5, 5))
+FIRST_ORDER_CASES = ((6, 2, 2), (7, 2, 2), (8, 2, 2))
 LADDER_VERDICTS = ((6, 2, 1), (7, 2, 1), (6, 2, 2), (7, 2, 2), (6, 3, 2), (5, 3, 3), (6, 3, 3))
 SCAN_POINTS = ((Fraction(3, 2), 1, -2, Fraction(-1, 2)),
                (0, Fraction(1, 2), 2, Fraction(3, 2)),
@@ -224,9 +229,9 @@ def ladder_germ(seed, case):
     return inputs.ladder_case(random.Random(seed), *case)["germ"]
 
 
-def ladder_reports():
+def ladder_reports(cases=LADDER_REPORTS):
     for seed in SEEDS:
-        for case in LADDER_REPORTS:
+        for case in cases:
             yield json.dumps(report_to_dict(classify(ladder_germ(seed, case)), include_trace=True))
 
 
@@ -582,6 +587,7 @@ FAMILIES = (
     ("ainv_replay.traced", lambda: ainv_reports(True)),
     ("ainv_replay.untraced", lambda: ainv_reports(False)),
     ("ladder.traced", ladder_reports),
+    ("ladder.first_order", lambda: ladder_reports(FIRST_ORDER_CASES)),
     ("ladder.verdicts", ladder_verdicts),
     ("scan_region", scans),
     ("witness_verify", witnesses),
