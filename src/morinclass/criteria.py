@@ -158,10 +158,10 @@ def build_theta(ls: LambdaSystem, hd: HessData, column: int) -> HessData:
     M has a constant term, each product in det M has order at least the
     size of M; when that size exceeds the order h is read to and no column
     is asked for, h is the zero jet of that order and the block, which holds
-    no unit to pivot on, is not expanded.  For n = 2, M is read to order 1,
-    and `eliminate` takes det M and the column of adj(M) from scalar
-    matrices by Jacobi's formula (`linalg._first_order`), inside
-    `PolyMatrix.determinant` still for `column` None.
+    no unit to pivot on, is not expanded.  For n = 2 and `column` None, M
+    holds 1-jets and `PolyMatrix.determinant` takes det M of an M larger
+    than 3x3 from scalar matrices by Jacobi's formula
+    (`linalg._first_order`), the same jet as the elimination's.
 
     Because adj(M) . M = det(M) . I holds identically, theta lies in the
     kernel of M at every point where h vanishes; 2-non-degeneracy makes some

@@ -327,15 +327,7 @@ def _integer_row(germ: MapGerm, weights):
     for w, comp in zip(ints, germ.components):
         if w:
             caps.add(comp.jet)
-            get = terms.get
-            for key, coeff in comp.terms.items():
-                s = get(key)
-                if s is None:
-                    terms[key] = coeff * w
-                elif s := s + coeff * w:
-                    terms[key] = s
-                else:
-                    del terms[key]
+            kernel.iadd_terms(terms, kernel.scale_terms(comp.terms, w))
     cap = min(caps - {None}, default=None)
     if len(caps) > 1:  # a summand may hold terms above the smallest cap
         terms = kernel.truncate_terms(terms, cap, germ.context)

@@ -17,13 +17,15 @@ exact division, by a pivot or by a power of the last one, goes through
 for a jet a product with its inverse series.  `adjugate` is `eliminate`
 with W the identity.
 
-A matrix of exact jets known to order 1 (M, h and theta for n = 2) needs no
-jet arithmetic at all: to order 1 it is A(0) plus one scalar matrix A_v per
-variable, and `_first_order` takes det(A) = det A(0) + sum_v tr(adj A(0) A_v)
-x_v (Jacobi's formula) and each cofactor W reads the same way, from scalar
-dets and adjugates that `eliminate` gives on integers.  Float jets keep the
-elimination: its float bits are pinned, as `pow_terms` keeps floats on their
-own route.
+The det of a matrix of exact jets known to order 1 (M and h for n = 2)
+needs no jet arithmetic: to order 1 it is A(0) plus one scalar matrix A_v
+per variable, and `_first_order` takes det(A) = det A(0) +
+sum_v tr(adj A(0) A_v) x_v (Jacobi's formula) from one scalar `eliminate`
+on integers.  It gives the elimination's jet wherever adj A(0) is not
+zero, and leaves the rest to the elimination, whose jet rule may then know
+det(A) beyond order 1.  Float jets keep the elimination: its float bits are
+pinned, as `pow_terms` keeps floats on their own route.  adj(A) W keeps it
+too: by cofactors, each an (s-1)-square elimination, it was slower.
 
 `exact_row_reduce` is the row elimination of a Jacobian at the base point
 over Q, on first nonzero entries, run fraction-free on integers; it is not
@@ -40,7 +42,7 @@ import math
 from fractions import Fraction
 from math import gcd, lcm
 
-from .polynomial import Polynomial, jet_order
+from .polynomial import Polynomial
 
 
 class NonSquareMatrixError(ValueError):
@@ -438,12 +440,16 @@ def eliminate(a, w=None):
     last pivot p and r = n - k, the rows are [p I, X | Y] over [0, S | T]
     for A with its rows and columns swapped, so det(A) = det(S) / p^(r-1)
     and adj(A) W is (det(S) Y - X adj(S) T) / p^r over adj(S) T / p^(r-1),
-    up to the sign and the column order of the swaps.  Exact jets known to
-    order 1 take `_first_order` instead.
+    up to the sign and the column order of the swaps.  det(A) alone, for
+    A larger than 3x3 of exact jets known to order 1, takes `_first_order`
+    instead; a smaller A goes to the cofactor expansion at once, which is
+    cheaper there.
     """
-    if _exact_first_order(a, w):
-        return _first_order(a, w)
     n = len(a)
+    if w is None and n > 3 and _exact_first_order(a):
+        det = _first_order(a)
+        if det is not None:
+            return det, [[] for _ in a]
     rows = [list(row) + list(extra) for row, extra in zip(a, w or [[]] * n)]
     k, pivot, sign, order = _forward(rows, n, 3)
     r = n - k
@@ -468,35 +474,28 @@ def eliminate(a, w=None):
     return down(det_s), adj_w
 
 
-def _exact_first_order(a, w):
-    """Whether A's entries are polynomials known to order 1 and no entry of A or W is a float.
+def _exact_first_order(a):
+    """Whether every entry of A is an exact jet known to order 1.
 
-    W must be known to order 1 too.  Float jets keep the elimination, whose
-    bits the float companion pins.
+    Float jets keep the elimination, whose bits the float companion pins.
     """
-    if not a or not isinstance(a[0][0], Polynomial):
-        return False
     entries = [p for row in a for p in row]
-    extra = [p for row in w or () for p in row]
-    if jet_order(entries) != 1 or not all(isinstance(p, Polynomial) and p.jet != 0
-                                          for p in extra):
-        return False
-    types = {c.__class__ for p in entries + extra for c in p.terms.values()}
-    return not any(issubclass(t, float) for t in types)
+    return all(isinstance(p, Polynomial) and p.jet == 1 for p in entries) and not any(
+        isinstance(c, float) for p in entries for c in p.terms.values())
 
 
-def _first_order(a, w):
-    """det(A) and adj(A) W to order 1, A's order, by Jacobi's formula on scalar matrices.
+def _first_order(a):
+    """det(A) to order 1 by Jacobi's formula on scalar matrices, or None.
 
     With A = A0 + sum_v x_v A_v to order 1, det(A) = det(A0) +
-    sum_v tr(adj(A0) A_v) x_v, and each cofactor of A, the det of an
-    (s-1)-submatrix, takes the same formula on the submatrices of A0 and
-    A_v (`minor`).  Only the columns of adj(A) that a nonzero row of W reads
-    are built, and of each scalar adjugate only the columns a nonzero row of
-    some A_v reads.  The scalar dets and adjugates come from `eliminate` on
-    integers: A times the lcm L of its denominators, whose k-minors are L^k
-    times A's.  Each result is a 1-jet, also where the jet rule would know
-    it further: every caller reads it to the order of A.
+    sum_v tr(adj(A0) A_v) x_v.  det(A0) and the columns of adj(A0) that a
+    nonzero row of some A_v reads come from one `eliminate` on integers: A
+    times the lcm L of its denominators, whose det is L^s times A's.  Where
+    some cofactor of A0 is not zero, the degree-2 terms of det(A) depend on
+    terms the entries do not know, so order 1 is all the jet rule knows and
+    this is the elimination's 1-jet.  Where det(A0) = 0 and the first-order
+    part vanishes, adj(A0) may be zero (rank A0 <= s-2) and the rule may
+    know det(A) further: None leaves A to the elimination.
     """
     ctx, size = a[0][0].context, len(a)
     top = 2 << ctx.degree_shift  # the keys of degree at most 1 lie below it
@@ -508,56 +507,24 @@ def _first_order(a, w):
     const = [[scaled(p.terms.get(0, 0)) for p in row] for row in a]
     lin = [[[(key, scaled(c)) for key, c in p.terms.items() if 0 < key < top] for p in row]
            for row in a]
-
-    def minor(rows, cols):
-        # det(B) to order 1 as terms, B the rows and columns of L A kept
-        if not rows:
-            return {0: 1}
-        read = [p for p, i in enumerate(rows) if any(lin[i][j] for j in cols)]
-        b0 = [[const[i][j] for j in cols] for i in rows]
-        det0, adj = eliminate(b0, [[int(p == q) for q in read] for p in range(len(rows))])
-        terms = {0: det0}
-        for k, p in enumerate(read):
-            for q, j in enumerate(cols):
-                f = adj[q][k]  # adj(B0)[q][p]
-                if f:
-                    for key, c in lin[rows[p]][j]:
-                        terms[key] = terms.get(key, 0) + f * c
-        return terms
-
-    def jet(terms, power):
-        # terms / L^power, an int where it divides
-        scale = den**power
-        out = {}
-        for key, v in terms.items():
-            if v:
-                q, r = divmod(v, scale)
-                out[key] = q if r == 0 else Fraction(v) / scale
-        return Polynomial._wrap(ctx, out, 1)
-
-    everything = list(range(size))
-    det = jet(minor(everything, everything), size)
-    if not w or not w[0]:
-        return det, [[] for _ in a]
-    adj_w = [[{} for _ in w[0]] for _ in a]
-    for r, w_row in enumerate(w):
-        if all(not p.terms for p in w_row):
-            continue
-        w_parts = [(p.terms.get(0, 0), [(k, c) for k, c in p.terms.items() if 0 < k < top])
-                   for p in w_row]
-        for i in range(size):
-            # adj(A)[i][r] = (-1)^(i+r) det(A without row r and column i)
-            cof = minor(everything[:r] + everything[r + 1:], everything[:i] + everything[i + 1:])
-            if (i + r) % 2:
-                cof = {key: -v for key, v in cof.items()}
-            c0 = cof.pop(0)
-            for out, (w0, w_lin) in zip(adj_w[i], w_parts):
-                out[0] = out.get(0, 0) + c0 * w0
-                for key, v in cof.items():
-                    out[key] = out.get(key, 0) + v * w0
-                for key, v in w_lin:
-                    out[key] = out.get(key, 0) + c0 * v
-    return det, [[jet(terms, size - 1) for terms in row] for row in adj_w]
+    read = [r for r in range(size) if any(lin[r])]
+    det0, adj = eliminate(const, [[int(i == r) for r in read] for i in range(size)])
+    terms = {0: det0}
+    for k, r in enumerate(read):
+        for j in range(size):
+            f = adj[j][k]  # adj(A0)[j][r], which meets A_v[r][j] in the trace
+            if f:
+                for key, c in lin[r][j]:
+                    terms[key] = terms.get(key, 0) + f * c
+    terms = {key: v for key, v in terms.items() if v}
+    if not terms:
+        return None
+    scale = den**size
+    out = {}
+    for key, v in terms.items():
+        q, r = divmod(v, scale)
+        out[key] = q if r == 0 else Fraction(v) / scale
+    return Polynomial._wrap(ctx, out, 1)
 
 
 def adjugate(rows, one, zero):

@@ -175,8 +175,7 @@ class TestJetBudgets:
     def test_trace_cuts_h_where_the_rule_knows_more(self):
         # here M(0) = 0, so the jet rule knows det M to order n = 2 (it
         # holds 36*y*z there); the trace still prints h at order n-1, as the
-        # uncapped pipeline gives it, and the lambdas at n.  `determinant`
-        # takes a matrix of exact 1-jets to order 1 only, by Jacobi's formula
+        # uncapped pipeline gives it, and the lambdas at n
         ctx = make_context("x", "y", "z")
         x, y, z = (Polynomial.variable(ctx, name) for name in ctx.names)
         germ = MapGerm(ctx, (x, y**3 + z**3))
@@ -186,10 +185,7 @@ class TestJetBudgets:
         assert trace["h"] == h.truncated(1).render() == "0"
         ng = frame_jets(normalize(germ.truncated(3)))
         hd = hessian(lambdas_for_frame(ng.germ, build_frame(ng)))
-        m = hd.h_matrix
-        by_rule = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        assert by_rule.jet == 2 and not by_rule.is_zero() and hd.h.jet == 1
-        assert m.determinant().jet == 1 and m.determinant() == by_rule.truncated(1)
+        assert hd.h_matrix.determinant().jet == 2 and hd.h.jet == 1
 
     def test_stage_budgets(self, battery_germs):
         # the exact path reads f_1..f_{n-1} to order n and f_n to n+1, so the
@@ -1243,7 +1239,7 @@ def test_bench_surface_resolves(monkeypatch):
 
 def traced_stage_germs():
     """(germ, label) for a fold, a Not2Nondegenerate germ with M(0) != 0 and a cusp,
-    and for n = 2, where M holds 1-jets, a fold and a cusp.
+    and for n = 2, where M holds 1-jets and is 4x4, a fold and a cusp.
 
     On x1 ; x2 ; x1 y1 + x2 y2 + y3^2, E(0)^T H has rank 3 but K = diag(0, 0, 2):
     M(0) = det B(0) K is not zero, and its adjugate is.
@@ -1253,14 +1249,15 @@ def traced_stage_germs():
     fold = MapGerm(ctx, (x1, x2, y1**2 + y2**2 - y3**2 + x1 * y3))
     flat = MapGerm(ctx, (x1, x2, x1 * y1 + x2 * y2 + y3**2))
     cusp = MapGerm(ctx, (x1, x2, y1**2 + y2**2 + y3**3 + x1 * y3))
-    plane = make_context("x", "y1", "y2", "y3")
-    x, y1, y2, y3 = (Polynomial.variable(plane, v) for v in plane.names)
+    plane = make_context("x", "y1", "y2", "y3", "y4")
+    x, y1, y2, y3, y4 = (Polynomial.variable(plane, v) for v in plane.names)
     return {"fold": (fold, "Fold(signature=(2, 1))"),
             "not 2-nondegenerate": (flat, "Degenerate(Not2Nondegenerate)"),
             "cusp": (cusp, "Morin{2}"),
-            "fold n=2": (MapGerm(plane, (x, y1**2 + y2**2 - y3**2 + x * y3)),
-                         "Fold(signature=(2, 1))"),
-            "cusp n=2": (MapGerm(plane, (x, y1**2 + y2**2 + y3**3 + x * y3)), "Morin{2}")}
+            "fold n=2": (MapGerm(plane, (x, y1**2 + y2**2 + y3**2 - y4**2 + x * y4)),
+                         "Fold(signature=(3, 1))"),
+            "cusp n=2": (MapGerm(plane, (x, y1**2 + y2**2 + y3**2 + y4**3 + x * y4)),
+                         "Morin{2}")}
 
 
 @pytest.mark.parametrize("name, trace, hessians, determinants", [

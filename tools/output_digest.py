@@ -13,8 +13,7 @@ and lists the valid ones):
   ladder.traced                    traced reports of ladder germs, seeds 1 and 2
   ladder.first_order               traced reports of the n = 2 Morin{2} ladder
                                    germs (6,2,2), (7,2,2) and (8,2,2), seeds 1
-                                   and 2: theta from a first-order adjugate
-                                   column above s = 3
+                                   and 2: h and theta of 1-jets above s = 3
   ladder.verdicts                  `float.hex` of `verdict_to_dict` at the
                                    origin of ladder germs, residuals included
   scan_region                      the verdicts of three scans
