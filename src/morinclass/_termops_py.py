@@ -9,7 +9,8 @@ mix freely and integer inputs give integer outputs, or floats for the float
 companion.  `Polynomial` hands `scale_terms` an integral Fraction scalar as
 its int, so an int polynomial scales to ints.  `pow_terms` expands a power
 k >= 2 of an exact base on ints, so each of its terms is an int exactly
-where it is integral.  Every result is a canonical
+where it is integral; `rationals.cleared` and `rationals.quotient`, which
+own that integer form, take it there and back.  Every result is a canonical
 dict (no stored zeros).  `iadd_terms` and `isub_terms` merge into their first
 argument and return it, and `shift_terms` fills the row cache it is given;
 every other function returns a new dict and mutates none of its inputs.
@@ -41,9 +42,9 @@ one.
 from bisect import bisect_right
 from contextlib import contextmanager
 from fractions import Fraction
-from math import lcm
 
 from .context import MAX_DEGREE, WorkLimitError, check_degree
+from .rationals import cleared, quotient
 
 # The term pairs one expansion may take.  On a 2-core host (x+y)^700 takes
 # 490,698 and parses in 0.2 s, (x+y+z)^124 976,497 in 0.4 s, and the float
@@ -171,11 +172,10 @@ def pow_terms(a, k, ctx, trunc=-1):
 
     For k >= 2 an exact base with a Fraction coefficient is expanded on ints,
     which cost a tenth of Fractions: as the integer base den * a, den the
-    lcm of its denominators.  Each partial sum of that power is den^j times
-    the one of a^k, so the same terms cancel in the same order, and each
-    term is then divided by den^k: an int where that division is exact,
-    else a Fraction.  A base with a float coefficient multiplies as it is,
-    which fixes its bits.
+    lcm of its denominators (`cleared`).  Each partial sum of that power is
+    den^j times the one of a^k, so the same terms cancel in the same order,
+    and each term is then divided by den^k (`quotient`).  A base with a
+    float coefficient multiplies as it is, which fixes its bits.
     """
     if k == 0:
         return {0: 1}
@@ -187,14 +187,10 @@ def pow_terms(a, k, ctx, trunc=-1):
         return dict(a)
     kinds = {c.__class__ for c in a.values()}
     if Fraction in kinds and float not in kinds:
-        den = lcm(*(c.denominator for c in a.values()))  # an int's is 1
+        den, ints = cleared(a.values())
         den_k = den**k
-        out = pow_terms({key: c.numerator * (den // c.denominator) for key, c in a.items()},
-                        k, ctx, trunc)
-        for key, c in out.items():
-            q, r = divmod(c, den_k)
-            out[key] = Fraction(c, den_k) if r else q
-        return out
+        out = pow_terms(dict(zip(a, ints)), k, ctx, trunc)
+        return {key: quotient(c, den_k) for key, c in out.items()}
     if len(a) == 1:
         ((key, coeff),) = a.items()
         # a monomial's k-th power is its key times k; floats keep the

@@ -72,9 +72,9 @@ from dataclasses import dataclass, field, replace
 from .germ import (AdaptedFrame, MapGerm, NormalizedGerm, PolyVectorField, _apply_fields,
                    build_frame, kernel_fields, normalized)
 from .linalg import (PolyMatrix, RationalMatrix, adjugate, congruence, eliminate,
-                     exact_row_reduce, integer_rows)
+                     exact_row_reduce)
 from .polynomial import Polynomial, cut_to_order, jet_order
-from .rationals import format_rational
+from .rationals import cleared, format_rational
 
 NOT_NONDEGENERATE = "NotNondegenerate"
 NOT_2_NONDEGENERATE = "Not2Nondegenerate"
@@ -286,7 +286,7 @@ class _Exact:
         """The first column of adj(M(0)) that is not zero, or None."""
         # integer rows for `eliminate`: scaling row r by d_r scales column c
         # of the adjugate by the product of the other d's, keeping its zeros
-        adj = adjugate(integer_rows(m0)[0], 1, 0)
+        adj = adjugate([cleared(row)[1] for row in m0], 1, 0)
         return next((c for c in range(len(m0)) if any(row[c] for row in adj)), None)
 
 

@@ -15,13 +15,13 @@ those components identically as polynomials.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import _termops_py as kernel
 from .context import VariableContext, check_same_context
 from .linalg import eliminate, exact_row_reduce
 from .polynomial import Polynomial, _product_jet, cut_to_order
-from .rationals import rat
+from .rationals import cleared, rat
 
 REGULAR = "Regular"
 CORANK1 = "Corank1"
@@ -289,11 +289,7 @@ def normalized(germ: MapGerm, t, pivot_rows, pivot_cols, exact=True) -> Normaliz
         if exact:
             comp, t_row = _integer_row(germ, t[r])
         else:
-            comp = Polynomial.zero(germ.context)
-            for c, w in enumerate(t[r]):
-                if w:
-                    comp = comp + w * germ.components[c]
-            t_row = tuple(t[r])
+            comp, t_row = _row_sum(germ, t[r]), tuple(t[r])
         comps.append(comp)
         t_rows.append(t_row)
     new_germ = MapGerm(germ.context, tuple(comps))
@@ -311,33 +307,34 @@ def normalized(germ: MapGerm, t, pivot_rows, pivot_cols, exact=True) -> Normaliz
     )
 
 
-def _integer_row(germ: MapGerm, weights):
-    """The least positive multiple of sum_c w_c f_c with integer coefficients, and of T's row.
-
-    The sum runs on term dicts with the integer weights L w_c, L the lcm of
-    the weights' denominators, in the term order of the `Polynomial` sum
-    (the cap is the smallest of the summands').  With E the lcm of its
-    denominators (1 for an integral germ), that multiple is the sum times
-    E / g, g = gcd(L E, content of the sum times E), and T's row is L E / g
-    times the weights, each a Fraction.
-    """
-    scale = lcm(*(w.denominator for w in weights))
-    ints = [w.numerator * (scale // w.denominator) for w in weights]
+def _row_sum(germ: MapGerm, weights):
+    """sum_c w_c f_c on term dicts, with the terms, order and cap of the `Polynomial` sum."""
     terms, caps = {}, set()
-    for w, comp in zip(ints, germ.components):
+    for w, comp in zip(weights, germ.components):
         if w:
             caps.add(comp.jet)
             kernel.iadd_terms(terms, kernel.scale_terms(comp.terms, w))
     cap = min(caps - {None}, default=None)
     if len(caps) > 1:  # a summand may hold terms above the smallest cap
         terms = kernel.truncate_terms(terms, cap, germ.context)
-    den = lcm(*(c.denominator for c in terms.values()))
-    terms = {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
-    g = gcd(scale * den, *terms.values())
-    if g != 1:
-        terms = {k: c // g for k, c in terms.items()}
+    return Polynomial._wrap(germ.context, terms, cap)
+
+
+def _integer_row(germ: MapGerm, weights):
+    """The least positive multiple of sum_c w_c f_c with integer coefficients, and of T's row.
+
+    The sum runs on the integer weights L w_c, L the lcm of the weights'
+    denominators.  With E the lcm of its denominators (1 for an integral
+    germ), that multiple is the sum times E / g, g = gcd(L E, content of the
+    sum times E), and T's row is L E / g times the weights, each a Fraction.
+    """
+    scale, ints = cleared(weights)
+    row = _row_sum(germ, ints)
+    den, coeffs = cleared(row.terms.values())
+    g = gcd(scale * den, *coeffs)
     t_row = tuple(Fraction(den * w, g) for w in ints)
-    return Polynomial._wrap(germ.context, terms, cap), t_row
+    terms = {k: c // g for k, c in zip(row.terms, coeffs)}
+    return Polynomial._wrap(germ.context, terms, row.jet), t_row
 
 
 def kernel_fields(source_names, pivot_names, nonpivot_names, det_b, adj_w, zero):

@@ -29,7 +29,6 @@ cubic factor has discriminant 108 (p^2+q^2)^2.  See `cusp_tau_polynomial`.
 Only the slice export (`emit_slice`, `write_slice_csv`) imports numpy.
 """
 
-import math
 import tempfile
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -38,7 +37,7 @@ from .context import VariableContext
 from .criteria import HessData, Label, build_theta, classify, kernel_matrix, lambdas_for_frame
 from .germ import MapGerm, cramer_frame
 from .polynomial import Polynomial
-from .rationals import brief_rational, format_rational, rat
+from .rationals import brief_rational, cleared, format_rational, rat
 
 SOURCE_VARS = ("x1", "x2", "y1", "y2")
 PARAM_VARS = ("a1", "a2", "b1", "b2")
@@ -548,9 +547,7 @@ def emit_slice(b2, resolution: int, value_range=(-1, 1)) -> SliceGrid:
         raise ValueError(f"value range needs lo < hi, got {lo}:{hi}")
     step = (hi - lo) / (resolution - 1)
     nodes = [lo + k * step for k in range(resolution)]
-    den = math.lcm(*(v.denominator for v in nodes + [b2]))
-    ints = [int(v * den) for v in nodes]
-    b2_int = int(b2 * den)
+    den, (*ints, b2_int) = cleared(nodes + [b2])
 
     locus = noncusp_polynomials()
     values = np.empty((5, resolution**3), dtype=float)

@@ -35,14 +35,17 @@ companion's, on the largest entry above a threshold, is `numeric._reduce`.
 `congruence` is the fraction-free symmetric elimination of a symmetric
 integer matrix: the signs of its pivots give the inertia (Sylvester's law)
 and its last pivot the determinant.  `RationalMatrix.signature` runs it on
-the matrix times its common denominator.
+the matrix times its common denominator.  Every integer form here comes
+from `rationals.cleared`, and every exact quotient from `rationals.quotient`.
 """
 
 import math
 from fractions import Fraction
-from math import gcd, lcm
+from functools import partial
+from math import gcd
 
 from .polynomial import Polynomial
+from .rationals import cleared, quotient
 
 
 class NonSquareMatrixError(ValueError):
@@ -148,16 +151,13 @@ class RationalMatrix(_Matrix):
 
     def rank(self) -> int:
         """Exact rank: the number of steps of the forward pass on integer rows."""
-        return _forward(integer_rows(self.to_rows())[0], self.cols, 0)[0]
+        return _forward([cleared(row)[1] for row in self.to_rows()], self.cols, 0)[0]
 
     def signature(self):
         """Inertia (positives, negatives, zeros) of a symmetric matrix, by `congruence`."""
         if not self.is_symmetric():
             raise AsymmetricMatrixError("signature needs a symmetric matrix")
-        den = lcm(*(e.denominator for e in self.entries))
-        return congruence(
-            [[e.numerator * (den // e.denominator) for e in row] for row in self.to_rows()]
-        )[0]
+        return congruence(_Matrix(self.rows, self.cols, cleared(self.entries)[1]).to_rows())[0]
 
 
 # -- the elimination engine -------------------------------------------------------
@@ -221,12 +221,8 @@ def _dividers(p, *powers):
         if isinstance(scale, float):
             s_power = s_power * (1 / scale)
             return lambda x: x * s_power
-
-        def exact_quotient(v):
-            q, r = divmod(v, scale)
-            return q if r == 0 else Fraction(v) / scale
-
-        return lambda x: (x * s_power).map_coefficients(exact_quotient)
+        back = partial(quotient, d=scale)
+        return lambda x: (x * s_power).map_coefficients(back)
 
     return [divider(power) for power in powers]
 
@@ -343,8 +339,8 @@ def exact_row_reduce(rows):
     n = len(rows)
     a, t, scale = [], [], []
     for r, row in enumerate(rows):
-        den = lcm(*(e.denominator for e in row))
-        a.append([e.numerator * (den // e.denominator) for e in row])
+        den, ints = cleared(row)
+        a.append(ints)
         t.append([den if c == r else 0 for c in range(n)])
         scale.append(den)
     changed = [False] * n
@@ -371,16 +367,6 @@ def exact_row_reduce(rows):
     t = [[Fraction(x, scale[r]) for x in t[r]] if changed[r] else [int(r == c) for c in range(n)]
          for r in range(n)]
     return t, pivot_rows, pivot_cols
-
-
-def integer_rows(rows):
-    """Rational rows, each times the lcm of its denominators, and the product of those lcms."""
-    out, scale = [], 1
-    for row in rows:
-        den = lcm(*(e.denominator for e in row))
-        out.append([e.numerator * (den // e.denominator) for e in row])
-        scale *= den
-    return out, scale
 
 
 def _dot(xs, ys):
@@ -499,14 +485,11 @@ def _first_order(a):
     """
     ctx, size = a[0][0].context, len(a)
     top = 2 << ctx.degree_shift  # the keys of degree at most 1 lie below it
-    den = lcm(*{c.denominator for row in a for p in row for c in p.terms.values()})
-
-    def scaled(c):
-        return c.numerator * (den // c.denominator)
-
-    const = [[scaled(p.terms.get(0, 0)) for p in row] for row in a]
-    lin = [[[(key, scaled(c)) for key, c in p.terms.items() if 0 < key < top] for p in row]
-           for row in a]
+    den, ints = cleared([c for row in a for p in row for c in p.terms.values()])
+    ints = iter(ints)  # zip reads each entry's keys first, so it takes just their values
+    scaled = [[dict(zip(p.terms, ints)) for p in row] for row in a]
+    const = [[e.get(0, 0) for e in row] for row in scaled]
+    lin = [[[(key, c) for key, c in e.items() if 0 < key < top] for e in row] for row in scaled]
     read = [r for r in range(size) if any(lin[r])]
     det0, adj = eliminate(const, [[int(i == r) for r in read] for i in range(size)])
     terms = {0: det0}
@@ -520,11 +503,7 @@ def _first_order(a):
     if not terms:
         return None
     scale = den**size
-    out = {}
-    for key, v in terms.items():
-        q, r = divmod(v, scale)
-        out[key] = q if r == 0 else Fraction(v) / scale
-    return Polynomial._wrap(ctx, out, 1)
+    return Polynomial._wrap(ctx, {key: quotient(v, scale) for key, v in terms.items()}, 1)
 
 
 def adjugate(rows, one, zero):

@@ -472,14 +472,15 @@ class _FloatPipeline:
 def _pipeline(germ: MapGerm, tol: Tolerances) -> _FloatPipeline:
     """The float pipeline of `germ`, shared by every call with equal germ and tolerances.
 
-    The key also holds each component's term order, which fixes the order of
-    every float sum, so a shared pipeline gives the bits a fresh one would.
+    The key also holds each component's packed keys in order, which fix the
+    order of every float sum, and its cap, which `==` ignores: so a shared
+    pipeline gives the bits and the errors a fresh one would.
     """
-    return _shared_pipeline(germ, tol, tuple(tuple(p.exponents()) for p in germ.components))
+    return _shared_pipeline(germ, tol, tuple((tuple(p.terms), p.jet) for p in germ.components))
 
 
 @lru_cache(maxsize=16)
-def _shared_pipeline(germ, tol, term_order):
+def _shared_pipeline(germ, tol, terms_and_caps):
     return _FloatPipeline(germ, tol)
 
 

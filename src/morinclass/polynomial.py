@@ -17,7 +17,8 @@ Coefficients are exact rational scalars: plain ints are kept as ints
 (integer arithmetic is far cheaper than normalized fractions), everything
 else is a Fraction, and the two mix freely.  A scalar product takes an
 integral Fraction as its int, so an int polynomial times an entry of a
-`RationalMatrix` such as `Fraction(3, 1)` stays int.  The float companion
+`RationalMatrix` such as `Fraction(3, 1)` stays int; `rationals.cleared`
+owns the integer form of a coefficient list.  The float companion
 (`morinclass.numeric`) runs the same code on float coefficients, which
 `constant`, scalar products and `MapGerm.translate` accept.
 
@@ -30,12 +31,12 @@ without parameters).  That ordering is the contract for golden-file tests.
 
 import heapq
 from fractions import Fraction
-from math import gcd, isfinite, lcm
+from math import gcd, isfinite
 
 from . import _termops_py as kernel
 from .context import (MAX_DEGREE, ContextMismatchError, VariableContext, check_degree,
                       check_same_context)
-from .rationals import format_rational, rat
+from .rationals import cleared, format_rational, rat
 
 
 def _jet_min(a, b):
@@ -318,9 +319,8 @@ class Polynomial:
 
     def integer_scaled(self):
         """A positive integer multiple of this polynomial with int coefficients."""
-        den = lcm(*(c.denominator for c in self.terms.values()))  # an int's is 1
-        terms = {k: c.numerator * (den // c.denominator) for k, c in self.terms.items()}
-        return Polynomial._wrap(self.context, terms, self.jet)
+        return Polynomial._wrap(
+            self.context, dict(zip(self.terms, cleared(self.terms.values())[1])), self.jet)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -516,8 +516,8 @@ class Polynomial:
         _refuse_floats("content", self)
         exps = list(self.exponents())
         exps_min = [min(e[i] for e in exps) for i in range(len(self.context))]
-        coeff = Fraction(gcd(*(c.numerator for c in self.terms.values())),
-                         lcm(*(c.denominator for c in self.terms.values())))
+        den, ints = cleared(self.terms.values())
+        coeff = Fraction(gcd(*ints), den)
         if self.leading_term()[1] < 0:
             coeff = -coeff
         return tuple(exps_min), coeff

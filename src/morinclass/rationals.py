@@ -7,6 +7,10 @@ helpers below fix the text form used everywhere in reports and goldens:
 `p` for integers, `p/q` otherwise, minus sign on the numerator, every digit
 printed however long the number.  An error message names a number through
 `brief_rational`, which gives the size of a very long one instead.
+
+Exact values are ints where integral and Fractions elsewhere.  `cleared`
+owns their integer form (times the lcm of the denominators) and `quotient`
+the way back, to an int where the division is exact.
 """
 
 import math
@@ -21,6 +25,25 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def cleared(values):
+    """(L, ints): L the lcm of the denominators of the sequence `values`, and each value times L.
+
+    A float has no exact integer form: ValueError, pointing to `numeric_classify`.
+    """
+    try:
+        den = math.lcm(*(v.denominator for v in values))
+    except AttributeError:
+        raise ValueError("exact arithmetic is not defined on float coefficients; "
+                         "classify a float germ with numeric_classify") from None
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def quotient(v, d):
+    """v / d for exact v and d != 0: an int where the quotient is integral, else a Fraction."""
+    q, r = divmod(v, d)
+    return Fraction(v, d) if r else q
 
 
 def format_rational(q: Fraction) -> str:

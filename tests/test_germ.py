@@ -76,6 +76,12 @@ class TestValidate:
         with pytest.raises(MalformedGermError, match="component 1 .* origin: 0.5$"):
             MapGerm(ctx, (x + 0.5, y**2 + z**2)).check_wellformed()
 
+    @pytest.mark.parametrize("entry", [validate, normalize, classify], ids=lambda f: f.__name__)
+    def test_float_coefficients_are_refused(self, xyz, entry):
+        ctx, x, y, z = xyz
+        with pytest.raises(ValueError, match="float coefficients.*numeric_classify"):
+            entry(floated(MapGerm(ctx, (x, y**2 + z**2))))
+
     def test_too_few_source_vars(self):
         ctx = make_context("x", "y")
         x = Polynomial.variable(ctx, "x")

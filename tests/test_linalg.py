@@ -18,8 +18,8 @@ from morinclass.linalg import (
     eliminate,
     exact_row_reduce,
     float_power,
-    integer_rows,
 )
+from morinclass.rationals import cleared
 
 from conftest import (
     cofactor_determinant,
@@ -622,9 +622,9 @@ class TestRank:
 
     @staticmethod
     def determinant(rows):
-        """det of rational rows as `criteria._Exact.theta_column` eliminates them: on `integer_rows`."""
-        ints, scale = integer_rows(rows)
-        return Fraction(eliminate(ints)[0], scale)
+        """det of rational rows as `criteria._Exact.theta_column` eliminates them: each `cleared`."""
+        dens, ints = zip(*map(cleared, rows))
+        return Fraction(eliminate(list(ints))[0], math.prod(dens))
 
     def test_determinant_multiplicative(self, rng):
         for _ in range(10):

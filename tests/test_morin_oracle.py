@@ -1,4 +1,4 @@
-"""An independent fold and cusp oracle: Morin's normal form, on Fraction dicts.
+"""An independent fold, cusp and Morin k oracle: Morin's normal form, on Fraction dicts.
 
 Morin, "Formes canoniques des singularités d'une application
 différentiable", C. R. Acad. Sci. Paris 260 (1965); Golubitsky–Guillemin,
@@ -11,10 +11,11 @@ series gives f ~ (u, g(u, z)).  With K the Hessian of g(0, .) at 0:
 
 - K nonsingular: a fold, whose signature is the inertia of K;
 - K of corank one: after the splitting lemma, phi(u, t) = g(u, W(u, t), t)
-  with W solving d g / d w' = 0 on a complement w' of the kernel line t.  A
-  cusp iff ord_t phi(0, t) = 3 and some d phi / d u_j has a nonzero
-  t-coefficient at u = 0 (A_2-versality);
-- anything else is neither.
+  with W solving d g / d w' = 0 on a complement w' of the kernel line t.
+  Morin k (A_k) iff ord_t phi(0, t) = k + 1 and the coefficients of the
+  u_j t^i (1 <= i <= k-1) in phi make a matrix of rank k - 1
+  (A_k-versality); Morin 2 is the cusp;
+- anything else is none of these.
 
 Nothing here uses `Polynomial` or `linalg`: a polynomial is a dict from
 exponent tuples to Fractions, and the linear algebra is plain Fraction
@@ -186,7 +187,11 @@ def inertia(a):
 
 
 def morin_oracle(components, m):
-    """("Fold", (pos, neg)), ("Cusp", None) or ("Other", None) for a germ given as term dicts."""
+    """("Fold", (pos, neg)), ("Cusp", None), ("Morin", k) for k >= 3 or ("Other", None).
+
+    The germ is given as term dicts.  Only its jet of order n + 1 is read,
+    as by `classify`, so k is at most n.
+    """
     n = len(components)
     order = n + 1
     comps = [{e: Fraction(c) for e, c in p.items() if sum(e) <= order} for p in components]
@@ -249,10 +254,22 @@ def morin_oracle(components, m):
                      for a, wi in enumerate(big_w)]
         g = compose(g, u + big_w + [t], order, m)
     phi = g  # phi(u, t)
-    assert phi.get(tuple(2 * (i == m - 1) for i in range(m)), 0) == 0
-    cubic = phi.get(tuple(3 * (i == m - 1) for i in range(m)), 0)
-    versal = any(phi.get(tuple(int(i in (j, m - 1)) for i in range(m)), 0) for j in range(n - 1))
-    return ("Cusp", None) if cubic and versal else ("Other", None)
+
+    def coefficient(j, i):
+        """Of u_j t^i in phi, or of t^i for j None."""
+        return phi.get(tuple((v == j) + i * (v == m - 1) for v in range(m)), 0)
+
+    assert coefficient(None, 2) == 0
+    # A_k: ord_t phi(0, t) = k + 1, read within the jet (so k <= n)
+    k = next((i - 1 for i in range(3, order + 1) if coefficient(None, i)), None)
+    if k is None:
+        return "Other", None
+    # A_k-versality: the t^i parts of the d phi / d u_j at u = 0, 1 <= i <= k-1,
+    # span all k-1 of them
+    versal = len(pivots([[coefficient(j, i) for i in range(1, k)] for j in range(n - 1)]))
+    if versal < k - 1:
+        return "Other", None
+    return ("Cusp", None) if k == 2 else ("Morin", k)
 
 
 def classify_class(label):
@@ -260,6 +277,8 @@ def classify_class(label):
         return "Fold", tuple(sorted(label.signature))
     if label.is_morin(2):
         return "Cusp", None
+    if label.is_morin():
+        return "Morin", label.k
     return "Other", None
 
 
@@ -269,16 +288,16 @@ def classify_class(label):
 def seeded_germs(rng):
     """Corank-one germs in normal coordinates (u, z), each under random A-changes.
 
-    Kinds: folds, cusps, and near misses: a corank-two K, a cusp without its
-    u t term (not versal), a swallowtail, and n = 1 germs with a degenerate
-    critical point.  Each carries random higher-order terms.
+    Kinds: folds, cusps, a swallowtail (Morin 3), and near misses: a
+    corank-two K, a cusp without its u t term (not versal), and n = 1 germs
+    with a degenerate critical point.  Each carries random higher-order terms.
     """
     out = []
     dims = [(m, n) for m in range(2, 5) for n in range(1, 4) if n < m]
     plans = [("fold", d) for d in dims]
     plans += [("cusp", d) for d in dims if d[1] >= 2] * 2
     # n = 3 solves for p to order 4, which costs about 0.1 s a germ: its
-    # near misses are a swallowtail and whatever the random terms make
+    # near misses are whatever the random terms make
     plans += [("corank two", d) for d in dims if d[0] - d[1] + 1 >= 2 and d[1] < 3]
     plans += [("not versal", d) for d in dims if d[1] == 2]
     plans += [("swallowtail", (4, 3))]
@@ -304,10 +323,12 @@ def normal_coordinates_germ(rng, kind, m, n):
 
     us, zs = list(range(n - 1)), list(range(n - 1, m))
     comps = []
+    # a t in the pivot components' terms would give u_a t in f_n a t^3
+    keep_t = kind not in ("morin 3", "not versal 3")
     for i in us:
         terms = {mono(i): Fraction(1)}
         for e in combinations_with_replacement(range(m), 2):
-            if rng.random() < 0.3:
+            if rng.random() < 0.3 and (keep_t or zs[0] not in e):
                 terms[mono(*e)] = coeff()
         comps.append(terms)
     last = {}
@@ -325,6 +346,11 @@ def normal_coordinates_germ(rng, kind, m, n):
         last[mono(us[1], t)] = Fraction(1)
     elif kind == "degenerate":
         last[mono(t, t, t, t)] = Fraction(1)
+    elif kind in ("morin 3", "not versal 3"):
+        a, b = rng.sample(us, 2)
+        last[mono(t, t, t, t)] = coeff()
+        last[mono(a, t)] = coeff()
+        last[mono(b if kind == "morin 3" else a, t, t)] = coeff()
     # higher-order terms that keep the kind: cubics, through z1 only where K
     # has no kernel along z1, and quartics
     for e in combinations_with_replacement(range(m), 3):
@@ -366,6 +392,35 @@ def test_oracle_agrees_with_classify():
         counts[want[0]] += 1
     assert min(counts[kind] for kind in ("Fold", "Cusp", "Other")) >= 15, counts
     assert time.perf_counter() - start < 5
+
+
+def test_oracle_agrees_on_morin_3():
+    # condition (b) at n = 3: Morin 3 germs, and near misses whose u_a t and
+    # u_a t^2 leave the versality matrix rank 1, which pass non-degeneracy
+    # and 2-non-degeneracy and fail condition (b) alone
+    start = time.perf_counter()
+    rng = random.Random(1965)
+    plans = [(kind, m) for kind in ("morin 3", "not versal 3") for m in (4, 5)]
+    counts = Counter()
+    for _ in range(3):
+        for kind, m in plans:
+            germ = normal_coordinates_germ(rng, kind, m, 3)
+            want = morin_oracle([dict(p.items()) for p in germ.components], germ.m)
+            label = classify(germ, trace=False).label
+            assert classify_class(label) == want, [p.render() for p in germ.components]
+            counts[str(label)] += 1
+    assert counts["Morin{3}"] >= 5 and counts["Degenerate(RankConditionFailed)"] >= 5, counts
+    assert time.perf_counter() - start < 5
+
+
+def test_oracle_on_morin_3_normal_forms():
+    ctx = make_context("u1", "u2", "t", "z")
+    u1, u2, t, z = (Polynomial.variable(ctx, v) for v in ("u1", "u2", "t", "z"))
+    for u, want, label in ((u2, ("Morin", 3), "Morin{3}"),
+                           (u1, ("Other", None), "Degenerate(RankConditionFailed)")):
+        germ = MapGerm(ctx, (u1, u2, t**4 + u1 * t + u * t**2 + z**2))
+        assert morin_oracle([dict(p.items()) for p in germ.components], 4) == want
+        assert str(classify(germ, trace=False).label) == label
 
 
 def test_oracle_on_normal_forms():

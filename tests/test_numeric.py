@@ -15,7 +15,7 @@ from morinclass import MapGerm, Polynomial, classify, cramer_frame
 from morinclass.cli import verdict_to_dict
 from morinclass.criteria import (Label, _classify_at_origin, kernel_hessian_at_origin,
                                  lambdas_for_frame)
-from morinclass.germ import normalized
+from morinclass.germ import MalformedGermError, normalized
 from morinclass.lefschetz import LefschetzFamily, circle_point
 from morinclass.linalg import eliminate
 from morinclass import numeric
@@ -416,6 +416,17 @@ class TestSharedPipeline:
         ))
         assert reordered == germ
         assert numeric._pipeline(reordered, first) is not pipe
+
+    @pytest.mark.parametrize("germ_first", [False, True])
+    def test_jet_is_refused_whatever_the_cache_holds(self, fold_germ, germ_first):
+        # x ; y^2 + z^2 equals its 3-jet, but only the germ can be translated
+        jet = fold_germ.truncated(3)
+        assert jet == fold_germ
+        numeric._shared_pipeline.cache_clear()
+        if germ_first:
+            assert numeric_classify(fold_germ, (0.1, 0, 0)).label.is_fold()
+        with pytest.raises(MalformedGermError, match="cannot translate a jet"):
+            numeric_classify(jet, (0.1, 0, 0))
 
 
 def _pipeline_germs(fold_germ, cusp_germ):
