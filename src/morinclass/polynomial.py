@@ -36,7 +36,7 @@ from math import gcd, isfinite
 from . import _termops_py as kernel
 from .context import (MAX_DEGREE, ContextMismatchError, VariableContext, check_degree,
                       check_same_context)
-from .rationals import cleared, format_rational, rat
+from .rationals import cleared, format_rational, quotient, rat
 
 
 def _jet_min(a, b):
@@ -473,7 +473,7 @@ class Polynomial:
         work = dict(self.terms)
         heap = [(-order(key), key) for key in work]
         heapq.heapify(heap)
-        quotient, remainder = {}, {}
+        quot, remainder = {}, {}
         while heap:
             key = heapq.heappop(heap)[1]
             coeff = work.pop(key, None)
@@ -484,10 +484,7 @@ class Polynomial:
                 continue
             delta = key - lead
             check_degree((delta >> shift) + degree)
-            ratio = Fraction(coeff, lead_coeff)
-            if ratio.denominator == 1:
-                ratio = ratio.numerator
-            quotient[delta] = ratio
+            ratio = quot[delta] = quotient(coeff, lead_coeff)
             for k, c in tail:
                 k += delta
                 s = work.get(k, 0) - ratio * c
@@ -497,7 +494,7 @@ class Polynomial:
                 if k not in work:
                     heapq.heappush(heap, (-order(k), k))
                 work[k] = s
-        return Polynomial._wrap(ctx, quotient), Polynomial._wrap(ctx, remainder)
+        return Polynomial._wrap(ctx, quot), Polynomial._wrap(ctx, remainder)
 
     def div_exact(self, divisor):
         q, r = self.divide(divisor)
