@@ -12,10 +12,10 @@ The decision pipeline:
   4. the (m-n+1)-square matrix M with M[i][j] = eta_j lambda_i; the kernel
      field theta from one column c of adj(M) (a decision: over Q the first
      column of adj(M(0)) that is not zero) and h = det M, both from one
-     elimination of [M | e_c] (`build_theta`), the only one of M on any
-     path: the trace's h without a column is `PolyMatrix.determinant` of
-     M alone (`hessian`, for a germ labelled at the fold test), and an
-     untraced germ with adj(M(0)) = 0 never takes det M; and h' = theta h, ...
+     elimination of [M | e_c] (`build_theta`), or of M alone for the trace's
+     h (`hessian`); and h' = theta h, ...  An exact map to the plane reads h
+     to order 1 only and builds no M: `_plane_tail` takes h by Jacobi's
+     formula, theta(0) and theta h(0) from Taylor coefficients at 0.
   5. label: fold iff h(0) != 0.  As d(f_n)_0 = 0, with E(0) the eta
      coefficients at 0, H the Hessian of f_n at 0, K = E(0)^T H E(0) and
      s = m-n+1,
@@ -71,10 +71,9 @@ from dataclasses import dataclass, field, replace
 
 from .germ import (AdaptedFrame, MapGerm, NormalizedGerm, PolyVectorField, _apply_fields,
                    build_frame, kernel_fields, normalized)
-from .linalg import (PolyMatrix, RationalMatrix, adjugate, congruence, eliminate,
-                     exact_row_reduce)
+from .linalg import PolyMatrix, RationalMatrix, congruence, eliminate, exact_row_reduce
 from .polynomial import Polynomial, cut_to_order, jet_order
-from .rationals import cleared, format_rational
+from .rationals import cleared, format_rational, quotient
 
 NOT_NONDEGENERATE = "NotNondegenerate"
 NOT_2_NONDEGENERATE = "Not2Nondegenerate"
@@ -121,7 +120,7 @@ class LambdaSystem:
 
 @dataclass(frozen=True)
 class HessData:
-    h_matrix: PolyMatrix  # entry (i, j) is eta_j applied to lambda_i
+    h_matrix: PolyMatrix = None  # entry (i, j) is eta_j lambda_i; None from `_plane_tail`
     h: Polynomial = None  # det M, once `build_theta` takes it
     theta: PolyVectorField = None
     theta_column: int = None
@@ -158,10 +157,8 @@ def build_theta(ls: LambdaSystem, hd: HessData, column: int) -> HessData:
     M has a constant term, each product in det M has order at least the
     size of M; when that size exceeds the order h is read to and no column
     is asked for, h is the zero jet of that order and the block, which holds
-    no unit to pivot on, is not expanded.  For n = 2 and `column` None, M
-    holds 1-jets and `PolyMatrix.determinant` takes det M of an M larger
-    than 3x3 from scalar matrices by Jacobi's formula
-    (`linalg._first_order`), the same jet as the elimination's.
+    no unit to pivot on, is not expanded.  `classify` runs it for n >= 3
+    and on floats; an exact n = 2 germ takes `_plane_tail`.
 
     Because adj(M) . M = det(M) . I holds identically, theta lies in the
     kernel of M at every point where h vanishes; 2-non-degeneracy makes some
@@ -193,6 +190,61 @@ def iterate_h(hd: HessData, up_to: int) -> HessData:
     for _ in range(up_to):
         derivs.append(hd.theta.apply(derivs[-1]))
     return replace(hd, h_derivs=tuple(derivs))
+
+
+def _plane_tail(ls: LambdaSystem) -> HessData:
+    """h, theta(0) and theta h(0) of an exact n = 2 germ from Taylor coefficients, without M.
+
+    M's entries are 1-jets (the det B slot of each eta keeps them so): with
+    E the eta coefficients, M(0)_ij = sum_w E_j^w(0) d_w lambda_i(0) and
+    d_v M_ij(0) = sum_w d_v E_j^w(0) d_w lambda_i(0) + E_j^w(0) d_v d_w lambda_i(0).
+    One scalar adj(M(0)) gives det M(0), dh(0)_v = tr(adj M(0) d_v M(0))
+    (Jacobi's formula: the 1-jet of det M, cap 1, that `build_theta`
+    eliminates), the theta column as `_Exact.theta_column` picks it, and
+    theta(0) = sum_i adj(M(0))_ic eta_i(0); theta h(0) = theta(0) . dh(0).
+    theta and theta h come as 0-jets, and are None where adj(M(0)) = 0.
+    """
+    ctx, lambdas, keys = ls.germ.context, ls.lambdas, ls.germ.context.linear_keys
+    fields = [[(w, c.constant_term(), c.linear_coefficients())
+               for w, c in enumerate(eta.coefficients) if c.terms] for eta in ls.frame.eta]
+    grads = [lam.linear_coefficients() for lam in lambdas]
+    det0, adj = _exact_adjugate([[sum(e * grad[w] for w, e, _ in field)
+                                  for field in fields] for grad in grads])
+    dh = [0] * len(keys)
+    for field, weights in zip(fields, adj):  # d(eta_j mu_j)(0), mu_j = sum_i adj_ji lambda_i
+        for w, e, de in field:
+            slope = sum(a * grad[w] for a, grad in zip(weights, grads))
+            # d_w d_v mu_j(0), from the x_w x_v terms as the fold test reads H
+            row = [sum(a * lam.terms.get(keys[w] + key, 0) for a, lam in zip(weights, lambdas))
+                   * (1 + (v == w)) for v, key in enumerate(keys)]
+            dh = [d + s * slope + e * r for d, s, r in zip(dh, de, row)]
+    h = Polynomial._wrap(ctx, {key: d for key, d in zip((0, *keys), (det0, *dh)) if d}, 1)
+    column = _first_column(adj)
+    if column is None:
+        return HessData(h=h)
+    theta0 = [0] * len(keys)
+    for row, field in zip(adj, fields):
+        for w, e, _ in field:
+            theta0[w] += row[column] * e
+    theta_h0 = sum(t * d for t, d in zip(theta0, dh))
+    jets = [Polynomial._wrap(ctx, {0: t} if t else {}, 0) for t in (*theta0, theta_h0)]
+    return HessData(h=h, theta=PolyVectorField(ctx, jets[:-1]), theta_column=column,
+                    h_derivs=(h, jets[-1]))
+
+
+def _exact_adjugate(m0):
+    """det and adj of rational rows: `eliminate` on L m0, L the lcm of the denominators."""
+    size = len(m0)
+    den, ints = cleared([e for row in m0 for e in row])
+    det, adj = eliminate([ints[r * size:(r + 1) * size] for r in range(size)],
+                         [[int(r == c) for c in range(size)] for r in range(size)])
+    scale = den ** (size - 1)  # adj(L A) = L^(s-1) adj(A)
+    return quotient(det, scale * den), [[quotient(v, scale) for v in row] for row in adj]
+
+
+def _first_column(adj):
+    """The first column of `adj` that is not zero, or None."""
+    return next((c for c in range(len(adj)) if any(row[c] for row in adj)), None)
 
 
 def kernel_hessian_of_last(ng: NormalizedGerm, frame: AdaptedFrame) -> RationalMatrix:
@@ -284,10 +336,7 @@ class _Exact:
 
     def theta_column(self, m0):
         """The first column of adj(M(0)) that is not zero, or None."""
-        # integer rows for `eliminate`: scaling row r by d_r scales column c
-        # of the adjugate by the product of the other d's, keeping its zeros
-        adj = adjugate([cleared(row)[1] for row in m0], 1, 0)
-        return next((c for c in range(len(m0)) if any(row[c] for row in adj)), None)
+        return _first_column(_exact_adjugate(m0)[1])
 
 
 _EXACT = _Exact()
@@ -311,10 +360,10 @@ def rank_condition_b(ls: LambdaSystem, hd: HessData, k: int, decide=_EXACT):
 def classify(germ: MapGerm, trace=True) -> CriteriaReport:
     """Full classification of a polynomial map germ at the origin, by the stages above.
 
-    The polynomial lambdas and M are built for every germ that passes the
-    fold and non-degeneracy tests, and h for those with a theta column;
-    `trace` builds all three for every corank-one germ and adds the lambdas
-    and h to the report's trace as "lambdas" and "h".
+    The polynomial lambdas are built for every germ that passes the fold
+    and non-degeneracy tests, and M (but for n = 2) and h for those with a
+    theta column; `trace` builds the lambdas and h for every corank-one germ
+    and adds them to the report's trace as "lambdas" and "h".
     """
     germ.check_wellformed()
     germ.check_bound()
@@ -350,7 +399,8 @@ def _classify_at_origin(work: MapGerm, decide, trace=False):
     tests' reference for `numeric`'s stacked stages); `_after_fold_test`
     labels, and this function alone writes the record, with `decide.fmt`.
     With `trace` it builds the lambdas and h that a germ labelled before
-    theta lacks: `hessian` at the fold test, det M alone if Not2Nondegenerate.
+    theta lacks: `hessian` at the fold test (`_plane_tail` for an exact
+    n = 2 germ), det M alone if Not2Nondegenerate.
     """
     n = work.n
     record = {"m": work.m, "n": n}
@@ -375,13 +425,14 @@ def _classify_at_origin(work: MapGerm, decide, trace=False):
     size = work.m - n + 1
     label, ls, hd, cond_b = _after_fold_test(ng, decide, size, h0, nd_rank, inertia)
     if trace:
+        shown = hd
         if ls is None:
             ls = lambdas_for_frame(ng.germ, build_frame(ng))
-            hd = hessian(ls)
+            shown = _plane_tail(ls) if decide.exact and n == 2 else hessian(ls)
         elif hd.h is None:
-            hd = build_theta(ls, hd, None)
+            shown = build_theta(ls, hd, None)
         record["lambdas"] = [p.render() for p in ls.lambdas]
-        record["h"] = hd.h.render()
+        record["h"] = shown.h.render()
     record["nondegeneracy"] = {"rank": nd_rank, "required": size}
     record["h_at_0"] = fmt(h0)
     if inertia is not None:
@@ -400,11 +451,12 @@ def _after_fold_test(ng, decide, size, h0, nd_rank, inertia):
     """The stages after the fold test, in the paper's order: (label, ls, hd, cond_b).
 
     The one place a fold test's outcome becomes a label; it records and
-    formats nothing.  `size` is m-n+1.  `ls` (the lambdas) and `hd` (M, and
-    past the theta column h, theta and the h-chain) are None for a germ
-    labelled at the fold test; `cond_b` is condition (b)'s rank record with
-    its k, or None.  Only a germ past non-degeneracy reads `ng`: the float
-    batch passes None for the others.
+    formats nothing.  `size` is m-n+1.  `ls` (the lambdas) and `hd` (M, or
+    for an exact n = 2 germ `_plane_tail`'s h, and past the theta column h,
+    theta and the h-chain) are None for a germ labelled at the fold test;
+    `cond_b` is condition (b)'s rank record with its k, or None.  Only a
+    germ past non-degeneracy reads `ng`: the float batch passes None for
+    the others.
     """
     if inertia is not None:
         pos, neg, zero = inertia
@@ -414,12 +466,16 @@ def _after_fold_test(ng, decide, size, h0, nd_rank, inertia):
     if nd_rank != size:
         return Label("Degenerate", reason=NOT_NONDEGENERATE), None, None, None
     ls = lambdas_for_frame(ng.germ, build_frame(ng))
-    hd = HessData(kernel_matrix(ls))
-    column = decide.theta_column([[e.constant_term() for e in row]
-                                  for row in hd.h_matrix.to_rows()])
-    if column is None:
+    if decide.exact and ng.germ.n == 2:
+        hd = _plane_tail(ls)
+    else:
+        hd = HessData(kernel_matrix(ls))
+        column = decide.theta_column([[e.constant_term() for e in row]
+                                      for row in hd.h_matrix.to_rows()])
+        if column is not None:
+            hd = iterate_h(build_theta(ls, hd, column), ng.germ.n - 1)
+    if hd.theta is None:
         return Label("Degenerate", reason=NOT_2_NONDEGENERATE), ls, hd, None
-    hd = iterate_h(build_theta(ls, hd, column), ng.germ.n - 1)
     values = [p.constant_term() for p in hd.h_derivs]
     k = next((j + 1 for j in range(1, len(values))
               if decide.nonzero(f"h deriv {j}", values[j])), None)

@@ -243,6 +243,7 @@ def _reduce_at_origin(germ: MapGerm):
     """`exact_row_reduce` of the Jacobian at 0, pivoting on first nonzero entries."""
     germ.check_wellformed()
     germ.check_bound()
+    cleared([c for p in germ.components for c in p.coefficients()])  # refuses floats
     return exact_row_reduce(germ.linear_coefficients())
 
 

@@ -17,15 +17,9 @@ exact division, by a pivot or by a power of the last one, goes through
 for a jet a product with its inverse series.  `adjugate` is `eliminate`
 with W the identity.
 
-The det of a matrix of exact jets known to order 1 (M and h for n = 2)
-needs no jet arithmetic: to order 1 it is A(0) plus one scalar matrix A_v
-per variable, and `_first_order` takes det(A) = det A(0) +
-sum_v tr(adj A(0) A_v) x_v (Jacobi's formula) from one scalar `eliminate`
-on integers.  It gives the elimination's jet wherever adj A(0) is not
-zero, and leaves the rest to the elimination, whose jet rule may then know
-det(A) beyond order 1.  Float jets keep the elimination: its float bits are
-pinned, as `pow_terms` keeps floats on their own route.  adj(A) W keeps it
-too: by cofactors, each an (s-1)-square elimination, it was slower.
+Jets of every order take the same elimination.  For an exact map to the
+plane the classifier forms no matrix of 1-jets: `criteria._plane_tail`
+takes det M by Jacobi's formula from Taylor coefficients, without M.
 
 `exact_row_reduce` is the row elimination of a Jacobian at the base point
 over Q, on first nonzero entries, run fraction-free on integers; it is not
@@ -426,16 +420,9 @@ def eliminate(a, w=None):
     last pivot p and r = n - k, the rows are [p I, X | Y] over [0, S | T]
     for A with its rows and columns swapped, so det(A) = det(S) / p^(r-1)
     and adj(A) W is (det(S) Y - X adj(S) T) / p^r over adj(S) T / p^(r-1),
-    up to the sign and the column order of the swaps.  det(A) alone, for
-    A larger than 3x3 of exact jets known to order 1, takes `_first_order`
-    instead; a smaller A goes to the cofactor expansion at once, which is
-    cheaper there.
+    up to the sign and the column order of the swaps.
     """
     n = len(a)
-    if w is None and n > 3 and _exact_first_order(a):
-        det = _first_order(a)
-        if det is not None:
-            return det, [[] for _ in a]
     rows = [list(row) + list(extra) for row, extra in zip(a, w or [[]] * n)]
     k, pivot, sign, order = _forward(rows, n, 3)
     r = n - k
@@ -458,52 +445,6 @@ def eliminate(a, w=None):
     for i in range(r):
         adj_w[order[k + i]] = [down(v) for v in adj_t[i]]
     return down(det_s), adj_w
-
-
-def _exact_first_order(a):
-    """Whether every entry of A is an exact jet known to order 1.
-
-    Float jets keep the elimination, whose bits the float companion pins.
-    """
-    entries = [p for row in a for p in row]
-    return all(isinstance(p, Polynomial) and p.jet == 1 for p in entries) and not any(
-        isinstance(c, float) for p in entries for c in p.terms.values())
-
-
-def _first_order(a):
-    """det(A) to order 1 by Jacobi's formula on scalar matrices, or None.
-
-    With A = A0 + sum_v x_v A_v to order 1, det(A) = det(A0) +
-    sum_v tr(adj(A0) A_v) x_v.  det(A0) and the columns of adj(A0) that a
-    nonzero row of some A_v reads come from one `eliminate` on integers: A
-    times the lcm L of its denominators, whose det is L^s times A's.  Where
-    some cofactor of A0 is not zero, the degree-2 terms of det(A) depend on
-    terms the entries do not know, so order 1 is all the jet rule knows and
-    this is the elimination's 1-jet.  Where det(A0) = 0 and the first-order
-    part vanishes, adj(A0) may be zero (rank A0 <= s-2) and the rule may
-    know det(A) further: None leaves A to the elimination.
-    """
-    ctx, size = a[0][0].context, len(a)
-    top = 2 << ctx.degree_shift  # the keys of degree at most 1 lie below it
-    den, ints = cleared([c for row in a for p in row for c in p.terms.values()])
-    ints = iter(ints)  # zip reads each entry's keys first, so it takes just their values
-    scaled = [[dict(zip(p.terms, ints)) for p in row] for row in a]
-    const = [[e.get(0, 0) for e in row] for row in scaled]
-    lin = [[[(key, c) for key, c in e.items() if 0 < key < top] for e in row] for row in scaled]
-    read = [r for r in range(size) if any(lin[r])]
-    det0, adj = eliminate(const, [[int(i == r) for r in read] for i in range(size)])
-    terms = {0: det0}
-    for k, r in enumerate(read):
-        for j in range(size):
-            f = adj[j][k]  # adj(A0)[j][r], which meets A_v[r][j] in the trace
-            if f:
-                for key, c in lin[r][j]:
-                    terms[key] = terms.get(key, 0) + f * c
-    terms = {key: v for key, v in terms.items() if v}
-    if not terms:
-        return None
-    scale = den**size
-    return Polynomial._wrap(ctx, {key: quotient(v, scale) for key, v in terms.items()}, 1)
 
 
 def adjugate(rows, one, zero):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import json
 import math
 import operator
 import random
@@ -656,7 +657,8 @@ class TestStageRouting:
         # det M comes from the elimination that gives theta: untraced, once for
         # a Morin candidate and never for a germ labelled from M(0) alone;
         # traced, once for every germ whose h is printed, none where h is the
-        # zero jet of its order
+        # zero jet of its order.  An exact map to the plane (n = 2) takes
+        # `_plane_tail` and eliminates no M; its float verdict still does
         from morinclass.numeric import numeric_classify
 
         ctx = make_context("x", "y", "z")
@@ -673,14 +675,17 @@ class TestStageRouting:
         cases.append((MapGerm(ctx, (x1, x2, x1 * y1 + x2 * y2)), not2, 0, 1))
         cases.extend((cubic_forms_germ(r), not2, 0, 1) for r in (3, 4, 5))
         cases.extend((kernel_hessian_zero_germ(m), nondegenerate, 0, 0) for m in (7, 9))
+        assert {germ.n for germ, *_ in cases} == {2, 3, 4, 5, 6}
         for germ, label, untraced, traced in cases:
+            exact = int(germ.n > 2)
             calls = self.m_eliminations(monkeypatch, germ.m - germ.n + 1)
             assert classify(germ, trace=False).label == label
+            assert len(calls) == exact * untraced, (label, calls)
             assert numeric_classify(germ, (0,) * germ.m).label == label
-            assert len(calls) == 2 * untraced, (label, calls)
+            assert len(calls) == (exact + 1) * untraced, (label, calls)
             calls.clear()
             assert classify(germ).label == label
-            assert len(calls) == traced, (label, calls)
+            assert len(calls) == exact * traced, (label, calls)
             monkeypatch.undo()
 
     def test_chart_hessian_eliminates_m_for_theta_and_the_adjugate(self, monkeypatch):
@@ -725,6 +730,163 @@ class TestStageRouting:
             # without the h it is handed, as the untraced path calls it
             assert bits(build_theta_(ls, dataclasses.replace(hd, h=None), column).h) == bits(hd.h)
             assert bits(build_theta_(ls, hd, column).h) == bits(hd.h)
+
+
+def plane_germs(rng):
+    """(kind, germ) for seeded exact maps to the plane, m = 3..7, int and Fraction coefficients.
+
+    The kinds, over x, y1..y_(m-2), z with q = sum +-y_i^2: a fold (`normal_form(m, 2, 1)`),
+    a cusp (`normal_form(m, 2, 2)`), "vanish" (x z + q + z^4: theta h(0) = 0),
+    "flat" (q + z^3: K and M(0) of rank s-1, NotNondegenerate) and "flat2"
+    (y2^2 + ... + z^3 + y1^3: M(0) of rank s-2).  Each comes plain, under a
+    dense linear A-change, and under a unipotent one, whose Fraction terms
+    also change the kernel fields at first order.
+
+    No map to the plane ends at Not2Nondegenerate or RankConditionFailed.
+    rank E(0)^T H <= rank K + n - 1, so non-degeneracy leaves M(0) of rank
+    s - 1 at least: adj(M(0)) is not zero.  And theta(0) . dlambda_i(0) =
+    (M(0) adj(M(0)))_ic = h(0) delta_ic = 0, so theta h(0) != 0 makes dh(0)
+    independent of the dlambda_i(0): condition (b) holds.
+    """
+    for m in range(3, 8):
+        signs = tuple(rng.choice((1, -1)) for _ in range(m - 1))
+        fold, cusp = normal_form(m, 2, 1, signs), normal_form(m, 2, 2, signs[1:])
+        ctx = cusp.context
+        x, *ys, z = (Polynomial.variable(ctx, v) for v in ctx.names)
+        q = sum((s * y**2 for s, y in zip(signs, ys)), Polynomial.zero(ctx))
+        kinds = [("fold", fold), ("cusp", cusp),
+                 ("vanish", MapGerm(ctx, (x, x * z + q + z**4))),
+                 ("flat", MapGerm(ctx, (x, q + z**3))),
+                 ("flat2", MapGerm(ctx, (x, q - signs[0] * ys[0]**2 + ys[0]**3 + z**3)))]
+        for kind, germ in kinds:
+            yield kind, germ
+            yield kind, TestThetaRule.linear_change(rng, germ)
+            yield kind, TestThetaRule.unipotent_change(rng, germ)
+
+
+def plane_stages(germ):
+    """The lambdas `classify` builds for an exact n = 2 germ, and M, h, theta and the
+    h-chain from `kernel_matrix`, `build_theta` and `iterate_h` on them."""
+    work = MapGerm(germ.context, tuple(c.integer_scaled() for c in germ.truncated(3).components))
+    ng = frame_jets(normalize(work))
+    ls = lambdas_for_frame(ng.germ, build_frame(ng))
+    return ls, eliminated_plane_tail(ls)
+
+
+def eliminated_plane_tail(ls):
+    """What `_plane_tail` gives, by eliminating M: h, and with a theta column theta and theta h."""
+    hd = HessData(kernel_matrix(ls))
+    m0 = [[e.constant_term() for e in row] for row in hd.h_matrix.to_rows()]
+    column = _EXACT.theta_column(m0)
+    if column is None:
+        return build_theta(ls, hd, None)
+    return iterate_h(build_theta(ls, hd, column), 1)
+
+
+class TestPlaneRoute:
+    """`criteria._plane_tail`, the exact n = 2 tail by Jacobi's formula, against the
+    elimination of M on the same lambdas, and `classify`'s records with either."""
+
+    @pytest.fixture(scope="class")
+    def germs(self):
+        return list(plane_germs(random.Random(4242)))
+
+    def test_matches_the_elimination_of_m(self, germs):
+        from morinclass.criteria import _plane_tail
+
+        ranks = set()
+        for kind, germ in germs:
+            ls, old = plane_stages(germ)
+            new = _plane_tail(ls)
+            s = germ.m - 1
+            assert new.h_matrix is None
+            assert (new.h, new.h.jet) == (old.h, old.h.jet) == (new.h, 1), kind
+            assert new.theta_column == old.theta_column, kind
+            rank = minor_rank([[e.constant_term() for e in row] for row in old.h_matrix.to_rows()])
+            ranks.add(max(rank, s - 2) - s)
+            if old.theta is None:
+                assert new.theta is None and new.h_derivs is None and rank <= s - 2, kind
+                continue
+            assert [c.constant_term() for c in new.theta.coefficients] == [
+                c.constant_term() for c in old.theta.coefficients], kind
+            assert new.h_derivs[0] is new.h and [p.jet for p in new.h_derivs] == [1, 0]
+            assert [p.constant_term() for p in new.h_derivs] == [
+                p.constant_term() for p in old.h_derivs], kind
+            assert rank_condition_b(ls, new, 2) == rank_condition_b(ls, old, 2), kind
+        # M(0) of rank s, s - 1 and at most s - 2
+        assert ranks == {0, -1, -2}
+
+    def test_records_match_the_elimination_of_m(self, germs, monkeypatch):
+        from morinclass import criteria
+
+        def records():
+            return [json.dumps(classify(germ, trace=trace).trace)
+                    for _, germ in germs for trace in (True, False)]
+
+        new = records()
+        monkeypatch.setattr(criteria, "_plane_tail", eliminated_plane_tail)
+        assert records() == new
+        labels = {str(classify(germ).label).split("(signature")[0] for _, germ in germs}
+        assert labels == {"Fold", "Morin{2}", f"Degenerate({ALL_DERIVATIVES_VANISH})",
+                          f"Degenerate({NOT_NONDEGENERATE})"}
+
+    def test_h_matches_sympy(self, germs):
+        # det M by sympy, cut at order 1, on the changed germs with m <= 5
+        import sympy
+        from morinclass.criteria import _plane_tail
+
+        from conftest import to_sympy
+
+        checked = 0
+        for kind, germ in germs:
+            if germ.m > 5 or kind not in ("cusp", "vanish"):
+                continue
+            ls, old = plane_stages(germ)
+            symbols = sympy.symbols(germ.context.names)
+            m = sympy.Matrix([[to_sympy(e, symbols) for e in row]
+                              for row in old.h_matrix.to_rows()])
+            det = sympy.Poly(sympy.expand(m.det(method="berkowitz")), *symbols)
+            first = sum((c * sympy.Mul(*(v**e for v, e in zip(symbols, exps)))
+                         for exps, c in det.terms() if sum(exps) <= 1), sympy.Integer(0))
+            assert sympy.expand(first - to_sympy(_plane_tail(ls).h, symbols)) == 0, kind
+            checked += 1
+        assert checked == 18
+
+    def test_no_first_order_part(self):
+        # a fold's normal form has constant kernel fields and quadratic
+        # lambdas: M is constant and h is det M(0) alone, an int
+        from morinclass.criteria import _plane_tail
+
+        for m in range(3, 8):
+            ls, old = plane_stages(normal_form(m, 2, 1, tuple((-1) ** i for i in range(m - 1))))
+            h = _plane_tail(ls).h
+            assert h.terms == {0: old.h.constant_term()} and type(h.constant_term()) is int
+
+    def test_route_is_chosen_by_input(self, monkeypatch):
+        # exact maps to the plane take `_plane_tail`, traced and untraced, for
+        # the label and for the trace's h; n >= 3 and floats do not
+        from morinclass import criteria
+        from morinclass.numeric import numeric_classify
+
+        calls, plane_tail = [], criteria._plane_tail
+
+        def counted(ls):
+            calls.append(ls.germ.m)
+            return plane_tail(ls)
+
+        monkeypatch.setattr(criteria, "_plane_tail", counted)
+        for m, k in ((4, 1), (4, 2), (6, 2)):
+            germ = normal_form(m, 2, k, (1,) * (m - 1))
+            for trace in (True, False):
+                calls.clear()
+                classify(germ, trace=trace)
+                assert calls == ([m] if trace or k > 1 else []), (m, k, trace)
+            calls.clear()
+            numeric_classify(germ, (0,) * m)
+            assert calls == []
+        classify(normal_form(5, 3, 3, (1, 1)))
+        classify(normal_form(5, 3, 1, (1, 1, 1)))
+        assert calls == []
 
 
 class TestScaling:
@@ -824,8 +986,10 @@ class TestScaling:
         monkeypatch.setattr(linalg, "_dot", counted)
         cubic = [traced(cubic_forms_germ(r)) for r in range(3, 8)]
         assert all(b <= 2 * a for a, b in zip(cubic, cubic[1:])), cubic
+        # n = 2 forms no M: its count is the scalar adj(M(0)) of `_plane_tail`,
+        # (m-1)-square, which for m = 3 is a 2x2 of 5 products
         families = (
-            (range(3, 11), lambda m: normal_form(m, 2, 1, (1,) * (m - 1))),
+            (range(4, 11), lambda m: normal_form(m, 2, 1, (1,) * (m - 1))),
             (range(5, 11), lambda m: normal_form(m, 4, 4, (1,) * (m - 4))),
             (range(5, 15), kernel_hessian_zero_germ),
         )
@@ -1265,8 +1429,8 @@ def traced_stage_germs():
     ("fold", False, 0, 0),
     ("not 2-nondegenerate", True, 0, 1),
     ("cusp", True, 0, 0),
-    # det M of 1-jets by Jacobi's formula, still inside `PolyMatrix.determinant`
-    ("fold n=2", True, 1, 1),
+    # an exact map to the plane takes h from `_plane_tail`, without M
+    ("fold n=2", True, 0, 0),
     ("cusp n=2", True, 0, 0),
 ])
 def test_traced_stages_run_through_the_wrapped_names(monkeypatch, name, trace, hessians,
@@ -1277,7 +1441,8 @@ def test_traced_stages_run_through_the_wrapped_names(monkeypatch, name, trace, h
     The benchmark's `criteria.hessian` and `linalg.det` spans wrap those two
     names: a stage that builds M or takes det M around them leaves the spans
     at 0 although the work is done.  A Morin candidate builds M itself and
-    takes det M in the same elimination as its theta column.
+    takes det M in the same elimination as its theta column.  An exact map
+    to the plane builds no M: `_plane_tail` takes h from Taylor coefficients.
     """
     from morinclass import criteria
 

@@ -78,9 +78,11 @@ class TestValidate:
 
     @pytest.mark.parametrize("entry", [validate, normalize, classify], ids=lambda f: f.__name__)
     def test_float_coefficients_are_refused(self, xyz, entry):
+        # the second germ has no linear terms: its Jacobian at 0 is int zeros
         ctx, x, y, z = xyz
-        with pytest.raises(ValueError, match="float coefficients.*numeric_classify"):
-            entry(floated(MapGerm(ctx, (x, y**2 + z**2))))
+        for germ in (MapGerm(ctx, (x, y**2 + z**2)), MapGerm(ctx, (x**2 + y**2, z**2 + x * y))):
+            with pytest.raises(ValueError, match="float coefficients.*numeric_classify"):
+                entry(floated(germ))
 
     def test_too_few_source_vars(self):
         ctx = make_context("x", "y")

@@ -413,26 +413,24 @@ def first_order_matrix(rng, ctx, size, rank, den_max=1, linear=True):
 
 
 class TestFirstOrder:
-    """det of exact 1-jets by Jacobi's formula, against the cofactor oracle and the elimination.
+    """det and adj(A) W of exact 1-jets by the elimination, against the cofactor oracle.
 
     The oracle runs in the ring of 1-jets, where truncation is a ring
     homomorphism: det(A) and adj(A) W there, cut at order 1, are the exact
-    results cut at order 1.  Where adj A(0) is not zero (rank s or s-1),
-    `_first_order` gives det(A) that way, with cap 1; where it is zero
-    (rank at most s-2), it gives None.  `determinant` must give the
-    elimination's jet, cap included, which `eliminate` with W still takes;
-    its adj(A) W agrees with the oracle to order 1.
+    results cut at order 1.  Where adj A(0) is not zero (rank s or s-1) the
+    degree-2 terms of det(A) depend on terms the entries do not know, so the
+    elimination's det has cap 1; at rank at most s-2 its jet rule may know
+    more.  `determinant` gives the elimination's jet, cap included.  The
+    classifier's Jacobi's formula on scalar matrices, for maps to the plane,
+    is `criteria._plane_tail`, which `test_criteria.TestPlaneRoute` checks.
     """
 
     def check(self, rows, extra):
         size = len(rows)
-        direct = linalg._first_order(rows)
         det, adj_w = eliminate(rows, extra)
         expected = cofactor_determinant(rows).truncated(1)
         got = PolyMatrix.from_rows(rows).determinant()
         assert got == det and got.jet == det.jet and det.truncated(1) == expected
-        if direct is not None:
-            assert direct.jet == 1 and direct == expected and det.jet == 1
         # the columns of adj(A) that the nonzero rows of W read, each cofactor
         # the oracle's det of a minor
         live = [r for r in range(size) if any(not p.is_zero() for p in extra[r])]
@@ -444,7 +442,7 @@ class TestFirstOrder:
                 oracle = sum((cofactors[r] * extra[r][j] for r in live),
                              Polynomial.zero(det.context))
                 assert entry.truncated(1) == oracle.truncated(1)
-        return direct
+        return det
 
     @pytest.mark.parametrize("size, rank", [
         (size, size - drop) for size in range(1, 8) for drop in (0, 1, 2) if drop <= size
@@ -461,8 +459,9 @@ class TestFirstOrder:
             rows = first_order_matrix(rng, ctx, size, rank, den_max)
             column = rng.randrange(size)
             unit = [[Polynomial.constant(ctx, int(r == column))] for r in range(size)]
-            direct = self.check(rows, unit)
-            assert (direct is None) == (rank <= size - 2)
+            det = self.check(rows, unit)
+            if rank >= size - 1:
+                assert det.jet == 1
 
     def test_elimination_keeps_what_the_rule_knows(self):
         # A(0) = 0: adj A(0) = 0, and the jet rule knows the 4x4 det to
@@ -470,7 +469,6 @@ class TestFirstOrder:
         ctx = make_context("x", "y")
         rng = random.Random(1500)
         rows = first_order_matrix(rng, ctx, 4, 0)
-        assert linalg._first_order(rows) is None
         det = PolyMatrix.from_rows(rows).determinant()
         assert det.jet == 4 and det == cofactor_determinant(rows).truncated(4)
         assert not det.is_zero()
@@ -490,8 +488,7 @@ class TestFirstOrder:
 
     @pytest.mark.parametrize("size", [2, 4, 6])
     def test_zero_linear_parts(self, size):
-        # constant 1-jets: det is det A(0), an int for an int A; below rank
-        # s it is 0 with no first-order part, left to the elimination
+        # constant 1-jets: det is det A(0), and 0 below rank s
         ctx = make_context("x", "y")
         rng = random.Random(3000 + size)
         for rank in (size, size - 1, 0):
@@ -499,41 +496,12 @@ class TestFirstOrder:
             extra = [[Polynomial.constant(ctx, int(r == 0)),
                       random_polynomial(rng, ctx, 1, 2, den_max=1).truncated(1)]
                      for r in range(size)]
-            direct = self.check(rows, extra)
+            det = self.check(rows, extra)
             consts = [[p.constant_term() for p in row] for row in rows]
             if rank < size:
-                assert direct is None
+                assert det.is_zero()
             else:
-                assert direct.terms == {0: cofactor_determinant(consts)}
-                assert type(direct.constant_term()) is int
-
-    def test_route_is_chosen_by_input(self, monkeypatch):
-        # det alone of exact 1-jets larger than 3x3 takes the first-order
-        # route; a 3x3, a W, float 1-jets, exact 2-jets, polynomials and an
-        # uncapped entry keep the elimination
-        calls = []
-        first_order = linalg._first_order
-
-        def counted(a):
-            calls.append(len(a))
-            return first_order(a)
-
-        monkeypatch.setattr(linalg, "_first_order", counted)
-        ctx = make_context("x", "y")
-        rng = random.Random(4000)
-        rows = first_order_matrix(rng, ctx, 4, 3, den_max=2)
-        PolyMatrix.from_rows(rows).determinant()
-        assert calls == [4]
-        eliminate(first_order_matrix(rng, ctx, 3, 3))
-        eliminate(rows, [[Polynomial.constant(ctx, 1)]] * 4)
-        mixed = [list(row) for row in rows]
-        mixed[2][1] = Polynomial(ctx, dict(mixed[2][1].items()))
-        for a in ([[p.map_coefficients(float) for p in row] for row in rows],
-                  jet_matrix(rng, ctx, 4, 4, jet=2),
-                  [[Polynomial(ctx, dict(p.items())) for p in row] for row in rows],
-                  mixed):
-            eliminate(a)
-        assert calls == [4]
+                assert det.terms == {0: cofactor_determinant(consts)}
 
 
 class TestExactRowReduce:

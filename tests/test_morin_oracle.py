@@ -63,11 +63,12 @@ def mul(a, b, order):
     return {e: v for e, v in out.items() if v}
 
 
-def compose(p, subs, order, nv):
-    """p(subs_1, ..., subs_k) to `order`, each subs_i a series in nv variables
+def composer(subs, order, nv):
+    """p -> p(subs_1, ..., subs_k) to `order`, each subs_i a series in nv variables
     without constant term.
 
-    Each monomial of p is built from a smaller one times one subs_i, once.
+    Each monomial is built from a smaller one times one subs_i, once for
+    every p composed with the same subs.
     """
     monomials = {(0,) * len(subs): {(0,) * nv: Fraction(1)}}
 
@@ -78,7 +79,11 @@ def compose(p, subs, order, nv):
             monomials[e] = mul(smaller, subs[i], order)
         return monomials[e]
 
-    return combine(*((c, monomial(e)) for e, c in p.items() if sum(e) <= order))
+    return lambda p: combine(*((c, monomial(e)) for e, c in p.items() if sum(e) <= order))
+
+
+def compose(p, subs, order, nv):
+    return composer(subs, order, nv)(p)
 
 
 def deriv(p, i):
@@ -211,7 +216,9 @@ def morin_oracle(components, m):
     others = [v for v in range(m) if v not in cols]
     y = [{unit(m, i): Fraction(1)} for i in range(m)]
     u, z = y[:n - 1], y[n - 1:]
-    # p <- p - B(0)^-1 (f_{<n}(p, z) - u): one order per pass
+    # p <- p - B(0)^-1 (f_{<n}(p, z) - u): one order per pass.  f_n has no
+    # linear part, so an error of order k in p moves g = f_n(p, z) at order
+    # k + 1 only: g to order n + 1 needs p to order n
     p = [{} for _ in cols]
 
     def source(p):
@@ -222,9 +229,9 @@ def morin_oracle(components, m):
             x[v] = zv
         return x
 
-    for k in range(1, order + 1):  # pass k makes p right to order k
-        x = source(p)
-        resid = [combine((1, compose(comps[r], x, k, m)), (-1, ui)) for r, ui in zip(rows, u)]
+    for k in range(1, order):  # pass k makes p right to order k
+        at = composer(source(p), k, m)
+        resid = [combine((1, at(comps[r])), (-1, ui)) for r, ui in zip(rows, u)]
         p = [combine((1, pc), *((-b_inv[i][j], resid[j]) for j in range(n - 1)))
              for i, pc in enumerate(p)]
     g = compose(f_n, source(p), order, m)
@@ -248,8 +255,11 @@ def morin_oracle(components, m):
     if w_idx:
         k_inv = inverse(hessian_at_0(g, w_idx, m))
         big_w = [{} for _ in w_idx]
-        for k in range(1, order + 1):
-            grad = [compose(deriv(g, i), u + big_w + [t], k, m) for i in w_idx]
+        # d g / d w' vanishes along the exact W, so an error of order k in W
+        # moves phi at order 2k only
+        for k in range(1, order // 2 + 1):
+            at = composer(u + big_w + [t], k, m)
+            grad = [at(deriv(g, i)) for i in w_idx]
             big_w = [combine((1, wi), *((-k_inv[a][b], grad[b]) for b in range(len(w_idx))))
                      for a, wi in enumerate(big_w)]
         g = compose(g, u + big_w + [t], order, m)

@@ -87,6 +87,11 @@ and lists the valid ones):
                                    sevenths: the float h-chain, theta^2 h
                                    and later, and condition (b) reach these
                                    margins
+  witness.records                  `json.dumps(report.trace, sort_keys=True)`
+                                   of traced and untraced `classify` on the
+                                   germ of every `witness_verify` candidate
+                                   at the seed-1 and seed-2 points: theta(0)
+                                   and the h-derivatives of maps to the plane
 
 Each `cli.*` text is the exit status and the standard output.
 
@@ -582,6 +587,17 @@ def criteria_records():
             yield json.dumps(classify(germ, trace=traced).trace, sort_keys=True)
 
 
+def witness_records():
+    family = lefschetz.LefschetzFamily.symbolic()
+    for seed in SEEDS:
+        for params in witness_points(seed):
+            germ = family.at(params)
+            for _, point, _ in lefschetz.witness_verify(params).candidates:
+                for traced in (True, False):
+                    yield json.dumps(classify(germ.translate(point), trace=traced).trace,
+                                     sort_keys=True)
+
+
 FAMILIES = (
     ("ainv_replay.traced", lambda: ainv_reports(True)),
     ("ainv_replay.untraced", lambda: ainv_reports(False)),
@@ -605,6 +621,7 @@ FAMILIES = (
     ("verdicts.underflow", underflow_verdicts),
     ("kernel.terms", kernel_terms),
     ("verdicts.h_chain", h_chain_margins),
+    ("witness.records", witness_records),
 )
 
 
