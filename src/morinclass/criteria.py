@@ -71,7 +71,7 @@ from dataclasses import dataclass, field, replace
 
 from .germ import (AdaptedFrame, MapGerm, NormalizedGerm, PolyVectorField, _apply_fields,
                    build_frame, kernel_fields, normalized)
-from .linalg import PolyMatrix, RationalMatrix, congruence, eliminate, exact_row_reduce
+from .linalg import PolyMatrix, RationalMatrix, adjugate, congruence, eliminate, exact_row_reduce
 from .polynomial import Polynomial, cut_to_order, jet_order
 from .rationals import cleared, format_rational, quotient
 
@@ -233,11 +233,10 @@ def _plane_tail(ls: LambdaSystem) -> HessData:
 
 
 def _exact_adjugate(m0):
-    """det and adj of rational rows: `eliminate` on L m0, L the lcm of the denominators."""
+    """det and adj of rational rows: `adjugate` of L m0, L the lcm of the denominators."""
     size = len(m0)
     den, ints = cleared([e for row in m0 for e in row])
-    det, adj = eliminate([ints[r * size:(r + 1) * size] for r in range(size)],
-                         [[int(r == c) for c in range(size)] for r in range(size)])
+    det, adj = adjugate([ints[r * size:(r + 1) * size] for r in range(size)], 1, 0)
     scale = den ** (size - 1)  # adj(L A) = L^(s-1) adj(A)
     return quotient(det, scale * den), [[quotient(v, scale) for v in row] for row in adj]
 

@@ -136,11 +136,6 @@ class MapGerm:
         return MapGerm(self.context, tuple(p.truncated(max_degree) for p in self.components))
 
 
-def _exact_zero(p):
-    """Whether `p` is the uncapped zero, which a product or a sum passes through unchanged."""
-    return not p.terms and p.jet is None
-
-
 @dataclass(frozen=True)
 class PolyVectorField:
     """Vector field with one polynomial coefficient per source variable."""
@@ -159,13 +154,11 @@ class PolyVectorField:
         return _apply_fields((self,), p)[0]
 
     def scaled(self, factor):
-        return PolyVectorField(self.context, tuple(
-            c if _exact_zero(c) else factor * c for c in self.coefficients))
+        return PolyVectorField(self.context, tuple(factor * c for c in self.coefficients))
 
     def __add__(self, other):
         return PolyVectorField(self.context, tuple(
-            a if _exact_zero(b) else b if _exact_zero(a) else a + b
-            for a, b in zip(self.coefficients, other.coefficients)))
+            a + b for a, b in zip(self.coefficients, other.coefficients)))
 
 
 def _apply_fields(fields, p):

@@ -7,9 +7,8 @@ rows below the pivot, which are all that is read.  It pivots on usable
 entries (a nonzero int or uncapped polynomial, or a jet with a nonzero
 constant term: a unit of Q[x]/m^{N+1}) and divides exactly by the previous
 pivot.  Cofactor expansion finishes a block of at most 3x3, or one left
-without a usable entry, unless that block is 2x2 or larger and exactly zero;
-it expands each minor once, so det of an r x r block costs at most r 2^(r-1)
-products.
+without a usable entry, exactly zero blocks included; it expands each minor
+once, so det of an r x r block costs at most r 2^(r-1) products.
 The same code runs on floats and float jets for the float companion: it
 then pivots on the largest constant term.  Every
 exact division, by a pivot or by a power of the last one, goes through
@@ -108,7 +107,7 @@ class PolyMatrix(_Matrix):
         self._check_square("adjugate")
         ctx = self.context
         one, zero = Polynomial.constant(ctx, 1), Polynomial.zero(ctx)
-        return PolyMatrix.from_rows(adjugate(self.to_rows(), one, zero))
+        return PolyMatrix.from_rows(adjugate(self.to_rows(), one, zero)[1])
 
 
 class RationalMatrix(_Matrix):
@@ -158,11 +157,6 @@ class RationalMatrix(_Matrix):
 
 def _is_zero(e):
     return e == 0 if isinstance(e, (int, float)) else e.is_zero()
-
-
-def _exact_zero(e):
-    """An int 0 or an uncapped zero polynomial; never a float, whose zeros carry a sign."""
-    return e == 0 and not isinstance(e, float) and getattr(e, "jet", None) is None
 
 
 def _at0(e):
@@ -341,8 +335,6 @@ def exact_row_reduce(rows):
     pivot_rows, pivot_cols = [], []
     for col in range(len(rows[0]) if rows else 0):
         free = [r for r in range(n) if r not in pivot_rows]
-        if not free:
-            break
         piv = next((r for r in free if a[r][col]), None)
         if piv is None:
             continue
@@ -427,12 +419,7 @@ def eliminate(a, w=None):
     k, pivot, sign, order = _forward(rows, n, 3)
     r = n - k
     block, extra = [row[k:n] for row in rows[k:]], [row[n:] for row in rows[k:]]
-    if r >= 2 and all(_exact_zero(e) for row in block for e in row):
-        # det(S) = 0 and, as r >= 2, adj(S) = 0: zeros of T's type, with no expansion
-        det_s = block[0][0]
-        adj_t = [[det_s * t for t in row] for row in extra]
-    else:
-        det_s, adj_t = _cofactor(block, extra)
+    det_s, adj_t = _cofactor(block, extra)
     if sign < 0:
         det_s, adj_t = -det_s, [[-v for v in row] for row in adj_t]
     down, down_top = _dividers(pivot, r - 1, r)
@@ -448,7 +435,7 @@ def eliminate(a, w=None):
 
 
 def adjugate(rows, one, zero):
-    """adj(A) for a square A given as rows, `one` and `zero` being its ring's units."""
+    """det(A) and adj(A) for a square A given as rows, `one` and `zero` being its ring's units."""
     size = len(rows)
     identity = [[one if r == c else zero for c in range(size)] for r in range(size)]
-    return eliminate(rows, identity)[1]
+    return eliminate(rows, identity)

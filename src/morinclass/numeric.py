@@ -335,7 +335,7 @@ class _Thresholds:
     def theta_column(self, m0):
         """The column of adj(M(0)) with the largest entry, if that is above zero_tol."""
         size = len(m0)
-        adj = adjugate(m0, 1.0, 0.0)
+        adj = adjugate(m0, 1.0, 0.0)[1]
         norms = [max(abs(adj[r][c]) for r in range(size)) for c in range(size)]
         best = max(range(size), key=norms.__getitem__)
         self.record("adjugate column", norms[best], self.tol.zero_tol)

@@ -323,11 +323,11 @@ class TestElimination:
         steps, _, _, order = linalg._forward(work, size, 0)
         assert steps == size and work[0] == [rows[first][j] for j in order]
 
-    def test_exact_zero_block_is_not_expanded(self, monkeypatch):
+    def test_zero_blocks_take_one_cofactor_call(self, monkeypatch):
         # rows 2..5 are multiples of row 1, so one step leaves an exactly zero
-        # 4x4 block: det 0 and adj 0 with no cofactor expansion.  A block of
-        # float zeros is expanded still, as the bits of its signed zeros need:
-        # one call of `_cofactor`, which expands its minors inside
+        # 4x4 block, which `_cofactor` expands as any other: det 0 and adj 0.
+        # A block of float zeros is expanded alike, as the bits of its signed
+        # zeros need: one call of `_cofactor`, which expands its minors inside
         from morinclass import linalg
 
         calls, dots = [], []
@@ -352,10 +352,37 @@ class TestElimination:
         extra = [[random_polynomial(rng, ctx, 1, 2)] for _ in range(5)]
         self.check(rows, extra)
         assert eliminate([[0] * 5 for _ in range(5)], [[1]] * 5) == (0, [[0]] * 5)
-        assert calls == []
+        calls.clear()
         dots.clear()
         eliminate([[0.0] * 4 for _ in range(4)])
         assert calls == [4] and dots
+
+    def test_expanded_zero_block_stays_polynomial(self, monkeypatch):
+        # an s x s exactly zero block has no pivot, and `_cofactor` expands it
+        # whole: det 0 and adj 0 of the entries' types.  Each minor is expanded
+        # once, along a first row whose zeros leave one cofactor, so det alone
+        # takes s - 1 products and adj(A) W at most s^3
+        calls, dot = [0], linalg._dot
+
+        def counted(xs, ys):
+            calls[0] += 1
+            return dot(xs, ys)
+
+        monkeypatch.setattr(linalg, "_dot", counted)
+        ctx = make_context("x", "y")
+        zero = Polynomial.zero(ctx)
+        for s in range(2, 13):
+            identity = [[int(r == c) for c in range(s)] for r in range(s)]
+            e_c = [[Polynomial.constant(ctx, int(r == s // 2))] for r in range(s)]
+            for entry, w, want in ((0, identity, [[0] * s] * s), (0, None, [[]] * s),
+                                   (zero, e_c, [[zero]] * s)):
+                calls[0] = 0
+                det, adj_w = eliminate([[entry] * s for _ in range(s)], w)
+                assert det == 0 and type(det) is type(entry) and adj_w == want
+                assert all(type(v) is type(entry) for row in adj_w for v in row)
+                if isinstance(entry, Polynomial):
+                    assert det.jet is None and all(v.jet is None for (v,) in adj_w)
+                assert calls[0] <= (s**3 if w else s - 1), (s, w is not None, calls[0])
 
     def test_singular_uncapped(self):
         ctx = make_context("x", "y")

@@ -51,21 +51,22 @@ def combine(*scaled):
     return {e: v for e, v in out.items() if v}
 
 
-def mul(a, b, order):
+def mul(a, b, order, linear):
+    """a b to `order`, without the terms of degree 2 or more in the first `linear` variables."""
     out = {}
-    b = [(eb, cb, sum(eb)) for eb, cb in b.items()]
+    b = [(eb, cb, sum(eb), sum(eb[:linear])) for eb, cb in b.items()]
     for ea, ca in a.items():
-        room = order - sum(ea)
-        for eb, cb, db in b:
-            if db <= room:
+        room, lin = order - sum(ea), 1 - sum(ea[:linear])
+        for eb, cb, db, lb in b:
+            if db <= room and lb <= lin:
                 e = tuple(x + y for x, y in zip(ea, eb))
                 out[e] = out.get(e, 0) + ca * cb
     return {e: v for e, v in out.items() if v}
 
 
-def composer(subs, order, nv):
+def composer(subs, order, nv, linear):
     """p -> p(subs_1, ..., subs_k) to `order`, each subs_i a series in nv variables
-    without constant term.
+    without constant term, and to degree 1 in the first `linear` of them.
 
     Each monomial is built from a smaller one times one subs_i, once for
     every p composed with the same subs.
@@ -76,14 +77,14 @@ def composer(subs, order, nv):
         if e not in monomials:
             i = next(i for i, k in enumerate(e) if k)
             smaller = monomial(e[:i] + (e[i] - 1,) + e[i + 1:])
-            monomials[e] = mul(smaller, subs[i], order)
+            monomials[e] = mul(smaller, subs[i], order, linear)
         return monomials[e]
 
     return lambda p: combine(*((c, monomial(e)) for e, c in p.items() if sum(e) <= order))
 
 
-def compose(p, subs, order, nv):
-    return composer(subs, order, nv)(p)
+def compose(p, subs, order, nv, linear):
+    return composer(subs, order, nv, linear)(p)
 
 
 def deriv(p, i):
@@ -195,7 +196,11 @@ def morin_oracle(components, m):
     """("Fold", (pos, neg)), ("Cusp", None), ("Morin", k) for k >= 3 or ("Other", None).
 
     The germ is given as term dicts.  Only its jet of order n + 1 is read,
-    as by `classify`, so k is at most n.
+    as by `classify`, so k is at most n.  The series in (u, z) are taken
+    modulo (u)^2: the decision reads only the terms of phi free of u and
+    linear in u, and every substitution below maps each u_j to u_j, so
+    dropping the terms of degree 2 or more in u after each product gives
+    those terms unchanged.
     """
     n = len(components)
     order = n + 1
@@ -230,11 +235,11 @@ def morin_oracle(components, m):
         return x
 
     for k in range(1, order):  # pass k makes p right to order k
-        at = composer(source(p), k, m)
+        at = composer(source(p), k, m, n - 1)
         resid = [combine((1, at(comps[r])), (-1, ui)) for r, ui in zip(rows, u)]
         p = [combine((1, pc), *((-b_inv[i][j], resid[j]) for j in range(n - 1)))
              for i, pc in enumerate(p)]
-    g = compose(f_n, source(p), order, m)
+    g = compose(f_n, source(p), order, m, n - 1)
     s = m - n + 1
     z_idx = list(range(n - 1, m))
     kern = hessian_at_0(g, z_idx, m)
@@ -250,7 +255,7 @@ def morin_oracle(components, m):
     t = y[m - 1]
     w = {i: y[n - 1 + j] for j, i in enumerate(rest)}
     subs = list(u) + [combine(*([(1, w[i])] if i in w else []), (v[i], t)) for i in range(s)]
-    g = compose(g, subs, order, m)
+    g = compose(g, subs, order, m, n - 1)
     w_idx = list(range(n - 1, m - 1))
     if w_idx:
         k_inv = inverse(hessian_at_0(g, w_idx, m))
@@ -258,11 +263,11 @@ def morin_oracle(components, m):
         # d g / d w' vanishes along the exact W, so an error of order k in W
         # moves phi at order 2k only
         for k in range(1, order // 2 + 1):
-            at = composer(u + big_w + [t], k, m)
+            at = composer(u + big_w + [t], k, m, n - 1)
             grad = [at(deriv(g, i)) for i in w_idx]
             big_w = [combine((1, wi), *((-k_inv[a][b], grad[b]) for b in range(len(w_idx))))
                      for a, wi in enumerate(big_w)]
-        g = compose(g, u + big_w + [t], order, m)
+        g = compose(g, u + big_w + [t], order, m, n - 1)
     phi = g  # phi(u, t)
 
     def coefficient(j, i):
@@ -334,7 +339,7 @@ def normal_coordinates_germ(rng, kind, m, n):
     us, zs = list(range(n - 1)), list(range(n - 1, m))
     comps = []
     # a t in the pivot components' terms would give u_a t in f_n a t^3
-    keep_t = kind not in ("morin 3", "not versal 3")
+    keep_t = kind not in ("morin 3", "not versal 3", "morin 4", "not versal 4")
     for i in us:
         terms = {mono(i): Fraction(1)}
         for e in combinations_with_replacement(range(m), 2):
@@ -361,13 +366,21 @@ def normal_coordinates_germ(rng, kind, m, n):
         last[mono(t, t, t, t)] = coeff()
         last[mono(a, t)] = coeff()
         last[mono(b if kind == "morin 3" else a, t, t)] = coeff()
+    elif kind in ("morin 4", "not versal 4"):
+        # the u_j t^i, 1 <= i <= 3: three u's, or two, which leave rank 2
+        a, b, c = rng.sample(us, 3)
+        last[mono(t, t, t, t, t)] = coeff()
+        last[mono(a, t)] = coeff()
+        last[mono(b, t, t)] = coeff()
+        last[mono(c if kind == "morin 4" else rng.choice((a, b)), t, t, t)] = coeff()
     # higher-order terms that keep the kind: cubics, through z1 only where K
-    # has no kernel along z1, and quartics
+    # has no kernel along z1, and quartics, through z1 but where they would
+    # move the t^4 and u_j t^3 of a Morin 4 kind
     for e in combinations_with_replacement(range(m), 3):
         if rng.random() < 0.25 and (kind in ("fold", "corank two") or t not in e):
             last[mono(*e)] = last.get(mono(*e), 0) + coeff()
     for e in combinations_with_replacement(range(m), 4):
-        if rng.random() < 0.05:
+        if rng.random() < 0.05 and (kind not in ("morin 4", "not versal 4") or t not in e):
             last[mono(*e)] = last.get(mono(*e), 0) + coeff()
     comps.append({e: c for e, c in last.items() if c})
     # both classifiers read the jet of order n+1 alone, and so does each
@@ -431,6 +444,31 @@ def test_oracle_on_morin_3_normal_forms():
         germ = MapGerm(ctx, (u1, u2, t**4 + u1 * t + u * t**2 + z**2))
         assert morin_oracle([dict(p.items()) for p in germ.components], 4) == want
         assert str(classify(germ, trace=False).label) == label
+
+
+def test_oracle_agrees_on_morin_4():
+    # condition (b) at n = 4: Morin 4 germs, and near misses whose u-terms of
+    # t, t^2 and t^3 leave the versality matrix rank 2, under A-changes; then
+    # the two normal forms
+    start = time.perf_counter()
+    rng = random.Random(1965)
+    counts = Counter()
+    for _ in range(3):
+        for kind in ("morin 4", "not versal 4"):
+            germ = normal_coordinates_germ(rng, kind, 5, 4)
+            want = morin_oracle([dict(p.items()) for p in germ.components], germ.m)
+            label = classify(germ, trace=False).label
+            assert classify_class(label) == want, [p.render() for p in germ.components]
+            counts[str(label)] += 1
+    assert counts["Morin{4}"] >= 3 and counts["Degenerate(RankConditionFailed)"] >= 3, counts
+    ctx = make_context("u1", "u2", "u3", "t", "z")
+    u1, u2, u3, t, z = (Polynomial.variable(ctx, v) for v in ("u1", "u2", "u3", "t", "z"))
+    for u, want, label in ((u3, ("Morin", 4), "Morin{4}"),
+                           (u1, ("Other", None), "Degenerate(RankConditionFailed)")):
+        germ = MapGerm(ctx, (u1, u2, u3, t**5 + u1 * t + u2 * t**2 + u * t**3 + z**2))
+        assert morin_oracle([dict(p.items()) for p in germ.components], 5) == want
+        assert str(classify(germ, trace=False).label) == label
+    assert time.perf_counter() - start < 6
 
 
 def test_oracle_on_normal_forms():
