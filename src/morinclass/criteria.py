@@ -73,7 +73,7 @@ from .germ import (AdaptedFrame, MapGerm, NormalizedGerm, PolyVectorField, _appl
                    build_frame, kernel_fields, normalized)
 from .linalg import PolyMatrix, RationalMatrix, adjugate, congruence, eliminate, exact_row_reduce
 from .polynomial import Polynomial, cut_to_order, jet_order
-from .rationals import cleared, format_rational, quotient
+from .rationals import cleared, format_rational
 
 NOT_NONDEGENERATE = "NotNondegenerate"
 NOT_2_NONDEGENERATE = "Not2Nondegenerate"
@@ -208,8 +208,9 @@ def _plane_tail(ls: LambdaSystem) -> HessData:
     fields = [[(w, c.constant_term(), c.linear_coefficients())
                for w, c in enumerate(eta.coefficients) if c.terms] for eta in ls.frame.eta]
     grads = [lam.linear_coefficients() for lam in lambdas]
-    det0, adj = _exact_adjugate([[sum(e * grad[w] for w, e, _ in field)
-                                  for field in fields] for grad in grads])
+    # M(0) = det B(0) K, ints: the head is integer-scaled and `normalized` keeps int rows
+    det0, adj = adjugate([[sum(e * grad[w] for w, e, _ in field)
+                           for field in fields] for grad in grads], 1, 0)
     dh = [0] * len(keys)
     for field, weights in zip(fields, adj):  # d(eta_j mu_j)(0), mu_j = sum_i adj_ji lambda_i
         for w, e, de in field:
@@ -230,15 +231,6 @@ def _plane_tail(ls: LambdaSystem) -> HessData:
     jets = [Polynomial._wrap(ctx, {0: t} if t else {}, 0) for t in (*theta0, theta_h0)]
     return HessData(h=h, theta=PolyVectorField(ctx, jets[:-1]), theta_column=column,
                     h_derivs=(h, jets[-1]))
-
-
-def _exact_adjugate(m0):
-    """det and adj of rational rows: `adjugate` of L m0, L the lcm of the denominators."""
-    size = len(m0)
-    den, ints = cleared([e for row in m0 for e in row])
-    det, adj = adjugate([ints[r * size:(r + 1) * size] for r in range(size)], 1, 0)
-    scale = den ** (size - 1)  # adj(L A) = L^(s-1) adj(A)
-    return quotient(det, scale * den), [[quotient(v, scale) for v in row] for row in adj]
 
 
 def _first_column(adj):
@@ -335,7 +327,8 @@ class _Exact:
 
     def theta_column(self, m0):
         """The first column of adj(M(0)) that is not zero, or None."""
-        return _first_column(_exact_adjugate(m0)[1])
+        # each row cleared to ints: a positive row scaling scales adj's columns
+        return _first_column(adjugate([cleared(row)[1] for row in m0], 1, 0)[1])
 
 
 _EXACT = _Exact()

@@ -140,8 +140,6 @@ def _scale(a):
     which `_Thresholds.record` refuses.
     """
     a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return np.full(a.shape[:-2], 1e-300)
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt(a[..., None, :] @ a[..., :, None])[..., 0, 0]
     flat = norms.reshape(-1, norms.shape[-1])
@@ -484,47 +482,32 @@ def _shared_pipeline(germ, tol, terms_and_caps):
     return _FloatPipeline(germ, tol)
 
 
-def _kernel_hessians(coef, red, n, m):
-    """`normalized` and `kernel_hessian_at_origin` at each point of a stack of corank-one germs.
+def _kernel_hessians(coef, red, m):
+    """`normalized` and `kernel_hessian_at_origin` at each corank-one point of maps to the plane.
 
     `coef` holds each component's `two_jet_coefficients` and `red` their
     corank reduction.  Returns det B(0), E(0)^T H and K, and where their bits
-    are surely the scalar stages'.  det B and adj(B) W are b and W for a
-    1x1 B, `eliminate`'s one point at a time above.  The rows of T f are plain sums here, where
+    are surely the scalar stages'.  B is 1x1: det B(0) is the pivot entry of
+    the first row of T f and adj(B) W its other linear entries, as
+    `eliminate` gives them.  The rows of T f are plain sums here, where
     `normalized` skips a zero weight, drops a sum that cancels and leaves an
     absent term an int 0.  With finite weights those differ only in the sign
     of a zero, which the stages read only through a zero det B(0): such
     points, and those with a weight that is not finite, are not `usable`.
     """
-    k, s = len(coef), m - n + 1
-    at, ks = np.arange(k)[:, None], np.arange(s)
-    critical = np.argmax(red.free, axis=1)
-    weights = red.t[at, np.concatenate([red.pivot_rows[:, :n - 1], critical[:, None]], axis=1)]
-    acc = np.zeros((k, n, coef.shape[2]))
-    for c in range(n):
-        acc = acc + coef[:, None, c] * weights[:, :, c, None]
-    pivot_cols = red.pivot_cols[:, :n - 1]
-    rest = np.ones((k, m), dtype=bool)
-    rest[at, pivot_cols] = False
-    other_cols = np.nonzero(rest)[1].reshape(k, s)
+    k, s = len(coef), m - 1
+    at, ks = np.arange(k), np.arange(s)
+    weights = red.t[at[:, None], np.stack([red.pivot_rows[:, 0], np.argmax(red.free, axis=1)], 1)]
+    acc = coef[:, None, 0] * weights[:, :, 0, None] + coef[:, None, 1] * weights[:, :, 1, None]
+    pivot = red.pivot_cols[:, 0]
+    other_cols = ks + (ks >= pivot[:, None])  # the columns but the pivot, in order
+    det_b = acc[at, 0, pivot]
     e = np.zeros((k, s, m))
-    if n > 1:
-        def block(a, cols):
-            return np.take_along_axis(a[:, :n - 1, :m], np.repeat(cols[:, None], n - 1, axis=1), 2)
-        b, w = block(acc, pivot_cols), block(acc, other_cols)
-        if n == 2:  # a 1x1 B: det B is b and adj(B) W is W, as `eliminate` gives them
-            det_b, adj_w = b[:, 0, 0], w
-        else:
-            det_b, adj_w = map(np.array, zip(*map(eliminate, b.tolist(), w.tolist())))
-        usable = det_b != 0
-        for j in range(n - 1):
-            e[at, ks, pivot_cols[:, j, None]] = -adj_w[:, j]
-    else:
-        det_b, usable = np.ones(k), np.ones(k, dtype=bool)
-    e[at, ks, other_cols] = det_b[:, None]
+    e[at[:, None], ks, pivot[:, None]] = -np.take_along_axis(acc[:, 0], other_cols, 1)
+    e[at[:, None], ks, other_cols] = det_b[:, None]
     hess = np.zeros((k, m, m))
     pairs = [(a, b) for a in range(m) for b in range(a, m)]
-    for q, (a, b) in zip(acc[:, n - 1, m:].T, pairs):
+    for q, (a, b) in zip(acc[:, 1, m:].T, pairs):
         # the derivative of c x_a^2 is 2 c x_a, that of c x_a x_b is c x_b
         hess[:, a, b] = hess[:, b, a] = q * 2 if a == b else q
     eta_hess = np.zeros((k, s, m))
@@ -533,7 +516,7 @@ def _kernel_hessians(coef, red, n, m):
     kern = np.zeros((k, s, s))
     for v in range(m):
         kern = kern + eta_hess[:, :, v, None] * e[:, None, :, v]
-    return det_b, eta_hess, kern, usable & np.isfinite(weights).all(axis=(1, 2))
+    return det_b, eta_hess, kern, (det_b != 0) & np.isfinite(weights).all(axis=(1, 2))
 
 
 def _stacked_stages(jets, n, m, tol):
@@ -541,8 +524,10 @@ def _stacked_stages(jets, n, m, tol):
 
     The corank reduction, `normalized`, `kernel_hessian_at_origin` and the
     fold test, each with the float operations of the scalar stage in its
-    order.  A point `_kernel_hessians` finds not `usable` takes det B(0),
-    E(0)^T H and K from `kernel_hessian_at_origin` on its normalized germ.
+    order.  Only maps to the plane, whose scans run many points, stack
+    det B(0), E(0)^T H and K (`_kernel_hessians`); every corank-one point of
+    another n, and one that `_kernel_hessians` finds not `usable`, takes them
+    from `kernel_hessian_at_origin` on its normalized germ.
     A jet's state: its margins as (name, value, threshold); Regular or
     CorankHigh where the corank decides, else None; the fold test's (h(0),
     rank, inertia); and a Morin candidate's normalized germ.
@@ -564,7 +549,10 @@ def _stacked_stages(jets, n, m, tol):
             pivots = corank.pivot_rows[i, :n - 1].tolist(), corank.pivot_cols[i, :n - 1].tolist()
             return normalized(jets[i].truncated(n + 1), corank.t[i].tolist(), *pivots, exact=False)
 
-        det_b, eta_hess, kern, usable = _kernel_hessians(coef[sub], corank[sub], n, m)
+        k = len(sub)
+        det_b, eta_hess, kern, usable = (
+            _kernel_hessians(coef[sub], corank[sub], m) if n == 2 else
+            (np.zeros(k), np.zeros((k, s, m)), np.zeros((k, s, s)), np.zeros(k, dtype=bool)))
         ngs = {j: normal(i) for j, i in enumerate(sub) if not usable[j]}
         for j, ng in ngs.items():
             det_b[j], eta_hess[j], kern[j] = kernel_hessian_at_origin(ng)

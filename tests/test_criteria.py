@@ -7,6 +7,7 @@ import math
 import operator
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -949,16 +950,34 @@ class TestScaling:
     def test_cubic_forms_family(self, counts):
         self.assert_polynomial_growth(counts, range(3, 11), cubic_forms_germ)
 
-    def test_zero_adjugate_block_is_not_expanded(self, counts):
+    def test_theta_decision_on_a_zero_block_stays_polynomial(self, monkeypatch):
         # the exact theta column decision eliminates M(0) = 0, an r x r block
-        # of zeros: det 0 and adj 0 without expansion, so the count of
-        # expansions does not grow with r
-        expansions = []
+        # of zeros with no pivot: `_cofactor` expands each minor once, in at
+        # most r^3 `_dot` calls, the bound of
+        # `test_linalg.py::TestElimination::test_expanded_zero_block_stays_polynomial`
+        from morinclass import criteria, linalg
+
+        dots, deciding = [0], [False]
+        dot, decide = linalg._dot, criteria._Exact.theta_column
+
+        def counted_dot(xs, ys):
+            dots[0] += deciding[0]
+            return dot(xs, ys)
+
+        def counted_decision(self, m0):
+            deciding[0] = True
+            try:
+                return decide(self, m0)
+            finally:
+                deciding[0] = False
+
+        monkeypatch.setattr(linalg, "_dot", counted_dot)
+        monkeypatch.setattr(criteria._Exact, "theta_column", counted_decision)
         for r in range(3, 11):
-            counts["expansions"] = 0
+            dots[0] = 0
             assert classify(cubic_forms_germ(r), trace=False).label.reason == NOT_2_NONDEGENERATE
-            expansions.append(counts["expansions"])
-        assert expansions == expansions[:1] * len(expansions), expansions
+            assert 0 < dots[0] <= r**3, (r, dots[0])
+
 
     def test_kernel_hessian_zero_family(self, counts):
         # m = 5..14
@@ -1228,6 +1247,35 @@ class TestFoldOverQ:
                 assert nondegeneracy["rank"] == nondegeneracy["required"] == minor_rank(dlambda)
                 folds[source] += 1
         assert folds == {"battery": 48, "witness": 200}
+
+    def test_integer_m0_is_det_b_times_k(self, battery_germs, monkeypatch):
+        # the theta decision and `_plane_tail` take adj(M(0)) of M(0) as it
+        # comes: on `classify`'s integer-scaled germs it is a matrix of ints,
+        # det B(0) K (dlambda(0) = det B(0) E(0)^T H, so M(0) = det B(0) E(0)^T H E(0))
+        from morinclass import criteria
+
+        heads, read = [], []
+        kernel_hessian, adjugate = criteria.kernel_hessian_at_origin, criteria.adjugate
+        decide = criteria._Exact.theta_column
+        monkeypatch.setattr(criteria, "kernel_hessian_at_origin",
+                            lambda ng: heads.append(kernel_hessian(ng)) or heads[-1])
+        monkeypatch.setattr(criteria, "adjugate",
+                            lambda rows, *units: read.append(rows) or adjugate(rows, *units))
+        monkeypatch.setattr(criteria._Exact, "theta_column",
+                            lambda self, m0: read.append(m0) or decide(self, m0))
+        checked = Counter()
+        for source, germs in (("battery", self.changed_battery(battery_germs)),
+                              ("witness", self.witness_germs())):
+            for germ in germs:
+                heads.clear(), read.clear()
+                classify(germ, trace=False)
+                for m0 in read:
+                    [(det_b, _, kern)] = heads
+                    assert all(type(e) is int for row in m0 for e in row), source
+                    assert m0 == [[det_b * e for e in row] for row in kern], source
+                checked[source, germ.n] += bool(read)
+        # the germs past non-degeneracy, whose M(0) is read
+        assert checked == {("battery", 2): 12, ("battery", 3): 24, ("witness", 2): 52}
 
     def test_exact_fold_runs_one_elimination(self, battery_germs, monkeypatch):
         # counts, not times: the one `eliminate` is that of [B(0) | W(0)]

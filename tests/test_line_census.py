@@ -1,4 +1,4 @@
-"""`tools/line_census.py` on one workload: a smoke test."""
+"""`tools/line_census.py` on one workload at a time: smoke tests and what the census pins."""
 
 import subprocess
 import sys
@@ -13,9 +13,14 @@ def checkout_state():
     return {p: p.stat().st_mtime_ns for p in ROOT.rglob("*") if ".git" not in p.relative_to(ROOT).parts}
 
 
-def test_dim_ladder_census():
+def census(workload):
+    """The tool on `workload` at seed 1: {module: {line number: text}} of the lines not run.
+
+    Checks that the run touches no file in the checkout, that every module
+    has its header and that each header counts the lines listed under it.
+    """
     before = checkout_state()
-    proc = subprocess.run([sys.executable, str(TOOL), "dim_ladder", "--seeds", "1"],
+    proc = subprocess.run([sys.executable, str(TOOL), workload, "--seeds", "1"],
                           capture_output=True, text=True, cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert checkout_state() == before
@@ -30,11 +35,30 @@ def test_dim_ladder_census():
     assert list(unrun) == sorted(p.name for p in PACKAGE.glob("*.py"))
     for name, (missing, executable) in headers.items():
         assert len(unrun[name]) == missing <= executable
+    return unrun
+
+
+def test_dim_ladder_census():
     # every eliminate ends in `_cofactor`; dim_ladder builds no non-square matrix
-    linalg = unrun["linalg.py"]
+    linalg = census("dim_ladder")["linalg.py"]
     source = (PACKAGE / "linalg.py").read_text().splitlines()
     ends = source.index("    det_s, adj_t = _cofactor(block, extra)") + 1
     assert ends not in linalg
     assert "raise NonSquareMatrixError(f\"{what} of a non-square matrix\")" in linalg.values()
     for number, text in linalg.items():
+        assert source[number - 1].strip() == text
+
+
+def test_float_scan_export_census():
+    # the scans map to the plane: every point takes the stacked kernel
+    # Hessian, every line of `_kernel_hessians` runs, and no point takes
+    # `kernel_hessian_at_origin` in `_stacked_stages`
+    numeric = census("float_scan_export")["numeric.py"]
+    source = (PACKAGE / "numeric.py").read_text().splitlines()
+    start = source.index("def _kernel_hessians(coef, red, m):") + 1
+    end = next(i for i in range(start, len(source)) if source[i].startswith("def "))
+    assert not [number for number in numeric if start <= number <= end]
+    per_point = source.index("            det_b[j], eta_hess[j], kern[j] = kernel_hessian_at_origin(ng)")
+    assert per_point + 1 in numeric
+    for number, text in numeric.items():
         assert source[number - 1].strip() == text

@@ -417,6 +417,29 @@ def test_oracle_agrees_with_classify():
     assert time.perf_counter() - start < 5
 
 
+def test_oracle_agrees_at_m_5():
+    # m = 5: folds for n = 1..4, cusps for n = 2..4 and the near misses of
+    # `seeded_germs` (corank-two K, cusps without their u t term, a
+    # degenerate critical point), under the same A-changes
+    start = time.perf_counter()
+    rng = random.Random(1965)
+    plans = [("fold", n) for n in range(1, 5)] + [("cusp", n) for n in range(2, 5)]
+    plans += [("corank two", n) for n in range(1, 4)] + [("not versal", n) for n in (2, 3)]
+    plans += [("degenerate", 1)]
+    counts = Counter()
+    for _ in range(2):
+        for kind, n in plans:
+            germ = normal_coordinates_germ(rng, kind, 5, n)
+            want = morin_oracle([dict(p.items()) for p in germ.components], germ.m)
+            got = classify_class(classify(germ, trace=False).label)
+            if want[0] == "Fold":
+                want = "Fold", tuple(sorted(want[1]))
+            assert got == want, [p.render() for p in germ.components]
+            counts[want[0]] += 1
+    assert counts == {"Fold": 8, "Cusp": 6, "Other": 12}, counts
+    assert time.perf_counter() - start < 6
+
+
 def test_oracle_agrees_on_morin_3():
     # condition (b) at n = 3: Morin 3 germs, and near misses whose u_a t and
     # u_a t^2 leave the versality matrix rank 1, which pass non-degeneracy

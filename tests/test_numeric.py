@@ -924,42 +924,6 @@ class TestBatchOracle:
             for i, rows in enumerate(a.tolist()):
                 assert det[i].hex() == eliminate(rows)[0].hex()
 
-    @pytest.mark.parametrize("m, n", [(4, 3), (5, 3), (5, 4), (6, 4)])
-    def test_kernel_hessians_with_larger_b(self, m, n):
-        # n-1 = 2 and 3: det B(0) and adj(B) W come from `eliminate` one point
-        # at a time, with the bits of `kernel_hessian_at_origin` on the point's
-        # normalized germ.  f_n's linear part is a combination of the others',
-        # so the corank reduction leaves it a row of rounding residue or zeros
-        ctx = make_context(*(f"x{i}" for i in range(1, m + 1)))
-        rng = random.Random(3535 + 10 * m + n)
-        pool = (0.0, -0.0, 1.5, -2.0, 0.75, 3.25, 1e-300)
-        quadratic = [e for e in product(range(3), repeat=m) if sum(e) == 2]
-        units = [tuple(int(j == i) for j in range(m)) for i in range(m)]
-        germs = []
-        for _ in range(150):
-            rows = [[rng.choice(pool) for _ in range(m)] for _ in range(n - 1)]
-            mix = [rng.choice((0.0, 1.0, -0.5)) for _ in rows]
-            rows.append([sum(c * row[j] for c, row in zip(mix, rows)) for j in range(m)])
-            germs.append(MapGerm(ctx, tuple(Polynomial(ctx, {
-                **{u: c for u, c in zip(units, row) if c},
-                **{e: rng.choice(pool[2:]) for e in quadratic if rng.random() < 0.5}})
-                for row in rows)))
-        coef = np.array([[c for p in g.components for c in p.two_jet_coefficients()]
-                         for g in germs], dtype=float).reshape(len(germs), n, -1)
-        with np.errstate(all="ignore"):
-            corank = numeric._reduce(coef[:, :, :m], 1e-6)
-            sub = np.flatnonzero(corank.rank == n - 1)
-            det_b, eta_hess, kern, usable = numeric._kernel_hessians(coef[sub], corank[sub], n, m)
-        assert usable.sum() > 50
-        for j, i in enumerate(sub):
-            if not usable[j]:
-                continue
-            pivots = corank.pivot_rows[i, :n - 1].tolist(), corank.pivot_cols[i, :n - 1].tolist()
-            ng = normalized(germs[i], corank.t[i].tolist(), *pivots, exact=False)
-            want = kernel_hessian_at_origin(ng)
-            got = (float(det_b[j]), eta_hess[j].tolist(), kern[j].tolist())
-            assert [float(v).hex() for v in _flat(want)] == [v.hex() for v in _flat(got)]
-
     def test_rows_of_t_f_as_normalized_sums_them(self):
         # exact cancellations, absent terms and products that underflow to
         # -0.0: `normalized` drops a sum that cancels and keeps a zero
@@ -969,26 +933,26 @@ class TestBatchOracle:
         exps = [e for e in product(range(3), repeat=4) if 1 <= sum(e) <= 2]
         rng = random.Random(3333)
         pool, weights = (1.5, -1.5, 2.0, 1e-300, -1e-300), (0.0, 1.0, -1.0, 1e-300, 0.5)
-        t = [[[rng.choice(weights) for _ in range(3)] for _ in range(3)] for _ in range(300)]
+        t = [[[rng.choice(weights) for _ in range(2)] for _ in range(2)] for _ in range(300)]
         germs = [MapGerm(ctx, tuple(
             Polynomial(ctx, {e: rng.choice(pool) for e in exps if rng.random() < 0.6})
-            for _ in range(3))) for _ in t]
-        for rows, germ in zip(t, germs):
-            rows[0][0] = rows[1][1] = 1.0  # pivots (0, x1) and (1, x2): the weights T f takes
+            for _ in range(2))) for _ in t]
+        for rows in t:
+            rows[0][0] = 1.0  # pivot (0, x1): the weight T f takes
         coef = np.array([[c for p in g.components for c in p.two_jet_coefficients()]
-                         for g in germs], dtype=float).reshape(300, 3, -1)
+                         for g in germs], dtype=float).reshape(300, 2, -1)
         red = numeric._Reduction(
-            t=np.array(t), pivot_rows=np.tile([0, 1, -1], (300, 1)),
-            pivot_cols=np.tile([0, 1, -1], (300, 1)), rank=np.full(300, 2),
-            pivots=np.ones((300, 3)), free=np.tile([False, False, True], (300, 1)),
+            t=np.array(t), pivot_rows=np.tile([0, -1], (300, 1)),
+            pivot_cols=np.tile([0, -1], (300, 1)), rank=np.full(300, 1),
+            pivots=np.ones((300, 2)), free=np.tile([False, True], (300, 1)),
             rejected=np.zeros(300), has_rest=np.ones(300, dtype=bool), threshold=np.ones(300))
         with np.errstate(all="ignore"):
-            det_b, eta_hess, kern, usable = numeric._kernel_hessians(coef, red, 3, 4)
+            det_b, eta_hess, kern, usable = numeric._kernel_hessians(coef, red, 4)
         assert usable.sum() > 150
         for i, (rows, germ) in enumerate(zip(t, germs)):
             if not usable[i]:
                 continue
-            ng = normalized(germ, rows, [0, 1], [0, 1], exact=False)
+            ng = normalized(germ, rows, [0], [0], exact=False)
             want = kernel_hessian_at_origin(ng)
             got = (float(det_b[i]), eta_hess[i].tolist(), kern[i].tolist())
             assert [float(v).hex() for v in _flat(want)] == [v.hex() for v in _flat(got)]
@@ -1046,3 +1010,36 @@ class TestBatchCounts:
             with pytest.raises(FloatRangeError):
                 numeric._classify_batch(germ, [(0.0, 0.0, 0.0)], Tolerances())
         assert len(germs) == 4 and "fold test" not in calls
+
+    def test_only_maps_to_the_plane_stack_the_kernel_hessian(self, monkeypatch):
+        # an n = 3 batch takes det B(0), E(0)^T H and K from
+        # `kernel_hessian_at_origin`, once per corank-one point (each runs
+        # the fold test, which records h); an n = 2 scan whose stacked det
+        # B(0) is nonzero and whose weights are finite takes none
+        calls, usable = [], []
+        scalar, stacked = numeric.kernel_hessian_at_origin, numeric._kernel_hessians
+
+        def counted(ng):
+            calls.append(ng.germ.n)
+            return scalar(ng)
+
+        def recorded(*args):
+            out = stacked(*args)
+            usable.extend(out[-1].tolist())
+            return out
+
+        monkeypatch.setattr(numeric, "kernel_hessian_at_origin", counted)
+        monkeypatch.setattr(numeric, "_kernel_hessians", recorded)
+        for germ, points in larger_block_germs():
+            if germ.n != 3:
+                continue
+            calls.clear()
+            verdicts = numeric._classify_batch(germ, points, Tolerances())
+            corank_one = sum(any(m.name == "h" for m in v.margins) for v in verdicts)
+            assert corank_one > 0 and calls == [3] * corank_one
+        assert not usable
+        calls.clear()
+        germ = LefschetzFamily.symbolic().at((Fraction(3, 2), 1, -2, Fraction(-1, 2)))
+        verdicts = scan_region(germ, [(-1, 1)] * 4, 5)
+        assert len(usable) == sum(any(m.name == "h" for m in v.margins) for v in verdicts) > 300
+        assert all(usable) and calls == []
