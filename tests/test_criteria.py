@@ -978,7 +978,6 @@ class TestScaling:
             assert classify(cubic_forms_germ(r), trace=False).label.reason == NOT_2_NONDEGENERATE
             assert 0 < dots[0] <= r**3, (r, dots[0])
 
-
     def test_kernel_hessian_zero_family(self, counts):
         # m = 5..14
         self.assert_polynomial_growth(counts, range(3, 13), lambda k: kernel_hessian_zero_germ(k + 2))
