@@ -924,6 +924,50 @@ class TestBatchOracle:
             for i, rows in enumerate(a.tolist()):
                 assert det[i].hex() == eliminate(rows)[0].hex()
 
+    @pytest.mark.parametrize("m, n", [(4, 3), (5, 3), (5, 4), (6, 4)])
+    def test_kernel_hessians_with_larger_b(self, m, n, monkeypatch):
+        # n-1 = 2 and 3: no stack; the fold test gets det B(0), E(0)^T H and K
+        # with the bits of `kernel_hessian_at_origin` on each corank-one
+        # point's normalized germ.  f_n's linear part is a combination of the
+        # others', so the corank reduction leaves it a row of rounding residue
+        # or zeros
+        ctx = make_context(*(f"x{i}" for i in range(1, m + 1)))
+        rng = random.Random(3535 + 10 * m + n)
+        pool = (0.0, -0.0, 1.5, -2.0, 0.75, 3.25, 1e-300)
+        quadratic = [e for e in product(range(3), repeat=m) if sum(e) == 2]
+        units = [tuple(int(j == i) for j in range(m)) for i in range(m)]
+        germs = []
+        for _ in range(150):
+            rows = [[rng.choice(pool) for _ in range(m)] for _ in range(n - 1)]
+            mix = [rng.choice((0.0, 1.0, -0.5)) for _ in rows]
+            rows.append([sum(c * row[j] for c, row in zip(mix, rows)) for j in range(m)])
+            germs.append(MapGerm(ctx, tuple(Polynomial(ctx, {
+                **{u: c for u, c in zip(units, row) if c},
+                **{e: rng.choice(pool[2:]) for e in quadratic if rng.random() < 0.5}})
+                for row in rows)))
+        coef = np.array([[c for p in g.components for c in p.two_jet_coefficients()]
+                         for g in germs], dtype=float).reshape(len(germs), n, -1)
+        tol = Tolerances()
+        with np.errstate(all="ignore"):
+            corank = numeric._reduce(coef[:, :, :m], tol.rank_tol)
+        sub = np.flatnonzero(corank.rank == n - 1)
+        seen, fold_test = [], numeric._fold_test
+
+        def recorded(det_b, eta_hess, kern, tol):
+            seen.append((det_b.copy(), eta_hess.copy(), kern.copy()))
+            return fold_test(det_b, eta_hess, kern, tol)
+
+        monkeypatch.setattr(numeric, "_fold_test", recorded)
+        numeric._stacked_stages(germs, n, m, tol)
+        (det_b, eta_hess, kern), = seen
+        assert len(sub) > 50 and len(det_b) == len(sub)
+        for j, i in enumerate(sub):
+            pivots = corank.pivot_rows[i, :n - 1].tolist(), corank.pivot_cols[i, :n - 1].tolist()
+            ng = normalized(germs[i], corank.t[i].tolist(), *pivots, exact=False)
+            want = kernel_hessian_at_origin(ng)
+            got = (float(det_b[j]), eta_hess[j].tolist(), kern[j].tolist())
+            assert [float(v).hex() for v in _flat(want)] == [v.hex() for v in _flat(got)]
+
     def test_rows_of_t_f_as_normalized_sums_them(self):
         # exact cancellations, absent terms and products that underflow to
         # -0.0: `normalized` drops a sum that cancels and keeps a zero
