@@ -32,6 +32,7 @@ Only the slice export (`emit_slice`, `write_slice_csv`) imports numpy.
 import tempfile
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from .context import VariableContext
 from .criteria import HessData, Label, build_theta, classify, kernel_matrix, lambdas_for_frame
@@ -635,8 +636,7 @@ def _block_texts(grid, pair, nodes):
     mags, codes = np.unique(bits & magnitude, return_inverse=True)
     codes = codes.reshape(bits.shape)
     minus = (bits >> 63).astype(bool) & ~np.isnan(mags.view(float))[codes]
-    table = np.array([b"%.17g" % v for v in mags.view(float).tolist()])
-    table = table.view(np.uint8).reshape(len(mags), -1)
+    table = _percent_17g(mags.view(float))
     # one NUL-padded byte row per CSV row: the a1, a2 and b1 slots, then a
     # sign, a value and a separator slot for each of n1..n5; "%.17g" writes
     # no NUL, so dropping the NULs leaves the CSV text
@@ -651,6 +651,92 @@ def _block_texts(grid, pair, nodes):
         cells[:, :, 0] = minus[rows] * ord("-")
         cells[:, :, 1:-1] = table[codes[rows]]
         yield text[text != 0]
+
+
+def _percent_17g(x):
+    """``b"%.17g" % v`` for each float v of `x`, as NUL-padded uint8 rows that may hold NULs inside.
+
+    From 1e-4 up to 1e15, where ``%.17g`` writes fixed notation, the digits
+    are exact integer arithmetic: x = m 2^q in the decade [10^e, 10^(e+1))
+    writes the 17 digits of m 5^k 2^(q+k), k = 16 - e, rounded half to even.
+    That integer lies in [10^16, 10^17): no double of these decades is within
+    half a unit of the 17th digit below 10^(e+1), so none rounds up into the
+    next decade.  Every other value (zero and below 1e-4, 1e15 and up,
+    negative, inf, nan) goes through ``%.17g`` one at a time.
+    """
+    import numpy as np
+
+    u64 = np.uint64
+    x = np.asarray(x, dtype=np.float64)
+    # decades[j] is the double nearest 10^(j-4), which is never below it, so a
+    # double is at least 10^(j-4) exactly when it is at least decades[j]
+    decades = np.array([float(f"1e{e}") for e in range(-4, 16)])
+    j = np.searchsorted(decades, x, side="right")
+    window = (j > 0) & (j < len(decades))
+    rows = np.flatnonzero(window)
+    rows = rows[np.argsort(j[rows], kind="stable")]  # decade by decade
+    e = j[rows] - 5
+    bits = x[rows].view(u64)
+    m = bits & u64(2**52 - 1) | u64(2**52)
+    p = (5 ** (16 - e)).astype(u64)
+    s = (1059 + e - (bits >> u64(52)).astype(np.int64)).astype(u64)  # -(q + k), in [1, 46]
+    # m 5^k < 2^100 as two 64-bit limbs, from products of 32-bit halves
+    half32 = u64(2**32 - 1)
+    m_lo, m_hi, p_lo, p_hi = m & half32, m >> u64(32), p & half32, p >> u64(32)
+    low = m_lo * p_lo
+    cross = m_lo * p_hi + m_hi * p_lo
+    lo = low + (cross << u64(32))
+    hi = m_hi * p_hi + (cross >> u64(32)) + (lo < low)
+    # shift right by s: the remainder and half of 2^s sit in the low limb
+    t = lo >> s | hi << (u64(64) - s)
+    rest = lo & ((u64(1) << s) - u64(1))
+    t += rest + (t & u64(1)) > u64(1) << (s - u64(1))
+    # the leading digit, then four groups of four; from the last group that is
+    # not 0000 on, each trailing zero is written NUL, as "%g" drops them
+    tables = _quad_tables()
+    groups = np.empty((len(t), 5), dtype=np.uint32)
+    tail = np.ones(len(t), dtype=bool)  # every later group is 0000
+    for g, unit in zip((4, 3, 2, 1), (1, 10**4, 10**8, 10**12)):
+        quad = t // u64(unit) % u64(10**4)
+        groups[:, g] = tables[quad + tail * u64(10**4)]
+        tail &= quad == 0
+    digits = groups.view(np.uint8)[:, 3:]
+    digits[:, 0] = t // u64(10**16) + u64(ord("0"))
+    width = 18 - e.min(initial=0)
+    fixed = np.zeros((len(rows), width), dtype=np.uint8)
+    bounds = np.searchsorted(e, range(-4, 16))
+    for d, a, b in zip(range(-4, 15), bounds, bounds[1:]):
+        if a == b:
+            continue
+        text, digs = fixed[a:b], digits[a:b]
+        if d < 0:  # 0.0..0d..d
+            text[:, :1 - d] = ord("0")
+            text[:, 1] = ord(".")
+            text[:, 1 - d:18 - d] = digs
+        else:  # d..d.d..d, with the zeros of the integer part back and no point before NUL
+            text[:, :d + 1] = np.maximum(digs[:, :d + 1], ord("0"))
+            text[:, d + 1] = (digs[:, d + 1] > 0) * ord(".")
+            text[:, d + 2:18] = digs[:, d + 1:]
+    other = np.flatnonzero(~window)
+    texts = np.array([b"%.17g" % v for v in x[other].tolist()], dtype=bytes)
+    table = np.zeros((len(x), max(width, texts.itemsize)), dtype=np.uint8)
+    table[rows, :width] = fixed
+    table[other, :texts.itemsize] = texts.view(np.uint8).reshape(-1, texts.itemsize)
+    return table
+
+
+
+@lru_cache(maxsize=1)
+def _quad_tables():
+    """The ASCII of 0000..9999 as uint32 words, then the same with trailing zeros as NUL."""
+    import numpy as np
+
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    quads = np.stack(np.meshgrid(*[digit] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+    bare = quads * np.logical_or.accumulate(quads[:, ::-1] != ord("0"), axis=1)[:, ::-1]
+    tables = np.concatenate([quads, bare]).view(np.uint32).ravel()
+    tables.flags.writeable = False
+    return tables
 
 
 def slice_filename(b2) -> str:

@@ -39,7 +39,7 @@ import numpy as np
 from . import _termops_py as kernel
 from .context import WorkLimitError
 from .criteria import Label, _after_fold_test, kernel_hessian_at_origin, lambdas_for_frame
-from .germ import MapGerm, cramer_frame, normalized
+from .germ import MapGerm, check_dimensions, cramer_frame, normalized
 from .linalg import adjugate, eliminate, float_power
 
 
@@ -472,8 +472,11 @@ def _pipeline(germ: MapGerm, tol: Tolerances) -> _FloatPipeline:
 
     The key also holds each component's packed keys in order, which fix the
     order of every float sum, and its cap, which `==` ignores: so a shared
-    pipeline gives the bits and the errors a fresh one would.
+    pipeline gives the bits and the errors a fresh one would.  A germ with no
+    more source variables than components raises MalformedGermError, as in
+    `classify`.
     """
+    check_dimensions(germ.m, germ.n)
     return _shared_pipeline(germ, tol, tuple((tuple(p.terms), p.jet) for p in germ.components))
 
 

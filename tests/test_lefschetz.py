@@ -17,6 +17,7 @@ from morinclass.lefschetz import (
     SOURCE_VARS,
     STANDARD_SLICE_VALUES,
     SliceGrid,
+    _percent_17g,
     chart_hessian,
     circle_point,
     cusp_tau_polynomial,
@@ -577,6 +578,52 @@ class TestSliceExport:
     def test_resolution_guard(self):
         with pytest.raises(ValueError):
             emit_slice(0, 1, (-1, 1))
+
+    def assert_percent_17g(self, values):
+        values = np.asarray(values, dtype=np.float64)
+        table = _percent_17g(values)
+        expected = [b"%.17g" % v for v in values.tolist()]
+        # equal row lengths and equal text, NULs dropped: every row is equal
+        assert np.count_nonzero(table, axis=1).tolist() == [len(t) for t in expected]
+        assert table[table != 0].tobytes() == b"".join(expected)
+
+    def test_percent_17g_on_slice_magnitudes(self):
+        for b2 in (*STANDARD_SLICE_VALUES, Fraction(3, 8), Fraction(-3, 8)):
+            self.assert_percent_17g(np.unique(np.abs(emit_slice(b2, 47).values)))
+
+    def test_percent_17g_on_seeded_doubles(self):
+        rng = np.random.default_rng(1717)
+        self.assert_percent_17g(10.0 ** rng.uniform(-6, 17, 10**6))
+
+    def test_percent_17g_rounds_ties_to_even(self):
+        # odd N / 2^(17-e) in the decade of 10^e is N 5^(16-e) / 2 times
+        # 10^(e-16): an 18th significant digit of exactly 5
+        rng = np.random.default_rng(1718)
+        for e in range(-4, 15):
+            lo, hi = (int(Fraction(10) ** d * 2 ** (17 - e)) for d in (e, e + 1))
+            ties = 2 * rng.integers(lo // 2 + 1, hi // 2, 500) + 1
+            values = ties / 2.0 ** (17 - e)
+            assert all(Fraction(v) * 10 ** (16 - e) % 1 == Fraction(1, 2) for v in values[:5].tolist())
+            self.assert_percent_17g(values)
+
+    def test_percent_17g_at_powers_of_ten_and_decade_ends(self):
+        powers = [float(f"1e{e}") for e in range(-5, 17)]
+        self.assert_percent_17g([np.nextafter(p, d) for p in powers for d in (0, p, np.inf)])
+        # the 100 largest doubles below each decade of the window: none rounds
+        # up to the next power of ten, so the kernel needs no carry out of its
+        # 17 digits; 10^-14, below the window, has one that does
+        below = np.array(powers[2:21]).view(np.uint64)[:, None] - np.arange(1, 101, dtype=np.uint64)
+        below = below.view(np.float64).ravel()
+        assert [v for v in below.tolist() if (b"%.17g" % v).lstrip(b"0.").startswith(b"1")] == []
+        carry = float.fromhex("0x1.6849b86a12b9bp-47")
+        assert Fraction(carry) < Fraction(1, 10**14) and b"%.17g" % carry == b"1e-14"
+        self.assert_percent_17g([*below, carry])
+
+    def test_percent_17g_outside_the_window(self):
+        subnormals = np.array([1, 2, 3, 2**51 + 7, 2**52 - 1], dtype=np.uint64).view(np.float64)
+        self.assert_percent_17g([0.0, -0.0, *subnormals, 2.2250738585072014e-308, np.inf, -np.inf,
+                                 np.nan, 1.7976931348623157e308, -0.25, -1234.5, 1e15, 3e16, 1e17])
+        self.assert_percent_17g([])
 
     @pytest.mark.parametrize("value_range", [(0, 0), (1, -1)])
     def test_range_guard(self, value_range):

@@ -53,7 +53,8 @@ def test_float_scan_export_census():
     # the scans map to the plane: every point takes the stacked kernel
     # Hessian, every line of `_kernel_hessians` runs, and no point takes
     # `kernel_hessian_at_origin` in `_stacked_stages`
-    numeric = census("float_scan_export")["numeric.py"]
+    unrun = census("float_scan_export")
+    numeric = unrun["numeric.py"]
     source = (PACKAGE / "numeric.py").read_text().splitlines()
     start = source.index("def _kernel_hessians(coef, red, m):") + 1
     end = next(i for i in range(start, len(source)) if source[i].startswith("def "))
@@ -61,4 +62,13 @@ def test_float_scan_export_census():
     per_point = source.index("            det_b[j], eta_hess[j], kern[j] = kernel_hessian_at_origin(ng)")
     assert per_point + 1 in numeric
     for number, text in numeric.items():
+        assert source[number - 1].strip() == text
+    # every line of the CSV's number kernel and its tables runs, the per-value
+    # "%.17g" of the magnitudes outside [1e-4, 1e15) included
+    lefschetz = unrun["lefschetz.py"]
+    source = (PACKAGE / "lefschetz.py").read_text().splitlines()
+    start = source.index("def _percent_17g(x):") + 1
+    end = source.index("def slice_filename(b2) -> str:")
+    assert not [number for number in lefschetz if start <= number <= end]
+    for number, text in lefschetz.items():
         assert source[number - 1].strip() == text

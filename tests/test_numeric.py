@@ -526,6 +526,24 @@ class TestWithoutChart:
             scan_region(germ, ((-1, 1),) * 4, 2)
 
 
+@pytest.mark.parametrize("n", [2, 1], ids=["x;x^2", "x^2"])
+def test_float_entry_points_refuse_m_at_most_n(n):
+    # classify refuses these germs; the float entry points once raised
+    # IndexError on x ; x^2 and labelled x^2 a Fold
+    ctx = make_context("x")
+    x = Polynomial.variable(ctx, "x")
+    germ = MapGerm(ctx, (x, x**2)[2 - n:])
+    message = rf"need more source variables than components \(m=1, n={n}\)"
+    with pytest.raises(MalformedGermError, match=message):
+        classify(germ)
+    with pytest.raises(MalformedGermError, match=message):
+        numeric_classify(germ, (0.0,))
+    with pytest.raises(MalformedGermError, match=message):
+        project_to_singular_locus(germ, (0.1,))
+    with pytest.raises(MalformedGermError, match=message):
+        scan_region(germ, ((-1, 1),), 2)
+
+
 class TestEvaluator:
     def test_matches_scalar_oracle(self, fold_germ, cusp_germ):
         rng = random.Random(1313)
