@@ -592,9 +592,11 @@ def write_slice_csv(grid: SliceGrid, path):
     magnitudes: the writer takes them as a pair (the middle block of an odd
     res alone), finds the distinct magnitudes of the pair with one
     `np.unique` over the float64 bit patterns with the sign bit cleared, and
-    formats each once.  Bit patterns, not float equality, so -0.0 and NaN are
-    never merged with another value.  A cell whose sign bit is set gets a
-    ``-`` prefix, except a NaN: ``"%.17g"`` writes ``nan`` for either sign.
+    formats each once, those in [1e-4, 1e15) by the integer kernel
+    `_percent_17g` and the rest by ``"%.17g"`` one at a time.  Bit patterns,
+    not float equality, so -0.0 and NaN are never merged with another value.
+    A cell whose sign bit is set gets a ``-`` prefix, except a NaN: ``"%.17g"``
+    writes ``nan`` for either sign.
     Block i goes straight to `path` and block res-1-i to an anonymous spool,
     whose blocks are copied to `path` in reverse order at the end, so memory
     stays that of one pair of blocks.
@@ -623,7 +625,12 @@ def write_slice_csv(grid: SliceGrid, path):
 
 
 def _block_texts(grid, pair, nodes):
-    """The CSV bytes of each a1 block in `pair`, with each distinct magnitude formatted once."""
+    """The CSV bytes of each a1 block in `pair`, with each distinct magnitude formatted once.
+
+    `_percent_17g` gives the text of each magnitude as one byte row with
+    NULs in it; the cells are laid out in one NUL-padded byte row per CSV
+    row, and dropping every NUL leaves the CSV text.
+    """
     import numpy as np
 
     magnitude = np.uint64(2**63 - 1)  # a float64 bit pattern with the sign bit cleared
@@ -723,7 +730,6 @@ def _percent_17g(x):
     table[rows, :width] = fixed
     table[other, :texts.itemsize] = texts.view(np.uint8).reshape(-1, texts.itemsize)
     return table
-
 
 
 @lru_cache(maxsize=1)

@@ -74,27 +74,26 @@ def quartiles(values):
     return q1, q3
 
 
-def summarize(pairs, better=None):
+def summarize(pairs, better):
     """The report lines for `pairs`, a list of (parent result, change result) in pair order.
 
     `better` maps a metric name to "lower" or "higher"; a metric it does not
     name is better lower.
     """
-    better = better or {}
     lines = []
     for name, first in pairs[0][0]["metrics"].items():
         sign = -1 if better.get(name, "lower") == "higher" else 1
         sides = [[p[k]["metrics"][name]["value"] for p in pairs] for k in (0, 1)]
         wins = sum(sign * c < sign * p for p, c in zip(*sides))
         medians = [statistics.median(v) for v in sides]
-        lo, hi = quartiles(sides[0])
+        spans = [quartiles(v) for v in sides]
         lines.append(f"{name} ({first['unit']}, {better.get(name, 'lower')} is better)")
-        for label, values, median in zip(("parent", "change"), sides, medians):
-            q1, q3 = quartiles(values)
+        for label, values, median, (q1, q3) in zip(("parent", "change"), sides, medians, spans):
             runs = " ".join(f"{v:.4g}" for v in values)
             lines.append(f"  {label}  {runs}  median {median:.4g}  quartiles {q1:.4g}-{q3:.4g}")
+        (q1, q3), _ = spans
         lines.append(f"  change better in {wins} of {len(pairs)} pairs; medians differ by "
-                     f"{abs(medians[1] - medians[0]):.4g}, parent interquartile range {hi - lo:.4g}")
+                     f"{abs(medians[1] - medians[0]):.4g}, parent interquartile range {q3 - q1:.4g}")
     return lines
 
 
