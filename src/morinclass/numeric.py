@@ -30,7 +30,7 @@ would take more gets none.  It is classified, not projected.
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product, takewhile
 from typing import ClassVar
 
@@ -39,7 +39,7 @@ import numpy as np
 from . import _termops_py as kernel
 from .context import WorkLimitError
 from .criteria import Label, _after_fold_test, kernel_hessian_at_origin, lambdas_for_frame
-from .germ import MapGerm, check_dimensions, cramer_frame, normalized
+from .germ import MalformedGermError, MapGerm, check_dimensions, cramer_frame, normalized
 from .linalg import adjugate, eliminate, float_power
 
 
@@ -392,6 +392,11 @@ class _FloatPipeline:
         self.coefficients = np.array(
             [[d.get(e, 0.0) for d in columns] for e in exps]).reshape(len(exps), len(columns))
 
+    @cached_property
+    def shift(self):
+        """The Taylor shift of the float germ to the (n+1)-jets at a stack of points."""
+        return _TaylorShift(self.germ, self.germ.n + 1)
+
     def _evaluate(self, x, cols):
         """The columns `cols` of the coefficient matrix, summed at each row of x.
 
@@ -485,6 +490,108 @@ def _shared_pipeline(germ, tol, terms_and_caps):
     return _FloatPipeline(germ, tol)
 
 
+class _TaylorShift:
+    """`translate` of a float germ at a stack of points, to the keys of degree at most `degree`.
+
+    `kernel.shift_terms` replayed with each coordinate p_i a column of
+    points, so every coefficient has the bits `translate(p)` gives it.  The
+    plan, built once, lists each path of a term c x^beta to a key K <= beta:
+    the entries of the rows (x_i + p_i)^beta_i it takes, in context order,
+    those with K_i < beta_i (the top entry is the int 1, which multiplies
+    nothing).  A call then
+    - builds the rows by `mul_terms`' recurrence: entry j of (x + v)^e is
+      entry j-1 of (x + v)^(e-1) plus v times its entry j.  An entry is 0
+      only where v is finite, so 0 * v makes no NaN where `mul_terms`
+      skips an entry it dropped, and two addends add alike in either order;
+    - multiplies each path's coefficient through its entries in order, and
+      drops it at its first product that is 0, as `shift_terms` does, or at
+      its first entry that is 0, which the row of `shift_terms` does not
+      hold: 0 * inf never forms, and a coordinate 0.0 or -0.0, whose rows
+      are 0 below the top, adds nothing;
+    - sums each key's paths in term order, with a dropped path adding -0.0.
+      A key that is a term of the germ starts from that term's coefficient,
+      the first to reach it and never multiplied; any other from +0.0;
+    - gives the constant term f(p) - f(p): 0.0, or NaN where f(p) is not
+      finite.
+    A two-jet key that no path reaches is 0.0, as `two_jet_coefficients`
+    reads an absent key.  The caller refuses a jet, as `translate` does.
+    """
+
+    def __init__(self, germ, degree):
+        ctx = germ.context
+        m, self.degree = len(ctx.source_indices), degree
+        paths, raw = {}, {}  # keyed by (component, K): the paths in term order, a term's coefficient
+        self.top = 1
+        for c, p in enumerate(germ.components):
+            # a key without its degree field orders as its exponent tuple
+            for key in sorted(p.terms, key=(ctx.degree_unit - 1).__and__):
+                exps = ctx.unpack(key)
+                beta = [exps[i] for i in ctx.source_indices]
+                self.top = max(self.top, *beta)
+                lows = product(*(range(min(b, degree) + 1) for b in beta))
+                for low in (low for low in lows if sum(low) <= degree):
+                    entries = [(i, b, j) for i, (b, j) in enumerate(zip(beta, low)) if j < b]
+                    if entries:
+                        paths.setdefault((c, low), []).append((entries, p.terms[key]))
+                    else:
+                        raw[c, low] = p.terms[key]
+        units = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+        two = units + [tuple(map(sum, zip(a, b))) for i, a in enumerate(units) for b in units[i:]]
+        found = [*paths, *raw, *((c, low) for c in range(germ.n) for low in [(0,) * m] + two)]
+        # the keys with the most paths first: the r-th paths of keys make a prefix
+        self.keys = sorted(dict.fromkeys(found), key=lambda key: -len(paths.get(key, ())))
+        row = {key: r for r, key in enumerate(self.keys)}
+        self.two_jet = np.array([[row[c, low] for low in two] for c in range(germ.n)])
+        self.constants = np.array([row[c, (0,) * m] for c in range(germ.n)])
+        self.raw_rows = np.array([row[key] for key in raw], dtype=int)
+        self.raw_coefficients = np.array(list(raw.values()), dtype=float)
+        ranked, self.ranks = [], []  # the paths by rank, then key; (start, keys) of each rank
+        counts = [len(paths.get(key, ())) for key in self.keys]
+        for r in range(counts[0]):
+            keys = sum(count > r for count in counts)
+            self.ranks.append((len(ranked), keys))
+            ranked += [paths[key][r] for key in self.keys[:keys]]
+        # the products run on the paths by depth, the deepest first, so that
+        # those taking a d-th entry make a prefix
+        deep = sorted(range(len(ranked)), key=lambda q: -len(ranked[q][0]))
+        self.ranked = np.argsort(deep)
+        deep = [ranked[q] for q in deep]
+        self.coefficients = np.array([c for _, c in deep], dtype=float)
+        # the table of a call holds the rows e = 1, 2, ... in turn, each entry
+        # j as m rows, one per source variable
+        first = [m * sum(min(f, degree + 1) for f in range(1, e)) for e in range(self.top + 1)]
+        self.levels = [np.array([first[b] + j * m + i for i, b, j in
+                                 (entries[d] for entries, _ in deep if len(entries) > d)], dtype=int)
+                       for d in range(max([1] + [len(entries) for entries, _ in deep]))]
+
+    def __call__(self, xs):
+        """The coefficient of each of `keys` in `translate(x)` at each row x of xs: a (k, keys) array."""
+        v = np.asarray(xs, dtype=float).T  # a row of points per source variable
+        with np.errstate(all="ignore"):
+            # entry j of each (x_i + v_i)^e, for j < e and j <= degree: none for e = 0
+            level, ones, rows = np.empty((0,) + v.shape), np.ones((1,) + v.shape), []
+            for e in range(1, self.top + 1):
+                full = np.concatenate([level, ones]) if e <= self.degree + 1 else level
+                prod = full * v
+                level = np.concatenate([prod[:1], full[:-1] + prod[1:]])
+                rows.append(level)
+            table = np.concatenate([r.reshape(-1, v.shape[1]) for r in rows])
+            paths = self.coefficients[:, None] * table[self.levels[0]]
+            for at in self.levels[1:]:
+                head, entry = paths[:len(at)], table[at]
+                np.multiply(head, entry, out=head, where=head != 0)
+                np.copyto(head, 0.0, where=entry == 0)
+            np.copyto(paths, -0.0, where=paths == 0)
+            paths = paths[self.ranked]
+            out = np.zeros((len(self.keys), v.shape[1]))
+            out[self.raw_rows] = self.raw_coefficients[:, None]
+            for start, keys in self.ranks:
+                out[:keys] += paths[start:start + keys]
+            const = out[self.constants]
+            out[self.constants] = const - const
+        return out.T
+
+
 def _kernel_hessians(coef, red, m):
     """`normalized` and `kernel_hessian_at_origin` at each corank-one point of maps to the plane.
 
@@ -522,24 +629,25 @@ def _kernel_hessians(coef, red, m):
     return det_b, eta_hess, kern, (det_b != 0) & np.isfinite(weights).all(axis=(1, 2))
 
 
-def _stacked_stages(jets, n, m, tol):
-    """`_classify_at_origin` up to the fold test at each jet, the stages run on all at once.
+def _stacked_stages(coef, jet, n, m, tol):
+    """`_classify_at_origin` up to the fold test at each point of a stack, the stages run on all at once.
 
-    The corank reduction, `normalized`, `kernel_hessian_at_origin` and the
-    fold test, each with the float operations of the scalar stage in its
+    `coef` holds each point's `two_jet_coefficients`, a row per component,
+    and `jet(i)` gives point i's jet, which only the points that read it ask
+    for.  The corank reduction, `normalized`, `kernel_hessian_at_origin` and
+    the fold test, each with the float operations of the scalar stage in its
     order.  Only maps to the plane, whose scans run many points, stack
     det B(0), E(0)^T H and K (`_kernel_hessians`); every corank-one point of
     another n, and one that `_kernel_hessians` finds not `usable`, takes them
-    from `kernel_hessian_at_origin` on its normalized germ.
-    A jet's state: its margins as (name, value, threshold); Regular or
+    from `kernel_hessian_at_origin` on its normalized germ, and so does a
+    Morin candidate take its frame.
+    A point's state: its margins as (name, value, threshold); Regular or
     CorankHigh where the corank decides, else None; the fold test's (h(0),
     rank, inertia); and a Morin candidate's normalized germ.
     """
-    if not jets:
+    if not len(coef):
         return []
     s = m - n + 1
-    coef = np.array([[c for p in jet.components for c in p.two_jet_coefficients()]
-                     for jet in jets], dtype=float).reshape(len(jets), n, -1)
     with np.errstate(all="ignore"):
         corank = _reduce(coef[:, :, :m], tol.rank_tol)
         out = [(corank.margins(i, "corank"), Label("Regular" if rank == n else "CorankHigh"),
@@ -550,7 +658,7 @@ def _stacked_stages(jets, n, m, tol):
 
         def normal(i):
             pivots = corank.pivot_rows[i, :n - 1].tolist(), corank.pivot_cols[i, :n - 1].tolist()
-            return normalized(jets[i].truncated(n + 1), corank.t[i].tolist(), *pivots, exact=False)
+            return normalized(jet(i).truncated(n + 1), corank.t[i].tolist(), *pivots, exact=False)
 
         k = len(sub)
         det_b, eta_hess, kern, usable = (
@@ -600,24 +708,41 @@ def project_to_singular_locus(germ: MapGerm, seed, tol: Tolerances = None):
 def _classify_batch(germ: MapGerm, points, tol: Tolerances):
     """`numeric_classify` at each of `points`, their stages run as one batch.
 
-    Each point's jet comes from its own `translate`; the residuals from one
-    evaluation of the chart, whose rows do not depend on each other; the
-    stages up to the fold test from `_stacked_stages`, whose margins go
-    through `_Thresholds.record` and whose outcome `criteria._after_fold_test`
-    labels.  Every bit is the one that point gets alone, and a point whose
-    jet, residual or decision is not finite raises the FloatRangeError it
-    raises alone, the first such point in order.
+    The (n+1)-jets at all points come from one stacked Taylor shift
+    (`_TaylorShift`), whose coefficients are `translate`'s to the bit: its
+    finiteness test and its two-jet coefficients feed `_stacked_stages`, and
+    only a point whose normalized germ is read (a Morin candidate, a
+    corank-one point of n != 2 or one not `usable` for `_kernel_hessians`)
+    runs its own `translate`.  The residuals come from one evaluation of the
+    chart, whose rows do not depend on each other.  The margins go through
+    `_Thresholds.record` and the fold test outcome to
+    `criteria._after_fold_test`, which labels it.  Every bit is the one that
+    point gets alone, and a point whose jet, residual or decision is not
+    finite raises the FloatRangeError it raises alone, the first such point
+    in order.
     """
     pipe = _pipeline(germ, tol)
     n, m = germ.n, germ.m
     xs = [tuple(float(v) for v in point) for point in points]
-    jets = [pipe.germ.translate(x) for x in xs]
-    finite = [i for i, jet in enumerate(jets) if all(p.is_finite_to(n + 1) for p in jet.components)]
+    if not xs:
+        return []
+    # `translate`'s checks, before the shift
+    short = next((x for x in xs if len(x) != m), None)
+    if short is not None:
+        raise MalformedGermError(f"base point needs {m} coordinates, got {len(short)}")
+    if any(p.jet is not None for p in germ.components):
+        raise MalformedGermError("cannot translate a jet: a jet at the origin does not "
+                                 "determine the germ at another point")
+    at = np.array(xs)
+    jets = pipe.shift(at)
+    finite = np.flatnonzero(np.isfinite(jets).all(axis=1))
     residuals = [None] * len(xs)
-    if pipe.lambdas is not None and xs:
+    if pipe.lambdas is not None:
         with np.errstate(over="ignore", invalid="ignore"):
-            residuals = _norms(pipe.values(np.array(xs))).tolist()
-    stacked = dict(zip(finite, _stacked_stages([jets[i] for i in finite], n, m, tol)))
+            residuals = _norms(pipe.values(at)).tolist()
+    stages = _stacked_stages(jets[finite[:, None, None], pipe.shift.two_jet],
+                             lambda j: pipe.germ.translate(xs[finite[j]]), n, m, tol)
+    stacked = dict(zip(finite.tolist(), stages))
     verdicts = []
     for i, (x, residual) in enumerate(zip(xs, residuals)):
         if i not in stacked:

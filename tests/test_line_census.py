@@ -72,3 +72,14 @@ def test_float_scan_export_census():
     assert not [number for number in lefschetz if start <= number <= end]
     for number, text in lefschetz.items():
         assert source[number - 1].strip() == text
+
+
+def test_float_scan_export_runs_every_line_of_the_stacked_shift():
+    # the scans' jets come from `_TaylorShift`: its plan and its replay run
+    # whole, the rows' recurrence included, on the Lefschetz germs
+    numeric = census("float_scan_export")["numeric.py"]
+    source = (PACKAGE / "numeric.py").read_text().splitlines()
+    start = source.index("class _TaylorShift:") + 1
+    end = next(i for i in range(start, len(source)) if source[i].startswith(("def ", "class ")))
+    assert end - start > 50
+    assert not [number for number in numeric if start <= number <= end]

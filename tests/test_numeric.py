@@ -976,7 +976,7 @@ class TestBatchOracle:
             return fold_test(det_b, eta_hess, kern, tol)
 
         monkeypatch.setattr(numeric, "_fold_test", recorded)
-        numeric._stacked_stages(germs, n, m, tol)
+        numeric._stacked_stages(coef, germs.__getitem__, n, m, tol)
         (det_b, eta_hess, kern), = seen
         assert len(sub) > 50 and len(det_b) == len(sub)
         for j, i in enumerate(sub):
@@ -1018,6 +1018,64 @@ class TestBatchOracle:
             want = kernel_hessian_at_origin(ng)
             got = (float(det_b[i]), eta_hess[i].tolist(), kern[i].tolist())
             assert [float(v).hex() for v in _flat(want)] == [v.hex() for v in _flat(got)]
+
+
+class TestTaylorShift:
+    """`_TaylorShift` against `translate`, `float.hex` for `float.hex`, on every key it gives."""
+
+    SPECIAL = (0.0, -0.0, 1e-170, -3e-200, 1e160, -1e160, math.inf, -math.inf, math.nan)
+
+    def test_matches_translate(self):
+        # the rows of a coordinate 0.0, -0.0 or 1e-170 hold zeros, which must
+        # drop their paths before they meet an inf or a NaN; sums of three and
+        # more paths fix their order; the tiny coefficients of the last germs
+        # are 0.0 and -0.0 in floats
+        ctx = make_context("x", "y", "z", "w")
+        exps = [e for e in product(range(5), repeat=4) if 1 <= sum(e) <= 4]
+        rng = random.Random(3636)
+        pool = (1.5, -2.0, 0.1, -0.7, 1e-300, 1e300)
+        germs = [MapGerm(ctx, tuple(Polynomial(ctx, {
+            e: rng.choice(pool + (rng.uniform(-3, 3),))
+            for e in rng.sample(exps, rng.randint(1, 12))}) for _ in range(n))) for n in (1, 2, 3) * 13]
+        tiny = (Fraction(1, 10**400), Fraction(-1, 10**400), Fraction(3, 2), -2)
+        germs += [MapGerm(ctx, tuple(Polynomial(ctx, {
+            e: rng.choice(tiny) for e in rng.sample(exps, 10)}).map_coefficients(float)
+            for _ in range(2))) for _ in range(6)]
+        for germ in germs:
+            n = germ.n
+            shift = numeric._TaylorShift(germ, n + 1)
+            points = [[rng.choice(self.SPECIAL) if rng.random() < 0.4 else rng.uniform(-2, 2)
+                       for _ in range(4)] for _ in range(30)]
+            for point, row in zip(points, shift(np.array(points))):
+                comps = germ.translate(point).components
+                want = [float(comps[c].terms.get(ctx.pack(low), 0)).hex() for c, low in shift.keys]
+                assert [v.hex() for v in row.tolist()] == want, point
+                # and no key of degree at most n+1 is left out
+                kept = {(c, ctx.pack(low)) for c, low in shift.keys}
+                assert kept >= {(c, key) for c, p in enumerate(comps) for key in p.terms
+                                if key >> ctx.degree_shift <= n + 1}
+
+    def test_a_value_beyond_the_floats_fails_the_jet(self):
+        # f_2(p) = 10^330 overflows while every other coefficient of the 3-jet
+        # is finite: the constant term f(p) - f(p), NaN, fails the point
+        ctx = make_context("x", "y", "z")
+        x, y, z = (Polynomial.variable(ctx, n) for n in ("x", "y", "z"))
+        germ = MapGerm(ctx, (x, y**2 + z**3))
+        point = (0.0, 0.5, 1e110)
+        assert math.isnan(germ.translate(point).components[1].terms[0])
+        shift = numeric._pipeline(germ, Tolerances()).shift
+        row = shift(np.array([point]))[0].tolist()
+        assert [key for key, v in zip(shift.keys, row) if not math.isfinite(v)] == [(1, (0, 0, 0))]
+        assert math.isnan(row[shift.constants[1]])
+        with pytest.raises(FloatRangeError, match="the jet at the point is not finite"):
+            numeric._classify_batch(germ, [(0.0, 0.5, 0.0), point], Tolerances())
+
+    def test_a_jet_and_a_short_point_are_refused_as_translate_refuses_them(self, fold_germ):
+        for germ, point in ((fold_germ.truncated(3), (0.1, 0.0, 0.0)), (fold_germ, (0.1, 0.0))):
+            with pytest.raises(MalformedGermError) as want:
+                germ.translate(point)
+            with pytest.raises(MalformedGermError, match=re.escape(str(want.value))):
+                numeric._classify_batch(germ, [(0.0, 0.0, 0.0), point], Tolerances())
 
 
 def _flat(values):
@@ -1105,3 +1163,15 @@ class TestBatchCounts:
         verdicts = scan_region(germ, [(-1, 1)] * 4, 5)
         assert len(usable) == sum(any(m.name == "h" for m in v.margins) for v in verdicts) > 300
         assert all(usable) and calls == []
+
+    def test_a_scan_translates_only_the_points_whose_jet_it_reads(self, monkeypatch):
+        # the two seed-1 scans of `float_scan_export`: 466 representatives
+        # take their jets from one stacked shift each, and only the Morin
+        # candidate, whose frame reads its normalized germ, runs `translate`
+        calls, translate = [], MapGerm.translate
+        monkeypatch.setattr(MapGerm, "translate",
+                            lambda self, point: calls.append(point) or translate(self, point))
+        verdicts = [v for germ in far_germs(1) for v in scan_region(germ, [(-1, 1)] * 4, 5)]
+        assert len(verdicts) == 466
+        assert calls == [v.point for v in verdicts if str(v.label) == "Morin{2}"]
+        assert len(calls) == 1
