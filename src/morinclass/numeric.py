@@ -10,16 +10,19 @@ authority; any decision within a factor of ten of its threshold makes the
 verdict Inconclusive.
 
 A scan classifies its representatives as one batch, and `numeric_classify`
-is the batch of one.  The fold test reads only df and the Hessian of f_n at
-the point (`criteria` step 5), so the stages up to it run as stacked numpy
-operations over all points (`_stacked_stages`), with the float operations
-of each scalar stage in its order: every margin has the bits the point gets
-from `criteria._classify_at_origin` with `_Thresholds`, whose `reduce` and
-`fold_test` are the batch of one of the stacked `_reduce` and `_fold_test`.
-Each point's margins then go, in order, through `_Thresholds.record`, and
-its fold test outcome to `criteria._after_fold_test`, which labels it and
-builds a Morin candidate's frame; the batch keeps the label alone and
-writes no trace record.
+is the batch of one.  The batch's jets come from one Taylor shift of the
+float germ to all its points (`_TaylorShift`), each coefficient with the
+bits `translate` gives it; a point runs `translate` itself only where its
+normalized germ is read.  The fold test reads only df and the Hessian of
+f_n at the point (`criteria` step 5), so the stages up to it run as stacked
+numpy operations over all points (`_stacked_stages`), with the float
+operations of each scalar stage in its order: every margin has the bits the
+point gets from `criteria._classify_at_origin` with `_Thresholds`, whose
+`reduce` and `fold_test` are the batch of one of the stacked `_reduce` and
+`_fold_test`.  Each point's margins then go, in order, through
+`_Thresholds.record`, and its fold test outcome to
+`criteria._after_fold_test`, which labels it and builds a Morin candidate's
+frame; the batch keeps the label alone and writes no trace record.
 
 `Tolerances` holds the two thresholds a caller may set, `rank_tol` and
 `zero_tol`; the projection's residual target and iteration limit are class
@@ -523,18 +526,16 @@ class _TaylorShift:
         paths, raw = {}, {}  # keyed by (component, K): the paths in term order, a term's coefficient
         self.top = 1
         for c, p in enumerate(germ.components):
-            # a key without its degree field orders as its exponent tuple
-            for key in sorted(p.terms, key=(ctx.degree_unit - 1).__and__):
-                exps = ctx.unpack(key)
+            for exps, coefficient in sorted(p.items()):  # in exponent-tuple order
                 beta = [exps[i] for i in ctx.source_indices]
                 self.top = max(self.top, *beta)
                 lows = product(*(range(min(b, degree) + 1) for b in beta))
                 for low in (low for low in lows if sum(low) <= degree):
                     entries = [(i, b, j) for i, (b, j) in enumerate(zip(beta, low)) if j < b]
                     if entries:
-                        paths.setdefault((c, low), []).append((entries, p.terms[key]))
+                        paths.setdefault((c, low), []).append((entries, coefficient))
                     else:
-                        raw[c, low] = p.terms[key]
+                        raw[c, low] = coefficient
         units = [tuple(int(i == j) for i in range(m)) for j in range(m)]
         two = units + [tuple(map(sum, zip(a, b))) for i, a in enumerate(units) for b in units[i:]]
         found = [*paths, *raw, *((c, low) for c in range(germ.n) for low in [(0,) * m] + two)]
@@ -630,17 +631,18 @@ def _kernel_hessians(coef, red, m):
 
 
 def _stacked_stages(coef, jet, n, m, tol):
-    """`_classify_at_origin` up to the fold test at each point of a stack, the stages run on all at once.
+    """`_classify_at_origin` up to the fold test at each point of a stack, run on all at once.
 
     `coef` holds each point's `two_jet_coefficients`, a row per component,
-    and `jet(i)` gives point i's jet, which only the points that read it ask
-    for.  The corank reduction, `normalized`, `kernel_hessian_at_origin` and
-    the fold test, each with the float operations of the scalar stage in its
-    order.  Only maps to the plane, whose scans run many points, stack
-    det B(0), E(0)^T H and K (`_kernel_hessians`); every corank-one point of
-    another n, and one that `_kernel_hessians` finds not `usable`, takes them
-    from `kernel_hessian_at_origin` on its normalized germ, and so does a
-    Morin candidate take its frame.
+    and `jet(i)` gives point i's jet, which is asked for only where its
+    normalized germ is read.  The corank reduction, `normalized`,
+    `kernel_hessian_at_origin` and the fold test, each with the float
+    operations of the scalar stage in its order.  Only maps to the plane,
+    whose scans run many points, stack det B(0), E(0)^T H and K
+    (`_kernel_hessians`); every corank-one point of another n, and one that
+    `_kernel_hessians` finds not `usable`, takes them from
+    `kernel_hessian_at_origin` on its normalized germ, on which a Morin
+    candidate's frame is built too.
     A point's state: its margins as (name, value, threshold); Regular or
     CorankHigh where the corank decides, else None; the fold test's (h(0),
     rank, inertia); and a Morin candidate's normalized germ.

@@ -31,7 +31,7 @@ without parameters).  That ordering is the contract for golden-file tests.
 
 import heapq
 from fractions import Fraction
-from math import gcd, isfinite
+from math import gcd
 
 from . import _termops_py as kernel
 from .context import (MAX_DEGREE, ContextMismatchError, VariableContext, check_degree,
@@ -208,11 +208,6 @@ class Polynomial:
         get, keys = self.terms.get, self.context.linear_keys
         return [get(key, 0) for key in keys] + [
             get(a + b, 0) for i, a in enumerate(keys) for b in keys[i:]]
-
-    def is_finite_to(self, degree):
-        """Whether each coefficient of total degree at most `degree` is finite; builds no jet."""
-        limit = (degree + 1) << self.context.degree_shift
-        return all(isfinite(c) for key, c in self.terms.items() if key < limit)
 
     # -- term access: exponent tuples, in term order --------------------------
 
