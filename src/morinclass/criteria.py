@@ -13,9 +13,12 @@ The decision pipeline:
      field theta from one column c of adj(M) (a decision: over Q the first
      column of adj(M(0)) that is not zero) and h = det M, both from one
      elimination of [M | e_c] (`build_theta`), or of M alone for the trace's
-     h (`hessian`); and h' = theta h, ...  An exact map to the plane reads h
-     to order 1 only and builds no M: `_plane_tail` takes h by Jacobi's
-     formula, theta(0) and theta h(0) from Taylor coefficients at 0.
+     h (`hessian`); and h' = theta h, ...  An exact map with n <= 3 builds
+     no M: `_taylor_tail` reads M(0) and the linear part M_1 of M from
+     Taylor coefficients at 0.  To the plane h is read to order 1, by
+     Jacobi's formula; to 3-space to order 2, as det(M(0) + M_1) plus
+     tr(adj M(0) M_2) (Magnus-Neudecker, "Matrix Differential Calculus",
+     ch. 8), with theta to order 1 from the same elimination.
   5. label: fold iff h(0) != 0.  As d(f_n)_0 = 0, with E(0) the eta
      coefficients at 0, H the Hessian of f_n at 0, K = E(0)^T H E(0) and
      s = m-n+1,
@@ -68,6 +71,8 @@ both paths.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import add
 
 from .germ import (AdaptedFrame, MapGerm, NormalizedGerm, PolyVectorField, _apply_fields,
                    build_frame, kernel_fields, normalized)
@@ -120,8 +125,8 @@ class LambdaSystem:
 
 @dataclass(frozen=True)
 class HessData:
-    h_matrix: PolyMatrix = None  # entry (i, j) is eta_j lambda_i; None from `_plane_tail`
-    h: Polynomial = None  # det M, once `build_theta` takes it
+    h_matrix: PolyMatrix = None  # entry (i, j) is eta_j lambda_i; None from `_taylor_tail`
+    h: Polynomial = None  # det M, once `build_theta` or `_taylor_tail` takes it
     theta: PolyVectorField = None
     theta_column: int = None
     h_derivs: tuple = None  # h, theta h, theta^2 h, ...
@@ -157,8 +162,8 @@ def build_theta(ls: LambdaSystem, hd: HessData, column: int) -> HessData:
     M has a constant term, each product in det M has order at least the
     size of M; when that size exceeds the order h is read to and no column
     is asked for, h is the zero jet of that order and the block, which holds
-    no unit to pivot on, is not expanded.  `classify` runs it for n >= 3
-    and on floats; an exact n = 2 germ takes `_plane_tail`.
+    no unit to pivot on, is not expanded.  `classify` runs it for n >= 4
+    and on floats; an exact germ with n <= 3 takes `_taylor_tail`.
 
     Because adj(M) . M = det(M) . I holds identically, theta lies in the
     kernel of M at every point where h vanishes; 2-non-degeneracy makes some
@@ -192,25 +197,79 @@ def iterate_h(hd: HessData, up_to: int) -> HessData:
     return replace(hd, h_derivs=tuple(derivs))
 
 
-def _plane_tail(ls: LambdaSystem) -> HessData:
-    """h, theta(0) and theta h(0) of an exact n = 2 germ from Taylor coefficients, without M.
+def _taylor_tail(ls: LambdaSystem, theta=True) -> HessData:
+    """h, theta and the h-chain of an exact germ with n <= 3 from Taylor coefficients, without M.
 
-    M's entries are 1-jets (the det B slot of each eta keeps them so): with
-    E the eta coefficients, M(0)_ij = sum_w E_j^w(0) d_w lambda_i(0) and
-    d_v M_ij(0) = sum_w d_v E_j^w(0) d_w lambda_i(0) + E_j^w(0) d_v d_w lambda_i(0).
-    One scalar adj(M(0)) gives det M(0), dh(0)_v = tr(adj M(0) d_v M(0))
-    (Jacobi's formula: the 1-jet of det M, cap 1, that `build_theta`
-    eliminates), the theta column as `_Exact.theta_column` picks it, and
-    theta(0) = sum_i adj(M(0))_ic eta_i(0); theta h(0) = theta(0) . dh(0).
-    theta and theta h come as 0-jets, and are None where adj(M(0)) = 0.
+    M's entries are (n-1)-jets (the det B slot of each eta keeps them so):
+    with E the eta coefficients, M(0)_ij = sum_w E_j^w(0) d_w lambda_i(0)
+    and d_v M_ij(0) = sum_w d_v E_j^w(0) d_w lambda_i(0) + E_j^w(0) d_v d_w
+    lambda_i(0).  One scalar adj(M(0)) gives the theta column as
+    `_Exact.theta_column` picks it.  For n = 2 it gives det M(0),
+    dh(0)_v = tr(adj M(0) d_v M(0)) (Jacobi's formula: the 1-jet of det M,
+    cap 1, that `build_theta` eliminates), theta(0) = sum_i adj(M(0))_ic
+    eta_i(0) and theta h(0) = theta(0) . dh(0), theta and theta h as 0-jets.
+    For n = 3, with M_1 and M_2 the degree-1 and degree-2 parts of M, both
+    identities hold for a singular M(0) too:
+
+        det M = det(M(0) + M_1) + tr(adj M(0) M_2)  modulo degree 3,
+        adj M = adj(M(0) + M_1)                     modulo degree 2.
+
+    One `eliminate` of [M(0) + M_1 | e_c], entries capped at 2, gives the
+    first term and adj(M) e_c; the second is the degree-2 part of
+    sum_j eta_j mu_j, mu_j = sum_i adj(M(0))_ji lambda_i.  theta =
+    sum_j adj(M)_jc eta_j is taken to order 1, which `iterate_h` reads to
+    the jets of `build_theta` and `iterate_h` on M.  Without `theta` only h
+    is taken.  theta is None where adj(M(0)) = 0, and for n = 3 then h too:
+    no decision reads it, and the trace asks for it without `theta`.
     """
     ctx, lambdas, keys = ls.germ.context, ls.lambdas, ls.germ.context.linear_keys
     fields = [[(w, c.constant_term(), c.linear_coefficients())
                for w, c in enumerate(eta.coefficients) if c.terms] for eta in ls.frame.eta]
     grads = [lam.linear_coefficients() for lam in lambdas]
     # M(0) = det B(0) K, ints: the head is integer-scaled and `normalized` keeps int rows
-    det0, adj = adjugate([[sum(e * grad[w] for w, e, _ in field)
-                           for field in fields] for grad in grads], 1, 0)
+    m0 = [[sum(e * grad[w] for w, e, _ in field) for field in fields] for grad in grads]
+    order = ls.germ.n - 1
+    if len(m0) > order and not any(map(any, m0)):  # h is 0 to its order, as `build_theta` finds
+        return HessData(h=Polynomial.zero(ctx).truncated(order))
+    det0, adj = adjugate(m0, 1, 0)
+    column = _first_column(adj) if theta else None
+    if order == 2:
+        if theta and column is None:
+            return HessData()
+        block = []  # M(0) + M_1; d_w d_v lambda_i(0) from the x_w x_v terms, as for n = 2
+        for lam, grad, row0 in zip(lambdas, grads, m0):
+            get = lam.terms.get
+            hess = [[get(a + b, 0) * (1 + (a == b)) for b in keys] for a in keys]
+            row = []
+            for field, c in zip(fields, row0):
+                lin = [0] * len(keys)
+                for w, e, de in field:
+                    lin = [x + d * grad[w] + e * y for x, d, y in zip(lin, de, hess[w])]
+                terms = {k: x for k, x in zip((0, *keys), (c, *lin)) if x}
+                row.append(Polynomial._wrap(ctx, terms, 2))
+            block.append(row)
+        unit = None if column is None else [[Polynomial.constant(ctx, int(r == column))]
+                                            for r in range(len(block))]
+        det, adj_col = eliminate(block, unit)
+        h = det.truncated(2)
+        # tr(adj M(0) M_2), the degree-2 part of sum_j eta_j mu_j
+        parts = [eta.apply(reduce(add, [lam * a for a, lam in zip(weights, lambdas) if a]))
+                 for eta, weights in zip(ls.frame.eta, adj) if any(weights)]
+        if parts:
+            shift = ctx.degree_shift
+            terms = reduce(add, parts).terms
+            h = h + Polynomial._wrap(ctx, {k: c for k, c in terms.items() if k >> shift == 2}, 2)
+        if column is None:
+            return HessData(h=h)
+        theta0, theta1 = [0] * len(keys), [[0] * len(keys) for _ in keys]
+        for (entry,), field in zip(adj_col, fields):
+            a0, da = entry.constant_term(), entry.linear_coefficients()
+            for w, e, de in field:
+                theta0[w] += a0 * e
+                theta1[w] = [t + x * e + a0 * d for t, x, d in zip(theta1[w], da, de)]
+        coeffs = [Polynomial._wrap(ctx, {k: x for k, x in zip((0, *keys), (t, *lin)) if x}, 1)
+                  for t, lin in zip(theta0, theta1)]
+        return iterate_h(HessData(h=h, theta=PolyVectorField(ctx, coeffs), theta_column=column), 2)
     dh = [0] * len(keys)
     for field, weights in zip(fields, adj):  # d(eta_j mu_j)(0), mu_j = sum_i adj_ji lambda_i
         for w, e, de in field:
@@ -220,7 +279,6 @@ def _plane_tail(ls: LambdaSystem) -> HessData:
                    * (1 + (v == w)) for v, key in enumerate(keys)]
             dh = [d + s * slope + e * r for d, s, r in zip(dh, de, row)]
     h = Polynomial._wrap(ctx, {key: d for key, d in zip((0, *keys), (det0, *dh)) if d}, 1)
-    column = _first_column(adj)
     if column is None:
         return HessData(h=h)
     theta0 = [0] * len(keys)
@@ -353,7 +411,7 @@ def classify(germ: MapGerm, trace=True) -> CriteriaReport:
     """Full classification of a polynomial map germ at the origin, by the stages above.
 
     The polynomial lambdas are built for every germ that passes the fold
-    and non-degeneracy tests, and M (but for n = 2) and h for those with a
+    and non-degeneracy tests, and M (but for n <= 3) and h for those with a
     theta column; `trace` builds the lambdas and h for every corank-one germ
     and adds them to the report's trace as "lambdas" and "h".
     """
@@ -391,8 +449,9 @@ def _classify_at_origin(work: MapGerm, decide, trace=False):
     tests' reference for `numeric`'s stacked stages); `_after_fold_test`
     labels, and this function alone writes the record, with `decide.fmt`.
     With `trace` it builds the lambdas and h that a germ labelled before
-    theta lacks: `hessian` at the fold test (`_plane_tail` for an exact
-    n = 2 germ), det M alone if Not2Nondegenerate.
+    theta lacks: `hessian` at the fold test, det M alone if
+    Not2Nondegenerate; for an exact germ with n <= 3, `_taylor_tail`
+    without theta in both places.
     """
     n = work.n
     record = {"m": work.m, "n": n}
@@ -417,12 +476,12 @@ def _classify_at_origin(work: MapGerm, decide, trace=False):
     size = work.m - n + 1
     label, ls, hd, cond_b = _after_fold_test(ng, decide, size, h0, nd_rank, inertia)
     if trace:
-        shown = hd
+        shown, tail = hd, decide.exact and n <= 3
         if ls is None:
             ls = lambdas_for_frame(ng.germ, build_frame(ng))
-            shown = _plane_tail(ls) if decide.exact and n == 2 else hessian(ls)
+            shown = _taylor_tail(ls, theta=False) if tail else hessian(ls)
         elif hd.h is None:
-            shown = build_theta(ls, hd, None)
+            shown = _taylor_tail(ls, theta=False) if tail else build_theta(ls, hd, None)
         record["lambdas"] = [p.render() for p in ls.lambdas]
         record["h"] = shown.h.render()
     record["nondegeneracy"] = {"rank": nd_rank, "required": size}
@@ -444,11 +503,11 @@ def _after_fold_test(ng, decide, size, h0, nd_rank, inertia):
 
     The one place a fold test's outcome becomes a label; it records and
     formats nothing.  `size` is m-n+1.  `ls` (the lambdas) and `hd` (M, or
-    for an exact n = 2 germ `_plane_tail`'s h, and past the theta column h,
-    theta and the h-chain) are None for a germ labelled at the fold test;
-    `cond_b` is condition (b)'s rank record with its k, or None.  Only a
-    germ past non-degeneracy reads `ng`: the float batch passes None for
-    the others.
+    for an exact germ with n <= 3 what `_taylor_tail` takes, and past the
+    theta column h, theta and the h-chain) are None for a germ labelled at
+    the fold test; `cond_b` is condition (b)'s rank record with its k, or
+    None.  Only a germ past non-degeneracy reads `ng`: the float batch
+    passes None for the others.
     """
     if inertia is not None:
         pos, neg, zero = inertia
@@ -458,8 +517,8 @@ def _after_fold_test(ng, decide, size, h0, nd_rank, inertia):
     if nd_rank != size:
         return Label("Degenerate", reason=NOT_NONDEGENERATE), None, None, None
     ls = lambdas_for_frame(ng.germ, build_frame(ng))
-    if decide.exact and ng.germ.n == 2:
-        hd = _plane_tail(ls)
+    if decide.exact and ng.germ.n <= 3:
+        hd = _taylor_tail(ls)
     else:
         hd = HessData(kernel_matrix(ls))
         column = decide.theta_column([[e.constant_term() for e in row]

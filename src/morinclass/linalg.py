@@ -17,8 +17,10 @@ for a jet a product with its inverse series.  `adjugate` is `eliminate`
 with W the identity.
 
 Jets of every order take the same elimination.  For an exact map to the
-plane the classifier forms no matrix of 1-jets: `criteria._plane_tail`
-takes det M by Jacobi's formula from Taylor coefficients, without M.
+plane or to 3-space the classifier forms no M: `criteria._taylor_tail`
+reads M(0) and its linear part from Taylor coefficients, and takes det M
+by Jacobi's formula (n = 2) or by one elimination of the 1-jet block
+M(0) + M_1 and a second-order correction (n = 3).
 
 `exact_row_reduce` is the row elimination of a Jacobian at the base point
 over Q, on first nonzero entries, run fraction-free on integers; it is not

@@ -659,7 +659,9 @@ class TestStageRouting:
         # a Morin candidate and never for a germ labelled from M(0) alone;
         # traced, once for every germ whose h is printed, none where h is the
         # zero jet of its order.  An exact map to the plane (n = 2) takes
-        # `_plane_tail` and eliminates no M; its float verdict still does
+        # `_taylor_tail` and eliminates no M; its float verdict still does.
+        # An exact n = 3 germ takes `_taylor_tail` too, whose one elimination
+        # is that of the s-square block M(0) + M_1
         from morinclass.numeric import numeric_classify
 
         ctx = make_context("x", "y", "z")
@@ -718,11 +720,14 @@ class TestStageRouting:
         monkeypatch.setattr(criteria, "build_theta", spied)
         rng = random.Random(41)
         changes = (TestThetaRule.linear_change, TestThetaRule.unipotent_change)
-        for m, n, k, signs, germ in battery_germs:
+        # the battery's exact germs take `_taylor_tail` (n <= 3); maps to 4-space eliminate M
+        germs = [germ for *_, germ in battery_germs]
+        germs += [normal_form(m, 4, k, (1, -1, 1)) for m, k in ((5, 2), (5, 4), (6, 3))]
+        for germ in germs:
             for change in changes:
                 moved = change(rng, germ)
                 classify(moved, trace=False)
-                numeric_classify(moved, (0,) * m)
+                numeric_classify(moved, (0,) * germ.m)
         floats = [isinstance(next(iter(ls.lambdas[0].terms.values())), float) for ls, _ in seen]
         assert any(floats) and not all(floats)
         monkeypatch.undo()  # `hessian` calls `build_theta`, which would grow `seen`
@@ -765,27 +770,30 @@ def plane_germs(rng):
             yield kind, TestThetaRule.unipotent_change(rng, germ)
 
 
-def plane_stages(germ):
-    """The lambdas `classify` builds for an exact n = 2 germ, and M, h, theta and the
-    h-chain from `kernel_matrix`, `build_theta` and `iterate_h` on them."""
-    work = MapGerm(germ.context, tuple(c.integer_scaled() for c in germ.truncated(3).components))
+def tail_stages(germ):
+    """The lambdas `classify` builds for an exact germ with n <= 3, and M, h, theta and
+    the h-chain from `kernel_matrix`, `build_theta` and `iterate_h` on them."""
+    n = germ.n
+    work = MapGerm(germ.context,
+                   tuple(c.integer_scaled() for c in germ.truncated(n + 1).components))
     ng = frame_jets(normalize(work))
     ls = lambdas_for_frame(ng.germ, build_frame(ng))
-    return ls, eliminated_plane_tail(ls)
+    return ls, eliminated_tail(ls)
 
 
-def eliminated_plane_tail(ls):
-    """What `_plane_tail` gives, by eliminating M: h, and with a theta column theta and theta h."""
+def eliminated_tail(ls, theta=True):
+    """What `_taylor_tail` gives, by eliminating M: h, and with a theta column theta and
+    the h-chain; without `theta`, h alone."""
     hd = HessData(kernel_matrix(ls))
     m0 = [[e.constant_term() for e in row] for row in hd.h_matrix.to_rows()]
-    column = _EXACT.theta_column(m0)
+    column = _EXACT.theta_column(m0) if theta else None
     if column is None:
         return build_theta(ls, hd, None)
-    return iterate_h(build_theta(ls, hd, column), 1)
+    return iterate_h(build_theta(ls, hd, column), ls.germ.n - 1)
 
 
 class TestPlaneRoute:
-    """`criteria._plane_tail`, the exact n = 2 tail by Jacobi's formula, against the
+    """`criteria._taylor_tail` on maps to the plane, h by Jacobi's formula, against the
     elimination of M on the same lambdas, and `classify`'s records with either."""
 
     @pytest.fixture(scope="class")
@@ -793,12 +801,12 @@ class TestPlaneRoute:
         return list(plane_germs(random.Random(4242)))
 
     def test_matches_the_elimination_of_m(self, germs):
-        from morinclass.criteria import _plane_tail
+        from morinclass.criteria import _taylor_tail
 
         ranks = set()
         for kind, germ in germs:
-            ls, old = plane_stages(germ)
-            new = _plane_tail(ls)
+            ls, old = tail_stages(germ)
+            new = _taylor_tail(ls)
             s = germ.m - 1
             assert new.h_matrix is None
             assert (new.h, new.h.jet) == (old.h, old.h.jet) == (new.h, 1), kind
@@ -825,7 +833,7 @@ class TestPlaneRoute:
                     for _, germ in germs for trace in (True, False)]
 
         new = records()
-        monkeypatch.setattr(criteria, "_plane_tail", eliminated_plane_tail)
+        monkeypatch.setattr(criteria, "_taylor_tail", eliminated_tail)
         assert records() == new
         labels = {str(classify(germ).label).split("(signature")[0] for _, germ in germs}
         assert labels == {"Fold", "Morin{2}", f"Degenerate({ALL_DERIVATIVES_VANISH})",
@@ -834,7 +842,7 @@ class TestPlaneRoute:
     def test_h_matches_sympy(self, germs):
         # det M by sympy, cut at order 1, on the changed germs with m <= 5
         import sympy
-        from morinclass.criteria import _plane_tail
+        from morinclass.criteria import _taylor_tail
 
         from conftest import to_sympy
 
@@ -842,52 +850,162 @@ class TestPlaneRoute:
         for kind, germ in germs:
             if germ.m > 5 or kind not in ("cusp", "vanish"):
                 continue
-            ls, old = plane_stages(germ)
+            ls, old = tail_stages(germ)
             symbols = sympy.symbols(germ.context.names)
             m = sympy.Matrix([[to_sympy(e, symbols) for e in row]
                               for row in old.h_matrix.to_rows()])
             det = sympy.Poly(sympy.expand(m.det(method="berkowitz")), *symbols)
             first = sum((c * sympy.Mul(*(v**e for v, e in zip(symbols, exps)))
                          for exps, c in det.terms() if sum(exps) <= 1), sympy.Integer(0))
-            assert sympy.expand(first - to_sympy(_plane_tail(ls).h, symbols)) == 0, kind
+            assert sympy.expand(first - to_sympy(_taylor_tail(ls).h, symbols)) == 0, kind
             checked += 1
         assert checked == 18
 
     def test_no_first_order_part(self):
         # a fold's normal form has constant kernel fields and quadratic
         # lambdas: M is constant and h is det M(0) alone, an int
-        from morinclass.criteria import _plane_tail
+        from morinclass.criteria import _taylor_tail
 
         for m in range(3, 8):
-            ls, old = plane_stages(normal_form(m, 2, 1, tuple((-1) ** i for i in range(m - 1))))
-            h = _plane_tail(ls).h
+            ls, old = tail_stages(normal_form(m, 2, 1, tuple((-1) ** i for i in range(m - 1))))
+            h = _taylor_tail(ls).h
             assert h.terms == {0: old.h.constant_term()} and type(h.constant_term()) is int
 
     def test_route_is_chosen_by_input(self, monkeypatch):
-        # exact maps to the plane take `_plane_tail`, traced and untraced, for
-        # the label and for the trace's h; n >= 3 and floats do not
+        # exact maps to the plane and to 3-space take `_taylor_tail`, traced
+        # and untraced, for the label and for the trace's h; n >= 4 and
+        # floats do not
         from morinclass import criteria
         from morinclass.numeric import numeric_classify
 
-        calls, plane_tail = [], criteria._plane_tail
+        calls, taylor_tail = [], criteria._taylor_tail
 
-        def counted(ls):
+        def counted(ls, theta=True):
             calls.append(ls.germ.m)
-            return plane_tail(ls)
+            return taylor_tail(ls, theta)
 
-        monkeypatch.setattr(criteria, "_plane_tail", counted)
-        for m, k in ((4, 1), (4, 2), (6, 2)):
-            germ = normal_form(m, 2, k, (1,) * (m - 1))
+        monkeypatch.setattr(criteria, "_taylor_tail", counted)
+        for m, n, k in ((4, 2, 1), (4, 2, 2), (6, 2, 2), (5, 3, 1), (5, 3, 3), (6, 3, 2)):
+            germ = normal_form(m, n, k, (1,) * (m - 1))
             for trace in (True, False):
                 calls.clear()
                 classify(germ, trace=trace)
-                assert calls == ([m] if trace or k > 1 else []), (m, k, trace)
+                assert calls == ([m] if trace or k > 1 else []), (m, n, k, trace)
             calls.clear()
             numeric_classify(germ, (0,) * m)
             assert calls == []
-        classify(normal_form(5, 3, 3, (1, 1)))
-        classify(normal_form(5, 3, 1, (1, 1, 1)))
+        classify(normal_form(5, 4, 4, (1,)))
+        classify(normal_form(5, 4, 1, (1, 1)))
         assert calls == []
+
+
+def space_germs(rng):
+    """(kind, germ) for seeded exact maps to 3-space, m = 4..7 (s = m - 2 = 2..5).
+
+    The kinds, over x1, x2, y1..y_(m-3), z with q = sum +-y_i^2: a fold
+    (`normal_form(m, 3, 1)`), a cusp and a Morin 3 (`normal_form(m, 3, k)`),
+    "not2" (x1 y1 + x2 z + q - y1^2 + z^3: K of rank s - 2, so adj(M(0)) = 0),
+    "vanish" (q + x1 z + x2 z^2 + z^5: theta h(0) = theta^2 h(0) = 0), "flat"
+    (q + z^3: NotNondegenerate) and "rank" (q + z^4 + x1 z: condition (b)
+    fails).  Each comes plain, under a dense linear A-change, and under a
+    unipotent one, whose Fraction terms also change the kernel fields at
+    first and second order.
+    """
+    for m in range(4, 8):
+        signs = tuple(rng.choice((1, -1)) for _ in range(m - 2))
+        cusp = normal_form(m, 3, 2, signs[1:])
+        ctx = cusp.context
+        x1, x2, *ys, z = (Polynomial.variable(ctx, v) for v in ctx.names)
+        q = sum((s * y**2 for s, y in zip(signs, ys)), Polynomial.zero(ctx))
+        kinds = [("fold", normal_form(m, 3, 1, signs)), ("cusp", cusp),
+                 ("morin3", normal_form(m, 3, 3, signs[1:])),
+                 ("not2", MapGerm(ctx, (x1, x2, x1 * ys[0] + x2 * z + q - signs[0] * ys[0]**2
+                                        + z**3))),
+                 ("vanish", MapGerm(ctx, (x1, x2, q + x1 * z + x2 * z**2 + z**5))),
+                 ("flat", MapGerm(ctx, (x1, x2, q + z**3))),
+                 ("rank", MapGerm(ctx, (x1, x2, q + z**4 + x1 * z)))]
+        for kind, germ in kinds:
+            yield kind, germ
+            yield kind, TestThetaRule.linear_change(rng, germ)
+            yield kind, TestThetaRule.unipotent_change(rng, germ)
+
+
+class TestTaylorTail:
+    """`criteria._taylor_tail` on maps to 3-space, h to order 2 by the second-order
+    expansion of det M around M(0), against the elimination of M on the same
+    lambdas, and `classify`'s records with either."""
+
+    @pytest.fixture(scope="class")
+    def germs(self):
+        return list(space_germs(random.Random(4343)))
+
+    @pytest.fixture(scope="class")
+    def stages(self, germs):
+        return [(kind, germ, *tail_stages(germ)) for kind, germ in germs]
+
+    def test_matches_the_elimination_of_m(self, stages):
+        from morinclass.criteria import _taylor_tail
+
+        ranks = Counter()
+        for kind, germ, ls, old in stages:
+            new, shown = _taylor_tail(ls), _taylor_tail(ls, False)
+            assert new.h_matrix is None and shown.theta is None
+            s = germ.m - 2
+            rank = minor_rank([[e.constant_term() for e in row] for row in old.h_matrix.to_rows()])
+            ranks[max(rank, s - 2) - s] += 1
+            assert (shown.h, shown.h.jet) == (old.h, old.h.jet) == (shown.h, 2), kind
+            if old.theta is None:
+                assert new.theta is None and new.h_derivs is None and rank <= s - 2, kind
+                continue
+            assert new.h == old.h and new.theta_column == old.theta_column, kind
+            assert [c.constant_term() for c in new.theta.coefficients] == [
+                c.constant_term() for c in old.theta.coefficients], kind
+            assert new.h_derivs[0] is new.h and [p.jet for p in new.h_derivs] == [2, 1, 0]
+            assert [p.constant_term() for p in new.h_derivs] == [
+                p.constant_term() for p in old.h_derivs], kind
+            assert (new.h_derivs[1].linear_coefficients()
+                    == old.h_derivs[1].linear_coefficients()), kind
+            for k in (2, 3):
+                assert rank_condition_b(ls, new, k) == rank_condition_b(ls, old, k), kind
+        # M(0) of rank s, s - 1 and at most s - 2
+        assert set(ranks) == {0, -1, -2}
+
+    def test_records_match_the_elimination_of_m(self, germs, monkeypatch):
+        from morinclass import criteria
+
+        def records():
+            return [json.dumps(classify(germ, trace=trace).trace)
+                    for _, germ in germs for trace in (True, False)]
+
+        new = records()
+        monkeypatch.setattr(criteria, "_taylor_tail", eliminated_tail)
+        assert records() == new
+        labels = {str(classify(germ).label).split("(signature")[0] for _, germ in germs}
+        assert labels == {"Fold", "Morin{2}", "Morin{3}"} | {
+            f"Degenerate({reason})" for reason in (NOT_NONDEGENERATE, NOT_2_NONDEGENERATE,
+                                                   ALL_DERIVATIVES_VANISH, RANK_CONDITION_FAILED)}
+
+    def test_h_matches_sympy(self, stages):
+        # det M by sympy's Berkowitz (the characteristic polynomial's constant
+        # term, over QQ[x]), cut at order 2, on the germs with m <= 5
+        import sympy
+        from morinclass.criteria import _taylor_tail
+        from sympy.polys.matrices import DomainMatrix
+        from sympy.polys.rings import ring
+
+        checked = 0
+        for kind, germ, ls, old in stages:
+            if germ.m > 5:
+                continue
+            qx, *_ = ring(germ.context.names, sympy.QQ)
+            rows = [[qx.from_dict({e: sympy.QQ(c.numerator, c.denominator) for e, c in p.items()})
+                     for p in row] for row in old.h_matrix.to_rows()]
+            size = len(rows)
+            det = DomainMatrix(rows, (size, size), qx.to_domain()).charpoly_berk()[-1] * (-1)**size
+            second = {e: c for e, c in det.items() if sum(e) <= 2}
+            assert second == dict(_taylor_tail(ls, False).h.items()), kind
+            checked += 1
+        assert checked == 42
 
 
 class TestScaling:
@@ -1004,11 +1122,15 @@ class TestScaling:
         monkeypatch.setattr(linalg, "_dot", counted)
         cubic = [traced(cubic_forms_germ(r)) for r in range(3, 8)]
         assert all(b <= 2 * a for a, b in zip(cubic, cubic[1:])), cubic
-        # n = 2 forms no M: its count is the scalar adj(M(0)) of `_plane_tail`,
-        # (m-1)-square, which for m = 3 is a 2x2 of 5 products
+        # n = 2 forms no M: its count is the scalar adj(M(0)) of `_taylor_tail`,
+        # (m-1)-square, which for m = 3 is a 2x2 of 5 products.  n = 3 forms
+        # none either: the Morin 3 forms count that adjugate and the
+        # elimination of the block M(0) + M_1, and `kernel_hessian_zero_germ`
+        # takes its zero h before any adjugate
         families = (
             (range(4, 11), lambda m: normal_form(m, 2, 1, (1,) * (m - 1))),
             (range(5, 11), lambda m: normal_form(m, 4, 4, (1,) * (m - 4))),
+            (range(4, 11), lambda m: normal_form(m, 3, 3, (1,) * (m - 3))),
             (range(5, 15), kernel_hessian_zero_germ),
         )
         for sizes, germ_of in families:
@@ -1248,7 +1370,7 @@ class TestFoldOverQ:
         assert folds == {"battery": 48, "witness": 200}
 
     def test_integer_m0_is_det_b_times_k(self, battery_germs, monkeypatch):
-        # the theta decision and `_plane_tail` take adj(M(0)) of M(0) as it
+        # the theta decision and `_taylor_tail` take adj(M(0)) of M(0) as it
         # comes: on `classify`'s integer-scaled germs it is a matrix of ints,
         # det B(0) K (dlambda(0) = det B(0) E(0)^T H, so M(0) = det B(0) E(0)^T H E(0))
         from morinclass import criteria
@@ -1450,21 +1572,31 @@ def test_bench_surface_resolves(monkeypatch):
 
 def traced_stage_germs():
     """(germ, label) for a fold, a Not2Nondegenerate germ with M(0) != 0 and a cusp,
-    and for n = 2, where M holds 1-jets and is 4x4, a fold and a cusp.
+    with n = 3 and with n = 4, and for n = 2, where M holds 1-jets and is 4x4, a fold
+    and a cusp.
 
     On x1 ; x2 ; x1 y1 + x2 y2 + y3^2, E(0)^T H has rank 3 but K = diag(0, 0, 2):
-    M(0) = det B(0) K is not zero, and its adjugate is.
+    M(0) = det B(0) K is not zero, and its adjugate is; and so with x3 added.
     """
     ctx = make_context("x1", "x2", "y1", "y2", "y3")
     x1, x2, y1, y2, y3 = (Polynomial.variable(ctx, v) for v in ctx.names)
     fold = MapGerm(ctx, (x1, x2, y1**2 + y2**2 - y3**2 + x1 * y3))
     flat = MapGerm(ctx, (x1, x2, x1 * y1 + x2 * y2 + y3**2))
     cusp = MapGerm(ctx, (x1, x2, y1**2 + y2**2 + y3**3 + x1 * y3))
+    space = make_context("x1", "x2", "x3", "y1", "y2", "y3")
+    x1, x2, x3, y1, y2, y3 = (Polynomial.variable(space, v) for v in space.names)
+    in_space = {"fold n=4": (MapGerm(space, (x1, x2, x3, y1**2 + y2**2 - y3**2 + x1 * y3)),
+                             "Fold(signature=(2, 1))"),
+                "not 2-nondegenerate n=4": (MapGerm(space, (x1, x2, x3, x1 * y1 + x2 * y2 + y3**2)),
+                                            "Degenerate(Not2Nondegenerate)"),
+                "cusp n=4": (MapGerm(space, (x1, x2, x3, y1**2 + y2**2 + y3**3 + x1 * y3)),
+                             "Morin{2}")}
     plane = make_context("x", "y1", "y2", "y3", "y4")
     x, y1, y2, y3, y4 = (Polynomial.variable(plane, v) for v in plane.names)
     return {"fold": (fold, "Fold(signature=(2, 1))"),
             "not 2-nondegenerate": (flat, "Degenerate(Not2Nondegenerate)"),
             "cusp": (cusp, "Morin{2}"),
+            **in_space,
             "fold n=2": (MapGerm(plane, (x, y1**2 + y2**2 + y3**2 - y4**2 + x * y4)),
                          "Fold(signature=(3, 1))"),
             "cusp n=2": (MapGerm(plane, (x, y1**2 + y2**2 + y3**2 + y4**3 + x * y4)),
@@ -1472,11 +1604,15 @@ def traced_stage_germs():
 
 
 @pytest.mark.parametrize("name, trace, hessians, determinants", [
-    ("fold", True, 1, 1),
+    # an exact map to 3-space or to the plane takes h from `_taylor_tail`, without M
+    ("fold", True, 0, 0),
     ("fold", False, 0, 0),
-    ("not 2-nondegenerate", True, 0, 1),
+    ("not 2-nondegenerate", True, 0, 0),
     ("cusp", True, 0, 0),
-    # an exact map to the plane takes h from `_plane_tail`, without M
+    ("fold n=4", True, 1, 1),
+    ("fold n=4", False, 0, 0),
+    ("not 2-nondegenerate n=4", True, 0, 1),
+    ("cusp n=4", True, 0, 0),
     ("fold n=2", True, 0, 0),
     ("cusp n=2", True, 0, 0),
 ])
@@ -1489,7 +1625,8 @@ def test_traced_stages_run_through_the_wrapped_names(monkeypatch, name, trace, h
     names: a stage that builds M or takes det M around them leaves the spans
     at 0 although the work is done.  A Morin candidate builds M itself and
     takes det M in the same elimination as its theta column.  An exact map
-    to the plane builds no M: `_plane_tail` takes h from Taylor coefficients.
+    to the plane or to 3-space builds no M: `_taylor_tail` takes h from
+    Taylor coefficients.
     """
     from morinclass import criteria
 

@@ -449,7 +449,7 @@ class TestFirstOrder:
     elimination's det has cap 1; at rank at most s-2 its jet rule may know
     more.  `determinant` gives the elimination's jet, cap included.  The
     classifier's Jacobi's formula on scalar matrices, for maps to the plane,
-    is `criteria._plane_tail`, which `test_criteria.TestPlaneRoute` checks.
+    is `criteria._taylor_tail`, which `test_criteria.TestPlaneRoute` checks.
     """
 
     def check(self, rows, extra):

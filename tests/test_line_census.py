@@ -83,3 +83,18 @@ def test_float_scan_export_runs_every_line_of_the_stacked_shift():
     end = next(i for i in range(start, len(source)) if source[i].startswith(("def ", "class ")))
     assert end - start > 50
     assert not [number for number in numeric if start <= number <= end]
+
+
+def test_ainv_replay_runs_the_second_order_tail():
+    # the replay's maps to 3-space run every line of `_taylor_tail`'s n = 3
+    # branch but the exit for a germ without a theta column: the battery's
+    # folds and Morin germs are never Not2Nondegenerate
+    criteria = census("ainv_replay")["criteria.py"]
+    source = (PACKAGE / "criteria.py").read_text().splitlines()
+    start = source.index("    if order == 2:") + 1
+    end = source.index("    dh = [0] * len(keys)")
+    assert end - start > 30
+    assert [criteria[number] for number in criteria if start <= number <= end] == [
+        "return HessData()"]
+    for number, text in criteria.items():
+        assert source[number - 1].strip() == text

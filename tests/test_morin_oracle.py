@@ -514,3 +514,39 @@ def test_oracle_on_normal_forms():
     # the axes, with u (z1 - z2)
     assert morin_oracle(germ(((0, 0, 2), 1), ((0, 1, 1), 2), ((0, 2, 0), 1), ((0, 3, 0), 1),
                              ((1, 1, 0), 1), ((1, 0, 1), -1)), 3) == ("Cusp", None)
+
+
+def test_theta_identity_at_exact_morin_candidates(battery_germs, monkeypatch):
+    # theta lambda_i = (M adj M)_ic = h delta_ic: at a Morin candidate, where
+    # h(0) = 0, theta(0) annihilates every dlambda_i(0); and theta(0) .
+    # d(theta^j h)(0) = theta^(j+1) h(0).  Exact maps with n <= 3 take
+    # `criteria._taylor_tail`, which `classify` calls with its theta column
+    # at every candidate and nowhere else untraced
+    from morinclass import criteria
+
+    seen, tail = [], criteria._taylor_tail
+
+    def spied(ls, theta=True):
+        hd = tail(ls, theta)
+        if hd.theta is not None:
+            seen.append((ls, hd))
+        return hd
+
+    monkeypatch.setattr(criteria, "_taylor_tail", spied)
+    rng = random.Random(1965)
+    germs = [germ for *_, germ in battery_germs]
+    germs += [germ for germ in seeded_germs(rng) if germ.n <= 3]
+    germs += [normal_coordinates_germ(rng, kind, m, 3)
+              for kind in ("morin 3", "not versal 3") for m in (4, 5)]
+    for germ in germs:
+        classify(germ, trace=False)
+    dims = Counter()
+    for ls, hd in seen:
+        theta0 = [c.constant_term() for c in hd.theta.coefficients]
+        for lam in ls.lambdas:
+            assert sum(t * d for t, d in zip(theta0, lam.linear_coefficients())) == 0
+        for j in range(ls.germ.n - 1):
+            slope = hd.h_derivs[j].linear_coefficients()
+            assert sum(t * d for t, d in zip(theta0, slope)) == hd.h_derivs[j + 1].constant_term()
+        dims[ls.germ.n] += 1
+    assert dims == {2: 18, 3: 25}, dims

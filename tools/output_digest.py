@@ -92,6 +92,11 @@ and lists the valid ones):
                                    germ of every `witness_verify` candidate
                                    at the seed-1 and seed-2 points: theta(0)
                                    and the h-derivatives of maps to the plane
+  ladder.second_order              traced and untraced reports of the dense
+                                   n = 3 ladder germs (m, 3, k), m = 6..8,
+                                   k = 1..3, each from a fresh seed 7: h to
+                                   order 2 and theta to order 1 of maps to
+                                   3-space above s = 3
 
 Each `cli.*` text is the exit status and the standard output.
 
@@ -146,6 +151,8 @@ inputs = _load_inputs()
 SEEDS = (1, 2)
 LADDER_REPORTS = ((6, 2, 1), (7, 2, 1), (5, 3, 3), (5, 4, 4), (8, 2, 1), (6, 4, 4), (6, 5, 5))
 FIRST_ORDER_CASES = ((6, 2, 2), (7, 2, 2), (8, 2, 2))
+SECOND_ORDER_SEED = 7
+SECOND_ORDER_CASES = tuple((m, 3, k) for m in (6, 7, 8) for k in (1, 2, 3))
 LADDER_VERDICTS = ((6, 2, 1), (7, 2, 1), (6, 2, 2), (7, 2, 2), (6, 3, 2), (5, 3, 3), (6, 3, 3))
 SCAN_POINTS = ((Fraction(3, 2), 1, -2, Fraction(-1, 2)),
                (0, Fraction(1, 2), 2, Fraction(3, 2)),
@@ -237,6 +244,13 @@ def ladder_reports(cases=LADDER_REPORTS):
     for seed in SEEDS:
         for case in cases:
             yield json.dumps(report_to_dict(classify(ladder_germ(seed, case)), include_trace=True))
+
+
+def second_order_reports():
+    for case in SECOND_ORDER_CASES:
+        germ = ladder_germ(SECOND_ORDER_SEED, case)
+        for traced in (True, False):
+            yield json.dumps(report_to_dict(classify(germ, trace=traced), include_trace=traced))
 
 
 def ladder_verdicts():
@@ -622,6 +636,7 @@ FAMILIES = (
     ("kernel.terms", kernel_terms),
     ("verdicts.h_chain", h_chain_margins),
     ("witness.records", witness_records),
+    ("ladder.second_order", second_order_reports),
 )
 
 
