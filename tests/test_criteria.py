@@ -722,7 +722,7 @@ class TestStageRouting:
         changes = (TestThetaRule.linear_change, TestThetaRule.unipotent_change)
         # the battery's exact germs take `_taylor_tail` (n <= 3); maps to 4-space eliminate M
         germs = [germ for *_, germ in battery_germs]
-        germs += [normal_form(m, 4, k, (1, -1, 1)) for m, k in ((5, 2), (5, 4), (6, 3))]
+        germs += [normal_form(5, 4, k, (1, -1)) for k in (2, 4)]
         for germ in germs:
             for change in changes:
                 moved = change(rng, germ)
