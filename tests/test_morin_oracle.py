@@ -519,9 +519,9 @@ def test_oracle_on_normal_forms():
 def test_theta_identity_at_exact_morin_candidates(battery_germs, monkeypatch):
     # theta lambda_i = (M adj M)_ic = h delta_ic: at a Morin candidate, where
     # h(0) = 0, theta(0) annihilates every dlambda_i(0); and theta(0) .
-    # d(theta^j h)(0) = theta^(j+1) h(0).  Exact maps with n <= 3 take
-    # `criteria._taylor_tail`, which `classify` calls with its theta column
-    # at every candidate and nowhere else untraced
+    # d(theta^j h)(0) = theta^(j+1) h(0).  Untraced, `classify` takes
+    # `criteria._taylor_tail` for exact maps with n <= 3 past
+    # non-degeneracy: the germs it gives a theta column are the candidates
     from morinclass import criteria
 
     seen, tail = [], criteria._taylor_tail
