@@ -215,12 +215,13 @@ def _taylor_tail(ls: LambdaSystem, theta=True) -> HessData:
         adj M = adj(M(0) + M_1)                     modulo degree 2.
 
     One `eliminate` of [M(0) + M_1 | e_c], entries capped at 2, gives the
-    first term and adj(M) e_c; the second is the degree-2 part of
+    first term and adj(M) e_c to order 1; the second is the degree-2 part of
     sum_j eta_j mu_j, mu_j = sum_i adj(M(0))_ji lambda_i.  theta =
-    sum_j adj(M)_jc eta_j is taken to order 1, which `iterate_h` reads to
-    the jets of `build_theta` and `iterate_h` on M.  Without `theta` only h
-    is taken.  theta is None where adj(M(0)) = 0, and for n = 3 then h too:
-    no decision reads it, and the trace asks for it without `theta`.
+    sum_j adj(M)_jc eta_j is taken to order 1, all that `iterate_h` reads
+    of it: the chain comes out with the terms and jets it has on M.
+    Without `theta` only h is taken.  theta is None where adj(M(0)) = 0,
+    and for n = 3 then h too: no decision reads it, and the trace asks for
+    it without `theta`.
     """
     ctx, lambdas, keys = ls.germ.context, ls.lambdas, ls.germ.context.linear_keys
     fields = [[(w, c.constant_term(), c.linear_coefficients())
