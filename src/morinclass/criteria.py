@@ -15,10 +15,12 @@ The decision pipeline:
      elimination of [M | e_c] (`build_theta`), or of M alone for the trace's
      h (`hessian`); and h' = theta h, ...  An exact map with n <= 3 builds
      no M: `_taylor_tail` reads M(0) and the linear part M_1 of M from
-     Taylor coefficients at 0.  To the plane h is read to order 1, by
-     Jacobi's formula; to 3-space to order 2, as det(M(0) + M_1) plus
-     tr(adj M(0) M_2) (Magnus-Neudecker, "Matrix Differential Calculus",
-     ch. 8), with theta to order 1 from the same elimination.
+     Taylor coefficients at 0, and h to order N = n-1 as det(M_<N) plus
+     tr(adj M(0) M_N), M_<N the part of M below degree N
+     (Magnus-Neudecker, "Matrix Differential Calculus", ch. 8), with theta
+     to order N-1 from adj(M_<N).  To the plane (N = 1) M_<1 is M(0) and
+     the trace is Jacobi's formula; to 3-space one elimination of
+     M(0) + M_1 gives det and theta.
   5. label: fold iff h(0) != 0.  As d(f_n)_0 = 0, with E(0) the eta
      coefficients at 0, H the Hessian of f_n at 0, K = E(0)^T H E(0) and
      s = m-n+1,
@@ -200,28 +202,26 @@ def iterate_h(hd: HessData, up_to: int) -> HessData:
 def _taylor_tail(ls: LambdaSystem, theta=True) -> HessData:
     """h, theta and the h-chain of an exact germ with n <= 3 from Taylor coefficients, without M.
 
-    M's entries are (n-1)-jets (the det B slot of each eta keeps them so):
-    with E the eta coefficients, M(0)_ij = sum_w E_j^w(0) d_w lambda_i(0)
+    M's entries are N-jets, N = n - 1 (the det B slot of each eta keeps them
+    so): with E the eta coefficients, M(0)_ij = sum_w E_j^w(0) d_w lambda_i(0)
     and d_v M_ij(0) = sum_w d_v E_j^w(0) d_w lambda_i(0) + E_j^w(0) d_v d_w
-    lambda_i(0).  One scalar adj(M(0)) gives the theta column as
-    `_Exact.theta_column` picks it.  For n = 2 it gives det M(0),
-    dh(0)_v = tr(adj M(0) d_v M(0)) (Jacobi's formula: the 1-jet of det M,
-    cap 1, that `build_theta` eliminates), theta(0) = sum_i adj(M(0))_ic
-    eta_i(0) and theta h(0) = theta(0) . dh(0), theta and theta h as 0-jets.
-    For n = 3, with M_1 and M_2 the degree-1 and degree-2 parts of M, both
-    identities hold for a singular M(0) too:
+    lambda_i(0), the linear part M_1.  One scalar adj(M(0)) gives the theta
+    column as `_Exact.theta_column` picks it.  With M_<N the part of M below
+    degree N and M_N its degree-N part, both identities hold for a singular
+    M(0) too:
 
-        det M = det(M(0) + M_1) + tr(adj M(0) M_2)  modulo degree 3,
-        adj M = adj(M(0) + M_1)                     modulo degree 2.
+        det M = det(M_<N) + tr(adj M(0) M_N)  modulo degree N + 1,
+        adj M = adj(M_<N)                     modulo degree N.
 
-    One `eliminate` of [M(0) + M_1 | e_c], entries capped at 2, gives the
-    first term and adj(M) e_c to order 1; the second is the degree-2 part of
+    For N = 1 (maps to the plane) M_<1 is M(0), whose det and adjugate are
+    in hand, and the trace is Jacobi's formula on M_1.  For N = 2 one
+    `eliminate` of [M(0) + M_1 | e_c], entries capped at 2, gives det(M_<2)
+    and adj(M) e_c to order 1, and the trace is the degree-2 part of
     sum_j eta_j mu_j, mu_j = sum_i adj(M(0))_ji lambda_i.  theta =
-    sum_j adj(M)_jc eta_j is taken to order 1, all that `iterate_h` reads
-    of it: the chain comes out with the terms and jets it has on M.
-    Without `theta` only h is taken.  theta is None where adj(M(0)) = 0,
-    and for n = 3 then h too: no decision reads it, and the trace asks for
-    it without `theta`.
+    sum_j adj(M)_jc eta_j is taken to order N - 1, all that `iterate_h`
+    reads of it: the chain comes out with the terms and jets it has on M.
+    Without `theta` only h is taken; with it, where adj(M(0)) = 0 nothing
+    is: no decision reads that h, and the trace asks for it without `theta`.
     """
     ctx, lambdas, keys = ls.germ.context, ls.lambdas, ls.germ.context.linear_keys
     fields = [[(w, c.constant_term(), c.linear_coefficients())
@@ -234,62 +234,51 @@ def _taylor_tail(ls: LambdaSystem, theta=True) -> HessData:
         return HessData(h=Polynomial.zero(ctx).truncated(order))
     det0, adj = adjugate(m0, 1, 0)
     column = _first_column(adj) if theta else None
-    if order == 2:
-        if theta and column is None:
-            return HessData()
-        block = []  # M(0) + M_1; d_w d_v lambda_i(0) from the x_w x_v terms, as for n = 2
-        for lam, grad, row0 in zip(lambdas, grads, m0):
-            get = lam.terms.get
-            hess = [[get(a + b, 0) * (1 + (a == b)) for b in keys] for a in keys]
-            row = []
-            for field, c in zip(fields, row0):
-                lin = [0] * len(keys)
-                for w, e, de in field:
-                    lin = [x + d * grad[w] + e * y for x, d, y in zip(lin, de, hess[w])]
-                terms = {k: x for k, x in zip((0, *keys), (c, *lin)) if x}
-                row.append(Polynomial._wrap(ctx, terms, 2))
-            block.append(row)
+    if theta and column is None:
+        return HessData()
+    m1 = []  # d_v M_ij(0); d_w d_v lambda_i(0) from the x_w x_v terms, as the fold test reads H
+    for lam, grad in zip(lambdas, grads):
+        get = lam.terms.get
+        hess = [[get(a + b, 0) * (1 + (a == b)) for b in keys] for a in keys]
+        row = []
+        for field in fields:
+            lin = [0] * len(keys)
+            for w, e, de in field:
+                lin = [x + d * grad[w] + e * y for x, d, y in zip(lin, de, hess[w])]
+            row.append(lin)
+        m1.append(row)
+    if order == 1:  # M_<1 = M(0), and tr(adj M(0) M_1) is Jacobi's formula
+        det = Polynomial.constant(ctx, det0)
+        adj_col = [[Polynomial.constant(ctx, row[column])] for row in adj] if theta else None
+        dh = [0] * len(keys)
+        for weights, lins in zip(adj, zip(*m1)):  # sum_ij adj(M(0))_ji d M_ij(0)
+            for a, lin in zip(weights, lins):
+                if a:
+                    dh = [t + a * x for t, x in zip(dh, lin)]
+        top = {key: t for key, t in zip(keys, dh) if t}
+    else:
+        block = [[Polynomial._wrap(ctx, {k: x for k, x in zip((0, *keys), (c, *lin)) if x}, 2)
+                  for c, lin in zip(row0, row1)] for row0, row1 in zip(m0, m1)]
         unit = None if column is None else [[Polynomial.constant(ctx, int(r == column))]
                                             for r in range(len(block))]
         det, adj_col = eliminate(block, unit)
-        h = det.truncated(2)
-        # tr(adj M(0) M_2), the degree-2 part of sum_j eta_j mu_j
+        # the degree-2 part of sum_j eta_j mu_j
         parts = [eta.apply(reduce(add, [lam * a for a, lam in zip(weights, lambdas) if a]))
                  for eta, weights in zip(ls.frame.eta, adj) if any(weights)]
-        if parts:
-            shift = ctx.degree_shift
-            terms = reduce(add, parts).terms
-            h = h + Polynomial._wrap(ctx, {k: c for k, c in terms.items() if k >> shift == 2}, 2)
-        if column is None:
-            return HessData(h=h)
-        theta0, theta1 = [0] * len(keys), [[0] * len(keys) for _ in keys]
-        for (entry,), field in zip(adj_col, fields):
-            a0, da = entry.constant_term(), entry.linear_coefficients()
-            for w, e, de in field:
-                theta0[w] += a0 * e
-                theta1[w] = [t + x * e + a0 * d for t, x, d in zip(theta1[w], da, de)]
-        coeffs = [Polynomial._wrap(ctx, {k: x for k, x in zip((0, *keys), (t, *lin)) if x}, 1)
-                  for t, lin in zip(theta0, theta1)]
-        return iterate_h(HessData(h=h, theta=PolyVectorField(ctx, coeffs), theta_column=column), 2)
-    dh = [0] * len(keys)
-    for field, weights in zip(fields, adj):  # d(eta_j mu_j)(0), mu_j = sum_i adj_ji lambda_i
-        for w, e, de in field:
-            slope = sum(a * grad[w] for a, grad in zip(weights, grads))
-            # d_w d_v mu_j(0), from the x_w x_v terms as the fold test reads H
-            row = [sum(a * lam.terms.get(keys[w] + key, 0) for a, lam in zip(weights, lambdas))
-                   * (1 + (v == w)) for v, key in enumerate(keys)]
-            dh = [d + s * slope + e * r for d, s, r in zip(dh, de, row)]
-    h = Polynomial._wrap(ctx, {key: d for key, d in zip((0, *keys), (det0, *dh)) if d}, 1)
+        terms = reduce(add, parts).terms if parts else {}
+        top = {k: c for k, c in terms.items() if k >> ctx.degree_shift == 2}
+    h = det.truncated(order) + Polynomial._wrap(ctx, top, order)
     if column is None:
         return HessData(h=h)
-    theta0 = [0] * len(keys)
-    for row, field in zip(adj, fields):
-        for w, e, _ in field:
-            theta0[w] += row[column] * e
-    theta_h0 = sum(t * d for t, d in zip(theta0, dh))
-    jets = [Polynomial._wrap(ctx, {0: t} if t else {}, 0) for t in (*theta0, theta_h0)]
-    return HessData(h=h, theta=PolyVectorField(ctx, jets[:-1]), theta_column=column,
-                    h_derivs=(h, jets[-1]))
+    heads = (0, *keys)[:1 + len(keys) * (order - 1)]  # theta to order N - 1
+    coeffs = [[0] * len(heads) for _ in keys]
+    for (entry,), field in zip(adj_col, fields):
+        a = [entry.terms.get(k, 0) for k in heads]
+        for w, e, de in field:
+            coeffs[w] = [t + x * e + a[0] * d for t, x, d in zip(coeffs[w], a, (0, *de))]
+    coeffs = [Polynomial._wrap(ctx, {k: x for k, x in zip(heads, t) if x}, order - 1)
+              for t in coeffs]
+    return iterate_h(HessData(h=h, theta=PolyVectorField(ctx, coeffs), theta_column=column), order)
 
 
 def _first_column(adj):
@@ -452,7 +441,9 @@ def _classify_at_origin(work: MapGerm, decide, trace=False):
     With `trace` it builds the lambdas and h that a germ labelled before
     theta lacks: `hessian` at the fold test, det M alone if
     Not2Nondegenerate; for an exact germ with n <= 3, `_taylor_tail`
-    without theta in both places.
+    without theta in both places.  A Not2Nondegenerate germ so runs the
+    tail twice, by design: untraced, its label reads only M(0), and the
+    tail stops there without taking h.
     """
     n = work.n
     record = {"m": work.m, "n": n}

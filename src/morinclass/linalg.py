@@ -18,9 +18,11 @@ with W the identity.
 
 Jets of every order take the same elimination.  For an exact map to the
 plane or to 3-space the classifier forms no M: `criteria._taylor_tail`
-reads M(0) and its linear part from Taylor coefficients, and takes det M
-by Jacobi's formula (n = 2) or by one elimination of the 1-jet block
-M(0) + M_1 and a second-order correction (n = 3).
+reads M(0) and its linear part M_1 from Taylor coefficients and takes
+det M to order N = n-1 as det(M_<N) + tr(adj M(0) M_N), M_<N the part of
+M below degree N: for n = 2 that is det M(0) and Jacobi's formula, for
+n = 3 one elimination of the 1-jet block M(0) + M_1 and a second-order
+term.
 
 `exact_row_reduce` is the row elimination of a Jacobian at the base point
 over Q, on first nonzero entries, run fraction-free on integers; it is not

@@ -602,9 +602,11 @@ def _kernel_hessians(coef, red, m):
     the first row of T f and adj(B) W its other linear entries, as
     `eliminate` gives them.  The rows of T f are plain sums here, where
     `normalized` skips a zero weight, drops a sum that cancels and leaves an
-    absent term an int 0.  With finite weights those differ only in the sign
-    of a zero, which the stages read only through a zero det B(0): such
-    points, and those with a weight that is not finite, are not `usable`.
+    absent term an int 0.  Those differ only in the sign of a zero, which the
+    stages would read only through a zero det B(0).  There is none: `_reduce`
+    never updates the pivot row of T, so det B(0) is the pivot entry itself,
+    and T's other row takes a multiplier of modulus at most 1, so on the
+    finite jets the batch admits every weight is finite.
     """
     k, s = len(coef), m - 1
     at, ks = np.arange(k), np.arange(s)
@@ -627,7 +629,7 @@ def _kernel_hessians(coef, red, m):
     kern = np.zeros((k, s, s))
     for v in range(m):
         kern = kern + eta_hess[:, :, v, None] * e[:, None, :, v]
-    return det_b, eta_hess, kern, (det_b != 0) & np.isfinite(weights).all(axis=(1, 2))
+    return det_b, eta_hess, kern
 
 
 def _stacked_stages(coef, jet, n, m, tol):
@@ -639,9 +641,8 @@ def _stacked_stages(coef, jet, n, m, tol):
     `kernel_hessian_at_origin` and the fold test, each with the float
     operations of the scalar stage in its order.  Only maps to the plane,
     whose scans run many points, stack det B(0), E(0)^T H and K
-    (`_kernel_hessians`); every corank-one point of another n, and one that
-    `_kernel_hessians` finds not `usable`, takes them from
-    `kernel_hessian_at_origin` on its normalized germ, on which a Morin
+    (`_kernel_hessians`); every corank-one point of another n takes them
+    from `kernel_hessian_at_origin` on its normalized germ, on which a Morin
     candidate's frame is built too.
     A point's state: its margins as (name, value, threshold); Regular or
     CorankHigh where the corank decides, else None; the fold test's (h(0),
@@ -663,10 +664,10 @@ def _stacked_stages(coef, jet, n, m, tol):
             return normalized(jet(i).truncated(n + 1), corank.t[i].tolist(), *pivots, exact=False)
 
         k = len(sub)
-        det_b, eta_hess, kern, usable = (
+        det_b, eta_hess, kern = (
             _kernel_hessians(coef[sub], corank[sub], m) if n == 2 else
-            (np.zeros(k), np.zeros((k, s, m)), np.zeros((k, s, s)), np.zeros(k, dtype=bool)))
-        ngs = {j: normal(i) for j, i in enumerate(sub) if not usable[j]}
+            (np.zeros(k), np.zeros((k, s, m)), np.zeros((k, s, s))))
+        ngs = {} if n == 2 else {j: normal(i) for j, i in enumerate(sub)}
         for j, ng in ngs.items():
             det_b[j], eta_hess[j], kern[j] = kernel_hessian_at_origin(ng)
         tests = _fold_test(det_b, eta_hess, kern, tol)
@@ -713,15 +714,14 @@ def _classify_batch(germ: MapGerm, points, tol: Tolerances):
     The (n+1)-jets at all points come from one stacked Taylor shift
     (`_TaylorShift`), whose coefficients are `translate`'s to the bit: its
     finiteness test and its two-jet coefficients feed `_stacked_stages`, and
-    only a point whose normalized germ is read (a Morin candidate, a
-    corank-one point of n != 2 or one not `usable` for `_kernel_hessians`)
-    runs its own `translate`.  The residuals come from one evaluation of the
-    chart, whose rows do not depend on each other.  The margins go through
-    `_Thresholds.record` and the fold test outcome to
-    `criteria._after_fold_test`, which labels it.  Every bit is the one that
-    point gets alone, and a point whose jet, residual or decision is not
-    finite raises the FloatRangeError it raises alone, the first such point
-    in order.
+    only a point whose normalized germ is read (a Morin candidate or a
+    corank-one point of n != 2) runs its own `translate`.  The residuals
+    come from one evaluation of the chart, whose rows do not depend on each
+    other.  The margins go through `_Thresholds.record` and the fold test
+    outcome to `criteria._after_fold_test`, which labels it.  Every bit is
+    the one that point gets alone, and a point whose jet, residual or
+    decision is not finite raises the FloatRangeError it raises alone, the
+    first such point in order.
     """
     pipe = _pipeline(germ, tol)
     n, m = germ.n, germ.m

@@ -51,8 +51,8 @@ def test_dim_ladder_census():
 
 def test_float_scan_export_census():
     # the scans map to the plane: every point takes the stacked kernel
-    # Hessian, every line of `_kernel_hessians` runs, and no point takes
-    # `kernel_hessian_at_origin` in `_stacked_stages`
+    # Hessian, every line of `_kernel_hessians` runs, and the per-point
+    # `kernel_hessian_at_origin` of `_stacked_stages`, for other n, does not
     unrun = census("float_scan_export")
     numeric = unrun["numeric.py"]
     source = (PACKAGE / "numeric.py").read_text().splitlines()
@@ -86,15 +86,16 @@ def test_float_scan_export_runs_every_line_of_the_stacked_shift():
 
 
 def test_ainv_replay_runs_the_second_order_tail():
-    # the replay's maps to 3-space run every line of `_taylor_tail`'s n = 3
-    # branch but the exit for a germ without a theta column: the battery's
-    # folds and Morin germs are never Not2Nondegenerate
+    # the replay's maps to the plane and to 3-space run every line of
+    # `_taylor_tail`, both orders, but the exits for M(0) = 0 and for a germ
+    # without a theta column: the battery's folds and Morin germs are never
+    # NotNondegenerate or Not2Nondegenerate
     criteria = census("ainv_replay")["criteria.py"]
     source = (PACKAGE / "criteria.py").read_text().splitlines()
-    start = source.index("    if order == 2:") + 1
-    end = source.index("    dh = [0] * len(keys)")
-    assert end - start > 30
+    start = source.index("def _taylor_tail(ls: LambdaSystem, theta=True) -> HessData:") + 1
+    end = next(i for i in range(start, len(source)) if source[i].startswith("def "))
+    assert end - start > 60
     assert [criteria[number] for number in criteria if start <= number <= end] == [
-        "return HessData()"]
+        "return HessData(h=Polynomial.zero(ctx).truncated(order))", "return HessData()"]
     for number, text in criteria.items():
         assert source[number - 1].strip() == text

@@ -860,9 +860,9 @@ class TestBatchOracle:
         cubic = MapGerm(ctx, (x**3 + y**3 - z**3,))
         verdicts = assert_batch_matches(cubic, [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0)])
         assert [m["value"] for m in verdicts[0]["margins"] if m["name"] == "h"] == ["0x0.0p+0"]
-        # det B(0) = 10^-400 underflows to 0 in the stack, at the origin and,
-        # for the first germ, in the x-y plane: such a point is not usable
-        # and takes `kernel_hessian_at_origin`'s values
+        # det B(0) = 10^-400 underflows to 0, at the origin and, for the
+        # first germ, in the x-y plane; these maps to 3-space take it from
+        # `kernel_hessian_at_origin`, as every corank-one point of n != 2 does
         rng = random.Random(3434)
         for germ in underflow_germs():
             near = [(rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-3, 1e-3), 0.0, 0.0)
@@ -990,33 +990,34 @@ class TestBatchOracle:
         # exact cancellations, absent terms and products that underflow to
         # -0.0: `normalized` drops a sum that cancels and keeps a zero
         # product, where the stacked sums add them up; every bit the stages
-        # read must agree all the same
+        # read must agree all the same.  The second component's linear part
+        # is a multiple of the first's, so the corank reduction leaves most
+        # germs at corank one, its T's pivot row a unit row
         ctx = make_context("x1", "x2", "y1", "y2")
         exps = [e for e in product(range(3), repeat=4) if 1 <= sum(e) <= 2]
         rng = random.Random(3333)
         pool, weights = (1.5, -1.5, 2.0, 1e-300, -1e-300), (0.0, 1.0, -1.0, 1e-300, 0.5)
-        t = [[[rng.choice(weights) for _ in range(2)] for _ in range(2)] for _ in range(300)]
-        germs = [MapGerm(ctx, tuple(
-            Polynomial(ctx, {e: rng.choice(pool) for e in exps if rng.random() < 0.6})
-            for _ in range(2))) for _ in t]
-        for rows in t:
-            rows[0][0] = 1.0  # pivot (0, x1): the weight T f takes
+        germs = []
+        for _ in range(300):
+            first = {e: rng.choice(pool) for e in exps if rng.random() < 0.6}
+            w = rng.choice(weights)
+            second = {e: (w * first.get(e, 0.0) if sum(e) == 1 else rng.choice(pool))
+                      for e in exps if sum(e) == 1 or rng.random() < 0.6}
+            germs.append(MapGerm(ctx, (Polynomial(ctx, first), Polynomial(ctx, second))))
         coef = np.array([[c for p in g.components for c in p.two_jet_coefficients()]
                          for g in germs], dtype=float).reshape(300, 2, -1)
-        red = numeric._Reduction(
-            t=np.array(t), pivot_rows=np.tile([0, -1], (300, 1)),
-            pivot_cols=np.tile([0, -1], (300, 1)), rank=np.full(300, 1),
-            pivots=np.ones((300, 2)), free=np.tile([False, True], (300, 1)),
-            rejected=np.zeros(300), has_rest=np.ones(300, dtype=bool), threshold=np.ones(300))
         with np.errstate(all="ignore"):
-            det_b, eta_hess, kern, usable = numeric._kernel_hessians(coef, red, 4)
-        assert usable.sum() > 150
-        for i, (rows, germ) in enumerate(zip(t, germs)):
-            if not usable[i]:
-                continue
-            ng = normalized(germ, rows, [0], [0], exact=False)
+            red = numeric._reduce(coef[:, :, :4], Tolerances().rank_tol)
+            sub = np.flatnonzero(red.rank == 1)
+            det_b, eta_hess, kern = numeric._kernel_hessians(coef[sub], red[sub], 4)
+        assert len(sub) > 250
+        for j, i in enumerate(sub):
+            pivot = red.pivot_rows[i, 0]
+            assert red.t[i, pivot].tolist() == [float(r == pivot) for r in range(2)]
+            ng = normalized(germs[i], red.t[i].tolist(), [pivot], [red.pivot_cols[i, 0]],
+                            exact=False)
             want = kernel_hessian_at_origin(ng)
-            got = (float(det_b[i]), eta_hess[i].tolist(), kern[i].tolist())
+            got = (float(det_b[j]), eta_hess[j].tolist(), kern[j].tolist())
             assert [float(v).hex() for v in _flat(want)] == [v.hex() for v in _flat(got)]
 
 
@@ -1134,9 +1135,9 @@ class TestBatchCounts:
     def test_only_maps_to_the_plane_stack_the_kernel_hessian(self, monkeypatch):
         # an n = 3 batch takes det B(0), E(0)^T H and K from
         # `kernel_hessian_at_origin`, once per corank-one point (each runs
-        # the fold test, which records h); an n = 2 scan whose stacked det
-        # B(0) is nonzero and whose weights are finite takes none
-        calls, usable = [], []
+        # the fold test, which records h); an n = 2 scan stacks every one
+        # and takes none
+        calls, stacked_points = [], []
         scalar, stacked = numeric.kernel_hessian_at_origin, numeric._kernel_hessians
 
         def counted(ng):
@@ -1145,7 +1146,7 @@ class TestBatchCounts:
 
         def recorded(*args):
             out = stacked(*args)
-            usable.extend(out[-1].tolist())
+            stacked_points.append(len(out[0]))
             return out
 
         monkeypatch.setattr(numeric, "kernel_hessian_at_origin", counted)
@@ -1157,12 +1158,13 @@ class TestBatchCounts:
             verdicts = numeric._classify_batch(germ, points, Tolerances())
             corank_one = sum(any(m.name == "h" for m in v.margins) for v in verdicts)
             assert corank_one > 0 and calls == [3] * corank_one
-        assert not usable
+        assert not stacked_points
         calls.clear()
         germ = LefschetzFamily.symbolic().at((Fraction(3, 2), 1, -2, Fraction(-1, 2)))
         verdicts = scan_region(germ, [(-1, 1)] * 4, 5)
-        assert len(usable) == sum(any(m.name == "h" for m in v.margins) for v in verdicts) > 300
-        assert all(usable) and calls == []
+        assert sum(stacked_points) == sum(any(m.name == "h" for m in v.margins)
+                                          for v in verdicts) > 300
+        assert calls == []
 
     def test_a_scan_translates_only_the_points_whose_jet_it_reads(self, monkeypatch):
         # the two seed-1 scans of `float_scan_export`: 466 representatives
