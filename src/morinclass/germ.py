@@ -116,21 +116,22 @@ class MapGerm:
         """
         ctx = self.context
         point = [v if isinstance(v, float) else rat(v) for v in point]
-        if len(point) != len(ctx.source_indices):
-            raise MalformedGermError(
-                f"base point needs {len(ctx.source_indices)} coordinates, got {len(point)}"
-            )
-        if any(p.jet is not None for p in self.components):
-            raise MalformedGermError(
-                "cannot translate a jet: a jet at the origin does not determine "
-                "the germ at another point"
-            )
+        self._check_translate([point])
         shifts = [(i, v) for i, v in zip(ctx.source_indices, point) if v]
         rows = {}  # the powers of the x_i + p_i, shared by the components
         return MapGerm(ctx, tuple(
             Polynomial._wrap(ctx, kernel.shift_terms(p.terms, shifts, ctx, rows))
             for p in self.components
         ))
+
+    def _check_translate(self, points):
+        """`translate`'s refusals at each of `points`: every point's length first, then a jet."""
+        short = next((x for x in points if len(x) != self.m), None)
+        if short is not None:
+            raise MalformedGermError(f"base point needs {self.m} coordinates, got {len(short)}")
+        if any(p.jet is not None for p in self.components):
+            raise MalformedGermError("cannot translate a jet: a jet at the origin does not "
+                                     "determine the germ at another point")
 
     def truncated(self, max_degree) -> "MapGerm":
         return MapGerm(self.context, tuple(p.truncated(max_degree) for p in self.components))

@@ -8,9 +8,10 @@ entries (a nonzero int or uncapped polynomial, or a jet with a nonzero
 constant term: a unit of Q[x]/m^{N+1}) and divides exactly by the previous
 pivot.  Cofactor expansion finishes a block of at most 3x3, or one left
 without a usable entry, exactly zero blocks included; it expands each minor
-once, so det of an r x r block costs at most r 2^(r-1) products.
-The same code runs on floats and float jets for the float companion: it
-then pivots on the largest constant term.  Every
+once, so det of an r x r block costs at most r 2^(r-1) products, and adj(A)
+W adds one product per nonzero entry of W (one for a zero column) for each
+row of adj(A).  The same code runs on floats and float jets for the float
+companion: it then pivots on the largest constant term.  Every
 exact division, by a pivot or by a power of the last one, goes through
 `_dividers`: `//` for ints, `/` for floats, `div_exact` for polynomials, and
 for a jet a product with its inverse series.  `adjugate` is `eliminate`
@@ -376,7 +377,8 @@ def _cofactor(a, w):
 
     Each minor, keyed by the rows and the columns of A it keeps, is expanded
     once along its first row: det(A) costs at most r 2^(r-1) products for
-    r x r, and adj(A) W about r times that; expanding anew costs about e r!.
+    r x r, expanding anew about e r!.  adj(A) W adds one product per nonzero
+    entry of W for each row of adj(A), and the minors those read.
     """
     size = len(a)
     if size == 1:
@@ -388,7 +390,7 @@ def _cofactor(a, w):
         if len(rows) == 1:
             return a[rows[0]][cols[0]]
         if (rows, cols) not in minors:
-            # zero entries of the first row, as zero rows of W below, add nothing
+            # zero entries of the first row, as of each column of W below, add nothing
             js = [j for j, c in enumerate(cols) if not _is_zero(a[rows[0]][c])] or [0]
             cofs = [minor(rows[1:], cols[:j] + cols[j + 1:]) for j in js]
             minors[rows, cols] = _dot([a[rows[0]][cols[j]] for j in js],
@@ -396,15 +398,13 @@ def _cofactor(a, w):
         return minors[rows, cols]
 
     full = tuple(range(size))
-    det = minor(full, full)
-    if not w[0]:
-        return det, [[] for _ in a]
-    live = [r for r in range(size) if not all(_is_zero(e) for e in w[r])] or [0]
-    adj_w = []
-    for i in range(size):
-        cofs = [minor(full[:r] + full[r + 1:], full[:i] + full[i + 1:]) for r in live]
-        cofs = [-d if (r + i) % 2 else d for r, d in zip(live, cofs)]  # adj(A)[i][r]
-        adj_w.append([_dot(cofs, [w[r][j] for r in live]) for j in range(len(w[0]))])
+    det, adj_w = minor(full, full), [[] for _ in a]
+    for j in range(len(w[0])):
+        rs = [r for r in full if not _is_zero(w[r][j])] or [0]
+        for i, row in enumerate(adj_w):
+            cofs = [minor(full[:r] + full[r + 1:], full[:i] + full[i + 1:]) for r in rs]
+            row.append(_dot([-d if (r + i) % 2 else d for r, d in zip(rs, cofs)],  # adj(A)[i][r]
+                            [w[r][j] for r in rs]))
     return det, adj_w
 
 

@@ -42,7 +42,7 @@ import numpy as np
 from . import _termops_py as kernel
 from .context import WorkLimitError
 from .criteria import Label, _after_fold_test, kernel_hessian_at_origin, lambdas_for_frame
-from .germ import MalformedGermError, MapGerm, check_dimensions, cramer_frame, normalized
+from .germ import MapGerm, check_dimensions, cramer_frame, normalized
 from .linalg import adjugate, eliminate, float_power
 
 
@@ -728,13 +728,7 @@ def _classify_batch(germ: MapGerm, points, tol: Tolerances):
     xs = [tuple(float(v) for v in point) for point in points]
     if not xs:
         return []
-    # `translate`'s checks, before the shift
-    short = next((x for x in xs if len(x) != m), None)
-    if short is not None:
-        raise MalformedGermError(f"base point needs {m} coordinates, got {len(short)}")
-    if any(p.jet is not None for p in germ.components):
-        raise MalformedGermError("cannot translate a jet: a jet at the origin does not "
-                                 "determine the germ at another point")
+    germ._check_translate(xs)  # before the shift
     at = np.array(xs)
     jets = pipe.shift(at)
     finite = np.flatnonzero(np.isfinite(jets).all(axis=1))

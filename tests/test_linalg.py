@@ -142,8 +142,8 @@ def sparse_block(rng, size, entry, zero):
 
 def plain_cofactor(a, w):
     """det(A) and adj(A) W expanding every minor anew along its first row: the
-    recursion `linalg._cofactor` ran before it kept its minors, as the
-    reference for the bits of the kept ones."""
+    recursion `linalg._cofactor` ran before it kept its minors, with its rule
+    for W's zeros, as the reference for the bits of the kept ones."""
     size = len(a)
     if size == 1:
         return a[0][0], [list(w[0])]
@@ -159,13 +159,11 @@ def plain_cofactor(a, w):
 
     cols = [c for c, e in enumerate(a[0]) if not linalg._is_zero(e)] or [0]
     det = linalg._dot([a[0][c] for c in cols], [cofactor(0, c) for c in cols])
-    if not w[0]:
-        return det, [[] for _ in a]
-    live = [r for r in range(size) if not all(linalg._is_zero(e) for e in w[r])] or [0]
-    adj_w = []
-    for i in range(size):
-        cofs = [cofactor(r, i) for r in live]
-        adj_w.append([linalg._dot(cofs, [w[r][j] for r in live]) for j in range(len(w[0]))])
+    adj_w = [[] for _ in a]
+    for j in range(len(w[0])):
+        rows = [r for r in range(size) if not linalg._is_zero(w[r][j])] or [0]
+        for i, row in enumerate(adj_w):
+            row.append(linalg._dot([cofactor(r, i) for r in rows], [w[r][j] for r in rows]))
     return det, adj_w
 
 
@@ -383,6 +381,56 @@ class TestElimination:
                 if isinstance(entry, Polynomial):
                     assert det.jet is None and all(v.jet is None for (v,) in adj_w)
                 assert calls[0] <= (s**3 if w else s - 1), (s, w is not None, calls[0])
+
+    def test_adj_w_forms_one_product_per_nonzero_entry_of_w(self, monkeypatch):
+        # each column of W sums its cofactor products over the rows where it
+        # is nonzero: adj of a 2x2 forms 2 + 4 products and of a 3x3 9 + 12
+        # + 9 (10 and 48 where every row of the identity was read whole); an
+        # e_c column expands row c alone, as before
+        terms, dot = [], linalg._dot
+
+        def counted(xs, ys):
+            terms.append(len(xs))
+            return dot(xs, ys)
+
+        monkeypatch.setattr(linalg, "_dot", counted)
+        for size, adj, e_c in ((2, 6, [4, 4]), (3, 30, [12, 18, 18])):
+            a = [[(2 * i + 3 * j) % 5 + 1 for j in range(size)] for i in range(size)]
+            terms.clear()
+            linalg.adjugate(a, 1, 0)
+            assert sum(terms) == adj
+            for c, want in enumerate(e_c):
+                terms.clear()
+                eliminate(a, [[int(r == c)] for r in range(size)])
+                assert sum(terms) == want
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "float", "jet", "uncapped"])
+    def test_zero_entries_of_w(self, kind):
+        # W's column 0 is zero in row 1 alone, column 1 in rows 0 and 2, and
+        # column 2 in every row; a 3x3 goes to `_cofactor` whole.  The
+        # skipped products are exact zeros: each entry is the oracle's in
+        # value and type, and in cap for jets.  Rationals come as polynomial
+        # coefficients: `eliminate` takes ints, floats and polynomials
+        ctx = make_context("x", "y")
+        x, y = Polynomial.variable(ctx, "x"), Polynomial.variable(ctx, "y")
+        make = {
+            "int": lambda v: v,
+            "fraction": lambda v: Polynomial.constant(ctx, Fraction(v, 3)) + v * x,
+            "float": float,
+            "jet": lambda v: (v + (v % 3) * x + v * x * y).truncated(2),
+            "uncapped": lambda v: v + (v % 2) * y - x * x,
+        }[kind]
+        zero = -0.0 if kind == "float" else make(0)
+        a = [[make((2 * i + 3 * j) % 7 - 3) for j in range(3)] for i in range(3)]
+        w = [[make(i + 1) if (i, j) in ((0, 0), (2, 0), (1, 1)) else zero for j in range(3)]
+             for i in range(3)]
+        det, adj_w = eliminate(a, w)
+        want = rows_times_rows(cofactor_adjugate(a), w)
+        for got, expected in [(det, cofactor_determinant(a))] + [
+                (adj_w[i][j], want[i][j]) for i in range(3) for j in range(3)]:
+            assert got == expected and type(got) is type(expected)
+            if isinstance(got, Polynomial):
+                assert got.jet == expected.jet
 
     def test_singular_uncapped(self):
         ctx = make_context("x", "y")

@@ -99,3 +99,17 @@ def test_ainv_replay_runs_the_second_order_tail():
         "return HessData(h=Polynomial.zero(ctx).truncated(order))", "return HessData()"]
     for number, text in criteria.items():
         assert source[number - 1].strip() == text
+
+
+def test_ainv_replay_runs_every_line_of_the_cofactor_base():
+    # every adjugate, theta column and frame of the replay ends in
+    # `_cofactor`: its size-1 return, its minors and its loop over the
+    # columns of W all run, so that loop is the classifier's path
+    linalg = census("ainv_replay")["linalg.py"]
+    source = (PACKAGE / "linalg.py").read_text().splitlines()
+    start = source.index("def _cofactor(a, w):") + 1
+    end = next(i for i in range(start, len(source)) if source[i].startswith("def "))
+    assert end - start > 20
+    assert not [number for number in linalg if start <= number <= end]
+    for number, text in linalg.items():
+        assert source[number - 1].strip() == text

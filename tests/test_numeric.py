@@ -428,6 +428,18 @@ class TestSharedPipeline:
         with pytest.raises(MalformedGermError, match="cannot translate a jet"):
             numeric_classify(jet, (0.1, 0, 0))
 
+    def test_batch_refuses_as_translate_does(self, fold_germ):
+        # the batch checks every point's length before the jet, in the words
+        # `translate` refuses that point with
+        jet = fold_germ.truncated(3)
+        for points, alone in (([(0.1, 0, 0), (0.1, 0)], (0.1, 0)), ([(0.1, 0, 0)], (0.1, 0, 0))):
+            with pytest.raises(MalformedGermError) as batch:
+                numeric._classify_batch(jet, points, Tolerances())
+            with pytest.raises(MalformedGermError) as single:
+                jet.translate(alone)
+            assert str(batch.value) == str(single.value)
+        assert str(batch.value).startswith("cannot translate a jet")
+
 
 def _pipeline_germs(fold_germ, cusp_germ):
     """The fold and cusp fixtures, a Lefschetz germ and an n = 5 chart."""
