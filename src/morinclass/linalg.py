@@ -398,13 +398,15 @@ def _cofactor(a, w):
         return minors[rows, cols]
 
     full = tuple(range(size))
-    det, adj_w = minor(full, full), [[] for _ in a]
+    det, adj_w, adj = minor(full, full), [[] for _ in a], {}  # adj(A)[i][r], each signed once
     for j in range(len(w[0])):
         rs = [r for r in full if not _is_zero(w[r][j])] or [0]
         for i, row in enumerate(adj_w):
-            cofs = [minor(full[:r] + full[r + 1:], full[:i] + full[i + 1:]) for r in rs]
-            row.append(_dot([-d if (r + i) % 2 else d for r, d in zip(rs, cofs)],  # adj(A)[i][r]
-                            [w[r][j] for r in rs]))
+            for r in rs:
+                if (i, r) not in adj:
+                    d = minor(full[:r] + full[r + 1:], full[:i] + full[i + 1:])
+                    adj[i, r] = -d if (r + i) % 2 else d
+            row.append(_dot([adj[i, r] for r in rs], [w[r][j] for r in rs]))
     return det, adj_w
 
 

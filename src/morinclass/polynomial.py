@@ -6,15 +6,14 @@ per exponent vector laid out by the context (see `morinclass.context`), and
 they stay inside the package: the public constructor takes exponent tuples,
 and `items`, `exponents`, `coefficients` and `coefficient` speak in them.
 Besides this module, the kernel and the parser, `.terms` is read by key in
-`MapGerm.translate`, `germ._apply_fields`, `germ._row_sum`,
-`germ._integer_row`, `criteria._taylor_tail` and
-`criteria.kernel_hessian_at_origin` (the last two by sums of the context's
-keys), and each of them but the last wraps the term dicts it computes with
-`Polynomial._wrap`; `numeric` keys its shared pipelines on the keys.
+`MapGerm.translate`, `germ._apply_fields`, `germ._row_sum`, `germ._integer_row`,
+`criteria._taylor_tail` and `criteria.kernel_hessian_at_origin` (the last two
+by sums of the context's keys); all but the last wrap the term dicts they
+compute with `Polynomial._wrap`, and `numeric` keys its shared pipelines on them.
 `linear_coefficients` and `two_jet_coefficients` read the gradient and the
-quadratic part at 0 by the context's packed keys of x_j and x_a x_b.  Results
-of the kernel are wrapped as they come, without packing or truncating them again.  A product whose total
-degree would exceed `context.MAX_DEGREE` raises DegreeOverflowError.
+quadratic part at 0 by the context's packed keys of x_j and x_a x_b.  Kernel
+results are wrapped as they come, not packed or truncated again.  A product
+whose total degree would exceed `context.MAX_DEGREE` raises DegreeOverflowError.
 
 The heavy term-merging loops live in `morinclass._termops_py`.
 Coefficients are exact rational scalars: plain ints are kept as ints
