@@ -10,17 +10,17 @@ The decision pipeline:
      f_{n-1}, so the last column is (0, ..., 0, eta_i f_n) and
      lambda_i = det(B) * eta_i f_n with B the pivot block of the frame.
   4. the (m-n+1)-square matrix M with M[i][j] = eta_j lambda_i; the kernel
-     field theta from one column c of adj(M) (a decision: over Q the first
-     column of adj(M(0)) that is not zero) and h = det M, both from one
-     elimination of [M | e_c] (`build_theta`), or of M alone for the trace's
-     h (`hessian`); and h' = theta h, ...  An exact map with n <= 3 builds
-     no M: `_taylor_tail` reads M(0) and the linear part M_1 of M from
-     Taylor coefficients at 0, and h to order N = n-1 as det(M_<N) plus
-     tr(adj M(0) M_N), M_<N the part of M below degree N
-     (Magnus-Neudecker, "Matrix Differential Calculus", ch. 8), with theta
-     to order N-1 from adj(M_<N).  To the plane (N = 1) M_<1 is M(0) and
-     the trace is Jacobi's formula; to 3-space one elimination of
-     M(0) + M_1 gives det and theta.
+     field theta = sum_j adj(M)_jc eta_j from one column c of adj(M) (a
+     decision: over Q the first column of adj(M(0)) that is not zero),
+     h = det M and h' = theta h, ...  An exact germ builds no M:
+     `_taylor_tail` reads M(0) from Taylor coefficients at 0, and h to
+     order N = n-1 as det(M_<N) plus tr(adj M(0) M_N), M_<N the part of M
+     below degree N (Magnus-Neudecker, "Matrix Differential Calculus",
+     ch. 8), with theta to order N-1 from adj(M_<N).  To the plane (N = 1)
+     M_<1 is M(0) and the trace is Jacobi's formula; for N >= 2 one
+     elimination of [M_<N | e_c] gives det and theta.  The float path
+     builds M (`kernel_matrix`) and takes h and theta from one elimination
+     of [M | e_c] (`build_theta`).
   5. label: fold iff h(0) != 0.  As d(f_n)_0 = 0, with E(0) the eta
      coefficients at 0, H the Hessian of f_n at 0, K = E(0)^T H E(0) and
      s = m-n+1,
@@ -80,7 +80,7 @@ from .germ import (AdaptedFrame, MapGerm, NormalizedGerm, PolyVectorField, _appl
                    build_frame, kernel_fields, normalized)
 from .linalg import PolyMatrix, RationalMatrix, adjugate, congruence, eliminate, exact_row_reduce
 from .polynomial import Polynomial, cut_to_order, jet_order
-from .rationals import cleared, format_rational
+from .rationals import format_rational
 
 NOT_NONDEGENERATE = "NotNondegenerate"
 NOT_2_NONDEGENERATE = "Not2Nondegenerate"
@@ -127,7 +127,7 @@ class LambdaSystem:
 
 @dataclass(frozen=True)
 class HessData:
-    h_matrix: PolyMatrix = None  # entry (i, j) is eta_j lambda_i; None from `_taylor_tail`
+    h_matrix: PolyMatrix = None  # entry (i, j) is eta_j lambda_i; None on the exact path
     h: Polynomial = None  # det M, once `build_theta` or `_taylor_tail` takes it
     theta: PolyVectorField = None
     theta_column: int = None
@@ -158,37 +158,40 @@ def hessian(ls: LambdaSystem) -> HessData:
 def build_theta(ls: LambdaSystem, hd: HessData, column: int) -> HessData:
     """h = det M and, for a column c, the kernel field theta = adj(M) e_c.
 
-    The one elimination of M on every path: of [M | e_c], or for `column`
-    None `PolyMatrix.determinant`, the elimination of M alone, with the same
-    det M term for term (it pivots only in M's columns).  Where no entry of
-    M has a constant term, each product in det M has order at least the
-    size of M; when that size exceeds the order h is read to and no column
-    is asked for, h is the zero jet of that order and the block, which holds
-    no unit to pivot on, is not expanded.  `classify` runs it for n >= 4
-    and on floats; an exact germ with n <= 3 takes `_taylor_tail`.
+    The one elimination of M: of [M | e_c], or for `column` None
+    `PolyMatrix.determinant`, the elimination of M alone, with the same det M
+    term for term (it pivots only in M's columns).  Where no entry of M has
+    a constant term, each product in det M has order at least the size of
+    M; when that size exceeds the order h is read to and no column is asked
+    for, h is the zero jet of that order and the block, which holds no unit
+    to pivot on, is not expanded.  `classify` runs it on floats, and
+    `lefschetz.chart_hessian` on its chart; an exact germ takes
+    `_taylor_tail`, which builds no M.
 
     Because adj(M) . M = det(M) . I holds identically, theta lies in the
     kernel of M at every point where h vanishes; 2-non-degeneracy makes some
     column nonzero at the origin.  `classify` takes the column its decision
-    picks (`theta_column`: over Q the first column of adj(M(0)) that is not
-    zero); the label does not depend on which nonzero column is taken, which
-    the test suite exercises.
+    picks (over Q the first column of adj(M(0)) that is not zero); the label
+    does not depend on which nonzero column is taken, which the test suite
+    exercises.
     """
     m = hd.h_matrix
+    order = jet_order(m.entries)
     if column is None:
-        order = jet_order(m.entries)
         if order is not None and m.rows > order and not any(p.constant_term() for p in m.entries):
             return replace(hd, h=Polynomial.zero(m.context).truncated(order))
         return replace(hd, h=cut_to_order(m.determinant(), m.entries))
     unit = [[Polynomial.constant(m.context, int(r == column))] for r in range(m.rows)]
     det, adj_col = eliminate(m.to_rows(), unit)
-    hd = replace(hd, h=cut_to_order(det, m.entries))
-    coeffs = None
-    for eta, (entry,) in zip(ls.frame.eta, adj_col):
-        scaled = eta.scaled(entry)
-        coeffs = scaled if coeffs is None else coeffs + scaled
-    theta = [cut_to_order(c, m.entries) for c in coeffs.coefficients]
-    return replace(hd, theta=PolyVectorField(coeffs.context, theta), theta_column=column)
+    theta = _kernel_field(ls.frame.eta, adj_col, order)
+    return replace(hd, h=cut_to_order(det, m.entries), theta=theta, theta_column=column)
+
+
+def _kernel_field(etas, adj_col, order):
+    """theta = sum_j adj(M)_jc eta_j from the column adj(M) e_c, cut to `order` (None: not cut)."""
+    coeffs = reduce(add, [eta.scaled(entry) for eta, (entry,) in zip(etas, adj_col)])
+    return PolyVectorField(coeffs.context, [c if order is None else c.truncated(order)
+                                            for c in coeffs.coefficients])
 
 
 def iterate_h(hd: HessData, up_to: int) -> HessData:
@@ -200,28 +203,31 @@ def iterate_h(hd: HessData, up_to: int) -> HessData:
 
 
 def _taylor_tail(ls: LambdaSystem, theta=True) -> HessData:
-    """h, theta and the h-chain of an exact germ with n <= 3 from Taylor coefficients, without M.
+    """h, theta and the h-chain of an exact germ from Taylor coefficients, without M.
 
     M's entries are N-jets, N = n - 1 (the det B slot of each eta keeps them
     so): with E the eta coefficients, M(0)_ij = sum_w E_j^w(0) d_w lambda_i(0)
     and d_v M_ij(0) = sum_w d_v E_j^w(0) d_w lambda_i(0) + E_j^w(0) d_v d_w
     lambda_i(0), the linear part M_1.  One scalar adj(M(0)) gives the theta
-    column as `_Exact.theta_column` picks it.  With M_<N the part of M below
-    degree N and M_N its degree-N part, both identities hold for a singular
-    M(0) too:
+    column: over Q the first column that is not zero.  With M_<N the part
+    of M below degree N and M_N its degree-N part, both identities hold for
+    a singular M(0) too:
 
         det M = det(M_<N) + tr(adj M(0) M_N)  modulo degree N + 1,
         adj M = adj(M_<N)                     modulo degree N.
 
     For N = 1 (maps to the plane) M_<1 is M(0), whose det and adjugate are
-    in hand, and the trace is Jacobi's formula on M_1.  For N = 2 one
-    `eliminate` of [M(0) + M_1 | e_c], entries capped at 2, gives det(M_<2)
-    and adj(M) e_c to order 1, and the trace is the degree-2 part of
-    sum_j eta_j mu_j, mu_j = sum_i adj(M(0))_ji lambda_i.  theta =
-    sum_j adj(M)_jc eta_j is taken to order N - 1, all that `iterate_h`
-    reads of it: the chain comes out with the terms and jets it has on M.
-    Without `theta` only h is taken; with it, where adj(M(0)) = 0 nothing
-    is: no decision reads that h, and the trace asks for it without `theta`.
+    in hand, and the trace is Jacobi's formula on M_1; a single function
+    (N = 0) has M = M(0) and M_1 = 0 and takes the same lines.  For N >= 2
+    one `eliminate` of [M_<N | e_c], entries capped at N, gives det(M_<N)
+    and adj(M) e_c to order N - 1; the block is M(0) + M_1 for N = 2, and
+    for N >= 3 the fields applied to the lambdas cut to order N, less their
+    degree-N terms.  The trace is the degree-N part of sum_j eta_j mu_j,
+    mu_j = sum_i adj(M(0))_ji lambda_i.  theta = sum_j adj(M)_jc eta_j is
+    taken to order N - 1 (by `_kernel_field` for N >= 3), all that
+    `iterate_h` reads of it: the chain comes out with the terms and jets it
+    has on M.  Without `theta` only h is taken; with it, where adj(M(0)) = 0
+    nothing is: no decision reads that h, and the trace asks for it without.
     """
     ctx, lambdas, keys = ls.germ.context, ls.lambdas, ls.germ.context.linear_keys
     fields = [[(w, c.constant_term(), c.linear_coefficients())
@@ -233,11 +239,11 @@ def _taylor_tail(ls: LambdaSystem, theta=True) -> HessData:
     if len(m0) > order and not any(map(any, m0)):  # h is 0 to its order, as `build_theta` finds
         return HessData(h=Polynomial.zero(ctx).truncated(order))
     det0, adj = adjugate(m0, 1, 0)
-    column = _first_column(adj) if theta else None
+    column = next((c for c, col in enumerate(zip(*adj)) if any(col)), None) if theta else None
     if theta and column is None:
         return HessData()
     m1 = []  # d_v M_ij(0); d_w d_v lambda_i(0) from the x_w x_v terms, as the fold test reads H
-    for lam, grad in zip(lambdas, grads):
+    for lam, grad in zip(lambdas, grads) if order <= 2 else ():  # N >= 3 builds M_<N whole
         get = lam.terms.get
         hess = [[get(a + b, 0) * (1 + (a == b)) for b in keys] for a in keys]
         row = []
@@ -247,7 +253,7 @@ def _taylor_tail(ls: LambdaSystem, theta=True) -> HessData:
                 lin = [x + d * grad[w] + e * y for x, d, y in zip(lin, de, hess[w])]
             row.append(lin)
         m1.append(row)
-    if order == 1:  # M_<1 = M(0), and tr(adj M(0) M_1) is Jacobi's formula
+    if order <= 1:  # M_<1 = M(0), and tr(adj M(0) M_1) is Jacobi's formula; n = 1 reads M(0)
         det = Polynomial.constant(ctx, det0)
         adj_col = [[Polynomial.constant(ctx, row[column])] for row in adj] if theta else None
         dh = [0] * len(keys)
@@ -257,19 +263,28 @@ def _taylor_tail(ls: LambdaSystem, theta=True) -> HessData:
                     dh = [t + a * x for t, x in zip(dh, lin)]
         top = {key: t for key, t in zip(keys, dh) if t}
     else:
-        block = [[Polynomial._wrap(ctx, {k: x for k, x in zip((0, *keys), (c, *lin)) if x}, 2)
-                  for c, lin in zip(row0, row1)] for row0, row1 in zip(m0, m1)]
+        if order == 2:
+            block = [[Polynomial._wrap(ctx, {k: x for k, x in zip((0, *keys), (c, *lin)) if x}, 2)
+                      for c, lin in zip(row0, row1)] for row0, row1 in zip(m0, m1)]
+        else:
+            below = order << ctx.degree_shift  # the keys of degree below N
+            block = [[Polynomial._wrap(ctx, {k: c for k, c in e.terms.items() if k < below}, order)
+                      for e in _apply_fields(ls.frame.eta, lam.truncated(order))]
+                     for lam in lambdas]
         unit = None if column is None else [[Polynomial.constant(ctx, int(r == column))]
                                             for r in range(len(block))]
         det, adj_col = eliminate(block, unit)
-        # the degree-2 part of sum_j eta_j mu_j
+        # the degree-N part of sum_j eta_j mu_j
         parts = [eta.apply(reduce(add, [lam * a for a, lam in zip(weights, lambdas) if a]))
                  for eta, weights in zip(ls.frame.eta, adj) if any(weights)]
         terms = reduce(add, parts).terms if parts else {}
-        top = {k: c for k, c in terms.items() if k >> ctx.degree_shift == 2}
+        top = {k: c for k, c in terms.items() if k >> ctx.degree_shift == order}
     h = det.truncated(order) + Polynomial._wrap(ctx, top, order)
     if column is None:
         return HessData(h=h)
+    if order > 2:
+        field = _kernel_field(ls.frame.eta, adj_col, order - 1)
+        return iterate_h(HessData(h=h, theta=field, theta_column=column), order)
     heads = (0, *keys)[:1 + len(keys) * (order - 1)]  # theta to order N - 1
     coeffs = [[0] * len(heads) for _ in keys]
     for (entry,), field in zip(adj_col, fields):
@@ -279,11 +294,6 @@ def _taylor_tail(ls: LambdaSystem, theta=True) -> HessData:
     coeffs = [Polynomial._wrap(ctx, {k: x for k, x in zip(heads, t) if x}, order - 1)
               for t in coeffs]
     return iterate_h(HessData(h=h, theta=PolyVectorField(ctx, coeffs), theta_column=column), order)
-
-
-def _first_column(adj):
-    """The first column of `adj` that is not zero, or None."""
-    return next((c for c in range(len(adj)) if any(row[c] for row in adj)), None)
 
 
 def kernel_hessian_of_last(ng: NormalizedGerm, frame: AdaptedFrame) -> RationalMatrix:
@@ -373,11 +383,6 @@ class _Exact:
             return h0, len(kern), inertia
         return h0, self.rank("nondegeneracy", eta_hess), None
 
-    def theta_column(self, m0):
-        """The first column of adj(M(0)) that is not zero, or None."""
-        # each row cleared to ints: a positive row scaling scales adj's columns
-        return _first_column(adjugate([cleared(row)[1] for row in m0], 1, 0)[1])
-
 
 _EXACT = _Exact()
 
@@ -401,9 +406,9 @@ def classify(germ: MapGerm, trace=True) -> CriteriaReport:
     """Full classification of a polynomial map germ at the origin, by the stages above.
 
     The polynomial lambdas are built for every germ that passes the fold
-    and non-degeneracy tests, and M (but for n <= 3) and h for those with a
-    theta column; `trace` builds the lambdas and h for every corank-one germ
-    and adds them to the report's trace as "lambdas" and "h".
+    and non-degeneracy tests, and h for those with a theta column, by
+    `_taylor_tail` without M; `trace` builds the lambdas and h for every
+    corank-one germ and adds them to the report's trace as "lambdas" and "h".
     """
     germ.check_wellformed()
     germ.check_bound()
@@ -438,10 +443,9 @@ def _classify_at_origin(work: MapGerm, decide, trace=False):
     `decide` makes every decision (`_EXACT`, or `numeric._Thresholds` as the
     tests' reference for `numeric`'s stacked stages); `_after_fold_test`
     labels, and this function alone writes the record, with `decide.fmt`.
-    With `trace` it builds the lambdas and h that a germ labelled before
-    theta lacks: `hessian` at the fold test, det M alone if
-    Not2Nondegenerate; for an exact germ with n <= 3, `_taylor_tail`
-    without theta in both places.  A Not2Nondegenerate germ so runs the
+    With `trace`, which `classify` asks for on exact germs only, it builds
+    the lambdas and h that a germ labelled before theta lacks, by
+    `_taylor_tail` without theta.  A Not2Nondegenerate germ so runs the
     tail twice, by design: untraced, its label reads only M(0), and the
     tail stops there without taking h.
     """
@@ -468,14 +472,11 @@ def _classify_at_origin(work: MapGerm, decide, trace=False):
     size = work.m - n + 1
     label, ls, hd, cond_b = _after_fold_test(ng, decide, size, h0, nd_rank, inertia)
     if trace:
-        shown, tail = hd, decide.exact and n <= 3
         if ls is None:
             ls = lambdas_for_frame(ng.germ, build_frame(ng))
-            shown = _taylor_tail(ls, theta=False) if tail else hessian(ls)
-        elif hd.h is None:
-            shown = _taylor_tail(ls, theta=False) if tail else build_theta(ls, hd, None)
+        h = _taylor_tail(ls, theta=False).h if hd is None or hd.h is None else hd.h
         record["lambdas"] = [p.render() for p in ls.lambdas]
-        record["h"] = shown.h.render()
+        record["h"] = h.render()
     record["nondegeneracy"] = {"rank": nd_rank, "required": size}
     record["h_at_0"] = fmt(h0)
     if inertia is not None:
@@ -494,8 +495,8 @@ def _after_fold_test(ng, decide, size, h0, nd_rank, inertia):
     """The stages after the fold test, in the paper's order: (label, ls, hd, cond_b).
 
     The one place a fold test's outcome becomes a label; it records and
-    formats nothing.  `size` is m-n+1.  `ls` (the lambdas) and `hd` (M, or
-    for an exact germ with n <= 3 what `_taylor_tail` takes, and past the
+    formats nothing.  `size` is m-n+1.  `ls` (the lambdas) and `hd` (what
+    `_taylor_tail` takes for an exact germ, M for a float one, and past the
     theta column h, theta and the h-chain) are None for a germ labelled at
     the fold test; `cond_b` is condition (b)'s rank record with its k, or
     None.  Only a germ past non-degeneracy reads `ng`: the float batch
@@ -509,7 +510,7 @@ def _after_fold_test(ng, decide, size, h0, nd_rank, inertia):
     if nd_rank != size:
         return Label("Degenerate", reason=NOT_NONDEGENERATE), None, None, None
     ls = lambdas_for_frame(ng.germ, build_frame(ng))
-    if decide.exact and ng.germ.n <= 3:
+    if decide.exact:
         hd = _taylor_tail(ls)
     else:
         hd = HessData(kernel_matrix(ls))

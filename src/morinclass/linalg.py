@@ -1,29 +1,31 @@
 """Exact linear algebra over the rationals, the polynomial ring and its jets.
 
-One fraction-free elimination, `eliminate`, gives det(A) and adj(A) W for
-every exact matrix, and its forward pass gives ranks.  With extra columns W
-each step updates every other row; for det(A) alone or a rank, only the
-rows below the pivot, which are all that is read.  It pivots on usable
-entries (a nonzero int or uncapped polynomial, or a jet with a nonzero
-constant term: a unit of Q[x]/m^{N+1}) and divides exactly by the previous
-pivot.  Cofactor expansion finishes a block of at most 3x3, or one left
-without a usable entry, exactly zero blocks included; it expands each minor
-once, so det of an r x r block costs at most r 2^(r-1) products, and adj(A)
-W adds one product per nonzero entry of W (one for a zero column) for each
-row of adj(A).  The same code runs on floats and float jets for the float
-companion: it then pivots on the largest constant term.  Every
-exact division, by a pivot or by a power of the last one, goes through
+One fraction-free elimination, `eliminate`, gives det(A) and adj(A) W, and
+its forward pass gives ranks.  Its entries are ints, floats, and polynomials
+or jets; it has no case for a bare `Fraction`, so callers clear rational
+rows to ints with `rationals.cleared` first, as `RationalMatrix` does.  With
+extra columns W each step updates every other row; for det(A) alone or a
+rank, only the rows below the pivot, which are all that is read.  It pivots
+on usable entries (a nonzero int or uncapped polynomial, or a jet with a
+nonzero constant term: a unit of Q[x]/m^{N+1}) and divides exactly by the
+previous pivot.  Cofactor expansion finishes a block of at most 3x3, or one
+left without a usable entry, exactly zero blocks included; it expands each
+minor once, so det of an r x r block costs at most r 2^(r-1) products, and
+adj(A) W adds one product per nonzero entry of W (one for a zero column) for
+each row of adj(A).  The same code runs on floats and float jets for the
+float companion: it then pivots on the largest constant term.  Every exact
+division, by a pivot or by a power of the last one, goes through
 `_dividers`: `//` for ints, `/` for floats, `div_exact` for polynomials, and
-for a jet a product with its inverse series.  `adjugate` is `eliminate`
-with W the identity.
+for a jet a product with its inverse series.  `adjugate` is `eliminate` with
+W the identity.
 
-Jets of every order take the same elimination.  For an exact map to the
-plane or to 3-space the classifier forms no M: `criteria._taylor_tail`
-reads M(0) and its linear part M_1 from Taylor coefficients and takes
-det M to order N = n-1 as det(M_<N) + tr(adj M(0) M_N), M_<N the part of
-M below degree N: for n = 2 that is det M(0) and Jacobi's formula, for
-n = 3 one elimination of the 1-jet block M(0) + M_1 and a second-order
-term.
+Jets of every order take the same elimination.  For an exact germ the
+classifier forms no M: `criteria._taylor_tail` reads M(0) from Taylor
+coefficients and takes det M to order N = n-1 as
+det(M_<N) + tr(adj M(0) M_N), M_<N the part of M below degree N.  For
+n = 2 that is det M(0) and Jacobi's formula; for n >= 3 it is one
+elimination of the block M_<N, its entries of degree below N capped at N,
+and a trace term of degree N.
 
 `exact_row_reduce` is the row elimination of a Jacobian at the base point
 over Q, on first nonzero entries, run fraction-free on integers; it is not

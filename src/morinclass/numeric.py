@@ -516,8 +516,8 @@ class _TaylorShift:
       the first to reach it and never multiplied; any other from +0.0;
     - gives the constant term f(p) - f(p): 0.0, or NaN where f(p) is not
       finite.
-    A two-jet key that no path reaches is 0.0, as `two_jet_coefficients`
-    reads an absent key.  The caller refuses a jet, as `translate` does.
+    A two-jet key that no path reaches is 0.0, the coefficient of an
+    absent term.  The caller refuses a jet, as `translate` does.
     """
 
     def __init__(self, germ, degree):
@@ -596,7 +596,8 @@ class _TaylorShift:
 def _kernel_hessians(coef, red, m):
     """`normalized` and `kernel_hessian_at_origin` at each corank-one point of maps to the plane.
 
-    `coef` holds each component's `two_jet_coefficients` and `red` their
+    `coef` holds each component's two-jet coefficients (of each x_j, then of
+    each x_a x_b, a <= b, source variables in order) and `red` their
     corank reduction.  Returns det B(0), E(0)^T H and K, and where their bits
     are surely the scalar stages'.  B is 1x1: det B(0) is the pivot entry of
     the first row of T f and adj(B) W its other linear entries, as
@@ -635,7 +636,7 @@ def _kernel_hessians(coef, red, m):
 def _stacked_stages(coef, jet, n, m, tol):
     """`_classify_at_origin` up to the fold test at each point of a stack, run on all at once.
 
-    `coef` holds each point's `two_jet_coefficients`, a row per component,
+    `coef` holds each point's two-jet coefficients, a row per component,
     and `jet(i)` gives point i's jet, which is asked for only where its
     normalized germ is read.  The corank reduction, `normalized`,
     `kernel_hessian_at_origin` and the fold test, each with the float

@@ -10,10 +10,10 @@ Besides this module, the kernel and the parser, `.terms` is read by key in
 `criteria._taylor_tail` and `criteria.kernel_hessian_at_origin` (the last two
 by sums of the context's keys); all but the last wrap the term dicts they
 compute with `Polynomial._wrap`, and `numeric` keys its shared pipelines on them.
-`linear_coefficients` and `two_jet_coefficients` read the gradient and the
-quadratic part at 0 by the context's packed keys of x_j and x_a x_b.  Kernel
-results are wrapped as they come, not packed or truncated again.  A product
-whose total degree would exceed `context.MAX_DEGREE` raises DegreeOverflowError.
+`linear_coefficients` reads the gradient at 0 by the context's packed keys
+of the x_j.  Kernel results are wrapped as they come, not packed or
+truncated again.  A product whose total degree would exceed
+`context.MAX_DEGREE` raises DegreeOverflowError.
 
 The heavy term-merging loops live in `morinclass._termops_py`.
 Coefficients are exact rational scalars: plain ints are kept as ints
@@ -202,15 +202,6 @@ class Polynomial:
             raise ValueError("a 0-jet has no derivative")
         get = self.terms.get
         return [get(key, 0) for key in self.context.linear_keys]
-
-    def two_jet_coefficients(self):
-        """The coefficients of each x_j, then of each x_a x_b (a <= b), source variables in order.
-
-        Like `linear_coefficients`, this reads the packed keys and builds no jet.
-        """
-        get, keys = self.terms.get, self.context.linear_keys
-        return [get(key, 0) for key in keys] + [
-            get(a + b, 0) for i, a in enumerate(keys) for b in keys[i:]]
 
     # -- term access: exponent tuples, in term order --------------------------
 

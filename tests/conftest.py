@@ -550,6 +550,16 @@ def polynomial_sum_apply(field, p):
     return acc
 
 
+def two_jet_coefficients(p):
+    """The coefficients of each x_j, then of each x_a x_b (a <= b), source variables in order.
+
+    The rows of `numeric`'s stacked stages, read by the context's packed keys.
+    """
+    get, keys = p.terms.get, p.context.linear_keys
+    return [get(key, 0) for key in keys] + [
+        get(a + b, 0) for i, a in enumerate(keys) for b in keys[i:]]
+
+
 def minor_rank(rows):
     """Rank as the maximal order of a nonzero minor (enumeration oracle)."""
     from itertools import combinations

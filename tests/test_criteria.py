@@ -347,26 +347,16 @@ class TestThetaRule:
                 yield n, k, ls, hd, m0
 
     def test_exact_rule_matches_minor_rank_oracle(self, battery_germs):
-        changes = (self.linear_change, self.unipotent_change)
-        for *_, m0 in self.changed_stages(battery_germs, random.Random(31), changes):
-            assert _EXACT.theta_column(m0) == (nonzero_adjugate_columns(m0) or [None])[0]
+        # `_taylor_tail` takes the first column of adj(M(0)) that is not zero
+        from morinclass.criteria import _taylor_tail
 
-    def test_exact_rule_on_fraction_entries_of_size_four(self):
-        a = [Fraction(1, 2), Fraction(1, 3), 0, Fraction(-2, 5)]
-        b = [0, Fraction(1, 5), Fraction(1, 7), 0]
-        c = [Fraction(1, 9), 0, Fraction(-4, 3), Fraction(3, 4)]
-        d = [Fraction(5, 6), 0, 0, Fraction(1, 11)]
-        mix = [x + Fraction(2, 3) * y for x, y in zip(a, b)]
-        zero = [Fraction(0)] * 4
-        cases = (
-            ([a, b, c, d], 0),  # invertible: every column
-            ([c, a, b, mix], 1),  # rows 1..3 span a plane, so column 0 vanishes
-            ([a, b, c, zero], 3),  # only the zero row may be left out
-            ([a, b, mix, zero], None),  # rank 2: adj(M(0)) = 0
-        )
-        for m0, expected in cases:
-            assert (nonzero_adjugate_columns(m0) or [None])[0] == expected
-            assert _EXACT.theta_column(m0) == expected
+        rng = random.Random(31)
+        for *_, germ in battery_germs:
+            for change in (self.linear_change, self.unipotent_change):
+                ls = classify_lambdas(change(rng, germ))
+                m0 = [[e.constant_term() for e in row] for row in kernel_matrix(ls).to_rows()]
+                column = (nonzero_adjugate_columns(m0) or [None])[0]
+                assert _taylor_tail(ls).theta_column == column
 
     def test_label_data_do_not_depend_on_the_column(self, battery_germs):
         # theta from any nonzero column of adj(M(0)) gives the same first
@@ -451,8 +441,9 @@ class TestIterateH:
                 hd = HessData(kernel_matrix(ls))
                 assert bits(hd.h_matrix.entries) == bits(
                     [polynomial_sum_apply(eta, lam) for lam in ls.lambdas for eta in frame.eta])
-                column = decide.theta_column([[e.constant_term() for e in row]
-                                              for row in hd.h_matrix.to_rows()])
+                m0 = [[e.constant_term() for e in row] for row in hd.h_matrix.to_rows()]
+                column = (decide.theta_column(m0) if not exact
+                          else (nonzero_adjugate_columns(m0) or [None])[0])
                 if column is None:
                     continue
                 hd = iterate_h(build_theta(ls, hd, column), n - 1)
@@ -658,10 +649,10 @@ class TestStageRouting:
         # det M comes from the elimination that gives theta: untraced, once for
         # a Morin candidate and never for a germ labelled from M(0) alone;
         # traced, once for every germ whose h is printed, none where h is the
-        # zero jet of its order.  An exact map to the plane (n = 2) takes
-        # `_taylor_tail` and eliminates no M; its float verdict still does.
-        # An exact n = 3 germ takes `_taylor_tail` too, whose one elimination
-        # is that of the s-square block M(0) + M_1
+        # zero jet of its order.  An exact germ takes `_taylor_tail`: for a map
+        # to the plane (n = 2) it eliminates nothing, while its float verdict
+        # eliminates M; for n >= 3 its one elimination is that of the
+        # s-square block M_<N, the part of M below degree N = n - 1
         from morinclass.numeric import numeric_classify
 
         ctx = make_context("x", "y", "z")
@@ -703,7 +694,8 @@ class TestStageRouting:
     def test_theta_elimination_gives_hessian_h(self, battery_germs, monkeypatch):
         # the h `build_theta` takes from [M | e_c] is `hessian`'s det M term
         # for term, in the same order and with the same float bits, on the
-        # exact and float jets the classifier hands it
+        # float jets the classifier hands it, and on the exact lambdas it
+        # hands `_taylor_tail` with the tail's column
         from morinclass import criteria
         from morinclass.numeric import numeric_classify
 
@@ -711,16 +703,22 @@ class TestStageRouting:
             return p.jet, [(k, type(c), c.hex() if isinstance(c, float) else c)
                            for k, c in p.terms.items()]
 
-        seen, build_theta_ = [], criteria.build_theta
+        seen, build_theta_, taylor_tail = [], criteria.build_theta, criteria._taylor_tail
 
         def spied(ls, hd, column):
             seen.append((ls, column))
             return build_theta_(ls, hd, column)
 
+        def spied_tail(ls, theta=True):
+            hd = taylor_tail(ls, theta)
+            if hd.theta_column is not None:
+                seen.append((ls, hd.theta_column))
+            return hd
+
         monkeypatch.setattr(criteria, "build_theta", spied)
+        monkeypatch.setattr(criteria, "_taylor_tail", spied_tail)
         rng = random.Random(41)
         changes = (TestThetaRule.linear_change, TestThetaRule.unipotent_change)
-        # the battery's exact germs take `_taylor_tail` (n <= 3); maps to 4-space eliminate M
         germs = [germ for *_, germ in battery_germs]
         germs += [normal_form(5, 4, k, (1, -1)) for k in (2, 4)]
         for germ in germs:
@@ -736,6 +734,31 @@ class TestStageRouting:
             # without the h it is handed, as the untraced path calls it
             assert bits(build_theta_(ls, dataclasses.replace(hd, h=None), column).h) == bits(hd.h)
             assert bits(build_theta_(ls, hd, column).h) == bits(hd.h)
+
+    def test_exact_germs_build_no_m(self, battery_germs, monkeypatch):
+        # traced or not, no exact germ builds M or takes a determinant of it:
+        # `_taylor_tail` reads h, theta and the h-chain from Taylor
+        # coefficients and eliminates only the block M_<N
+        from morinclass import criteria
+
+        inputs = perfbench_module("inputs")
+        calls = []
+        for owner, name in ((criteria, "kernel_matrix"), (criteria, "build_theta"),
+                            (criteria, "hessian"), (PolyMatrix, "determinant")):
+            def counted(*args, _name=name, _run=getattr(owner, name)):
+                calls.append(_name)
+                return _run(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        germs = [germ for *_, germ in battery_germs]
+        germs += [inputs.ladder_case(random.Random(1), *case)["germ"]
+                  for case in ((5, 4, 4), (6, 5, 5))]
+        labels = set()
+        for germ in germs:
+            for trace in (True, False):
+                labels.add((germ.n, str(classify(germ, trace=trace).label)))
+        assert calls == []
+        assert {(4, "Morin{4}"), (5, "Morin{5}")} <= labels
 
 
 def plane_germs(rng):
@@ -770,14 +793,19 @@ def plane_germs(rng):
             yield kind, TestThetaRule.unipotent_change(rng, germ)
 
 
-def tail_stages(germ):
-    """The lambdas `classify` builds for an exact germ with n <= 3, and M, h, theta and
-    the h-chain from `kernel_matrix`, `build_theta` and `iterate_h` on them."""
-    n = germ.n
+def classify_lambdas(germ):
+    """The lambdas `classify` builds for an exact germ: on its integer-scaled (n+1)-jet,
+    the frame at order n-1."""
     work = MapGerm(germ.context,
-                   tuple(c.integer_scaled() for c in germ.truncated(n + 1).components))
+                   tuple(c.integer_scaled() for c in germ.truncated(germ.n + 1).components))
     ng = frame_jets(normalize(work))
-    ls = lambdas_for_frame(ng.germ, build_frame(ng))
+    return lambdas_for_frame(ng.germ, build_frame(ng))
+
+
+def tail_stages(germ):
+    """The lambdas `classify` builds for an exact germ, and M, h, theta and the h-chain
+    from `kernel_matrix`, `build_theta` and `iterate_h` on them."""
+    ls = classify_lambdas(germ)
     return ls, eliminated_tail(ls)
 
 
@@ -786,7 +814,7 @@ def eliminated_tail(ls, theta=True):
     the h-chain; without `theta`, h alone."""
     hd = HessData(kernel_matrix(ls))
     m0 = [[e.constant_term() for e in row] for row in hd.h_matrix.to_rows()]
-    column = _EXACT.theta_column(m0) if theta else None
+    column = (nonzero_adjugate_columns(m0) or [None])[0] if theta else None
     if column is None:
         return build_theta(ls, hd, None)
     return iterate_h(build_theta(ls, hd, column), ls.germ.n - 1)
@@ -877,9 +905,8 @@ class TestPlaneRoute:
             assert h.terms == {0: old.h.constant_term()} and type(h.constant_term()) is int
 
     def test_route_is_chosen_by_input(self, monkeypatch):
-        # exact maps to the plane and to 3-space take `_taylor_tail`, traced
-        # and untraced, for the label and for the trace's h; n >= 4 and
-        # floats do not
+        # exact germs take `_taylor_tail` for every n, traced and untraced,
+        # for the label and for the trace's h; floats do not
         from morinclass import criteria
         from morinclass.numeric import numeric_classify
 
@@ -890,7 +917,9 @@ class TestPlaneRoute:
             return taylor_tail(ls, theta)
 
         monkeypatch.setattr(criteria, "_taylor_tail", counted)
-        for m, n, k in ((4, 2, 1), (4, 2, 2), (6, 2, 2), (5, 3, 1), (5, 3, 3), (6, 3, 2)):
+        cases = ((4, 2, 1), (4, 2, 2), (6, 2, 2), (5, 3, 1), (5, 3, 3), (6, 3, 2), (5, 4, 1),
+                 (5, 4, 4), (6, 5, 5))
+        for m, n, k in cases:
             germ = normal_form(m, n, k, (1,) * (m - 1))
             for trace in (True, False):
                 calls.clear()
@@ -899,36 +928,35 @@ class TestPlaneRoute:
             calls.clear()
             numeric_classify(germ, (0,) * m)
             assert calls == []
-        classify(normal_form(5, 4, 4, (1,)))
-        classify(normal_form(5, 4, 1, (1, 1)))
-        assert calls == []
 
 
-def space_germs(rng):
-    """(kind, germ) for seeded exact maps to 3-space, m = 4..7 (s = m - 2 = 2..5).
+def space_germs(rng, n=3, ms=range(4, 8)):
+    """(kind, germ) for seeded exact maps to n-space, by default to 3-space with m = 4..7.
 
-    The kinds, over x1, x2, y1..y_(m-3), z with q = sum +-y_i^2: a fold
-    (`normal_form(m, 3, 1)`), a cusp and a Morin 3 (`normal_form(m, 3, k)`),
-    "not2" (x1 y1 + x2 z + q - y1^2 + z^3: K of rank s - 2, so adj(M(0)) = 0),
-    "vanish" (q + x1 z + x2 z^2 + z^5: theta h(0) = theta^2 h(0) = 0), "flat"
-    (q + z^3: NotNondegenerate) and "rank" (q + z^4 + x1 z: condition (b)
-    fails).  Each comes plain, under a dense linear A-change, and under a
-    unipotent one, whose Fraction terms also change the kernel fields at
-    first and second order.
+    The kinds, over x1..x_(n-1), y1..y_(m-n), z with q = sum +-y_i^2 and
+    s = m - n + 1: a fold (`normal_form(m, n, 1)`), a cusp and a Morin n
+    (`normal_form(m, n, k)`), "not2" (x1 y1 + x2 z + q - y1^2 + z^3: K of
+    rank s - 2, so adj(M(0)) = 0), "vanish" (q + x1 z + x2 z^2 + z^(n+2):
+    AllDerivativesVanish), "flat" (q + z^3: NotNondegenerate) and "rank"
+    (q + z^4 + x1 z: condition (b) fails).  Each comes plain, under a dense
+    linear A-change, and under a unipotent one, whose Fraction terms also
+    change the kernel fields at first and second order.
     """
-    for m in range(4, 8):
-        signs = tuple(rng.choice((1, -1)) for _ in range(m - 2))
-        cusp = normal_form(m, 3, 2, signs[1:])
+    for m in ms:
+        signs = tuple(rng.choice((1, -1)) for _ in range(m - n + 1))
+        cusp = normal_form(m, n, 2, signs[1:])
         ctx = cusp.context
-        x1, x2, *ys, z = (Polynomial.variable(ctx, v) for v in ctx.names)
+        gens = [Polynomial.variable(ctx, v) for v in ctx.names]
+        xs, ys, z = gens[:n - 1], gens[n - 1:-1], gens[-1]
+        x1, x2 = xs[:2]
         q = sum((s * y**2 for s, y in zip(signs, ys)), Polynomial.zero(ctx))
-        kinds = [("fold", normal_form(m, 3, 1, signs)), ("cusp", cusp),
-                 ("morin3", normal_form(m, 3, 3, signs[1:])),
-                 ("not2", MapGerm(ctx, (x1, x2, x1 * ys[0] + x2 * z + q - signs[0] * ys[0]**2
+        kinds = [("fold", normal_form(m, n, 1, signs)), ("cusp", cusp),
+                 (f"morin{n}", normal_form(m, n, n, signs[1:])),
+                 ("not2", MapGerm(ctx, (*xs, x1 * ys[0] + x2 * z + q - signs[0] * ys[0]**2
                                         + z**3))),
-                 ("vanish", MapGerm(ctx, (x1, x2, q + x1 * z + x2 * z**2 + z**5))),
-                 ("flat", MapGerm(ctx, (x1, x2, q + z**3))),
-                 ("rank", MapGerm(ctx, (x1, x2, q + z**4 + x1 * z)))]
+                 ("vanish", MapGerm(ctx, (*xs, q + x1 * z + x2 * z**2 + z**(n + 2)))),
+                 ("flat", MapGerm(ctx, (*xs, q + z**3))),
+                 ("rank", MapGerm(ctx, (*xs, q + z**4 + x1 * z)))]
         for kind, germ in kinds:
             yield kind, germ
             yield kind, TestThetaRule.linear_change(rng, germ)
@@ -937,8 +965,9 @@ def space_germs(rng):
 
 class TestTaylorTail:
     """`criteria._taylor_tail` on maps to 3-space, h to order 2 by the second-order
-    expansion of det M around M(0), against the elimination of M on the same
-    lambdas, and `classify`'s records with either."""
+    expansion of det M around M(0), and on maps to 4- and 5-space (N = n - 1 >= 3),
+    against the elimination of M on the same lambdas, and `classify`'s records
+    with either."""
 
     @pytest.fixture(scope="class")
     def germs(self):
@@ -1011,6 +1040,77 @@ class TestTaylorTail:
             checked += 1
         assert checked == 42
 
+    @pytest.fixture(scope="class")
+    def high_germs(self):
+        return [*space_germs(random.Random(4444), 4, (5, 6)),
+                *space_germs(random.Random(4545), 5, (6,))]
+
+    @pytest.fixture(scope="class")
+    def high_stages(self, high_germs):
+        return [(kind, germ, *tail_stages(germ)) for kind, germ in high_germs]
+
+    def test_matches_the_elimination_of_m_for_n_4_and_5(self, high_stages):
+        # M_<N eliminated whole, the trace at degree N and theta to order
+        # N - 1 give M's h, theta cut at N - 1 and the h-chain, term for
+        # term and cap for cap
+        from morinclass.criteria import _taylor_tail
+
+        ranks = Counter()
+        for kind, germ, ls, old in high_stages:
+            new, shown = _taylor_tail(ls), _taylor_tail(ls, False)
+            assert new.h_matrix is None and shown.theta is None
+            n = germ.n
+            s = germ.m - n + 1
+            rank = minor_rank([[e.constant_term() for e in row] for row in old.h_matrix.to_rows()])
+            ranks[n, max(rank, s - 2) - s] += 1
+            assert (shown.h, shown.h.jet) == (old.h, old.h.jet) == (shown.h, n - 1), kind
+            if old.theta is None:
+                assert new.theta is None and new.h_derivs is None and rank <= s - 2, kind
+                continue
+            assert new.h == old.h and new.theta_column == old.theta_column, kind
+            assert theta_terms(new) == theta_terms(old, n - 2), kind
+            assert new.h_derivs[0] is new.h
+            assert [(p, p.jet) for p in new.h_derivs] == [(p, p.jet) for p in old.h_derivs], kind
+            assert [p.jet for p in new.h_derivs] == list(range(n - 1, -1, -1))
+            for k in range(2, n + 1):
+                assert rank_condition_b(ls, new, k) == rank_condition_b(ls, old, k), kind
+        # M(0) of rank s, s - 1 and at most s - 2, for each n
+        assert set(ranks) == {(n, r) for n in (4, 5) for r in (0, -1, -2)}
+
+    def test_records_match_the_elimination_of_m_for_n_4_and_5(self, high_germs, monkeypatch):
+        from morinclass import criteria
+
+        def records():
+            return [json.dumps(classify(germ, trace=trace).trace)
+                    for _, germ in high_germs for trace in (True, False)]
+
+        new = records()
+        monkeypatch.setattr(criteria, "_taylor_tail", eliminated_tail)
+        assert records() == new
+        labels = {str(classify(germ).label).split("(signature")[0] for _, germ in high_germs}
+        assert labels == {"Fold", "Morin{2}", "Morin{4}", "Morin{5}"} | {
+            f"Degenerate({reason})" for reason in (NOT_NONDEGENERATE, NOT_2_NONDEGENERATE,
+                                                   ALL_DERIVATIVES_VANISH, RANK_CONDITION_FAILED)}
+
+    def test_h_matches_sympy_for_n_4_and_5(self):
+        # det M by sympy over QQ[x], cut at order N = n - 1, on the smallest
+        # cusp of each n under a dense linear change, where M(0) is singular
+        import sympy
+        from morinclass.criteria import _taylor_tail
+        from sympy.polys.matrices import DomainMatrix
+        from sympy.polys.rings import ring
+
+        for n in (4, 5):
+            germ = TestThetaRule.linear_change(random.Random(n), normal_form(n + 1, n, 2, (1,)))
+            ls = classify_lambdas(germ)
+            qx, *_ = ring(germ.context.names, sympy.QQ)
+            rows = [[qx.from_dict({e: sympy.QQ(c.numerator, c.denominator) for e, c in p.items()})
+                     for p in row] for row in kernel_matrix(ls).to_rows()]
+            det = DomainMatrix(rows, (2, 2), qx.to_domain()).det()
+            low = {e: c for e, c in det.items() if sum(e) <= n - 1}
+            assert max(map(sum, low)) == n - 1
+            assert low == dict(_taylor_tail(ls, False).h.items()), n
+
 
 class TestScaling:
     """Counts, not times: untraced `classify` and `numeric_classify` at the
@@ -1073,28 +1173,29 @@ class TestScaling:
         self.assert_polynomial_growth(counts, range(3, 11), cubic_forms_germ)
 
     def test_theta_decision_on_a_zero_block_stays_polynomial(self, monkeypatch):
-        # the exact theta column decision eliminates M(0) = 0, an r x r block
-        # of zeros with no pivot: `_cofactor` expands each minor once, in at
-        # most r^3 `_dot` calls, the bound of
+        # the exact theta column decision, `_taylor_tail`'s adj(M(0)),
+        # eliminates M(0) = 0, an r x r block of zeros with no pivot:
+        # `_cofactor` expands each minor once, in at most r^3 `_dot` calls,
+        # the bound of
         # `test_linalg.py::TestElimination::test_expanded_zero_block_stays_polynomial`
         from morinclass import criteria, linalg
 
         dots, deciding = [0], [False]
-        dot, decide = linalg._dot, criteria._Exact.theta_column
+        dot, adjugate = linalg._dot, criteria.adjugate
 
         def counted_dot(xs, ys):
             dots[0] += deciding[0]
             return dot(xs, ys)
 
-        def counted_decision(self, m0):
+        def counted_adjugate(rows, one, zero):
             deciding[0] = True
             try:
-                return decide(self, m0)
+                return adjugate(rows, one, zero)
             finally:
                 deciding[0] = False
 
         monkeypatch.setattr(linalg, "_dot", counted_dot)
-        monkeypatch.setattr(criteria._Exact, "theta_column", counted_decision)
+        monkeypatch.setattr(criteria, "adjugate", counted_adjugate)
         for r in range(3, 11):
             dots[0] = 0
             assert classify(cubic_forms_germ(r), trace=False).label.reason == NOT_2_NONDEGENERATE
@@ -1126,11 +1227,11 @@ class TestScaling:
         monkeypatch.setattr(linalg, "_dot", counted)
         cubic = [traced(cubic_forms_germ(r)) for r in range(3, 8)]
         assert all(b <= 2 * a for a, b in zip(cubic, cubic[1:])), cubic
-        # n = 2 forms no M: its count is the scalar adj(M(0)) of `_taylor_tail`,
-        # (m-1)-square, which for m = 3 is a 2x2 of 5 products.  n = 3 forms
-        # none either: the Morin 3 forms count that adjugate and the
-        # elimination of the block M(0) + M_1, and `kernel_hessian_zero_germ`
-        # takes its zero h before any adjugate
+        # no exact germ forms M.  For n = 2 the count is the scalar adj(M(0))
+        # of `_taylor_tail`, (m-1)-square, which for m = 3 is a 2x2 of 5
+        # products.  For n >= 3 it is that adjugate and the elimination of
+        # the block M_<N, and `kernel_hessian_zero_germ` takes its zero h
+        # before any adjugate
         families = (
             (range(4, 11), lambda m: normal_form(m, 2, 1, (1,) * (m - 1))),
             (range(5, 11), lambda m: normal_form(m, 4, 4, (1,) * (m - 4))),
@@ -1374,20 +1475,17 @@ class TestFoldOverQ:
         assert folds == {"battery": 48, "witness": 200}
 
     def test_integer_m0_is_det_b_times_k(self, battery_germs, monkeypatch):
-        # the theta decision and `_taylor_tail` take adj(M(0)) of M(0) as it
-        # comes: on `classify`'s integer-scaled germs it is a matrix of ints,
+        # `_taylor_tail` takes adj(M(0)) of M(0) as it comes, for the theta
+        # decision: on `classify`'s integer-scaled germs it is a matrix of ints,
         # det B(0) K (dlambda(0) = det B(0) E(0)^T H, so M(0) = det B(0) E(0)^T H E(0))
         from morinclass import criteria
 
         heads, read = [], []
         kernel_hessian, adjugate = criteria.kernel_hessian_at_origin, criteria.adjugate
-        decide = criteria._Exact.theta_column
         monkeypatch.setattr(criteria, "kernel_hessian_at_origin",
                             lambda ng: heads.append(kernel_hessian(ng)) or heads[-1])
         monkeypatch.setattr(criteria, "adjugate",
                             lambda rows, *units: read.append(rows) or adjugate(rows, *units))
-        monkeypatch.setattr(criteria._Exact, "theta_column",
-                            lambda self, m0: read.append(m0) or decide(self, m0))
         checked = Counter()
         for source, germs in (("battery", self.changed_battery(battery_germs)),
                               ("witness", self.witness_germs())):
@@ -1608,29 +1706,26 @@ def traced_stage_germs():
 
 
 @pytest.mark.parametrize("name, trace, hessians, determinants", [
-    # an exact map to 3-space or to the plane takes h from `_taylor_tail`, without M
+    # an exact germ takes h from `_taylor_tail`, without M, for every n
     ("fold", True, 0, 0),
     ("fold", False, 0, 0),
     ("not 2-nondegenerate", True, 0, 0),
     ("cusp", True, 0, 0),
-    ("fold n=4", True, 1, 1),
+    ("fold n=4", True, 0, 0),
     ("fold n=4", False, 0, 0),
-    ("not 2-nondegenerate n=4", True, 0, 1),
+    ("not 2-nondegenerate n=4", True, 0, 0),
     ("cusp n=4", True, 0, 0),
     ("fold n=2", True, 0, 0),
     ("cusp n=2", True, 0, 0),
 ])
 def test_traced_stages_run_through_the_wrapped_names(monkeypatch, name, trace, hessians,
                                                       determinants):
-    """`classify` builds a labelled germ's traced M and h through `criteria.hessian`,
-    and det M without a column through `PolyMatrix.determinant`.
+    """No exact germ, traced or not, calls `criteria.hessian` or `PolyMatrix.determinant`.
 
     The benchmark's `criteria.hessian` and `linalg.det` spans wrap those two
-    names: a stage that builds M or takes det M around them leaves the spans
-    at 0 although the work is done.  A Morin candidate builds M itself and
-    takes det M in the same elimination as its theta column.  An exact map
-    to the plane or to 3-space builds no M: `_taylor_tail` takes h from
-    Taylor coefficients.
+    names, which build M and take det M without a column.  An exact germ
+    builds no M at any n: `_taylor_tail` takes h from Taylor coefficients,
+    and the spans stay at 0 because that work is not done.
     """
     from morinclass import criteria
 

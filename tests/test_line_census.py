@@ -1,5 +1,6 @@
 """`tools/line_census.py` on one workload at a time: smoke tests and what the census pins."""
 
+import functools
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +14,23 @@ def checkout_state():
     return {p: p.stat().st_mtime_ns for p in ROOT.rglob("*") if ".git" not in p.relative_to(ROOT).parts}
 
 
+TAIL = "def _taylor_tail(ls: LambdaSystem, theta=True) -> HessData:"
+# the lines `_taylor_tail` runs only for N = n - 1 >= 3: the block M_<N and theta by `_kernel_field`
+HIGH_ORDER_LINES = [
+    "below = order << ctx.degree_shift  # the keys of degree below N",
+    "block = [[Polynomial._wrap(ctx, {k: c for k, c in e.terms.items() if k < below}, order)",
+    "for e in _apply_fields(ls.frame.eta, lam.truncated(order))]",
+    "for lam in lambdas]",
+    "field = _kernel_field(ls.frame.eta, adj_col, order - 1)",
+    "return iterate_h(HessData(h=h, theta=field, theta_column=column), order)",
+]
+
+
+@functools.cache
 def census(workload):
     """The tool on `workload` at seed 1: {module: {line number: text}} of the lines not run.
 
+    Run once per workload and session; the tests only read the result.
     Checks that the run touches no file in the checkout, that every module
     has its header and that each header counts the lines listed under it.
     """
@@ -85,20 +100,37 @@ def test_float_scan_export_runs_every_line_of_the_stacked_shift():
     assert not [number for number in numeric if start <= number <= end]
 
 
+def tail_span(source):
+    """The line numbers of `_taylor_tail`, from its `def` to the next."""
+    start = source.index(TAIL) + 1
+    end = next(i for i in range(start, len(source)) if source[i].startswith("def "))
+    assert end - start > 60
+    return range(start, end + 1)
+
+
 def test_ainv_replay_runs_the_second_order_tail():
     # the replay's maps to the plane and to 3-space run every line of
     # `_taylor_tail`, both orders, but the exits for M(0) = 0 and for a germ
-    # without a theta column: the battery's folds and Morin germs are never
-    # NotNondegenerate or Not2Nondegenerate
+    # without a theta column, and the lines for N >= 3: the battery's folds
+    # and Morin germs are never NotNondegenerate or Not2Nondegenerate, and
+    # the replay maps to 3-space at most
     criteria = census("ainv_replay")["criteria.py"]
     source = (PACKAGE / "criteria.py").read_text().splitlines()
-    start = source.index("def _taylor_tail(ls: LambdaSystem, theta=True) -> HessData:") + 1
-    end = next(i for i in range(start, len(source)) if source[i].startswith("def "))
-    assert end - start > 60
-    assert [criteria[number] for number in criteria if start <= number <= end] == [
-        "return HessData(h=Polynomial.zero(ctx).truncated(order))", "return HessData()"]
+    assert [criteria[number] for number in criteria if number in tail_span(source)] == [
+        "return HessData(h=Polynomial.zero(ctx).truncated(order))", "return HessData()",
+        *HIGH_ORDER_LINES]
     for number, text in criteria.items():
         assert source[number - 1].strip() == text
+
+
+def test_dim_ladder_runs_the_tail_for_n_4():
+    # the ladder's (5,4,4) germ runs every line of `_taylor_tail`'s N >= 3 branch
+    criteria = census("dim_ladder")["criteria.py"]
+    source = (PACKAGE / "criteria.py").read_text().splitlines()
+    high = [number for number in tail_span(source)
+            if source[number - 1].strip() in HIGH_ORDER_LINES]
+    assert len(high) == len(HIGH_ORDER_LINES)
+    assert not [number for number in high if number in criteria]
 
 
 def test_ainv_replay_runs_every_line_of_the_cofactor_base():

@@ -38,6 +38,7 @@ from conftest import (
     make_context,
     normal_form,
     perfbench_module,
+    two_jet_coefficients,
     unipotent_target_change,
 )
 
@@ -975,7 +976,7 @@ class TestBatchOracle:
                 **{u: c for u, c in zip(units, row) if c},
                 **{e: rng.choice(pool[2:]) for e in quadratic if rng.random() < 0.5}})
                 for row in rows)))
-        coef = np.array([[c for p in g.components for c in p.two_jet_coefficients()]
+        coef = np.array([[c for p in g.components for c in two_jet_coefficients(p)]
                          for g in germs], dtype=float).reshape(len(germs), n, -1)
         tol = Tolerances()
         with np.errstate(all="ignore"):
@@ -1016,7 +1017,7 @@ class TestBatchOracle:
             second = {e: (w * first.get(e, 0.0) if sum(e) == 1 else rng.choice(pool))
                       for e in exps if sum(e) == 1 or rng.random() < 0.6}
             germs.append(MapGerm(ctx, (Polynomial(ctx, first), Polynomial(ctx, second))))
-        coef = np.array([[c for p in g.components for c in p.two_jet_coefficients()]
+        coef = np.array([[c for p in g.components for c in two_jet_coefficients(p)]
                          for g in germs], dtype=float).reshape(300, 2, -1)
         with np.errstate(all="ignore"):
             red = numeric._reduce(coef[:, :, :4], Tolerances().rank_tol)
