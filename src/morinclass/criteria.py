@@ -283,7 +283,8 @@ def _taylor_tail(ls: LambdaSystem, theta=True) -> HessData:
     if column is None:
         return HessData(h=h)
     if order > 2:
-        field = _kernel_field(ls.frame.eta, adj_col, order - 1)
+        cut = [[e.truncated(order - 1)] for (e,) in adj_col]  # so no product forms degree N
+        field = _kernel_field(ls.frame.eta, cut, order - 1)
         return iterate_h(HessData(h=h, theta=field, theta_column=column), order)
     heads = (0, *keys)[:1 + len(keys) * (order - 1)]  # theta to order N - 1
     coeffs = [[0] * len(heads) for _ in keys]

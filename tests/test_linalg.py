@@ -670,7 +670,7 @@ class TestRank:
 
     @staticmethod
     def determinant(rows):
-        """det of rational rows as `criteria._Exact.theta_column` eliminates them: each `cleared`."""
+        """det of rational rows, each `cleared` to ints first, as `eliminate` asks of rationals."""
         dens, ints = zip(*map(cleared, rows))
         return Fraction(eliminate(list(ints))[0], math.prod(dens))
 

@@ -21,7 +21,8 @@ HIGH_ORDER_LINES = [
     "block = [[Polynomial._wrap(ctx, {k: c for k, c in e.terms.items() if k < below}, order)",
     "for e in _apply_fields(ls.frame.eta, lam.truncated(order))]",
     "for lam in lambdas]",
-    "field = _kernel_field(ls.frame.eta, adj_col, order - 1)",
+    "cut = [[e.truncated(order - 1)] for (e,) in adj_col]  # so no product forms degree N",
+    "field = _kernel_field(ls.frame.eta, cut, order - 1)",
     "return iterate_h(HessData(h=h, theta=field, theta_column=column), order)",
 ]
 

@@ -35,6 +35,7 @@ from conftest import (
     linear_source_change,
     linear_target_change,
     make_context,
+    normal_form,
     unipotent_source_change,
     unipotent_target_change,
 )
@@ -520,8 +521,8 @@ def test_theta_identity_at_exact_morin_candidates(battery_germs, monkeypatch):
     # theta lambda_i = (M adj M)_ic = h delta_ic: at a Morin candidate, where
     # h(0) = 0, theta(0) annihilates every dlambda_i(0); and theta(0) .
     # d(theta^j h)(0) = theta^(j+1) h(0).  Untraced, `classify` takes
-    # `criteria._taylor_tail` for exact maps with n <= 3 past
-    # non-degeneracy: the germs it gives a theta column are the candidates
+    # `criteria._taylor_tail` for every exact germ past non-degeneracy: the
+    # germs it gives a theta column are the candidates
     from morinclass import criteria
 
     seen, tail = [], criteria._taylor_tail
@@ -535,9 +536,12 @@ def test_theta_identity_at_exact_morin_candidates(battery_germs, monkeypatch):
     monkeypatch.setattr(criteria, "_taylor_tail", spied)
     rng = random.Random(1965)
     germs = [germ for *_, germ in battery_germs]
-    germs += [germ for germ in seeded_germs(rng) if germ.n <= 3]
+    germs += seeded_germs(rng)
     germs += [normal_coordinates_germ(rng, kind, m, 3)
               for kind in ("morin 3", "not versal 3") for m in (4, 5)]
+    # maps to 4- and 5-space, where the tail eliminates the block M_<N
+    forms = [normal_form(n + 1, n, k, (1,)) for n in (4, 5) for k in range(2, n + 1)]
+    germs += [linear_target_change(rng, linear_source_change(rng, form)) for form in forms]
     for germ in germs:
         classify(germ, trace=False)
     dims = Counter()
@@ -549,4 +553,4 @@ def test_theta_identity_at_exact_morin_candidates(battery_germs, monkeypatch):
             slope = hd.h_derivs[j].linear_coefficients()
             assert sum(t * d for t, d in zip(theta0, slope)) == hd.h_derivs[j + 1].constant_term()
         dims[ls.germ.n] += 1
-    assert dims == {2: 18, 3: 25}, dims
+    assert dims == {2: 18, 3: 25, 4: 3, 5: 4}, dims
