@@ -31,7 +31,7 @@ HIGH_ORDER_LINES = [
 def census(workload):
     """The tool on `workload` at seed 1: {module: {line number: text}} of the lines not run.
 
-    Run once per workload and session; the tests only read the result.
+    Run once per workload in a test run; the tests only read the result.
     Checks that the run touches no file in the checkout, that every module
     has its header and that each header counts the lines listed under it.
     """
