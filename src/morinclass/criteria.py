@@ -51,8 +51,8 @@ of `_after_fold_test`; the tests hold every bit to `_classify_at_origin` on
 one point with `numeric._Thresholds`.  The decisions: corank and pivots,
 the fold test (h(0), the rank of dlambda(0), the signature), the theta
 column, the zero tests of the h-derivatives and condition (b)'s rank.
-`lefschetz.chart_hessian` runs `build_theta` too, on its chart's lambdas
-and the published last column.
+`lefschetz.chart_hessian` builds M too, on its chart's lambdas, and takes
+det M, adj(M) and theta from one `linalg.adjugate` of it.
 
 Every mathematical failure is a report label, never an exception.  The tests
 read values and first derivatives at the base point only; a first derivative
@@ -151,21 +151,16 @@ def kernel_matrix(ls: LambdaSystem) -> PolyMatrix:
 
 
 def hessian(ls: LambdaSystem) -> HessData:
-    """The kernel Hessian matrix M[i][j] = eta_j lambda_i and h = det M, by `build_theta`."""
-    return build_theta(ls, HessData(kernel_matrix(ls)), None)
+    """The kernel Hessian M[i][j] = eta_j lambda_i and h = det M by `PolyMatrix.determinant`."""
+    m = kernel_matrix(ls)
+    return HessData(m, h=cut_to_order(m.determinant(), m.entries))
 
 
 def build_theta(ls: LambdaSystem, hd: HessData, column: int) -> HessData:
-    """h = det M and, for a column c, the kernel field theta = adj(M) e_c.
+    """h = det M and the kernel field theta = adj(M) e_c, from one elimination of [M | e_c].
 
-    The one elimination of M: of [M | e_c], or for `column` None
-    `PolyMatrix.determinant`, the elimination of M alone, with the same det M
-    term for term (it pivots only in M's columns).  Where no entry of M has
-    a constant term, each product in det M has order at least the size of
-    M; when that size exceeds the order h is read to and no column is asked
-    for, h is the zero jet of that order and the block, which holds no unit
-    to pivot on, is not expanded.  `classify` runs it on floats, and
-    `lefschetz.chart_hessian` on its chart; an exact germ takes
+    Its det M is `hessian`'s term for term (the elimination pivots only in
+    M's columns).  `classify` runs it on floats; an exact germ takes
     `_taylor_tail`, which builds no M.
 
     Because adj(M) . M = det(M) . I holds identically, theta lies in the
@@ -176,14 +171,9 @@ def build_theta(ls: LambdaSystem, hd: HessData, column: int) -> HessData:
     exercises.
     """
     m = hd.h_matrix
-    order = jet_order(m.entries)
-    if column is None:
-        if order is not None and m.rows > order and not any(p.constant_term() for p in m.entries):
-            return replace(hd, h=Polynomial.zero(m.context).truncated(order))
-        return replace(hd, h=cut_to_order(m.determinant(), m.entries))
     unit = [[Polynomial.constant(m.context, int(r == column))] for r in range(m.rows)]
     det, adj_col = eliminate(m.to_rows(), unit)
-    theta = _kernel_field(ls.frame.eta, adj_col, order)
+    theta = _kernel_field(ls.frame.eta, adj_col, jet_order(m.entries))
     return replace(hd, h=cut_to_order(det, m.entries), theta=theta, theta_column=column)
 
 
@@ -221,8 +211,9 @@ def _taylor_tail(ls: LambdaSystem, theta=True) -> HessData:
     (N = 0) has M = M(0) and M_1 = 0 and takes the same lines.  For N >= 2
     one `eliminate` of [M_<N | e_c], entries capped at N, gives det(M_<N)
     and adj(M) e_c to order N - 1; the block is M(0) + M_1 for N = 2, and
-    for N >= 3 the fields applied to the lambdas cut to order N, less their
-    degree-N terms.  The trace is the degree-N part of sum_j eta_j mu_j,
+    for N >= 3 the fields applied to the lambdas cut to order N, at cap N:
+    each is capped at N - 1, as each eta's det B slot has order 0.  The
+    trace is the degree-N part of sum_j eta_j mu_j,
     mu_j = sum_i adj(M(0))_ji lambda_i.  theta = sum_j adj(M)_jc eta_j is
     taken to order N - 1 (by `_kernel_field` for N >= 3), all that
     `iterate_h` reads of it: the chain comes out with the terms and jets it
@@ -236,7 +227,7 @@ def _taylor_tail(ls: LambdaSystem, theta=True) -> HessData:
     # M(0) = det B(0) K, ints: the head is integer-scaled and `normalized` keeps int rows
     m0 = [[sum(e * grad[w] for w, e, _ in field) for field in fields] for grad in grads]
     order = ls.germ.n - 1
-    if len(m0) > order and not any(map(any, m0)):  # h is 0 to its order, as `build_theta` finds
+    if len(m0) > order and not any(map(any, m0)):  # each product in det M has degree > N
         return HessData(h=Polynomial.zero(ctx).truncated(order))
     det0, adj = adjugate(m0, 1, 0)
     column = next((c for c, col in enumerate(zip(*adj)) if any(col)), None) if theta else None
@@ -267,8 +258,7 @@ def _taylor_tail(ls: LambdaSystem, theta=True) -> HessData:
             block = [[Polynomial._wrap(ctx, {k: x for k, x in zip((0, *keys), (c, *lin)) if x}, 2)
                       for c, lin in zip(row0, row1)] for row0, row1 in zip(m0, m1)]
         else:
-            below = order << ctx.degree_shift  # the keys of degree below N
-            block = [[Polynomial._wrap(ctx, {k: c for k, c in e.terms.items() if k < below}, order)
+            block = [[Polynomial._wrap(ctx, e.terms, order)
                       for e in _apply_fields(ls.frame.eta, lam.truncated(order))]
                      for lam in lambdas]
         unit = None if column is None else [[Polynomial.constant(ctx, int(r == column))]

@@ -10,7 +10,7 @@ export, witness search over the singular set, and the full symbolic
 substitution chain behind those displays.  The frame, the lambdas, the
 kernel Hessian, h and theta come from the classifier's own stages
 (`germ.cramer_frame`, `criteria.lambdas_for_frame`, `criteria.kernel_matrix`,
-`criteria.build_theta`, whose one elimination of M gives h and theta), and
+`criteria._kernel_field`, with h and adj(M) from one `linalg.adjugate`), and
 the chain from `Polynomial` arithmetic and `substitute`.
 
 The published displays are printed as published; they are not the non-cusp
@@ -35,8 +35,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .context import VariableContext
-from .criteria import HessData, Label, build_theta, classify, kernel_matrix, lambdas_for_frame
+from .criteria import Label, _kernel_field, classify, kernel_matrix, lambdas_for_frame
 from .germ import MapGerm, cramer_frame
+from .linalg import PolyMatrix, adjugate
 from .polynomial import Polynomial
 from .rationals import brief_rational, cleared, format_rational, rat
 
@@ -115,21 +116,23 @@ def lefschetz_lambdas():
 def chart_hessian():
     """Kernel Hessian data of the chart: matrix (eta_j lam_i), h = det, theta, theta h.
 
-    The classifier's own stages (`criteria.kernel_matrix`, `criteria.build_theta`)
-    run on the normalized lambdas, so the substitution chain matches the
-    published displays; h and theta come from one elimination of M with its
-    last adjugate column (the published three-cofactor formula).  `adjugate`
-    is adj(M) in full.
+    The classifier's own stages (`criteria.kernel_matrix`,
+    `criteria._kernel_field`) run on the normalized lambdas, so the
+    substitution chain matches the published displays.  One elimination of
+    M, `linalg.adjugate`, gives h = det M and `adjugate`, adj(M) in full;
+    theta is built on its last column (the published three-cofactor formula).
     """
     data = lefschetz_lambdas()
     ls = replace(data["system"], lambdas=tuple(data["normalized"]))
-    hd = build_theta(ls, HessData(kernel_matrix(ls)), column=2)
+    mat, ctx = kernel_matrix(ls), ls.germ.context
+    h, adj = adjugate(mat.to_rows(), Polynomial.constant(ctx, 1), Polynomial.zero(ctx))
+    theta = _kernel_field(ls.frame.eta, [[row[2]] for row in adj], None)
     data.update({
-        "h_matrix": hd.h_matrix,
-        "h": hd.h,
-        "adjugate": hd.h_matrix.adjugate(),
-        "theta": hd.theta,
-        "theta_h": hd.theta.apply(hd.h),
+        "h_matrix": mat,
+        "h": h,
+        "adjugate": PolyMatrix.from_rows(adj),
+        "theta": theta,
+        "theta_h": theta.apply(h),
     })
     return data
 

@@ -39,10 +39,6 @@ def make_context(*names, params=()):
     return VariableContext.make(names, params)
 
 
-def poly_vars(ctx):
-    return [Polynomial.variable(ctx, n) for n in ctx.names]
-
-
 # -- the stable normal forms ----------------------------------------------------
 
 BATTERY_DIMS = ((3, 2), (4, 2), (4, 3), (5, 3))

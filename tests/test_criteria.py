@@ -44,6 +44,7 @@ from morinclass.germ import normalized
 from morinclass.lefschetz import LefschetzFamily, lefschetz_lambdas, witness_verify
 from morinclass.linalg import PolyMatrix, _dot
 from morinclass.parsing import parse_germ_document
+from morinclass.polynomial import cut_to_order
 
 from conftest import (
     cofactor_determinant,
@@ -683,13 +684,13 @@ class TestStageRouting:
             monkeypatch.undo()
 
     def test_chart_hessian_eliminates_m_for_theta_and_the_adjugate(self, monkeypatch):
-        # one elimination of the chart's 3x3 M gives h and theta, one more
-        # the full adjugate it reports
+        # one elimination of the chart's 3x3 M, `linalg.adjugate`, gives h,
+        # the full adjugate it reports and the column theta is built on
         from morinclass.lefschetz import chart_hessian
 
         calls = self.m_eliminations(monkeypatch, 3)
         chart_hessian()
-        assert calls == [3, 3]
+        assert calls == [3]
 
     def test_theta_elimination_gives_hessian_h(self, battery_germs, monkeypatch):
         # the h `build_theta` takes from [M | e_c] is `hessian`'s det M term
@@ -728,7 +729,6 @@ class TestStageRouting:
                 numeric_classify(moved, (0,) * germ.m)
         floats = [isinstance(next(iter(ls.lambdas[0].terms.values())), float) for ls, _ in seen]
         assert any(floats) and not all(floats)
-        monkeypatch.undo()  # `hessian` calls `build_theta`, which would grow `seen`
         for ls, column in seen:
             hd = hessian(ls)
             # without the h it is handed, as the untraced path calls it
@@ -811,13 +811,13 @@ def tail_stages(germ):
 
 def eliminated_tail(ls, theta=True):
     """What `_taylor_tail` gives, by eliminating M: h, and with a theta column theta and
-    the h-chain; without `theta`, h alone."""
-    hd = HessData(kernel_matrix(ls))
-    m0 = [[e.constant_term() for e in row] for row in hd.h_matrix.to_rows()]
+    the h-chain; without one, h alone, det M cut to M's order."""
+    m = kernel_matrix(ls)
+    m0 = [[e.constant_term() for e in row] for row in m.to_rows()]
     column = (nonzero_adjugate_columns(m0) or [None])[0] if theta else None
     if column is None:
-        return build_theta(ls, hd, None)
-    return iterate_h(build_theta(ls, hd, column), ls.germ.n - 1)
+        return HessData(m, h=cut_to_order(m.determinant(), m.entries))
+    return iterate_h(build_theta(ls, HessData(m), column), ls.germ.n - 1)
 
 
 def theta_terms(hd, order=None):
@@ -1110,6 +1110,24 @@ class TestTaylorTail:
             low = {e: c for e, c in det.items() if sum(e) <= n - 1}
             assert max(map(sum, low)) == n - 1
             assert low == dict(_taylor_tail(ls, False).h.items()), n
+
+    def test_block_entries_are_capped_below_n(self, high_germs):
+        # for N = n - 1 >= 3 the tail takes M_<N as the fields applied to the
+        # lambdas cut to order N, wrapped at cap N as they come: each entry
+        # is capped at N - 1, since each eta's det B slot has order 0, so it
+        # holds no degree-N term
+        from morinclass.germ import _apply_fields
+
+        inputs = perfbench_module("inputs")
+        germs = [germ for _, germ in high_germs]
+        germs += [inputs.ladder_case(random.Random(1), *case)["germ"]
+                  for case in ((5, 4, 4), (6, 4, 4), (6, 5, 5))]
+        for germ in germs:
+            ls, order = classify_lambdas(germ), germ.n - 1
+            for lam in ls.lambdas:
+                for entry in _apply_fields(ls.frame.eta, lam.truncated(order)):
+                    assert entry.jet == order - 1
+                    assert all(sum(exps) < order for exps, _ in entry.items())
 
 
 class TestScaling:

@@ -17,8 +17,7 @@ def checkout_state():
 TAIL = "def _taylor_tail(ls: LambdaSystem, theta=True) -> HessData:"
 # the lines `_taylor_tail` runs only for N = n - 1 >= 3: the block M_<N and theta by `_kernel_field`
 HIGH_ORDER_LINES = [
-    "below = order << ctx.degree_shift  # the keys of degree below N",
-    "block = [[Polynomial._wrap(ctx, {k: c for k, c in e.terms.items() if k < below}, order)",
+    "block = [[Polynomial._wrap(ctx, e.terms, order)",
     "for e in _apply_fields(ls.frame.eta, lam.truncated(order))]",
     "for lam in lambdas]",
     "cut = [[e.truncated(order - 1)] for (e,) in adj_col]  # so no product forms degree N",
